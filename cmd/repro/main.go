@@ -3,7 +3,12 @@
 //
 // Usage:
 //
-//	repro [flags] {fig1|fig2|fig5|fig6|coldstart|config|chaos|overload|traffic|execmode|scale|all}
+//	repro [flags] <target>
+//
+// A target is one experiment of the experiment table in internal/experiments,
+// "all" for its paper group, or "ext" for its extension group; `repro -h`
+// lists them all. An unknown target fails before anything runs, listing the
+// valid ones.
 //
 // Flags:
 //
@@ -16,6 +21,8 @@
 //	-cpmode M  control-plane mode: baseline (default) or direct; unknown
 //	           values fail fast listing the valid modes (the scale
 //	           experiment always sweeps both)
+//	-trace-out P  with the trace experiment: also write each capture's
+//	           Chrome trace_event JSON to P-<mode>.json
 //
 // Results are identical at any -workers value: repetitions are isolated
 // simulations fanned across the pool and merged back in repetition order.
@@ -26,10 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -41,7 +48,7 @@ func main() {
 	execMode := flag.String("mode", "", "workflow execution mode: poll (default), decentralized, or trigger")
 	cpMode := flag.String("cpmode", "", "control-plane mode: baseline (default) or direct")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repro [flags] {fig1|fig2|fig5|fig6|coldstart|config|all|datamove|resize|redirect|clustering|montage|isolation|placement|chaos|overload|traffic|trace|execmode|scale|ext}\n")
+		fmt.Fprintf(os.Stderr, "usage: repro [flags] {%s}\n", strings.Join(experiments.Targets(), "|"))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,6 +66,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
+	exps, err := experiments.Select(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(1)
+	}
 
 	o := experiments.DefaultOptions()
 	o.Seed = *seed
@@ -73,108 +85,32 @@ func main() {
 	}
 	o.Workers = *workers
 
-	run := func(name string) error {
-		w := os.Stdout
-		fmt.Fprintf(w, "== %s ==\n", name)
-		defer fmt.Fprintln(w)
-		switch name {
-		case "fig1":
-			return writeResult(w, experiments.Fig1(o))
-		case "fig2":
-			return writeResult(w, experiments.Fig2(o))
-		case "fig5":
-			return writeResult(w, experiments.Fig5(o))
-		case "fig6":
-			return writeResult(w, experiments.Fig6(o))
-		case "coldstart":
-			return writeResult(w, experiments.ColdStart(o))
-		case "datamove":
-			return writeResult(w, experiments.DataMovement(o))
-		case "resize":
-			return writeResult(w, experiments.Resizing(o))
-		case "redirect":
-			return writeResult(w, experiments.Redirection(o))
-		case "clustering":
-			return writeResult(w, experiments.Clustering(o))
-		case "montage":
-			return writeResult(w, experiments.Montage(o))
-		case "isolation":
-			return writeResult(w, experiments.Isolation(o))
-		case "placement":
-			return writeResult(w, experiments.Placement(o))
-		case "chaos":
-			return writeResult(w, experiments.Chaos(o))
-		case "overload":
-			return writeResult(w, experiments.Overload(o))
-		case "traffic":
-			return writeResult(w, experiments.Traffic(o))
-		case "execmode":
-			return writeResult(w, experiments.ExecModeStudy(o))
-		case "scale":
-			return writeResult(w, experiments.ScaleStudy(o))
-		case "trace":
-			res := experiments.Trace(o)
-			if *traceOut != "" {
-				for _, tc := range res.Rows {
-					path := fmt.Sprintf("%s-%s.json", *traceOut, tc.Label())
-					if err := os.WriteFile(path, tc.Tracer.ChromeBytes(), 0o644); err != nil {
-						return err
-					}
-					fmt.Fprintf(w, "wrote %s (%d spans)\n", path, tc.Tracer.Len())
-				}
-			}
-			return writeResult(w, res)
-		case "config":
-			return printConfig(w, o.Prm)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+	for _, e := range exps {
+		res := e.Run(o)
+		if tr, ok := res.(experiments.TraceResult); ok && *traceOut != "" {
+			res = chromeExport{tr, *traceOut}
 		}
-	}
-
-	target := flag.Arg(0)
-	var names []string
-	switch target {
-	case "all":
-		names = []string{"config", "coldstart", "fig1", "fig2", "fig5", "fig6"}
-	case "ext":
-		names = []string{"datamove", "resize", "redirect", "clustering", "montage", "isolation", "placement", "chaos", "overload", "traffic"}
-	default:
-		names = []string{target}
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
+		if err := experiments.WriteSection(os.Stdout, e.Name, res); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-type tabler interface {
-	WriteTable(io.Writer) error
+// chromeExport writes each trace capture's Chrome trace_event JSON to
+// <prefix>-<label>.json ahead of the trace table.
+type chromeExport struct {
+	experiments.TraceResult
+	prefix string
 }
 
-func writeResult(w io.Writer, r tabler) error {
-	return r.WriteTable(w)
-}
-
-// printConfig renders the §V-A software/hardware setup as encoded in the
-// model parameters.
-func printConfig(w io.Writer, p config.Params) error {
-	tbl := metrics.NewTable("parameter", "value", "provenance")
-	tbl.AddRow("worker nodes", p.WorkerNodes, "paper §V-A: 4 VMs, one is submit+control-plane")
-	tbl.AddRow("cores per node", p.CoresPerNode, "paper §V-A")
-	tbl.AddRow("memory per node (MB)", p.MemMBPerNode, "paper §V-A: 32 GB")
-	tbl.AddRow("matrix size (bytes)", p.MatrixBytes, "paper §V-B: 350x350 int64")
-	tbl.AddRow("task demand (core-s)", p.TaskCoreSeconds, "calibrated to Fig. 1 per-task times")
-	tbl.AddRow("image size (bytes)", p.ImageBytes(), "typical slim python+numpy image")
-	tbl.AddRow("container create", p.ContainerCreate, "calibrated to Fig. 1 docker overhead")
-	tbl.AddRow("container start", p.ContainerStart, "calibrated to Fig. 1 docker overhead")
-	tbl.AddRow("container stop+rm", p.ContainerStopRemove, "calibrated to Fig. 1 docker overhead")
-	tbl.AddRow("cold start app init", p.ColdStartAppInit, "calibrated to the 1.48s cold start")
-	tbl.AddRow("negotiator cycle", p.NegotiatorCycle, "calibrated to Fig. 6 absolute makespans")
-	tbl.AddRow("shadow spawn", p.ShadowSpawn, "calibrated to Fig. 2 native slope")
-	tbl.AddRow("submit uplink (B/s)", p.SubmitUplinkBps, "1 Gb/s; Fig. 2 container-slope bottleneck")
-	tbl.AddRow("workflows per run", p.WorkflowsPerRun, "paper §V-C")
-	tbl.AddRow("tasks per workflow", p.TasksPerWorkflow, "paper §V-C")
-	return tbl.Write(w)
+func (c chromeExport) WriteTable(w io.Writer) error {
+	for _, tc := range c.Rows {
+		path := fmt.Sprintf("%s-%s.json", c.prefix, tc.Label())
+		if err := os.WriteFile(path, tc.Tracer.ChromeBytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s (%d spans)\n", path, tc.Tracer.Len())
+	}
+	return c.TraceResult.WriteTable(w)
 }

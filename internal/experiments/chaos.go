@@ -10,10 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/wms"
-	"repro/internal/workload"
 )
 
 // The chaos experiment measures robustness rather than a paper figure: the
@@ -48,16 +46,14 @@ type ChaosRun struct {
 	Trace string
 }
 
+func (r ChaosRun) outcome() runOutcome { return runOutcome{r.Completed, r.MakespanSec} }
+
 // ChaosOnce executes one seeded chaos run at the given transient job-failure
 // rate. The incident schedule is fixed: worker2 crashes at t=90s for 3
 // minutes, and the registry browns out (bandwidth ÷8) from t=30s for 2
 // minutes. rate 0 keeps the incident schedule but no probabilistic
 // failures; scheduleIncidents=false gives a clean fault-free baseline.
 func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents bool, quick bool) ChaosRun {
-	tiles := 8
-	if quick {
-		tiles = 4
-	}
 	s := core.NewStack(seed, prm)
 	in := s.EnableFaults()
 
@@ -73,7 +69,7 @@ func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents b
 	var out ChaosRun
 	s.Env.Go("main", func(p *sim.Proc) {
 		defer s.Shutdown()
-		wf := workload.Montage("mosaic", tiles, 4<<20)
+		wf := mosaic(quick)
 		// Cold policy: no pre-provisioned replicas and no pre-pull, so the
 		// serverless tasks' first invocations pull through the (possibly
 		// browned-out) registry.
@@ -106,13 +102,10 @@ func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents b
 // run — instead of silently mixing them the way the first version of this
 // sweep did (makespan over completed, retries over attempted).
 type ChaosRow struct {
-	Rate           float64
-	Attempted      int
-	Completed      int
-	CompletionRate float64
-	MeanMakespan   float64 // seconds, over completed runs
-	StdMakespan    float64 // sample stddev over completed runs
-	InflationPct   float64 // vs the fault-free baseline
+	Rate      float64
+	Attempted int
+	Completion
+	InflationPct float64 // vs the fault-free baseline
 	// MeanRetriesAttempted / MeanRetriesCompleted are the retry counter
 	// averaged over all attempted runs and over completed runs only.
 	MeanRetriesAttempted float64
@@ -134,61 +127,47 @@ type ChaosResult struct {
 
 // Chaos sweeps the transient-failure rate, reporting completion rate,
 // makespan inflation over a fault-free baseline, retry counts (under both
-// denominators), and rescue-DAG usage. The fault-free baseline block and
-// every (rate, rep) pair are independent seeded runs, so the whole study
-// fans out across the pool as one flat unit list.
+// denominators), and rescue-DAG usage. The fault-free baseline and every
+// (rate, rep) pair are independent seeded runs, so the whole study fans out
+// across the pool at once.
 func Chaos(o Options) ChaosResult {
 	rates := []float64{0, 0.1, 0.25}
 	if o.Quick {
 		rates = []float64{0, 0.25}
 	}
-	// Unit layout: block 0 is the fault-free baseline, block 1+i is
-	// rates[i]; within a block, unit r carries seed o.Seed+r.
-	runs := parallel.Run((1+len(rates))*o.Reps, o.Workers, func(i int) ChaosRun {
-		block, r := i/o.Reps, i%o.Reps
-		seed := o.Seed + uint64(r)
-		if block == 0 {
-			return ChaosOnce(seed, o.Prm, 0, false, o.Quick)
-		}
-		return ChaosOnce(seed, o.Prm, rates[block-1], true, o.Quick)
+	// Cell 0 is the fault-free baseline (no incident schedule); cell 1+i
+	// runs the incidents at rates[i].
+	type chaosCell struct {
+		rate      float64
+		incidents bool
+	}
+	cells := []chaosCell{{0, false}}
+	for _, rate := range rates {
+		cells = append(cells, chaosCell{rate, true})
+	}
+	runs := sweep(o, cells, func(c chaosCell, seed uint64) ChaosRun {
+		return ChaosOnce(seed, o.Prm, c.rate, c.incidents, o.Quick)
 	})
 
-	var res ChaosResult
-	var base metrics.Welford
-	for r := 0; r < o.Reps; r++ {
-		if run := runs[r]; run.Completed {
-			base.Add(run.MakespanSec)
-		}
-	}
-	res.BaselineSec = base.Mean()
-
+	res := ChaosResult{BaselineSec: completion(runs[0]).Makespan}
 	for ri, rate := range rates {
-		row := ChaosRow{Rate: rate}
-		var mk, retA, retC, fltA, fltC metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			run := runs[(1+ri)*o.Reps+r]
+		row := ChaosRow{Rate: rate, Attempted: len(runs[1+ri]), Completion: completion(runs[1+ri])}
+		var retA, retC, fltA, fltC metrics.Welford
+		for _, run := range runs[1+ri] {
 			retA.Add(float64(run.Retries))
 			fltA.Add(float64(run.FaultEvents))
 			row.Rescues += run.Rescues
 			if run.Completed {
-				mk.Add(run.MakespanSec)
 				retC.Add(float64(run.Retries))
 				fltC.Add(float64(run.FaultEvents))
 			}
 		}
-		row.Attempted = retA.N()
-		row.Completed = mk.N()
-		if row.Attempted > 0 {
-			row.CompletionRate = float64(row.Completed) / float64(row.Attempted)
-		}
-		row.MeanMakespan = mk.Mean()
-		row.StdMakespan = mk.Std()
 		row.MeanRetriesAttempted = retA.Mean()
 		row.MeanRetriesCompleted = retC.Mean()
 		row.MeanFaultsAttempted = fltA.Mean()
 		row.MeanFaultsCompleted = fltC.Mean()
-		if res.BaselineSec > 0 && row.Completed > 0 {
-			row.InflationPct = (row.MeanMakespan/res.BaselineSec - 1) * 100
+		if res.BaselineSec > 0 && row.N > 0 {
+			row.InflationPct = (row.Makespan/res.BaselineSec - 1) * 100
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -199,7 +178,7 @@ func Chaos(o Options) ChaosResult {
 func (r ChaosResult) WriteTable(w io.Writer) error {
 	tbl := metrics.NewTable("fault_rate", "completion", "n", "makespan_s", "makespan_std_s", "inflation_pct", "retries/att", "retries/compl", "rescues", "faults/att", "faults/compl")
 	for _, row := range r.Rows {
-		tbl.AddRow(fmt.Sprintf("%.2f", row.Rate), row.CompletionRate, row.Completed, row.MeanMakespan, row.StdMakespan, row.InflationPct,
+		tbl.AddRow(fmt.Sprintf("%.2f", row.Rate), row.CompletionRate, row.N, row.Makespan, row.MakespanStd, row.InflationPct,
 			row.MeanRetriesAttempted, row.MeanRetriesCompleted, row.Rescues, row.MeanFaultsAttempted, row.MeanFaultsCompleted)
 	}
 	if err := tbl.Write(w); err != nil {

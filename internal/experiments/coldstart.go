@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/knative"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -30,17 +29,17 @@ type ColdStartResult struct {
 
 // ColdStart measures the three latencies, averaged over o.Reps seeds.
 func ColdStart(o Options) ColdStartResult {
-	type coldRep struct{ cold, warm, coldNoImg float64 }
-	runs := parallel.RunSeeded(o.Reps, o.Workers, o.Seed, func(rep int, seed uint64) coldRep {
-		cold, warm := coldStartOnce(seed, o, true)
-		coldNoImg, _ := coldStartOnce(seed, o, false)
-		return coldRep{cold, warm, coldNoImg}
+	// Cell 0 stages the image on every node first; cell 1 pulls it cold.
+	type coldRep struct{ cold, warm float64 }
+	runs := sweep(o, []bool{true, false}, func(prePull bool, seed uint64) coldRep {
+		cold, warm := coldStartOnce(seed, o, prePull)
+		return coldRep{cold, warm}
 	})
 	var cw, ww, nw metrics.Welford
-	for _, rep := range runs {
-		cw.Add(rep.cold)
-		ww.Add(rep.warm)
-		nw.Add(rep.coldNoImg)
+	for r, staged := range runs[0] {
+		cw.Add(staged.cold)
+		ww.Add(staged.warm)
+		nw.Add(runs[1][r].cold)
 	}
 	return ColdStartResult{
 		ColdSecs:        cw.Mean(),

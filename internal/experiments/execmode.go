@@ -7,7 +7,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wms"
@@ -111,8 +110,8 @@ type ExecModeResult struct {
 // worker pool; results are identical at any worker count.
 func ExecModeStudy(o Options) ExecModeResult {
 	modes := config.ExecModes()
-	runs := parallel.Run(len(modes)*o.Reps, o.Workers, func(i int) ExecModeRun {
-		return ExecModeOnce(o.Seed+uint64(i%o.Reps), o.Prm, modes[i/o.Reps], o.Quick)
+	runs := sweep(o, modes, func(mode config.ExecMode, seed uint64) ExecModeRun {
+		return ExecModeOnce(seed, o.Prm, mode, o.Quick)
 	})
 
 	res := ExecModeResult{Reps: o.Reps}
@@ -120,8 +119,7 @@ func ExecModeStudy(o Options) ExecModeResult {
 	for mi, mode := range modes {
 		makespans := make([]float64, 0, o.Reps)
 		var poll, rel metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			run := runs[mi*o.Reps+r]
+		for _, run := range runs[mi] {
 			res.Tasks = run.Tasks
 			makespans = append(makespans, run.MakespanS)
 			poll.Add(run.PollS)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/config"
@@ -52,23 +51,5 @@ func TestExecModeOnceDeterministic(t *testing.T) {
 	b := ExecModeOnce(o.Seed, o.Prm, config.ExecDecentralized, true)
 	if a != b {
 		t.Errorf("same-seed runs diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestExecModeWorkersInvariant: the study's output is identical at any
-// worker-pool size, like every other experiment.
-func TestExecModeWorkersInvariant(t *testing.T) {
-	render := func(workers int) []byte {
-		o := QuickOptions()
-		o.Workers = workers
-		var buf bytes.Buffer
-		if err := ExecModeStudy(o).WriteTable(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one, four := render(1), render(4)
-	if !bytes.Equal(one, four) {
-		t.Errorf("execmode summary differs between -workers 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
 	}
 }

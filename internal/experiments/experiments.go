@@ -1,11 +1,14 @@
 // Package experiments regenerates every figure of the paper's evaluation:
 // one driver per figure returns the numeric series the paper plots, plus the
 // derived quantities it reports (regression slopes, speedups, the cold-start
-// number). cmd/repro prints them; bench_test.go wraps them as benchmarks.
+// number). The experiment table (registry.go) lists every driver; cmd/repro
+// prints from it and the worker-invariance test iterates it.
 package experiments
 
 import (
 	"repro/internal/config"
+	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 // Options configures an experiment run.
@@ -25,7 +28,7 @@ type Options struct {
 	// workers. 0 means GOMAXPROCS; 1 reproduces the old sequential loops
 	// exactly. Results are identical at any worker count — each rep is an
 	// isolated sim.Env and aggregation folds rep-indexed results in rep
-	// order (see internal/parallel).
+	// order (see sweep).
 	Workers int
 }
 
@@ -40,4 +43,57 @@ func QuickOptions() Options {
 	o.Reps = 2
 	o.Quick = true
 	return o
+}
+
+// sweep runs fn once per (cell, rep) on the replication pool and returns
+// each cell's results in rep order: out[c][r] = fn(cells[c], o.Seed+r).
+// Every pair is an isolated simulation, so the whole grid fans out at once;
+// callers fold out[c] left to right, which keeps float accumulation order —
+// and hence every reported number — independent of the worker count.
+func sweep[C, R any](o Options, cells []C, fn func(c C, seed uint64) R) [][]R {
+	flat := parallel.Run(len(cells)*o.Reps, o.Workers, func(i int) R {
+		return fn(cells[i/o.Reps], o.Seed+uint64(i%o.Reps))
+	})
+	out := make([][]R, len(cells))
+	for c := range out {
+		// Capped, so an append to one cell's reps cannot overwrite the next.
+		out[c] = flat[c*o.Reps : (c+1)*o.Reps : (c+1)*o.Reps]
+	}
+	return out
+}
+
+// runOutcome is what every makespan study records of one seeded workflow
+// run.
+type runOutcome struct {
+	ok       bool    // the workflow completed
+	makespan float64 // seconds; valid only when ok
+}
+
+func (r runOutcome) outcome() runOutcome { return r }
+
+// Completion summarises one cell's makespans over its completed reps. A rep
+// whose workflow aborted adds nothing to the mean (no zero in the numerator)
+// and lowers CompletionRate instead.
+type Completion struct {
+	Makespan    float64 // mean over completed reps, seconds
+	MakespanStd float64 // sample stddev over completed reps
+	// N is the completed-rep count behind the means; CompletionRate is N
+	// over attempted reps.
+	N              int
+	CompletionRate float64
+}
+
+// completion folds one cell's reps, in rep order, into its Completion.
+func completion[R interface{ outcome() runOutcome }](reps []R) Completion {
+	var mk metrics.Welford
+	for _, r := range reps {
+		if run := r.outcome(); run.ok {
+			mk.Add(run.makespan)
+		}
+	}
+	c := Completion{Makespan: mk.Mean(), MakespanStd: mk.Std(), N: mk.N()}
+	if len(reps) > 0 {
+		c.CompletionRate = float64(c.N) / float64(len(reps))
+	}
+	return c
 }

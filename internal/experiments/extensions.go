@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/knative"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/wms"
 	"repro/internal/workload"
@@ -24,15 +23,11 @@ import (
 // reported separately in EXPERIMENTS.md.
 
 // DataMovementRow compares one (mode, staging) combination. All means are
-// over completed repetitions only — a rep whose workflow aborts no longer
-// contributes a zero to the numerator while still counting in the
-// denominator (the contamination bug the first version had); instead it
-// lowers CompletionRate.
+// over completed repetitions only (see Completion).
 type DataMovementRow struct {
-	Mode        wms.Mode
-	Staging     wms.DataStaging
-	Makespan    float64
-	MakespanStd float64
+	Mode    wms.Mode
+	Staging wms.DataStaging
+	Completion
 	// SubmitTxMB and SubmitRxMB are the bytes crossing the submit node's
 	// interface; TotalMB is all data movement on the fabric — the
 	// redundant-movement cost §VIII highlights shows up as total ≫ submit
@@ -40,10 +35,6 @@ type DataMovementRow struct {
 	SubmitTxMB float64
 	SubmitRxMB float64
 	TotalMB    float64
-	// N is the completed-rep count behind the means; CompletionRate is
-	// N over attempted reps.
-	N              int
-	CompletionRate float64
 }
 
 // DataMovementResult is the §VIII comparative communication study.
@@ -58,10 +49,11 @@ func DataMovement(o Options) DataMovementResult {
 	if o.Quick {
 		tasks = 4
 	}
-	combos := []struct {
+	type dmCombo struct {
 		mode    wms.Mode
 		staging wms.DataStaging
-	}{
+	}
+	combos := []dmCombo{
 		{wms.ModeNative, wms.StageByValue},
 		{wms.ModeNative, wms.StageSharedFS},
 		{wms.ModeContainer, wms.StageByValue},
@@ -70,13 +62,10 @@ func DataMovement(o Options) DataMovementResult {
 		{wms.ModeServerless, wms.StageObjectStore},
 	}
 	type dmRep struct {
-		ok                     bool
-		makespan               float64
+		runOutcome
 		submitTx, submitRx, tt float64
 	}
-	runs := parallel.Run(len(combos)*o.Reps, o.Workers, func(i int) dmRep {
-		combo := combos[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, combos, func(combo dmCombo, seed uint64) dmRep {
 		s := core.NewStack(seed, o.Prm)
 		s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
 		s.Engine.Staging = combo.staging
@@ -107,28 +96,22 @@ func DataMovement(o Options) DataMovementResult {
 	})
 	var res DataMovementResult
 	for ci, combo := range combos {
-		row := DataMovementRow{Mode: combo.mode, Staging: combo.staging}
-		var mk, tx, rx, tt metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[ci*o.Reps+r]
-			if !rep.ok {
-				continue
+		var tx, rx, tt metrics.Welford
+		for _, rep := range runs[ci] {
+			if rep.ok {
+				tx.Add(rep.submitTx)
+				rx.Add(rep.submitRx)
+				tt.Add(rep.tt)
 			}
-			mk.Add(rep.makespan)
-			tx.Add(rep.submitTx)
-			rx.Add(rep.submitRx)
-			tt.Add(rep.tt)
 		}
-		row.Makespan = mk.Mean()
-		row.MakespanStd = mk.Std()
-		row.SubmitTxMB = tx.Mean()
-		row.SubmitRxMB = rx.Mean()
-		row.TotalMB = tt.Mean()
-		row.N = mk.N()
-		if o.Reps > 0 {
-			row.CompletionRate = float64(row.N) / float64(o.Reps)
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, DataMovementRow{
+			Mode:       combo.mode,
+			Staging:    combo.staging,
+			Completion: completion(runs[ci]),
+			SubmitTxMB: tx.Mean(),
+			SubmitRxMB: rx.Mean(),
+			TotalMB:    tt.Mean(),
+		})
 	}
 	return res
 }
@@ -146,15 +129,11 @@ func (r DataMovementResult) WriteTable(w io.Writer) error {
 	return err
 }
 
-// ResizingRow is one split factor of the §IX-C study (makespan mean ± std
-// over the N completed reps).
+// ResizingRow is one split factor of the §IX-C study.
 type ResizingRow struct {
-	Split          int
-	Tasks          int
-	Makespan       float64
-	MakespanStd    float64
-	N              int
-	CompletionRate float64
+	Split int
+	Tasks int
+	Completion
 }
 
 // ResizingResult is the task-resizing study.
@@ -174,16 +153,10 @@ func Resizing(o Options) ResizingResult {
 	if o.Quick {
 		splits = []int{1, 4}
 	}
-	type rzRep struct {
-		ok       bool
-		makespan float64
-	}
-	runs := parallel.Run(len(splits)*o.Reps, o.Workers, func(i int) rzRep {
-		split := splits[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, splits, func(split int, seed uint64) runOutcome {
 		s := core.NewStack(seed, o.Prm)
 		s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
-		var rep rzRep
+		var rep runOutcome
 		s.Env.Go("main", func(p *sim.Proc) {
 			defer s.Shutdown()
 			if err := s.DeployFunction(p, workload.MatmulTransformation, core.DefaultPolicy()); err != nil {
@@ -202,20 +175,7 @@ func Resizing(o Options) ResizingResult {
 	})
 	var res ResizingResult
 	for si, split := range splits {
-		row := ResizingRow{Split: split, Tasks: stages * split}
-		var mk metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			if rep := runs[si*o.Reps+r]; rep.ok {
-				mk.Add(rep.makespan)
-			}
-		}
-		row.Makespan = mk.Mean()
-		row.MakespanStd = mk.Std()
-		row.N = mk.N()
-		if o.Reps > 0 {
-			row.CompletionRate = float64(row.N) / float64(o.Reps)
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, ResizingRow{Split: split, Tasks: stages * split, Completion: completion(runs[si])})
 	}
 	return res
 }
@@ -233,15 +193,11 @@ func (r ResizingResult) WriteTable(w io.Writer) error {
 	return err
 }
 
-// MontageRow is one execution mode of the complex-workflow study (makespan
-// mean ± std over the N completed reps).
+// MontageRow is one execution mode of the complex-workflow study.
 type MontageRow struct {
-	Mode           wms.Mode
-	Tasks          int
-	Makespan       float64
-	MakespanStd    float64
-	N              int
-	CompletionRate float64
+	Mode  wms.Mode
+	Tasks int
+	Completion
 }
 
 // MontageResult is the §IX-A study: the three execution environments on a
@@ -251,28 +207,31 @@ type MontageResult struct {
 	Rows []MontageRow
 }
 
+// mosaic is the Montage-like workflow every Montage-based study runs: 8
+// tiles full-size, 4 quick.
+func mosaic(quick bool) *wms.Workflow {
+	tiles := 8
+	if quick {
+		tiles = 4
+	}
+	return workload.Montage("mosaic", tiles, 4<<20)
+}
+
 // Montage runs a Montage-like mosaic workflow (heterogeneous
 // transformations, fan-out and joins) in all three modes, deploying every
 // transformation's function automatically (§IX-B).
 func Montage(o Options) MontageResult {
-	tiles := 8
-	if o.Quick {
-		tiles = 4
-	}
 	modes := []wms.Mode{wms.ModeNative, wms.ModeServerless, wms.ModeContainer}
 	type mtRep struct {
-		ok       bool
-		tasks    int
-		makespan float64
+		runOutcome
+		tasks int
 	}
-	runs := parallel.Run(len(modes)*o.Reps, o.Workers, func(i int) mtRep {
-		mode := modes[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, modes, func(mode wms.Mode, seed uint64) mtRep {
 		s := core.NewStack(seed, o.Prm)
 		var rep mtRep
 		s.Env.Go("main", func(p *sim.Proc) {
 			defer s.Shutdown()
-			wf := workload.Montage("mosaic", tiles, 4<<20)
+			wf := mosaic(o.Quick)
 			rep.tasks = wf.Len()
 			if mode == wms.ModeServerless {
 				if err := s.AutoIntegrate(p, wf, core.DefaultPolicy()); err != nil {
@@ -296,20 +255,9 @@ func Montage(o Options) MontageResult {
 	})
 	var res MontageResult
 	for mi, mode := range modes {
-		row := MontageRow{Mode: mode}
-		var mk metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[mi*o.Reps+r]
+		row := MontageRow{Mode: mode, Completion: completion(runs[mi])}
+		for _, rep := range runs[mi] {
 			row.Tasks = rep.tasks
-			if rep.ok {
-				mk.Add(rep.makespan)
-			}
-		}
-		row.Makespan = mk.Mean()
-		row.MakespanStd = mk.Std()
-		row.N = mk.N()
-		if o.Reps > 0 {
-			row.CompletionRate = float64(row.N) / float64(o.Reps)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -329,15 +277,11 @@ func (r MontageResult) WriteTable(w io.Writer) error {
 	return err
 }
 
-// ClusteringRow is one cluster size of the task-clustering study (makespan
-// mean ± std over the N completed reps).
+// ClusteringRow is one cluster size of the task-clustering study.
 type ClusteringRow struct {
-	Label          string
-	Jobs           int
-	Makespan       float64
-	MakespanStd    float64
-	N              int
-	CompletionRate float64
+	Label string
+	Jobs  int
+	Completion
 }
 
 // ClusteringResult is the §II-C task-clustering study: Pegasus's classic
@@ -367,13 +311,10 @@ func Clustering(o Options) ClusteringResult {
 	}
 	cfgs = append(cfgs, clCfg{"serverless, unclustered", wms.ModeServerless, 1})
 	type clRep struct {
-		ok       bool
-		jobs     int
-		makespan float64
+		runOutcome
+		jobs int
 	}
-	runs := parallel.Run(len(cfgs)*o.Reps, o.Workers, func(i int) clRep {
-		cfg := cfgs[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, cfgs, func(cfg clCfg, seed uint64) clRep {
 		s := core.NewStack(seed, o.Prm)
 		s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
 		var rep clRep
@@ -405,20 +346,9 @@ func Clustering(o Options) ClusteringResult {
 	})
 	var res ClusteringResult
 	for ci, cfg := range cfgs {
-		row := ClusteringRow{Label: cfg.label}
-		var mk metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[ci*o.Reps+r]
+		row := ClusteringRow{Label: cfg.label, Completion: completion(runs[ci])}
+		for _, rep := range runs[ci] {
 			row.Jobs = rep.jobs
-			if rep.ok {
-				mk.Add(rep.makespan)
-			}
-		}
-		row.Makespan = mk.Mean()
-		row.MakespanStd = mk.Std()
-		row.N = mk.N()
-		if o.Reps > 0 {
-			row.CompletionRate = float64(row.N) / float64(o.Reps)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -460,25 +390,23 @@ func Redirection(o Options) RedirectionResult {
 	if o.Quick {
 		requests = 12
 	}
-	policies := []struct {
+	type rdPolicy struct {
 		name  string
 		route knative.RoutePolicy
-	}{
+	}
+	policies := []rdPolicy{
 		{"least-requests", knative.RouteLeastRequests},
 		{"least-node-load", knative.RouteLeastNodeLoad},
 	}
-	runs := parallel.Run(len(policies)*o.Reps, o.Workers, func(i int) []float64 {
-		pol := policies[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, policies, func(pol rdPolicy, seed uint64) []float64 {
 		return redirectionOnce(seed, o, pol.route, requests)
 	})
 	var res RedirectionResult
 	for pi, pol := range policies {
-		// Concatenate per-rep latency slices in rep order — identical to
-		// the old sequential append loop at any worker count.
+		// Pool every rep's latencies in rep order.
 		var lats []float64
-		for r := 0; r < o.Reps; r++ {
-			lats = append(lats, runs[pi*o.Reps+r]...)
+		for _, rep := range runs[pi] {
+			lats = append(lats, rep...)
 		}
 		var w metrics.Welford
 		for _, l := range lats {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/knative"
 	"repro/internal/kube"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/sim"
 )
@@ -53,20 +52,16 @@ func Fig1(o Options) Fig1Result {
 		sizes = []int{20, 60, 100}
 	}
 	var res Fig1Result
-	// Every (size, rep) pair is an isolated simulation; fan the whole sweep
-	// across the pool and aggregate per size in rep order afterwards.
 	type fig1Rep struct{ docker, knative, cold float64 }
-	runs := parallel.Run(len(sizes)*o.Reps, o.Workers, func(i int) fig1Rep {
-		n := sizes[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, sizes, func(n int, seed uint64) fig1Rep {
 		d := fig1Docker(seed, o.Prm, n)
 		k, cold := fig1Knative(seed, o.Prm, n)
 		return fig1Rep{d.Seconds(), k.Seconds(), cold.Seconds()}
 	})
+	var xs, dy, ky []float64 // the regression series
 	for si, n := range sizes {
 		var dw, kw, cw metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[si*o.Reps+r]
+		for _, rep := range runs[si] {
 			dw.Add(rep.docker)
 			kw.Add(rep.knative)
 			cw.Add(rep.cold)
@@ -83,14 +78,9 @@ func Fig1(o Options) Fig1Result {
 		row.KnativePerTk = row.KnativeSecs / float64(n)
 		res.Rows = append(res.Rows, row)
 		res.ColdStartSecs = cw.Mean()
-	}
-	xs := make([]float64, len(res.Rows))
-	dy := make([]float64, len(res.Rows))
-	ky := make([]float64, len(res.Rows))
-	for i, row := range res.Rows {
-		xs[i] = float64(row.Tasks)
-		dy[i] = row.DockerSecs
-		ky[i] = row.KnativeSecs
+		xs = append(xs, float64(n))
+		dy = append(dy, row.DockerSecs)
+		ky = append(ky, row.KnativeSecs)
 	}
 	res.DockerFit, _ = metrics.LinearFit(xs, dy)
 	res.KnativeFit, _ = metrics.LinearFit(xs, ky)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/wms"
 	"repro/internal/workload"
@@ -47,22 +46,20 @@ func Fig2(o Options) Fig2Result {
 		sizes = []int{4, 12, 20}
 	}
 	var res Fig2Result
-	// One pool unit per (size, rep); the three modes stay inside one unit
-	// so each unit is a chunky, fully independent simulation triple.
+	// The three modes stay inside one pool unit, so each unit is a chunky,
+	// fully independent simulation triple.
 	type fig2Rep struct{ native, knative, container float64 }
-	runs := parallel.Run(len(sizes)*o.Reps, o.Workers, func(i int) fig2Rep {
-		n := sizes[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, sizes, func(n int, seed uint64) fig2Rep {
 		return fig2Rep{
 			native:    fig2Run(seed, o, n, wms.ModeNative).Seconds(),
 			knative:   fig2Run(seed, o, n, wms.ModeServerless).Seconds(),
 			container: fig2Run(seed, o, n, wms.ModeContainer).Seconds(),
 		}
 	})
+	var xs, ny, ky, cy []float64 // the regression series
 	for si, n := range sizes {
 		var nw, kw, cw metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[si*o.Reps+r]
+		for _, rep := range runs[si] {
 			nw.Add(rep.native)
 			kw.Add(rep.knative)
 			cw.Add(rep.container)
@@ -77,16 +74,10 @@ func Fig2(o Options) Fig2Result {
 			ContainerStd:  cw.Std(),
 			N:             nw.N(),
 		})
-	}
-	xs := make([]float64, len(res.Rows))
-	ny := make([]float64, len(res.Rows))
-	ky := make([]float64, len(res.Rows))
-	cy := make([]float64, len(res.Rows))
-	for i, row := range res.Rows {
-		xs[i] = float64(row.Tasks)
-		ny[i] = row.NativeSecs
-		ky[i] = row.KnativeSecs
-		cy[i] = row.ContainerSecs
+		xs = append(xs, float64(n))
+		ny = append(ny, nw.Mean())
+		ky = append(ky, kw.Mean())
+		cy = append(cy, cw.Mean())
 	}
 	res.NativeFit, _ = metrics.LinearFit(xs, ny)
 	res.KnativeFit, _ = metrics.LinearFit(xs, ky)

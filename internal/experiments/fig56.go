@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/wms"
 	"repro/internal/workload"
@@ -57,14 +56,24 @@ type Fig6Scenario struct {
 // environments by the mix weights — and returns the average slowest
 // makespan over o.Reps seeds.
 func RunMix(o Options, mix Mix) MixResult {
-	runs := parallel.RunSeeded(o.Reps, o.Workers, o.Seed, func(rep int, seed uint64) float64 {
+	return runMixes(o, []Mix{mix})[0]
+}
+
+// runMixes fans every (mix, rep) pair of the §V-C workload across the pool
+// at once and folds each mix's reps into its MixResult.
+func runMixes(o Options, mixes []Mix) []MixResult {
+	runs := sweep(o, mixes, func(mix Mix, seed uint64) float64 {
 		return runMixOnce(seed, o, mix)
 	})
-	var w metrics.Welford
-	for _, secs := range runs {
-		w.Add(secs)
+	out := make([]MixResult, len(mixes))
+	for mi, mix := range mixes {
+		var w metrics.Welford
+		for _, secs := range runs[mi] {
+			w.Add(secs)
+		}
+		out[mi] = MixResult{Mix: mix, MakespanSecs: w.Mean(), StdSecs: w.Std(), N: w.N()}
 	}
-	return MixResult{Mix: mix, MakespanSecs: w.Mean(), StdSecs: w.Std(), N: w.N()}
+	return out
 }
 
 // runMixOnce executes one seeded run of the §V-C workload under the mix and
@@ -117,18 +126,7 @@ func Fig5(o Options) Fig5Result {
 			})
 		}
 	}
-	runs := parallel.Run(len(mixes)*o.Reps, o.Workers, func(i int) float64 {
-		return runMixOnce(o.Seed+uint64(i%o.Reps), o, mixes[i/o.Reps])
-	})
-	var res Fig5Result
-	for mi, mix := range mixes {
-		var w metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			w.Add(runs[mi*o.Reps+r])
-		}
-		res.Points = append(res.Points, MixResult{Mix: mix, MakespanSecs: w.Mean(), StdSecs: w.Std(), N: w.N()})
-	}
-	return res
+	return Fig5Result{Points: runMixes(o, mixes)}
 }
 
 // Fig6Mixes are the five highlighted combinations of Fig. 6, in the paper's
@@ -143,11 +141,15 @@ func Fig6Mixes() []Fig6Scenario {
 	}
 }
 
-// Fig6 evaluates the five highlighted mixes.
+// Fig6 evaluates the five highlighted mixes, all fanned out at once.
 func Fig6(o Options) Fig6Result {
 	res := Fig6Result{Scenarios: Fig6Mixes()}
-	for i := range res.Scenarios {
-		res.Scenarios[i].MixResult = RunMix(o, res.Scenarios[i].Mix)
+	mixes := make([]Mix, len(res.Scenarios))
+	for i, sc := range res.Scenarios {
+		mixes[i] = sc.Mix
+	}
+	for i, mr := range runMixes(o, mixes) {
+		res.Scenarios[i].MixResult = mr
 	}
 	if base := res.Scenarios[0].MakespanSecs; base > 0 {
 		for i := range res.Scenarios {

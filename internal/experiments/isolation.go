@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/wms"
 	"repro/internal/workload"
@@ -47,9 +46,7 @@ func Isolation(o Options) IsolationResult {
 	}
 	modes := []wms.Mode{wms.ModeNative, wms.ModeContainer, wms.ModeServerless}
 	type isoRep struct{ quiet, contended float64 }
-	runs := parallel.Run(len(modes)*o.Reps, o.Workers, func(i int) isoRep {
-		mode := modes[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, modes, func(mode wms.Mode, seed uint64) isoRep {
 		return isoRep{
 			quiet:     isolationRun(seed, o, mode, tasks, false),
 			contended: isolationRun(seed, o, mode, tasks, true),
@@ -59,8 +56,7 @@ func Isolation(o Options) IsolationResult {
 	for mi, mode := range modes {
 		row := IsolationRow{Mode: mode}
 		var qw, cw metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[mi*o.Reps+r]
+		for _, rep := range runs[mi] {
 			qw.Add(rep.quiet)
 			cw.Add(rep.contended)
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/knative"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/resilience"
 	"repro/internal/sim"
 )
@@ -273,38 +272,40 @@ func Overload(o Options) OverloadResult {
 	if o.Quick {
 		mults = []float64{1, 5}
 	}
-	arms := overloadArms
-	runs := parallel.Run(len(arms)*len(mults)*o.Reps, o.Workers, func(i int) OverloadRun {
-		rest := i
-		a := rest / (len(mults) * o.Reps)
-		rest %= len(mults) * o.Reps
-		m, r := rest/o.Reps, rest%o.Reps
-		return OverloadOnce(o.Seed+uint64(r), o.Prm, arms[a], mults[m], o.Quick)
+	type overloadCell struct {
+		arm  OverloadArm
+		mult float64
+	}
+	var cells []overloadCell
+	for _, arm := range overloadArms {
+		for _, mult := range mults {
+			cells = append(cells, overloadCell{arm, mult})
+		}
+	}
+	runs := sweep(o, cells, func(c overloadCell, seed uint64) OverloadRun {
+		return OverloadOnce(seed, o.Prm, c.arm, c.mult, o.Quick)
 	})
 
 	res := OverloadResult{CapacityRPS: OverloadCapacity(o.Prm)}
-	for ai, arm := range arms {
-		for mi, mult := range mults {
-			row := OverloadRow{Arm: arm, Mult: mult, OfferedRPS: mult * res.CapacityRPS}
-			var good, p99, shed, ddl, amp metrics.Welford
-			for r := 0; r < o.Reps; r++ {
-				run := runs[ai*len(mults)*o.Reps+mi*o.Reps+r]
-				good.Add(run.GoodputRPS())
-				p99.Add(run.P99Sec)
-				if run.Arrivals > 0 {
-					shed.Add(float64(run.Shed) / float64(run.Arrivals))
-					ddl.Add(float64(run.DeadlineDrops) / float64(run.Arrivals))
-					amp.Add(float64(run.ServerRequests) / float64(run.Arrivals))
-				}
+	for ci, c := range cells {
+		row := OverloadRow{Arm: c.arm, Mult: c.mult, OfferedRPS: c.mult * res.CapacityRPS}
+		var good, p99, shed, ddl, amp metrics.Welford
+		for _, run := range runs[ci] {
+			good.Add(run.GoodputRPS())
+			p99.Add(run.P99Sec)
+			if run.Arrivals > 0 {
+				shed.Add(float64(run.Shed) / float64(run.Arrivals))
+				ddl.Add(float64(run.DeadlineDrops) / float64(run.Arrivals))
+				amp.Add(float64(run.ServerRequests) / float64(run.Arrivals))
 			}
-			row.GoodputRPS = good.Mean()
-			row.GoodputFrac = row.GoodputRPS / res.CapacityRPS
-			row.P99Sec = p99.Mean()
-			row.ShedFrac = shed.Mean()
-			row.DeadlineFrac = ddl.Mean()
-			row.Amplification = amp.Mean()
-			res.Rows = append(res.Rows, row)
 		}
+		row.GoodputRPS = good.Mean()
+		row.GoodputFrac = row.GoodputRPS / res.CapacityRPS
+		row.P99Sec = p99.Mean()
+		row.ShedFrac = shed.Mean()
+		row.DeadlineFrac = ddl.Mean()
+		row.Amplification = amp.Mean()
+		res.Rows = append(res.Rows, row)
 	}
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -29,14 +28,11 @@ import (
 // PlacementRow is one (mode, policy) cell: makespan mean ± std, registry
 // egress, and shared-fs staging-transfer time, averaged over completed reps.
 type PlacementRow struct {
-	Mode           wms.Mode
-	Policy         string
-	Makespan       float64
-	MakespanStd    float64
-	PulledMB       float64
-	StagingS       float64
-	N              int
-	CompletionRate float64
+	Mode   wms.Mode
+	Policy string
+	Completion
+	PulledMB float64
+	StagingS float64
 }
 
 // PlacementResult is the placement-policy study.
@@ -48,10 +44,6 @@ type PlacementResult struct {
 // execution and two condor policies under native execution, shared-fs
 // staging with scratch caching throughout.
 func Placement(o Options) PlacementResult {
-	tiles := 8
-	if o.Quick {
-		tiles = 4
-	}
 	type placementCfg struct {
 		mode   wms.Mode
 		policy string
@@ -65,14 +57,11 @@ func Placement(o Options) PlacementResult {
 		{wms.ModeNative, sched.PolicyDataLocality},
 	}
 	type plRep struct {
-		ok       bool
-		makespan float64
+		runOutcome
 		pulledMB float64
 		stagingS float64
 	}
-	runs := parallel.Run(len(cfgs)*o.Reps, o.Workers, func(i int) plRep {
-		cfg := cfgs[i/o.Reps]
-		seed := o.Seed + uint64(i%o.Reps)
+	runs := sweep(o, cfgs, func(cfg placementCfg, seed uint64) plRep {
 		prm := o.Prm
 		prm.ScratchCache = true
 		if cfg.mode == wms.ModeServerless {
@@ -86,7 +75,7 @@ func Placement(o Options) PlacementResult {
 		var rep plRep
 		s.Env.Go("main", func(p *sim.Proc) {
 			defer s.Shutdown()
-			wf := workload.Montage("mosaic", tiles, 4<<20)
+			wf := mosaic(o.Quick)
 			if cfg.mode == wms.ModeServerless {
 				// Scale from zero, one request per replica: autoscaler churn
 				// maximizes the number of placement decisions taken.
@@ -117,25 +106,20 @@ func Placement(o Options) PlacementResult {
 	})
 	var res PlacementResult
 	for ci, cfg := range cfgs {
-		row := PlacementRow{Mode: cfg.mode, Policy: cfg.policy}
-		var mk, pull, stage metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			rep := runs[ci*o.Reps+r]
+		var pull, stage metrics.Welford
+		for _, rep := range runs[ci] {
 			if rep.ok {
-				mk.Add(rep.makespan)
 				pull.Add(rep.pulledMB)
 				stage.Add(rep.stagingS)
 			}
 		}
-		row.Makespan = mk.Mean()
-		row.MakespanStd = mk.Std()
-		row.PulledMB = pull.Mean()
-		row.StagingS = stage.Mean()
-		row.N = mk.N()
-		if o.Reps > 0 {
-			row.CompletionRate = float64(row.N) / float64(o.Reps)
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, PlacementRow{
+			Mode:       cfg.mode,
+			Policy:     cfg.policy,
+			Completion: completion(runs[ci]),
+			PulledMB:   pull.Mean(),
+			StagingS:   stage.Mean(),
+		})
 	}
 	return res
 }

@@ -3,39 +3,74 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
 )
 
+// TestSweep pins the one place seeded reps are derived and folded: rep r of
+// every cell runs at seed o.Seed+r, each cell's results come back in rep
+// order at any worker count, and a panic in fn reaches the caller unchanged.
+func TestSweep(t *testing.T) {
+	type unit struct {
+		cell string
+		seed uint64
+	}
+	cells := []string{"a", "b", "c"}
+	for _, workers := range []int{1, 4} {
+		o := Options{Seed: 1000, Reps: 5, Workers: workers}
+		got := sweep(o, cells, func(c string, seed uint64) unit { return unit{c, seed} })
+		if len(got) != len(cells) {
+			t.Fatalf("workers=%d: %d cells, want %d", workers, len(got), len(cells))
+		}
+		for ci, c := range cells {
+			if len(got[ci]) != o.Reps {
+				t.Fatalf("workers=%d: cell %s has %d reps, want %d", workers, c, len(got[ci]), o.Reps)
+			}
+			for r, u := range got[ci] {
+				if want := (unit{c, o.Seed + uint64(r)}); u != want {
+					t.Errorf("workers=%d: out[%d][%d] = %+v, want %+v", workers, ci, r, u, want)
+				}
+			}
+		}
+
+		func() {
+			defer func() {
+				if r := recover(); r != "cell b exploded" {
+					t.Errorf("workers=%d: recovered %v, want the original panic value", workers, r)
+				}
+			}()
+			sweep(o, cells, func(c string, seed uint64) int {
+				if c == "b" && seed == o.Seed+2 {
+					panic("cell b exploded")
+				}
+				return 0
+			})
+		}()
+	}
+}
+
 // TestWorkerCountInvariance is the parallel runner's acceptance gate: every
-// experiment must produce byte-identical result structs at Workers=1 (the
-// old sequential loops) and Workers=8. Each case returns a plain result
-// struct; reflect.DeepEqual over float64 fields is exact equality, so any
-// scheduling-dependent accumulation order would fail here.
+// experiment in the table must produce identical results at Workers=1 (the
+// old sequential loops) and Workers=8. reflect.DeepEqual over float64 fields
+// is exact equality, so any scheduling-dependent accumulation order would
+// fail here. Cases are named after each driver's result type (Fig1Result →
+// Fig1).
 func TestWorkerCountInvariance(t *testing.T) {
-	cases := []struct {
+	type invCase struct {
 		name string
 		run  func(o Options) any
-	}{
-		{"Fig1", func(o Options) any { return Fig1(o) }},
-		{"Fig2", func(o Options) any { return Fig2(o) }},
-		{"Fig5", func(o Options) any { return Fig5(o) }},
-		{"Fig6", func(o Options) any { return Fig6(o) }},
-		{"RunMix", func(o Options) any {
-			return RunMix(o, Mix{Native: 0.5, Serverless: 0.5})
-		}},
-		{"ColdStart", func(o Options) any { return ColdStart(o) }},
-		{"Chaos", func(o Options) any { return Chaos(o) }},
-		{"DataMovement", func(o Options) any { return DataMovement(o) }},
-		{"Resizing", func(o Options) any { return Resizing(o) }},
-		{"Montage", func(o Options) any { return Montage(o) }},
-		{"Clustering", func(o Options) any { return Clustering(o) }},
-		{"Redirection", func(o Options) any { return Redirection(o) }},
-		{"Isolation", func(o Options) any { return Isolation(o) }},
-		{"Placement", func(o Options) any { return Placement(o) }},
-		{"Overload", func(o Options) any { return Overload(o) }},
-		{"Traffic", func(o Options) any { return Traffic(o) }},
+	}
+	cases := []invCase{{"RunMix", func(o Options) any {
+		return RunMix(o, Mix{Native: 0.5, Serverless: 0.5})
+	}}}
+	for _, e := range experimentTable {
+		if e.Name == "trace" {
+			continue // captures hold pointers: TestWorkerCountInvarianceTrace
+		}
+		name := strings.TrimSuffix(e.result.Name(), "Result")
+		cases = append(cases, invCase{name, func(o Options) any { return e.Run(o) }})
 	}
 	for _, c := range cases {
 		c := c

@@ -188,14 +188,18 @@ func ScaleStudy(o Options) ScaleResult {
 	})
 
 	res := ScaleResult{Rows: runs}
-	byCell := make(map[string]ScaleRun, len(runs))
+	largest := nodeCounts[len(nodeCounts)-1]
+	var base, direct ScaleRun
 	for _, r := range runs {
 		res.Total += r.Placements
-		byCell[fmt.Sprintf("%s/%d", r.Mode, r.Nodes)] = r
+		switch {
+		case r.Nodes != largest:
+		case r.Mode == config.CPStore.String():
+			base = r
+		case r.Mode == config.CPDirect.String():
+			direct = r
+		}
 	}
-	largest := nodeCounts[len(nodeCounts)-1]
-	base := byCell[fmt.Sprintf("%s/%d", config.CPStore, largest)]
-	direct := byCell[fmt.Sprintf("%s/%d", config.CPDirect, largest)]
 	if direct.P99Ms > 0 {
 		res.P99SpeedupMax = base.P99Ms / direct.P99Ms
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/config"
@@ -68,23 +67,5 @@ func TestScaleOnceDeterministic(t *testing.T) {
 	b := ScaleOnce(o.Prm, config.CPDirect, 16, 200)
 	if a != b {
 		t.Errorf("reruns diverged: %+v vs %+v", a, b)
-	}
-}
-
-// TestScaleWorkersInvariant: the study's output is identical at any
-// worker-pool size, like every other experiment.
-func TestScaleWorkersInvariant(t *testing.T) {
-	render := func(workers int) []byte {
-		o := QuickOptions()
-		o.Workers = workers
-		var buf bytes.Buffer
-		if err := ScaleStudy(o).WriteTable(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one, four := render(1), render(4)
-	if !bytes.Equal(one, four) {
-		t.Errorf("scale summary differs between -workers 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
 	}
 }

@@ -65,10 +65,6 @@ func (c *TraceCapture) ProtectionSpans() (shed, breaker, hedge int) {
 // brownout plus moderate transient job/pull failure rates) exercises the
 // retry machinery so traces include multi-attempt tasks.
 func TraceOnce(seed uint64, prm config.Params, mode wms.Mode, quick, chaos bool) (*TraceCapture, error) {
-	tiles := 8
-	if quick {
-		tiles = 4
-	}
 	s := core.NewStack(seed, prm)
 	tr := trace.New(s.Env)
 	if chaos {
@@ -77,33 +73,35 @@ func TraceOnce(seed uint64, prm config.Params, mode wms.Mode, quick, chaos bool)
 		in.Schedule(faults.Fault{Kind: faults.KindJobFailure, At: 10 * time.Second, Duration: time.Hour, Rate: 0.1})
 		in.Schedule(faults.Fault{Kind: faults.KindRegistryError, At: 10 * time.Second, Duration: time.Hour, Rate: 0.1})
 	}
-	out := &TraceCapture{Mode: mode, Tracer: tr}
+	return traceMontage(s, &TraceCapture{Mode: mode, Tracer: tr}, quick, core.DefaultPolicy())
+}
+
+// traceMontage runs Montage once on s in the capture's mode and analyzes
+// its critical path. Serverless first deploys every transformation under
+// policy; the other modes only register them.
+func traceMontage(s *core.Stack, out *TraceCapture, quick bool, policy core.DeployPolicy) (*TraceCapture, error) {
 	var runErr error
 	s.Env.Go("main", func(p *sim.Proc) {
 		defer s.Shutdown()
-		wf := workload.Montage("mosaic", tiles, 4<<20)
-		if mode == wms.ModeServerless {
-			if err := s.AutoIntegrate(p, wf, core.DefaultPolicy()); err != nil {
-				runErr = err
-				return
+		runErr = func() error {
+			wf := mosaic(quick)
+			if out.Mode == wms.ModeServerless {
+				if err := s.AutoIntegrate(p, wf, policy); err != nil {
+					return err
+				}
+			} else {
+				for _, t := range workload.MontageTransformations() {
+					s.RegisterTransformation(t, s.Prm.ImageLayersBytes[len(s.Prm.ImageLayersBytes)-1])
+				}
 			}
-		} else {
-			for _, t := range workload.MontageTransformations() {
-				s.RegisterTransformation(t, prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+			res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(out.Mode))
+			if err != nil {
+				return err
 			}
-		}
-		res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(mode))
-		if err != nil {
-			runErr = err
-			return
-		}
-		out.Result = res
-		cp, err := trace.Analyze(tr, wf, "mosaic")
-		if err != nil {
-			runErr = err
-			return
-		}
-		out.Path = cp
+			out.Result = res
+			out.Path, err = trace.Analyze(out.Tracer, wf, "mosaic")
+			return err
+		}()
 	})
 	s.Env.Run()
 	if runErr != nil {
@@ -122,10 +120,6 @@ func TraceOnce(seed uint64, prm config.Params, mode wms.Mode, quick, chaos bool)
 // brownout. Retry allowances are raised so the run still completes — the
 // point is a trace of graceful degradation, not an abort.
 func TraceProtectedOnce(seed uint64, prm config.Params, quick bool) (*TraceCapture, error) {
-	tiles := 8
-	if quick {
-		tiles = 4
-	}
 	prm.ActivatorQueueCap = 2
 	prm.BreakerFailures = 2
 	prm.BreakerOpenFor = 20 * time.Second
@@ -140,41 +134,11 @@ func TraceProtectedOnce(seed uint64, prm config.Params, quick bool) (*TraceCaptu
 	in := s.EnableFaults()
 	in.Schedule(faults.Fault{Kind: faults.KindRegistryBrownout, At: 5 * time.Second, Duration: 90 * time.Second, Target: cluster.RegistryNodeName, Rate: 16})
 	in.Schedule(faults.Fault{Kind: faults.KindRegistryError, At: 5 * time.Second, Duration: 40 * time.Second, Rate: 1})
-	out := &TraceCapture{Mode: wms.ModeServerless, Tracer: tr, Protected: true}
-	var runErr error
-	s.Env.Go("main", func(p *sim.Proc) {
-		defer s.Shutdown()
-		wf := workload.Montage("mosaic", tiles, 4<<20)
-		// Scale-from-zero: image download is deferred to first invocation,
-		// so the cold-start pulls run into the registry incidents and the
-		// tile fan-out buffers in the bounded activator waiting room.
-		policy := core.DeployPolicy{
-			MaxScale:             1,
-			ContainerConcurrency: 1,
-			CapCores:             1,
-		}
-		if err := s.AutoIntegrate(p, wf, policy); err != nil {
-			runErr = err
-			return
-		}
-		res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeServerless))
-		if err != nil {
-			runErr = err
-			return
-		}
-		out.Result = res
-		cp, err := trace.Analyze(tr, wf, "mosaic")
-		if err != nil {
-			runErr = err
-			return
-		}
-		out.Path = cp
-	})
-	s.Env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	return out, nil
+	// Scale-from-zero: image download is deferred to first invocation, so
+	// the cold-start pulls run into the registry incidents and the tile
+	// fan-out buffers in the bounded activator waiting room.
+	policy := core.DeployPolicy{MaxScale: 1, ContainerConcurrency: 1, CapCores: 1}
+	return traceMontage(s, &TraceCapture{Mode: wms.ModeServerless, Tracer: tr, Protected: true}, quick, policy)
 }
 
 // TraceResult is the per-mode traced-run study.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/kpa"
 	"repro/internal/kube"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -279,15 +278,14 @@ type TrafficResult struct {
 // worker pool; results are identical at any worker count.
 func Traffic(o Options) TrafficResult {
 	arms := TrafficArms()
-	runs := parallel.Run(len(arms)*o.Reps, o.Workers, func(i int) TrafficRun {
-		return TrafficOnce(o.Seed+uint64(i%o.Reps), o.Prm, arms[i/o.Reps], o.Quick)
+	runs := sweep(o, arms, func(arm TrafficArm, seed uint64) TrafficRun {
+		return TrafficOnce(seed, o.Prm, arm, o.Quick)
 	})
 
 	var res TrafficResult
 	for ai, arm := range arms {
 		var arr, p50, p99, p999, cold, shed, ddl, podsec metrics.Welford
-		for r := 0; r < o.Reps; r++ {
-			run := runs[ai*o.Reps+r]
+		for _, run := range runs[ai] {
 			res.TotalArrivals += run.Arrivals
 			arr.Add(float64(run.Arrivals))
 			p50.Add(run.P50 * 1000)

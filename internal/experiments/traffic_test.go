@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -47,67 +46,41 @@ func TestTrafficArmsDifferentiate(t *testing.T) {
 	}
 }
 
-// TestTrafficTableDeterministicAcrossWorkers renders the full summary at
-// two worker counts and requires byte identity — the user-facing half of
-// the worker-invariance contract (TestWorkerCountInvariance covers the
-// result structs).
-func TestTrafficTableDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) []byte {
-		o := QuickOptions()
-		o.Workers = workers
-		var buf bytes.Buffer
-		if err := Traffic(o).WriteTable(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one, four := render(1), render(4)
-	if !bytes.Equal(one, four) {
-		t.Errorf("traffic summary differs between -workers 1 and -workers 4:\n--- 1 ---\n%s--- 4 ---\n%s", one, four)
-	}
-}
-
-// TestSeedCompatGoldens replays the knative-heavy experiments and compares
-// their rendered output byte-for-byte against goldens captured from the
-// pre-refactor autoscaler (the seed's inline loop). Together with
-// kpa.TestKPADifferentialSeedCompat this pins the default internal/kpa
-// parameterization to the exact replica traces the old code produced.
+// TestSeedCompatGoldens replays every experiment that has a golden under
+// testdata/seedcompat (<name>-quick.golden, the `repro -quick <name>`
+// output) and compares it byte-for-byte. The coldstart, fig1, fig5 and
+// overload goldens were captured from the pre-refactor autoscaler (the
+// seed's inline loop); together with kpa.TestKPADifferentialSeedCompat they
+// pin the default internal/kpa parameterization to the exact replica traces
+// the old code produced. The trace and chaos goldens were captured
+// immediately before the engine's execution-mode refactor: they pin the
+// poll-mode release path (the default) to the seed loop's byte-exact traces
+// and span orderings.
 func TestSeedCompatGoldens(t *testing.T) {
-	type tableWriter interface {
-		WriteTable(w io.Writer) error
+	paths, err := filepath.Glob(filepath.Join("testdata", "seedcompat", "*-quick.golden"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no seedcompat goldens found (err %v)", err)
 	}
-	cases := []struct {
-		name string
-		run  func(o Options) tableWriter
-	}{
-		{"coldstart", func(o Options) tableWriter { return ColdStart(o) }},
-		{"fig1", func(o Options) tableWriter { return Fig1(o) }},
-		{"fig5", func(o Options) tableWriter { return Fig5(o) }},
-		{"overload", func(o Options) tableWriter { return Overload(o) }},
-		// trace and chaos were captured immediately before the engine's
-		// execution-mode refactor: they pin the poll-mode release path (the
-		// default) to the seed loop's byte-exact traces and span orderings.
-		{"trace", func(o Options) tableWriter { return Trace(o) }},
-		{"chaos", func(o Options) tableWriter { return Chaos(o) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			golden, err := os.ReadFile(filepath.Join("testdata", "seedcompat", tc.name+"-quick.golden"))
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), "-quick.golden")
+		t.Run(name, func(t *testing.T) {
+			golden, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			exps, err := Select(name)
+			if err != nil || len(exps) != 1 {
+				t.Fatalf("golden %s names no single experiment: %v", path, err)
 			}
 			o := QuickOptions()
 			o.Workers = 0 // worker count is proven irrelevant; use the pool
 			var buf bytes.Buffer
-			// Reconstruct exactly what cmd/repro prints for one experiment.
-			fmt.Fprintf(&buf, "== %s ==\n", tc.name)
-			if err := tc.run(o).WriteTable(&buf); err != nil {
+			if err := WriteSection(&buf, name, exps[0].Run(o)); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintln(&buf)
 			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("%s output diverged from the seed autoscaler golden:\n--- got ---\n%s--- want ---\n%s",
-					tc.name, buf.Bytes(), golden)
+				t.Errorf("%s output diverged from its golden:\n--- got ---\n%s--- want ---\n%s",
+					name, buf.Bytes(), golden)
 			}
 		})
 	}

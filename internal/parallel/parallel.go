@@ -3,16 +3,17 @@
 // seeded repetitions, each repetition is an isolated sim.Env, and nothing in
 // one repetition reads another's state — the same observation that lets
 // serverless DAG engines fan out independent stages aggressively. The runner
-// exploits it on the host side: it executes the per-rep closures on a bounded
-// worker pool and returns the results indexed by repetition, so downstream
-// aggregation (performed sequentially, in rep order) is byte-identical to a
-// sequential run regardless of how the pool interleaved the work.
+// exploits it on the host side: it executes the per-unit closures on a
+// bounded worker pool and returns the results indexed by unit, so downstream
+// aggregation (performed sequentially, in index order) is byte-identical to a
+// sequential run regardless of how the pool interleaved the work. The
+// experiments package maps its (cell, rep) grids and rep seeds onto units in
+// one place, its sweep helper.
 //
 // Determinism contract:
 //
-//   - fn(i) must derive all randomness from its arguments (for RunSeeded,
-//     from the seed — rep r always receives base+r, exactly the seed the old
-//     sequential loops used) and must not touch shared mutable state.
+//   - fn(i) must derive all randomness from its arguments and must not touch
+//     shared mutable state.
 //   - Run's result slice is indexed by i; callers fold it left-to-right, so
 //     float accumulation order never depends on scheduling.
 //   - A panic in any fn is re-raised on the caller's goroutine after the
@@ -83,15 +84,6 @@ func Run[T any](n, workers int, fn func(i int) T) []T {
 		panic(pv.val)
 	}
 	return out
-}
-
-// RunSeeded executes fn(rep, base+rep) for rep in [0, n) on the pool — the
-// seed derivation every sequential rep loop in internal/experiments used —
-// and returns the results indexed by rep. See Run for pool semantics.
-func RunSeeded[T any](n, workers int, base uint64, fn func(rep int, seed uint64) T) []T {
-	return Run(n, workers, func(i int) T {
-		return fn(i, base+uint64(i))
-	})
 }
 
 type panicValue struct {

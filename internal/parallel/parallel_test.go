@@ -28,16 +28,6 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestRunSeededDerivation(t *testing.T) {
-	const base = 1000
-	seeds := RunSeeded(10, 4, base, func(rep int, seed uint64) uint64 { return seed })
-	for rep, seed := range seeds {
-		if seed != base+uint64(rep) {
-			t.Errorf("rep %d got seed %d, want %d", rep, seed, base+uint64(rep))
-		}
-	}
-}
-
 func TestRunZeroAndNegative(t *testing.T) {
 	if got := Run(0, 4, func(i int) int { return i }); got != nil {
 		t.Errorf("n=0: got %v, want nil", got)
