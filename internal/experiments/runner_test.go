@@ -5,13 +5,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
+	"repro/internal/sim"
 )
 
 // TestSweep pins the one place seeded reps are derived and folded: rep r of
 // every cell runs at seed o.Seed+r, each cell's results come back in rep
-// order at any worker count, and a panic in fn reaches the caller unchanged.
+// order at any worker count, and a panic in fn — or in a process of the
+// simulation fn drives — reaches the caller unchanged.
 func TestSweep(t *testing.T) {
 	type unit struct {
 		cell string
@@ -46,6 +49,24 @@ func TestSweep(t *testing.T) {
 					panic("cell b exploded")
 				}
 				return 0
+			})
+		}()
+
+		func() {
+			defer func() {
+				if r := recover(); r != "proc in cell c exploded" {
+					t.Errorf("workers=%d: recovered %v, want the proc's panic value", workers, r)
+				}
+			}()
+			sweep(o, cells, func(c string, seed uint64) time.Duration {
+				env := sim.NewEnv(seed)
+				env.Go("worker", func(p *sim.Proc) {
+					p.Sleep(time.Second)
+					if c == "c" && seed == o.Seed+1 {
+						panic("proc in cell c exploded")
+					}
+				})
+				return env.Run()
 			})
 		}()
 	}

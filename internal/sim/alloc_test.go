@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// The kernel's free list and baton hand-off make the steady-state hot
-// paths allocation-free. These budgets are load-bearing for simulator
-// throughput; a regression here silently costs every experiment.
+// The kernel's event free list and its pool of idle process coroutines
+// make the steady-state hot paths allocation-free. These budgets are
+// load-bearing for simulator throughput; a regression here silently costs
+// every experiment.
 
 // TestSleepSteadyStateZeroAlloc: a process sleeping in a loop must not
 // allocate once the event free list and run-queue ring are warm.
@@ -24,6 +25,27 @@ func TestSleepSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("steady-state Sleep allocates %.1f times per event, want 0", avg)
+	}
+}
+
+// TestSpawnSteadyStateZeroAlloc: a long-lived spawner starting one short
+// child per slice reuses an idle coroutine each time, so spawning allocates
+// nothing once warm.
+func TestSpawnSteadyStateZeroAlloc(t *testing.T) {
+	env := NewEnv(1)
+	child := func(p *Proc) {}
+	env.Go("spawner", func(p *Proc) {
+		for {
+			p.Env().Go("child", child)
+			p.Sleep(time.Millisecond)
+		}
+	})
+	env.RunFor(50 * time.Millisecond) // warm pools
+	avg := testing.AllocsPerRun(200, func() {
+		env.RunFor(time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("steady-state spawn allocates %.1f times per child, want 0", avg)
 	}
 }
 

@@ -11,9 +11,11 @@
 //
 // The design mirrors classic process-based simulators (SimPy, OMNeT++): model
 // code is written as ordinary straight-line Go in functions of the form
-// func(*Proc), spawned with Env.Go. Shared state needs no locking — the baton
-// hand-off between the scheduler and the single running process forms a
-// happens-before chain over all model state.
+// func(*Proc), spawned with Env.Go. Each process is a stdlib coroutine
+// (iter.Pull): the driver resumes it, and it switches straight back when it
+// blocks. Shared state needs no locking — the coroutine switches between the
+// driver and the single running process form a happens-before chain over
+// all model state.
 package sim
 
 import (
@@ -52,9 +54,8 @@ type Env struct {
 	wheelOff    bool // ablation: force everything into the heap
 	ready       procRing
 	procs       map[int]*Proc // live processes, for diagnostics
-	procPool    []*Proc       // finished processes recycled by Go
+	procPool    []*Proc       // idle processes, coroutines suspended, for Go
 	seq         uint64
-	yield       baton
 	cur         *Proc
 	alive       int
 	nextID      int
@@ -74,7 +75,6 @@ func NewEnv(seed uint64) *Env {
 		procs: make(map[int]*Proc),
 		rng:   NewRNG(seed),
 	}
-	e.yield.init()
 	e.wheel.init()
 	return e
 }
@@ -113,8 +113,8 @@ func (e *Env) Attach(key string, v any) {
 // Attached returns the value stored under key by Attach, or nil.
 func (e *Env) Attached(key string) any { return e.attach[key] }
 
-// CurrentProc returns the process currently holding the scheduling baton, or
-// nil when the scheduler itself (an event callback) is running. Because
+// CurrentProc returns the process whose coroutine is running, or nil when
+// the scheduler itself (an event callback) is running. Because
 // scheduling is strictly sequential this is unambiguous at any instant.
 func (e *Env) CurrentProc() *Proc { return e.cur }
 
@@ -143,8 +143,9 @@ func (e *Env) DumpBlocked(sink func(line string)) {
 
 // Go spawns a new process executing fn and schedules it to run at the
 // current virtual time. The name is used in traces and diagnostics.
-// Process structs (and their hand-off batons) are recycled from completed
-// processes; a *Proc handle is only meaningful while its process is alive.
+// Process structs and their suspended coroutines are recycled from
+// completed processes; a *Proc handle is only meaningful while its process
+// is alive.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procPool); n > 0 {
@@ -152,9 +153,9 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 		e.procPool[n-1] = nil
 		e.procPool = e.procPool[:n-1]
 	} else {
-		p = &Proc{env: e}
-		p.resume.init()
+		p = newProc(e)
 	}
+	p.fn = fn
 	p.id = e.nextID
 	p.name = name
 	p.state = stateReady
@@ -162,15 +163,6 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	e.alive++
 	e.procs[p.id] = p
 	e.ready.push(p)
-	go func() {
-		p.resume.awaitBlocking()
-		fn(p)
-		p.state = stateDone
-		e.alive--
-		delete(e.procs, p.id)
-		e.procPool = append(e.procPool, p)
-		e.yield.pass()
-	}()
 	return p
 }
 
@@ -370,17 +362,29 @@ func (e *Env) nearPush(ev *event) { e.events.push(ev) }
 // Run drives the simulation until no process is runnable and no event is
 // pending, and returns the final virtual time. Processes still alive at that
 // point are blocked forever; Alive reports how many.
+//
+// A panic in a process is re-raised here, in the driver, with the same
+// value. The Env is then in an undefined state and must not be driven
+// again.
 func (e *Env) Run() time.Duration {
-	for e.step(-1) {
-	}
-	return e.now
+	return e.RunUntil(-1)
 }
 
 // RunUntil drives the simulation until virtual time would pass t or the
 // simulation completes, whichever comes first. Events at exactly t still
-// fire. It returns the final virtual time.
+// fire. It returns the final virtual time. Process panics are re-raised as
+// in Run.
+//
+// On return it stops the idle coroutines when no live process remains or
+// nothing is left to dispatch: they would otherwise be all that keeps the
+// Env reachable. A run stopped at t with live processes keeps them, so a
+// caller that advances the clock in slices keeps spawning without
+// allocating.
 func (e *Env) RunUntil(t time.Duration) time.Duration {
 	for e.step(t) {
+	}
+	if e.alive == 0 || (len(e.events) == 0 && e.wheel.count == 0) {
+		e.releaseIdle()
 	}
 	return e.now
 }
@@ -404,8 +408,7 @@ func (e *Env) step(horizon time.Duration) bool {
 	if p, ok := e.ready.pop(); ok {
 		e.cur = p
 		p.state = stateRunning
-		p.resume.pass()
-		e.yield.await()
+		p.resume()
 		e.cur = nil
 		return true
 	}
@@ -486,9 +489,8 @@ func (e *Env) step(horizon time.Duration) bool {
 	}
 }
 
-// enqueue marks p ready and appends it to the run queue. The caller must
-// hold the scheduling baton (i.e. be the running process or an event
-// callback).
+// enqueue marks p ready and appends it to the run queue. The caller must be
+// the running process or an event callback.
 func (e *Env) enqueue(p *Proc) {
 	p.state = stateReady
 	e.ready.push(p)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -227,5 +228,40 @@ func TestDumpBlockedListsStuckProcesses(t *testing.T) {
 	// Order is spawn order.
 	if !strings.Contains(lines[0], "stuck-one") {
 		t.Errorf("lines out of spawn order: %v", lines)
+	}
+}
+
+// TestProcPanicReachesRun: a panic inside a process is re-raised by Run in
+// the driver, with the same value, instead of killing the host process.
+func TestProcPanicReachesRun(t *testing.T) {
+	env := NewEnv(1)
+	env.Go("bomb", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("bomb went off")
+	})
+	defer func() {
+		if r := recover(); r != "bomb went off" {
+			t.Errorf("recovered %v, want the proc's panic value", r)
+		}
+	}()
+	env.Run()
+	t.Error("Run returned normally, want a panic")
+}
+
+// TestDrainedEnvReleasesCoroutines: once an Env drains under Run, none of
+// its idle coroutines stay behind, so nothing keeps the Env reachable. The
+// count may also drop: an earlier test's goroutine can still be exiting.
+func TestDrainedEnvReleasesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	for i := 0; i < 100; i++ {
+		env.Go("short", func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
+	}
+	env.Run()
+	if env.Alive() != 0 {
+		t.Fatalf("Alive = %d, want 0", env.Alive())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d after Run, %d before NewEnv", after, before)
 	}
 }

@@ -1,7 +1,13 @@
+//go:build go1.23
+
+// The line above lifts this file, the kernel's one user of iter.Pull, to
+// go1.23 while go.mod stays at go 1.22 for the modules that pin it.
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -29,16 +35,65 @@ func (s procState) String() string {
 	}
 }
 
-// Proc is a simulation process: a goroutine scheduled cooperatively by its
-// Env. All blocking methods must be called from the process's own function
-// body (the fn passed to Env.Go); calling them from outside the simulation
-// corrupts scheduling.
+// Proc is a simulation process: a coroutine (iter.Pull) scheduled
+// cooperatively by its Env. All blocking methods must be called from the
+// process's own function body (the fn passed to Env.Go); calling them from
+// outside the simulation corrupts scheduling.
 type Proc struct {
-	env    *Env
-	id     int
-	name   string
-	state  procState
-	resume baton
+	env   *Env
+	id    int
+	name  string
+	state procState
+	fn    func(*Proc) // the body of the current lifetime; nil while idle
+	// resume switches from the driver into the coroutine, which runs until
+	// it calls yield; stop ends an idle coroutine.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+}
+
+// maxIdleProcs caps the finished processes whose coroutines stay suspended
+// for reuse by Env.Go. Reuse keeps spawning allocation-free; the cap bounds
+// the stacks the idle coroutines hold.
+const maxIdleProcs = 16
+
+// newProc returns a process with a fresh coroutine that has not started.
+func newProc(e *Env) *Proc {
+	p := &Proc{env: e}
+	p.resume, p.stop = iter.Pull(p.body)
+	return p
+}
+
+// body is the coroutine of p. It runs one fn per process lifetime, retires
+// the process, and suspends in the idle pool until Env.Go reuses it. It
+// returns, ending the coroutine, when the pool is full or released.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	e := p.env
+	for {
+		p.fn(p)
+		p.fn = nil
+		p.state = stateDone
+		e.alive--
+		delete(e.procs, p.id)
+		if len(e.procPool) == maxIdleProcs {
+			return
+		}
+		e.procPool = append(e.procPool, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// releaseIdle stops the idle coroutines and empties the pool. A suspended
+// coroutine is a GC root: an idle one would keep its whole Env reachable.
+func (e *Env) releaseIdle() {
+	for i, p := range e.procPool {
+		p.stop()
+		e.procPool[i] = nil
+	}
+	e.procPool = e.procPool[:0]
 }
 
 // Env returns the environment the process belongs to.
@@ -64,29 +119,16 @@ func (p *Proc) Tracef(format string, args ...any) {
 // String identifies the process in diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name) }
 
-// park yields the scheduling baton and blocks until another process or an
-// event callback calls wake. When the parking process is provably the
-// scheduler's next dispatch — nothing else is runnable and the earliest
-// event is its own wake-up — it spins for the baton instead of parking on
-// the channel: the resume is nanoseconds away, and the spin turns the
-// park/resume round trip into two atomic operations. Any other parked
-// process goes straight to sleep and costs no CPU.
+// park switches back to the driver and blocks until another process or an
+// event callback calls wake and the driver resumes the coroutine.
 func (p *Proc) park() {
-	e := p.env
-	spin := e.ready.n == 0 && e.batch == nil && len(e.events) > 0 && e.events[0].proc == p &&
-		(e.wheel.count == 0 || e.wheel.next > e.events[0].at)
 	p.state = stateParked
-	e.yield.pass()
-	if spin {
-		p.resume.await()
-	} else {
-		p.resume.awaitBlocking()
-	}
-	p.state = stateRunning
+	p.yield(struct{}{})
 }
 
-// wake moves a parked process back onto the run queue. The caller must hold
-// the scheduling baton. Waking a non-parked process is a kernel bug.
+// wake moves a parked process back onto the run queue. The caller must be
+// the running process or an event callback. Waking a non-parked process is
+// a kernel bug.
 func (p *Proc) wake() {
 	if p.state != stateParked {
 		panic(fmt.Sprintf("sim: wake of %v in state %d", p, p.state))
@@ -120,14 +162,6 @@ func (p *Proc) SleepUntil(t time.Duration) {
 // currently runnable process execute before it resumes. The clock does not
 // advance.
 func (p *Proc) Yield() {
-	e := p.env
-	e.enqueue(p)
-	spin := e.ready.n == 1 // alone in the run queue: resumed next
-	e.yield.pass()
-	if spin {
-		p.resume.await()
-	} else {
-		p.resume.awaitBlocking()
-	}
-	p.state = stateRunning
+	p.env.enqueue(p)
+	p.yield(struct{}{})
 }

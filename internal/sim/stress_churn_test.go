@@ -6,7 +6,7 @@ package sim_test
 // mid-flight. This lives in an external test package so it can drive the
 // kernel through the fluid model (sim cannot import fluid directly).
 // Run it under -race: it is the widest exercise of the recycled-event heap,
-// the run-queue ring, and the baton hand-off in the tree.
+// the run-queue ring, and the coroutine hand-off in the tree.
 
 import (
 	"testing"
