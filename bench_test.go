@@ -544,6 +544,41 @@ func BenchmarkFluidServer(b *testing.B) {
 	}
 }
 
+// ---- Workflow engine benchmark ----
+
+// BenchmarkWorkflowFanOut measures the DAGMan-style engine at 10k-task
+// scale: the 256×40 fan-out/fan-in DAG (10,242 tasks) on 32 nodes × 16
+// cores, under the poll loop and under event-driven trigger release. The
+// DAG is built once and shared read-only by every iteration, so ns/op and
+// allocs/op are one stack plus one full workflow run.
+func BenchmarkWorkflowFanOut(b *testing.B) {
+	wf := workload.FanOutFanIn(sim.NewRNG(1), "fan", 256, 40, 4096, workload.UniformScale(0.5, 1.5))
+	for _, mode := range []config.ExecMode{config.ExecPoll, config.ExecTrigger} {
+		b.Run(mode.String(), func(b *testing.B) {
+			prm := config.Default()
+			prm.WorkerNodes = 32
+			prm.CoresPerNode = 16
+			prm.ExecMode = mode.String()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := core.NewStack(1, prm)
+				s.Env.Go("main", func(p *sim.Proc) {
+					defer s.Shutdown()
+					s.RegisterTransformation(workload.MatmulTransformation, prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+					res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeNative))
+					if err != nil {
+						panic(err)
+					}
+					if len(res.Tasks) != wf.Len() {
+						panic(fmt.Sprintf("%d of %d tasks settled", len(res.Tasks), wf.Len()))
+					}
+				})
+				s.Env.Run()
+			}
+		})
+	}
+}
+
 // ---- Extension benchmarks (the paper's §VIII and §IX future work) ----
 
 // BenchmarkExtDataMovement runs the §VIII communication-overhead study.

@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/parallel"
+	"repro/internal/sim"
+	"repro/internal/wms"
+	"repro/internal/workload"
 )
 
 // These tests are the reproduction's shape guards: each asserts the
@@ -148,5 +156,37 @@ func TestDeterministicExperiments(t *testing.T) {
 	c := RunMix(o2, Mix{Serverless: 1})
 	if c.MakespanSecs == a.MakespanSecs {
 		t.Log("different seeds coincided (possible but unlikely)")
+	}
+}
+
+// TestSharedWorkflowAcrossWorkers runs one *wms.Workflow, shared read-only
+// as the Fig. 5 sweep shares its chains, from four workers at once (under
+// -race this catches any write to the shared DAG) and checks every run
+// returns the identical result.
+func TestSharedWorkflowAcrossWorkers(t *testing.T) {
+	prm := config.Default()
+	wf := workload.Chain("shared", 6, prm.MatrixBytes)
+	runs := parallel.Run(8, 4, func(int) *wms.RunResult {
+		s := core.NewStack(1, prm)
+		s.RegisterTransformation(workload.MatmulTransformation, prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+		var res *wms.RunResult
+		s.Env.Go("main", func(p *sim.Proc) {
+			defer s.Shutdown()
+			var err error
+			res, err = s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeContainer))
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		s.Env.Run()
+		return res
+	})
+	for i, res := range runs {
+		if res == nil || len(res.Tasks) != wf.Len() {
+			t.Fatalf("run %d: incomplete result %+v", i, res)
+		}
+		if !reflect.DeepEqual(res, runs[0]) {
+			t.Errorf("run %d differs from run 0 on the shared workflow", i)
+		}
 	}
 }

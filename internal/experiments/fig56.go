@@ -60,10 +60,16 @@ func RunMix(o Options, mix Mix) MixResult {
 }
 
 // runMixes fans every (mix, rep) pair of the §V-C workload across the pool
-// at once and folds each mix's reps into its MixResult.
+// at once and folds each mix's reps into its MixResult. The chains are built
+// once and shared read-only by every run: a run never mutates a Workflow.
 func runMixes(o Options, mixes []Mix) []MixResult {
+	workflows, tasks := o.Prm.WorkflowsPerRun, o.Prm.TasksPerWorkflow
+	if o.Quick {
+		workflows, tasks = 4, 4
+	}
+	wfs := workload.ConcurrentChains(workflows, tasks, o.Prm.MatrixBytes)
 	runs := sweep(o, mixes, func(mix Mix, seed uint64) float64 {
-		return runMixOnce(seed, o, mix)
+		return runMixOnce(seed, o, mix, wfs)
 	})
 	out := make([]MixResult, len(mixes))
 	for mi, mix := range mixes {
@@ -76,14 +82,9 @@ func runMixes(o Options, mixes []Mix) []MixResult {
 	return out
 }
 
-// runMixOnce executes one seeded run of the §V-C workload under the mix and
-// returns the slowest concurrent workflow's makespan in seconds.
-func runMixOnce(seed uint64, o Options, mix Mix) float64 {
-	workflows := o.Prm.WorkflowsPerRun
-	tasks := o.Prm.TasksPerWorkflow
-	if o.Quick {
-		workflows, tasks = 4, 4
-	}
+// runMixOnce executes one seeded run of the §V-C workload wfs under the mix
+// and returns the slowest concurrent workflow's makespan in seconds.
+func runMixOnce(seed uint64, o Options, mix Mix, wfs []*wms.Workflow) float64 {
 	s := core.NewStack(seed, o.Prm)
 	s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
 	var slowest time.Duration
@@ -93,7 +94,6 @@ func runMixOnce(seed uint64, o Options, mix Mix) float64 {
 				panic(err)
 			}
 		}
-		wfs := workload.ConcurrentChains(workflows, tasks, o.Prm.MatrixBytes)
 		assign := wms.AssignFractions(s.Env.Rand().Fork(), mix.Native, mix.Container, mix.Serverless)
 		res, err := s.RunConcurrentWorkflows(p, wfs, assign)
 		if err != nil {

@@ -229,8 +229,10 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 	// Tail of the path: the task observed finished last (ties break by DAG
 	// declaration order, which is deterministic).
 	order := dag.TaskIDs()
+	declared := make(map[string]int, len(order))
 	var last string
-	for _, id := range order {
+	for k, id := range order {
+		declared[id] = k
 		ti := tasks[id]
 		if ti == nil {
 			continue
@@ -243,16 +245,18 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 		return nil, fmt.Errorf("trace: no DAG task of %q appears in the trace", workflow)
 	}
 
-	// Walk backwards: each step waits on its latest-finishing traced parent.
+	// Walk backwards: each step waits on its latest-finishing traced parent,
+	// ties broken by declaration order.
 	var rev []string
 	for id := last; id != ""; {
 		rev = append(rev, id)
 		next := ""
-		for _, par := range order { // deterministic parent order
-			if !contains(dag.Parents(id), par) || tasks[par] == nil {
+		for _, par := range dag.Parents(id) {
+			if tasks[par] == nil {
 				continue
 			}
-			if next == "" || tasks[par].end > tasks[next].end {
+			if next == "" || tasks[par].end > tasks[next].end ||
+				tasks[par].end == tasks[next].end && declared[par] < declared[next] {
 				next = par
 			}
 		}
@@ -367,15 +371,6 @@ func childIndex(t *Tracer) map[SpanID][]*Span {
 		}
 	}
 	return idx
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // StageSum returns the total across all stage buckets; by construction it

@@ -21,7 +21,7 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 	if maxSize < 1 {
 		return nil, fmt.Errorf("wms: cluster size %d < 1", maxSize)
 	}
-	topo, err := wf.TopoOrder()
+	topo, err := wf.topo()
 	if err != nil {
 		return nil, err
 	}
@@ -30,77 +30,62 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 	}
 
 	// Assign each task to a cluster.
-	clusterOf := make(map[string]int, wf.Len())
-	var clusters [][]string
-	for _, id := range topo {
-		parents := wf.Parents(id)
-		task, _ := wf.Task(id)
-		if len(parents) == 1 {
-			par := parents[0]
-			ci, ok := clusterOf[par]
-			if ok {
-				members := clusters[ci]
-				tail := members[len(members)-1]
-				tailTask, _ := wf.Task(tail)
-				if tail == par &&
-					len(members) < maxSize &&
-					len(wf.Children(par)) == 1 &&
-					tailTask.Transformation == task.Transformation {
-					clusters[ci] = append(members, id)
-					clusterOf[id] = ci
-					continue
-				}
+	clusterOf := make([]int, wf.Len())
+	var clusters [][]int32
+	for _, i := range topo {
+		if ps := wf.parents[i]; len(ps) == 1 {
+			par := ps[0]
+			ci := clusterOf[par] // assigned already: parents precede in topo
+			members := clusters[ci]
+			if members[len(members)-1] == par &&
+				len(members) < maxSize &&
+				len(wf.childs[par]) == 1 &&
+				wf.tasks[par].Transformation == wf.tasks[i].Transformation {
+				clusters[ci] = append(members, i)
+				clusterOf[i] = ci
+				continue
 			}
 		}
-		clusterOf[id] = len(clusters)
-		clusters = append(clusters, []string{id})
+		clusterOf[i] = len(clusters)
+		clusters = append(clusters, []int32{i})
 	}
 
 	// Build the clustered workflow.
 	out := NewWorkflow(wf.Name + "-clustered")
 	names := make([]string, len(clusters))
 	for ci, members := range clusters {
-		name := members[0]
+		first := wf.tasks[members[0]]
+		names[ci] = first.ID
 		if len(members) > 1 {
-			name = members[0] + ".." + members[len(members)-1]
+			names[ci] = first.ID + ".." + wf.tasks[members[len(members)-1]].ID
 		}
-		names[ci] = name
 
-		inside := make(map[string]bool, len(members))
-		for _, id := range members {
-			inside[id] = true
-		}
 		produced := make(map[string]bool)
 		consumedInside := make(map[string]bool)
-		for _, id := range members {
-			t, _ := wf.Task(id)
-			for _, f := range t.Outputs {
+		for _, j := range members {
+			for _, f := range wf.tasks[j].Outputs {
 				produced[f.LFN] = true
 			}
-			for _, f := range t.Inputs {
+			for _, f := range wf.tasks[j].Inputs {
 				consumedInside[f.LFN] = true
 			}
 		}
 		// Which produced files does anyone outside the cluster consume?
 		consumedOutside := make(map[string]bool)
-		for _, id := range wf.TaskIDs() {
-			if inside[id] {
+		for j, t := range wf.tasks {
+			if clusterOf[j] == ci {
 				continue
 			}
-			t, _ := wf.Task(id)
 			for _, f := range t.Inputs {
 				consumedOutside[f.LFN] = true
 			}
 		}
 
-		merged := TaskSpec{ID: name}
+		merged := TaskSpec{ID: names[ci], Transformation: first.Transformation}
 		seenIn := make(map[string]bool)
 		seenOut := make(map[string]bool)
-		for i, id := range members {
-			t, _ := wf.Task(id)
-			if i == 0 {
-				merged.Transformation = t.Transformation
-			}
+		for _, j := range members {
+			t := wf.tasks[j]
 			merged.WorkScale += t.EffectiveWorkScale()
 			for _, f := range t.Inputs {
 				if !produced[f.LFN] && !seenIn[f.LFN] {
@@ -125,20 +110,16 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 	}
 
 	// Re-map dependencies between clusters.
-	added := make(map[string]bool)
+	added := make(map[[2]int]bool)
 	for ci, members := range clusters {
-		for _, id := range members {
-			for _, par := range wf.Parents(id) {
-				pi := clusterOf[par]
-				if pi == ci {
+		for _, j := range members {
+			for _, par := range wf.parents[j] {
+				edge := [2]int{clusterOf[par], ci}
+				if edge[0] == ci || added[edge] {
 					continue
 				}
-				key := names[pi] + "→" + names[ci]
-				if added[key] {
-					continue
-				}
-				added[key] = true
-				if err := out.AddDependency(names[pi], names[ci]); err != nil {
+				added[edge] = true
+				if err := out.AddDependency(names[edge[0]], names[ci]); err != nil {
 					return nil, err
 				}
 			}

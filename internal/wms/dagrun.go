@@ -1,8 +1,11 @@
 package wms
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/condor"
@@ -16,34 +19,122 @@ import (
 // trigger) drive the same bookkeeping and differ only in *who* observes a
 // completion and *when* successors are released — see exec_poll.go and
 // exec_event.go.
+//
+// All per-task state lives in slices indexed by the workflow's declaration
+// index. A task enters the ready set when its indegree countdown reaches
+// zero; every driver submits from that one set in declaration order (the
+// order of the seed engine's TaskIDs scan).
 type dagRun struct {
-	e     *Engine
-	wf    *Workflow
-	res   *RunResult
-	modes map[string]Mode
+	e   *Engine
+	wf  *Workflow
+	res *RunResult
 
-	done      map[string]bool
-	attempts  map[string]int
-	inflight  map[string]*flight
-	notBefore map[string]time.Duration // poll-mode retry backoff gate
+	tasks    []taskState
+	ndone    int
+	ready    []uint64 // bitset by declaration index: not done, not in flight, parents done
+	inflight []int32  // tasks with a live flight, sorted by ID (the poll scan order)
+	scan     []int32  // reused snapshot of inflight for one poll tick
 
 	tracer      *trace.Tracer
 	wfSpan      *trace.Span
 	absDeadline time.Duration
 }
 
-func newDagRun(e *Engine, wf *Workflow, modes map[string]Mode, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) *dagRun {
-	return &dagRun{
-		e:         e,
-		wf:        wf,
-		res:       res,
-		modes:     modes,
-		done:      make(map[string]bool, wf.Len()),
-		attempts:  make(map[string]int, wf.Len()),
-		inflight:  make(map[string]*flight),
-		notBefore: make(map[string]time.Duration),
-		tracer:    tracer,
-		wfSpan:    wfSpan,
+// taskState is one task's share of a run's state.
+type taskState struct {
+	flight    *flight       // live attempt; nil when not in flight
+	notBefore time.Duration // poll-mode retry backoff gate
+	attempts  int
+	waiting   int32 // parents not yet done (the indegree countdown)
+	mode      Mode
+	done      bool
+}
+
+// newDagRun prepares a run: it assigns every task's mode in declaration
+// order, plans a rescue's finished tasks out of the DAG (their recorded
+// provenance carries over), and starts the indegree countdown of every
+// other task, readying those with no unfinished parent.
+func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *Rescue, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) (*dagRun, error) {
+	d := &dagRun{
+		e:      e,
+		wf:     wf,
+		res:    res,
+		tasks:  make([]taskState, wf.Len()),
+		ready:  make([]uint64, (wf.Len()+63)/64),
+		tracer: tracer,
+		wfSpan: wfSpan,
+	}
+	for i, t := range wf.tasks {
+		d.tasks[i].mode = assign(wf.Name, t.ID)
+	}
+	if rescue != nil {
+		for id, tr := range rescue.Done {
+			i, exists := wf.index[id]
+			if !exists {
+				return nil, fmt.Errorf("wms: rescue records unknown task %q", id)
+			}
+			d.tasks[i].done = true
+			d.ndone++
+			res.Tasks[id] = tr
+		}
+	}
+	for i := range d.tasks {
+		t := &d.tasks[i]
+		for _, par := range wf.parents[i] {
+			if !d.tasks[par].done {
+				t.waiting++
+			}
+		}
+		if !t.done && t.waiting == 0 {
+			d.setReady(int32(i))
+		}
+	}
+	return d, nil
+}
+
+func (d *dagRun) setReady(i int32) { d.ready[i>>6] |= 1 << (i & 63) }
+
+// submitReady submits ready tasks in declaration order until the set is
+// exhausted or the MaxInflight throttle (DAGMan -maxjobs) is reached. A
+// task still inside its retry backoff is skipped but stays ready. started,
+// when non-nil, sees each new flight.
+func (d *dagRun) submitReady(now time.Duration, started func(i int32, f *flight)) error {
+	for w, word := range d.ready {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			if d.e.MaxInflight > 0 && len(d.inflight) >= d.e.MaxInflight {
+				return nil
+			}
+			i := int32(w<<6 | b)
+			if now < d.tasks[i].notBefore {
+				continue
+			}
+			d.ready[w] &^= 1 << b
+			f, err := d.submitOne(i)
+			if err != nil {
+				return err
+			}
+			if started != nil {
+				started(i, f)
+			}
+		}
+	}
+	return nil
+}
+
+// inflightPos finds a task's position in the ID-sorted in-flight list.
+func (d *dagRun) inflightPos(i int32) (int, bool) {
+	return slices.BinarySearchFunc(d.inflight, d.wf.tasks[i].ID, func(j int32, id string) int {
+		return strings.Compare(d.wf.tasks[j].ID, id)
+	})
+}
+
+// retire removes a task's flight from the in-flight set.
+func (d *dagRun) retire(i int32) {
+	d.tasks[i].flight = nil
+	if k, ok := d.inflightPos(i); ok {
+		d.inflight = slices.Delete(d.inflight, k, k+1)
 	}
 }
 
@@ -51,35 +142,10 @@ func newDagRun(e *Engine, wf *Workflow, modes map[string]Mode, res *RunResult, t
 // are discarded and the rescue DAG re-runs those tasks.
 func (d *dagRun) abandonedJobs() int {
 	n := 0
-	for _, f := range d.inflight {
-		n += len(f.jobs)
+	for _, i := range d.inflight {
+		n += len(d.tasks[i].flight.copies)
 	}
 	return n
-}
-
-// readyAt reports whether a task can be submitted at time now: not finished,
-// not in flight, past its retry backoff gate, and with every parent done.
-func (d *dagRun) readyAt(now time.Duration, id string) bool {
-	if d.done[id] || d.inflight[id] != nil || now < d.notBefore[id] {
-		return false
-	}
-	for _, par := range d.wf.Parents(id) {
-		if !d.done[par] {
-			return false
-		}
-	}
-	return true
-}
-
-// inflightIDs returns the in-flight task IDs in sorted order (the poll
-// loop's deterministic scan order).
-func (d *dagRun) inflightIDs() []string {
-	ids := make([]string, 0, len(d.inflight))
-	for id := range d.inflight {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // winnerIndex returns the index of the earliest-finishing completed copy of
@@ -87,11 +153,11 @@ func (d *dagRun) inflightIDs() []string {
 // (the primary before its hedges).
 func (d *dagRun) winnerIndex(f *flight) int {
 	winIdx := -1
-	for i, job := range f.jobs {
-		if job.Status() != condor.StatusCompleted {
+	for i, c := range f.copies {
+		if c.job.Status() != condor.StatusCompleted {
 			continue
 		}
-		if winIdx < 0 || job.FinishedAt < f.jobs[winIdx].FinishedAt {
+		if winIdx < 0 || c.job.FinishedAt < f.copies[winIdx].job.FinishedAt {
 			winIdx = i
 		}
 	}
@@ -100,77 +166,93 @@ func (d *dagRun) winnerIndex(f *flight) int {
 
 // observeWin resolves a task whose copy winIdx completed: the flight is
 // retired, still-running losers are abandoned (they finish on their own and
-// their results are discarded), hedge accounting is settled, and the task's
-// provenance is recorded. The attempt span closes now — in poll mode that is
-// the poll tick after completion (its tail is the DAGMan-poll slack), in the
-// event-driven modes it is the moment of observation.
-func (d *dagRun) observeWin(id string, f *flight, winIdx int) {
-	win := f.jobs[winIdx]
-	delete(d.inflight, id)
-	d.done[id] = true
+// their results are discarded), hedge accounting is settled, the task's
+// provenance is recorded, and children whose countdown reaches zero join
+// the ready set. The attempt span closes now — in poll mode that is the
+// poll tick after completion (its tail is the DAGMan-poll slack), in the
+// event-driven modes it is the moment of observation. It returns how many
+// children it released.
+func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
+	win := f.copies[winIdx].job
+	d.retire(i)
+	t := &d.tasks[i]
+	t.done = true
+	d.ndone++
 	d.e.Budget.OnSuccess()
-	for i, hs := range f.spans {
-		if hs == nil {
+	for k, c := range f.copies {
+		if c.span == nil {
 			continue
 		}
-		if i == winIdx {
-			hs.SetLabel("status", "won")
+		if k == winIdx {
+			c.span.SetLabel("status", "won")
 		} else {
-			hs.SetLabel("status", "abandoned")
+			c.span.SetLabel("status", "abandoned")
 		}
-		hs.End()
+		c.span.End()
 	}
-	if f.hedged[winIdx] {
+	if f.copies[winIdx].hedged {
 		d.res.HedgeWins++
 		f.attempt.SetLabel("hedge-win", "1")
 	}
 	f.attempt.SetLabel("node", win.Node())
 	f.attempt.End()
+	id := d.wf.tasks[i].ID
 	d.res.Tasks[id] = &TaskResult{
 		ID:          id,
-		Mode:        d.modes[id],
+		Mode:        t.mode,
 		Node:        win.Node(),
-		Attempts:    d.attempts[id],
+		Attempts:    t.attempts,
 		SubmittedAt: win.SubmittedAt,
 		StartedAt:   win.StartedAt,
 		FinishedAt:  win.FinishedAt,
 	}
+	for _, c := range d.wf.childs[i] {
+		ct := &d.tasks[c]
+		ct.waiting--
+		if ct.waiting == 0 && !ct.done { // a rescue may hold a child but not its parent
+			d.setReady(c)
+			released++
+		}
+	}
+	return released
 }
 
 // pruneFailed drops the flight's failed copies, ending their hedge spans.
 // It reports whether the whole attempt is dead (no copies remain).
 func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
-	keptJobs, keptSpans, keptHedged := f.jobs[:0], f.spans[:0], f.hedged[:0]
-	for i, job := range f.jobs {
-		if job.Status() == condor.StatusFailed {
-			if f.spans[i] != nil {
-				f.spans[i].SetLabel("status", "failed")
-				f.spans[i].End()
+	kept := f.copies[:0]
+	for _, c := range f.copies {
+		if c.job.Status() == condor.StatusFailed {
+			if c.span != nil {
+				c.span.SetLabel("status", "failed")
+				c.span.End()
 			}
 			continue
 		}
-		keptJobs = append(keptJobs, job)
-		keptSpans = append(keptSpans, f.spans[i])
-		keptHedged = append(keptHedged, f.hedged[i])
+		kept = append(kept, c)
 	}
-	f.jobs, f.spans, f.hedged = keptJobs, keptSpans, keptHedged
-	return len(f.jobs) == 0
+	f.copies = kept
+	return len(kept) == 0
 }
 
-// failAttempt handles a task attempt with no live copies left: the flight
-// must already be removed from the in-flight set and its attempt span ended.
-// It either authorizes a resubmission after the returned backoff, or returns
-// the AbortError (retries exhausted, or the engine-wide retry budget denied
-// the resubmission) that ends the run.
-func (d *dagRun) failAttempt(p *sim.Proc, id string) (time.Duration, *AbortError) {
-	if d.attempts[id] >= d.e.Retry.Attempts() {
+// failAttempt handles a task attempt with no live copies left: it retires
+// the flight and ends its attempt span, then either authorizes a
+// resubmission after the returned backoff, or returns the AbortError
+// (retries exhausted, or the engine-wide retry budget denied the
+// resubmission) that ends the run.
+func (d *dagRun) failAttempt(p *sim.Proc, i int32, f *flight) (time.Duration, *AbortError) {
+	d.retire(i)
+	f.attempt.SetLabel("status", "failed")
+	f.attempt.End()
+	id, attempts := d.wf.tasks[i].ID, d.tasks[i].attempts
+	if attempts >= d.e.Retry.Attempts() {
 		d.wfSpan.SetLabel("status", "aborted")
 		// Per-task retries exhausted: abort with a rescue capturing
 		// completed-task state. Jobs still in flight are abandoned (their
 		// results discarded); the rescue DAG re-runs those tasks.
 		return 0, &AbortError{
 			Task:     id,
-			Attempts: d.attempts[id],
+			Attempts: attempts,
 			Reason:   AbortRetries,
 			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
 		}
@@ -182,14 +264,14 @@ func (d *dagRun) failAttempt(p *sim.Proc, id string) (time.Duration, *AbortError
 		d.wfSpan.SetLabel("status", "aborted")
 		return 0, &AbortError{
 			Task:     id,
-			Attempts: d.attempts[id],
+			Attempts: attempts,
 			Reason:   AbortRetryBudget,
 			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
 		}
 	}
 	// Exponential backoff before resubmission, jittered so concurrent
 	// workflows don't resubmit in lockstep.
-	return d.e.Retry.Backoff(d.attempts[id], p.Rand()), nil
+	return d.e.Retry.Backoff(attempts, p.Rand()), nil
 }
 
 // deadlineAbort builds the AbortError for a run that outlived its deadline.
@@ -203,22 +285,24 @@ func (d *dagRun) deadlineAbort() *AbortError {
 
 // submitOne starts a new attempt of one task: it opens the attempt span,
 // plans and submits the condor job, and registers the flight.
-func (d *dagRun) submitOne(id string) (*flight, error) {
-	task, _ := d.wf.Task(id)
+func (d *dagRun) submitOne(i int32) (*flight, error) {
+	task, t := d.wf.tasks[i], &d.tasks[i]
 	sp := d.tracer.Start(d.wfSpan, "wms", "task",
-		trace.L("workflow", d.wf.Name), trace.L("task", id),
-		trace.L("mode", d.modes[id].String()),
-		trace.L("attempt", strconv.Itoa(d.attempts[id]+1)))
+		trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
+		trace.L("mode", t.mode.String()),
+		trace.L("attempt", strconv.Itoa(t.attempts+1)))
 	popCur := d.tracer.Push(sp) // condor job span nests under the attempt
-	job, err := d.e.submitTask(d.wf, task, d.modes[id], d.absDeadline)
+	job, err := d.e.submitTask(d.wf, task, t.mode, d.absDeadline)
 	popCur()
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	d.attempts[id]++
-	f := &flight{attempt: sp, jobs: []*condor.Job{job}, spans: []*trace.Span{nil}, hedged: []bool{false}}
-	d.inflight[id] = f
+	t.attempts++
+	f := &flight{attempt: sp, copies: []flightCopy{{job: job}}}
+	t.flight = f
+	k, _ := d.inflightPos(i)
+	d.inflight = slices.Insert(d.inflight, k, i)
 	return f, nil
 }
 
@@ -234,21 +318,19 @@ func (d *dagRun) hedgeCap() int {
 // submitHedgeCopy launches one speculative duplicate of an in-flight task.
 // The copies race; whoever observes completions keeps whichever finishes
 // first.
-func (d *dagRun) submitHedgeCopy(id string, f *flight) (*condor.Job, error) {
-	task, _ := d.wf.Task(id)
+func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
+	task := d.wf.tasks[i]
 	hs := d.tracer.Start(f.attempt, "wms", "hedge",
-		trace.L("workflow", d.wf.Name), trace.L("task", id),
-		trace.L("copy", strconv.Itoa(len(f.jobs))))
+		trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
+		trace.L("copy", strconv.Itoa(len(f.copies))))
 	popCur := d.tracer.Push(hs)
-	job, err := d.e.submitTask(d.wf, task, d.modes[id], d.absDeadline)
+	job, err := d.e.submitTask(d.wf, task, d.tasks[i].mode, d.absDeadline)
 	popCur()
 	if err != nil {
 		hs.End()
 		return nil, err
 	}
 	d.res.Hedges++
-	f.jobs = append(f.jobs, job)
-	f.spans = append(f.spans, hs)
-	f.hedged = append(f.hedged, true)
+	f.copies = append(f.copies, flightCopy{job: job, span: hs, hedged: true})
 	return job, nil
 }

@@ -151,16 +151,20 @@ type Engine struct {
 }
 
 // flight is one task's in-flight attempt: the primary condor job plus any
-// speculative hedge copies. spans and hedged are index-aligned with jobs;
-// spans[0] is nil (the primary is covered by the task-attempt span), hedge
-// copies get their own "hedge" spans. hedged marks which copies are
-// speculative — win accounting keys off it rather than the spans, which are
-// nil when no tracer is attached.
+// speculative hedge copies.
 type flight struct {
 	attempt *trace.Span
-	jobs    []*condor.Job
-	spans   []*trace.Span
-	hedged  []bool
+	copies  []flightCopy
+}
+
+// flightCopy is one submitted copy of an attempt. span is nil for the
+// primary (covered by the task-attempt span); hedge copies get their own
+// "hedge" spans. hedged marks a speculative copy — win accounting keys off
+// it rather than the span, which is nil when no tracer is attached.
+type flightCopy struct {
+	job    *condor.Job
+	span   *trace.Span
+	hedged bool
 }
 
 // RunWorkflow executes the workflow with the given mode assignment and
@@ -205,11 +209,6 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 			e.Store.Seed(wf.Name, f.LFN, f.Bytes)
 		}
 	}
-	modes := make(map[string]Mode, wf.Len())
-	for _, id := range wf.TaskIDs() {
-		modes[id] = assign(wf.Name, id)
-	}
-
 	res := &RunResult{
 		Workflow:  wf.Name,
 		StartedAt: p.Now(),
@@ -220,20 +219,15 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	wfSpan := tracer.StartCurrent("wms", "workflow", trace.L("workflow", wf.Name))
 	defer wfSpan.End() // End is idempotent; covers error returns too
 
-	d := newDagRun(e, wf, modes, res, tracer, wfSpan)
-
+	d, err := newDagRun(e, wf, assign, rescue, res, tracer, wfSpan)
+	if err != nil {
+		return nil, err
+	}
 	if rescue != nil {
-		// Rescue-DAG resume: finished tasks are planned out of the DAG and
-		// their recorded provenance carries over; checkpointed partial
-		// progress is reinstated; the makespan spans the original start.
+		// Rescue-DAG resume: newDagRun planned the finished tasks out of the
+		// DAG; checkpointed partial progress is reinstated, and the makespan
+		// spans the original start.
 		res.StartedAt = rescue.StartedAt
-		for id, tr := range rescue.Done {
-			if _, exists := wf.Task(id); !exists {
-				return nil, fmt.Errorf("wms: rescue records unknown task %q", id)
-			}
-			d.done[id] = true
-			res.Tasks[id] = tr
-		}
 		e.restoreProgress(wf, rescue)
 	}
 
@@ -253,6 +247,10 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	}
 	if err != nil {
 		return nil, err
+	}
+	// DAG settlement: every task settled exactly once, nothing in flight.
+	if d.ndone != wf.Len() || len(res.Tasks) != wf.Len() || len(d.inflight) != 0 {
+		return nil, fmt.Errorf("wms: workflow %s ended with %d of %d tasks settled, %d in flight", wf.Name, d.ndone, wf.Len(), len(d.inflight))
 	}
 	return res, nil
 }

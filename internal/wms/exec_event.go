@@ -1,7 +1,6 @@
 package wms
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -28,10 +27,6 @@ type eventRun struct {
 	d      *dagRun
 	broker *knative.Broker // nil = decentralized
 
-	waiting map[string]int // per-task count of unfinished parents
-	taskIdx map[string]int // declaration index, for deterministic queueing
-	pending []string       // ready tasks queued for submission, by taskIdx
-
 	// fin resolves with nil when the last task completes, or with the error
 	// (abort, submission failure) that ends the run. Watchers, hedge
 	// timers, and trigger handlers all bail once it settles.
@@ -42,28 +37,11 @@ type eventRun struct {
 // trigger (broker != nil) mode.
 func (e *Engine) runEvent(p *sim.Proc, d *dagRun, broker *knative.Broker) error {
 	r := &eventRun{
-		d:       d,
-		broker:  broker,
-		waiting: make(map[string]int, d.wf.Len()),
-		taskIdx: make(map[string]int, d.wf.Len()),
-		fin:     sim.NewFuture[error](e.Env),
+		d:      d,
+		broker: broker,
+		fin:    sim.NewFuture[error](e.Env),
 	}
-	// Dependency countdown: each task waits on its unfinished parents
-	// (rescue-done parents are already satisfied).
-	for i, id := range d.wf.TaskIDs() {
-		r.taskIdx[id] = i
-		if d.done[id] {
-			continue
-		}
-		n := 0
-		for _, par := range d.wf.Parents(id) {
-			if !d.done[par] {
-				n++
-			}
-		}
-		r.waiting[id] = n
-	}
-	if len(d.done) == d.wf.Len() { // rescue already finished everything
+	if d.ndone == d.wf.Len() { // rescue already finished everything
 		d.res.FinishedAt = p.Now()
 		return nil
 	}
@@ -72,7 +50,9 @@ func (e *Engine) runEvent(p *sim.Proc, d *dagRun, broker *knative.Broker) error 
 		prefix := d.wf.Name + "/"
 		trig := broker.SubscribeFiltered("wms-"+d.wf.Name, TaskSettledEventType, prefix,
 			func(hp *sim.Proc, ev knative.Event) {
-				r.settle(hp, strings.TrimPrefix(ev.Subject, prefix))
+				if i, ok := d.wf.index[strings.TrimPrefix(ev.Subject, prefix)]; ok {
+					r.settle(hp, i)
+				}
 			})
 		defer broker.Unsubscribe(trig)
 	}
@@ -91,12 +71,7 @@ func (e *Engine) runEvent(p *sim.Proc, d *dagRun, broker *knative.Broker) error 
 		})
 	}
 
-	// Seed the ready set with every dependency-free task and submit.
-	for _, id := range d.wf.TaskIDs() {
-		if !d.done[id] && r.waiting[id] == 0 {
-			r.pending = append(r.pending, id)
-		}
-	}
+	// Submit the dependency-free tasks seeded into the ready set.
 	r.drain(p)
 
 	return r.fin.Get(p)
@@ -109,38 +84,19 @@ func (r *eventRun) finish(err error) {
 	}
 }
 
-// enqueue inserts a dependency-satisfied task into the pending queue,
-// keeping declaration order (the same release order the poll loop's
-// TaskIDs scan produces).
-func (r *eventRun) enqueue(id string) {
-	i := sort.Search(len(r.pending), func(i int) bool {
-		return r.taskIdx[r.pending[i]] > r.taskIdx[id]
-	})
-	r.pending = append(r.pending, "")
-	copy(r.pending[i+1:], r.pending[i:])
-	r.pending[i] = id
-}
-
-// drain submits pending tasks until the queue empties or the MaxInflight
-// throttle (DAGMan -maxjobs) is reached. Submission errors end the run.
+// drain submits ready tasks until the set empties or the MaxInflight
+// throttle (DAGMan -maxjobs) is reached, arming a completion watcher and
+// hedge timer per attempt. Submission errors end the run.
 func (r *eventRun) drain(p *sim.Proc) {
-	d := r.d
-	for len(r.pending) > 0 && !r.fin.Done() {
-		if d.e.MaxInflight > 0 && len(d.inflight) >= d.e.MaxInflight {
-			return
-		}
-		id := r.pending[0]
-		r.pending = r.pending[1:]
-		if d.done[id] || d.inflight[id] != nil {
-			continue
-		}
-		f, err := d.submitOne(id)
-		if err != nil {
-			r.finish(err)
-			return
-		}
-		r.watchJob(id, f.jobs[0])
-		r.armHedges(id, f)
+	if r.fin.Done() {
+		return
+	}
+	err := r.d.submitReady(p.Now(), func(i int32, f *flight) {
+		r.watchJob(i, f.copies[0].job)
+		r.armHedges(i, f)
+	})
+	if err != nil {
+		r.finish(err)
 	}
 }
 
@@ -148,31 +104,31 @@ func (r *eventRun) drain(p *sim.Proc) {
 // has been in flight for HedgeAfter, a speculative duplicate is submitted,
 // up to HedgeMax copies per attempt — the event-driven equivalent of the
 // poll loop's per-tick hedge scan.
-func (r *eventRun) armHedges(id string, f *flight) {
+func (r *eventRun) armHedges(i int32, f *flight) {
 	d := r.d
 	if d.e.HedgeAfter <= 0 {
 		return
 	}
 	hedgeMax := d.hedgeCap()
-	d.e.Env.Go("wms-hedge-"+d.wf.Name+"/"+id, func(wp *sim.Proc) {
+	d.e.Env.Go("wms-hedge-"+d.wf.Name+"/"+d.wf.tasks[i].ID, func(wp *sim.Proc) {
 		for {
-			if r.fin.Done() || d.inflight[id] != f {
+			if r.fin.Done() || d.tasks[i].flight != f {
 				return
 			}
-			if len(f.jobs) >= 1+hedgeMax {
+			if len(f.copies) >= 1+hedgeMax {
 				return
 			}
-			newest := f.jobs[len(f.jobs)-1]
+			newest := f.copies[len(f.copies)-1].job
 			if wait := d.e.HedgeAfter - (wp.Now() - newest.SubmittedAt); wait > 0 {
 				wp.Sleep(wait)
 				continue // re-check: the flight may have settled or grown
 			}
-			job, err := d.submitHedgeCopy(id, f)
+			job, err := d.submitHedgeCopy(i, f)
 			if err != nil {
 				r.finish(err)
 				return
 			}
-			r.watchJob(id, job)
+			r.watchJob(i, job)
 		}
 	})
 }
@@ -181,9 +137,10 @@ func (r *eventRun) armHedges(id string, f *flight) {
 // the condor job and reacts the instant it settles. Decentralized mode makes
 // the release decision right on the watcher; trigger mode publishes a typed
 // event from the job's node and lets the broker's filtered trigger decide.
-func (r *eventRun) watchJob(id string, job *condor.Job) {
+func (r *eventRun) watchJob(i int32, job *condor.Job) {
 	d := r.d
-	d.e.Env.Go("wms-watch-"+d.wf.Name+"/"+id, func(wp *sim.Proc) {
+	subject := d.wf.Name + "/" + d.wf.tasks[i].ID
+	d.e.Env.Go("wms-watch-"+subject, func(wp *sim.Proc) {
 		_ = d.e.Pool.Wait(wp, job)
 		if r.fin.Done() {
 			return
@@ -198,11 +155,11 @@ func (r *eventRun) watchJob(id string, job *condor.Job) {
 			_ = r.broker.Publish(wp, node, knative.Event{
 				Type:    TaskSettledEventType,
 				Source:  node,
-				Subject: d.wf.Name + "/" + id,
+				Subject: subject,
 			})
 			return
 		}
-		r.settle(wp, id)
+		r.settle(wp, i)
 	})
 }
 
@@ -210,30 +167,22 @@ func (r *eventRun) watchJob(id string, job *condor.Job) {
 // resolves wins (releasing successors immediately), prunes failed copies,
 // and drives retry backoff and resubmission. It is idempotent — late events
 // or watchers of abandoned copies find the flight gone and do nothing.
-func (r *eventRun) settle(p *sim.Proc, id string) {
+func (r *eventRun) settle(p *sim.Proc, i int32) {
 	if r.fin.Done() {
 		return
 	}
 	d := r.d
-	f := d.inflight[id]
+	f := d.tasks[i].flight
 	if f == nil {
 		return // already resolved by an earlier copy's observation
 	}
 	if winIdx := d.winnerIndex(f); winIdx >= 0 {
 		rel := d.tracer.Start(d.wfSpan, "wms", "release",
-			trace.L("workflow", d.wf.Name), trace.L("task", id))
-		d.observeWin(id, f, winIdx)
-		released := 0
-		for _, child := range d.wf.Children(id) {
-			r.waiting[child]--
-			if r.waiting[child] == 0 {
-				r.enqueue(child)
-				released++
-			}
-		}
+			trace.L("workflow", d.wf.Name), trace.L("task", d.wf.tasks[i].ID))
+		released := d.observeWin(i, f, winIdx)
 		rel.SetLabel("released", strconv.Itoa(released))
 		rel.End()
-		if len(d.done) == d.wf.Len() {
+		if d.ndone == d.wf.Len() {
 			d.res.FinishedAt = p.Now()
 			r.finish(nil)
 			return
@@ -244,10 +193,7 @@ func (r *eventRun) settle(p *sim.Proc, id string) {
 	if !d.pruneFailed(f) {
 		return // live copies remain; their watchers will settle the task
 	}
-	delete(d.inflight, id)
-	f.attempt.SetLabel("status", "failed")
-	f.attempt.End()
-	backoff, abort := d.failAttempt(p, id)
+	backoff, abort := d.failAttempt(p, i, f)
 	if abort != nil {
 		r.finish(abort)
 		return
@@ -258,6 +204,6 @@ func (r *eventRun) settle(p *sim.Proc, id string) {
 	if r.fin.Done() {
 		return
 	}
-	r.enqueue(id)
+	d.setReady(i)
 	r.drain(p)
 }

@@ -250,3 +250,27 @@ func TestRetriedContainerTasksLeakNoContainers(t *testing.T) {
 		t.Errorf("leaked containers after retries: %d", live)
 	}
 }
+
+// TestResumeKeepsRescuedTaskWhoseParentIsNot resumes from a hand-edited
+// rescue that holds b but not its parent a: a runs, and finishing it must
+// not release the already-finished b a second time.
+func TestResumeKeepsRescuedTaskWhoseParentIsNot(t *testing.T) {
+	for _, mode := range config.ExecModeNames() {
+		s := newModeStack(t, mode, nil)
+		wf := pinnedChain(t)
+		rescued := &TaskResult{ID: "b", Mode: ModeNative, Attempts: 1}
+		rescue := &Rescue{Workflow: wf.Name, Done: map[string]*TaskResult{"b": rescued}}
+		s.env.Go("main", func(p *sim.Proc) {
+			defer s.shutdown()
+			res, err := s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
+			if err != nil {
+				t.Errorf("%s: resume: %v", mode, err)
+				return
+			}
+			if len(res.Tasks) != 3 || res.Tasks["b"] != rescued {
+				t.Errorf("%s: resumed run has %d tasks, b = %+v; want 3 with b the rescued result", mode, len(res.Tasks), res.Tasks["b"])
+			}
+		})
+		s.env.Run()
+	}
+}

@@ -14,6 +14,7 @@ package wms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -73,23 +74,23 @@ func (t *TaskSpec) OutputBytes() int64 {
 	return n
 }
 
-// Workflow is an abstract DAG of tasks.
+// Workflow is an abstract DAG of tasks. Tasks are stored densely in
+// declaration order: AddTask gives each task the next int32 index and
+// AddDependency appends to per-index adjacency lists, so the engine and
+// Validate work on indices and only the API edge speaks string IDs. A
+// Workflow is never mutated by a run, so one can be shared read-only by
+// concurrent simulations.
 type Workflow struct {
 	Name    string
-	tasks   map[string]*TaskSpec
-	order   []string            // insertion order, for determinism
-	parents map[string][]string // child → parents
-	childs  map[string][]string // parent → children
+	index   map[string]int32 // task ID → declaration index
+	tasks   []*TaskSpec
+	parents [][]int32 // child → parents, one entry per AddDependency
+	childs  [][]int32 // parent → children
 }
 
 // NewWorkflow returns an empty workflow.
 func NewWorkflow(name string) *Workflow {
-	return &Workflow{
-		Name:    name,
-		tasks:   make(map[string]*TaskSpec),
-		parents: make(map[string][]string),
-		childs:  make(map[string][]string),
-	}
+	return &Workflow{Name: name, index: make(map[string]int32)}
 }
 
 // AddTask registers a task. Duplicate IDs are an error.
@@ -97,44 +98,69 @@ func (w *Workflow) AddTask(t TaskSpec) error {
 	if t.ID == "" {
 		return fmt.Errorf("wms: task with empty ID")
 	}
-	if _, dup := w.tasks[t.ID]; dup {
+	if _, dup := w.index[t.ID]; dup {
 		return fmt.Errorf("wms: duplicate task %q", t.ID)
 	}
 	spec := t
-	w.tasks[t.ID] = &spec
-	w.order = append(w.order, t.ID)
+	w.index[t.ID] = int32(len(w.tasks))
+	w.tasks = append(w.tasks, &spec)
+	w.parents = append(w.parents, nil)
+	w.childs = append(w.childs, nil)
 	return nil
 }
 
 // AddDependency declares that child runs after parent.
 func (w *Workflow) AddDependency(parent, child string) error {
-	if _, ok := w.tasks[parent]; !ok {
+	pi, ok := w.index[parent]
+	if !ok {
 		return fmt.Errorf("wms: dependency references unknown task %q", parent)
 	}
-	if _, ok := w.tasks[child]; !ok {
+	ci, ok := w.index[child]
+	if !ok {
 		return fmt.Errorf("wms: dependency references unknown task %q", child)
 	}
-	w.parents[child] = append(w.parents[child], parent)
-	w.childs[parent] = append(w.childs[parent], child)
+	w.parents[ci] = append(w.parents[ci], pi)
+	w.childs[pi] = append(w.childs[pi], ci)
 	return nil
 }
 
 // Task returns a task by ID.
 func (w *Workflow) Task(id string) (*TaskSpec, bool) {
-	t, ok := w.tasks[id]
-	return t, ok
+	i, ok := w.index[id]
+	if !ok {
+		return nil, false
+	}
+	return w.tasks[i], true
 }
 
 // TaskIDs returns all task IDs in insertion order.
 func (w *Workflow) TaskIDs() []string {
-	return append([]string(nil), w.order...)
+	ids := make([]string, len(w.tasks))
+	for i, t := range w.tasks {
+		ids[i] = t.ID
+	}
+	return ids
 }
 
 // Parents returns a task's parents.
-func (w *Workflow) Parents(id string) []string { return w.parents[id] }
+func (w *Workflow) Parents(id string) []string { return w.ids(w.parents, id) }
 
 // Children returns a task's children.
-func (w *Workflow) Children(id string) []string { return w.childs[id] }
+func (w *Workflow) Children(id string) []string { return w.ids(w.childs, id) }
+
+// ids resolves one task's adjacency list to IDs (nil for an unknown task or
+// an empty list).
+func (w *Workflow) ids(adj [][]int32, id string) []string {
+	i, ok := w.index[id]
+	if !ok || len(adj[i]) == 0 {
+		return nil
+	}
+	out := make([]string, len(adj[i]))
+	for k, j := range adj[i] {
+		out[k] = w.tasks[j].ID
+	}
+	return out
+}
 
 // Len returns the number of tasks.
 func (w *Workflow) Len() int { return len(w.tasks) }
@@ -142,25 +168,33 @@ func (w *Workflow) Len() int { return len(w.tasks) }
 // TopoOrder returns a topological ordering, or an error if the DAG has a
 // cycle.
 func (w *Workflow) TopoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(w.tasks))
-	for _, id := range w.order {
-		indeg[id] = len(w.parents[id])
+	topo, err := w.topo()
+	if err != nil {
+		return nil, err
 	}
-	var queue []string
-	for _, id := range w.order {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
+	out := make([]string, len(topo))
+	for k, i := range topo {
+		out[k] = w.tasks[i].ID
+	}
+	return out, nil
+}
+
+// topo is Kahn's algorithm over task indices: sources in declaration order,
+// then each dequeued task's children in AddDependency order.
+func (w *Workflow) topo() ([]int32, error) {
+	indeg := make([]int32, len(w.tasks))
+	out := make([]int32, 0, len(w.tasks))
+	for i, ps := range w.parents {
+		indeg[i] = int32(len(ps))
+		if len(ps) == 0 {
+			out = append(out, int32(i))
 		}
 	}
-	var out []string
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		out = append(out, id)
-		for _, c := range w.childs[id] {
+	for head := 0; head < len(out); head++ {
+		for _, c := range w.childs[out[head]] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				queue = append(queue, c)
+				out = append(out, c)
 			}
 		}
 	}
@@ -170,20 +204,26 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 	return out, nil
 }
 
+// producers maps every LFN some task outputs to its producing tasks.
+func (w *Workflow) producers() map[string][]int32 {
+	prod := make(map[string][]int32, len(w.tasks))
+	for i, t := range w.tasks {
+		for _, f := range t.Outputs {
+			prod[f.LFN] = append(prod[f.LFN], int32(i))
+		}
+	}
+	return prod
+}
+
 // ExternalInputs returns the logical files consumed by the workflow but
 // produced by none of its tasks — these must be present on the submit node
 // before the run (the replica catalog's job).
 func (w *Workflow) ExternalInputs() []FileSpec {
-	produced := make(map[string]bool)
-	for _, t := range w.tasks {
-		for _, f := range t.Outputs {
-			produced[f.LFN] = true
-		}
-	}
+	prod := w.producers()
 	seen := make(map[string]FileSpec)
 	for _, t := range w.tasks {
 		for _, f := range t.Inputs {
-			if !produced[f.LFN] {
+			if prod[f.LFN] == nil {
 				seen[f.LFN] = f
 			}
 		}
@@ -201,34 +241,57 @@ func (w *Workflow) ExternalInputs() []FileSpec {
 }
 
 // Validate checks structural soundness: acyclicity and that every task
-// input is either an external input or produced by an ancestor.
+// input is either an external input or produced by an ancestor. Tasks are
+// checked in topological order and each task's inputs in declaration
+// order, so the first error is deterministic. It runs in O(V+E+files)
+// unless an input's producers are all non-parents, which costs one
+// ancestor search for that task.
 func (w *Workflow) Validate() error {
-	topo, err := w.TopoOrder()
+	topo, err := w.topo()
 	if err != nil {
 		return err
 	}
-	external := make(map[string]bool)
-	for _, f := range w.ExternalInputs() {
-		external[f.LFN] = true
-	}
-	// available[task] = set of LFNs visible to it via ancestors.
-	availAt := make(map[string]map[string]bool, len(w.tasks))
-	for _, id := range topo {
-		avail := make(map[string]bool)
-		for _, par := range w.parents[id] {
-			for lfn := range availAt[par] {
-				avail[lfn] = true
+	prod := w.producers()
+	// For topo[k], stamp[j] == 2k+1 marks j as a parent and 2k+2 as an
+	// ancestor; ancestors are stamped only when some input needs them.
+	stamp := make([]int32, len(w.tasks))
+	var stack []int32
+	for k, i := range topo {
+		parent, ancestor := int32(2*k+1), int32(2*k+2)
+		for _, par := range w.parents[i] {
+			stamp[par] = parent
+		}
+		searched := false
+		for _, f := range w.tasks[i].Inputs {
+			ps := prod[f.LFN]
+			if ps == nil || slices.ContainsFunc(ps, func(j int32) bool { return stamp[j] == parent }) {
+				continue
 			}
-			for _, f := range w.tasks[par].Outputs {
-				avail[f.LFN] = true
+			if !searched {
+				stack = w.stampAncestors(i, ancestor, stamp, stack[:0])
+				searched = true
+			}
+			if !slices.ContainsFunc(ps, func(j int32) bool { return stamp[j] == ancestor }) {
+				return fmt.Errorf("wms: task %s input %q is produced by a non-ancestor", w.tasks[i].ID, f.LFN)
 			}
 		}
-		for _, f := range w.tasks[id].Inputs {
-			if !external[f.LFN] && !avail[f.LFN] {
-				return fmt.Errorf("wms: task %s input %q is produced by a non-ancestor", id, f.LFN)
-			}
-		}
-		availAt[id] = avail
 	}
 	return nil
+}
+
+// stampAncestors marks every ancestor of task i with mark, by depth-first
+// search over parent lists; stack is reusable scratch space.
+func (w *Workflow) stampAncestors(i, mark int32, stamp, stack []int32) []int32 {
+	stack = append(stack, i)
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, par := range w.parents[j] {
+			if stamp[par] != mark {
+				stamp[par] = mark
+				stack = append(stack, par)
+			}
+		}
+	}
+	return stack
 }

@@ -17,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-SimKernelEvents|SimKernelMillionTimers|SimKernelTimerChurn|FluidServer|Fig1ContainerReuse|Fig2ParallelScaling|ColdStart|RunnerWorkers|KubePlacement}"
+PATTERN="${BENCH_PATTERN:-SimKernelEvents|SimKernelMillionTimers|SimKernelTimerChurn|FluidServer|Fig1ContainerReuse|Fig2ParallelScaling|ColdStart|RunnerWorkers|KubePlacement|WorkflowFanOut}"
 COUNT="${BENCH_COUNT:-6}"
 BENCHTIME="${BENCH_TIME:-1s}"
 OUT_DIR="${OUT_DIR:-bench}"
