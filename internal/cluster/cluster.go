@@ -27,7 +27,10 @@ const RegistryNodeName = "registry"
 
 // Node is one machine of the testbed.
 type Node struct {
-	Name    string
+	Name string
+	// Index is the node's position in Cluster.Workers (-1 for the submit
+	// node), so per-node state can live in slices instead of name maps.
+	Index   int
 	Cores   int
 	MemMB   int
 	CPU     *fluid.Server
@@ -99,11 +102,12 @@ func New(env *sim.Env, p config.Params) *Cluster {
 	net := simnet.New(env, p.NetLatency)
 	c := &Cluster{Env: env, Net: net, Params: p, byName: make(map[string]*Node)}
 
-	mkNode := func(name string, egress float64) *Node {
+	mkNode := func(name string, index int, egress float64) *Node {
 		net.AddNode(name, egress)
 		disk := storage.NewDisk(env, name, 500e6) // 500 MB/s local SSD
 		n := &Node{
 			Name:    name,
+			Index:   index,
 			Cores:   p.CoresPerNode,
 			MemMB:   p.MemMBPerNode,
 			CPU:     fluid.New(env, "cpu:"+name, float64(p.CoresPerNode)),
@@ -114,9 +118,9 @@ func New(env *sim.Env, p config.Params) *Cluster {
 		return n
 	}
 
-	c.Submit = mkNode(SubmitNodeName, p.SubmitUplinkBps)
+	c.Submit = mkNode(SubmitNodeName, -1, p.SubmitUplinkBps)
 	for i := 0; i < p.WorkerNodes; i++ {
-		c.Workers = append(c.Workers, mkNode(fmt.Sprintf("worker%d", i+1), p.WorkerLinkBps))
+		c.Workers = append(c.Workers, mkNode(fmt.Sprintf("worker%d", i+1), i, p.WorkerLinkBps))
 	}
 	// The registry lives outside the cluster with ample egress.
 	net.AddNode(RegistryNodeName, p.RegistryBps)

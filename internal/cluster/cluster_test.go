@@ -17,10 +17,16 @@ func TestNewBuildsPaperTopology(t *testing.T) {
 	if len(c.Workers) != 3 {
 		t.Fatalf("workers = %d, want 3", len(c.Workers))
 	}
-	for _, w := range c.Workers {
+	for i, w := range c.Workers {
 		if w.Cores != 8 || w.MemMB != 32*1024 {
 			t.Errorf("worker %s: %d cores %d MB, want 8 cores 32768 MB", w.Name, w.Cores, w.MemMB)
 		}
+		if w.Index != i {
+			t.Errorf("worker %s: Index %d, want its position %d", w.Name, w.Index, i)
+		}
+	}
+	if c.Submit.Index != -1 {
+		t.Errorf("submit Index %d, want -1", c.Submit.Index)
 	}
 	if !c.Net.HasNode(RegistryNodeName) {
 		t.Error("registry endpoint missing from network")

@@ -423,7 +423,7 @@ func (s *Schedd) dispatch(j *Job, sd *startd, dec sched.Decision) {
 	j.span.SetLabel("slot", slot)
 	j.claim = trace.FromEnv(s.env).Start(j.span, "condor", "claim",
 		trace.L("job", j.Name), trace.L("node", j.node), trace.L("slot", slot))
-	sched.Record(trace.FromEnv(s.env), j.span, "condor", s.policy, jobRequest(j), dec)
+	sched.Record(trace.FromEnv(s.env), j.span, "condor", s.policy.Name, jobRequest(j), dec)
 	epoch := sd.epoch
 	s.env.Go(fmt.Sprintf("job-%d", j.ID), func(jp *sim.Proc) {
 		s.runJob(jp, j, sd, epoch)

@@ -764,7 +764,7 @@ func (s *Service) pickAvailable() *podHandle {
 		return nil
 	}
 	tr := trace.FromEnv(s.kn.env)
-	sched.Record(tr, tr.Current(), "knative", s.route, req, d)
+	sched.Record(tr, tr.Current(), "knative", s.route.Name, req, d)
 	return h
 }
 

@@ -7,7 +7,9 @@
 package kube
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,6 +78,7 @@ type Pod struct {
 	Spec     PodSpec
 	NodeName string
 
+	node      *cluster.Node // set with NodeName at bind
 	phase     Phase
 	ready     bool
 	readyF    *sim.Future[error]
@@ -122,40 +125,62 @@ type nodeShape struct {
 	memMB int
 }
 
+// placeScore is the score of kube's placement policy, resolved from its
+// name once at New. Image-locality ties break by bin-packing, not
+// spreading: a scale-up burst binds its pods before the first pull
+// completes, and spreading them would seed pulls everywhere.
+type placeScore uint8
+
+const (
+	leastRequested placeScore = iota // −requested CPU: the seed's spreading
+	binPack                          // +requested CPU: pack onto few nodes
+	spread                           // −live pods on the node
+	imageLocality                    // 1000·(image present) + requested CPU
+)
+
+var placeScores = map[string]placeScore{
+	sched.PolicyLeastRequested: leastRequested, sched.PolicyBinPack: binPack,
+	sched.PolicySpread: spread, sched.PolicyImageLocality: imageLocality,
+}
+
 // Kube is the control plane plus its kubelets.
 type Kube struct {
-	env      *sim.Env
-	cl       *cluster.Cluster
-	prm      config.Params
-	cp       *cplane.Plane
-	runtimes map[string]*crt.Runtime
-	pods     map[string]*Pod
-	schedQ   *sim.Chan[*Pod]
-	nodeQ    map[string]*sim.Chan[podOp]
-	nodes    map[string]*cluster.Node
-	cordoned map[string]bool
-	faults   *faults.Injector
-	started  bool
-	stopped  bool
+	env     *sim.Env
+	cl      *cluster.Cluster
+	prm     config.Params
+	cp      *cplane.Plane
+	pods    map[string]*Pod
+	schedQ  *sim.Chan[*Pod]
+	faults  *faults.Injector
+	started bool
+	stopped bool
 
-	// Placement: the policy picks among cands (the workers in stable order);
-	// reqCPU/reqMemMB hold per-node requested resources maintained on
-	// bind/unbind (O(1) per decision, replacing the seed's O(nodes×pods)
-	// rescan — requestedScan remains as the test oracle); podsOn is the
-	// equivalent O(1) live-pod count behind PodsOnNode (oracle:
-	// podsOnNodeScan); shapes backs fitsEver; pending holds pods that fit no
-	// node right now, re-queued when capacity frees — but only when the
-	// freed node could actually take one (pendMinCPU/pendMinMem are
-	// conservative per-dimension minima over the pending pods' requests, so
-	// a deletion storm of small pods cannot trigger quadratic rescans of an
-	// unsatisfiable pending set). schedOffset rotates the sampling window
-	// when SchedSamplePercent is set; picks counts Policy.Pick calls for the
-	// regression tests.
-	policy      sched.Policy
-	cands       []sched.Candidate
-	reqCPU      map[string]float64
-	reqMemMB    map[string]int
-	podsOn      map[string]int
+	// Per-node state, indexed by cluster.Node.Index (the worker's position
+	// in cl.Workers), so neither placement nor the pod lifecycle hashes a
+	// node name. reqCPU/reqMemMB/podsOn are the requested resources and
+	// live pods maintained on bind/unbind (O(1) per decision, replacing the
+	// seed's O(nodes×pods) store rescan, which the tests keep as their
+	// oracle).
+	nodeQ    []*sim.Chan[podOp]
+	runtimes []*crt.Runtime
+	cordoned []bool
+	reqCPU   []float64
+	reqMemMB []int
+	podsOn   []int
+
+	// Placement: policy is the policy's name (for traces) and score its
+	// score in evalNode; target is the sampling target over the workers
+	// (sched.SampleTarget), and schedOffset rotates the visit window when
+	// SchedSamplePercent is set; picks counts placement decisions for the
+	// regression tests. shapes backs fitsEver; pending
+	// holds pods that fit no node right now, re-queued when capacity frees —
+	// but only when the freed node could actually take one
+	// (pendMinCPU/pendMinMem are conservative per-dimension minima over the
+	// pending pods' requests, so a deletion storm of small pods cannot
+	// trigger quadratic rescans of an unsatisfiable pending set).
+	policy      string
+	score       placeScore
+	target      int
 	shapes      []nodeShape
 	pending     []*Pod
 	pendMinCPU  float64
@@ -168,40 +193,41 @@ type Kube struct {
 // node hosts the control plane itself, as in the paper's setup, and runs no
 // pods). The runtimes may be shared with other consumers (e.g. the batch
 // system's container universe); pass crt.NewSet(...) when nothing else needs
-// them.
+// them. The placement policy is prm.KubePlacementPolicy; the empty name
+// selects the seed scheduler's least-requested CPU with stable node-order
+// tie-breaking.
 func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params) *Kube {
+	n := len(cl.Workers)
 	k := &Kube{
 		env:      env,
 		cl:       cl,
 		prm:      prm,
 		cp:       cplane.New(env, prm),
-		runtimes: runtimes,
 		pods:     make(map[string]*Pod),
 		schedQ:   sim.NewUnbounded[*Pod](env),
-		nodeQ:    make(map[string]*sim.Chan[podOp]),
-		nodes:    make(map[string]*cluster.Node),
-		cordoned: make(map[string]bool),
-		reqCPU:   make(map[string]float64),
-		reqMemMB: make(map[string]int),
-		podsOn:   make(map[string]int),
+		nodeQ:    make([]*sim.Chan[podOp], n),
+		runtimes: make([]*crt.Runtime, n),
+		cordoned: make([]bool, n),
+		reqCPU:   make([]float64, n),
+		reqMemMB: make([]int, n),
+		podsOn:   make([]int, n),
+		policy:   cmp.Or(prm.KubePlacementPolicy, sched.PolicyLeastRequested),
+		target:   sched.SampleTarget(n, prm.SchedSamplePercent),
 	}
-	for _, w := range cl.Workers {
-		k.nodeQ[w.Name] = sim.NewUnbounded[podOp](env)
-		k.nodes[w.Name] = w
-		k.cands = append(k.cands, sched.Candidate{Name: w.Name, Node: w})
-		shape := nodeShape{cores: w.Cores, memMB: w.MemMB}
-		known := false
-		for _, s := range k.shapes {
-			if s == shape {
-				known = true
-				break
-			}
-		}
-		if !known {
+	for i, w := range cl.Workers {
+		k.nodeQ[i] = sim.NewUnbounded[podOp](env)
+		k.runtimes[i] = runtimes[w.Name]
+		if shape := (nodeShape{cores: w.Cores, memMB: w.MemMB}); !slices.Contains(k.shapes, shape) {
 			k.shapes = append(k.shapes, shape)
 		}
 	}
-	k.policy = k.policyFor(prm.KubePlacementPolicy)
+	var ok bool
+	if k.score, ok = placeScores[k.policy]; !ok {
+		panic(fmt.Sprintf("kube: unknown placement policy %q", k.policy))
+	}
+	if pct := prm.SchedSamplePercent; pct < 0 || pct > 100 {
+		panic(fmt.Sprintf("kube: SchedSamplePercent %d outside [0, 100]", pct))
+	}
 	return k
 }
 
@@ -209,51 +235,23 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 // serving layer so autoscaler traffic contends on the same apiserver.
 func (k *Kube) ControlPlane() *cplane.Plane { return k.cp }
 
-// policyFor builds the named placement policy over this control plane's
-// state. The empty name selects the seed scheduler's behaviour:
-// least-requested CPU with stable node-order tie-breaking.
-func (k *Kube) policyFor(name string) sched.Policy {
-	filters := []sched.Filter{
-		sched.Cordoned(func(n string) bool { return k.cordoned[n] }),
-		sched.MemFit(),
-		sched.CPUFit(k.requestedCPU),
+// worker resolves a worker node by name: nil for unknown names and for the
+// submit node, which runs no pods.
+func (k *Kube) worker(name string) *cluster.Node {
+	if n, ok := k.cl.Node(name); ok && n.Index >= 0 {
+		return n
 	}
-	tie := sched.LeastRequested(k.requestedCPU)
-	var scores []sched.Score
-	switch name {
-	case "", sched.PolicyLeastRequested:
-		name = sched.PolicyLeastRequested
-		scores = []sched.Score{tie}
-	case sched.PolicyBinPack:
-		scores = []sched.Score{sched.BinPack(k.requestedCPU)}
-	case sched.PolicySpread:
-		scores = []sched.Score{sched.Spread(k.PodsOnNode)}
-	case sched.PolicyImageLocality:
-		// Image presence dominates. Ties break by bin-packing, not
-		// spreading: a scale-up burst binds its pods before the first pull
-		// completes (no node advertises the image yet), and spreading those
-		// pods would seed pulls everywhere — packing keeps the image, and
-		// every later placement, on as few nodes as the CPU/mem filters
-		// allow.
-		im := sched.ImageLocality(func(node, image string) bool {
-			rt := k.runtimes[node]
-			return rt != nil && rt.HasImage(image)
-		})
-		im.Weight = 1000
-		scores = []sched.Score{im, sched.BinPack(k.requestedCPU)}
-	default:
-		panic(fmt.Sprintf("kube: unknown placement policy %q", name))
-	}
-	pol := sched.Policy{Name: name, Filters: filters, Scores: scores, SamplePercent: k.prm.SchedSamplePercent}
-	if err := pol.Validate(); err != nil {
-		panic(err)
-	}
-	return pol
+	return nil
 }
 
 // Runtime exposes a node's container runtime (used to pre-pull images and
 // by tests).
-func (k *Kube) Runtime(node string) *crt.Runtime { return k.runtimes[node] }
+func (k *Kube) Runtime(node string) *crt.Runtime {
+	if w := k.worker(node); w != nil {
+		return k.runtimes[w.Index]
+	}
+	return nil
+}
 
 // Workers returns the schedulable node names in stable order.
 func (k *Kube) Workers() []string {
@@ -280,7 +278,9 @@ func (k *Kube) Start() {
 
 // Shutdown closes the scheduler and kubelet work queues so their processes
 // exit once already-queued operations (including pending pod deletions)
-// drain. Call it after deleting all pods to let the simulation finish.
+// drain. Call it after deleting all pods to let the simulation finish. The
+// kubelet queues close in worker order, so their procs wake in the same
+// order in every same-seed run.
 func (k *Kube) Shutdown() {
 	k.stopped = true
 	k.schedQ.Close()
@@ -316,17 +316,17 @@ func (k *Kube) DeletePod(name string) {
 	delete(k.pods, name)
 	pod.deleted = true
 	pod.ready = false
-	if pod.NodeName != "" {
+	if pod.node != nil {
 		k.unbind(pod)
-		k.deliver(pod.NodeName, podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
+		k.deliver(pod.node, podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
 	}
 }
 
 // deliver hands a pod operation to a node's kubelet after the control
 // plane's propagation delay. The zero-delay path is the seed's in-process
 // send — no event is scheduled, so inactive planes stay byte-identical.
-func (k *Kube) deliver(node string, op podOp, delay time.Duration) {
-	q := k.nodeQ[node]
+func (k *Kube) deliver(node *cluster.Node, op podOp, delay time.Duration) {
+	q := k.nodeQ[node.Index]
 	if delay <= 0 {
 		q.TrySend(op)
 		return
@@ -345,7 +345,7 @@ func (k *Kube) deliver(node string, op podOp, delay time.Duration) {
 func (k *Kube) AttachFaults(in *faults.Injector) {
 	k.faults = in
 	in.OnFault(faults.KindNodeCrash, func(f faults.Fault, begin bool) {
-		if _, known := k.nodeQ[f.Target]; !known {
+		if k.worker(f.Target) == nil {
 			return
 		}
 		if begin {
@@ -357,11 +357,17 @@ func (k *Kube) AttachFaults(in *faults.Injector) {
 }
 
 // CordonNode marks a node unschedulable (kubectl cordon).
-func (k *Kube) CordonNode(name string) { k.cordoned[name] = true }
+func (k *Kube) CordonNode(name string) {
+	if w := k.worker(name); w != nil {
+		k.cordoned[w.Index] = true
+	}
+}
 
 // UncordonNode makes a node schedulable again and retries pending pods.
 func (k *Kube) UncordonNode(name string) {
-	delete(k.cordoned, name)
+	if w := k.worker(name); w != nil {
+		k.cordoned[w.Index] = false
+	}
 	k.kickPending()
 }
 
@@ -390,25 +396,12 @@ func (k *Kube) WaitReady(p *sim.Proc, pod *Pod) error {
 }
 
 // PodsOnNode counts live pods bound to a node, from the O(1) accounting
-// maintained on bind/unbind (oracle: podsOnNodeScan). The Spread score
-// calls this once per candidate per placement, so the seed's store rescan
-// made spread placements O(nodes×pods).
-func (k *Kube) PodsOnNode(node string) int { return k.podsOn[node] }
-
-// podsOnNodeScan recomputes PodsOnNode by rescanning the pod store — the
-// seed algorithm, kept as the oracle the accounting is asserted against in
-// tests. The accounted flag's lifetime (bind → first unbind) coincides
-// exactly with membership in this scan: DeletePod removes the pod from the
-// store in the same step it unbinds, and every terminal phase transition
-// for a pod still in the store unbinds it.
-func (k *Kube) podsOnNodeScan(node string) int {
-	n := 0
-	for _, pod := range k.pods {
-		if pod.NodeName == node && pod.phase != PhaseDead && pod.phase != PhaseFailed {
-			n++
-		}
+// maintained on bind/unbind.
+func (k *Kube) PodsOnNode(node string) int {
+	if w := k.worker(node); w != nil {
+		return k.podsOn[w.Index]
 	}
-	return n
+	return 0
 }
 
 // schedulerLoop binds pending pods to the node chosen by the configured
@@ -426,8 +419,8 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 			continue
 		}
 		p.Sleep(k.prm.SchedulerLatency)
-		node, dec := k.pickNode(pod.Spec)
-		if node == nil {
+		best, feasible, visited := k.pickNode(&pod.Spec)
+		if best < 0 {
 			if !k.fitsEver(pod.Spec) {
 				pod.phase = PhaseFailed
 				pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
@@ -437,32 +430,88 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 			k.addPending(pod)
 			continue
 		}
-		k.bind(pod, node.Name)
-		sched.Record(trace.FromEnv(k.env), nil, "kube", k.policy, podRequest(pod.Spec), dec)
+		if tr := trace.FromEnv(k.env); tr != nil {
+			dec := k.decision(&pod.Spec, best, feasible, visited)
+			sched.Record(tr, nil, "kube", k.policy, sched.Request{Name: pod.Spec.Name}, dec)
+		}
+		node := k.cl.Workers[best]
+		k.bind(pod, node)
 		p.Tracef("bound pod %s to %s", pod.Spec.Name, node.Name)
-		k.deliver(node.Name, podOp{pod: pod}, k.cp.BindDelay())
+		k.deliver(node, podOp{pod: pod}, k.cp.BindDelay())
 	}
 }
 
-func podRequest(spec PodSpec) sched.Request {
-	return sched.Request{Name: spec.Name, Image: spec.Image, CPURequest: spec.CPURequest, MemMB: spec.MemMB}
-}
-
-func (k *Kube) pickNode(spec PodSpec) (*cluster.Node, sched.Decision) {
+// pickNode chooses the pod's node with one sched.Scan over the workers,
+// each evaluated by evalNode. It returns the winner's worker index (-1 when
+// no node fits now) and the scan's feasible and visited counts.
+func (k *Kube) pickNode(spec *PodSpec) (best, feasible, visited int) {
 	k.picks++
 	offset := 0
-	if k.policy.SamplePercent > 0 {
+	if k.prm.SchedSamplePercent > 0 {
 		// Rotate the sampling window so no suffix of the node list is
 		// permanently shadowed. Without sampling the offset stays 0 — the
 		// seed's stable node-order tie-breaking.
 		offset = k.schedOffset
 		k.schedOffset++
 	}
-	d := k.policy.Pick(podRequest(spec), k.cands, offset)
-	if d.Winner == nil {
-		return nil, d
+	return sched.Scan(len(k.cl.Workers), offset, k.target, func(i int) (float64, bool) {
+		return k.evalNode(spec, i)
+	})
+}
+
+// evalNode is kube's placement evaluation of worker i, fused into one pass
+// over the per-node slices: the cordon, mem-fit and cpu-fit filters, then
+// the policy's total score. Memory fit reads the node's admission-time
+// reservations (ReserveMem), not scheduler-time requests, as the seed
+// scheduler did: a deleted pod's memory keeps the node infeasible until its
+// teardown releases it. A total is the weighted plugin sum started at 0, so
+// an idle node's least-requested total is +0 while its plugin value (see
+// decision) is −0; the 0± terms below keep both bit for bit.
+func (k *Kube) evalNode(spec *PodSpec, i int) (float64, bool) {
+	w, r := k.cl.Workers[i], k.reqCPU[i]
+	if k.cordoned[i] || w.MemUsedMB()+spec.MemMB > w.MemMB || r+spec.CPURequest > float64(w.Cores) {
+		return 0, false
 	}
-	return d.Winner.Node, d
+	switch k.score {
+	case binPack:
+		return 0 + r, true
+	case spread:
+		return 0 - float64(k.podsOn[i]), true
+	case imageLocality:
+		return 1000*k.hasImage(i, spec.Image) + r, true
+	default:
+		return 0 - r, true
+	}
+}
+
+// hasImage is the image-locality plugin: 1 when worker i holds the image.
+func (k *Kube) hasImage(i int, image string) float64 {
+	if rt := k.runtimes[i]; image != "" && rt != nil && rt.HasImage(image) {
+		return 1
+	}
+	return 0
+}
+
+// decision is the traced form of a placement on worker best: the winner,
+// its total, and its raw score per plugin in policy order. It is built only
+// with a tracer attached, so an untraced placement allocates nothing.
+func (k *Kube) decision(spec *PodSpec, best, feasible, visited int) sched.Decision {
+	w, r := k.cl.Workers[best], k.reqCPU[best]
+	total, _ := k.evalNode(spec, best)
+	var per []sched.PluginScore
+	switch k.score {
+	case binPack:
+		per = []sched.PluginScore{{Plugin: sched.PolicyBinPack, Value: r}}
+	case spread:
+		per = []sched.PluginScore{{Plugin: sched.PolicySpread, Value: -float64(k.podsOn[best])}}
+	case imageLocality:
+		per = []sched.PluginScore{{Plugin: sched.PolicyImageLocality, Value: k.hasImage(best, spec.Image)},
+			{Plugin: sched.PolicyBinPack, Value: r}}
+	default:
+		per = []sched.PluginScore{{Plugin: sched.PolicyLeastRequested, Value: -r}}
+	}
+	return sched.Decision{Winner: &sched.Candidate{Name: w.Name, Node: w}, Score: total,
+		PerPlugin: per, Feasible: feasible, Visited: visited}
 }
 
 // Picks returns the number of placement decisions evaluated so far (for
@@ -484,13 +533,13 @@ func (k *Kube) fitsEver(spec PodSpec) bool {
 
 // bind assigns the pod to a node and charges its requests to the node's
 // accounting.
-func (k *Kube) bind(pod *Pod, node string) {
-	pod.NodeName = node
+func (k *Kube) bind(pod *Pod, node *cluster.Node) {
+	pod.NodeName, pod.node = node.Name, node
 	pod.phase = PhaseScheduled
 	pod.accounted = true
-	k.reqCPU[node] += pod.Spec.CPURequest
-	k.reqMemMB[node] += pod.Spec.MemMB
-	k.podsOn[node]++
+	k.reqCPU[node.Index] += pod.Spec.CPURequest
+	k.reqMemMB[node.Index] += pod.Spec.MemMB
+	k.podsOn[node.Index]++
 }
 
 // unbind releases a bound pod's requested resources (idempotent via the
@@ -501,10 +550,11 @@ func (k *Kube) unbind(pod *Pod) {
 		return
 	}
 	pod.accounted = false
-	k.reqCPU[pod.NodeName] -= pod.Spec.CPURequest
-	k.reqMemMB[pod.NodeName] -= pod.Spec.MemMB
-	k.podsOn[pod.NodeName]--
-	k.kickPendingFor(pod.NodeName)
+	i := pod.node.Index
+	k.reqCPU[i] -= pod.Spec.CPURequest
+	k.reqMemMB[i] -= pod.Spec.MemMB
+	k.podsOn[i]--
+	k.kickPendingFor(pod.node)
 }
 
 // addPending records a pod that fits no node right now and folds its
@@ -523,26 +573,21 @@ func (k *Kube) addPending(pod *Pod) {
 // could actually take one of them. The gate compares the node's free CPU
 // (scheduler accounting) and free memory (admission accounting) against the
 // per-dimension minima of the pending pods' requests — exactly the
-// quantities the CPUFit/MemFit filters would check. It can only err towards
+// quantities the cpu-fit/mem-fit filters would check. It can only err towards
 // kicking (the minima may belong to different pods, and deleted pending
 // pods can leave them stale-low), never towards stranding a schedulable
 // pod: a pod the filters would accept on this node necessarily clears both
 // minima. A deletion storm of small pods against an unsatisfiable pending
 // set therefore triggers zero rescans instead of deletions×pending Picks.
-func (k *Kube) kickPendingFor(node string) {
+func (k *Kube) kickPendingFor(node *cluster.Node) {
 	if len(k.pending) == 0 {
 		return
 	}
-	if k.cordoned[node] {
+	if k.cordoned[node.Index] {
 		return // freed capacity is unschedulable until uncordon, which kicks
 	}
-	if n := k.nodes[node]; n != nil {
-		if float64(n.Cores)-k.reqCPU[node] < k.pendMinCPU {
-			return
-		}
-		if n.MemMB-n.MemUsedMB() < k.pendMinMem {
-			return
-		}
+	if float64(node.Cores)-k.reqCPU[node.Index] < k.pendMinCPU || node.MemMB-node.MemUsedMB() < k.pendMinMem {
+		return
 	}
 	k.kickPending()
 }
@@ -562,26 +607,9 @@ func (k *Kube) kickPending() {
 	}
 }
 
-// requestedCPU returns the node's requested CPU in cores from the per-node
-// accounting.
-func (k *Kube) requestedCPU(node string) float64 { return k.reqCPU[node] }
-
-// requestedScan recomputes a node's requested CPU and memory by rescanning
-// the pod store — the seed algorithm, kept as the oracle the incremental
-// accounting is asserted against in tests.
-func (k *Kube) requestedScan(node string) (cpu float64, memMB int) {
-	for _, pod := range k.pods {
-		if pod.NodeName == node && pod.phase != PhaseDead && pod.phase != PhaseFailed {
-			cpu += pod.Spec.CPURequest
-			memMB += pod.Spec.MemMB
-		}
-	}
-	return cpu, memMB
-}
-
 // kubeletLoop reconciles pods bound to one node.
 func (k *Kube) kubeletLoop(p *sim.Proc, node *cluster.Node) {
-	q := k.nodeQ[node.Name]
+	q := k.nodeQ[node.Index]
 	for {
 		op, ok := q.Recv(p)
 		if !ok {
@@ -626,7 +654,7 @@ func (k *Kube) bringUp(p *sim.Proc, pod *Pod, node *cluster.Node) {
 		return
 	}
 	pod.phase = PhaseStarting
-	rt := k.runtimes[node.Name]
+	rt := k.runtimes[node.Index]
 	if err := rt.PullImage(p, pod.Spec.Image); err != nil {
 		node.ReleaseMem(pod.Spec.MemMB)
 		fail(err)
@@ -701,5 +729,5 @@ func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {
 	pod.phase = PhaseDead
 	pod.ready = false
 	k.unbind(pod) // normally already unbound at DeletePod; idempotent
-	k.kickPendingFor(node.Name)
+	k.kickPendingFor(node)
 }

@@ -9,20 +9,41 @@ import (
 	"repro/internal/sim"
 )
 
+// requestedScan recomputes a node's requested CPU, memory and live-pod
+// count by rescanning the pod store — the seed algorithm, kept as the
+// oracle the incremental accounting is asserted against. The accounted
+// flag's lifetime (bind → first unbind) coincides exactly with membership
+// in this scan: DeletePod removes the pod from the store in the same step
+// it unbinds, and every terminal phase transition for a pod still in the
+// store unbinds it.
+func (k *Kube) requestedScan(node string) (cpu float64, memMB, pods int) {
+	for _, pod := range k.pods {
+		if pod.NodeName == node && pod.phase != PhaseDead && pod.phase != PhaseFailed {
+			cpu += pod.Spec.CPURequest
+			memMB += pod.Spec.MemMB
+			pods++
+		}
+	}
+	return cpu, memMB, pods
+}
+
+// requestedCPU returns a node's requested CPU from the accounting.
+func (k *Kube) requestedCPU(node string) float64 { return k.reqCPU[k.worker(node).Index] }
+
 // assertAccounting checks the O(1) per-node requested-resource accounting
 // against the full pod-store rescan (the seed algorithm) on every worker.
 func assertAccounting(t *testing.T, f *fixture, when string) {
 	t.Helper()
 	for _, w := range f.cl.Workers {
-		cpu, mem := f.k.requestedScan(w.Name)
+		cpu, mem, pods := f.k.requestedScan(w.Name)
 		if math.Abs(f.k.requestedCPU(w.Name)-cpu) > 1e-9 {
 			t.Errorf("%s: %s: accounted CPU %v != rescan %v", when, w.Name, f.k.requestedCPU(w.Name), cpu)
 		}
-		if f.k.reqMemMB[w.Name] != mem {
-			t.Errorf("%s: %s: accounted mem %d != rescan %d", when, w.Name, f.k.reqMemMB[w.Name], mem)
+		if f.k.reqMemMB[w.Index] != mem {
+			t.Errorf("%s: %s: accounted mem %d != rescan %d", when, w.Name, f.k.reqMemMB[w.Index], mem)
 		}
-		if got, want := f.k.PodsOnNode(w.Name), f.k.podsOnNodeScan(w.Name); got != want {
-			t.Errorf("%s: %s: accounted pod count %d != rescan %d", when, w.Name, got, want)
+		if got := f.k.PodsOnNode(w.Name); got != pods {
+			t.Errorf("%s: %s: accounted pod count %d != rescan %d", when, w.Name, got, pods)
 		}
 	}
 }

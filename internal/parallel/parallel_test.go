@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunIndexesResultsByUnit(t *testing.T) {
@@ -59,7 +60,11 @@ func TestRunWorkersZeroDefaults(t *testing.T) {
 // TestRunPanicPropagatesAfterDrain asserts the pool contract on a panicking
 // rep: the caller sees the original panic value, no further units start
 // after the panic is observed, and every started unit ran to completion
-// (the pool drains rather than abandoning goroutines mid-flight).
+// (the pool drains rather than abandoning goroutines mid-flight). Every
+// other unit sleeps 1 ms: with no-op units, the worker that claims unit 7
+// could be preempted before it stops the pool while the rest finished all
+// 992 remaining units inside one scheduler time slice, so started reached
+// 1000 under CPU load. A millisecond per unit makes that window ~250 ms.
 func TestRunPanicPropagatesAfterDrain(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var started, finished atomic.Int64
@@ -79,6 +84,7 @@ func TestRunPanicPropagatesAfterDrain(t *testing.T) {
 				if i == 7 {
 					panic("rep 7 exploded")
 				}
+				time.Sleep(time.Millisecond)
 				return i
 			})
 		}()

@@ -2,9 +2,11 @@ package sched
 
 import "repro/internal/cluster"
 
-// Standard plugin constructors. Plugins that need consumer state (requested
-// resources, cordon sets, image stores) take it as a closure so the framework
-// stays free of scheduler-specific bookkeeping.
+// Standard plugin constructors. Plugins that need consumer state (scratch
+// residency, replica handles) take it as a closure so the framework stays
+// free of scheduler-specific bookkeeping. The kube policies' filters and
+// scores are not plugins: kube evaluates them fused over its own per-node
+// slices (see Scan).
 
 // Canonical policy names selectable through config.Params. The kube control
 // plane accepts least-requested (its seed default), bin-pack, spread, and
@@ -20,33 +22,6 @@ const (
 )
 
 // ---- Filters ----
-
-// MemFit rejects candidates whose node cannot admit the request's memory on
-// top of its kubelet-visible reservations. This mirrors the seed kube
-// scheduler exactly: admission-time reservations (ReserveMem), not
-// scheduler-time requests, gate feasibility, so a deleted pod's memory keeps
-// the node infeasible until its teardown actually releases it.
-func MemFit() Filter {
-	return Filter{Name: "mem-fit", Fit: func(req Request, c Candidate) bool {
-		return c.Node.MemUsedMB()+req.MemMB <= c.Node.MemMB
-	}}
-}
-
-// CPUFit rejects candidates whose requested CPU plus the request would
-// exceed the node's cores. requested reports the node's current requested
-// CPU in cores (the consumer's O(1) accounting).
-func CPUFit(requested func(node string) float64) Filter {
-	return Filter{Name: "cpu-fit", Fit: func(req Request, c Candidate) bool {
-		return requested(c.Name)+req.CPURequest <= float64(c.Node.Cores)
-	}}
-}
-
-// Cordoned rejects candidates the consumer has marked unschedulable.
-func Cordoned(is func(node string) bool) Filter {
-	return Filter{Name: "cordoned", Fit: func(req Request, c Candidate) bool {
-		return !is(c.Name)
-	}}
-}
 
 // SlotFree rejects candidates with no free execution slots (condor startds).
 func SlotFree() Filter {
@@ -70,48 +45,11 @@ func FilterFunc(name string, fit func(req Request, c Candidate) bool) Filter {
 
 // ---- Scores ----
 
-// LeastRequested prefers the node with the lowest requested CPU — the seed
-// kube scheduler's least-allocated spreading.
-func LeastRequested(requested func(node string) float64) Score {
-	return Score{Name: "least-requested", Eval: func(req Request, c Candidate) float64 {
-		return -requested(c.Name)
-	}}
-}
-
-// BinPack prefers the node with the highest requested CPU that still fits —
-// packing work onto few nodes (most-allocated), the dual of LeastRequested.
-func BinPack(requested func(node string) float64) Score {
-	return Score{Name: "bin-pack", Eval: func(req Request, c Candidate) float64 {
-		return requested(c.Name)
-	}}
-}
-
-// Spread prefers the node running the fewest units of the same workload
-// (topology-spread by unit count rather than by requested CPU).
-func Spread(count func(node string) int) Score {
-	return Score{Name: "spread", Eval: func(req Request, c Candidate) float64 {
-		return -float64(count(c.Name))
-	}}
-}
-
 // MostFree prefers the candidate with the most free slots — the seed condor
 // negotiator's spreading rule.
 func MostFree() Score {
 	return Score{Name: "most-free", Eval: func(req Request, c Candidate) float64 {
 		return float64(c.Free)
-	}}
-}
-
-// ImageLocality scores 1 when the candidate's node already holds the
-// request's image locally (no pull needed) and 0 otherwise. Weight it above
-// the tie-break scores so presence dominates: placement then follows the
-// image and bring-up skips the registry entirely.
-func ImageLocality(has func(node, image string) bool) Score {
-	return Score{Name: "image-locality", Eval: func(req Request, c Candidate) float64 {
-		if req.Image != "" && has(c.Name, req.Image) {
-			return 1
-		}
-		return 0
 	}}
 }
 

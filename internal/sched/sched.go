@@ -4,15 +4,17 @@
 // pods to nodes, the HTCondor negotiator matching jobs to startd slots, and
 // the Knative ingress routing requests to replicas.
 //
-// A Policy is an ordered list of Filter plugins (feasibility predicates: out
-// of memory, CPU fully requested, node cordoned or offline, requirements
-// expression unmet) followed by weighted Score plugins (least-requested,
-// bin-pack, spread, most-free, image-locality, data-locality). Pick runs the
-// filters over the candidate list, scores the survivors, and returns the
-// highest-scoring candidate together with its per-plugin score breakdown so
-// consumers can record the decision as trace span attributes.
+// A Policy is an ordered list of Filter plugins (feasibility predicates: no
+// free slot, startd offline, replica not ready, requirements expression
+// unmet) followed by weighted Score plugins (most-free, data-locality,
+// least-requests). Pick runs the filters over the candidate list,
+// scores the survivors, and returns the highest-scoring candidate together
+// with its per-plugin score breakdown so consumers can record the decision
+// as trace span attributes. Pick is built on Scan, the one placement loop
+// over indices; the kube scheduler calls Scan directly with its filters and
+// score fused into one evaluation over dense per-node state.
 //
-// Determinism contract: Pick consults no randomness and keeps no internal
+// Determinism contract: Scan consults no randomness and keeps no internal
 // state. Candidates are visited in the caller's stable order rotated by an
 // explicit offset, and only a strictly better score displaces the incumbent,
 // so the first candidate in rotation order wins ties. A consumer that wants
@@ -160,63 +162,71 @@ func (p Policy) feasible(req Request, c Candidate) bool {
 	return true
 }
 
-// sampleTarget returns how many feasible candidates Pick should score out
-// of n before stopping early, or n when sampling is off.
-func (p Policy) sampleTarget(n int) int {
-	if p.SamplePercent <= 0 || p.SamplePercent >= 100 {
+// SampleTarget returns how many feasible candidates out of n a placement
+// scores before stopping early at the given percentage-of-nodes-to-score,
+// or n when sampling is off (percent 0 or 100).
+func SampleTarget(n, percent int) int {
+	if percent <= 0 || percent >= 100 {
 		return n
 	}
-	t := n * p.SamplePercent / 100
-	if t < MinFeasibleToScore {
-		t = MinFeasibleToScore
-	}
-	if t > n {
-		t = n
-	}
-	return t
+	return min(max(n*percent/100, MinFeasibleToScore), n)
 }
 
-// Pick chooses the best feasible candidate. Candidates are visited in slice
-// order rotated by offset (index (i+offset) mod len), and only a strictly
-// higher total score displaces the current best — the first candidate in
-// rotation order wins ties, which is the whole determinism contract: callers
-// that pass a constant offset get stable placement, callers that pass an
-// incrementing counter get round-robin rotation among equals. A sampling
-// policy (SamplePercent in (0,100)) stops visiting once it has scored its
-// feasible target, trading global optimality for O(sample) placements; the
-// choice remains a pure function of (policy, cands, offset).
-func (p Policy) Pick(req Request, cands []Candidate, offset int) Decision {
-	var d Decision
-	n := len(cands)
+// Scan is the one placement loop every consumer shares. It visits indices
+// 0..n-1 rotated by offset ((i+offset) mod n), asks eval for each one's
+// feasibility and total score, and keeps the first strictly highest score —
+// the first candidate in rotation order wins ties, which is the whole
+// determinism contract: callers that pass a constant offset get stable
+// placement, callers that pass an incrementing counter get round-robin
+// rotation among equals. It stops once target candidates were feasible
+// (see SampleTarget). best is -1 when none was; visited counts the indices
+// evaluated.
+func Scan(n, offset, target int, eval func(i int) (score float64, ok bool)) (best, feasible, visited int) {
+	best = -1
 	if n == 0 {
-		return d
+		return best, 0, 0
 	}
-	if offset < 0 {
-		offset = -offset % n // defensive; callers pass counters ≥ 0
+	idx := offset % n // one division; the loop wraps by compare
+	if idx < 0 {
+		idx = -idx // defensive; callers pass counters ≥ 0
 	}
-	target := p.sampleTarget(n)
-	best := -1
 	bestScore := 0.0
-	for i := 0; i < n; i++ {
-		idx := (i + offset) % n
-		d.Visited++
-		if !p.feasible(req, cands[idx]) {
-			continue
+	for visited < n {
+		visited++
+		score, ok := eval(idx)
+		if ok {
+			feasible++
+			if best < 0 || score > bestScore {
+				best, bestScore = idx, score
+			}
+			if feasible >= target {
+				break
+			}
 		}
-		d.Feasible++
-		score := p.total(req, cands[idx])
-		if best < 0 || score > bestScore {
-			best, bestScore = idx, score
-		}
-		if d.Feasible >= target {
-			break
+		if idx++; idx == n {
+			idx = 0
 		}
 	}
+	return best, feasible, visited
+}
+
+// Pick chooses the best feasible candidate with Scan over the filters and
+// weighted scores, and returns it with its per-plugin breakdown. A sampling
+// policy (SamplePercent in (0,100)) trades global optimality for O(sample)
+// placements; the choice remains a pure function of (policy, cands, offset).
+func (p Policy) Pick(req Request, cands []Candidate, offset int) Decision {
+	best, feasible, visited := Scan(len(cands), offset, SampleTarget(len(cands), p.SamplePercent), func(i int) (float64, bool) {
+		if !p.feasible(req, cands[i]) {
+			return 0, false
+		}
+		return p.total(req, cands[i]), true
+	})
+	d := Decision{Feasible: feasible, Visited: visited}
 	if best < 0 {
 		return d
 	}
 	d.Winner = &cands[best]
-	d.Score = bestScore
+	d.Score = p.total(req, cands[best])
 	for _, s := range p.Scores {
 		d.PerPlugin = append(d.PerPlugin, PluginScore{Plugin: s.Name, Value: s.Eval(req, cands[best])})
 	}
@@ -233,13 +243,13 @@ func FormatScore(v float64) string {
 // carrying the consuming layer, the policy name, the placed unit, the chosen
 // target, the winning total score, and one label per score plugin. Safe on a
 // nil tracer and on a decision with no winner (both no-ops).
-func Record(tr *trace.Tracer, parent *trace.Span, layer string, p Policy, req Request, d Decision) {
+func Record(tr *trace.Tracer, parent *trace.Span, layer, policy string, req Request, d Decision) {
 	if tr == nil || d.Winner == nil {
 		return
 	}
 	sp := tr.Start(parent, "sched", "place",
 		trace.L("layer", layer),
-		trace.L("policy", p.Name),
+		trace.L("policy", policy),
 		trace.L("unit", req.Name),
 		trace.L("node", d.Winner.Name),
 		trace.L("score", FormatScore(d.Score)),

@@ -20,10 +20,6 @@ func node(name string, cores, memMB, memUsed int) *cluster.Node {
 func cand(n *cluster.Node) Candidate { return Candidate{Name: n.Name, Node: n} }
 
 func TestFilters(t *testing.T) {
-	requested := map[string]float64{"a": 7.5, "b": 2}
-	reqOf := func(node string) float64 { return requested[node] }
-	cordons := map[string]bool{"b": true}
-
 	cases := []struct {
 		name string
 		f    Filter
@@ -31,14 +27,6 @@ func TestFilters(t *testing.T) {
 		c    Candidate
 		want bool
 	}{
-		{"mem-fit ok", MemFit(), Request{MemMB: 512}, cand(node("a", 8, 1024, 256)), true},
-		{"mem-fit exact", MemFit(), Request{MemMB: 768}, cand(node("a", 8, 1024, 256)), true},
-		{"mem-fit over", MemFit(), Request{MemMB: 769}, cand(node("a", 8, 1024, 256)), false},
-		{"cpu-fit ok", CPUFit(reqOf), Request{CPURequest: 0.5}, cand(node("a", 8, 1024, 0)), true},
-		{"cpu-fit exact", CPUFit(reqOf), Request{CPURequest: 6}, cand(node("b", 8, 1024, 0)), true},
-		{"cpu-fit over", CPUFit(reqOf), Request{CPURequest: 1}, cand(node("a", 8, 1024, 0)), false},
-		{"cordoned no", Cordoned(func(n string) bool { return cordons[n] }), Request{}, cand(node("b", 8, 1024, 0)), false},
-		{"cordoned yes", Cordoned(func(n string) bool { return cordons[n] }), Request{}, cand(node("a", 8, 1024, 0)), true},
 		{"slot-free yes", SlotFree(), Request{}, Candidate{Name: "a", Free: 1}, true},
 		{"slot-free no", SlotFree(), Request{}, Candidate{Name: "a", Free: 0}, false},
 		{"requirements nil", Requirements(), Request{}, cand(node("a", 8, 1024, 0)), true},
@@ -54,10 +42,6 @@ func TestFilters(t *testing.T) {
 }
 
 func TestScores(t *testing.T) {
-	requested := map[string]float64{"a": 3, "b": 0.5}
-	reqOf := func(node string) float64 { return requested[node] }
-	podCount := map[string]int{"a": 4, "b": 1}
-	images := map[string]bool{"a": true}
 	resident := map[string]bool{"a/x.fits": true, "a/y.fits": true, "b/x.fits": true}
 
 	cases := []struct {
@@ -67,13 +51,7 @@ func TestScores(t *testing.T) {
 		c    Candidate
 		want float64
 	}{
-		{"least-requested", LeastRequested(reqOf), Request{}, cand(node("a", 8, 1024, 0)), -3},
-		{"bin-pack", BinPack(reqOf), Request{}, cand(node("b", 8, 1024, 0)), 0.5},
-		{"spread", Spread(func(n string) int { return podCount[n] }), Request{}, cand(node("a", 8, 1024, 0)), -4},
 		{"most-free", MostFree(), Request{}, Candidate{Free: 6}, 6},
-		{"image-locality hit", ImageLocality(func(n, img string) bool { return images[n] && img == "fn" }), Request{Image: "fn"}, cand(node("a", 8, 1024, 0)), 1},
-		{"image-locality miss", ImageLocality(func(n, img string) bool { return images[n] }), Request{Image: "fn"}, cand(node("b", 8, 1024, 0)), 0},
-		{"image-locality no-image", ImageLocality(func(n, img string) bool { return true }), Request{}, cand(node("a", 8, 1024, 0)), 0},
 		{"data-locality all", DataLocality(func(n *cluster.Node, lfn string) bool { return resident[n.Name+"/"+lfn] }), Request{Inputs: []string{"x.fits", "y.fits"}}, cand(node("a", 8, 1024, 0)), 1},
 		{"data-locality half", DataLocality(func(n *cluster.Node, lfn string) bool { return resident[n.Name+"/"+lfn] }), Request{Inputs: []string{"x.fits", "y.fits"}}, cand(node("b", 8, 1024, 0)), 0.5},
 		{"data-locality no-inputs", DataLocality(func(n *cluster.Node, lfn string) bool { return true }), Request{}, cand(node("a", 8, 1024, 0)), 0},
@@ -150,6 +128,31 @@ func TestPickFiltersAndDecision(t *testing.T) {
 	// Empty candidate list is fine.
 	if d := p.Pick(Request{}, nil, 7); d.Winner != nil {
 		t.Errorf("nil candidates produced a winner")
+	}
+}
+
+// TestScan pins the shared loop on its own: rotation order, the strict
+// tie-break, the feasible target, and the counts it reports.
+func TestScan(t *testing.T) {
+	scores := []float64{1, 3, 3, 2, 3}
+	eval := func(i int) (float64, bool) { return scores[i], i != 4 }
+	for _, tc := range []struct {
+		offset, target                int
+		wantBest, wantFeas, wantVisit int
+	}{
+		{0, 5, 1, 4, 5},  // index 1 is the first 3 in order; 4 is infeasible
+		{2, 5, 2, 4, 5},  // rotation starts at 2: it wins the tie with 1
+		{4, 2, 1, 2, 3},  // visits 4 (infeasible), 0, 1, then stops at the target
+		{-2, 5, 2, 4, 5}, // a negative offset counts as its magnitude
+	} {
+		best, feasible, visited := Scan(len(scores), tc.offset, tc.target, eval)
+		if best != tc.wantBest || feasible != tc.wantFeas || visited != tc.wantVisit {
+			t.Errorf("offset %d target %d: got (%d, %d, %d), want (%d, %d, %d)", tc.offset, tc.target,
+				best, feasible, visited, tc.wantBest, tc.wantFeas, tc.wantVisit)
+		}
+	}
+	if best, feasible, visited := Scan(0, 3, 0, eval); best != -1 || feasible != 0 || visited != 0 {
+		t.Errorf("empty scan: got (%d, %d, %d), want (-1, 0, 0)", best, feasible, visited)
 	}
 }
 
