@@ -12,6 +12,7 @@
 package condor
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -141,8 +142,9 @@ type Schedd struct {
 	idle     []*Job // cycle mode: jobs awaiting the next cycle
 	blocked  []*Job // per-job mode: matched but no slot free yet
 	startds  []*startd
-	policy   sched.Policy
-	rrOffset int // rotates tie-breaking among equally free startds
+	policy   string // placement policy name, for traces
+	locality bool   // data-locality policy: input residency scores first
+	rrOffset int    // rotates tie-breaking among equally free startds
 	nextID   int
 	shadow   *sim.Semaphore // serializes shadow spawns at the schedd
 	rng      *sim.RNG
@@ -165,42 +167,18 @@ func New(env *sim.Env, cl *cluster.Cluster, prm config.Params) *Schedd {
 	for _, w := range cl.Workers {
 		s.startds = append(s.startds, &startd{node: w, slots: w.Cores, free: w.Cores, claimed: make([]bool, w.Cores)})
 	}
-	s.policy = s.policyFor(prm.CondorPlacementPolicy)
-	return s
-}
-
-// policyFor builds the named matchmaking policy. The empty name selects the
-// seed negotiator's behaviour: most free slots, ties rotated round-robin so
-// no machine is permanently favoured.
-func (s *Schedd) policyFor(name string) sched.Policy {
-	filters := []sched.Filter{
-		sched.FilterFunc("online", func(_ sched.Request, c sched.Candidate) bool {
-			return !c.Aux.(*startd).offline
-		}),
-		sched.SlotFree(),
-		sched.Requirements(),
-	}
-	var scores []sched.Score
-	switch name {
-	case "", sched.PolicyMostFreeRR:
-		name = sched.PolicyMostFreeRR
-		scores = []sched.Score{sched.MostFree()}
+	// The placement policy is prm.CondorPlacementPolicy. The empty name
+	// selects the seed negotiator's behaviour: most free slots, ties rotated
+	// round-robin so no machine is permanently favoured.
+	switch s.policy = cmp.Or(prm.CondorPlacementPolicy, sched.PolicyMostFreeRR); s.policy {
+	case sched.PolicyMostFreeRR:
 	case sched.PolicyDataLocality:
-		// Input-file residency dominates; most-free breaks ties among nodes
-		// holding the same fraction of the job's inputs.
-		dl := sched.DataLocality(func(n *cluster.Node, lfn string) bool {
-			return n.Scratch.Has(lfn)
-		})
-		dl.Weight = 1000
-		scores = []sched.Score{dl, sched.MostFree()}
+		s.locality = true
 	default:
-		panic(fmt.Sprintf("condor: unknown placement policy %q", name))
+		panic(fmt.Sprintf("condor: unknown CondorPlacementPolicy %q (valid: %s, %s)",
+			s.policy, sched.PolicyMostFreeRR, sched.PolicyDataLocality))
 	}
-	pol := sched.Policy{Name: name, Filters: filters, Scores: scores}
-	if err := pol.Validate(); err != nil {
-		panic(err)
-	}
-	return pol
+	return s
 }
 
 // Start launches the negotiator (cycle mode only; per-job mode matches from
@@ -378,12 +356,12 @@ func (s *Schedd) tryMatch(j *Job) {
 	if s.stopped {
 		return
 	}
-	sd, dec := s.pickStartdFor(j)
-	if sd == nil {
+	best, feasible, _ := s.pickStartdFor(j)
+	if best < 0 {
 		s.blocked = insertByPriority(s.blocked, j)
 		return
 	}
-	s.dispatch(j, sd, dec)
+	s.dispatch(j, best, feasible)
 }
 
 // insertByPriority keeps the queue ordered by descending priority,
@@ -399,11 +377,18 @@ func insertByPriority(q []*Job, j *Job) []*Job {
 	return q
 }
 
-// dispatch claims the slot and launches the job's runner process. The
-// startd's epoch is captured at claim time so a crash during execution is
-// detectable. dec is the placement decision that chose sd, recorded as a
-// span under the job.
-func (s *Schedd) dispatch(j *Job, sd *startd, dec sched.Decision) {
+// dispatch claims a slot on startd best, the winner of a pickStartdFor scan
+// that found feasible matching startds, and launches the job's runner
+// process. The startd's epoch is captured at claim time so a crash during
+// execution is detectable. With a tracer attached the decision is recorded
+// as a span under the job.
+func (s *Schedd) dispatch(j *Job, best, feasible int) {
+	tr := trace.FromEnv(s.env)
+	var dec sched.Decision
+	if tr != nil {
+		dec = s.decision(j, best, feasible) // before the claim takes a slot
+	}
+	sd := s.startds[best]
 	sd.free--
 	j.slot = 0
 	for i, taken := range sd.claimed {
@@ -421,9 +406,9 @@ func (s *Schedd) dispatch(j *Job, sd *startd, dec sched.Decision) {
 	j.span.SetLabel("node", j.node)
 	slot := fmt.Sprintf("%s:%d", j.node, j.slot)
 	j.span.SetLabel("slot", slot)
-	j.claim = trace.FromEnv(s.env).Start(j.span, "condor", "claim",
+	j.claim = tr.Start(j.span, "condor", "claim",
 		trace.L("job", j.Name), trace.L("node", j.node), trace.L("slot", slot))
-	sched.Record(trace.FromEnv(s.env), j.span, "condor", s.policy.Name, jobRequest(j), dec)
+	sched.Record(tr, j.span, "condor", s.policy, j.Name, dec)
 	epoch := sd.epoch
 	s.env.Go(fmt.Sprintf("job-%d", j.ID), func(jp *sim.Proc) {
 		s.runJob(jp, j, sd, epoch)
@@ -437,9 +422,9 @@ func (s *Schedd) dispatchBlocked(max int) {
 	for n := 0; n < max; n++ {
 		matched := false
 		for i, next := range s.blocked {
-			if nsd, dec := s.pickStartdFor(next); nsd != nil {
+			if best, feasible, _ := s.pickStartdFor(next); best >= 0 {
 				s.blocked = append(s.blocked[:i], s.blocked[i+1:]...)
-				s.dispatch(next, nsd, dec)
+				s.dispatch(next, best, feasible)
 				matched = true
 				break
 			}
@@ -473,36 +458,72 @@ func (s *Schedd) negotiatorLoop(p *sim.Proc) {
 func (s *Schedd) matchmake() {
 	remaining := s.idle[:0]
 	for _, j := range s.idle {
-		sd, dec := s.pickStartdFor(j)
-		if sd == nil {
+		best, feasible, _ := s.pickStartdFor(j)
+		if best < 0 {
 			remaining = append(remaining, j)
 			continue
 		}
-		s.dispatch(j, sd, dec)
+		s.dispatch(j, best, feasible)
 	}
 	s.idle = remaining
 }
 
-// jobRequest maps a job onto the placement layer's request model.
-func jobRequest(j *Job) sched.Request {
-	return sched.Request{Name: j.Name, Inputs: j.InputLFNs, Requires: j.Requires}
+// pickStartdFor matches one job with one sched.Scan over the pool, each
+// startd evaluated by evalStartd. It returns the winner's startd index (-1
+// when no startd matches now) and the scan's feasible and visited counts.
+// The rotation offset advances on every negotiation attempt — matched or
+// not — exactly as the seed matchmaker did, so the round-robin stream is
+// unchanged.
+func (s *Schedd) pickStartdFor(j *Job) (best, feasible, visited int) {
+	s.rrOffset++
+	return sched.Scan(len(s.startds), s.rrOffset, len(s.startds), func(i int) (float64, bool) {
+		return s.evalStartd(j, i)
+	})
 }
 
-// pickStartdFor runs the configured placement policy over the pool for one
-// job. The rotation offset advances on every negotiation attempt — matched
-// or not — exactly as the seed matchmaker did, so the round-robin stream is
-// unchanged.
-func (s *Schedd) pickStartdFor(j *Job) (*startd, sched.Decision) {
-	s.rrOffset++
-	cands := make([]sched.Candidate, len(s.startds))
-	for i, sd := range s.startds {
-		cands[i] = sched.Candidate{Name: sd.node.Name, Node: sd.node, Free: sd.free, Aux: sd}
+// evalStartd is the negotiator's evaluation of startd i for job j, fused
+// into one pass: the online, free-slot and requirements checks, then the
+// policy's total score — the startd's free slots, after 1000 times the
+// fraction of the job's inputs resident in the node's scratch under
+// data-locality (residency dominates; most-free breaks ties). Totals are
+// spelled 0 + … by the shared signed-zero rule (see sched.Decision).
+func (s *Schedd) evalStartd(j *Job, i int) (float64, bool) {
+	sd := s.startds[i]
+	if sd.offline || sd.free <= 0 || (j.Requires != nil && !j.Requires(sd.node)) {
+		return 0, false
 	}
-	d := s.policy.Pick(jobRequest(j), cands, s.rrOffset)
-	if d.Winner == nil {
-		return nil, d
+	if s.locality {
+		return 0 + 1000*resident(j, sd.node) + float64(sd.free), true
 	}
-	return d.Winner.Aux.(*startd), d
+	return 0 + float64(sd.free), true
+}
+
+// resident is the data-locality term: the fraction of the job's input files
+// already in the node's scratch, 0 for a job without inputs.
+func resident(j *Job, n *cluster.Node) float64 {
+	if len(j.InputLFNs) == 0 {
+		return 0
+	}
+	k := 0
+	for _, lfn := range j.InputLFNs {
+		if n.Scratch.Has(lfn) {
+			k++
+		}
+	}
+	return float64(k) / float64(len(j.InputLFNs))
+}
+
+// decision is the traced form of a match to startd best: the winner, its
+// total, and its raw score per term in policy order. It is built only with
+// a tracer attached, so an untraced match allocates nothing.
+func (s *Schedd) decision(j *Job, best, feasible int) sched.Decision {
+	sd := s.startds[best]
+	total, _ := s.evalStartd(j, best)
+	per := []sched.PluginScore{{Plugin: "most-free", Value: float64(sd.free)}}
+	if s.locality {
+		per = []sched.PluginScore{{Plugin: sched.PolicyDataLocality, Value: resident(j, sd.node)}, per[0]}
+	}
+	return sched.Decision{Node: sd.node.Name, Score: total, PerPlugin: per, Feasible: feasible}
 }
 
 // injectFailure decides whether this job suffers a transient injected

@@ -55,6 +55,17 @@ const (
 	RouteLeastNodeLoad
 )
 
+// routeNames names each RoutePolicy in traces; Deploy rejects a Routing
+// outside it.
+var routeNames = [...]string{RouteLeastRequests: "least-requests", RouteLeastNodeLoad: "least-node-load"}
+
+func (r RoutePolicy) String() string {
+	if r >= 0 && int(r) < len(routeNames) {
+		return routeNames[r]
+	}
+	return fmt.Sprintf("RoutePolicy(%d)", int(r))
+}
+
 // ServiceSpec declares a serverless function service.
 type ServiceSpec struct {
 	// Name is the service (and route) name.
@@ -158,8 +169,7 @@ type Service struct {
 
 	pods     []*podHandle
 	nextPod  int
-	route    sched.Policy // replica-routing policy built from spec.Routing
-	rr       int          // round-robin offset for tie-breaking
+	rr       int // round-robin offset for tie-breaking
 	inFlight int
 
 	readySig *sim.Signal
@@ -255,8 +265,11 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 	if err := ascfg.Validate(); err != nil {
 		return nil, fmt.Errorf("knative: deploy %s: %w", spec.Name, err)
 	}
+	if r := spec.Routing; r < 0 || int(r) >= len(routeNames) {
+		return nil, fmt.Errorf("knative: deploy %s: unknown Routing %d (valid: %d %s, %d %s)", spec.Name, int(r),
+			RouteLeastRequests, RouteLeastRequests, RouteLeastNodeLoad, RouteLeastNodeLoad)
+	}
 	svc := &Service{kn: kn, spec: spec, ascfg: ascfg, readySig: sim.NewSignal(kn.env)}
-	svc.route = svc.routePolicy()
 	svc.breaker = resilience.NewBreaker(resilience.BreakerPolicy{
 		Failures:       kn.prm.BreakerFailures,
 		OpenFor:        kn.prm.BreakerOpenFor,
@@ -702,70 +715,72 @@ func (kn *Knative) codecTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / kn.prm.PayloadCodecBps * float64(time.Second))
 }
 
-// routePolicy maps the service's RoutePolicy onto the placement layer: one
-// readiness/capacity filter plus the policy's score. Both scores encode
-// "lowest wins" by negation, and the rotating rr offset breaks ties
-// round-robin, as the knative ingress balances equal backends.
-func (s *Service) routePolicy() sched.Policy {
-	filters := []sched.Filter{
-		sched.FilterFunc("ready-capacity", func(_ sched.Request, c sched.Candidate) bool {
-			h := c.Aux.(*podHandle)
-			return h.ready() && h.gate.Available() > 0
-		}),
-	}
-	var score sched.Score
-	name := "least-requests"
-	switch s.spec.Routing {
-	case RouteLeastNodeLoad:
-		// Redirect away from busy nodes (§IX-D): node CPU queue length
-		// first, replica queue as tie-break.
-		name = "least-node-load"
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
-			h := c.Aux.(*podHandle)
-			node := s.kn.cl.MustNode(h.pod.NodeName)
-			return -(float64(node.CPU.Load())*1e6 + float64(h.inFlight))
-		})
-	default:
-		score = sched.ScoreFunc(name, 1, func(_ sched.Request, c sched.Candidate) float64 {
-			return -float64(c.Aux.(*podHandle).inFlight)
-		})
-	}
-	pol := sched.Policy{Name: name, Filters: filters, Scores: []sched.Score{score}}
-	if err := pol.Validate(); err != nil {
-		panic(err)
-	}
-	return pol
-}
-
 // pickAvailable chooses a ready replica with free concurrency capacity
-// according to the service's route policy and claims one request slot on it.
-// It returns nil when every ready replica is saturated.
+// (pickReplica) and claims one request slot on it. It returns nil when every
+// ready replica is saturated.
 func (s *Service) pickAvailable() *podHandle {
-	s.rr++
-	n := len(s.pods)
-	if n == 0 {
-		return nil
-	}
-	cands := make([]sched.Candidate, n)
-	for i, h := range s.pods {
-		cands[i] = sched.Candidate{Name: h.pod.NodeName, Free: h.gate.Available(), Aux: h}
-	}
-	req := sched.Request{Name: s.spec.Name}
-	d := s.route.Pick(req, cands, s.rr)
-	if d.Winner == nil {
-		return nil
-	}
-	h := d.Winner.Aux.(*podHandle)
-	if !h.gate.TryAcquire(1) {
-		// The winner's capacity vanished between the policy's filter pass
-		// and the claim (a scale-down or pod kill interleaved with this
-		// request's wake-up). Treat it like no replica being available:
-		// the caller re-waits on readySig and retries the pick.
+	best, feasible, _ := s.pickReplica()
+	if best < 0 {
 		return nil
 	}
 	tr := trace.FromEnv(s.kn.env)
-	sched.Record(tr, tr.Current(), "knative", s.route.Name, req, d)
+	var dec sched.Decision
+	if tr != nil {
+		dec = s.decision(best, feasible) // before the claim takes gate capacity
+	}
+	h := s.pods[best]
+	if !h.gate.TryAcquire(1) {
+		// The winner's capacity vanished between the evaluation and the
+		// claim (a scale-down or pod kill interleaved with this request's
+		// wake-up). Treat it like no replica being available: the caller
+		// re-waits on readySig and retries the pick.
+		return nil
+	}
+	sched.Record(tr, tr.Current(), "knative", s.spec.Routing.String(), s.spec.Name, dec)
 	return h
+}
+
+// pickReplica routes with one sched.Scan over the service's replicas, each
+// evaluated by evalReplica. It returns the winner's index in s.pods (-1 when
+// every ready replica is saturated) and the scan's feasible and visited
+// counts. The rotating rr offset breaks ties round-robin, as the knative
+// ingress balances equal backends.
+func (s *Service) pickReplica() (best, feasible, visited int) {
+	s.rr++
+	return sched.Scan(len(s.pods), s.rr, len(s.pods), s.evalReplica)
+}
+
+// evalReplica is the router's evaluation of replica i, fused into one pass:
+// the ready and gate-capacity checks, then the route's total score, lowest
+// load wins. Totals are spelled 0 − … by the shared signed-zero rule (see
+// sched.Decision): an idle replica totals +0 while its term is −0.
+func (s *Service) evalReplica(i int) (float64, bool) {
+	h := s.pods[i]
+	if !h.ready() || h.gate.Available() <= 0 {
+		return 0, false
+	}
+	return 0 - s.load(h), true
+}
+
+// load is the quantity the service's route minimises on replica h: its
+// in-flight requests, or under least-node-load (the §IX-D redirect away
+// from busy nodes) its node's CPU queue length first, with the replica's
+// in-flight requests as tie-break.
+func (s *Service) load(h *podHandle) float64 {
+	if s.spec.Routing == RouteLeastNodeLoad {
+		return float64(h.pod.Node().CPU.Load())*1e6 + float64(h.inFlight)
+	}
+	return float64(h.inFlight)
+}
+
+// decision is the traced form of routing to replica best: its node, its
+// total, and the route's raw term. It is built only with a tracer
+// attached, so an untraced pick allocates nothing.
+func (s *Service) decision(best, feasible int) sched.Decision {
+	h := s.pods[best]
+	total, _ := s.evalReplica(best)
+	per := []sched.PluginScore{{Plugin: s.spec.Routing.String(), Value: -s.load(h)}}
+	return sched.Decision{Node: h.pod.NodeName, Score: total, PerPlugin: per, Feasible: feasible}
 }
 
 // purgeDead removes handles whose pods were killed out from under the

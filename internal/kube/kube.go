@@ -94,6 +94,9 @@ type Pod struct {
 // control-plane propagation, and bring-up.
 func (pod *Pod) CreatedAt() time.Duration { return pod.createdAt }
 
+// Node returns the worker the pod is bound to, nil before binding.
+func (pod *Pod) Node() *cluster.Node { return pod.node }
+
 // Phase returns the pod's current phase.
 func (pod *Pod) Phase() Phase { return pod.phase }
 
@@ -223,7 +226,8 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 	}
 	var ok bool
 	if k.score, ok = placeScores[k.policy]; !ok {
-		panic(fmt.Sprintf("kube: unknown placement policy %q", k.policy))
+		panic(fmt.Sprintf("kube: unknown KubePlacementPolicy %q (valid: %s, %s, %s, %s)", k.policy,
+			sched.PolicyLeastRequested, sched.PolicyBinPack, sched.PolicySpread, sched.PolicyImageLocality))
 	}
 	if pct := prm.SchedSamplePercent; pct < 0 || pct > 100 {
 		panic(fmt.Sprintf("kube: SchedSamplePercent %d outside [0, 100]", pct))
@@ -419,7 +423,7 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 			continue
 		}
 		p.Sleep(k.prm.SchedulerLatency)
-		best, feasible, visited := k.pickNode(&pod.Spec)
+		best, feasible, _ := k.pickNode(&pod.Spec)
 		if best < 0 {
 			if !k.fitsEver(pod.Spec) {
 				pod.phase = PhaseFailed
@@ -431,8 +435,8 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 			continue
 		}
 		if tr := trace.FromEnv(k.env); tr != nil {
-			dec := k.decision(&pod.Spec, best, feasible, visited)
-			sched.Record(tr, nil, "kube", k.policy, sched.Request{Name: pod.Spec.Name}, dec)
+			dec := k.decision(&pod.Spec, best, feasible)
+			sched.Record(tr, nil, "kube", k.policy, pod.Spec.Name, dec)
 		}
 		node := k.cl.Workers[best]
 		k.bind(pod, node)
@@ -495,8 +499,8 @@ func (k *Kube) hasImage(i int, image string) float64 {
 // decision is the traced form of a placement on worker best: the winner,
 // its total, and its raw score per plugin in policy order. It is built only
 // with a tracer attached, so an untraced placement allocates nothing.
-func (k *Kube) decision(spec *PodSpec, best, feasible, visited int) sched.Decision {
-	w, r := k.cl.Workers[best], k.reqCPU[best]
+func (k *Kube) decision(spec *PodSpec, best, feasible int) sched.Decision {
+	r := k.reqCPU[best]
 	total, _ := k.evalNode(spec, best)
 	var per []sched.PluginScore
 	switch k.score {
@@ -510,8 +514,7 @@ func (k *Kube) decision(spec *PodSpec, best, feasible, visited int) sched.Decisi
 	default:
 		per = []sched.PluginScore{{Plugin: sched.PolicyLeastRequested, Value: -r}}
 	}
-	return sched.Decision{Winner: &sched.Candidate{Name: w.Name, Node: w}, Score: total,
-		PerPlugin: per, Feasible: feasible, Visited: visited}
+	return sched.Decision{Node: k.cl.Workers[best].Name, Score: total, PerPlugin: per, Feasible: feasible}
 }
 
 // Picks returns the number of placement decisions evaluated so far (for

@@ -4,132 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
-
-func node(name string, cores, memMB, memUsed int) *cluster.Node {
-	n := &cluster.Node{Name: name, Cores: cores, MemMB: memMB}
-	if memUsed > 0 {
-		if err := n.ReserveMem(memUsed); err != nil {
-			panic(err)
-		}
-	}
-	return n
-}
-
-func cand(n *cluster.Node) Candidate { return Candidate{Name: n.Name, Node: n} }
-
-func TestFilters(t *testing.T) {
-	cases := []struct {
-		name string
-		f    Filter
-		req  Request
-		c    Candidate
-		want bool
-	}{
-		{"slot-free yes", SlotFree(), Request{}, Candidate{Name: "a", Free: 1}, true},
-		{"slot-free no", SlotFree(), Request{}, Candidate{Name: "a", Free: 0}, false},
-		{"requirements nil", Requirements(), Request{}, cand(node("a", 8, 1024, 0)), true},
-		{"requirements accept", Requirements(), Request{Requires: func(n *cluster.Node) bool { return n.Name == "a" }}, cand(node("a", 8, 1024, 0)), true},
-		{"requirements reject", Requirements(), Request{Requires: func(n *cluster.Node) bool { return n.Name == "a" }}, cand(node("b", 8, 1024, 0)), false},
-		{"filter-func", FilterFunc("custom", func(_ Request, c Candidate) bool { return c.Free > 2 }), Request{}, Candidate{Free: 3}, true},
-	}
-	for _, tc := range cases {
-		if got := tc.f.Fit(tc.req, tc.c); got != tc.want {
-			t.Errorf("%s: Fit = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestScores(t *testing.T) {
-	resident := map[string]bool{"a/x.fits": true, "a/y.fits": true, "b/x.fits": true}
-
-	cases := []struct {
-		name string
-		s    Score
-		req  Request
-		c    Candidate
-		want float64
-	}{
-		{"most-free", MostFree(), Request{}, Candidate{Free: 6}, 6},
-		{"data-locality all", DataLocality(func(n *cluster.Node, lfn string) bool { return resident[n.Name+"/"+lfn] }), Request{Inputs: []string{"x.fits", "y.fits"}}, cand(node("a", 8, 1024, 0)), 1},
-		{"data-locality half", DataLocality(func(n *cluster.Node, lfn string) bool { return resident[n.Name+"/"+lfn] }), Request{Inputs: []string{"x.fits", "y.fits"}}, cand(node("b", 8, 1024, 0)), 0.5},
-		{"data-locality no-inputs", DataLocality(func(n *cluster.Node, lfn string) bool { return true }), Request{}, cand(node("a", 8, 1024, 0)), 0},
-		{"score-func weighted", ScoreFunc("w", 10, func(_ Request, c Candidate) float64 { return 2 }), Request{}, Candidate{}, 2},
-	}
-	for _, tc := range cases {
-		if got := tc.s.Eval(tc.req, tc.c); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: Eval = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestPickTieBreaking pins the determinism contract: the first candidate in
-// rotation order wins ties, a strictly better score displaces it regardless
-// of position, and the offset rotates which candidate is visited first.
-func TestPickTieBreaking(t *testing.T) {
-	flat := Policy{Name: "flat", Scores: []Score{ScoreFunc("zero", 1, func(Request, Candidate) float64 { return 0 })}}
-	cands := []Candidate{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-
-	for offset, want := range map[int]string{0: "a", 1: "b", 2: "c", 3: "a", 5: "c"} {
-		d := flat.Pick(Request{}, cands, offset)
-		if d.Winner == nil || d.Winner.Name != want {
-			t.Errorf("offset %d: winner = %+v, want %s", offset, d.Winner, want)
-		}
-	}
-
-	better := Policy{Name: "better", Scores: []Score{ScoreFunc("pick-b", 1, func(_ Request, c Candidate) float64 {
-		if c.Name == "b" {
-			return 1
-		}
-		return 0
-	})}}
-	for offset := 0; offset < 6; offset++ {
-		if d := better.Pick(Request{}, cands, offset); d.Winner == nil || d.Winner.Name != "b" {
-			t.Errorf("offset %d: strict improvement ignored, winner %+v", offset, d.Winner)
-		}
-	}
-}
-
-func TestPickFiltersAndDecision(t *testing.T) {
-	p := Policy{
-		Name:    "filtered",
-		Filters: []Filter{FilterFunc("free", func(_ Request, c Candidate) bool { return c.Free > 0 })},
-		Scores: []Score{
-			ScoreFunc("free", 1, func(_ Request, c Candidate) float64 { return float64(c.Free) }),
-			ScoreFunc("bonus", 10, func(_ Request, c Candidate) float64 {
-				if c.Name == "b" {
-					return 1
-				}
-				return 0
-			}),
-		},
-	}
-	cands := []Candidate{{Name: "a", Free: 5}, {Name: "b", Free: 2}, {Name: "c", Free: 0}}
-	d := p.Pick(Request{}, cands, 0)
-	if d.Winner == nil || d.Winner.Name != "b" {
-		t.Fatalf("winner = %+v, want b", d.Winner)
-	}
-	if d.Feasible != 2 {
-		t.Errorf("feasible = %d, want 2 (c is full)", d.Feasible)
-	}
-	if want := 2.0 + 10*1; math.Abs(d.Score-want) > 1e-12 {
-		t.Errorf("score = %v, want %v", d.Score, want)
-	}
-	if len(d.PerPlugin) != 2 || d.PerPlugin[0] != (PluginScore{"free", 2}) || d.PerPlugin[1] != (PluginScore{"bonus", 1}) {
-		t.Errorf("per-plugin = %+v", d.PerPlugin)
-	}
-
-	// Nothing feasible → no winner, zero feasible.
-	none := p.Pick(Request{}, []Candidate{{Name: "c", Free: 0}}, 0)
-	if none.Winner != nil || none.Feasible != 0 {
-		t.Errorf("expected empty decision, got %+v", none)
-	}
-	// Empty candidate list is fine.
-	if d := p.Pick(Request{}, nil, 7); d.Winner != nil {
-		t.Errorf("nil candidates produced a winner")
-	}
-}
 
 // TestScan pins the shared loop on its own: rotation order, the strict
 // tie-break, the feasible target, and the counts it reports.
@@ -154,25 +31,125 @@ func TestScan(t *testing.T) {
 	if best, feasible, visited := Scan(0, 3, 0, eval); best != -1 || feasible != 0 || visited != 0 {
 		t.Errorf("empty scan: got (%d, %d, %d), want (-1, 0, 0)", best, feasible, visited)
 	}
+	none := func(int) (float64, bool) { return 0, false }
+	if best, feasible, visited := Scan(3, 1, 3, none); best != -1 || feasible != 0 || visited != 3 {
+		t.Errorf("nothing feasible: got (%d, %d, %d), want (-1, 0, 3)", best, feasible, visited)
+	}
 }
 
-func TestValidate(t *testing.T) {
-	ok := Policy{Name: "ok", Filters: []Filter{SlotFree()}, Scores: []Score{MostFree()}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("valid policy rejected: %v", err)
+// flat scores every candidate equally, so Scan outcomes isolate the
+// rotation and sampling mechanics.
+func flat(int) (float64, bool) { return 1, true }
+
+// TestScanTieBreaking pins the determinism contract: the first candidate in
+// rotation order wins ties, a strictly better score displaces it regardless
+// of position, and the offset rotates which candidate is visited first.
+func TestScanTieBreaking(t *testing.T) {
+	for offset, want := range map[int]int{0: 0, 1: 1, 2: 2, 3: 0, 5: 2} {
+		if best, _, _ := Scan(3, offset, 3, flat); best != want {
+			t.Errorf("offset %d: winner %d, want %d", offset, best, want)
+		}
 	}
-	cases := []struct {
-		name string
-		p    Policy
-	}{
-		{"no name", Policy{Scores: []Score{MostFree()}}},
-		{"no scores", Policy{Name: "x"}},
-		{"nil filter", Policy{Name: "x", Filters: []Filter{{Name: "broken"}}, Scores: []Score{MostFree()}}},
-		{"nil score", Policy{Name: "x", Scores: []Score{{Name: "broken"}}}},
+	pickOne := func(i int) (float64, bool) {
+		if i == 1 {
+			return 1, true
+		}
+		return 0, true
 	}
-	for _, tc := range cases {
-		if err := tc.p.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a malformed policy", tc.name)
+	for offset := 0; offset < 6; offset++ {
+		if best, _, _ := Scan(3, offset, 3, pickOne); best != 1 {
+			t.Errorf("offset %d: strict improvement ignored, winner %d", offset, best)
+		}
+	}
+}
+
+// TestSamplingStopsEarly: with 1000 candidates at 20%, the scan scores
+// exactly 200 feasible candidates and stops — the sweep's O(sample)
+// placement.
+func TestSamplingStopsEarly(t *testing.T) {
+	best, feasible, visited := Scan(1000, 0, SampleTarget(1000, 20), flat)
+	if visited != 200 || feasible != 200 {
+		t.Errorf("visited %d feasible %d, want 200/200", visited, feasible)
+	}
+	if best != 0 {
+		t.Errorf("winner %d, want first in rotation order", best)
+	}
+}
+
+// TestSamplingFloor: the MinFeasibleToScore floor keeps small samples
+// honest — 10% of 500 is 50, but the scan still scores 100.
+func TestSamplingFloor(t *testing.T) {
+	if got := SampleTarget(500, 10); got != MinFeasibleToScore {
+		t.Errorf("target %d, want floor %d", got, MinFeasibleToScore)
+	}
+	if _, feasible, _ := Scan(500, 0, SampleTarget(500, 10), flat); feasible != MinFeasibleToScore {
+		t.Errorf("feasible %d, want floor %d", feasible, MinFeasibleToScore)
+	}
+}
+
+// TestSamplingSmallClusterExhaustive: below the floor, and with sampling
+// off (0 or 100 percent), every candidate is scored.
+func TestSamplingSmallClusterExhaustive(t *testing.T) {
+	for _, pct := range []int{0, 10, 100} {
+		if _, feasible, visited := Scan(50, 0, SampleTarget(50, pct), flat); visited != 50 || feasible != 50 {
+			t.Errorf("pct %d: visited %d feasible %d, want 50/50", pct, visited, feasible)
+		}
+	}
+	if got := SampleTarget(5000, 0); got != 5000 {
+		t.Errorf("SampleTarget(5000, 0) = %d, want every candidate", got)
+	}
+}
+
+// TestSamplingRotation: the offset rotates the visit window, so different
+// offsets see (and win with) different candidates — no suffix of the list
+// is permanently shadowed.
+func TestSamplingRotation(t *testing.T) {
+	target := SampleTarget(1000, 10)
+	a, _, _ := Scan(1000, 0, target, flat)
+	b, _, _ := Scan(1000, 700, target, flat)
+	if a != 0 || b != 700 {
+		t.Errorf("winners %d / %d, want 0 / 700", a, b)
+	}
+}
+
+// TestSamplingSkipsInfeasible: infeasible candidates do not count towards
+// the target — the scan keeps visiting until it has scored enough feasible
+// ones.
+func TestSamplingSkipsInfeasible(t *testing.T) {
+	oddOnly := func(i int) (float64, bool) { return 1, i%2 == 1 }
+	_, feasible, visited := Scan(1000, 0, SampleTarget(1000, 10), oddOnly)
+	if feasible != 100 {
+		t.Errorf("feasible %d, want 100", feasible)
+	}
+	if visited <= feasible {
+		t.Errorf("visited %d not > feasible %d despite infeasible candidates", visited, feasible)
+	}
+}
+
+// TestRecord: a decision becomes one sched/place span under the parent with
+// the node, the total, the feasible count and one label per term, keeping
+// the +0 total and −0 term apart; a nil tracer records nothing.
+func TestRecord(t *testing.T) {
+	d := Decision{Node: "worker1", Score: 0, PerPlugin: []PluginScore{{"least-requests", math.Copysign(0, -1)}}, Feasible: 3}
+	Record(nil, nil, "knative", "least-requests", "fn", d)
+
+	tr := trace.New(sim.NewEnv(1))
+	parent := tr.Start(nil, "knative", "invoke")
+	Record(tr, parent, "knative", "least-requests", "fn", d)
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans, want the parent and one decision", len(spans))
+	}
+	sp := spans[1]
+	if sp.Substrate() != "sched" || sp.Name() != "place" || sp.Parent() != parent.ID() || !sp.Ended() {
+		t.Errorf("span %s/%s parent %d ended %v", sp.Substrate(), sp.Name(), sp.Parent(), sp.Ended())
+	}
+	for key, want := range map[string]string{
+		"layer": "knative", "policy": "least-requests", "unit": "fn", "node": "worker1",
+		"score": "0", "feasible": "3", "score.least-requests": "-0",
+	} {
+		if got, _ := sp.Label(key); got != want {
+			t.Errorf("label %s = %q, want %q", key, got, want)
 		}
 	}
 }
