@@ -11,12 +11,15 @@
 //
 //	wfrun -spec workflow.json
 //
-// Add -trace to stream the simulation event log.
+// Add -trace to print every recorded span before the report, one line per
+// ended span in (start, ID) order: start time, substrate/operation,
+// duration and labels.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,6 +30,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wms"
 	"repro/internal/workload"
 )
@@ -45,7 +49,7 @@ func run() error {
 		workflows = flag.Int("workflows", 1, "concurrent copies of the workflow")
 		modeFlag  = flag.String("mode", "native", "native | container | serverless | mix:N,C,S")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
-		trace     = flag.Bool("trace", false, "stream the simulation event log")
+		traced    = flag.Bool("trace", false, "print the recorded spans")
 		fast      = flag.Bool("fast", false, "shrink condor latencies (quick demos)")
 		provPath  = flag.String("provenance", "", "write JSON provenance of the first workflow to this file")
 		htmlPath  = flag.String("html", "", "write an HTML Gantt timeline of the first workflow to this file")
@@ -59,10 +63,9 @@ func run() error {
 		prm.DAGManPoll = time.Second
 	}
 	s := core.NewStack(*seed, prm)
-	if *trace {
-		s.Env.SetTrace(func(at time.Duration, component, msg string) {
-			fmt.Printf("%12s  %-24s %s\n", at.Truncate(time.Millisecond), component, msg)
-		})
+	var tr *trace.Tracer
+	if *traced {
+		tr = trace.New(s.Env)
 	}
 	s.RegisterTransformation(workload.MatmulTransformation, prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
 	switch *staging {
@@ -135,6 +138,9 @@ func run() error {
 	if runErr != nil {
 		return runErr
 	}
+	if tr != nil {
+		printSpans(os.Stdout, tr)
+	}
 
 	// Report.
 	tbl := metrics.NewTable("workflow", "makespan_s", "native", "container", "serverless")
@@ -194,6 +200,23 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// printSpans writes one line per ended span in (start, ID) order, then a
+// blank line.
+func printSpans(w io.Writer, tr *trace.Tracer) {
+	for _, sp := range tr.Spans() {
+		if !sp.Ended() {
+			continue
+		}
+		fmt.Fprintf(w, "%12s  %-24s %12s", sp.Start().Truncate(time.Millisecond),
+			sp.Substrate()+"/"+sp.Name(), sp.Duration().Truncate(time.Millisecond))
+		for _, l := range sp.Labels() {
+			fmt.Fprintf(w, " %s=%s", l.Key, l.Value)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w)
 }
 
 // parseModeFlag understands "native", "container", "serverless", and

@@ -1,0 +1,33 @@
+package main
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// TestPrintSpans: -trace prints one line per ended span in (start, ID)
+// order — start, substrate/name, duration, labels — and skips open spans.
+func TestPrintSpans(t *testing.T) {
+	env := sim.NewEnv(1)
+	tr := trace.New(env)
+	env.Go("main", func(p *sim.Proc) {
+		p.Sleep(1500 * time.Millisecond)
+		outer := tr.StartCurrent("crt", "create", trace.L("image", "matmul"), trace.L("node", "worker1"))
+		p.Sleep(90 * time.Millisecond)
+		outer.End()
+		tr.StartCurrent("crt", "exec") // never ended
+		tr.Start(nil, "wms", "release").End()
+	})
+	env.Run()
+	var b strings.Builder
+	printSpans(&b, tr)
+	want := "        1.5s  crt/create                       90ms image=matmul node=worker1\n" +
+		"       1.59s  wms/release                        0s\n\n"
+	if b.String() != want {
+		t.Errorf("printSpans =\n%q\nwant\n%q", b.String(), want)
+	}
+}

@@ -14,6 +14,7 @@ package condor
 import (
 	"cmp"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -403,12 +404,14 @@ func (s *Schedd) dispatch(j *Job, best, feasible int) {
 	j.MatchedAt = s.env.Now()
 	s.running++
 	j.queue.End()
-	j.span.SetLabel("node", j.node)
-	slot := fmt.Sprintf("%s:%d", j.node, j.slot)
-	j.span.SetLabel("slot", slot)
-	j.claim = tr.Start(j.span, "condor", "claim",
-		trace.L("job", j.Name), trace.L("node", j.node), trace.L("slot", slot))
-	sched.Record(tr, j.span, "condor", s.policy, j.Name, dec)
+	if tr != nil {
+		slot := j.node + ":" + strconv.Itoa(j.slot)
+		j.span.SetLabel("node", j.node)
+		j.span.SetLabel("slot", slot)
+		j.claim = tr.Start(j.span, "condor", "claim",
+			trace.L("job", j.Name), trace.L("node", j.node), trace.L("slot", slot))
+		sched.Record(tr, j.span, "condor", s.policy, j.Name, dec)
+	}
 	epoch := sd.epoch
 	s.env.Go(fmt.Sprintf("job-%d", j.ID), func(jp *sim.Proc) {
 		s.runJob(jp, j, sd, epoch)

@@ -8,6 +8,7 @@ package crt
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
@@ -232,14 +233,26 @@ func (rt *Runtime) Create(p *sim.Proc, image string, capCores float64) (*Contain
 	rt.nextID++
 	rt.containers[c.ID] = c
 	rt.createdTotal++
-	sp.SetLabel("container", c.ref())
+	if sp != nil {
+		sp.SetLabel("container", c.ref())
+	}
 	sp.End()
 	return c, nil
 }
 
 // ref names the container uniquely across the cluster for trace labels.
 func (c *Container) ref() string {
-	return fmt.Sprintf("%s/%d", c.rt.node.Name, c.ID)
+	return c.rt.node.Name + "/" + strconv.Itoa(c.ID)
+}
+
+// span opens a lifecycle span on the container. The container label is
+// formatted only when a tracer is attached.
+func (c *Container) span(p *sim.Proc, name string) *trace.Span {
+	tr := trace.FromEnv(p.Env())
+	if tr == nil {
+		return nil
+	}
+	return tr.StartCurrent("crt", name, trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
 }
 
 // Start transitions the container to running, charging the start overhead.
@@ -247,7 +260,7 @@ func (c *Container) Start(p *sim.Proc) error {
 	if c.state != StateCreated {
 		return fmt.Errorf("crt: start: container %d is %v", c.ID, c.state)
 	}
-	sp := trace.Start(p, "crt", "start", trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
+	sp := c.span(p, "start")
 	p.Sleep(c.rt.params.ContainerStart)
 	if c.rt.faults != nil && c.rt.faults.Roll(faults.KindStartFail, c.rt.node.Name) {
 		sp.SetLabel("status", "failed")
@@ -270,7 +283,7 @@ func (c *Container) Exec(p *sim.Proc, work float64) error {
 	if c.state != StateRunning {
 		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
 	}
-	sp := trace.Start(p, "crt", "exec", trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
+	sp := c.span(p, "exec")
 	defer sp.End()
 	c.execs++
 	rate := 1.0
@@ -291,7 +304,7 @@ func (c *Container) StopRemove(p *sim.Proc) error {
 	if c.state == StateRemoved {
 		return fmt.Errorf("crt: remove: container %d already removed", c.ID)
 	}
-	sp := trace.Start(p, "crt", "stop-remove", trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
+	sp := c.span(p, "stop-remove")
 	defer sp.End()
 	p.Sleep(c.rt.params.ContainerStopRemove)
 	c.state = StateRemoved

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/trace"
@@ -89,6 +91,39 @@ func TestTraceReconciliation(t *testing.T) {
 		}
 		if cp.Stages[trace.StageExec] == 0 {
 			t.Errorf("%s: no exec time on the critical path", mode)
+		}
+	}
+}
+
+// TestChromeExportPinned pins the Chrome export of three quick captures to
+// SHA-256 digests, so a change to the tracer or to any instrumented
+// substrate that alters the exported bytes fails here, not only when two
+// runs of one build disagree. A deliberate change to the trace must update
+// the digests and say why.
+func TestChromeExportPinned(t *testing.T) {
+	o := QuickOptions()
+	cases := []struct {
+		name string
+		run  func() (*TraceCapture, error)
+		want string
+	}{
+		{"serverless", func() (*TraceCapture, error) {
+			return TraceOnce(o.Seed, o.Prm, wms.ModeServerless, true, false)
+		}, "69144da6b8dbc0fd4ed469ed420c324a0de4b7eddc19e9f1036e5639212d1a98"},
+		{"serverless-chaos", func() (*TraceCapture, error) {
+			return TraceOnce(o.Seed, o.Prm, wms.ModeServerless, true, true)
+		}, "d27ac7fab9bb18216620f6f3ec7e2fc364622f2a5690a72c7e496f95e8458dec"},
+		{"protected", func() (*TraceCapture, error) {
+			return TraceProtectedOnce(o.Seed, o.Prm, true)
+		}, "6ef8cef3723cc86ff4e5f2d3a24454bbbf9af2c97dbd880271ced09e7d3a3650"},
+	}
+	for _, c := range cases {
+		tc, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.Tracer.ChromeBytes())); got != c.want {
+			t.Errorf("%s: Chrome export sha256 = %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -255,3 +255,30 @@ func TestDeployRejectsUnknownRouting(t *testing.T) {
 		t.Errorf("RoutePolicy(7).String() = %q", got)
 	}
 }
+
+// TestWarmInvokeAllocatesNothing: with no tracer attached, an invocation
+// served by a warm replica allocates nothing, span labels included.
+func TestWarmInvokeAllocatesNothing(t *testing.T) {
+	f := newFixture(t)
+	f.env.Go("main", func(p *sim.Proc) {
+		f.prePull(p)
+		spec := baseSpec()
+		spec.InitialScale = 1
+		svc, err := f.kn.Deploy(p, spec)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r := req(0.01)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := svc.Invoke(p, r); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v allocations per warm untraced Invoke, want 0", allocs)
+		}
+		f.kn.Shutdown()
+	})
+	f.env.Run()
+}

@@ -484,8 +484,11 @@ func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 		if !s.kn.budget.TryRetry() {
 			return resp, fmt.Errorf("knative: service %s: retry budget exhausted: %w", s.spec.Name, err)
 		}
-		bo := trace.Start(p, "knative", "backoff",
-			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
+		var bo *trace.Span
+		if tr := trace.FromEnv(p.Env()); tr != nil {
+			bo = tr.StartCurrent("knative", "backoff",
+				trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
+		}
 		p.Sleep(rp.Backoff(attempt, p.Rand()))
 		bo.End()
 	}
@@ -501,8 +504,11 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	s.Requests++
 
 	tr := trace.FromEnv(s.kn.env)
-	sp := tr.StartCurrent("knative", "invoke",
-		trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
+	var sp *trace.Span
+	if tr != nil {
+		sp = tr.StartCurrent("knative", "invoke",
+			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
+	}
 	pop := tr.Push(sp)
 	defer func() { pop(); sp.End() }()
 

@@ -430,7 +430,6 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 				pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
 				continue
 			}
-			p.Tracef("pod %s unschedulable, waiting for capacity", pod.Spec.Name)
 			k.addPending(pod)
 			continue
 		}
@@ -440,7 +439,6 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 		}
 		node := k.cl.Workers[best]
 		k.bind(pod, node)
-		p.Tracef("bound pod %s to %s", pod.Spec.Name, node.Name)
 		k.deliver(node, podOp{pod: pod}, k.cp.BindDelay())
 	}
 }
@@ -715,7 +713,6 @@ func (k *Kube) bringUp(p *sim.Proc, pod *Pod, node *cluster.Node) {
 	pod.ready = true
 	pod.readyAt = p.Now()
 	pod.readyF.Set(nil)
-	p.Tracef("pod %s ready on %s", pod.Spec.Name, node.Name)
 }
 
 func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {

@@ -6,6 +6,7 @@ package registry
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -116,8 +117,11 @@ func (r *Registry) PullLayers(p *sim.Proc, node string, img Image, missing []Lay
 		br.End()
 		return fmt.Errorf("registry: pull %q to %s: %w", img.Name, node, resilience.ErrCircuitOpen)
 	}
-	sp := trace.Start(p, "registry", "layers",
-		trace.L("image", img.Name), trace.L("node", node), trace.L("layers", fmt.Sprint(len(missing))))
+	var sp *trace.Span
+	if tr := trace.FromEnv(p.Env()); tr != nil {
+		sp = tr.StartCurrent("registry", "layers",
+			trace.L("image", img.Name), trace.L("node", node), trace.L("layers", strconv.Itoa(len(missing))))
+	}
 	defer sp.End()
 	if r.faults != nil && r.faults.Roll(faults.KindRegistryError, node) {
 		// The failed request still costs a round trip to the endpoint.

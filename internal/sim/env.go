@@ -21,7 +21,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"time"
 )
 
@@ -53,28 +52,24 @@ type Env struct {
 	compactions int
 	wheelOff    bool // ablation: force everything into the heap
 	ready       procRing
-	procs       map[int]*Proc // live processes, for diagnostics
-	procPool    []*Proc       // idle processes, coroutines suspended, for Go
+	procPool    []*Proc // idle processes, coroutines suspended, for Go
 	seq         uint64
 	cur         *Proc
 	alive       int
 	nextID      int
 	rng         *RNG
-	trace       TraceFunc
-	attach      map[string]any
+	tracer      any // see SetTracer
+	// live is the sentinel of a ring of the live processes, linked
+	// through Proc.prev/next in spawn order, for DumpBlocked.
+	live Proc
 }
-
-// TraceFunc receives structured trace records from Env.Tracef.
-type TraceFunc func(at time.Duration, component, message string)
 
 // NewEnv returns a fresh simulation environment whose random source is
 // seeded with seed. Two environments with the same seed and the same model
 // code execute identically.
 func NewEnv(seed uint64) *Env {
-	e := &Env{
-		procs: make(map[int]*Proc),
-		rng:   NewRNG(seed),
-	}
+	e := &Env{rng: NewRNG(seed)}
+	e.live.prev, e.live.next = &e.live, &e.live
 	e.wheel.init()
 	return e
 }
@@ -97,47 +92,27 @@ func (e *Env) Rand() *RNG { return e.rng }
 // (a modelling bug) or parked on primitives nobody will signal.
 func (e *Env) Alive() int { return e.alive }
 
-// SetTrace installs a trace sink. A nil sink disables tracing.
-func (e *Env) SetTrace(f TraceFunc) { e.trace = f }
+// SetTracer installs the environment's span tracer; nil removes it. The
+// kernel only stores the value: package trace owns its type, and every
+// substrate finds it through trace.FromEnv, so an untraced run pays one
+// nil check per would-be span.
+func (e *Env) SetTracer(t any) { e.tracer = t }
 
-// Attach associates a value with the environment under key. Higher layers use
-// it to share per-simulation singletons (e.g. a span tracer) across substrates
-// without global state; keys are conventionally the owning package's path.
-func (e *Env) Attach(key string, v any) {
-	if e.attach == nil {
-		e.attach = make(map[string]any)
-	}
-	e.attach[key] = v
-}
-
-// Attached returns the value stored under key by Attach, or nil.
-func (e *Env) Attached(key string) any { return e.attach[key] }
+// Tracer returns the value installed by SetTracer, or nil.
+func (e *Env) Tracer() any { return e.tracer }
 
 // CurrentProc returns the process whose coroutine is running, or nil when
 // the scheduler itself (an event callback) is running. Because
 // scheduling is strictly sequential this is unambiguous at any instant.
 func (e *Env) CurrentProc() *Proc { return e.cur }
 
-// Tracef emits a trace record tagged with the current virtual time.
-// It is a no-op unless a sink was installed with SetTrace.
-func (e *Env) Tracef(component, format string, args ...any) {
-	if e.trace != nil {
-		e.trace(e.now, component, fmt.Sprintf(format, args...))
-	}
-}
-
 // DumpBlocked writes one line per live process to the sink, in spawn
 // order — the first debugging step when a simulation fails to drain
 // (Alive > 0 after Run): whatever is listed is parked on a primitive
 // nobody will signal.
 func (e *Env) DumpBlocked(sink func(line string)) {
-	ids := make([]int, 0, len(e.procs))
-	for id := range e.procs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		sink(fmt.Sprintf("%v [%s]", e.procs[id], e.procs[id].state))
+	for p := e.live.next; p != &e.live; p = p.next {
+		sink(fmt.Sprintf("%v [%s]", p, p.state))
 	}
 }
 
@@ -161,7 +136,8 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	p.state = stateReady
 	e.nextID++
 	e.alive++
-	e.procs[p.id] = p
+	p.prev, p.next = e.live.prev, &e.live // append to the live ring
+	p.prev.next, e.live.prev = p, p
 	e.ready.push(p)
 	return p
 }

@@ -183,21 +183,6 @@ func TestGoFromWithinProc(t *testing.T) {
 	}
 }
 
-func TestTraceSink(t *testing.T) {
-	env := NewEnv(1)
-	var got []string
-	env.SetTrace(func(at time.Duration, component, msg string) {
-		got = append(got, component+":"+msg)
-	})
-	env.Go("worker", func(p *Proc) {
-		p.Tracef("hello %d", 7)
-	})
-	env.Run()
-	if len(got) != 1 || got[0] != "worker:hello 7" {
-		t.Errorf("trace = %v", got)
-	}
-}
-
 func TestBlockedForeverReported(t *testing.T) {
 	env := NewEnv(1)
 	f := NewFuture[int](env)
@@ -228,6 +213,29 @@ func TestDumpBlockedListsStuckProcesses(t *testing.T) {
 	// Order is spawn order.
 	if !strings.Contains(lines[0], "stuck-one") {
 		t.Errorf("lines out of spawn order: %v", lines)
+	}
+
+	// A process retiring between two live ones leaves the rest in spawn
+	// order, and a later Go that reuses its coroutine lists last.
+	env = NewEnv(1)
+	f = NewFuture[int](env)
+	env.Go("stuck-one", func(p *Proc) { f.Get(p) })
+	middle := env.Go("middle", func(p *Proc) {})
+	env.Go("stuck-two", func(p *Proc) { f.Get(p) })
+	var late *Proc
+	env.Go("spawner", func(p *Proc) {
+		p.Sleep(time.Second)
+		late = env.Go("late", func(p *Proc) { f.Get(p) })
+	})
+	env.Run()
+	if late != middle {
+		t.Fatal("late did not reuse the middle process's coroutine")
+	}
+	lines = lines[:0]
+	env.DumpBlocked(func(line string) { lines = append(lines, line) })
+	want := []string{"proc 0 (stuck-one) [parked]", "proc 2 (stuck-two) [parked]", "proc 4 (late) [parked]"}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("DumpBlocked = %q, want %q", lines, want)
 	}
 }
 

@@ -45,6 +45,8 @@ type Proc struct {
 	name  string
 	state procState
 	fn    func(*Proc) // the body of the current lifetime; nil while idle
+	// prev and next link the live processes in spawn order (Env.live).
+	prev, next *Proc
 	// resume switches from the driver into the coroutine, which runs until
 	// it calls yield; stop ends an idle coroutine.
 	resume func() (struct{}, bool)
@@ -75,7 +77,7 @@ func (p *Proc) body(yield func(struct{}) bool) {
 		p.fn = nil
 		p.state = stateDone
 		e.alive--
-		delete(e.procs, p.id)
+		p.prev.next, p.next.prev = p.next, p.prev // leave the live ring
 		if len(e.procPool) == maxIdleProcs {
 			return
 		}
@@ -110,11 +112,6 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Rand returns the environment's deterministic random source.
 func (p *Proc) Rand() *RNG { return p.env.rng }
-
-// Tracef emits a trace record attributed to this process.
-func (p *Proc) Tracef(format string, args ...any) {
-	p.env.Tracef(p.name, format, args...)
-}
 
 // String identifies the process in diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name) }

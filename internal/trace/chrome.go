@@ -20,9 +20,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
-	lane := t.lanes()
 	first := true
-	for _, sp := range t.Sorted() {
+	for _, sp := range t.Spans() {
 		if !sp.ended {
 			continue
 		}
@@ -32,7 +31,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			}
 		}
 		first = false
-		if err := writeChromeEvent(w, sp, lane[sp.id]); err != nil {
+		if err := writeChromeEvent(w, sp); err != nil {
 			return err
 		}
 	}
@@ -49,23 +48,7 @@ func (t *Tracer) ChromeBytes() []byte {
 	return buf.Bytes()
 }
 
-// lanes maps every span to its root ancestor's ID, the tid used for the
-// viewer lane.
-func (t *Tracer) lanes() map[SpanID]SpanID {
-	lane := make(map[SpanID]SpanID, t.Len())
-	for _, sp := range t.Spans() { // creation order: parents precede children
-		if sp.parent == 0 {
-			lane[sp.id] = sp.id
-		} else if root, ok := lane[sp.parent]; ok {
-			lane[sp.id] = root
-		} else {
-			lane[sp.id] = sp.id
-		}
-	}
-	return lane
-}
-
-func writeChromeEvent(w io.Writer, sp *Span, tid SpanID) error {
+func writeChromeEvent(w io.Writer, sp *Span) error {
 	name, err := json.Marshal(sp.name)
 	if err != nil {
 		return err
@@ -75,7 +58,7 @@ func writeChromeEvent(w io.Writer, sp *Span, tid SpanID) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"span\":%d,\"parent\":%d",
-		name, cat, micros(sp.start), micros(sp.end-sp.start), tid, sp.id, sp.parent); err != nil {
+		name, cat, micros(sp.start), micros(sp.end-sp.start), sp.root, sp.id, sp.parent); err != nil {
 		return err
 	}
 	for _, l := range sp.labels {

@@ -178,6 +178,7 @@ type CriticalPath struct {
 type taskInterval struct {
 	start, end time.Duration
 	attempts   []*Span
+	decl       int // position in the DAG's declaration order
 }
 
 // Analyze extracts the critical path of the named workflow from the trace.
@@ -202,9 +203,8 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 		return nil, fmt.Errorf("trace: workflow span for %q never ended", workflow)
 	}
 
-	children := childIndex(t)
 	tasks := make(map[string]*taskInterval)
-	for _, sp := range children[wf.id] {
+	for sp := wf.firstChild; sp != nil; sp = sp.nextSibling {
 		if sp.name != "task" || !sp.Ended() {
 			continue
 		}
@@ -228,15 +228,13 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 
 	// Tail of the path: the task observed finished last (ties break by DAG
 	// declaration order, which is deterministic).
-	order := dag.TaskIDs()
-	declared := make(map[string]int, len(order))
 	var last string
-	for k, id := range order {
-		declared[id] = k
+	for k, id := range dag.TaskIDs() {
 		ti := tasks[id]
 		if ti == nil {
 			continue
 		}
+		ti.decl = k
 		if last == "" || ti.end > tasks[last].end {
 			last = id
 		}
@@ -256,7 +254,7 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 				continue
 			}
 			if next == "" || tasks[par].end > tasks[next].end ||
-				tasks[par].end == tasks[next].end && declared[par] < declared[next] {
+				tasks[par].end == tasks[next].end && tasks[par].decl < tasks[next].decl {
 				next = par
 			}
 		}
@@ -286,7 +284,7 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 		}
 		var attempted time.Duration
 		for _, att := range ti.attempts {
-			addSelfTimes(att, children, step.Stages)
+			addSelfTimes(att, step.Stages)
 			attempted += att.Duration()
 		}
 		// Time inside the step not covered by any attempt is retry backoff
@@ -323,12 +321,12 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 // hedge-won attempt's own self time — the window spent waiting on the
 // straggling primary before and during the hedge — counts as queue wait
 // rather than poll lag.
-func addSelfTimes(root *Span, children map[SpanID][]*Span, into map[Stage]time.Duration) {
+func addSelfTimes(root *Span, into map[Stage]time.Duration) {
 	_, hedgeWon := root.Label("hedge-win")
 	var walk func(sp *Span) // returns nothing; accumulates into `into`
 	walk = func(sp *Span) {
 		var covered time.Duration
-		for _, c := range children[sp.id] {
+		for c := sp.firstChild; c != nil; c = c.nextSibling {
 			if sp == root && skipLosingCopy(c, hedgeWon) {
 				continue
 			}
@@ -361,16 +359,6 @@ func skipLosingCopy(c *Span, hedgeWon bool) bool {
 		return status != "won"
 	}
 	return hedgeWon && c.substrate == "condor"
-}
-
-func childIndex(t *Tracer) map[SpanID][]*Span {
-	idx := make(map[SpanID][]*Span, t.Len())
-	for _, sp := range t.Spans() {
-		if sp.parent != 0 {
-			idx[sp.parent] = append(idx[sp.parent], sp)
-		}
-	}
-	return idx
 }
 
 // StageSum returns the total across all stage buckets; by construction it

@@ -14,19 +14,21 @@
 // such as a condor job carries its span across processes) or implicitly via
 // the tracer's current-span stack, which exploits the kernel's cooperative
 // scheduling — exactly one process runs at a time, so "the current span of
-// the running process" is unambiguous. Substrates call trace.FromEnv and the
-// nil tracer is a no-op, so tracing costs nothing when not enabled.
+// the running process" is unambiguous. Each span is linked to its parent's
+// children and to its root when it starts, so the analyzer and the exporter
+// walk the forest without building an index.
+//
+// Substrates call trace.FromEnv and the nil tracer is a no-op. Start copies
+// its labels, so a call site's label list stays on its stack: an untraced run
+// allocates nothing for tracing. A label value that needs formatting is
+// computed only when a tracer is attached.
 package trace
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/sim"
 )
-
-// envKey is the sim.Env attachment key the tracer lives under.
-const envKey = "repro/internal/trace"
 
 // SpanID identifies a span within its trace. IDs are assigned sequentially
 // from 1 in creation order; 0 means "no span" (a root's parent).
@@ -52,6 +54,11 @@ type Span struct {
 	end       time.Duration
 	ended     bool
 	tracer    *Tracer
+	// root is the ID of the span's root ancestor (its own for a root).
+	root SpanID
+	// firstChild and lastChild delimit the span's children, linked through
+	// nextSibling in creation order.
+	firstChild, lastChild, nextSibling *Span
 }
 
 // ID returns the span's identifier.
@@ -141,14 +148,15 @@ type Tracer struct {
 // FromEnv lookups.
 func New(env *sim.Env) *Tracer {
 	t := &Tracer{env: env, cur: make(map[int]*Span)}
-	env.Attach(envKey, t)
+	env.SetTracer(t)
 	return t
 }
 
 // FromEnv returns the tracer attached to env, or nil when tracing is off.
-// All Tracer and Span methods are nil-safe, so call sites need no guard.
+// All Tracer and Span methods are nil-safe, so a call site needs a guard
+// only to skip formatting a label value.
 func FromEnv(env *sim.Env) *Tracer {
-	t, _ := env.Attached(envKey).(*Tracer)
+	t, _ := env.Tracer().(*Tracer)
 	return t
 }
 
@@ -160,8 +168,10 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Spans returns the recorded spans in creation order. The slice is shared;
-// callers must not mutate it.
+// Spans returns the recorded spans in creation order, which is also their
+// (start, ID) order — the canonical export order — because a span starts at
+// the current virtual time and the clock never runs backwards. The slice is
+// shared; callers must not mutate it.
 func (t *Tracer) Spans() []*Span {
 	if t == nil {
 		return nil
@@ -178,7 +188,9 @@ func (t *Tracer) Span(id SpanID) *Span {
 }
 
 // Start opens a span under the given parent (nil = root) beginning at the
-// current virtual time. Safe on a nil tracer (returns nil).
+// current virtual time, and links it last among the parent's children.
+// The labels are copied, so the caller's list never escapes. Safe on a nil
+// tracer (returns nil).
 func (t *Tracer) Start(parent *Span, substrate, name string, labels ...Label) *Span {
 	if t == nil {
 		return nil
@@ -187,12 +199,20 @@ func (t *Tracer) Start(parent *Span, substrate, name string, labels ...Label) *S
 		id:        SpanID(len(t.spans) + 1),
 		substrate: substrate,
 		name:      name,
-		labels:    labels,
+		labels:    append([]Label(nil), labels...),
 		start:     t.env.Now(),
 		tracer:    t,
 	}
+	sp.root = sp.id
 	if parent != nil {
 		sp.parent = parent.id
+		sp.root = parent.root
+		if parent.lastChild == nil {
+			parent.firstChild = sp
+		} else {
+			parent.lastChild.nextSibling = sp
+		}
+		parent.lastChild = sp
 	}
 	t.spans = append(t.spans, sp)
 	return sp
@@ -253,17 +273,4 @@ func (t *Tracer) Push(sp *Span) func() {
 // span) when tracing is off.
 func Start(p *sim.Proc, substrate, name string, labels ...Label) *Span {
 	return FromEnv(p.Env()).StartCurrent(substrate, name, labels...)
-}
-
-// Sorted returns the spans ordered by (start, ID) — the canonical export
-// order, stable because IDs are assigned deterministically.
-func (t *Tracer) Sorted() []*Span {
-	out := append([]*Span(nil), t.Spans()...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].start != out[j].start {
-			return out[i].start < out[j].start
-		}
-		return out[i].id < out[j].id
-	})
-	return out
 }

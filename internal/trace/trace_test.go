@@ -199,3 +199,34 @@ func TestAnalyzeErrors(t *testing.T) {
 		t.Error("missing workflow accepted")
 	}
 }
+
+// TestUntracedStartAllocatesNothing: with no tracer attached, opening and
+// ending a labelled span allocates nothing — the variadic label list stays
+// on the caller's stack because Start copies what it keeps.
+func TestUntracedStartAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	env.Go("worker", func(p *sim.Proc) {
+		node := "worker1"
+		allocs := testing.AllocsPerRun(100, func() {
+			sp := trace.Start(p, "crt", "exec", trace.L("image", "matmul"), trace.L("node", node))
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Errorf("%v allocations per untraced Start, want 0", allocs)
+		}
+	})
+	env.Run()
+}
+
+// TestStartCopiesLabels: a span keeps its own copy of the labels passed to
+// Start, so a caller reusing its slice cannot rewrite a recorded span.
+func TestStartCopiesLabels(t *testing.T) {
+	env := sim.NewEnv(1)
+	tr := trace.New(env)
+	labels := []trace.Label{trace.L("k", "v")}
+	sp := tr.Start(nil, "test", "op", labels...)
+	labels[0].Value = "changed"
+	if v, _ := sp.Label("k"); v != "v" {
+		t.Errorf("label k = %q after the caller's slice changed, want v", v)
+	}
+}

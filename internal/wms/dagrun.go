@@ -287,10 +287,13 @@ func (d *dagRun) deadlineAbort() *AbortError {
 // plans and submits the condor job, and registers the flight.
 func (d *dagRun) submitOne(i int32) (*flight, error) {
 	task, t := d.wf.tasks[i], &d.tasks[i]
-	sp := d.tracer.Start(d.wfSpan, "wms", "task",
-		trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
-		trace.L("mode", t.mode.String()),
-		trace.L("attempt", strconv.Itoa(t.attempts+1)))
+	var sp *trace.Span
+	if d.tracer != nil {
+		sp = d.tracer.Start(d.wfSpan, "wms", "task",
+			trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
+			trace.L("mode", t.mode.String()),
+			trace.L("attempt", strconv.Itoa(t.attempts+1)))
+	}
 	popCur := d.tracer.Push(sp) // condor job span nests under the attempt
 	job, err := d.e.submitTask(d.wf, task, t.mode, d.absDeadline)
 	popCur()
@@ -320,9 +323,12 @@ func (d *dagRun) hedgeCap() int {
 // first.
 func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
 	task := d.wf.tasks[i]
-	hs := d.tracer.Start(f.attempt, "wms", "hedge",
-		trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
-		trace.L("copy", strconv.Itoa(len(f.copies))))
+	var hs *trace.Span
+	if d.tracer != nil {
+		hs = d.tracer.Start(f.attempt, "wms", "hedge",
+			trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
+			trace.L("copy", strconv.Itoa(len(f.copies))))
+	}
 	popCur := d.tracer.Push(hs)
 	job, err := d.e.submitTask(d.wf, task, d.tasks[i].mode, d.absDeadline)
 	popCur()

@@ -180,7 +180,9 @@ func (r *eventRun) settle(p *sim.Proc, i int32) {
 		rel := d.tracer.Start(d.wfSpan, "wms", "release",
 			trace.L("workflow", d.wf.Name), trace.L("task", d.wf.tasks[i].ID))
 		released := d.observeWin(i, f, winIdx)
-		rel.SetLabel("released", strconv.Itoa(released))
+		if rel != nil {
+			rel.SetLabel("released", strconv.Itoa(released))
+		}
 		rel.End()
 		if d.ndone == d.wf.Len() {
 			d.res.FinishedAt = p.Now()
