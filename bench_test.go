@@ -437,95 +437,72 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernelMillionTimers is the headline far-future stress: a
-// million timers spread over five virtual minutes — the cluster-scale
-// autoscaler-window / retry-backoff population — armed and then drained to
-// completion. The heap-only sub-bench ablates the timer wheel (every arm
-// and pop pays the full heap depth); compare the ns/timer lines.
+// BenchmarkSimKernelMillionTimers is the far-future stress: a million
+// timers spread over five virtual minutes, armed and then drained to
+// completion. No experiment holds a population near this size (the
+// largest, full `repro scale`, peaks at 32,769 pending events); the
+// benchmark bounds what such a population would cost in the one 4-ary
+// heap.
 func BenchmarkSimKernelMillionTimers(b *testing.B) {
 	const nTimers = 1 << 20
-	for _, cfg := range []struct {
-		name     string
-		heapOnly bool
-	}{{"wheel", false}, {"heap-only", true}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			// One Env across iterations: after the first arm+drain the
-			// event free list holds the whole population, so the steady
-			// state is allocation-free and the numbers measure the queue
-			// structures, not the allocator.
-			env := sim.NewEnv(1)
-			if cfg.heapOnly {
-				env.DisableTimerWheel()
-			}
-			rng := sim.NewRNG(42)
-			fired := 0
-			cb := func() { fired++ }
-			// Warm-up drain: populate the free list so even a single
-			// timed iteration measures the steady state.
-			for j := 0; j < nTimers; j++ {
-				env.At(env.Now()+time.Duration(1+rng.Intn(int(300*time.Second))), cb)
-			}
-			env.Run()
-			fired = 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := env.Now()
-				for j := 0; j < nTimers; j++ {
-					env.At(base+time.Duration(1+rng.Intn(int(300*time.Second))), cb)
-				}
-				env.Run()
-			}
-			b.StopTimer()
-			if fired != b.N*nTimers {
-				b.Fatalf("fired %d, want %d", fired, b.N*nTimers)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nTimers, "ns/timer")
-		})
+	// One Env across iterations: after the first arm+drain the event free
+	// list holds the whole population, so the steady state is
+	// allocation-free and the numbers measure the queue, not the allocator.
+	env := sim.NewEnv(1)
+	rng := sim.NewRNG(42)
+	fired := 0
+	cb := func() { fired++ }
+	// Warm-up drain: populate the free list so even a single timed
+	// iteration measures the steady state.
+	for j := 0; j < nTimers; j++ {
+		env.At(env.Now()+time.Duration(1+rng.Intn(int(300*time.Second))), cb)
 	}
+	env.Run()
+	fired = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := env.Now()
+		for j := 0; j < nTimers; j++ {
+			env.At(base+time.Duration(1+rng.Intn(int(300*time.Second))), cb)
+		}
+		env.Run()
+	}
+	b.StopTimer()
+	if fired != b.N*nTimers {
+		b.Fatalf("fired %d, want %d", fired, b.N*nTimers)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nTimers, "ns/timer")
 }
 
 // BenchmarkSimKernelTimerChurn measures the cancellation-heavy regime: a
 // standing population of far-future timers where 90% are cancelled and
-// re-armed before they fire (the keepalive/backoff lifecycle). The wheel
-// collects cancellations lazily in O(1) amortized; heap-only pays
-// compaction sweeps over the whole queue.
+// re-armed before they fire (the keepalive/backoff lifecycle). Cancelled
+// timers leave lazily at the heap top or in a compaction sweep.
 func BenchmarkSimKernelTimerChurn(b *testing.B) {
-	for _, cfg := range []struct {
-		name     string
-		heapOnly bool
-	}{{"wheel", false}, {"heap-only", true}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			env := sim.NewEnv(1)
-			if cfg.heapOnly {
-				env.DisableTimerWheel()
-			}
-			rng := sim.NewRNG(7)
-			cb := func() {}
-			const window = 4096
-			ring := make([]sim.Timer, window)
-			arm := func() sim.Timer {
-				return env.After(time.Duration(1+rng.Intn(int(10*time.Second))), cb)
-			}
-			for i := range ring {
-				ring[i] = arm()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slot := i & (window - 1)
-				if rng.Intn(10) != 0 { // 90% cancelled before firing
-					ring[slot].Stop()
-				}
-				ring[slot] = arm()
-				if i&1023 == 0 {
-					env.RunFor(time.Millisecond)
-				}
-			}
-			b.StopTimer()
-			env.Run()
-		})
+	env := sim.NewEnv(1)
+	rng := sim.NewRNG(7)
+	cb := func() {}
+	const window = 4096
+	ring := make([]sim.Timer, window)
+	arm := func() sim.Timer {
+		return env.After(time.Duration(1+rng.Intn(int(10*time.Second))), cb)
 	}
+	for i := range ring {
+		ring[i] = arm()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i & (window - 1)
+		if rng.Intn(10) != 0 { // 90% cancelled before firing
+			ring[slot].Stop()
+		}
+		ring[slot] = arm()
+		if i&1023 == 0 {
+			env.RunFor(time.Millisecond)
+		}
+	}
+	b.StopTimer()
+	env.Run()
 }
 
 // BenchmarkFluidServer measures the processor-sharing model under churn.

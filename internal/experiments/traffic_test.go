@@ -55,7 +55,11 @@ func TestTrafficArmsDifferentiate(t *testing.T) {
 // the old code produced. The trace and chaos goldens were captured
 // immediately before the engine's execution-mode refactor: they pin the
 // poll-mode release path (the default) to the seed loop's byte-exact traces
-// and span orderings.
+// and span orderings. The traffic, execmode, fig2, fig6, datamove, resize,
+// redirect, clustering, montage and isolation goldens were captured
+// immediately before the kernel's timer wheel and same-timestamp chain
+// were deleted: they pin every remaining experiment to the bytes the
+// two-structure event queue produced.
 func TestSeedCompatGoldens(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "seedcompat", "*-quick.golden"))
 	if err != nil || len(paths) == 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -89,53 +90,25 @@ func TestAfterFireSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWheelArmCancelSteadyStateZeroAlloc: the wheel path is allocation-free
-// once warm too. Slot slices keep their capacity across flushes (list[:0]),
-// so after one lap of traffic an arm→cancel→flush cycle through the wheel
-// recycles everything.
-func TestWheelArmCancelSteadyStateZeroAlloc(t *testing.T) {
-	env := NewEnv(1)
-	cb := func() {}
-	// Warm every level-1 slot: arming at a fixed 200ms lead while the clock
-	// advances in sub-slot steps walks the arms through all 64 slot slices,
-	// giving each one capacity before the measured loop.
-	for i := 0; i < 3*wheelSlots; i++ {
-		env.After(200*time.Millisecond, cb)
-		env.RunFor(34 * time.Millisecond)
-	}
-	env.Run()
-	avg := testing.AllocsPerRun(200, func() {
-		tm := env.After(200*time.Millisecond, cb)
-		if env.wheel.count != 1 {
-			t.Fatal("timer missed the wheel")
-		}
-		if !tm.Stop() {
-			t.Fatal("Stop of fresh wheel timer returned false")
-		}
-		env.RunFor(300 * time.Millisecond) // flush collects the cancelled event
-	})
-	if avg != 0 {
-		t.Errorf("steady-state wheel arm+cancel allocates %.1f times per cycle, want 0", avg)
-	}
-}
+// envSink keeps the Envs built by TestNewEnvBudget on the heap.
+var envSink *Env
 
-// TestWheelArmFireSteadyStateZeroAlloc: the full arm→promote→fire cycle
-// through the wheel, including the slot flush and heap push, is
-// allocation-free in steady state.
-func TestWheelArmFireSteadyStateZeroAlloc(t *testing.T) {
-	env := NewEnv(1)
-	fired := 0
-	cb := func() { fired++ }
-	for i := 0; i < 3*wheelSlots; i++ { // see TestWheelArmCancelSteadyStateZeroAlloc
-		env.After(200*time.Millisecond, cb)
-		env.RunFor(34 * time.Millisecond)
+// TestNewEnvBudget: a fresh Env is two small allocations (the Env and its
+// RNG). Fig. 5's grid builds one per simulation, so anything sized or
+// allocated up front in NewEnv is paid hundreds of times per sweep.
+func TestNewEnvBudget(t *testing.T) {
+	if avg := testing.AllocsPerRun(100, func() { envSink = NewEnv(1) }); avg > 2 {
+		t.Errorf("NewEnv allocates %.1f times, want <= 2", avg)
 	}
-	env.Run()
-	avg := testing.AllocsPerRun(200, func() {
-		env.After(200*time.Millisecond, cb)
-		env.RunFor(300 * time.Millisecond)
-	})
-	if avg != 0 {
-		t.Errorf("steady-state wheel arm+fire allocates %.1f times per event, want 0", avg)
+	const n = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		envSink = NewEnv(uint64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / n; b > 512 {
+		t.Errorf("NewEnv allocates %d bytes, want <= 512", b)
 	}
 }

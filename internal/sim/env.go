@@ -20,7 +20,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 )
 
@@ -30,27 +29,16 @@ import (
 // goroutine that is not itself a simulation process.
 type Env struct {
 	now    time.Duration
-	events eventQueue // near-horizon events, exact (at, seq) order
-	wheel  timerWheel // far-future events, promoted into the heap on demand
+	events eventQueue // every pending event, exact (at, seq) order
 	free   []*event   // recycled event structs; steady-state After is 0-alloc
-	// batch is the tail of a same-timestamp chain currently being
-	// delivered: its head was popped from the heap and the members fire
-	// one per step, in seq order, without further heap traffic.
-	batch *event
-	// memo is the most recently scheduled chain head; a consecutive arm
-	// for the same timestamp appends to its chain in O(1). memoGen detects
-	// the head having fired or been recycled since.
-	memo    *event
-	memoGen uint64
-	// Cancellation accounting. ncancel counts cancelled events still
-	// buried anywhere (heap, wheel, or the in-flight batch) and nqueued
-	// counts all buried events; both are kept exact by every lazy-drop
-	// path so the compaction trigger never fires over an almost-clean
-	// queue. compactions counts eager sweeps, for tests.
+	// Cancellation accounting. ncancel counts cancelled events still in
+	// the heap and nqueued counts all events in it; the heap-top drop and
+	// compaction both keep them exact, so the compaction trigger never
+	// fires over an almost-clean queue. compactions counts eager sweeps,
+	// for tests.
 	ncancel     int
 	nqueued     int
 	compactions int
-	wheelOff    bool // ablation: force everything into the heap
 	ready       procRing
 	procPool    []*Proc // idle processes, coroutines suspended, for Go
 	seq         uint64
@@ -70,15 +58,8 @@ type Env struct {
 func NewEnv(seed uint64) *Env {
 	e := &Env{rng: NewRNG(seed)}
 	e.live.prev, e.live.next = &e.live, &e.live
-	e.wheel.init()
 	return e
 }
-
-// DisableTimerWheel forces every event into the near-horizon heap,
-// ablating the hierarchical timer wheel. It exists for benchmarks that
-// compare the wheel against the heap-only baseline (the firing order is
-// identical either way); call it before arming any timers.
-func (e *Env) DisableTimerWheel() { e.wheelOff = true }
 
 // Now returns the current virtual time, measured from the start of the
 // simulation.
@@ -170,19 +151,16 @@ func (e *Env) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.proc = nil
-	ev.next = nil
-	ev.tail = nil
 	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
 
 // noteCancelled is called by Timer.Stop. Cancelled events normally leave
-// the queue lazily — discarded when they surface at the heap top, at a
-// wheel flush, or at batch delivery, each of which decrements ncancel so
-// lazily-drained cancels never count toward the next trigger. When they
-// pile up past a quarter of everything buried we compact eagerly so a
-// cancellation-heavy workload (retry timers, timeouts that rarely fire)
-// cannot bloat the queue.
+// the queue lazily — discarded when they surface at the heap top, which
+// decrements ncancel so lazily-drained cancels never count toward the next
+// trigger. When they pile up past a quarter of the queue we compact eagerly
+// so a cancellation-heavy workload (retry timers, timeouts that rarely
+// fire) cannot bloat the heap.
 func (e *Env) noteCancelled() {
 	e.ncancel++
 	if e.ncancel >= 64 && e.ncancel*4 >= e.nqueued {
@@ -190,90 +168,24 @@ func (e *Env) noteCancelled() {
 	}
 }
 
-// compactEvents filters cancelled events out of the heap, the wheel, and
-// the in-flight batch in one sweep and restores the heap property. Pop
-// order of the survivors is unchanged (see eventQueue.heapify; wheel slots
-// are unordered by construction). ncancel is decremented per event
-// actually collected rather than zeroed, so the counter stays exact even
-// while cancelled events sit in places a sweep cannot reach.
+// compactEvents filters cancelled events out of the heap and restores the
+// heap property. Pop order of the survivors is unchanged (see
+// eventQueue.heapify).
 func (e *Env) compactEvents() {
 	e.compactions++
 	kept := e.events[:0]
 	for _, ev := range e.events {
-		if ev = e.compactNode(ev); ev != nil {
-			kept = append(kept, ev)
-		}
-	}
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = kept
-	e.events.heapify()
-	w := &e.wheel
-	for l := 1; l < wheelLevels; l++ {
-		occ := w.occ[l]
-		for occ != 0 {
-			i := bits.TrailingZeros64(occ)
-			occ &= occ - 1
-			list := w.slot[l][i]
-			keptSlot := list[:0]
-			for _, ev := range list {
-				if ev = e.compactNode(ev); ev != nil {
-					keptSlot = append(keptSlot, ev)
-				} else {
-					w.count--
-				}
-			}
-			for k := len(keptSlot); k < len(list); k++ {
-				list[k] = nil
-			}
-			w.slot[l][i] = keptSlot
-			if len(keptSlot) == 0 {
-				w.occ[l] &^= 1 << uint(i)
-			}
-		}
-	}
-	if e.batch != nil {
-		e.batch = e.compactNode(e.batch)
-	}
-}
-
-// compactNode drops cancelled events from a chain node (releasing them and
-// updating the cancellation accounting) and returns the surviving head, or
-// nil when nothing survives. When the head itself was cancelled the first
-// live member is promoted: its seq is larger than the old head's but still
-// smaller than any other node's same-timestamp events, so pop order is
-// unaffected.
-func (e *Env) compactNode(head *event) *event {
-	if !head.cancelled && head.next == nil {
-		return head
-	}
-	var first, last *event
-	for ev := head; ev != nil; {
-		nx := ev.next
-		ev.next = nil
 		if ev.cancelled {
 			e.ncancel--
 			e.nqueued--
 			e.release(ev)
-		} else {
-			if first == nil {
-				first = ev
-			} else {
-				last.next = ev
-			}
-			last = ev
+			continue
 		}
-		ev = nx
+		kept = append(kept, ev)
 	}
-	if first == nil {
-		return nil
-	}
-	first.tail = nil
-	if first.next != nil {
-		first.tail = last
-	}
-	return first
+	clear(e.events[len(kept):])
+	e.events = kept
+	e.events.heapify()
 }
 
 // At schedules fn to run in scheduler context at absolute virtual time t
@@ -299,41 +211,12 @@ func (e *Env) afterWake(d time.Duration, p *Proc) {
 	e.schedule(e.newEvent(e.now+d, nil, p))
 }
 
-// schedule files a fresh event into the queue. Three destinations, one
-// contract — events fire in (at, seq) order:
-//
-//   - A run of consecutive arms for the same timestamp (a fan-out storm
-//     scheduling n completions at one instant) chains onto the first arm's
-//     event in O(1): one heap/wheel node for the whole storm, and batched
-//     O(1)-per-event delivery when it fires. Chaining is sound because the
-//     run is contiguous in seq: any other node's same-timestamp events are
-//     entirely before the head or entirely after the last member.
-//   - Events due within wheelNearSpan go to the 4-ary heap, which is the
-//     only structure that orders firing.
-//   - Far-future events go to the timer wheel and are promoted into the
-//     heap before their timestamp can fire.
+// schedule files a fresh event into the heap, which fires events in
+// (at, seq) order.
 func (e *Env) schedule(ev *event) {
 	e.nqueued++
-	if m := e.memo; m != nil && m.gen == e.memoGen && m.at == ev.at {
-		if m.tail != nil {
-			m.tail.next = ev
-		} else {
-			m.next = ev
-		}
-		m.tail = ev
-		return
-	}
-	e.memo = ev
-	e.memoGen = ev.gen
-	if d := ev.at - e.now; d < wheelNearSpan || e.wheelOff {
-		e.events.push(ev)
-	} else {
-		e.wheel.insert(ev, e.now)
-	}
+	e.events.push(ev)
 }
-
-// nearPush moves a promoted wheel node into the heap.
-func (e *Env) nearPush(ev *event) { e.events.push(ev) }
 
 // Run drives the simulation until no process is runnable and no event is
 // pending, and returns the final virtual time. Processes still alive at that
@@ -359,7 +242,7 @@ func (e *Env) Run() time.Duration {
 func (e *Env) RunUntil(t time.Duration) time.Duration {
 	for e.step(t) {
 	}
-	if e.alive == 0 || (len(e.events) == 0 && e.wheel.count == 0) {
+	if e.alive == 0 || len(e.events) == 0 {
 		e.releaseIdle()
 	}
 	return e.now
@@ -374,12 +257,9 @@ func (e *Env) RunFor(d time.Duration) time.Duration {
 // next blocking point, or fire the next event. horizon < 0 means no limit.
 // It returns false when there is nothing left to do within the horizon.
 //
-// Dispatch order is exactly the pre-wheel kernel's: ready processes first,
-// then events in strict (at, seq) order, one deliverable per step (so a
-// woken process runs before the next same-timestamp event, as before).
-// The batch and the wheel only change how the next deliverable is found —
-// an in-flight same-timestamp chain is drained without heap traffic, and
-// wheel slots are promoted into the heap before their window can fire.
+// Ready processes run first, then events in strict (at, seq) order, one
+// per step, so a woken process runs before the next same-timestamp event.
+// Cancelled events are dropped as they surface at the heap top.
 func (e *Env) step(horizon time.Duration) bool {
 	if p, ok := e.ready.pop(); ok {
 		e.cur = p
@@ -388,62 +268,13 @@ func (e *Env) step(horizon time.Duration) bool {
 		e.cur = nil
 		return true
 	}
-	for e.batch != nil {
-		ev := e.batch
-		e.batch = ev.next
-		e.nqueued--
-		if ev.cancelled {
-			e.ncancel--
-			e.release(ev)
-			continue
-		}
-		fn, p := ev.fn, ev.proc
-		e.release(ev)
-		if p != nil {
-			p.wake()
-		} else {
-			fn()
-		}
-		return true
-	}
-	for {
-		if e.wheel.count > 0 {
-			if horizon >= 0 && len(e.events) == 0 && e.wheel.next > horizon {
-				e.now = horizon
-				return false
-			}
-			e.syncWheel()
-		}
-		if len(e.events) == 0 {
-			return false
-		}
+	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled {
 			e.events.popMin()
 			e.ncancel--
 			e.nqueued--
-			chain, tl := ev.next, ev.tail
 			e.release(ev)
-			for chain != nil && chain.cancelled {
-				nx := chain.next
-				e.ncancel--
-				e.nqueued--
-				e.release(chain)
-				chain = nx
-			}
-			if chain != nil {
-				// A cancelled head still anchored live same-timestamp
-				// members: the first live one becomes the node. It is the
-				// global minimum (same at, and every other node's events
-				// sort entirely before the old head or after the chain),
-				// so the next loop iteration pops it with the usual
-				// horizon check.
-				chain.tail = nil
-				if chain.next != nil {
-					chain.tail = tl
-				}
-				e.events.push(chain)
-			}
 			continue
 		}
 		if horizon >= 0 && ev.at > horizon {
@@ -452,7 +283,6 @@ func (e *Env) step(horizon time.Duration) bool {
 		}
 		e.events.popMin()
 		e.now = ev.at
-		e.batch = ev.next
 		fn, p := ev.fn, ev.proc
 		e.nqueued--
 		e.release(ev)
@@ -463,6 +293,7 @@ func (e *Env) step(horizon time.Duration) bool {
 		}
 		return true
 	}
+	return false
 }
 
 // enqueue marks p ready and appends it to the run queue. The caller must be

@@ -8,19 +8,12 @@ import "time"
 // stale Timer handle can tell that the event it armed is gone. When proc is
 // non-nil the event is a bare process wake-up (the Sleep fast path) and fn
 // is unused — firing it enqueues the process without any closure.
-//
-// Events armed back-to-back for the same timestamp chain onto the first
-// one via next instead of occupying their own heap/wheel node (see
-// Env.schedule): next links chain members in seq order, and tail — only
-// meaningful on a chain head — points at the last member for O(1) append.
 type event struct {
 	at        time.Duration
 	seq       uint64 // tie-break so equal-time events fire in schedule order
 	gen       uint64 // bumped every time the struct returns to the free list
 	fn        func()
 	proc      *Proc
-	next      *event // same-timestamp chain, ascending seq
-	tail      *event // chain head only: last member, for O(1) append
 	cancelled bool
 }
 

@@ -5,14 +5,13 @@ import (
 	"time"
 )
 
-// The kernel's ordering contract: events with equal timestamps fire in the
-// order they were armed (ascending sequence number), no matter which
-// structure — heap, wheel, or same-timestamp chain — carried them. These
-// tests pin that contract at every structural boundary.
+// The kernel's ordering contract: events fire in (at, seq) order, so
+// events with equal timestamps fire in the order they were armed, and a
+// process woken by an event runs before the next event fires. These tests
+// pin that contract, the last one against a reference queue.
 
-// TestFIFOSameTimestampHeap: near-horizon events at one timestamp fire in
-// arm order. This exercises the chain-batching path: consecutive arms at
-// the same instant coalesce into one heap node.
+// TestFIFOSameTimestampHeap: a fan-out of events at one timestamp fires in
+// arm order.
 func TestFIFOSameTimestampHeap(t *testing.T) {
 	env := NewEnv(1)
 	var got []int
@@ -32,9 +31,8 @@ func TestFIFOSameTimestampHeap(t *testing.T) {
 	}
 }
 
-// TestFIFOSameTimestampWheel: the same contract when the shared timestamp
-// is beyond the near horizon, so the chain lives in a wheel slot and is
-// promoted to the heap as one node.
+// TestFIFOSameTimestampWheel: the same contract for a far timestamp, well
+// beyond the interval the clock advances between arms and firing.
 func TestFIFOSameTimestampWheel(t *testing.T) {
 	env := NewEnv(1)
 	var got []int
@@ -43,10 +41,10 @@ func TestFIFOSameTimestampWheel(t *testing.T) {
 		i := i
 		env.At(200*time.Millisecond, func() { got = append(got, i) })
 	}
-	if env.wheel.count != 1 {
-		t.Fatalf("chain should coalesce into one wheel node, got count %d", env.wheel.count)
-	}
 	env.Run()
+	if len(got) != n {
+		t.Fatalf("fired %d, want %d", len(got), n)
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("position %d fired id %d, want %d", i, v, i)
@@ -55,8 +53,7 @@ func TestFIFOSameTimestampWheel(t *testing.T) {
 }
 
 // TestFIFOInterleavedTimestamps: arms alternating between two timestamps
-// break the memo chain each time; order within each timestamp must still
-// be arm order.
+// fire by time first, and within each timestamp in arm order.
 func TestFIFOInterleavedTimestamps(t *testing.T) {
 	env := NewEnv(1)
 	var got []int
@@ -86,8 +83,7 @@ func TestFIFOInterleavedTimestamps(t *testing.T) {
 
 // TestFIFOArmFromCallbackSameTick: an event armed at time T from inside a
 // callback already running at T must fire after every event armed at T
-// beforehand — it has a higher sequence number, and joining the
-// in-flight batch out of order would violate the contract.
+// beforehand — it has a higher sequence number.
 func TestFIFOArmFromCallbackSameTick(t *testing.T) {
 	env := NewEnv(1)
 	var got []string
@@ -125,7 +121,7 @@ func TestFIFOArmFromProcSameTick(t *testing.T) {
 	env.At(time.Millisecond, func() { got = append(got, "cb2") })
 	env.Run()
 	// cb1/cb2 are armed before Run, the proc's wake-up during it, so the
-	// 1ms chain is cb1, cb2, wake; the nested arm lands after all three.
+	// 1ms events fire cb1, cb2, wake; the nested arm lands after all three.
 	want := []string{"cb1", "cb2", "proc", "nested"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -137,64 +133,8 @@ func TestFIFOArmFromProcSameTick(t *testing.T) {
 	}
 }
 
-// TestFIFOCrossStructureSameTimestamp: first arm at T lands in the wheel
-// (T is far); the clock then advances to within the near span and a second
-// arm at the same T goes straight to the heap. The wheel-resident event
-// has the lower sequence number and must fire first.
-func TestFIFOCrossStructureSameTimestamp(t *testing.T) {
-	env := NewEnv(1)
-	var got []string
-	const target = 500 * time.Millisecond
-	env.At(target, func() { got = append(got, "wheel-armed") }) // -> wheel
-	env.At(target-10*time.Millisecond, func() {
-		// now = 490ms; target is 10ms out, inside the near span -> heap.
-		env.At(target, func() { got = append(got, "heap-armed") })
-	})
-	env.Run()
-	want := []string{"wheel-armed", "heap-armed"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-// TestFIFOPromotionBoundary: two events armed back-to-back, one just
-// inside the near horizon (heap) and one exactly at it (wheel), one tick
-// apart. The wheel must promote its event before the heap event's
-// successor timestamp can fire — ordering across the boundary is by time,
-// not by structure.
-func TestFIFOPromotionBoundary(t *testing.T) {
-	env := NewEnv(1)
-	var got []time.Duration
-	record := func() { got = append(got, env.Now()) }
-	env.At(wheelNearSpan, record)   // wheel: d == wheelNearSpan
-	env.At(wheelNearSpan-1, record) // heap: d == wheelNearSpan-1
-	env.Run()
-	if len(got) != 2 || got[0] != wheelNearSpan-1 || got[1] != wheelNearSpan {
-		t.Fatalf("got %v, want [%v %v]", got, wheelNearSpan-1, wheelNearSpan)
-	}
-}
-
-// TestFIFOSameTimestampAcrossBoundaryTie: heap event and wheel event at
-// the IDENTICAL timestamp right at the promotion horizon. The wheel event
-// was armed first (lower seq) and must fire first even though the heap
-// already holds a node at that timestamp.
-func TestFIFOSameTimestampAcrossBoundaryTie(t *testing.T) {
-	env := NewEnv(1)
-	var got []string
-	// Armed at t=0 for wheelNearSpan: distance == near span -> wheel.
-	env.At(wheelNearSpan, func() { got = append(got, "wheel") })
-	// Advance the clock so the same absolute timestamp is now near.
-	env.At(wheelNearSpan/2, func() {
-		env.At(wheelNearSpan, func() { got = append(got, "heap") })
-	})
-	env.Run()
-	if len(got) != 2 || got[0] != "wheel" || got[1] != "heap" {
-		t.Fatalf("got %v, want [wheel heap]", got)
-	}
-}
-
-// TestFIFOChainSurvivesCancellation: cancelling interior and head members
-// of a same-timestamp chain must not reorder the survivors.
+// TestFIFOChainSurvivesCancellation: cancelling the first, interior and
+// last members of a same-timestamp run must not reorder the survivors.
 func TestFIFOChainSurvivesCancellation(t *testing.T) {
 	env := NewEnv(1)
 	var got []int
@@ -227,15 +167,13 @@ func TestFIFOChainSurvivesCancellation(t *testing.T) {
 
 // TestFIFOProcsBeforeEvents pins the dispatch discipline the goldens
 // depend on: at a given timestamp, woken processes run before further
-// event callbacks fire, even when those callbacks arrived as one batched
-// chain.
+// event callbacks fire.
 func TestFIFOProcsBeforeEvents(t *testing.T) {
 	env := NewEnv(1)
 	var got []string
 	// The sleeper is spawned first, so its wake event is armed before the
-	// armer's callbacks and heads the 1ms chain. After the wake delivers,
-	// the now-ready proc must run before the rest of the batch drains —
-	// blasting the whole chain in one go would reorder this to
+	// armer's callbacks and fires first at 1ms. The now-ready proc must run
+	// before cb1 — firing every 1ms event in one go would reorder this to
 	// [cb1 cb2 proc] and break golden determinism.
 	env.Go("sleeper", func(p *Proc) {
 		p.Sleep(time.Millisecond)
@@ -249,5 +187,193 @@ func TestFIFOProcsBeforeEvents(t *testing.T) {
 	want := []string{"proc", "cb1", "cb2"}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("got %v, want %v", got, want)
+	}
+}
+
+// orderDriver is the surface orderScript runs on: arming and cancelling
+// callbacks, and walkers that alternate a sleep with a body. Sleep
+// durations come from next; the walker ends when next reports false.
+type orderDriver struct {
+	now  func() time.Duration
+	at   func(t time.Duration, fn func()) (stop func() bool)
+	walk func(next func() (time.Duration, bool), body func())
+	run  func()
+}
+
+// orderScript is an adversarial arm/cancel/sleep script: arms at every
+// horizon from sub-millisecond to hours, storms of duplicate timestamps,
+// every third timer cancelled, callbacks that re-arm (some for the same
+// instant), and walkers re-arming from inside the run. It returns the
+// (id, time) pairs recorded as callbacks fire and walker bodies run.
+func orderScript(d orderDriver) (seq []int64) {
+	const grid = 250 * time.Millisecond // spacing of the duplicate-timestamp storms
+	rng := NewRNG(99)
+	var record func(id int) func()
+	record = func(id int) func() {
+		return func() {
+			seq = append(seq, int64(id), int64(d.now()))
+			if id%5 == 0 && id < 2000 {
+				// Re-arm from the callback, a third of them for this
+				// very instant.
+				var delay time.Duration
+				if rng.Intn(3) > 0 {
+					delay = time.Duration(rng.Intn(int(time.Second)))
+				}
+				d.at(d.now()+delay, record(id+100_000))
+			}
+		}
+	}
+	var stops []func() bool
+	for id := 0; id < 2000; id++ {
+		var at time.Duration
+		switch rng.Intn(4) {
+		case 0: // near
+			at = time.Duration(rng.Intn(int(64 * time.Millisecond)))
+		case 1: // seconds
+			at = time.Duration(rng.Intn(int(10 * time.Second)))
+		case 2: // hours
+			at = time.Duration(rng.Intn(int(2 * time.Hour)))
+		case 3: // duplicate timestamps: fan-out shape
+			at = time.Duration(1+rng.Intn(20)) * grid
+		}
+		stops = append(stops, d.at(at, record(id)))
+	}
+	// Cancel a third of them, so lazy drops and eager compactions both
+	// happen.
+	for i, stop := range stops {
+		if i%3 == 0 && !stop() {
+			seq = append(seq, -1, int64(i)) // a failed Stop shows as a divergence
+		}
+	}
+	for w := 0; w < 8; w++ {
+		r := NewRNG(uint64(w))
+		j := 0
+		next := func() (time.Duration, bool) {
+			if j == 50 {
+				return 0, false
+			}
+			if r.Intn(2) == 0 {
+				// Wake on the storm grid, so a woken walker must run
+				// before the callbacks due at the same instant.
+				return grid - d.now()%grid, true
+			}
+			return time.Duration(1+r.Intn(int(3*time.Second))) * 2, true
+		}
+		body := func() {
+			id := 2000 + w*1000 + j
+			j++
+			seq = append(seq, int64(id), int64(d.now()))
+			d.at(d.now()+time.Duration(r.Intn(int(time.Minute))), record(id+50_000))
+		}
+		d.walk(next, body)
+	}
+	d.run()
+	return seq
+}
+
+// refEvent and refQueue are the reference kernel: a flat list scanned for
+// the least (at, seq) on every pop, with each walker's body run inline by
+// its wake-up event — the same order the kernel's procs-first dispatch
+// gives, since a woken process runs before the next event fires.
+type refEvent struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
+}
+
+type refQueue struct {
+	now     time.Duration
+	seq     uint64
+	pending []*refEvent
+	starts  []func()
+}
+
+func (q *refQueue) at(t time.Duration, fn func()) func() bool {
+	if t < q.now {
+		t = q.now
+	}
+	ev := &refEvent{at: t, seq: q.seq, fn: fn}
+	q.seq++
+	q.pending = append(q.pending, ev)
+	return func() bool {
+		for i, p := range q.pending {
+			if p == ev {
+				q.pending = append(q.pending[:i], q.pending[i+1:]...)
+				return true
+			}
+		}
+		return false
+	}
+}
+
+func (q *refQueue) walk(next func() (time.Duration, bool), body func()) {
+	var resume func()
+	resume = func() {
+		if d, ok := next(); ok {
+			q.at(q.now+d, func() { body(); resume() })
+		}
+	}
+	q.starts = append(q.starts, resume)
+}
+
+func (q *refQueue) run() {
+	for _, start := range q.starts {
+		start()
+	}
+	for len(q.pending) > 0 {
+		min := 0
+		for i, ev := range q.pending {
+			if m := q.pending[min]; ev.at < m.at || ev.at == m.at && ev.seq < m.seq {
+				min = i
+			}
+		}
+		ev := q.pending[min]
+		q.pending = append(q.pending[:min], q.pending[min+1:]...)
+		q.now = ev.at
+		ev.fn()
+	}
+}
+
+// TestEventOrderMatchesReference is the strongest ordering contract test:
+// the adversarial orderScript must fire the identical (id, time) sequence
+// on the kernel and on the linear-scan reference queue, and the kernel's
+// cancellation accounting must drain to zero.
+func TestEventOrderMatchesReference(t *testing.T) {
+	env := NewEnv(7)
+	got := orderScript(orderDriver{
+		now: env.Now,
+		at: func(at time.Duration, fn func()) func() bool {
+			return env.At(at, fn).Stop
+		},
+		walk: func(next func() (time.Duration, bool), body func()) {
+			env.Go("walker", func(p *Proc) {
+				for d, ok := next(); ok; d, ok = next() {
+					p.Sleep(d)
+					body()
+				}
+			})
+		},
+		run: func() { env.Run() },
+	})
+	ref := &refQueue{}
+	want := orderScript(orderDriver{
+		now:  func() time.Duration { return ref.now },
+		at:   ref.at,
+		walk: ref.walk,
+		run:  ref.run,
+	})
+	if len(got) != len(want) {
+		t.Fatalf("firing sequences differ in length: kernel %d vs reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("firing sequences diverge at %d: kernel %d vs reference %d", i, got[i], want[i])
+		}
+	}
+	if env.compactions == 0 {
+		t.Error("script ran no compaction; it no longer covers the eager path")
+	}
+	if env.ncancel != 0 || env.nqueued != 0 {
+		t.Errorf("accounting after drain: ncancel=%d nqueued=%d, want 0, 0", env.ncancel, env.nqueued)
 	}
 }

@@ -92,9 +92,7 @@ func TestCancelledCompaction(t *testing.T) {
 		}
 	}
 	// With ~90% cancelled, eager compaction must have collected most of
-	// them already instead of leaving them buried until Run. nqueued counts
-	// events across heap, wheel, and chains, so the bound holds regardless
-	// of which structure carries them.
+	// them already instead of leaving them buried until Run.
 	if env.nqueued > 2*want+64 {
 		t.Errorf("queue not compacted: %d events buried for %d survivors", env.nqueued, want)
 	}
@@ -111,8 +109,8 @@ func TestCancelledCompaction(t *testing.T) {
 }
 
 // TestNoSpuriousCompactionArmCancelPop is the regression test for the
-// cancellation-accounting bug class: every lazy drop (heap pop, wheel
-// flush, batch skip) must decrement ncancel. If a path forgets, the
+// cancellation-accounting bug class: every lazy drop at the heap top must
+// decrement ncancel. If a path forgets, the
 // counter only ever grows under an arm-cancel-pop loop and eventually
 // crosses the compaction trigger on an essentially empty queue — the
 // kernel then compacts on every cancellation, forever. With exact
@@ -138,8 +136,7 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
 		env := NewEnv(1)
 		for i := 0; i < 10_000; i++ {
-			// Far enough out to land in the wheel; the lazy drop then
-			// happens in the flush path, not the heap pop.
+			// A far timer, each RunFor slice ending past it.
 			tm := env.After(200*time.Millisecond, func() { t.Error("cancelled timer fired") })
 			if !tm.Stop() {
 				t.Fatal("Stop of pending timer returned false")
@@ -149,9 +146,88 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 		if env.compactions != 0 {
 			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.compactions)
 		}
-		if env.ncancel != 0 || env.nqueued != 0 || env.wheel.count != 0 {
-			t.Errorf("leaked accounting: ncancel=%d nqueued=%d wheel=%d",
-				env.ncancel, env.nqueued, env.wheel.count)
+		if env.ncancel != 0 || env.nqueued != 0 {
+			t.Errorf("leaked accounting: ncancel=%d nqueued=%d", env.ncancel, env.nqueued)
 		}
 	})
+}
+
+// TestWheelLongIdleJump: a single event hours out with nothing in between
+// fires exactly at its timestamp.
+func TestWheelLongIdleJump(t *testing.T) {
+	env := NewEnv(1)
+	fired := time.Duration(-1)
+	env.At(7*time.Hour+13*time.Millisecond, func() { fired = env.Now() })
+	env.Run()
+	if want := 7*time.Hour + 13*time.Millisecond; fired != want {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+}
+
+// TestWheelRunUntilHorizon: RunUntil must stop at the horizon with a far
+// event still pending, keep Now exact, and resume correctly.
+func TestWheelRunUntilHorizon(t *testing.T) {
+	env := NewEnv(1)
+	fired := false
+	env.At(10*time.Second, func() { fired = true })
+	env.RunUntil(3 * time.Second)
+	if fired {
+		t.Fatal("event fired before its time")
+	}
+	if env.Now() != 3*time.Second {
+		t.Fatalf("Now = %v after horizon stop, want 3s", env.Now())
+	}
+	env.RunUntil(10 * time.Second) // events at exactly t still fire
+	if !fired {
+		t.Fatal("event at the horizon boundary did not fire")
+	}
+}
+
+// TestWheelCancelledLazyDrop: a cancelled far timer is released when it
+// surfaces at the heap top and the accounting drains to zero — cancelled
+// events must not survive as phantom ncancel weight (the
+// spurious-compaction bug class).
+func TestWheelCancelledLazyDrop(t *testing.T) {
+	env := NewEnv(1)
+	fired := 0
+	tm := env.At(500*time.Millisecond, func() { fired++ })
+	env.At(600*time.Millisecond, func() {}) // keeps the run going past the cancel
+	if !tm.Stop() {
+		t.Fatal("Stop of pending far timer returned false")
+	}
+	if env.ncancel != 1 {
+		t.Fatalf("ncancel = %d after Stop, want 1", env.ncancel)
+	}
+	env.Run()
+	if fired != 0 {
+		t.Error("cancelled far timer fired")
+	}
+	if env.ncancel != 0 || env.nqueued != 0 {
+		t.Errorf("accounting after drain: ncancel=%d nqueued=%d, want 0, 0", env.ncancel, env.nqueued)
+	}
+}
+
+// TestWheelStopSemanticsAcrossPromotion: a Timer handle stays valid while
+// the clock runs up to just before its event, and goes stale (Stop ==
+// false) once it fires.
+func TestWheelStopSemanticsAcrossPromotion(t *testing.T) {
+	env := NewEnv(1)
+	fired := 0
+	tm := env.At(300*time.Millisecond, func() { fired++ })
+	env.RunUntil(299 * time.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop of a pending timer returned false")
+	}
+	env.Run()
+	if fired != 0 {
+		t.Error("stopped timer fired")
+	}
+	tm2 := env.At(env.Now()+200*time.Millisecond, func() { fired++ })
+	env.Run()
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1", fired)
+	}
+	if tm2.Stop() {
+		t.Error("Stop after fire returned true")
+	}
 }
