@@ -13,15 +13,20 @@ import (
 
 func runBenchScript(t *testing.T, rawContent string) (jsonPath string, out string, err error) {
 	t.Helper()
+	return runBenchScriptIn(t, filepath.Join(t.TempDir(), "out"), rawContent)
+}
+
+// runBenchScriptIn runs bench.sh on rawContent with its snapshots going to
+// outDir.
+func runBenchScriptIn(t *testing.T, outDir, rawContent string) (jsonPath string, out string, err error) {
+	t.Helper()
 	if _, lookErr := exec.LookPath("bash"); lookErr != nil {
 		t.Skip("bash not available")
 	}
-	dir := t.TempDir()
-	input := filepath.Join(dir, "raw.txt")
+	input := filepath.Join(t.TempDir(), "raw.txt")
 	if werr := os.WriteFile(input, []byte(rawContent), 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	outDir := filepath.Join(dir, "out")
 	cmd := exec.Command("bash", "scripts/bench.sh")
 	cmd.Env = append(os.Environ(), "BENCH_INPUT="+input, "OUT_DIR="+outDir)
 	b, err := cmd.CombinedOutput()
@@ -87,5 +92,38 @@ func TestBenchScriptParsesSnapshot(t *testing.T) {
 	// The two SimKernelEvents counts (400, 200) must be averaged to 300.
 	if !strings.Contains(js, "300") {
 		t.Errorf("snapshot did not average repeated runs:\n%s", js)
+	}
+}
+
+// TestBenchScriptRefusesOverwrite is the regression test for silently
+// replaced snapshots: two runs at one commit into one OUT_DIR used to
+// write the same BENCH_<sha> files, the second over the first. The second
+// run must exit non-zero, name the file, and leave the first snapshot as
+// it was.
+func TestBenchScriptRefusesOverwrite(t *testing.T) {
+	outDir := filepath.Join(t.TempDir(), "out")
+	first := "BenchmarkSimKernelEvents-8 \t 1000000 \t 400 ns/op\n"
+	jsonPath, out, err := runBenchScriptIn(t, outDir, first)
+	if err != nil || jsonPath == "" {
+		t.Fatalf("first run failed: %v\noutput:\n%s", err, out)
+	}
+	want, rerr := os.ReadFile(jsonPath)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	second := "BenchmarkFluidServer-8 \t 500 \t 2500000 ns/op\n"
+	_, out, err = runBenchScriptIn(t, outDir, second)
+	if err == nil {
+		t.Fatalf("second run into the same OUT_DIR exited 0; output:\n%s", out)
+	}
+	if !strings.Contains(out, strings.TrimSuffix(filepath.Base(jsonPath), ".json")) {
+		t.Errorf("diagnostic does not name the existing snapshot:\n%s", out)
+	}
+	got, rerr := os.ReadFile(jsonPath)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if string(got) != string(want) {
+		t.Errorf("first snapshot changed:\nbefore:\n%s\nafter:\n%s", want, got)
 	}
 }

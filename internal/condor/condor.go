@@ -162,7 +162,7 @@ func New(env *sim.Env, cl *cluster.Cluster, prm config.Params) *Schedd {
 		env:    env,
 		cl:     cl,
 		prm:    prm,
-		shadow: sim.NewSemaphore(env, 1),
+		shadow: sim.NewSemaphore(1),
 		rng:    env.Rand().Fork(),
 	}
 	for _, w := range cl.Workers {
@@ -333,7 +333,7 @@ func (s *Schedd) SubmitJob(spec JobSpec) *Job {
 		TransferOutputBytes: spec.TransferOutputBytes,
 		InputLFNs:           spec.InputLFNs,
 		Run:                 spec.Run,
-		done:                sim.NewFuture[error](s.env),
+		done:                sim.NewFuture[error](),
 		SubmittedAt:         s.env.Now(),
 	}
 	s.nextID++
@@ -551,9 +551,9 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job, sd *startd, epoch int) {
 	// serialization is the dominant per-job dispatch cost (Fig. 2's native
 	// slope).
 	sh := tr.Start(j.claim, "condor", "shadow")
-	s.shadow.Acquire(p, 1)
+	s.shadow.Acquire(p)
 	p.Sleep(p.Rand().Jitter(s.prm.ShadowSpawn, s.prm.CondorJitterFrac))
-	s.shadow.Release(1)
+	s.shadow.Release()
 	sh.End()
 
 	xin := tr.Start(j.claim, "condor", "xfer-in", trace.L("node", sd.node.Name))

@@ -131,11 +131,6 @@ type Params struct {
 	// ("autoscaling.knative.dev/activation-scale"). Values <= 1 are
 	// neutral, the seed behaviour.
 	ActivationScale int
-	// KPAWeightedWindows switches the KPA's window aggregation to
-	// exponentially age-weighted averages (libkpa's weighted time window),
-	// reacting faster to level shifts. Default false = uniform averages,
-	// the seed behaviour.
-	KPAWeightedWindows bool
 	// HPASyncPeriod is the HPA-class autoscaler's evaluation period
 	// (kubernetes horizontal-pod-autoscaler sync interval).
 	HPASyncPeriod time.Duration

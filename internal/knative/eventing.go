@@ -70,7 +70,7 @@ type Broker struct {
 
 // NewBroker creates a broker and starts its dispatch loop.
 func (kn *Knative) NewBroker(name string) *Broker {
-	b := &Broker{kn: kn, name: name, queue: sim.NewUnbounded[Event](kn.env)}
+	b := &Broker{kn: kn, name: name, queue: sim.NewUnbounded[Event]()}
 	kn.brokers = append(kn.brokers, b)
 	kn.env.Go("broker-"+name, b.dispatchLoop)
 	return b
@@ -120,7 +120,7 @@ func (b *Broker) Publish(p *sim.Proc, fromNode string, ev Event) error {
 	}
 	ev.At = p.Now()
 	b.accepted++
-	b.queue.TrySend(ev)
+	b.queue.Send(ev)
 	return nil
 }
 

@@ -219,7 +219,7 @@ func TestPickAvailableAllocatesNothing(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				h := svc.pickAvailable()
-				h.gate.Release(1)
+				h.gate.Release()
 			})
 			if allocs != 0 {
 				t.Errorf("%s: %v allocations per pick, want 0", route, allocs)

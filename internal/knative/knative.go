@@ -396,7 +396,7 @@ func (s *Service) addPod() *podHandle {
 	}
 	name := fmt.Sprintf("%s-%05d", s.spec.Name, s.nextPod)
 	s.nextPod++
-	h := &podHandle{id: s.nextPod, gate: sim.NewSemaphore(s.kn.env, cc)}
+	h := &podHandle{id: s.nextPod, gate: sim.NewSemaphore(cc)}
 	pod, err := s.kn.k.CreatePod(kube.PodSpec{
 		Name:       name,
 		Image:      s.spec.Image,
@@ -623,7 +623,7 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	// the remaining budget; executing anyway would waste a pod slot on a
 	// response nobody is waiting for.
 	if resilience.Expired(req.Deadline, p.Now()) {
-		h.gate.Release(1)
+		h.gate.Release()
 		h.inFlight--
 		s.readySig.Broadcast()
 		s.DeadlineDrops++
@@ -648,7 +648,7 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 		p.Sleep(kn.codecTime(req.PayloadOut))
 		po.End()
 	}
-	h.gate.Release(1)
+	h.gate.Release()
 	h.inFlight--
 	s.readySig.Broadcast() // capacity freed: admit ingress-buffered requests
 	if execErr != nil {
@@ -735,7 +735,7 @@ func (s *Service) pickAvailable() *podHandle {
 		dec = s.decision(best, feasible) // before the claim takes gate capacity
 	}
 	h := s.pods[best]
-	if !h.gate.TryAcquire(1) {
+	if !h.gate.TryAcquire() {
 		// The winner's capacity vanished between the evaluation and the
 		// claim (a scale-down or pod kill interleaved with this request's
 		// wake-up). Treat it like no replica being available: the caller
@@ -855,18 +855,14 @@ func (s *Service) idleVictim() *podHandle {
 
 // kpaConfig maps the platform parameters plus a service's spec onto the
 // KPA-class autoscaler configuration. The zero values of the optional
-// Params knobs (rate clamps, scale-down delay, activation scale, weighted
-// windows) leave the seed parameterization untouched.
+// Params knobs (rate clamps, scale-down delay, activation scale) leave the
+// seed parameterization untouched. Windows aggregate linearly.
 func (kn *Knative) kpaConfig(spec ServiceSpec) kpa.Config {
 	prm := kn.prm
-	agg := kpa.AggregationLinear
-	if prm.KPAWeightedWindows {
-		agg = kpa.AggregationWeighted
-	}
 	return kpa.Config{
 		TargetValue:      spec.Target,
 		ScalingMetric:    spec.ScalingMetric,
-		Aggregation:      agg,
+		Aggregation:      kpa.AggregationLinear,
 		Tick:             prm.AutoscalerTick,
 		StableWindow:     prm.StableWindow,
 		PanicWindow:      prm.PanicWindow,

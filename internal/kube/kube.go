@@ -207,7 +207,7 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 		prm:      prm,
 		cp:       cplane.New(env, prm),
 		pods:     make(map[string]*Pod),
-		schedQ:   sim.NewUnbounded[*Pod](env),
+		schedQ:   sim.NewUnbounded[*Pod](),
 		nodeQ:    make([]*sim.Chan[podOp], n),
 		runtimes: make([]*crt.Runtime, n),
 		cordoned: make([]bool, n),
@@ -218,7 +218,7 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 		target:   sched.SampleTarget(n, prm.SchedSamplePercent),
 	}
 	for i, w := range cl.Workers {
-		k.nodeQ[i] = sim.NewUnbounded[podOp](env)
+		k.nodeQ[i] = sim.NewUnbounded[podOp]()
 		k.runtimes[i] = runtimes[w.Name]
 		if shape := (nodeShape{cores: w.Cores, memMB: w.MemMB}); !slices.Contains(k.shapes, shape) {
 			k.shapes = append(k.shapes, shape)
@@ -302,9 +302,9 @@ func (k *Kube) CreatePod(spec PodSpec) (*Pod, error) {
 	if _, exists := k.pods[spec.Name]; exists {
 		return nil, fmt.Errorf("kube: pod %q already exists", spec.Name)
 	}
-	pod := &Pod{Spec: spec, phase: PhasePending, createdAt: k.env.Now(), readyF: sim.NewFuture[error](k.env)}
+	pod := &Pod{Spec: spec, phase: PhasePending, createdAt: k.env.Now(), readyF: sim.NewFuture[error]()}
 	k.pods[spec.Name] = pod
-	k.schedQ.TrySend(pod)
+	k.schedQ.Send(pod)
 	return pod, nil
 }
 
@@ -332,12 +332,12 @@ func (k *Kube) DeletePod(name string) {
 func (k *Kube) deliver(node *cluster.Node, op podOp, delay time.Duration) {
 	q := k.nodeQ[node.Index]
 	if delay <= 0 {
-		q.TrySend(op)
+		q.Send(op)
 		return
 	}
 	k.env.After(delay, func() {
 		if !k.stopped { // queue closed by Shutdown; drop the late delivery
-			q.TrySend(op)
+			q.Send(op)
 		}
 	})
 }
@@ -604,7 +604,7 @@ func (k *Kube) kickPending() {
 		if pod.deleted {
 			continue
 		}
-		k.schedQ.TrySend(pod)
+		k.schedQ.Send(pod)
 	}
 }
 

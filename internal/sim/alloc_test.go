@@ -90,6 +90,62 @@ func TestAfterFireSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestChanHandOffSteadyStateZeroAlloc: a send to a parked receiver wakes
+// the bare *Proc and the value passes through the queue's ring, so the
+// hand-off loop allocates nothing once the ring has grown.
+func TestChanHandOffSteadyStateZeroAlloc(t *testing.T) {
+	env := NewEnv(1)
+	q := NewUnbounded[int]()
+	got := 0
+	env.Go("receiver", func(p *Proc) {
+		for {
+			v, _ := q.Recv(p)
+			got += v
+		}
+	})
+	env.Go("sender", func(p *Proc) {
+		for {
+			q.Send(1)
+			p.Sleep(time.Millisecond)
+		}
+	})
+	env.RunFor(50 * time.Millisecond) // warm pools
+	before := got
+	avg := testing.AllocsPerRun(200, func() {
+		env.RunFor(time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Send/Recv hand-off allocates %.1f times per value, want 0", avg)
+	}
+	if got == before {
+		t.Error("no value was handed off during the measured runs")
+	}
+}
+
+// TestSemaphoreContendedSteadyStateZeroAlloc: three processes take turns
+// on one permit; Release hands it to the head of the wait ring without
+// allocating.
+func TestSemaphoreContendedSteadyStateZeroAlloc(t *testing.T) {
+	env := NewEnv(1)
+	sem := NewSemaphore(1)
+	for i := 0; i < 3; i++ {
+		env.Go("worker", func(p *Proc) {
+			for {
+				sem.Acquire(p)
+				p.Sleep(time.Millisecond)
+				sem.Release()
+			}
+		})
+	}
+	env.RunFor(50 * time.Millisecond) // warm pools
+	avg := testing.AllocsPerRun(200, func() {
+		env.RunFor(time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("contended Semaphore allocates %.1f times per hand-over, want 0", avg)
+	}
+}
+
 // envSink keeps the Envs built by TestNewEnvBudget on the heap.
 var envSink *Env
 

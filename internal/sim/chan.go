@@ -1,201 +1,59 @@
 package sim
 
-import "time"
-
-// Chan is a simulation-aware channel with the semantics of a Go channel:
-// capacity 0 gives rendezvous hand-off, capacity > 0 buffers, and
-// NewUnbounded never blocks senders. Use it for queues between simulation
+// Chan is an unbounded FIFO queue drained by one receiving process: the
+// work queue a control loop owns. Any process or event callback may Send,
+// and a send never blocks. Use it for queues between simulation
 // processes; ordinary Go channels would deadlock the cooperative scheduler.
 type Chan[T any] struct {
-	env    *Env
-	cap    int // -1 means unbounded
-	buf    []T
+	q      ring[T]
+	recv   *Proc // the process inside Recv, from park until it resumes
 	closed bool
-	sendq  []*chanWaiter[T]
-	recvq  []*chanWaiter[T]
 }
 
-type chanWaiter[T any] struct {
-	p        *Proc
-	val      T
-	ok       bool // receiver: value delivered; sender: accepted
-	closed   bool
-	timedOut bool
-}
+// NewUnbounded returns an empty, open queue.
+func NewUnbounded[T any]() *Chan[T] { return &Chan[T]{} }
 
-// NewChan returns a channel with the given buffer capacity (>= 0).
-func NewChan[T any](env *Env, capacity int) *Chan[T] {
-	if capacity < 0 {
-		panic("sim: negative channel capacity")
-	}
-	return &Chan[T]{env: env, cap: capacity}
-}
-
-// NewUnbounded returns a channel whose sends never block.
-func NewUnbounded[T any](env *Env) *Chan[T] {
-	return &Chan[T]{env: env, cap: -1}
-}
-
-// Len returns the number of buffered elements.
-func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
-// Send delivers v, blocking the calling process while the buffer is full
-// (or, for a rendezvous channel, until a receiver arrives). Sending on a
-// closed channel panics, as with Go channels.
-func (c *Chan[T]) Send(p *Proc, v T) {
+// Send appends v and wakes the parked receiver, if any. Sending on a
+// closed queue panics, as with Go channels.
+func (c *Chan[T]) Send(v T) {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	if c.trySend(v) {
-		return
-	}
-	w := &chanWaiter[T]{p: p, val: v}
-	c.sendq = append(c.sendq, w)
-	p.park()
-	if w.closed {
-		panic("sim: send on closed Chan")
-	}
+	c.q.push(v)
+	c.wakeRecv()
 }
 
-// TrySend delivers v without blocking and reports whether it was accepted.
-func (c *Chan[T]) TrySend(v T) bool {
-	if c.closed {
-		panic("sim: send on closed Chan")
-	}
-	return c.trySend(v)
-}
-
-func (c *Chan[T]) trySend(v T) bool {
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		w.val = v
-		w.ok = true
-		w.p.wake()
-		return true
-	}
-	if c.cap < 0 || len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		return true
-	}
-	return false
-}
-
-// Recv blocks the calling process until a value is available. The second
-// result is false when the channel is closed and drained.
+// Recv blocks the calling process until a value is available and pops it.
+// The second result is false once the queue is closed and drained. A Chan
+// has exactly one receiving loop: a Recv while another process is inside
+// Recv panics.
 func (c *Chan[T]) Recv(p *Proc) (T, bool) {
-	if v, ok, settled := c.tryRecv(); settled {
-		return v, ok
+	if c.recv != nil {
+		panic("sim: concurrent Recv on Chan")
 	}
-	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
-	p.park()
-	if w.closed {
-		var zero T
-		return zero, false
+	if c.q.n == 0 && !c.closed {
+		c.recv = p
+		p.park()
+		c.recv = nil
 	}
-	return w.val, true
+	return c.q.pop()
 }
 
-// RecvTimeout is Recv with a deadline. The third result reports whether a
-// value (or close) arrived before the deadline.
-func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (val T, ok bool, arrived bool) {
-	if v, ok, settled := c.tryRecv(); settled {
-		return v, ok, true
-	}
-	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
-	// The timeout callback must dequeue the waiter before waking it: a
-	// sender arriving in the same tick (after the timeout fired but before
-	// the receiver resumed) would otherwise find w still queued, hand it
-	// the value, and wake an already-ready process — a kernel panic. The
-	// symmetric race (send first, timeout second) is benign: the callback
-	// sees w.ok and does nothing, and the post-park Stop of the fired
-	// timer is a no-op on the recycled event (generation mismatch), never
-	// a double release.
-	timer := c.env.After(d, func() {
-		if !w.ok && !w.closed {
-			w.timedOut = true
-			c.removeRecvWaiter(w)
-			p.wake()
-		}
-	})
-	p.park()
-	timer.Stop()
-	if w.timedOut {
-		var zero T
-		return zero, false, false
-	}
-	if w.closed {
-		var zero T
-		return zero, false, true
-	}
-	return w.val, true, true
-}
-
-// TryRecv receives without blocking. ok is false when nothing was available
-// or the channel is closed and drained; the third result distinguishes the
-// two ("settled" means the operation completed: a value arrived or the
-// channel is closed).
-func (c *Chan[T]) TryRecv() (val T, ok bool, settled bool) {
-	return c.tryRecv()
-}
-
-func (c *Chan[T]) tryRecv() (val T, ok bool, settled bool) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
-		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, w.val)
-			w.ok = true
-			w.p.wake()
-		}
-		return v, true, true
-	}
-	if len(c.sendq) > 0 { // rendezvous
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		w.ok = true
-		w.p.wake()
-		return w.val, true, true
-	}
-	if c.closed {
-		var zero T
-		return zero, false, true
-	}
-	var zero T
-	return zero, false, false
-}
-
-// Close marks the channel closed, waking all blocked receivers with ok ==
-// false. Senders blocked at close time panic when resumed, mirroring Go.
+// Close marks the queue closed and wakes the parked receiver. Values sent
+// before Close are still delivered; Recv reports closed only once they
+// have drained.
 func (c *Chan[T]) Close() {
 	if c.closed {
 		panic("sim: close of closed Chan")
 	}
 	c.closed = true
-	for _, w := range c.recvq {
-		w.closed = true
-		w.p.wake()
-	}
-	c.recvq = nil
-	for _, w := range c.sendq {
-		w.closed = true
-		w.p.wake()
-	}
-	c.sendq = nil
+	c.wakeRecv()
 }
 
-func (c *Chan[T]) removeRecvWaiter(w *chanWaiter[T]) {
-	for i, x := range c.recvq {
-		if x == w {
-			c.recvq = append(c.recvq[:i], c.recvq[i+1:]...)
-			return
-		}
+// wakeRecv wakes the receiver unless it is not parked or an earlier Send
+// in the same tick already woke it.
+func (c *Chan[T]) wakeRecv() {
+	if p := c.recv; p != nil && p.state == stateParked {
+		p.wake()
 	}
 }

@@ -1,13 +1,16 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // An Env owns a virtual clock and a set of cooperatively scheduled processes.
-// Exactly one process runs at a time; a process runs until it blocks on one
-// of the kernel's primitives (Sleep, Chan, Future, Semaphore, WaitGroup,
-// Signal) and the kernel then hands control to the next runnable process, or
-// advances the virtual clock to the next pending event when no process is
-// runnable. Because scheduling is strictly sequential and all randomness is
-// drawn from a seeded generator, a simulation run is bit-for-bit reproducible
-// for a given seed.
+// Exactly one process runs at a time; a process runs until it blocks in one
+// of the kernel's waits and the kernel then hands control to the next
+// runnable process, or advances the virtual clock to the next pending event
+// when no process is runnable. The waits are Sleep, Chan.Recv, Future.Get,
+// Semaphore.Acquire, WaitGroup.Wait, Gate.Wait and Signal.Wait; each parks
+// the bare *Proc, and none has a timeout. A Chan is an unbounded queue
+// drained by exactly one receiving loop, and its sends never block. Because
+// scheduling is strictly sequential and all randomness is drawn from a
+// seeded generator, a simulation run is bit-for-bit reproducible for a
+// given seed.
 //
 // The design mirrors classic process-based simulators (SimPy, OMNeT++): model
 // code is written as ordinary straight-line Go in functions of the form
@@ -31,15 +34,13 @@ type Env struct {
 	now    time.Duration
 	events eventQueue // every pending event, exact (at, seq) order
 	free   []*event   // recycled event structs; steady-state After is 0-alloc
-	// Cancellation accounting. ncancel counts cancelled events still in
-	// the heap and nqueued counts all events in it; the heap-top drop and
-	// compaction both keep them exact, so the compaction trigger never
-	// fires over an almost-clean queue. compactions counts eager sweeps,
-	// for tests.
+	// ncancel counts cancelled events still in the heap; the heap-top
+	// drop and compaction both keep it exact, so the compaction trigger
+	// never fires over an almost-clean queue. compactions counts eager
+	// sweeps, for tests.
 	ncancel     int
-	nqueued     int
 	compactions int
-	ready       procRing
+	ready       ring[*Proc]
 	procPool    []*Proc // idle processes, coroutines suspended, for Go
 	seq         uint64
 	cur         *Proc
@@ -163,7 +164,7 @@ func (e *Env) release(ev *event) {
 // fire) cannot bloat the heap.
 func (e *Env) noteCancelled() {
 	e.ncancel++
-	if e.ncancel >= 64 && e.ncancel*4 >= e.nqueued {
+	if e.ncancel >= 64 && e.ncancel*4 >= len(e.events) {
 		e.compactEvents()
 	}
 }
@@ -177,7 +178,6 @@ func (e *Env) compactEvents() {
 	for _, ev := range e.events {
 		if ev.cancelled {
 			e.ncancel--
-			e.nqueued--
 			e.release(ev)
 			continue
 		}
@@ -196,7 +196,7 @@ func (e *Env) At(t time.Duration, fn func()) Timer {
 		t = e.now
 	}
 	ev := e.newEvent(t, fn, nil)
-	e.schedule(ev)
+	e.events.push(ev)
 	return Timer{env: e, ev: ev, gen: ev.gen}
 }
 
@@ -208,14 +208,7 @@ func (e *Env) After(d time.Duration, fn func()) Timer {
 // afterWake schedules a bare wake-up of p d from now — the allocation-free
 // core of Sleep (no closure, no Timer handle).
 func (e *Env) afterWake(d time.Duration, p *Proc) {
-	e.schedule(e.newEvent(e.now+d, nil, p))
-}
-
-// schedule files a fresh event into the heap, which fires events in
-// (at, seq) order.
-func (e *Env) schedule(ev *event) {
-	e.nqueued++
-	e.events.push(ev)
+	e.events.push(e.newEvent(e.now+d, nil, p))
 }
 
 // Run drives the simulation until no process is runnable and no event is
@@ -273,7 +266,6 @@ func (e *Env) step(horizon time.Duration) bool {
 		if ev.cancelled {
 			e.events.popMin()
 			e.ncancel--
-			e.nqueued--
 			e.release(ev)
 			continue
 		}
@@ -284,7 +276,6 @@ func (e *Env) step(horizon time.Duration) bool {
 		e.events.popMin()
 		e.now = ev.at
 		fn, p := ev.fn, ev.proc
-		e.nqueued--
 		e.release(ev)
 		if p != nil {
 			p.wake()
@@ -303,40 +294,42 @@ func (e *Env) enqueue(p *Proc) {
 	e.ready.push(p)
 }
 
-// procRing is the run queue: a head-indexed growable ring buffer with
-// power-of-two capacity. Dequeue is O(1) where a head-shifted slice
-// (copy(s, s[1:])) is O(n) per scheduling step.
-type procRing struct {
-	buf  []*Proc
+// ring is a head-indexed growable FIFO with power-of-two capacity: the
+// run queue, a Chan's buffer and a Semaphore's wait queue. Dequeue is O(1)
+// where a head-shifted slice is O(n) or leaks its front, and a ring that
+// has grown to its working set never allocates again.
+type ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *procRing) push(p *Proc) {
+func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
-func (r *procRing) pop() (*Proc, bool) {
+// pop removes and returns the head; ok is false when the ring is empty.
+func (r *ring[T]) pop() (v T, ok bool) {
 	if r.n == 0 {
-		return nil, false
+		return v, false
 	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
+	var zero T
+	v, r.buf[r.head] = r.buf[r.head], zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return p, true
+	return v, true
 }
 
-func (r *procRing) grow() {
+func (r *ring[T]) grow() {
 	newCap := 16
 	if len(r.buf) > 0 {
 		newCap = len(r.buf) * 2
 	}
-	buf := make([]*Proc, newCap)
+	buf := make([]T, newCap)
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

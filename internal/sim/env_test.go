@@ -49,22 +49,6 @@ func TestZeroSleepYields(t *testing.T) {
 	}
 }
 
-func TestSleepUntilPastIsNoop(t *testing.T) {
-	env := NewEnv(1)
-	env.Go("p", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		p.SleepUntil(1 * time.Second) // already past
-		if p.Now() != 3*time.Second {
-			t.Errorf("now = %v, want 3s", p.Now())
-		}
-		p.SleepUntil(7 * time.Second)
-		if p.Now() != 7*time.Second {
-			t.Errorf("now = %v, want 7s", p.Now())
-		}
-	})
-	env.Run()
-}
-
 func TestEventOrderingEqualTimes(t *testing.T) {
 	env := NewEnv(1)
 	var order []int
@@ -185,7 +169,7 @@ func TestGoFromWithinProc(t *testing.T) {
 
 func TestBlockedForeverReported(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[int](env)
+	f := NewFuture[int]()
 	env.Go("stuck", func(p *Proc) { f.Get(p) })
 	env.Run()
 	if env.Alive() != 1 {
@@ -195,7 +179,7 @@ func TestBlockedForeverReported(t *testing.T) {
 
 func TestDumpBlockedListsStuckProcesses(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[int](env)
+	f := NewFuture[int]()
 	env.Go("stuck-one", func(p *Proc) { f.Get(p) })
 	env.Go("stuck-two", func(p *Proc) { f.Get(p) })
 	env.Go("finisher", func(p *Proc) { p.Sleep(time.Second) })
@@ -218,7 +202,7 @@ func TestDumpBlockedListsStuckProcesses(t *testing.T) {
 	// A process retiring between two live ones leaves the rest in spawn
 	// order, and a later Go that reuses its coroutine lists last.
 	env = NewEnv(1)
-	f = NewFuture[int](env)
+	f = NewFuture[int]()
 	env.Go("stuck-one", func(p *Proc) { f.Get(p) })
 	middle := env.Go("middle", func(p *Proc) {})
 	env.Go("stuck-two", func(p *Proc) { f.Get(p) })

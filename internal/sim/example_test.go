@@ -7,16 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// A minimal simulation: two processes handing work through a channel on
-// the virtual clock.
+// A minimal simulation: a producer hands work to a worker loop through
+// the worker's queue on the virtual clock.
 func Example() {
 	env := sim.NewEnv(1)
-	jobs := sim.NewChan[string](env, 0)
+	jobs := sim.NewUnbounded[string]()
 
 	env.Go("producer", func(p *sim.Proc) {
 		for _, name := range []string{"stage-in", "compute", "stage-out"} {
 			p.Sleep(time.Second)
-			jobs.Send(p, name)
+			jobs.Send(name)
 		}
 		jobs.Close()
 	})
@@ -43,7 +43,7 @@ func Example() {
 // Futures resolve once and wake every waiter at the same virtual instant.
 func ExampleFuture() {
 	env := sim.NewEnv(1)
-	ready := sim.NewFuture[string](env)
+	ready := sim.NewFuture[string]()
 
 	for i := 0; i < 2; i++ {
 		i := i
@@ -66,12 +66,12 @@ func ExampleFuture() {
 // take two seconds.
 func ExampleSemaphore() {
 	env := sim.NewEnv(1)
-	slots := sim.NewSemaphore(env, 2)
+	slots := sim.NewSemaphore(2)
 	for i := 0; i < 4; i++ {
 		env.Go("job", func(p *sim.Proc) {
-			slots.Acquire(p, 1)
+			slots.Acquire(p)
 			p.Sleep(time.Second)
-			slots.Release(1)
+			slots.Release()
 		})
 	}
 	fmt.Println("makespan:", env.Run())

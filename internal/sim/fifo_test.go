@@ -160,8 +160,8 @@ func TestFIFOChainSurvivesCancellation(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	if env.ncancel != 0 || env.nqueued != 0 {
-		t.Errorf("accounting after run: ncancel=%d nqueued=%d, want 0, 0", env.ncancel, env.nqueued)
+	if env.ncancel != 0 || len(env.events) != 0 {
+		t.Errorf("accounting after run: ncancel=%d queued=%d, want 0, 0", env.ncancel, len(env.events))
 	}
 }
 
@@ -373,7 +373,7 @@ func TestEventOrderMatchesReference(t *testing.T) {
 	if env.compactions == 0 {
 		t.Error("script ran no compaction; it no longer covers the eager path")
 	}
-	if env.ncancel != 0 || env.nqueued != 0 {
-		t.Errorf("accounting after drain: ncancel=%d nqueued=%d, want 0, 0", env.ncancel, env.nqueued)
+	if env.ncancel != 0 || len(env.events) != 0 {
+		t.Errorf("accounting after drain: ncancel=%d queued=%d, want 0, 0", env.ncancel, len(env.events))
 	}
 }

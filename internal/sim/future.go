@@ -1,40 +1,27 @@
 package sim
 
-import "time"
-
 // Future is a write-once value that processes can block on. It is the
 // simulation analogue of a promise: one party calls Set, any number of
-// parties call Get. The zero Future is not usable; create one with
-// NewFuture.
+// parties call Get. The zero Future is unresolved and ready to use.
 type Future[T any] struct {
-	env     *Env
 	done    bool
 	val     T
-	waiters []*futureWaiter
+	waiters []*Proc
 }
 
-type futureWaiter struct {
-	p        *Proc
-	resolved bool
-	timedOut bool
-}
+// NewFuture returns an unresolved future.
+func NewFuture[T any]() *Future[T] { return &Future[T]{} }
 
-// NewFuture returns an unresolved future bound to env.
-func NewFuture[T any](env *Env) *Future[T] {
-	return &Future[T]{env: env}
-}
-
-// Set resolves the future with v and wakes every waiter. Setting a future
-// twice is a modelling bug and panics.
+// Set resolves the future with v and wakes every waiter in arrival order.
+// Setting a future twice is a modelling bug and panics.
 func (f *Future[T]) Set(v T) {
 	if f.done {
 		panic("sim: Future set twice")
 	}
 	f.done = true
 	f.val = v
-	for _, w := range f.waiters {
-		w.resolved = true
-		w.p.wake()
+	for _, p := range f.waiters {
+		p.wake()
 	}
 	f.waiters = nil
 }
@@ -42,56 +29,12 @@ func (f *Future[T]) Set(v T) {
 // Done reports whether the future has been resolved.
 func (f *Future[T]) Done() bool { return f.done }
 
-// TryGet returns the value if the future is resolved.
-func (f *Future[T]) TryGet() (T, bool) {
-	return f.val, f.done
-}
-
 // Get blocks the calling process until the future resolves and returns the
 // value.
 func (f *Future[T]) Get(p *Proc) T {
-	if f.done {
-		return f.val
+	if !f.done {
+		f.waiters = append(f.waiters, p)
+		p.park()
 	}
-	w := &futureWaiter{p: p}
-	f.waiters = append(f.waiters, w)
-	p.park()
 	return f.val
-}
-
-// GetTimeout blocks until the future resolves or d elapses. The second
-// result reports whether the future resolved in time.
-func (f *Future[T]) GetTimeout(p *Proc, d time.Duration) (T, bool) {
-	if f.done {
-		return f.val, true
-	}
-	w := &futureWaiter{p: p}
-	f.waiters = append(f.waiters, w)
-	// Dequeue before waking, as in Chan.RecvTimeout: a Set in the same
-	// tick as the timeout would otherwise wake the already-woken waiter
-	// and panic the kernel. The post-park Stop of a fired timer is a no-op
-	// on the recycled event (generation mismatch), never a double release.
-	timer := f.env.After(d, func() {
-		if !w.resolved {
-			w.timedOut = true
-			f.removeWaiter(w)
-			p.wake()
-		}
-	})
-	p.park()
-	timer.Stop()
-	if w.timedOut {
-		var zero T
-		return zero, false
-	}
-	return f.val, true
-}
-
-func (f *Future[T]) removeWaiter(w *futureWaiter) {
-	for i, x := range f.waiters {
-		if x == w {
-			f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
-			return
-		}
-	}
 }

@@ -146,15 +146,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// SleepUntil blocks the process until absolute virtual time t (or returns
-// immediately if t has passed).
-func (p *Proc) SleepUntil(t time.Duration) {
-	if t <= p.env.now {
-		return
-	}
-	p.Sleep(t - p.env.now)
-}
-
 // Yield places the process at the back of the run queue, letting every other
 // currently runnable process execute before it resumes. The clock does not
 // advance.

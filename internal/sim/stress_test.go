@@ -11,40 +11,55 @@ import (
 func TestStressManyProcessesDeterministic(t *testing.T) {
 	run := func(seed uint64) (fingerprint uint64, end time.Duration, alive int) {
 		env := NewEnv(seed)
-		ch := NewChan[int](env, 4)
-		sem := NewSemaphore(env, 3)
+		sem := NewSemaphore(3)
 		sig := NewSignal(env)
 		wg := NewWaitGroup(env)
+		sent := NewWaitGroup(env)
 		var fp uint64
 
+		// Each consumer loop owns its queue; producers route every value
+		// to a random consumer, and the closer shuts the queues once the
+		// last value is sent.
 		const producers, consumers, sleepers = 50, 50, 100
+		qs := make([]*Chan[int], consumers)
+		for i := range qs {
+			qs[i] = NewUnbounded[int]()
+		}
 		for i := 0; i < producers; i++ {
 			i := i
 			wg.Add(1)
+			sent.Add(1)
 			env.Go("producer", func(p *Proc) {
 				defer wg.Done()
+				defer sent.Done()
 				for j := 0; j < 20; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(50)) * time.Millisecond)
-					ch.Send(p, i*1000+j)
+					qs[p.Rand().Intn(consumers)].Send(i*1000 + j)
 				}
 			})
 		}
-		for i := 0; i < consumers; i++ {
+		for _, q := range qs {
 			wg.Add(1)
 			env.Go("consumer", func(p *Proc) {
 				defer wg.Done()
-				for j := 0; j < 20; j++ {
-					v, ok := ch.Recv(p)
+				for {
+					v, ok := q.Recv(p)
 					if !ok {
 						return
 					}
-					sem.Acquire(p, 1)
+					sem.Acquire(p)
 					p.Sleep(time.Millisecond)
-					sem.Release(1)
+					sem.Release()
 					fp = fp*31 + uint64(v) + uint64(p.Now())
 				}
 			})
 		}
+		env.Go("closer", func(p *Proc) {
+			sent.Wait(p)
+			for _, q := range qs {
+				q.Close()
+			}
+		})
 		for i := 0; i < sleepers; i++ {
 			wg.Add(1)
 			env.Go("sleeper", func(p *Proc) {
@@ -133,7 +148,7 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 	run := func(seed uint64) (fingerprint uint64, end time.Duration) {
 		env := NewEnv(seed)
 		wg := NewWaitGroup(env)
-		ch := NewChan[int](env, 2)
+		ch := NewUnbounded[int]()
 		var fp uint64
 		mix := func(p *Proc, depth, i int) {
 			// Arm a timer; cancel half mid-flight after a short sleep.
@@ -162,7 +177,7 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 					})
 				}
 			}
-			ch.Send(p, depth)
+			ch.Send(depth)
 		}
 		for i := 0; i < 32; i++ {
 			wg.Add(1)

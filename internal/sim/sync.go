@@ -1,75 +1,50 @@
 package sim
 
-// Semaphore is a counting semaphore with FIFO fairness: waiters acquire in
-// arrival order, so a large request cannot be starved by a stream of small
-// ones. It models bounded resources such as condor slots or a queue-proxy's
-// container-concurrency gate.
+// Semaphore is a counting semaphore of unit permits with FIFO fairness:
+// waiters acquire in arrival order. It models bounded resources such as a
+// condor schedd's shadow or a queue-proxy's container-concurrency gate.
 type Semaphore struct {
-	env   *Env
 	avail int
-	cap   int
-	q     []*semWaiter
-}
-
-type semWaiter struct {
-	p *Proc
-	n int
+	q     ring[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n permits available.
-func NewSemaphore(env *Env, n int) *Semaphore {
+func NewSemaphore(n int) *Semaphore {
 	if n < 0 {
 		panic("sim: negative semaphore capacity")
 	}
-	return &Semaphore{env: env, avail: n, cap: n}
+	return &Semaphore{avail: n}
 }
 
 // Available returns the number of free permits.
 func (s *Semaphore) Available() int { return s.avail }
 
-// Cap returns the total number of permits the semaphore was created with.
-func (s *Semaphore) Cap() int { return s.cap }
-
-// Waiting returns the number of processes blocked in Acquire.
-func (s *Semaphore) Waiting() int { return len(s.q) }
-
-// Acquire blocks the calling process until n permits are available and takes
-// them.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		return
+// Acquire blocks the calling process until a permit is free and takes it.
+func (s *Semaphore) Acquire(p *Proc) {
+	if !s.TryAcquire() {
+		s.q.push(p)
+		p.park()
 	}
-	if len(s.q) == 0 && s.avail >= n {
-		s.avail -= n
-		return
-	}
-	s.q = append(s.q, &semWaiter{p: p, n: n})
-	p.park()
 }
 
-// TryAcquire takes n permits if they are immediately available (and no
-// earlier waiter is queued) and reports whether it succeeded.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if len(s.q) == 0 && s.avail >= n {
-		s.avail -= n
+// TryAcquire takes a permit if one is free and no earlier waiter is
+// queued, and reports whether it succeeded.
+func (s *Semaphore) TryAcquire() bool {
+	if s.q.n == 0 && s.avail > 0 {
+		s.avail--
 		return true
 	}
 	return false
 }
 
-// Release returns n permits and wakes as many queued waiters as now fit, in
-// FIFO order.
-func (s *Semaphore) Release(n int) {
-	if n <= 0 {
+// Release returns a permit. If a process is waiting the permit passes
+// straight to the longest waiter.
+func (s *Semaphore) Release() {
+	if p, ok := s.q.pop(); ok {
+		p.wake()
 		return
 	}
-	s.avail += n
-	for len(s.q) > 0 && s.q[0].n <= s.avail {
-		w := s.q[0]
-		s.q = s.q[1:]
-		s.avail -= w.n
-		w.p.wake()
-	}
+	s.avail++
 }
 
 // WaitGroup mirrors sync.WaitGroup for simulation processes.

@@ -5,24 +5,25 @@ package sim
 // fluid's job structs.
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	env := NewEnv(1)
-	sem := NewSemaphore(env, 2)
+	sem := NewSemaphore(2)
 	active, peak := 0, 0
 	for i := 0; i < 6; i++ {
 		env.Go("worker", func(p *Proc) {
-			sem.Acquire(p, 1)
+			sem.Acquire(p)
 			active++
 			if active > peak {
 				peak = active
 			}
 			p.Sleep(time.Second)
 			active--
-			sem.Release(1)
+			sem.Release()
 		})
 	}
 	end := env.Run()
@@ -34,49 +35,51 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	}
 }
 
+// TestSemaphoreFIFONoStarvation: a released permit passes to the longest
+// waiter, so a process that keeps re-acquiring cannot starve the queue.
 func TestSemaphoreFIFONoStarvation(t *testing.T) {
 	env := NewEnv(1)
-	sem := NewSemaphore(env, 2)
-	var order []int
+	sem := NewSemaphore(1)
+	var order []string
 	env.Go("hog", func(p *Proc) {
-		sem.Acquire(p, 2)
-		p.Sleep(time.Second)
-		sem.Release(2)
+		for i := 0; i < 3; i++ {
+			sem.Acquire(p)
+			order = append(order, "hog")
+			p.Sleep(time.Second)
+			sem.Release()
+		}
 	})
-	env.Go("big", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		sem.Acquire(p, 2) // queued first
-		order = append(order, 2)
-		sem.Release(2)
-	})
-	env.Go("small", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		sem.Acquire(p, 1) // arrives later; must not jump the big request
-		order = append(order, 1)
-		sem.Release(1)
-	})
+	for _, name := range []string{"a", "b"} {
+		env.Go(name, func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			sem.Acquire(p)
+			order = append(order, name)
+			p.Sleep(time.Second)
+			sem.Release()
+		})
+	}
 	env.Run()
-	if len(order) != 2 || order[0] != 2 {
-		t.Errorf("acquisition order = %v, want [2 1]", order)
+	if got := strings.Join(order, " "); got != "hog a b hog hog" {
+		t.Errorf("acquisition order = %q, want %q", got, "hog a b hog hog")
 	}
 }
 
 func TestSemaphoreTryAcquireRespectsQueue(t *testing.T) {
 	env := NewEnv(1)
-	sem := NewSemaphore(env, 1)
+	sem := NewSemaphore(1)
 	env.Go("holder", func(p *Proc) {
-		sem.Acquire(p, 1)
+		sem.Acquire(p)
 		p.Sleep(time.Second)
-		sem.Release(1)
+		sem.Release()
 	})
 	env.Go("waiter", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		sem.Acquire(p, 1)
-		sem.Release(1)
+		sem.Acquire(p)
+		sem.Release()
 	})
 	env.Go("opportunist", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
-		if sem.TryAcquire(1) {
+		if sem.TryAcquire() {
 			t.Error("TryAcquire succeeded while a waiter was queued")
 		}
 	})
@@ -152,7 +155,7 @@ func TestSignalBroadcast(t *testing.T) {
 
 func TestFutureSetBeforeGet(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[string](env)
+	f := NewFuture[string]()
 	f.Set("ready")
 	env.Go("p", func(p *Proc) {
 		if v := f.Get(p); v != "ready" {
@@ -164,7 +167,7 @@ func TestFutureSetBeforeGet(t *testing.T) {
 
 func TestFutureWakesAllWaiters(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[int](env)
+	f := NewFuture[int]()
 	got := 0
 	for i := 0; i < 3; i++ {
 		env.Go("waiter", func(p *Proc) {
@@ -181,36 +184,13 @@ func TestFutureWakesAllWaiters(t *testing.T) {
 	}
 }
 
-func TestFutureGetTimeout(t *testing.T) {
-	env := NewEnv(1)
-	f := NewFuture[int](env)
-	env.Go("p", func(p *Proc) {
-		if _, ok := f.GetTimeout(p, time.Second); ok {
-			t.Error("timeout Get reported ok")
-		}
-		if p.Now() != time.Second {
-			t.Errorf("timed out at %v", p.Now())
-		}
-	})
-	env.Run()
-	// Late Set must not try to wake the departed waiter.
-	f.Set(1)
-	env.Go("p2", func(p *Proc) {
-		if v, ok := f.GetTimeout(p, time.Second); !ok || v != 1 {
-			t.Errorf("resolved GetTimeout = %d %v", v, ok)
-		}
-	})
-	env.Run()
-}
-
 func TestFutureDoubleSetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("second Set did not panic")
 		}
 	}()
-	env := NewEnv(1)
-	f := NewFuture[int](env)
+	f := NewFuture[int]()
 	f.Set(1)
 	f.Set(2)
 }

@@ -93,8 +93,8 @@ func TestCancelledCompaction(t *testing.T) {
 	}
 	// With ~90% cancelled, eager compaction must have collected most of
 	// them already instead of leaving them buried until Run.
-	if env.nqueued > 2*want+64 {
-		t.Errorf("queue not compacted: %d events buried for %d survivors", env.nqueued, want)
+	if len(env.events) > 2*want+64 {
+		t.Errorf("queue not compacted: %d events buried for %d survivors", len(env.events), want)
 	}
 	if env.compactions == 0 {
 		t.Error("no compaction ran under a 90% cancellation load")
@@ -103,8 +103,8 @@ func TestCancelledCompaction(t *testing.T) {
 	if fired != want {
 		t.Errorf("fired = %d, want %d", fired, want)
 	}
-	if env.nqueued != 0 || env.ncancel != 0 {
-		t.Errorf("accounting after run: nqueued=%d ncancel=%d, want 0, 0", env.nqueued, env.ncancel)
+	if len(env.events) != 0 || env.ncancel != 0 {
+		t.Errorf("accounting after run: queued=%d ncancel=%d, want 0, 0", len(env.events), env.ncancel)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 		if env.compactions != 0 {
 			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.compactions)
 		}
-		if env.ncancel != 0 || env.nqueued != 0 {
-			t.Errorf("leaked accounting: ncancel=%d nqueued=%d", env.ncancel, env.nqueued)
+		if env.ncancel != 0 || len(env.events) != 0 {
+			t.Errorf("leaked accounting: ncancel=%d queued=%d", env.ncancel, len(env.events))
 		}
 	})
 	t.Run("wheel", func(t *testing.T) {
@@ -146,8 +146,8 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 		if env.compactions != 0 {
 			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.compactions)
 		}
-		if env.ncancel != 0 || env.nqueued != 0 {
-			t.Errorf("leaked accounting: ncancel=%d nqueued=%d", env.ncancel, env.nqueued)
+		if env.ncancel != 0 || len(env.events) != 0 {
+			t.Errorf("leaked accounting: ncancel=%d queued=%d", env.ncancel, len(env.events))
 		}
 	})
 }
@@ -202,8 +202,8 @@ func TestWheelCancelledLazyDrop(t *testing.T) {
 	if fired != 0 {
 		t.Error("cancelled far timer fired")
 	}
-	if env.ncancel != 0 || env.nqueued != 0 {
-		t.Errorf("accounting after drain: ncancel=%d nqueued=%d, want 0, 0", env.ncancel, env.nqueued)
+	if env.ncancel != 0 || len(env.events) != 0 {
+		t.Errorf("accounting after drain: ncancel=%d queued=%d, want 0, 0", env.ncancel, len(env.events))
 	}
 }
 

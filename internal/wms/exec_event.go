@@ -39,7 +39,7 @@ func (e *Engine) runEvent(p *sim.Proc, d *dagRun, broker *knative.Broker) error 
 	r := &eventRun{
 		d:      d,
 		broker: broker,
-		fin:    sim.NewFuture[error](e.Env),
+		fin:    sim.NewFuture[error](),
 	}
 	if d.ndone == d.wf.Len() { // rescue already finished everything
 		d.res.FinishedAt = p.Now()

@@ -5,6 +5,10 @@
 #   BENCH_<git-sha>.txt   raw `go test -bench` output (benchstat-compatible)
 #   BENCH_<git-sha>.json  parsed {benchmark, ns_op, b_op, allocs_op, metrics{}}
 #
+# <git-sha> is the short HEAD sha, with a "-dirty" suffix when tracked files
+# differ from HEAD, so uncommitted work is never filed under its parent's
+# name. The script refuses to overwrite an existing snapshot.
+#
 # Usage:
 #   scripts/bench.sh                 # micro benchmarks, count=6
 #   BENCH_PATTERN='Fig|Sim' scripts/bench.sh
@@ -23,9 +27,18 @@ BENCHTIME="${BENCH_TIME:-1s}"
 OUT_DIR="${OUT_DIR:-bench}"
 
 SHA="$(git rev-parse --short HEAD 2>/dev/null || echo nogit)"
+if [ "$SHA" != nogit ] && ! git diff --quiet HEAD; then
+    SHA="${SHA}-dirty"
+fi
 mkdir -p "$OUT_DIR"
 RAW="$OUT_DIR/BENCH_${SHA}.txt"
 JSON="$OUT_DIR/BENCH_${SHA}.json"
+for f in "$RAW" "$JSON"; do
+    if [ -e "$f" ]; then
+        echo "error: snapshot $f already exists; move it away or set OUT_DIR" >&2
+        exit 1
+    fi
+done
 
 if [ -n "${BENCH_INPUT:-}" ]; then
     # Test hook: parse a pre-recorded raw file instead of running go test.
