@@ -13,12 +13,12 @@ import (
 
 func runBenchScript(t *testing.T, rawContent string) (jsonPath string, out string, err error) {
 	t.Helper()
-	return runBenchScriptIn(t, filepath.Join(t.TempDir(), "out"), rawContent)
+	return runBenchScriptIn(t, "scripts/bench.sh", filepath.Join(t.TempDir(), "out"), rawContent)
 }
 
-// runBenchScriptIn runs bench.sh on rawContent with its snapshots going to
-// outDir.
-func runBenchScriptIn(t *testing.T, outDir, rawContent string) (jsonPath string, out string, err error) {
+// runBenchScriptIn runs the bench script at path on rawContent, from the
+// repository root, with its snapshots going to outDir.
+func runBenchScriptIn(t *testing.T, path, outDir, rawContent string) (jsonPath string, out string, err error) {
 	t.Helper()
 	if _, lookErr := exec.LookPath("bash"); lookErr != nil {
 		t.Skip("bash not available")
@@ -27,7 +27,7 @@ func runBenchScriptIn(t *testing.T, outDir, rawContent string) (jsonPath string,
 	if werr := os.WriteFile(input, []byte(rawContent), 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	cmd := exec.Command("bash", "scripts/bench.sh")
+	cmd := exec.Command("bash", path)
 	cmd.Env = append(os.Environ(), "BENCH_INPUT="+input, "OUT_DIR="+outDir)
 	b, err := cmd.CombinedOutput()
 	matches, globErr := filepath.Glob(filepath.Join(outDir, "BENCH_*.json"))
@@ -103,7 +103,7 @@ func TestBenchScriptParsesSnapshot(t *testing.T) {
 func TestBenchScriptRefusesOverwrite(t *testing.T) {
 	outDir := filepath.Join(t.TempDir(), "out")
 	first := "BenchmarkSimKernelEvents-8 \t 1000000 \t 400 ns/op\n"
-	jsonPath, out, err := runBenchScriptIn(t, outDir, first)
+	jsonPath, out, err := runBenchScriptIn(t, "scripts/bench.sh", outDir, first)
 	if err != nil || jsonPath == "" {
 		t.Fatalf("first run failed: %v\noutput:\n%s", err, out)
 	}
@@ -112,7 +112,7 @@ func TestBenchScriptRefusesOverwrite(t *testing.T) {
 		t.Fatal(rerr)
 	}
 	second := "BenchmarkFluidServer-8 \t 500 \t 2500000 ns/op\n"
-	_, out, err = runBenchScriptIn(t, outDir, second)
+	_, out, err = runBenchScriptIn(t, "scripts/bench.sh", outDir, second)
 	if err == nil {
 		t.Fatalf("second run into the same OUT_DIR exited 0; output:\n%s", out)
 	}
@@ -125,5 +125,39 @@ func TestBenchScriptRefusesOverwrite(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("first snapshot changed:\nbefore:\n%s\nafter:\n%s", want, got)
+	}
+}
+
+// TestBenchScriptBenchmarksCallersCheckout is the regression test for the
+// merge-base compare: CI copies scripts/ out of the tree, checks out the
+// base commit and runs the copy. The script used to cd to its own parent
+// directory, i.e. outside any checkout, and filed the snapshot as "nogit".
+// Run from the repository, a copy elsewhere must name its snapshot after
+// the repository's commit.
+func TestBenchScriptBenchmarksCallersCheckout(t *testing.T) {
+	sha, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		t.Skip("not a git checkout, or git not available")
+	}
+	script, err := os.ReadFile(filepath.Join("scripts", "bench.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	harness := filepath.Join(t.TempDir(), "harness")
+	if err := os.Mkdir(harness, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	copied := filepath.Join(harness, "bench.sh")
+	if err := os.WriteFile(copied, script, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw := "BenchmarkSimKernelEvents-8 \t 1000000 \t 400 ns/op\n"
+	jsonPath, out, err := runBenchScriptIn(t, copied, filepath.Join(t.TempDir(), "out"), raw)
+	if err != nil {
+		t.Fatalf("bench.sh copy failed: %v\noutput:\n%s", err, out)
+	}
+	want := "BENCH_" + strings.TrimSpace(string(sha))
+	if !strings.HasPrefix(filepath.Base(jsonPath), want) {
+		t.Errorf("snapshot %q not named after the checkout's commit %s\noutput:\n%s", jsonPath, want, out)
 	}
 }

@@ -113,9 +113,6 @@ func (j *Job) Status() JobStatus { return j.status }
 // Node returns the worker that ran (or is running) the job.
 func (j *Job) Node() string { return j.node }
 
-// Slot returns the slot index the job was matched to on its node.
-func (j *Job) Slot() int { return j.slot }
-
 type startd struct {
 	node  *cluster.Node
 	slots int

@@ -142,8 +142,6 @@ type Params struct {
 
 	// SchedulerLatency is pod scheduling decision + binding cost.
 	SchedulerLatency time.Duration
-	// KubeletSyncPeriod paces the kubelet reconcile loop.
-	KubeletSyncPeriod time.Duration
 
 	// ---- Control plane cost model (internal/cplane; every knob defaults
 	// to 0 = the seed's free control plane, so existing goldens are pinned
@@ -231,11 +229,6 @@ type Params struct {
 	// When a fault injector is attached it absorbs this knob as the
 	// standing rate for faults.KindJobFailure.
 	JobFailureProb float64
-	// RequeueDelay is the scheduler penalty a failed job pays before its
-	// failure is reported and the job can be re-matched (the negotiation
-	// cycle a real requeue waits out). Zero derives it from the negotiation
-	// model: NegotiationDelay in per-job mode, NegotiatorCycle otherwise.
-	RequeueDelay time.Duration
 
 	// ---- Retry policies (unified fault-recovery configuration) ----
 
@@ -351,8 +344,7 @@ func Default() Params {
 		HPASyncPeriod:          15 * time.Second,
 		HPATargetUtilization:   0.7,
 
-		SchedulerLatency:  40 * time.Millisecond,
-		KubeletSyncPeriod: 100 * time.Millisecond,
+		SchedulerLatency: 40 * time.Millisecond,
 
 		PerJobNegotiation:    true,
 		NegotiationDelay:     21500 * time.Millisecond,
@@ -400,13 +392,11 @@ func (p Params) ImageBytes() int64 {
 	return total
 }
 
-// EffectiveRequeueDelay resolves RequeueDelay against the negotiation model:
-// an explicit value wins, otherwise a failed job waits out one per-job
-// negotiation (per-job mode) or one negotiator cycle.
+// EffectiveRequeueDelay is the scheduler penalty a failed job pays before
+// its failure is reported and the job can be re-matched: the negotiation a
+// real requeue waits out, one per-job negotiation (per-job mode) or one
+// negotiator cycle.
 func (p Params) EffectiveRequeueDelay() time.Duration {
-	if p.RequeueDelay > 0 {
-		return p.RequeueDelay
-	}
 	if p.PerJobNegotiation {
 		return p.NegotiationDelay
 	}

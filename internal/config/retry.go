@@ -26,9 +26,6 @@ type RetryPolicy struct {
 	// JitterFrac spreads each delay multiplicatively by U[1−f, 1+f),
 	// decorrelating retry storms across concurrent clients.
 	JitterFrac float64
-	// AttemptTimeout bounds one attempt's duration where the operation
-	// supports cancellation. Zero means no per-attempt timeout.
-	AttemptTimeout time.Duration
 }
 
 // Attempts returns the effective total-attempt budget (at least 1).

@@ -112,8 +112,6 @@ type Stack struct {
 	Store *storage.ObjectStore
 	// Faults is the cross-layer fault injector, nil until EnableFaults.
 	Faults *faults.Injector
-
-	services map[string]*knative.Service
 }
 
 // NewStack builds and starts the testbed described by prm on a fresh
@@ -157,7 +155,6 @@ func NewStack(seed uint64, prm config.Params) *Stack {
 		Catalogs: cat,
 		FS:       fs,
 		Store:    store,
-		services: make(map[string]*knative.Service),
 	}
 	s.Engine = &wms.Engine{
 		Env:        env,
@@ -168,7 +165,7 @@ func NewStack(seed uint64, prm config.Params) *Stack {
 		Catalogs:   cat,
 		Prm:        prm,
 		Retry:      prm.TaskRetry,
-		Services:   s.resolve,
+		Services:   kn.Service,
 		FS:         fs,
 		Store:      store,
 		Budget:     budget,
@@ -208,11 +205,6 @@ func (s *Stack) EnableFaults() *faults.Injector {
 	return in
 }
 
-func (s *Stack) resolve(transformation string) (*knative.Service, bool) {
-	svc, ok := s.services[transformation]
-	return svc, ok
-}
-
 // RegisterTransformation packages a transformation: it declares it in the
 // transformation catalog and builds and pushes its container image (the
 // shared base layers plus an app layer).
@@ -233,7 +225,7 @@ func (s *Stack) DeployFunction(p *sim.Proc, transformation string, policy Deploy
 	if !ok {
 		return fmt.Errorf("core: unknown transformation %q", transformation)
 	}
-	if _, dup := s.services[transformation]; dup {
+	if _, dup := s.Knative.Service(transformation); dup {
 		return fmt.Errorf("core: function for %q already deployed", transformation)
 	}
 	if policy.PrePullAllNodes {
@@ -243,7 +235,7 @@ func (s *Stack) DeployFunction(p *sim.Proc, transformation string, policy Deploy
 			}
 		}
 	}
-	svc, err := s.Knative.Deploy(p, knative.ServiceSpec{
+	_, err := s.Knative.Deploy(p, knative.ServiceSpec{
 		Name:                 transformation,
 		Image:                tr.Image,
 		ContainerConcurrency: policy.ContainerConcurrency,
@@ -255,16 +247,13 @@ func (s *Stack) DeployFunction(p *sim.Proc, transformation string, policy Deploy
 		CapCores:             policy.CapCores,
 		AppInit:              s.Prm.ColdStartAppInit,
 	})
-	if err != nil {
-		return err
-	}
-	s.services[transformation] = svc
-	return nil
+	return err
 }
 
-// Service returns the deployed function for a transformation.
+// Service returns the deployed function for a transformation: DeployFunction
+// names each service after its transformation.
 func (s *Stack) Service(transformation string) (*knative.Service, bool) {
-	return s.resolve(transformation)
+	return s.Knative.Service(transformation)
 }
 
 // AutoIntegrate is the §IX-B automation: it scans a workflow, registers any
@@ -284,7 +273,7 @@ func (s *Stack) AutoIntegrate(p *sim.Proc, wf *wms.Workflow, policy DeployPolicy
 			appLayer := s.Prm.ImageLayersBytes[len(s.Prm.ImageLayersBytes)-1]
 			s.RegisterTransformation(tr, appLayer)
 		}
-		if _, deployed := s.services[tr]; !deployed {
+		if _, deployed := s.Knative.Service(tr); !deployed {
 			if err := s.DeployFunction(p, tr, policy); err != nil {
 				return fmt.Errorf("core: auto-integrate %s: %w", tr, err)
 			}

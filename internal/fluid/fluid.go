@@ -72,9 +72,6 @@ func New(env *sim.Env, name string, capacity float64) *Server {
 	return s
 }
 
-// Capacity returns the server's total capacity in work units per second.
-func (s *Server) Capacity() float64 { return s.capacity }
-
 // SetCapacity changes the server's capacity mid-run, settling accounts at the
 // old rate first and recomputing every active job's share — the mechanism
 // behind degraded-mode faults such as a registry bandwidth brownout. It

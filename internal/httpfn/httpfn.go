@@ -206,10 +206,6 @@ func NewBalancer(bases ...string) *Balancer {
 	return &Balancer{bases: append([]string(nil), bases...)}
 }
 
-// SetTimeout configures the per-invocation timeout of the balancer's
-// underlying client.
-func (lb *Balancer) SetTimeout(d time.Duration) { lb.client.Timeout = d }
-
 // Protect installs one circuit breaker per backend. The breakers are the
 // same deterministic state machines the simulation uses, driven here by
 // wall-clock time since installation.

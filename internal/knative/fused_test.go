@@ -42,7 +42,7 @@ func referenceRoute(s *Service, offset int, rejects map[string]int) refDecision 
 		h := s.pods[i]
 		d.visited++
 		switch {
-		case h.state == podTerminating || !h.pod.Ready():
+		case !h.pod.Ready():
 			rejects["ready"]++
 			continue
 		case h.gate.Available() <= 0:

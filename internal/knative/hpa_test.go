@@ -96,3 +96,41 @@ func TestHPANeverScalesToZero(t *testing.T) {
 	})
 	f.env.Run()
 }
+
+// TestAutoscalerRestoresFloorAfterReplicasDie kills every replica of an
+// idle service and checks that its autoscaler alone brings it back to
+// MinScale. Both classes run the one reconcile loop, so neither waits for
+// a request to notice that it has no ready pod.
+func TestAutoscalerRestoresFloorAfterReplicasDie(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		class AutoscalerClass
+	}{{"kpa", ClassKPA}, {"hpa", ClassHPA}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.env.Go("main", func(p *sim.Proc) {
+				defer f.kn.Shutdown()
+				f.prePull(p)
+				spec := baseSpec()
+				spec.MinScale = 2
+				spec.Class = tc.class
+				svc, err := f.kn.Deploy(p, spec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				svc.killOnePod()
+				svc.killOnePod()
+				if n := svc.ReadyPods(); n != 0 {
+					t.Errorf("ready pods after two kills = %d, want 0", n)
+					return
+				}
+				p.Sleep(2 * time.Minute)
+				if n := svc.ReadyPods(); n != 2 {
+					t.Errorf("ready pods after 2 min idle = %d, want MinScale 2", n)
+				}
+			})
+			f.env.Run()
+		})
+	}
+}

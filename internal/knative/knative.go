@@ -145,18 +145,11 @@ type Response struct {
 	Queued time.Duration
 }
 
-type podState int
-
-const (
-	podStarting podState = iota
-	podReady
-	podTerminating
-)
-
+// podHandle is the service's view of one replica. Its lifecycle is the
+// kube pod's own: a replica serves once its pod is Ready, and the service
+// drops the handle in the same step that deletes the pod.
 type podHandle struct {
-	id       int
 	pod      *kube.Pod
-	state    podState
 	gate     *sim.Semaphore
 	inFlight int
 }
@@ -172,7 +165,7 @@ type Service struct {
 	rr       int // round-robin offset for tie-breaking
 	inFlight int
 
-	readySig *sim.Signal
+	readySig sim.Signal
 	stopped  bool
 
 	// Overload protection (nil members = disabled, the seed behaviour).
@@ -269,7 +262,7 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 		return nil, fmt.Errorf("knative: deploy %s: unknown Routing %d (valid: %d %s, %d %s)", spec.Name, int(r),
 			RouteLeastRequests, RouteLeastRequests, RouteLeastNodeLoad, RouteLeastNodeLoad)
 	}
-	svc := &Service{kn: kn, spec: spec, ascfg: ascfg, readySig: sim.NewSignal(kn.env)}
+	svc := &Service{kn: kn, spec: spec, ascfg: ascfg}
 	svc.breaker = resilience.NewBreaker(resilience.BreakerPolicy{
 		Failures:       kn.prm.BreakerFailures,
 		OpenFor:        kn.prm.BreakerOpenFor,
@@ -289,11 +282,7 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 			return nil, fmt.Errorf("knative: deploy %s: %w", spec.Name, err)
 		}
 	}
-	if spec.Class == ClassHPA {
-		kn.env.Go("hpa-"+spec.Name, svc.hpaLoop)
-	} else {
-		kn.env.Go("autoscaler-"+spec.Name, svc.autoscalerLoop)
-	}
+	kn.env.Go("autoscaler-"+spec.Name, svc.autoscalerLoop)
 	return svc, nil
 }
 
@@ -325,10 +314,9 @@ func (kn *Knative) AttachFaults(in *faults.Injector) {
 // creation order), modelling an external eviction or OOM kill.
 func (s *Service) killOnePod() {
 	for _, h := range s.pods {
-		if !h.ready() {
+		if !h.pod.Ready() {
 			continue
 		}
-		h.state = podTerminating
 		s.kn.k.DeletePod(h.pod.Spec.Name)
 		s.removeHandle(h)
 		s.readySig.Broadcast()
@@ -345,7 +333,6 @@ func (kn *Knative) Shutdown() {
 	for _, svc := range kn.services {
 		svc.stopped = true
 		for _, h := range svc.pods {
-			h.state = podTerminating
 			kn.k.DeletePod(h.pod.Spec.Name)
 		}
 		svc.pods = nil
@@ -356,18 +343,13 @@ func (kn *Knative) Shutdown() {
 // Spec returns the service's declaration.
 func (s *Service) Spec() ServiceSpec { return s.spec }
 
-// ready reports whether a replica is serving. Readiness derives from the
-// kube pod itself so it is visible the moment the kubelet reports it,
-// independent of watcher scheduling.
-func (h *podHandle) ready() bool {
-	return h.state != podTerminating && h.pod.Ready()
-}
-
-// ReadyPods counts serving replicas.
+// ReadyPods counts serving replicas. Readiness is the kube pod's own, so
+// it is visible the moment the kubelet reports it, independent of watcher
+// scheduling.
 func (s *Service) ReadyPods() int {
 	n := 0
 	for _, h := range s.pods {
-		if h.ready() {
+		if h.pod.Ready() {
 			n++
 		}
 	}
@@ -378,7 +360,7 @@ func (s *Service) ReadyPods() int {
 func (s *Service) StartingPods() int {
 	n := 0
 	for _, h := range s.pods {
-		if h.state == podStarting && !h.pod.Ready() {
+		if !h.pod.Ready() {
 			n++
 		}
 	}
@@ -396,7 +378,7 @@ func (s *Service) addPod() *podHandle {
 	}
 	name := fmt.Sprintf("%s-%05d", s.spec.Name, s.nextPod)
 	s.nextPod++
-	h := &podHandle{id: s.nextPod, gate: sim.NewSemaphore(cc)}
+	h := &podHandle{gate: sim.NewSemaphore(cc)}
 	pod, err := s.kn.k.CreatePod(kube.PodSpec{
 		Name:       name,
 		Image:      s.spec.Image,
@@ -415,9 +397,6 @@ func (s *Service) addPod() *podHandle {
 			s.removeHandle(h)
 			s.readySig.Broadcast() // let activator waiters re-examine
 			return
-		}
-		if h.state == podStarting {
-			h.state = podReady
 		}
 		s.readySig.Broadcast()
 	})
@@ -762,7 +741,7 @@ func (s *Service) pickReplica() (best, feasible, visited int) {
 // sched.Decision): an idle replica totals +0 while its term is −0.
 func (s *Service) evalReplica(i int) (float64, bool) {
 	h := s.pods[i]
-	if !h.ready() || h.gate.Available() <= 0 {
+	if !h.pod.Ready() || h.gate.Available() <= 0 {
 		return 0, false
 	}
 	return 0 - s.load(h), true
@@ -807,31 +786,17 @@ func (s *Service) purgeDead() {
 // scaleTo reconciles the replica count towards desired: grows immediately,
 // shrinks by removing idle replicas only (busy ones drain first).
 func (s *Service) scaleTo(desired int) {
-	if s.spec.MaxScale > 0 && desired > s.spec.MaxScale {
-		desired = s.spec.MaxScale
-	}
-	if desired < s.spec.MinScale {
-		desired = s.spec.MinScale
-	}
-	current := 0
-	for _, h := range s.pods {
-		if h.state != podTerminating {
-			current++
-		}
-	}
-	for current < desired {
+	desired = s.ascfg.ClampBounds(desired)
+	for len(s.pods) < desired {
 		s.addPod()
-		current++
 	}
-	for current > desired {
+	for len(s.pods) > desired {
 		h := s.idleVictim()
 		if h == nil {
 			return // nothing idle; retry next tick
 		}
-		h.state = podTerminating
 		s.kn.k.DeletePod(h.pod.Spec.Name)
 		s.removeHandle(h)
-		current--
 	}
 }
 
@@ -839,14 +804,14 @@ func (s *Service) scaleTo(desired int) {
 func (s *Service) idleVictim() *podHandle {
 	for i := len(s.pods) - 1; i >= 0; i-- {
 		h := s.pods[i]
-		if h.ready() && h.inFlight == 0 {
+		if h.pod.Ready() && h.inFlight == 0 {
 			return h
 		}
 	}
 	// Allow cancelling replicas that are still starting.
 	for i := len(s.pods) - 1; i >= 0; i-- {
 		h := s.pods[i]
-		if h.state == podStarting && !h.pod.Ready() {
+		if !h.pod.Ready() {
 			return h
 		}
 	}
@@ -856,13 +821,12 @@ func (s *Service) idleVictim() *podHandle {
 // kpaConfig maps the platform parameters plus a service's spec onto the
 // KPA-class autoscaler configuration. The zero values of the optional
 // Params knobs (rate clamps, scale-down delay, activation scale) leave the
-// seed parameterization untouched. Windows aggregate linearly.
+// seed parameterization untouched.
 func (kn *Knative) kpaConfig(spec ServiceSpec) kpa.Config {
 	prm := kn.prm
 	return kpa.Config{
 		TargetValue:      spec.Target,
 		ScalingMetric:    spec.ScalingMetric,
-		Aggregation:      kpa.AggregationLinear,
 		Tick:             prm.AutoscalerTick,
 		StableWindow:     prm.StableWindow,
 		PanicWindow:      prm.PanicWindow,
@@ -881,8 +845,10 @@ func (kn *Knative) kpaConfig(spec ServiceSpec) kpa.Config {
 // hpaConfig maps a service's spec onto the HPA-class configuration: CPU
 // utilization expressed as a concurrency target (in-flight requests each
 // consume up to one core against the pod's quota, so the per-pod target is
-// CapCores × target utilization), no panic mode, no scale to zero — the
-// floor is max(MinScale, 1).
+// CapCores × target utilization), one sync period as both tick and window
+// (the kubernetes HPA averages over its own metric pipeline, modelled as
+// the sync cadence itself), no panic mode, no scale to zero — the floor is
+// max(MinScale, 1).
 func (kn *Knative) hpaConfig(spec ServiceSpec) kpa.Config {
 	perPod := 1.0
 	if spec.CapCores > 0 {
@@ -902,11 +868,12 @@ func (kn *Knative) hpaConfig(spec ServiceSpec) kpa.Config {
 	}
 }
 
-// autoscalerLoop is the KPA-class reconcile loop: every tick it records the
-// instantaneous concurrency and the request rate over the elapsed tick into
-// the sliding windows, asks the kpa autoscaler for a recommendation, and
-// reconciles the replica count. All algorithmic state (windows, panic exit,
-// idle clock, delay window) lives in internal/kpa.
+// autoscalerLoop is the service's one reconcile loop, for either class:
+// every tick it records the instantaneous concurrency and the request rate
+// over the elapsed tick into the sliding windows, asks the kpa autoscaler
+// for a recommendation, and reconciles the replica count. The class only
+// picks the kpa.Config (kpaConfig or hpaConfig); all algorithmic state
+// (windows, panic exit, idle clock, delay window) lives in internal/kpa.
 func (s *Service) autoscalerLoop(p *sim.Proc) {
 	tick := s.ascfg.Tick
 	agg := kpa.NewMetricAggregator(s.ascfg)
@@ -937,50 +904,6 @@ func (s *Service) autoscalerLoop(p *sim.Proc) {
 		}
 		// The scale decision is a write the scheduler must observe before
 		// the replica change takes effect.
-		if d := s.kn.k.ControlPlane().ScaleWriteDelay(); d > 0 {
-			p.Sleep(d)
-			if s.stopped {
-				return
-			}
-		}
-		s.scaleTo(rec.Desired)
-	}
-}
-
-// hpaLoop is the HPA-class reconcile loop: every sync period it feeds the
-// instantaneous concurrency straight into the autoscaler (no windowing —
-// the kubernetes HPA averages over its own metric pipeline, modelled here
-// as the sync-period cadence itself).
-func (s *Service) hpaLoop(p *sim.Proc) {
-	as := kpa.MustNew(s.ascfg)
-	for !s.stopped {
-		p.Sleep(s.ascfg.Tick)
-		if s.stopped {
-			return
-		}
-		// Same control-plane costs as the KPA loop: metric read per sync,
-		// scale write when acting. Zero delays = seed behaviour.
-		if d := s.kn.k.ControlPlane().MetricReadDelay(); d > 0 {
-			p.Sleep(d)
-			if s.stopped {
-				return
-			}
-		}
-		s.purgeDead()
-		ready := s.ReadyPods()
-		if ready == 0 {
-			continue
-		}
-		snap := kpa.Snapshot{
-			StableValue: float64(s.inFlight),
-			PanicValue:  float64(s.inFlight),
-			ReadyPods:   ready,
-			Valid:       true,
-		}
-		rec := as.Scale(snap, p.Now())
-		if rec.Hold {
-			continue
-		}
 		if d := s.kn.k.ControlPlane().ScaleWriteDelay(); d > 0 {
 			p.Sleep(d)
 			if s.stopped {

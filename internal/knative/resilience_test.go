@@ -208,7 +208,7 @@ func TestBreakerTripsOnReplicaDeathsAndRecovers(t *testing.T) {
 				kp.Sleep(20 * time.Millisecond)
 				busy := false
 				for _, h := range svc.pods {
-					if h.ready() && h.inFlight > 0 {
+					if h.pod.Ready() && h.inFlight > 0 {
 						busy = true
 						break
 					}

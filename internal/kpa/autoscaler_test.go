@@ -474,8 +474,6 @@ func TestKPAConfigValidate(t *testing.T) {
 		{name: "negative initial invalid", mutate: func(c *Config) { c.InitialScale = -1 }, wantErr: "InitialScale"},
 		{name: "negative activation invalid", mutate: func(c *Config) { c.ActivationScale = -1 }, wantErr: "ActivationScale"},
 		{name: "unknown metric invalid", mutate: func(c *Config) { c.ScalingMetric = Metric(42) }, wantErr: "ScalingMetric"},
-		{name: "unknown aggregation invalid", mutate: func(c *Config) { c.Aggregation = Aggregation(42) }, wantErr: "Aggregation"},
-		{name: "negative half-life invalid", mutate: func(c *Config) { c.WeightedHalfLife = -s }, wantErr: "WeightedHalfLife"},
 		{name: "multiple violations all reported",
 			mutate:  func(c *Config) { c.TargetValue = 0; c.Tick = 0 },
 			wantErr: "Tick"},

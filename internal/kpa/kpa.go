@@ -7,17 +7,19 @@
 //
 // The package has no dependency on the simulator: time is an explicit
 // virtual-clock parameter (time.Duration since simulation start), metric
-// observations arrive through a MetricAggregator or a hand-built Snapshot,
-// and every decision is a pure function of (Config, recorded samples, now)
-// plus two pieces of internal state (the panic-exit time and the idle-since
-// mark). Feeding the same observation sequence therefore always yields the
-// same recommendation sequence — the determinism contract the simulator's
-// byte-identical goldens rely on.
+// observations arrive through a MetricAggregator, and every decision is a
+// pure function of (Config, recorded samples, now) plus the Autoscaler's
+// own state. Feeding the same observation sequence therefore always yields
+// the same recommendation sequence — the determinism contract the
+// simulator's byte-identical goldens rely on.
 //
-// The zero-valued knobs of Config reproduce the behaviour of the original
-// minimal autoscaler loop this library replaced (uniform window averages,
-// no rate clamps, no scale-down delay, activation scale 1), which keeps the
-// seed experiments byte-identical under the default parameterization.
+// Window averages are uniform. The zero-valued knobs of Config reproduce
+// the original minimal autoscaler loop this library replaced (no rate
+// clamps, no scale-down delay, activation scale 1), which keeps the seed
+// experiments byte-identical under the default parameterization. Both of
+// the serving layer's autoscaler classes run on this library through one
+// reconcile loop; the HPA class is a Config whose tick and stable window
+// are one sync period, with no panic mode and a floor of one replica.
 package kpa
 
 import (
@@ -48,29 +50,6 @@ func (m Metric) String() string {
 	}
 }
 
-// Aggregation selects how windowed samples are averaged.
-type Aggregation int
-
-const (
-	// AggregationLinear weighs every in-window sample equally (the seed
-	// behaviour and knative's default).
-	AggregationLinear Aggregation = iota
-	// AggregationWeighted weighs samples by exponential decay of their age,
-	// emphasising recent observations (libkpa's weighted time window).
-	AggregationWeighted
-)
-
-func (a Aggregation) String() string {
-	switch a {
-	case AggregationLinear:
-		return "linear"
-	case AggregationWeighted:
-		return "weighted"
-	default:
-		return fmt.Sprintf("Aggregation(%d)", int(a))
-	}
-}
-
 // Config is the complete parameter set of one autoscaler instance. The
 // documented zero values are all valid and reproduce the seed autoscaler.
 type Config struct {
@@ -79,11 +58,6 @@ type Config struct {
 	TargetValue float64
 	// ScalingMetric selects concurrency (default) or RPS.
 	ScalingMetric Metric
-	// Aggregation selects linear (default) or age-weighted window averages.
-	Aggregation Aggregation
-	// WeightedHalfLife is the age at which a sample's weight halves under
-	// AggregationWeighted. 0 derives StableWindow/4.
-	WeightedHalfLife time.Duration
 
 	// Tick is the evaluation cadence: one metric sample is recorded and one
 	// decision made per tick. It is also the window bucket granularity.
@@ -139,12 +113,6 @@ func (c Config) Validate() error {
 	}
 	if c.ScalingMetric != MetricConcurrency && c.ScalingMetric != MetricRPS {
 		errs = append(errs, fmt.Errorf("unknown ScalingMetric %d", int(c.ScalingMetric)))
-	}
-	if c.Aggregation != AggregationLinear && c.Aggregation != AggregationWeighted {
-		errs = append(errs, fmt.Errorf("unknown Aggregation %d", int(c.Aggregation)))
-	}
-	if c.WeightedHalfLife < 0 {
-		errs = append(errs, fmt.Errorf("WeightedHalfLife must be >= 0, got %v", c.WeightedHalfLife))
 	}
 	if c.Tick <= 0 {
 		errs = append(errs, fmt.Errorf("Tick must be positive, got %v", c.Tick))
@@ -210,18 +178,9 @@ func (c Config) Initial() int {
 	return c.InitialScale
 }
 
-// halfLife resolves the weighted-aggregation half-life default.
-func (c Config) halfLife() time.Duration {
-	if c.WeightedHalfLife > 0 {
-		return c.WeightedHalfLife
-	}
-	return c.StableWindow / 4
-}
-
 // Snapshot is one observation of the scaling metric, aggregated over the
-// stable and panic windows, plus the current ready replica count. Build one
-// through MetricAggregator.Snapshot, or by hand for instantaneous scaling
-// (the HPA-style path).
+// stable and panic windows, plus the current ready replica count, as built
+// by MetricAggregator.Snapshot.
 type Snapshot struct {
 	// StableValue is the metric averaged over the stable window.
 	StableValue float64

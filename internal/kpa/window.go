@@ -1,9 +1,6 @@
 package kpa
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // sample is one timestamped observation.
 type sample struct {
@@ -59,30 +56,6 @@ func (w *window) Average(cutoff time.Duration) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// WeightedAverage returns the exponentially age-weighted mean over samples
-// with at >= cutoff: a sample of age a carries weight 2^(-a/halfLife), so
-// recent observations dominate and the window reacts faster to level
-// shifts while still smoothing noise.
-func (w *window) WeightedAverage(cutoff, now time.Duration, halfLife time.Duration) (float64, bool) {
-	if halfLife <= 0 {
-		return w.Average(cutoff)
-	}
-	num, den := 0.0, 0.0
-	for _, s := range w.samples {
-		if s.at < cutoff {
-			continue
-		}
-		age := now - s.at
-		wt := math.Exp2(-float64(age) / float64(halfLife))
-		num += wt * s.val
-		den += wt
-	}
-	if den == 0 {
-		return 0, false
-	}
-	return num / den, true
-}
-
 // Max returns the maximum over samples with at >= cutoff, and whether any
 // sample was in range. It backs the scale-down delay window.
 func (w *window) Max(cutoff time.Duration) (float64, bool) {
@@ -133,16 +106,10 @@ func (m *MetricAggregator) Snapshot(now time.Duration, readyPods int) Snapshot {
 	if m.cfg.ScalingMetric == MetricRPS {
 		w = &m.rps
 	}
-	avg := func(cutoff time.Duration) (float64, bool) {
-		if m.cfg.Aggregation == AggregationWeighted {
-			return w.WeightedAverage(cutoff, now, m.cfg.halfLife())
-		}
-		return w.Average(cutoff)
-	}
-	stable, okS := avg(now - m.cfg.StableWindow)
+	stable, okS := w.Average(now - m.cfg.StableWindow)
 	panicV, okP := stable, okS
 	if m.cfg.PanicWindow > 0 {
-		panicV, okP = avg(now - m.cfg.PanicWindow)
+		panicV, okP = w.Average(now - m.cfg.PanicWindow)
 	}
 	return Snapshot{
 		StableValue: stable,

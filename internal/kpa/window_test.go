@@ -73,55 +73,6 @@ func TestKPAWindowAverage(t *testing.T) {
 	}
 }
 
-// TestKPAWeightedAverage is the exponentially age-weighted aggregation
-// table: recent samples dominate, boundary behaviour matches linear.
-func TestKPAWeightedAverage(t *testing.T) {
-	cases := []struct {
-		name     string
-		recs     []rec
-		cutoff   time.Duration
-		now      time.Duration
-		halfLife time.Duration
-		want     float64
-		ok       bool
-	}{
-		{name: "empty window has no weighted average",
-			recs: nil, now: 10 * s, halfLife: 10 * s, ok: false},
-		{name: "single sample unaffected by weighting",
-			recs: []rec{{10 * s, 7}}, now: 10 * s, halfLife: 10 * s, want: 7, ok: true},
-		{name: "equal ages reduce to uniform average",
-			recs: []rec{{10 * s, 2}, {10 * s, 6}}, now: 20 * s, halfLife: 5 * s, want: 4, ok: true},
-		{name: "one half-life halves the old weight",
-			// weights: old 0.5, new 1 → (0.5*0 + 1*3)/1.5 = 2
-			recs: []rec{{0, 0}, {10 * s, 3}}, now: 10 * s, halfLife: 10 * s, want: 2, ok: true},
-		{name: "two half-lives quarter the old weight",
-			// weights: old 0.25, new 1 → (0.25*5 + 1*10)/1.25 = 9
-			recs: []rec{{0, 5}, {20 * s, 10}}, now: 20 * s, halfLife: 10 * s, want: 9, ok: true},
-		{name: "zero half-life falls back to uniform",
-			recs: []rec{{0, 1}, {10 * s, 3}}, now: 10 * s, halfLife: 0, want: 2, ok: true},
-		{name: "cutoff excludes old samples before weighting",
-			recs: []rec{{0, 1000}, {10 * s, 4}}, cutoff: 5 * s, now: 10 * s, halfLife: 10 * s, want: 4, ok: true},
-		{name: "recent spike dominates weighted but not uniform",
-			// uniform avg = (1+1+1+13)/4 = 4; weighted must exceed it.
-			recs: []rec{{0, 1}, {2 * s, 1}, {4 * s, 1}, {6 * s, 13}},
-			// weights 0.125/0.25/0.5/1 → 13.875/1.875 = 7.4.
-			now: 6 * s, halfLife: 2 * s, want: 7.4, ok: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := newWindow(60 * s)
-			feed(&w, tc.recs)
-			got, ok := w.WeightedAverage(tc.cutoff, tc.now, tc.halfLife)
-			if ok != tc.ok {
-				t.Fatalf("WeightedAverage ok = %v, want %v", ok, tc.ok)
-			}
-			if ok && !almostEq(got, tc.want) {
-				t.Errorf("WeightedAverage = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
 // TestKPAWindowMax is the trailing-max table backing the scale-down delay.
 func TestKPAWindowMax(t *testing.T) {
 	cases := []struct {
@@ -206,11 +157,6 @@ func TestKPAMetricAggregator(t *testing.T) {
 			// the 6s panic window → the snapshot as a whole is not valid.
 			obs: []obs{{50 * s, 2, 0}},
 			now: 60 * s, ready: 1, wantValid: false},
-		{name: "weighted aggregation applies to both windows",
-			mutate: func(c *Config) { c.Aggregation = AggregationWeighted; c.WeightedHalfLife = 2 * s },
-			// ages 2s and 0s → weights 0.5 and 1: (0.5*0+1*6)/1.5 = 4.
-			obs: []obs{{58 * s, 0, 0}, {60 * s, 6, 0}},
-			now: 60 * s, ready: 1, wantStable: 4, wantPanic: 4, wantValid: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,7 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 	run := func(seed uint64) (fingerprint uint64, end time.Duration, alive int) {
 		env := NewEnv(seed)
 		sem := NewSemaphore(3)
-		sig := NewSignal(env)
+		var sig Signal
 		wg := NewWaitGroup(env)
 		sent := NewWaitGroup(env)
 		var fp uint64

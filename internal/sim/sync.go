@@ -121,15 +121,9 @@ func (g *Gate) Waiting() bool { return g.p != nil }
 
 // Signal is a broadcast-only condition variable: processes Wait on it and
 // every Broadcast wakes all current waiters. It backs watch/notify patterns
-// (informers, reconcile loops).
+// (informers, reconcile loops). The zero Signal is ready to use.
 type Signal struct {
-	env     *Env
 	waiters []*Proc
-}
-
-// NewSignal returns a signal bound to env.
-func NewSignal(env *Env) *Signal {
-	return &Signal{env: env}
 }
 
 // Wait blocks the calling process until the next Broadcast.

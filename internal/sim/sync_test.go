@@ -132,7 +132,7 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv(1)
-	sig := NewSignal(env)
+	var sig Signal // the zero Signal is ready to use
 	woken := 0
 	for i := 0; i < 4; i++ {
 		env.Go("waiter", func(p *Proc) {

@@ -27,7 +27,7 @@ type Network struct {
 	latFactor float64
 	ifaces    map[string]*iface
 	parts     map[string]bool
-	healed    *sim.Signal
+	healed    sim.Signal
 }
 
 type iface struct {
@@ -48,7 +48,6 @@ func New(env *sim.Env, latency time.Duration) *Network {
 		latFactor: 1,
 		ifaces:    make(map[string]*iface),
 		parts:     make(map[string]bool),
-		healed:    sim.NewSignal(env),
 	}
 }
 
@@ -121,11 +120,6 @@ func (n *Network) Partition(a, b string) {
 func (n *Network) Heal(a, b string) {
 	delete(n.parts, partKey(a, b))
 	n.healed.Broadcast()
-}
-
-// Partitioned reports whether traffic between two nodes is currently severed.
-func (n *Network) Partitioned(a, b string) bool {
-	return n.parts[partKey(a, b)]
 }
 
 // waitReachable blocks the calling process while from↔to is partitioned.
@@ -222,9 +216,6 @@ func (n *Network) TotalBytesSent() int64 {
 	}
 	return total
 }
-
-// EgressLoad returns the number of in-flight transfers leaving a node.
-func (n *Network) EgressLoad(node string) int { return n.mustIface(node).egress.Load() }
 
 func (n *Network) mustIface(name string) *iface {
 	f, ok := n.ifaces[name]

@@ -51,9 +51,6 @@ func (o *ObjectStore) AttachFaults(in *faults.Injector) {
 	})
 }
 
-// Down reports whether the service is inside an outage window.
-func (o *ObjectStore) Down() bool { return o.down }
-
 // unavailable charges the failed request's round trip and returns the
 // transient outage error.
 func (o *ObjectStore) unavailable(p *sim.Proc, node, op string) error {

@@ -7,7 +7,6 @@ package storage
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/fluid"
 	"repro/internal/sim"
@@ -157,7 +156,3 @@ func (fs *SharedFS) Stat(name string) (int64, bool) {
 // Touch records a file's existence without charging any I/O — used to seed
 // initial inputs at simulation start.
 func (fs *SharedFS) Touch(name string, size int64) { fs.files[name] = size }
-
-// ReadLatency is a convenience used by modelled code paths that only need
-// the fixed part of a metadata round trip.
-func (fs *SharedFS) ReadLatency() time.Duration { return fs.net.Latency() }

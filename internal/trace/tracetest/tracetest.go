@@ -95,27 +95,6 @@ func AssertEnded(t T, tr *trace.Tracer, m Match) {
 	}
 }
 
-// AssertNested asserts child's interval lies within ancestor's and that
-// ancestor is on child's parent chain.
-func AssertNested(t T, tr *trace.Tracer, child, ancestor *trace.Span) {
-	t.Helper()
-	found := false
-	for cur := tr.Span(child.Parent()); cur != nil; cur = tr.Span(cur.Parent()) {
-		if cur == ancestor {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Errorf("tracetest: span #%d is not a descendant of #%d", child.ID(), ancestor.ID())
-		return
-	}
-	if child.Start() < ancestor.Start() || (child.Ended() && ancestor.Ended() && child.EndTime() > ancestor.EndTime()) {
-		t.Errorf("tracetest: span #%d [%v,%v] not inside ancestor #%d [%v,%v]",
-			child.ID(), child.Start(), child.EndTime(), ancestor.ID(), ancestor.Start(), ancestor.EndTime())
-	}
-}
-
 // AssertNoOverlap asserts the spans' intervals are pairwise disjoint.
 // Touching endpoints (one span ending exactly when the next starts) do not
 // count as overlap — a freed condor slot may be re-claimed at the same

@@ -46,24 +46,6 @@ func FlashCrowd(underlying RateFn, start, width time.Duration, boost float64) Ra
 	}
 }
 
-// Peak returns a rate at least as large as rate(t) for every t in
-// [0, horizon], probed at millisecond granularity with 10% headroom. It is
-// the thinning bound for OpenLoop; pass a tighter bound when one is known
-// analytically.
-func Peak(rate RateFn, horizon time.Duration) float64 {
-	peak := 0.0
-	step := horizon / 1000
-	if step <= 0 {
-		step = time.Millisecond
-	}
-	for t := time.Duration(0); t <= horizon; t += step {
-		if r := rate(t); r > peak {
-			peak = r
-		}
-	}
-	return peak * 1.1
-}
-
 // OpenLoop yields the arrival offsets of a non-homogeneous Poisson process
 // with intensity rate(t) over [0, horizon), generated by thinning against
 // peak: candidate arrivals are drawn from a homogeneous process at the

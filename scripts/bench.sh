@@ -19,7 +19,10 @@
 # later sessions can diff snapshots across commits.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
+# Benchmark the checkout the script is called from, so a copy of the script
+# kept outside the tree (CI's merge-base compare) still measures that
+# checkout; outside git, fall back to the script's own parent directory.
+cd "$(git rev-parse --show-toplevel 2>/dev/null || echo "$(dirname "$0")/..")"
 
 PATTERN="${BENCH_PATTERN:-SimKernelEvents|SimKernelMillionTimers|SimKernelTimerChurn|FluidServer|Fig1ContainerReuse|Fig2ParallelScaling|ColdStart|RunnerWorkers|KubePlacement|WorkflowFanOut}"
 COUNT="${BENCH_COUNT:-6}"
