@@ -9,6 +9,7 @@ package crt
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
@@ -50,13 +51,12 @@ type Runtime struct {
 	reg    *registry.Registry
 	params config.Params
 
-	layers     map[string]bool
-	images     map[string]registry.Image
-	containers map[int]*Container
-	nextID     int
-	loader     *fluid.Server // docker-load unpack bandwidth, shared per node
-	faults     *faults.Injector
-	budget     *resilience.RetryBudget // shared pull retry budget (nil = ungated)
+	layers map[string]bool
+	images map[string]registry.Image
+	nextID int
+	loader *fluid.Server // docker-load unpack bandwidth, shared per node
+	faults *faults.Injector
+	budget *resilience.RetryBudget // shared pull retry budget (nil = ungated)
 
 	createdTotal int
 	removedTotal int
@@ -79,14 +79,13 @@ func NewSet(env *sim.Env, cl *cluster.Cluster, reg *registry.Registry, params co
 // New returns a runtime for node backed by the given registry.
 func New(env *sim.Env, node *cluster.Node, reg *registry.Registry, params config.Params) *Runtime {
 	return &Runtime{
-		env:        env,
-		node:       node,
-		reg:        reg,
-		params:     params,
-		layers:     make(map[string]bool),
-		images:     make(map[string]registry.Image),
-		containers: make(map[int]*Container),
-		loader:     fluid.New(env, "imgload:"+node.Name, params.ImageLoadBps),
+		env:    env,
+		node:   node,
+		reg:    reg,
+		params: params,
+		layers: make(map[string]bool),
+		images: make(map[string]registry.Image),
+		loader: fluid.New(env, "imgload:"+node.Name, params.ImageLoadBps),
 	}
 }
 
@@ -118,7 +117,7 @@ func (rt *Runtime) HasImage(name string) bool {
 }
 
 // Live returns the number of containers created and not yet removed.
-func (rt *Runtime) Live() int { return len(rt.containers) }
+func (rt *Runtime) Live() int { return rt.createdTotal - rt.removedTotal }
 
 // CreatedTotal returns the lifetime count of containers created — the
 // metric that separates Docker-per-task from serverless reuse.
@@ -204,6 +203,7 @@ type Container struct {
 	rt       *Runtime
 	state    State
 	execs    int
+	op       *trace.Span // span of the create, start or stop-remove in flight
 }
 
 // State returns the container's lifecycle state.
@@ -215,29 +215,72 @@ func (c *Container) Execs() int { return c.execs }
 // Node returns the node hosting the container.
 func (c *Container) Node() *cluster.Node { return c.rt.node }
 
+// The lifecycle ops Create, Start and StopRemove each have a blocking form,
+// for a process, and a chained form, for a continuation chain (see
+// sim.Env.Defer): Begin* checks the op, opens its span under an explicit
+// parent and arms then to run once the op's overhead has elapsed, and then
+// calls the matching End*, which applies the op's outcome. The blocking
+// form is the same begin, a Sleep, and the same End*.
+
 // Create provisions a container from a locally available image, charging
 // the create overhead. capCores > 0 applies a cgroup CPU quota to
 // everything later executed in the container; 0 leaves it uncapped.
 func (rt *Runtime) Create(p *sim.Proc, image string, capCores float64) (*Container, error) {
+	c, err := rt.beginCreate(trace.FromEnv(rt.env).Current(), image, capCores)
+	if err != nil {
+		return nil, err
+	}
+	p.Sleep(rt.params.ContainerCreate)
+	if err := c.EndCreate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// BeginCreate is Create's chained form. The container it returns has no ID
+// and is not live until EndCreate succeeds. An error means then was not
+// armed.
+func (rt *Runtime) BeginCreate(parent *trace.Span, image string, capCores float64, then func()) (*Container, error) {
+	c, err := rt.beginCreate(parent, image, capCores)
+	return c, rt.arm(err, rt.params.ContainerCreate, then)
+}
+
+// arm is the tail of every chained form: unless the op's begin failed, then
+// runs once the op's overhead d has elapsed.
+func (rt *Runtime) arm(err error, d time.Duration, then func()) error {
+	if err == nil {
+		rt.env.Delay(d, then)
+	}
+	return err
+}
+
+func (rt *Runtime) beginCreate(parent *trace.Span, image string, capCores float64) (*Container, error) {
 	if !rt.HasImage(image) {
 		return nil, fmt.Errorf("crt: %s: create: image %q not present", rt.node.Name, image)
 	}
-	sp := trace.Start(p, "crt", "create", trace.L("image", image), trace.L("node", rt.node.Name))
-	p.Sleep(rt.params.ContainerCreate)
+	c := &Container{Image: image, CapCores: capCores, rt: rt, state: StateCreated}
+	c.op = trace.FromEnv(rt.env).Start(parent, "crt", "create", trace.L("image", image), trace.L("node", rt.node.Name))
+	return c, nil
+}
+
+// EndCreate completes a create whose overhead has elapsed: the injected
+// failure roll, then the container's ID.
+func (c *Container) EndCreate() error {
+	rt, sp := c.rt, c.op
+	c.op = nil
 	if rt.faults != nil && rt.faults.Roll(faults.KindCreateFail, rt.node.Name) {
 		sp.SetLabel("status", "failed")
 		sp.End()
-		return nil, faults.Transientf("crt: %s: create %q: injected create failure", rt.node.Name, image)
+		return faults.Transientf("crt: %s: create %q: injected create failure", rt.node.Name, c.Image)
 	}
-	c := &Container{ID: rt.nextID, Image: image, CapCores: capCores, rt: rt, state: StateCreated}
+	c.ID = rt.nextID
 	rt.nextID++
-	rt.containers[c.ID] = c
 	rt.createdTotal++
 	if sp != nil {
 		sp.SetLabel("container", c.ref())
 	}
 	sp.End()
-	return c, nil
+	return nil
 }
 
 // ref names the container uniquely across the cluster for trace labels.
@@ -245,23 +288,47 @@ func (c *Container) ref() string {
 	return c.rt.node.Name + "/" + strconv.Itoa(c.ID)
 }
 
-// span opens a lifecycle span on the container. The container label is
-// formatted only when a tracer is attached.
-func (c *Container) span(p *sim.Proc, name string) *trace.Span {
-	tr := trace.FromEnv(p.Env())
+// span opens a lifecycle span on the container under parent. The
+// container label is formatted only when a tracer is attached.
+func (c *Container) span(parent *trace.Span, name string) *trace.Span {
+	tr := trace.FromEnv(c.rt.env)
 	if tr == nil {
 		return nil
 	}
-	return tr.StartCurrent("crt", name, trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
+	return tr.Start(parent, "crt", name, trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
 }
+
+// current is the running process's open span, the parent of a blocking
+// op's span.
+func (c *Container) current() *trace.Span { return trace.FromEnv(c.rt.env).Current() }
 
 // Start transitions the container to running, charging the start overhead.
 func (c *Container) Start(p *sim.Proc) error {
+	if err := c.beginStart(c.current()); err != nil {
+		return err
+	}
+	p.Sleep(c.rt.params.ContainerStart)
+	return c.EndStart()
+}
+
+// BeginStart is Start's chained form. An error means then was not armed.
+func (c *Container) BeginStart(parent *trace.Span, then func()) error {
+	return c.rt.arm(c.beginStart(parent), c.rt.params.ContainerStart, then)
+}
+
+func (c *Container) beginStart(parent *trace.Span) error {
 	if c.state != StateCreated {
 		return fmt.Errorf("crt: start: container %d is %v", c.ID, c.state)
 	}
-	sp := c.span(p, "start")
-	p.Sleep(c.rt.params.ContainerStart)
+	c.op = c.span(parent, "start")
+	return nil
+}
+
+// EndStart completes a start whose overhead has elapsed: the injected
+// failure roll, then the running state.
+func (c *Container) EndStart() error {
+	sp := c.op
+	c.op = nil
 	if c.rt.faults != nil && c.rt.faults.Roll(faults.KindStartFail, c.rt.node.Name) {
 		sp.SetLabel("status", "failed")
 		sp.End()
@@ -283,7 +350,7 @@ func (c *Container) Exec(p *sim.Proc, work float64) error {
 	if c.state != StateRunning {
 		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
 	}
-	sp := c.span(p, "exec")
+	sp := c.span(c.current(), "exec")
 	defer sp.End()
 	c.execs++
 	rate := 1.0
@@ -301,16 +368,34 @@ func (c *Container) Exec(p *sim.Proc, work float64) error {
 // StopRemove stops and removes the container, charging the teardown
 // overhead.
 func (c *Container) StopRemove(p *sim.Proc) error {
+	if err := c.beginStopRemove(c.current()); err != nil {
+		return err
+	}
+	p.Sleep(c.rt.params.ContainerStopRemove)
+	c.EndStopRemove()
+	return nil
+}
+
+// BeginStopRemove is StopRemove's chained form. An error means then was not
+// armed.
+func (c *Container) BeginStopRemove(parent *trace.Span, then func()) error {
+	return c.rt.arm(c.beginStopRemove(parent), c.rt.params.ContainerStopRemove, then)
+}
+
+func (c *Container) beginStopRemove(parent *trace.Span) error {
 	if c.state == StateRemoved {
 		return fmt.Errorf("crt: remove: container %d already removed", c.ID)
 	}
-	sp := c.span(p, "stop-remove")
-	defer sp.End()
-	p.Sleep(c.rt.params.ContainerStopRemove)
-	c.state = StateRemoved
-	delete(c.rt.containers, c.ID)
-	c.rt.removedTotal++
+	c.op = c.span(parent, "stop-remove")
 	return nil
+}
+
+// EndStopRemove completes a stop-remove whose overhead has elapsed.
+func (c *Container) EndStopRemove() {
+	c.state = StateRemoved
+	c.rt.removedTotal++
+	c.op.End()
+	c.op = nil
 }
 
 // DockerRun is the `docker run --rm` path of the Fig. 1 motivation

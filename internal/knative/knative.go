@@ -392,13 +392,11 @@ func (s *Service) addPod() *podHandle {
 	}
 	h.pod = pod
 	s.pods = append(s.pods, h)
-	s.kn.env.Go("watch-"+name, func(p *sim.Proc) {
-		if err := s.kn.k.WaitReady(p, pod); err != nil {
+	s.kn.k.OnReady(pod, func(err error) {
+		if err != nil {
 			s.removeHandle(h)
-			s.readySig.Broadcast() // let activator waiters re-examine
-			return
 		}
-		s.readySig.Broadcast()
+		s.readySig.Broadcast() // ready, or failed: let activator waiters re-examine
 	})
 	return h
 }

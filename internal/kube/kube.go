@@ -24,7 +24,7 @@ import (
 )
 
 // Phase is a pod lifecycle phase.
-type Phase int
+type Phase uint8
 
 // Pod phases.
 const (
@@ -79,15 +79,39 @@ type Pod struct {
 	NodeName string
 
 	node      *cluster.Node // set with NodeName at bind
-	phase     Phase
-	ready     bool
-	readyF    *sim.Future[error]
-	container *crt.Container
+	readyF    sim.Future[error]
+	container *crt.Container // set at create
 	createdAt time.Duration
 	readyAt   time.Duration
+
+	// The bring-up chain (see Kube.advance): the step continuation, bound
+	// once per pod; the pod-bringup span; the readiness error of a failed
+	// bring-up, kept while its container is removed; and the stage the
+	// chain runs next.
+	step  func()
+	sp    *trace.Span
+	err   error
+	stage bringStage
+
+	phase     Phase
+	ready     bool
 	deleted   bool
 	accounted bool // counted in per-node requested-resource accounting
 }
+
+// bringStage names the step a pod's bring-up chain runs next.
+type bringStage uint8
+
+const (
+	stageAdmit     bringStage = iota // admission, then the image
+	stageCreated                     // the create overhead has elapsed
+	stageStarted                     // the start overhead has elapsed
+	stageInited                      // the app init has elapsed
+	stageProbed                      // the readiness probe ticked
+	stageStatus                      // the Ready status write propagated
+	stageFailed                      // a failed bring-up's container is removed
+	stageCancelled                   // a deleted bring-up's container is removed
+)
 
 // CreatedAt returns the virtual time the pod was submitted (CreatePod).
 // ReadyAt − CreatedAt is the pod's placement latency: scheduling wait,
@@ -302,7 +326,7 @@ func (k *Kube) CreatePod(spec PodSpec) (*Pod, error) {
 	if _, exists := k.pods[spec.Name]; exists {
 		return nil, fmt.Errorf("kube: pod %q already exists", spec.Name)
 	}
-	pod := &Pod{Spec: spec, phase: PhasePending, createdAt: k.env.Now(), readyF: sim.NewFuture[error]()}
+	pod := &Pod{Spec: spec, phase: PhasePending, createdAt: k.env.Now()}
 	k.pods[spec.Name] = pod
 	k.schedQ.Send(pod)
 	return pod, nil
@@ -322,22 +346,21 @@ func (k *Kube) DeletePod(name string) {
 	pod.ready = false
 	if pod.node != nil {
 		k.unbind(pod)
-		k.deliver(pod.node, podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
+		k.deliver(podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
 	}
 }
 
 // deliver hands a pod operation to a node's kubelet after the control
 // plane's propagation delay. The zero-delay path is the seed's in-process
 // send — no event is scheduled, so inactive planes stay byte-identical.
-func (k *Kube) deliver(node *cluster.Node, op podOp, delay time.Duration) {
-	q := k.nodeQ[node.Index]
+func (k *Kube) deliver(op podOp, delay time.Duration) {
 	if delay <= 0 {
-		q.Send(op)
+		k.nodeQ[op.pod.node.Index].Send(op)
 		return
 	}
 	k.env.After(delay, func() {
 		if !k.stopped { // queue closed by Shutdown; drop the late delivery
-			q.Send(op)
+			k.nodeQ[op.pod.node.Index].Send(op)
 		}
 	})
 }
@@ -399,6 +422,16 @@ func (k *Kube) WaitReady(p *sim.Proc, pod *Pod) error {
 	return pod.readyF.Get(p)
 }
 
+// OnReady is the continuation form of a process spawned now that calls
+// WaitReady: fn runs in scheduler context with the pod's readiness result,
+// at the point in the run where that process would have returned from
+// WaitReady.
+func (k *Kube) OnReady(pod *Pod, fn func(error)) {
+	k.env.Defer(func() {
+		pod.readyF.Then(k.env, func() { fn(pod.readyF.Value()) })
+	})
+}
+
 // PodsOnNode counts live pods bound to a node, from the O(1) accounting
 // maintained on bind/unbind.
 func (k *Kube) PodsOnNode(node string) int {
@@ -439,7 +472,7 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 		}
 		node := k.cl.Workers[best]
 		k.bind(pod, node)
-		k.deliver(node, podOp{pod: pod}, k.cp.BindDelay())
+		k.deliver(podOp{pod: pod}, k.cp.BindDelay())
 	}
 }
 
@@ -622,102 +655,152 @@ func (k *Kube) kubeletLoop(p *sim.Proc, node *cluster.Node) {
 		}
 		// Pod startups proceed in parallel (the kubelet does not serialize
 		// unrelated pods); image-layer pulls still contend on the network.
+		// A bring-up is a chain of steps (see advance); its first step
+		// waits its turn in the run queue like any newly started work.
 		pod := op.pod
-		p.Env().Go("pod-start-"+pod.Spec.Name, func(pp *sim.Proc) {
-			k.bringUp(pp, pod, node)
-		})
+		pod.step = func() { k.advance(pod) }
+		k.env.Defer(pod.step)
 	}
 }
 
-// bringUp drives a bound pod to readiness; its duration is the cold-start
-// cost: admission + image pull (if absent) + container create + start + app
-// init + readiness probe.
-func (k *Kube) bringUp(p *sim.Proc, pod *Pod, node *cluster.Node) {
-	sp := trace.Start(p, "kube", "pod-bringup",
-		trace.L("pod", pod.Spec.Name), trace.L("node", node.Name))
-	pop := trace.FromEnv(k.env).Push(sp)
-	defer func() { pop(); sp.End() }()
-	if pod.deleted {
-		sp.SetLabel("status", "cancelled")
-		pod.phase = PhaseDead
-		k.unbind(pod)
-		pod.readyF.Set(fmt.Errorf("kube: pod %s deleted before startup", pod.Spec.Name))
-		return
-	}
-	fail := func(err error) {
-		sp.SetLabel("status", "failed")
-		pod.phase = PhaseFailed
-		k.unbind(pod)
-		pod.readyF.Set(err)
-	}
-	if err := node.ReserveMem(pod.Spec.MemMB); err != nil {
-		fail(err)
-		return
-	}
-	pod.phase = PhaseStarting
-	rt := k.runtimes[node.Index]
-	if err := rt.PullImage(p, pod.Spec.Image); err != nil {
+// advance runs the next step of a bound pod's bring-up. The bring-up's
+// duration is the cold-start cost: admission + image pull (if absent) +
+// container create + start + app init + readiness probe (+ the status
+// write). Each wait arms pod.step, which runs in the event callback when
+// the wait ends, or from the back of the run queue for a zero wait: since
+// an event fires only on an empty run queue, the chain keeps every
+// (at, seq), run-queue order and RNG draw a process sleeping through the
+// same waits would have. Only pulling an absent image blocks; it runs in a
+// process of its own (see pull).
+func (k *Kube) advance(pod *Pod) {
+	node := pod.node
+	switch pod.stage {
+	case stageAdmit:
+		pod.sp = trace.FromEnv(k.env).Start(nil, "kube", "pod-bringup",
+			trace.L("pod", pod.Spec.Name), trace.L("node", node.Name))
+		if pod.deleted {
+			k.endBringUp(pod, PhaseDead, "cancelled",
+				fmt.Errorf("kube: pod %s deleted before startup", pod.Spec.Name))
+			return
+		}
+		if err := node.ReserveMem(pod.Spec.MemMB); err != nil {
+			k.endBringUp(pod, PhaseFailed, "failed", err)
+			return
+		}
+		pod.phase = PhaseStarting
+		if !k.runtimes[node.Index].HasImage(pod.Spec.Image) {
+			k.env.GoFirst("pull-"+pod.Spec.Name, func(p *sim.Proc) { k.pull(p, pod) })
+			return
+		}
+		k.create(pod)
+	case stageCreated:
+		if err := pod.container.EndCreate(); err != nil {
+			pod.container = nil
+			node.ReleaseMem(pod.Spec.MemMB)
+			k.endBringUp(pod, PhaseFailed, "failed", err)
+			return
+		}
+		pod.stage = stageStarted
+		_ = pod.container.BeginStart(pod.sp, pod.step) // a fresh container starts
+	case stageStarted:
+		if err := pod.container.EndStart(); err != nil {
+			k.remove(pod, stageFailed, err)
+			return
+		}
+		if k.faults != nil && k.faults.Roll(faults.KindColdStartFail, node.Name) {
+			// The container came up but the application inside it crashed
+			// before readiness (bad init, OOM, crash loop).
+			k.remove(pod, stageFailed,
+				faults.Transientf("kube: pod %s: injected cold-start failure on %s", pod.Spec.Name, node.Name))
+			return
+		}
+		pod.stage = stageInited
+		k.env.Delay(pod.Spec.AppInit, pod.step)
+	case stageInited:
+		// Readiness is observed at the next probe tick.
+		pod.stage = stageProbed
+		k.env.Delay(k.prm.ReadinessProbeInterval, pod.step)
+	case stageProbed, stageStatus:
+		if pod.deleted { // deleted during startup; tear down now
+			k.remove(pod, stageCancelled, nil)
+			return
+		}
+		// The kubelet posts the Ready condition to the control plane;
+		// watchers (the serving layer's WaitReady) observe it after the
+		// status write propagates. Zero delay = the seed's instantaneous
+		// readiness.
+		if pod.stage == stageProbed {
+			if d := k.cp.StatusDelay(); d > 0 {
+				pod.stage = stageStatus
+				k.env.After(d, pod.step)
+				return
+			}
+		}
+		pod.phase = PhaseRunning
+		pod.ready = true
+		pod.readyAt = k.env.Now()
+		pod.readyF.Set(nil)
+		pod.sp.End()
+	case stageFailed:
+		pod.container.EndStopRemove()
 		node.ReleaseMem(pod.Spec.MemMB)
-		fail(err)
-		return
+		k.endBringUp(pod, PhaseFailed, "failed", pod.err)
+	case stageCancelled:
+		pod.container.EndStopRemove()
+		node.ReleaseMem(pod.Spec.MemMB)
+		k.endBringUp(pod, PhaseDead, "cancelled",
+			fmt.Errorf("kube: pod %s deleted during startup", pod.Spec.Name))
 	}
-	c, err := rt.Create(p, pod.Spec.Image, pod.Spec.CapCores)
+}
+
+// pull is the one blocking step of a bring-up: it fetches the absent image
+// in a process that the kernel runs before any other ready entry, so the
+// pull starts where the bring-up reached it, and then continues the chain.
+func (k *Kube) pull(p *sim.Proc, pod *Pod) {
+	pop := trace.FromEnv(k.env).Push(pod.sp)
+	err := k.runtimes[pod.node.Index].PullImage(p, pod.Spec.Image)
+	pop()
 	if err != nil {
-		node.ReleaseMem(pod.Spec.MemMB)
-		fail(err)
+		pod.node.ReleaseMem(pod.Spec.MemMB)
+		k.endBringUp(pod, PhaseFailed, "failed", err)
 		return
 	}
-	if err := c.Start(p); err != nil {
-		_ = c.StopRemove(p)
-		node.ReleaseMem(pod.Spec.MemMB)
-		fail(err)
-		return
-	}
-	if k.faults != nil && k.faults.Roll(faults.KindColdStartFail, node.Name) {
-		// The container came up but the application inside it crashed before
-		// readiness (bad init, OOM, crash loop).
-		_ = c.StopRemove(p)
-		node.ReleaseMem(pod.Spec.MemMB)
-		fail(faults.Transientf("kube: pod %s: injected cold-start failure on %s", pod.Spec.Name, node.Name))
+	k.create(pod)
+}
+
+// create arms the container create of a pod whose image is present.
+func (k *Kube) create(pod *Pod) {
+	pod.stage = stageCreated
+	c, err := k.runtimes[pod.node.Index].BeginCreate(pod.sp, pod.Spec.Image, pod.Spec.CapCores, pod.step)
+	if err != nil {
+		pod.node.ReleaseMem(pod.Spec.MemMB)
+		k.endBringUp(pod, PhaseFailed, "failed", err)
 		return
 	}
 	pod.container = c
-	p.Sleep(pod.Spec.AppInit)
-	// Readiness is observed at the next probe tick.
-	p.Sleep(k.prm.ReadinessProbeInterval)
-	if pod.deleted { // deleted during startup; tear down now
-		sp.SetLabel("status", "cancelled")
-		_ = c.StopRemove(p)
-		node.ReleaseMem(pod.Spec.MemMB)
-		pod.phase = PhaseDead
-		k.unbind(pod)
-		pod.readyF.Set(fmt.Errorf("kube: pod %s deleted during startup", pod.Spec.Name))
-		return
-	}
-	// The kubelet posts the Ready condition to the control plane; watchers
-	// (the serving layer's WaitReady) observe it after the status write
-	// propagates. Zero delay = the seed's instantaneous readiness.
-	if d := k.cp.StatusDelay(); d > 0 {
-		p.Sleep(d)
-		if pod.deleted {
-			sp.SetLabel("status", "cancelled")
-			_ = c.StopRemove(p)
-			node.ReleaseMem(pod.Spec.MemMB)
-			pod.phase = PhaseDead
-			k.unbind(pod)
-			pod.readyF.Set(fmt.Errorf("kube: pod %s deleted during startup", pod.Spec.Name))
-			return
-		}
-	}
-	pod.phase = PhaseRunning
-	pod.ready = true
-	pod.readyAt = p.Now()
-	pod.readyF.Set(nil)
+}
+
+// remove arms the stop-remove of the container of a bring-up that cannot
+// finish; the chain then ends it at stage end (stageFailed, reporting err,
+// or stageCancelled).
+func (k *Kube) remove(pod *Pod, end bringStage, err error) {
+	pod.stage, pod.err = end, err
+	_ = pod.container.BeginStopRemove(pod.sp, pod.step) // the bring-up owns it
+}
+
+// endBringUp ends a bring-up that did not reach readiness: the pod leaves
+// in phase with readiness error err, and its requests are released.
+func (k *Kube) endBringUp(pod *Pod, phase Phase, status string, err error) {
+	pod.sp.SetLabel("status", status)
+	pod.phase = phase
+	k.unbind(pod)
+	pod.readyF.Set(err)
+	pod.sp.End()
 }
 
 func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {
-	// A pod still starting up is cleaned up by its own bringUp process
-	// (which observes pod.deleted when it resumes); tearing it down here
+	// A pod still starting up is cleaned up by its own bring-up chain
+	// (which observes pod.deleted at its next check); tearing it down here
 	// would double-release its resources.
 	if pod.phase != PhaseRunning {
 		return

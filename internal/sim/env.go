@@ -3,14 +3,16 @@
 // An Env owns a virtual clock and a set of cooperatively scheduled processes.
 // Exactly one process runs at a time; a process runs until it blocks in one
 // of the kernel's waits and the kernel then hands control to the next
-// runnable process, or advances the virtual clock to the next pending event
-// when no process is runnable. The waits are Sleep, Chan.Recv, Future.Get,
-// Semaphore.Acquire, WaitGroup.Wait, Gate.Wait and Signal.Wait; each parks
-// the bare *Proc, and none has a timeout. A Chan is an unbounded queue
-// drained by exactly one receiving loop, and its sends never block. Because
-// scheduling is strictly sequential and all randomness is drawn from a
-// seeded generator, a simulation run is bit-for-bit reproducible for a
-// given seed.
+// runnable entry, or advances the virtual clock to the next pending event
+// when nothing is runnable. The run queue holds processes and plain
+// continuations (Env.Defer): a fixed sequence of steps that owns no queue
+// runs as a chain of continuations and event callbacks, with no coroutine.
+// The waits are Sleep, Chan.Recv, Future.Get, Semaphore.Acquire,
+// WaitGroup.Wait, Gate.Wait and Signal.Wait; each parks the bare *Proc, and
+// none has a timeout. A Chan is an unbounded queue drained by exactly one
+// receiving loop, and its sends never block. Because scheduling is strictly
+// sequential and all randomness is drawn from a seeded generator, a
+// simulation run is bit-for-bit reproducible for a given seed.
 //
 // The design mirrors classic process-based simulators (SimPy, OMNeT++): model
 // code is written as ordinary straight-line Go in functions of the form
@@ -27,9 +29,9 @@ import (
 )
 
 // Env is a discrete-event simulation environment: a virtual clock, an event
-// queue, and a run queue of processes. Create one with NewEnv and drive it
-// with Run, RunUntil, or RunFor. An Env must be driven from a single
-// goroutine that is not itself a simulation process.
+// queue, and a run queue of processes and continuations. Create one with
+// NewEnv and drive it with Run, RunUntil, or RunFor. An Env must be driven
+// from a single goroutine that is not itself a simulation process.
 type Env struct {
 	now    time.Duration
 	events eventQueue // every pending event, exact (at, seq) order
@@ -40,7 +42,7 @@ type Env struct {
 	// sweeps, for tests.
 	ncancel     int
 	compactions int
-	ready       ring[*Proc]
+	ready       ring[runnable]
 	procPool    []*Proc // idle processes, coroutines suspended, for Go
 	seq         uint64
 	cur         *Proc
@@ -48,9 +50,26 @@ type Env struct {
 	nextID      int
 	rng         *RNG
 	tracer      any // see SetTracer
+	stats       Stats
 	// live is the sentinel of a ring of the live processes, linked
 	// through Proc.prev/next in spawn order, for DumpBlocked.
 	live Proc
+}
+
+// runnable is one run-queue entry: a process to resume or, when p is nil, a
+// continuation to call.
+type runnable struct {
+	p  *Proc
+	fn func()
+}
+
+// Stats counts the kernel's work in a run. The counts are deterministic:
+// host noise cannot move them.
+type Stats struct {
+	Events        int // events fired (cancelled ones are not counted)
+	Coroutines    int // coroutines created; pooled reuse is not counted
+	Resumes       int // switches into a process
+	Continuations int // continuations run from the run queue
 }
 
 // NewEnv returns a fresh simulation environment whose random source is
@@ -83,9 +102,13 @@ func (e *Env) SetTracer(t any) { e.tracer = t }
 // Tracer returns the value installed by SetTracer, or nil.
 func (e *Env) Tracer() any { return e.tracer }
 
+// Stats returns the kernel's work counters so far.
+func (e *Env) Stats() Stats { return e.stats }
+
 // CurrentProc returns the process whose coroutine is running, or nil when
-// the scheduler itself (an event callback) is running. Because
-// scheduling is strictly sequential this is unambiguous at any instant.
+// the scheduler itself (an event callback or a continuation) is running.
+// Because scheduling is strictly sequential this is unambiguous at any
+// instant.
 func (e *Env) CurrentProc() *Proc { return e.cur }
 
 // DumpBlocked writes one line per live process to the sink, in spawn
@@ -104,6 +127,41 @@ func (e *Env) DumpBlocked(sink func(line string)) {
 // completed processes; a *Proc handle is only meaningful while its process
 // is alive.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
+	p := e.spawn(name, fn)
+	e.ready.push(runnable{p: p})
+	return p
+}
+
+// GoFirst is Go for a process that must run next: it enters the run queue
+// ahead of every ready entry. A continuation that reaches a blocking step
+// hands it to GoFirst, so the step starts at the same point in the run as
+// it would have in a process.
+func (e *Env) GoFirst(name string, fn func(*Proc)) *Proc {
+	p := e.spawn(name, fn)
+	e.ready.pushFront(runnable{p: p})
+	return p
+}
+
+// Defer appends the continuation fn to the run queue: it runs in scheduler
+// context at the slot where a process spawned now would first run. Like an
+// event callback it must not block on simulation primitives.
+func (e *Env) Defer(fn func()) {
+	e.ready.push(runnable{fn: fn})
+}
+
+// Delay is Proc.Sleep for a continuation: fn runs in an event callback d
+// from now, or, for a non-positive d, from the back of the run queue, where
+// a sleeping process would yield.
+func (e *Env) Delay(d time.Duration, fn func()) {
+	if d <= 0 {
+		e.Defer(fn)
+		return
+	}
+	e.After(d, fn)
+}
+
+// spawn readies a process struct for fn, from the idle pool when it can.
+func (e *Env) spawn(name string, fn func(*Proc)) *Proc {
 	var p *Proc
 	if n := len(e.procPool); n > 0 {
 		p = e.procPool[n-1]
@@ -120,7 +178,6 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	e.alive++
 	p.prev, p.next = e.live.prev, &e.live // append to the live ring
 	p.prev.next, e.live.prev = p, p
-	e.ready.push(p)
 	return p
 }
 
@@ -246,19 +303,28 @@ func (e *Env) RunFor(d time.Duration) time.Duration {
 	return e.RunUntil(e.now + d)
 }
 
-// step executes one scheduling decision: run the next ready process to its
-// next blocking point, or fire the next event. horizon < 0 means no limit.
-// It returns false when there is nothing left to do within the horizon.
+// step executes one scheduling decision: run the next ready entry (a
+// process to its next blocking point, or a continuation), or fire the next
+// event. horizon < 0 means no limit. It returns false when there is nothing
+// left to do within the horizon.
 //
-// Ready processes run first, then events in strict (at, seq) order, one
-// per step, so a woken process runs before the next same-timestamp event.
+// Ready entries run first, then events in strict (at, seq) order, one per
+// step, so a woken process runs before the next same-timestamp event. An
+// event fires only on an empty run queue, which is why a continuation run
+// in the callback keeps the order a woken process would have had.
 // Cancelled events are dropped as they surface at the heap top.
 func (e *Env) step(horizon time.Duration) bool {
-	if p, ok := e.ready.pop(); ok {
-		e.cur = p
-		p.state = stateRunning
-		p.resume()
-		e.cur = nil
+	if r, ok := e.ready.pop(); ok {
+		if p := r.p; p != nil {
+			e.stats.Resumes++
+			e.cur = p
+			p.state = stateRunning
+			p.resume()
+			e.cur = nil
+		} else {
+			e.stats.Continuations++
+			r.fn()
+		}
 		return true
 	}
 	for len(e.events) > 0 {
@@ -275,6 +341,7 @@ func (e *Env) step(horizon time.Duration) bool {
 		}
 		e.events.popMin()
 		e.now = ev.at
+		e.stats.Events++
 		fn, p := ev.fn, ev.proc
 		e.release(ev)
 		if p != nil {
@@ -291,7 +358,7 @@ func (e *Env) step(horizon time.Duration) bool {
 // the running process or an event callback.
 func (e *Env) enqueue(p *Proc) {
 	p.state = stateReady
-	e.ready.push(p)
+	e.ready.push(runnable{p: p})
 }
 
 // ring is a head-indexed growable FIFO with power-of-two capacity: the
@@ -309,6 +376,16 @@ func (r *ring[T]) push(v T) {
 		r.grow()
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pushFront makes v the head.
+func (r *ring[T]) pushFront(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = v
 	r.n++
 }
 

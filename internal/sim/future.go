@@ -1,27 +1,41 @@
 package sim
 
-// Future is a write-once value that processes can block on. It is the
-// simulation analogue of a promise: one party calls Set, any number of
-// parties call Get. The zero Future is unresolved and ready to use.
+// Future is a write-once value that processes and continuations can wait
+// on. It is the simulation analogue of a promise: one party calls Set, any
+// number of parties call Get or Then. The zero Future is unresolved and
+// ready to use, so it can be embedded by value.
 type Future[T any] struct {
 	done    bool
 	val     T
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is a process blocked in Get or, when p is nil, the enqueue of a
+// continuation registered with Then. The enqueue closure carries the Env,
+// so the Future itself stays as small as a process-only one.
+type waiter struct {
+	p       *Proc
+	enqueue func()
 }
 
 // NewFuture returns an unresolved future.
 func NewFuture[T any]() *Future[T] { return &Future[T]{} }
 
-// Set resolves the future with v and wakes every waiter in arrival order.
-// Setting a future twice is a modelling bug and panics.
+// Set resolves the future with v and enqueues every waiter, processes and
+// continuations alike, in arrival order. Setting a future twice is a
+// modelling bug and panics.
 func (f *Future[T]) Set(v T) {
 	if f.done {
 		panic("sim: Future set twice")
 	}
 	f.done = true
 	f.val = v
-	for _, p := range f.waiters {
-		p.wake()
+	for _, w := range f.waiters {
+		if w.p != nil {
+			w.p.wake()
+		} else {
+			w.enqueue()
+		}
 	}
 	f.waiters = nil
 }
@@ -29,12 +43,26 @@ func (f *Future[T]) Set(v T) {
 // Done reports whether the future has been resolved.
 func (f *Future[T]) Done() bool { return f.done }
 
+// Value returns the resolved value, or the zero value before Set.
+func (f *Future[T]) Value() T { return f.val }
+
 // Get blocks the calling process until the future resolves and returns the
 // value.
 func (f *Future[T]) Get(p *Proc) T {
 	if !f.done {
-		f.waiters = append(f.waiters, p)
+		f.waiters = append(f.waiters, waiter{p: p})
 		p.park()
 	}
 	return f.val
+}
+
+// Then is the continuation form of Get: fn runs at once when the future has
+// resolved, and otherwise from env's run queue after Set, in arrival order
+// with the processes blocked in Get. fn reads the result with Value.
+func (f *Future[T]) Then(env *Env, fn func()) {
+	if f.done {
+		fn()
+		return
+	}
+	f.waiters = append(f.waiters, waiter{enqueue: func() { env.Defer(fn) }})
 }

@@ -61,6 +61,7 @@ const maxIdleProcs = 16
 
 // newProc returns a process with a fresh coroutine that has not started.
 func newProc(e *Env) *Proc {
+	e.stats.Coroutines++
 	p := &Proc{env: e}
 	p.resume, p.stop = iter.Pull(p.body)
 	return p

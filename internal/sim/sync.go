@@ -69,7 +69,8 @@ func (wg *WaitGroup) Add(delta int) {
 		for _, p := range wg.waiters {
 			p.wake()
 		}
-		wg.waiters = nil
+		clear(wg.waiters)
+		wg.waiters = wg.waiters[:0]
 	}
 }
 
@@ -132,13 +133,16 @@ func (s *Signal) Wait(p *Proc) {
 	p.park()
 }
 
-// Broadcast wakes every process currently blocked in Wait.
+// Broadcast wakes every process currently blocked in Wait. The waiter
+// slice is kept for the next cycle, so a steady wait/broadcast loop does not
+// allocate: a wake only enqueues, and no waiter can run before the slice is
+// cleared.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for _, p := range s.waiters {
 		p.wake()
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Waiting returns the number of blocked waiters.
