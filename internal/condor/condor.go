@@ -25,7 +25,7 @@ import (
 	"repro/internal/trace"
 )
 
-// ExecContext is what a job's function receives on the execution node.
+// ExecContext is what a job's payload receives on the execution node.
 type ExecContext struct {
 	// Proc is the simulation process running the job.
 	Proc *sim.Proc
@@ -35,8 +35,18 @@ type ExecContext struct {
 	Job *Job
 }
 
-// JobFunc is the job's payload, executed on the claimed worker node.
+// Runner is a job's payload, executed on the claimed worker node. A
+// submitter that runs many jobs passes a pointer into its own state, so a
+// submission builds no closure.
+type Runner interface {
+	Run(ctx *ExecContext) error
+}
+
+// JobFunc is a payload written as a function.
 type JobFunc func(ctx *ExecContext) error
+
+// Run calls f.
+func (f JobFunc) Run(ctx *ExecContext) error { return f(ctx) }
 
 // JobStatus tracks a job through the queue.
 type JobStatus int
@@ -64,7 +74,9 @@ func (s JobStatus) String() string {
 	}
 }
 
-// Job is one queued unit of work.
+// Job is one queued unit of work. The schedd recycles a Job struct once the
+// job has settled and its submitter has called Release; until then the
+// submitter may read it freely.
 type Job struct {
 	ID   int
 	Name string
@@ -85,12 +97,25 @@ type Job struct {
 	// data-locality placement policy (scratch residency scoring).
 	InputLFNs []string
 	// Run is the payload.
-	Run JobFunc
+	Run Runner
 
 	status JobStatus
 	node   string
 	slot   int
-	done   *sim.Future[error]
+	done   sim.Future[error]
+	ctx    ExecContext // the payload's argument; Job is fixed per struct
+	// sd is the claimed startd and epoch its epoch at claim time: a
+	// mismatch afterwards means the node crashed underneath the job.
+	sd       *startd
+	epoch    int
+	released bool
+
+	// match, body and recycle are tryMatch, runJob and reuse bound to this
+	// struct. They are made once per struct and survive recycling, so a
+	// submission allocates no closure.
+	match   func()
+	body    func(*sim.Proc)
+	recycle func()
 
 	// span covers the job's full queue lifetime; queue and claim are its
 	// matchmaking-wait and slot-occupancy children, and the per-phase spans
@@ -151,6 +176,7 @@ type Schedd struct {
 	started  bool
 	running  int
 	finished int
+	free     []*Job // settled, released jobs awaiting reuse
 }
 
 // New builds a pool: one startd per worker with one slot per core.
@@ -312,7 +338,7 @@ type JobSpec struct {
 	// InputLFNs are the job's logical input files, consumed by the
 	// data-locality placement policy.
 	InputLFNs []string
-	Run       JobFunc
+	Run       Runner
 }
 
 // SubmitJob queues a job described by spec. It never blocks; wait for
@@ -321,18 +347,16 @@ func (s *Schedd) SubmitJob(spec JobSpec) *Job {
 	if !s.started {
 		panic("condor: Submit before Start")
 	}
-	j := &Job{
-		ID:                  s.nextID,
-		Name:                spec.Name,
-		Priority:            spec.Priority,
-		Requires:            spec.Requires,
-		TransferInputBytes:  spec.TransferInputBytes,
-		TransferOutputBytes: spec.TransferOutputBytes,
-		InputLFNs:           spec.InputLFNs,
-		Run:                 spec.Run,
-		done:                sim.NewFuture[error](),
-		SubmittedAt:         s.env.Now(),
-	}
+	j := s.newJob()
+	j.ID = s.nextID
+	j.Name = spec.Name
+	j.Priority = spec.Priority
+	j.Requires = spec.Requires
+	j.TransferInputBytes = spec.TransferInputBytes
+	j.TransferOutputBytes = spec.TransferOutputBytes
+	j.InputLFNs = spec.InputLFNs
+	j.Run = spec.Run
+	j.SubmittedAt = s.env.Now()
 	s.nextID++
 	tr := trace.FromEnv(s.env)
 	j.span = tr.StartCurrent("condor", "job", trace.L("job", j.Name))
@@ -341,11 +365,54 @@ func (s *Schedd) SubmitJob(spec JobSpec) *Job {
 		// The schedd's reschedule request triggers a negotiation for this
 		// job after the (jittered) negotiation latency.
 		delay := s.rng.Jitter(s.prm.NegotiationDelay, s.prm.NegotiatorJitterFrac)
-		s.env.After(delay, func() { s.tryMatch(j) })
+		s.env.After(delay, j.match)
 	} else {
 		s.idle = insertByPriority(s.idle, j)
 	}
 	return j
+}
+
+// newJob takes a job struct off the free list, or makes one and binds its
+// callbacks.
+func (s *Schedd) newJob() *Job {
+	if n := len(s.free); n > 0 {
+		j := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return j
+	}
+	j := &Job{}
+	j.ctx.Job = j
+	j.match = func() { s.tryMatch(j) }
+	j.body = func(p *sim.Proc) { s.runJob(p, j) }
+	j.recycle = func() { s.reuse(j) }
+	return j
+}
+
+// Release tells the schedd that the submitter will not read j again, nor
+// wait on it. Once j has also settled, its struct goes back to the free
+// list for a later submission. The reuse is queued behind every process
+// and continuation that the settlement woke, so a waiter that reads the
+// job right after Wait still sees this job. A job never released is left
+// to the garbage collector. Releasing a job twice is a modelling bug and
+// panics.
+func (s *Schedd) Release(j *Job) {
+	if j.released {
+		panic("condor: job released twice")
+	}
+	j.released = true
+	if j.done.Done() {
+		s.env.Defer(j.recycle)
+	}
+}
+
+// reuse clears a settled, released job and puts it on the free list.
+func (s *Schedd) reuse(j *Job) {
+	done, match, body, recycle := j.done, j.match, j.body, j.recycle
+	*j = Job{done: done, match: match, body: body, recycle: recycle}
+	j.done.Reset()
+	j.ctx.Job = j
+	s.free = append(s.free, j)
 }
 
 // tryMatch (per-job mode) claims a slot for the job or parks it until one
@@ -409,10 +476,8 @@ func (s *Schedd) dispatch(j *Job, best, feasible int) {
 			trace.L("job", j.Name), trace.L("node", j.node), trace.L("slot", slot))
 		sched.Record(tr, j.span, "condor", s.policy, j.Name, dec)
 	}
-	epoch := sd.epoch
-	s.env.Go(fmt.Sprintf("job-%d", j.ID), func(jp *sim.Proc) {
-		s.runJob(jp, j, sd, epoch)
-	})
+	j.sd, j.epoch = sd, sd.epoch
+	s.env.Go("job", j.body)
 }
 
 // dispatchBlocked hands up to max freed slots to blocked jobs (per-job
@@ -539,10 +604,9 @@ func (s *Schedd) injectFailure(sd *startd) bool {
 }
 
 // runJob drives one matched job: serialized shadow spawn, sandbox transfer
-// in, starter setup, payload, transfer out. epoch is the startd epoch
-// captured at claim time; a mismatch afterwards means the node crashed
-// underneath the job.
-func (s *Schedd) runJob(p *sim.Proc, j *Job, sd *startd, epoch int) {
+// in, starter setup, payload, transfer out.
+func (s *Schedd) runJob(p *sim.Proc, j *Job) {
+	sd, epoch := j.sd, j.epoch
 	tr := trace.FromEnv(s.env)
 	// condor_shadow processes spawn one at a time at the schedd; this
 	// serialization is the dominant per-job dispatch cost (Fig. 2's native
@@ -575,7 +639,8 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job, sd *startd, epoch int) {
 	} else {
 		payload := tr.Start(j.claim, "condor", "payload")
 		pop := tr.Push(payload)
-		err = j.Run(&ExecContext{Proc: p, Node: sd.node, Job: j})
+		j.ctx.Proc, j.ctx.Node = p, sd.node
+		err = j.Run.Run(&j.ctx)
 		pop()
 		payload.End()
 		if err == nil && sd.epoch != epoch {
@@ -621,4 +686,7 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job, sd *startd, epoch int) {
 	}
 	j.span.End()
 	j.done.Set(err)
+	if j.released {
+		s.env.Defer(j.recycle)
+	}
 }

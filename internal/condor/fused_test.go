@@ -172,7 +172,7 @@ func matchChurn(t *testing.T, policy string) {
 			js.InputLFNs = append(js.InputLFNs, lfns[rng.Intn(len(lfns))])
 		}
 		run := time.Duration(1+rng.Intn(8)) * time.Second
-		js.Run = func(ctx *ExecContext) error { ctx.Proc.Sleep(run); return nil }
+		js.Run = JobFunc(func(ctx *ExecContext) error { ctx.Proc.Sleep(run); return nil })
 		return js
 	}
 	probe := func(js JobSpec) {

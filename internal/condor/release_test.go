@@ -1,0 +1,124 @@
+package condor
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// noop is a payload that allocates nothing to call.
+var noop = JobFunc(func(*ExecContext) error { return nil })
+
+// TestReleasedJobCycleAllocatesNothing: once warm, a submit → settle →
+// release cycle reuses the released job's struct, its bound callbacks and
+// an idle coroutine, so an untraced cycle allocates nothing.
+func TestReleasedJobCycleAllocatesNothing(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	const period = time.Minute // one job, settled and released, per period
+	var reused int
+	var last *Job
+	f.env.Go("driver", func(p *sim.Proc) {
+		for next := period; ; next += period {
+			p.Sleep(next - p.Now())
+			j := f.s.SubmitJob(JobSpec{Run: noop})
+			if err := f.s.Wait(p, j); err != nil {
+				t.Error(err)
+			}
+			if j == last {
+				reused++
+			}
+			last = j
+			f.s.Release(j)
+		}
+	})
+	// RunFor stops with the driver's next wake pending, so the kernel keeps
+	// its idle coroutines between cycles.
+	cycle := func() { f.env.RunFor(period) }
+	for i := 0; i < 3; i++ {
+		cycle() // warm the free lists, rings and pools
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a released job's cycle allocates %.2f times, want 0", allocs)
+	}
+	if reused < 50 {
+		t.Errorf("only %d submissions reused the released job's struct", reused)
+	}
+}
+
+// TestUnreleasedJobsAreNotRecycled: a submitter that never calls Release
+// gets a fresh struct per job, and a settled job keeps its outcome.
+func TestUnreleasedJobsAreNotRecycled(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	f.env.Go("driver", func(p *sim.Proc) {
+		a := f.s.SubmitJob(JobSpec{Run: noop})
+		_ = f.s.Wait(p, a)
+		b := f.s.SubmitJob(JobSpec{Run: noop})
+		_ = f.s.Wait(p, b)
+		if a == b {
+			t.Error("an unreleased job's struct was reused")
+		}
+		if a.Status() != StatusCompleted || a.Node() == "" {
+			t.Errorf("settled job reads status %v node %q", a.Status(), a.Node())
+		}
+	})
+	f.env.Run()
+}
+
+// TestReleasedJobOutlivesItsWakeups is the trigger watcher's case. A
+// watcher parks on a job that its submitter has already released. When
+// the job settles, a continuation woken by the same settlement submits a
+// new job in that instant, before the watcher runs. The new job must get
+// a fresh struct, so the watcher still reads the released job's own node.
+// The recycle happens right after the watcher has run.
+func TestReleasedJobOutlivesItsWakeups(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	var next *Job
+	var seen string
+	f.env.Go("main", func(p *sim.Proc) {
+		j := f.s.SubmitJob(JobSpec{Run: JobFunc(func(ctx *ExecContext) error {
+			ctx.Proc.Sleep(time.Second)
+			return nil
+		})})
+		j.done.Then(f.env, func() { next = f.s.SubmitJob(JobSpec{Run: noop}) })
+		f.env.Go("watcher", func(wp *sim.Proc) {
+			_ = f.s.Wait(wp, j)
+			seen = j.Node()
+			if len(f.s.free) != 0 {
+				t.Error("the released job was recycled before its watcher ran")
+			}
+			wp.Sleep(0) // let the deferred recycle run
+			if len(f.s.free) != 1 || f.s.free[0] != j {
+				t.Errorf("free list %v after the watcher ran, want the released job", f.s.free)
+			}
+		})
+		p.Sleep(10 * time.Millisecond) // the watcher parks first
+		f.s.Release(j)                 // released while it runs, as a hedge loser is
+		for j.Status() != StatusRunning {
+			p.Sleep(100 * time.Millisecond)
+		}
+		want := j.Node()
+		_ = f.s.Wait(p, j)
+		if next == nil || next == j {
+			t.Fatalf("the same-instant submission got %p, want a fresh job (released %p)", next, j)
+		}
+		if seen != want {
+			t.Errorf("watcher read node %q after the settlement, want the released job's %q", seen, want)
+		}
+	})
+	f.env.Run()
+}
+
+// TestDoubleReleasePanics: a second Release would queue the struct for
+// reuse twice, so it fails loudly instead.
+func TestDoubleReleasePanics(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	j := f.s.SubmitJob(JobSpec{Run: noop})
+	f.s.Release(j)
+	defer func() {
+		if got := recover(); got != "condor: job released twice" {
+			t.Errorf("second Release: recovered %v", got)
+		}
+	}()
+	f.s.Release(j)
+}

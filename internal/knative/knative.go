@@ -393,21 +393,26 @@ func (s *Service) addPod() *podHandle {
 	h.pod = pod
 	s.pods = append(s.pods, h)
 	s.kn.k.OnReady(pod, func(err error) {
-		if err != nil {
-			s.removeHandle(h)
+		// Ready, or failed while still counted: let activator waiters
+		// re-examine. A replica the service already dropped changes
+		// nothing a waiter can see.
+		if err == nil || s.removeHandle(h) {
+			s.readySig.Broadcast()
 		}
-		s.readySig.Broadcast() // ready, or failed: let activator waiters re-examine
 	})
 	return h
 }
 
-func (s *Service) removeHandle(h *podHandle) {
+// removeHandle drops a replica from the service and reports whether it was
+// still there.
+func (s *Service) removeHandle(h *podHandle) bool {
 	for i, x := range s.pods {
 		if x == h {
 			s.pods = append(s.pods[:i], s.pods[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // Invoke performs one synchronous function call: route to a replica

@@ -332,10 +332,11 @@ func (k *Kube) CreatePod(spec PodSpec) (*Pod, error) {
 	return pod, nil
 }
 
-// DeletePod removes a pod: if still pending it is cancelled; otherwise the
-// owning kubelet tears the container down. The control-plane store releases
-// the pod's requests immediately (the scheduler sees the deletion write),
-// while the kubelet observes it one deletion-propagation delay later.
+// DeletePod removes a pod: if still pending it is cancelled, and its
+// readiness resolves with an error; otherwise the owning kubelet tears the
+// container down. The control-plane store releases the pod's requests
+// immediately (the scheduler sees the deletion write), while the kubelet
+// observes it one deletion-propagation delay later.
 func (k *Kube) DeletePod(name string) {
 	pod, ok := k.pods[name]
 	if !ok {
@@ -347,6 +348,14 @@ func (k *Kube) DeletePod(name string) {
 	if pod.node != nil {
 		k.unbind(pod)
 		k.deliver(podOp{pod: pod, delete: true}, k.cp.DeleteDelay())
+		return
+	}
+	// A pending pod is dropped by the scheduler and the pending list, and
+	// never bound, so its readiness resolves here. (A pod that fits no node
+	// has resolved already.)
+	if !pod.readyF.Done() {
+		pod.phase = PhaseDead
+		pod.readyF.Set(fmt.Errorf("kube: pod %s deleted while pending", name))
 	}
 }
 
@@ -459,8 +468,10 @@ func (k *Kube) schedulerLoop(p *sim.Proc) {
 		best, feasible, _ := k.pickNode(&pod.Spec)
 		if best < 0 {
 			if !k.fitsEver(pod.Spec) {
-				pod.phase = PhaseFailed
-				pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
+				if !pod.deleted { // a deleted pod resolved at DeletePod
+					pod.phase = PhaseFailed
+					pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
+				}
 				continue
 			}
 			k.addPending(pod)
@@ -794,7 +805,11 @@ func (k *Kube) endBringUp(pod *Pod, phase Phase, status string, err error) {
 	pod.sp.SetLabel("status", status)
 	pod.phase = phase
 	k.unbind(pod)
-	pod.readyF.Set(err)
+	// A pod deleted while the scheduler held it is still bound and brought
+	// up, but its readiness resolved at DeletePod.
+	if !pod.readyF.Done() {
+		pod.readyF.Set(err)
+	}
 	pod.sp.End()
 }
 

@@ -172,6 +172,55 @@ func TestDeleteDuringStartup(t *testing.T) {
 	}
 }
 
+// TestDeletePendingPodResolvesReadiness: a pod deleted before the
+// scheduler binds it resolves its readiness with an error, so its waiter
+// returns and the run drains.
+func TestDeletePendingPodResolvesReadiness(t *testing.T) {
+	f := newFixture(t)
+	f.env.Go("client", func(p *sim.Proc) {
+		pod, _ := f.k.CreatePod(spec("fn-1"))
+		f.k.DeletePod("fn-1")
+		if err := f.k.WaitReady(p, pod); err == nil {
+			t.Error("pod deleted while pending reported ready")
+		}
+		if pod.Phase() != PhaseDead {
+			t.Errorf("deleted pending pod in phase %v, want Dead", pod.Phase())
+		}
+		f.k.Shutdown()
+	})
+	f.env.Run()
+	if n := f.env.Alive(); n != 0 {
+		t.Errorf("%d processes still alive after the run, want 0", n)
+	}
+}
+
+// TestDeleteWhileSchedulingResolvesOnce: a pod deleted while the scheduler
+// is deciding on it resolves at deletion. The scheduler still binds it and
+// its bring-up cancels itself, without resolving the readiness twice or
+// leaking the container.
+func TestDeleteWhileSchedulingResolvesOnce(t *testing.T) {
+	f := newFixture(t)
+	f.env.Go("client", func(p *sim.Proc) {
+		pod, _ := f.k.CreatePod(spec("fn-1"))
+		p.Sleep(f.prm.SchedulerLatency / 2)
+		f.k.DeletePod("fn-1")
+		if err := f.k.WaitReady(p, pod); err == nil {
+			t.Error("pod deleted while scheduling reported ready")
+		}
+		p.Sleep(time.Minute) // the cancelled bring-up finishes
+		f.k.Shutdown()
+	})
+	f.env.Run()
+	if n := f.env.Alive(); n != 0 {
+		t.Errorf("%d processes still alive after the run, want 0", n)
+	}
+	for _, w := range f.cl.Workers {
+		if f.k.Runtime(w.Name).Live() != 0 || w.MemUsedMB() != 0 {
+			t.Errorf("%s holds %d containers and %d MB", w.Name, f.k.Runtime(w.Name).Live(), w.MemUsedMB())
+		}
+	}
+}
+
 func TestUnknownImageFailsPod(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("client", func(p *sim.Proc) {

@@ -117,34 +117,16 @@ func Summary(w io.Writer, run *wms.RunResult) error {
 
 // CriticalPath lists the chain of tasks that determined the makespan: the
 // task that finished last, its latest-finishing executed predecessor among
-// the workflow's parents, and so on back to a root.
+// the workflow's parents, and so on back to a root. Ties go to the task
+// declared first, so the output does not depend on map order.
 func CriticalPath(w io.Writer, wf *wms.Workflow, run *wms.RunResult) error {
-	// Find the last-finishing task.
-	var last *wms.TaskResult
-	for _, t := range run.Tasks {
-		if last == nil || t.FinishedAt > last.FinishedAt {
-			last = t
-		}
+	var path []*wms.TaskResult
+	for cur := latest(run, wf.TaskIDs()); cur != nil; cur = latest(run, wf.Parents(cur.ID)) {
+		path = append(path, cur)
 	}
-	if last == nil {
+	if len(path) == 0 {
 		_, err := fmt.Fprintln(w, "(no tasks)")
 		return err
-	}
-	var path []*wms.TaskResult
-	cur := last
-	for cur != nil {
-		path = append(path, cur)
-		var next *wms.TaskResult
-		for _, parent := range wf.Parents(cur.ID) {
-			pt, ok := run.Tasks[parent]
-			if !ok {
-				continue
-			}
-			if next == nil || pt.FinishedAt > next.FinishedAt {
-				next = pt
-			}
-		}
-		cur = next
 	}
 	// Reverse to root-first order.
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
@@ -158,4 +140,16 @@ func CriticalPath(w io.Writer, wf *wms.Workflow, run *wms.RunResult) error {
 			t.FinishedAt.Seconds())
 	}
 	return tbl.Write(w)
+}
+
+// latest returns the executed task among ids that finished last, the first
+// in ids on a tie, or nil when none executed.
+func latest(run *wms.RunResult, ids []string) *wms.TaskResult {
+	var last *wms.TaskResult
+	for _, id := range ids {
+		if t, ok := run.Tasks[id]; ok && (last == nil || t.FinishedAt > last.FinishedAt) {
+			last = t
+		}
+	}
+	return last
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,36 @@ func TestCriticalPathDiamondPicksSlowerBranch(t *testing.T) {
 	}
 	if strings.Contains(out, "fast") {
 		t.Errorf("critical path included the fast branch:\n%s", out)
+	}
+}
+
+// TestCriticalPathTiesAreDeterministic: eight tasks that all finish at
+// 5 s give one output over many calls, naming the first-declared task.
+func TestCriticalPathTiesAreDeterministic(t *testing.T) {
+	wf := wms.NewWorkflow("tie")
+	run := &wms.RunResult{Workflow: "tie", Tasks: map[string]*wms.TaskResult{}}
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("t%d", i)
+		if err := wf.AddTask(wms.TaskSpec{ID: id, Transformation: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		run.Tasks[id] = &wms.TaskResult{ID: id, FinishedAt: 5 * time.Second}
+	}
+	outputs := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		var sb strings.Builder
+		if err := CriticalPath(&sb, wf, run); err != nil {
+			t.Fatal(err)
+		}
+		outputs[sb.String()] = true
+	}
+	if len(outputs) != 1 {
+		t.Fatalf("200 calls gave %d distinct outputs, want 1", len(outputs))
+	}
+	for out := range outputs {
+		if !strings.Contains(out, "t0 ") || strings.Contains(out, "t1 ") {
+			t.Errorf("critical path does not name the first-declared task alone:\n%s", out)
+		}
 	}
 }
 

@@ -146,6 +146,42 @@ func TestSemaphoreContendedSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFutureResetSteadyStateZeroAlloc: a future embedded in a recycled
+// struct is Set, Reset and waited on again; the waiter list keeps its
+// storage, so the cycle allocates nothing, and a reset future reads
+// unresolved.
+func TestFutureResetSteadyStateZeroAlloc(t *testing.T) {
+	env := NewEnv(1)
+	var f Future[int]
+	got := 0
+	env.Go("waiter", func(p *Proc) {
+		for {
+			got += f.Get(p)
+			f.Reset()
+			if f.Done() || f.Value() != 0 {
+				t.Error("a reset future reads resolved")
+			}
+		}
+	})
+	env.Go("setter", func(p *Proc) {
+		for {
+			p.Sleep(time.Millisecond)
+			f.Set(1)
+		}
+	})
+	env.RunFor(50 * time.Millisecond) // warm pools
+	before := got
+	avg := testing.AllocsPerRun(200, func() {
+		env.RunFor(time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("a Set/Reset/Get cycle allocates %.1f times, want 0", avg)
+	}
+	if got == before {
+		t.Error("no value was delivered during the measured runs")
+	}
+}
+
 // envSink keeps the Envs built by TestNewEnvBudget on the heap.
 var envSink *Env
 

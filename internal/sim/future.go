@@ -37,7 +37,16 @@ func (f *Future[T]) Set(v T) {
 			w.enqueue()
 		}
 	}
-	f.waiters = nil
+	clear(f.waiters)
+	f.waiters = f.waiters[:0] // keep the storage for Reset
+}
+
+// Reset makes a resolved future unresolved again, for a struct that embeds
+// it and is recycled. The waiter list keeps its storage, so the next Get
+// on a recycled future allocates nothing.
+func (f *Future[T]) Reset() {
+	var zero T
+	f.done, f.val = false, zero
 }
 
 // Done reports whether the future has been resolved.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/condor"
-	"repro/internal/sim"
 )
 
 // Checkpointing models Pegasus's checkpoint/restart capability (§II-C:
@@ -64,18 +63,12 @@ func (e *Engine) runCheckpointed(ctx *condor.ExecContext, name string, scale flo
 			return fmt.Errorf("wms: task %s crashed mid-run (checkpointed at %.2f/%.2f core-s)", name, st.done, st.total)
 		}
 		st.done += chunk
-		e.writeCheckpoint(ctx.Proc, ctx.Node.Name)
+		if e.Checkpoint.FileBytes > 0 { // ship the checkpoint file to the submit node
+			e.Cl.Net.Transfer(ctx.Proc, ctx.Node.Name, "submit", e.Checkpoint.FileBytes)
+		}
 	}
 	delete(e.progress, name)
 	return nil
-}
-
-// writeCheckpoint ships the checkpoint file to the submit node.
-func (e *Engine) writeCheckpoint(p *sim.Proc, node string) {
-	if e.Checkpoint.FileBytes <= 0 {
-		return
-	}
-	e.Cl.Net.Transfer(p, node, "submit", e.Checkpoint.FileBytes)
 }
 
 // checkpointingActive reports whether the engine should route native tasks

@@ -2,6 +2,7 @@ package wms
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -50,7 +51,14 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 		clusters = append(clusters, []int32{i})
 	}
 
-	// Build the clustered workflow.
+	// Build the clustered workflow. consumers lists, per file, the clusters
+	// of the tasks that read it.
+	consumers := make(map[string][]int)
+	for j, t := range wf.tasks {
+		for _, f := range t.Inputs {
+			consumers[f.LFN] = append(consumers[f.LFN], clusterOf[j])
+		}
+	}
 	out := NewWorkflow(wf.Name + "-clustered")
 	names := make([]string, len(clusters))
 	for ci, members := range clusters {
@@ -59,37 +67,22 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 		if len(members) > 1 {
 			names[ci] = first.ID + ".." + wf.tasks[members[len(members)-1]].ID
 		}
-
 		produced := make(map[string]bool)
-		consumedInside := make(map[string]bool)
 		for _, j := range members {
 			for _, f := range wf.tasks[j].Outputs {
 				produced[f.LFN] = true
 			}
-			for _, f := range wf.tasks[j].Inputs {
-				consumedInside[f.LFN] = true
-			}
 		}
-		// Which produced files does anyone outside the cluster consume?
-		consumedOutside := make(map[string]bool)
-		for j, t := range wf.tasks {
-			if clusterOf[j] == ci {
-				continue
-			}
-			for _, f := range t.Inputs {
-				consumedOutside[f.LFN] = true
-			}
-		}
-
+		// Inputs are never produced inside and outputs always are, so one
+		// set dedupes both.
 		merged := TaskSpec{ID: names[ci], Transformation: first.Transformation}
-		seenIn := make(map[string]bool)
-		seenOut := make(map[string]bool)
+		seen := make(map[string]bool)
 		for _, j := range members {
 			t := wf.tasks[j]
 			merged.WorkScale += t.EffectiveWorkScale()
 			for _, f := range t.Inputs {
-				if !produced[f.LFN] && !seenIn[f.LFN] {
-					seenIn[f.LFN] = true
+				if !produced[f.LFN] && !seen[f.LFN] {
+					seen[f.LFN] = true
 					merged.Inputs = append(merged.Inputs, f)
 				}
 			}
@@ -97,9 +90,10 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 			// nobody consumes it at all (a workflow-final output). Outputs
 			// consumed only inside the cluster stay in the job's sandbox.
 			for _, f := range t.Outputs {
-				keep := consumedOutside[f.LFN] || !consumedInside[f.LFN]
-				if keep && !seenOut[f.LFN] {
-					seenOut[f.LFN] = true
+				cs := consumers[f.LFN]
+				keep := len(cs) == 0 || slices.ContainsFunc(cs, func(c int) bool { return c != ci })
+				if keep && !seen[f.LFN] {
+					seen[f.LFN] = true
 					merged.Outputs = append(merged.Outputs, f)
 				}
 			}

@@ -30,6 +30,7 @@ type dagRun struct {
 	res *RunResult
 
 	tasks    []taskState
+	results  []TaskResult // by declaration index; res.Tasks points here
 	ndone    int
 	ready    []uint64 // bitset by declaration index: not done, not in flight, parents done
 	inflight []int32  // tasks with a live flight, sorted by ID (the poll scan order)
@@ -40,13 +41,17 @@ type dagRun struct {
 	absDeadline time.Duration
 }
 
-// taskState is one task's share of a run's state.
+// taskState is one task's share of a run's state. It is also the task's
+// exec descriptor: every condor job of the task carries a pointer to it as
+// its payload (taskState.Run, in engine.go).
 type taskState struct {
+	d         *dagRun
 	flight    *flight       // live attempt; nil when not in flight
 	notBefore time.Duration // poll-mode retry backoff gate
-	attempts  int
-	waiting   int32 // parents not yet done (the indegree countdown)
 	mode      Mode
+	i         int32 // the task's declaration index
+	attempts  int32
+	waiting   int32 // parents not yet done (the indegree countdown)
 	done      bool
 }
 
@@ -56,16 +61,17 @@ type taskState struct {
 // other task, readying those with no unfinished parent.
 func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *Rescue, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) (*dagRun, error) {
 	d := &dagRun{
-		e:      e,
-		wf:     wf,
-		res:    res,
-		tasks:  make([]taskState, wf.Len()),
-		ready:  make([]uint64, (wf.Len()+63)/64),
-		tracer: tracer,
-		wfSpan: wfSpan,
+		e:       e,
+		wf:      wf,
+		res:     res,
+		tasks:   make([]taskState, wf.Len()),
+		results: make([]TaskResult, wf.Len()),
+		ready:   make([]uint64, (wf.Len()+63)/64),
+		tracer:  tracer,
+		wfSpan:  wfSpan,
 	}
 	for i, t := range wf.tasks {
-		d.tasks[i].mode = assign(wf.Name, t.ID)
+		d.tasks[i] = taskState{d: d, i: int32(i), mode: assign(wf.Name, t.ID)}
 	}
 	if rescue != nil {
 		for id, tr := range rescue.Done {
@@ -179,33 +185,32 @@ func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
 	t.done = true
 	d.ndone++
 	d.e.Budget.OnSuccess()
+	id := d.wf.tasks[i].ID
+	d.results[i] = TaskResult{
+		ID:          id,
+		Mode:        t.mode,
+		Node:        win.Node(),
+		Attempts:    int(t.attempts),
+		SubmittedAt: win.SubmittedAt,
+		StartedAt:   win.StartedAt,
+		FinishedAt:  win.FinishedAt,
+	}
+	d.res.Tasks[id] = &d.results[i]
 	for k, c := range f.copies {
-		if c.span == nil {
-			continue
-		}
+		status := "abandoned"
 		if k == winIdx {
-			c.span.SetLabel("status", "won")
-		} else {
-			c.span.SetLabel("status", "abandoned")
+			status = "won"
 		}
+		c.span.SetLabel("status", status)
 		c.span.End()
+		d.e.Pool.Release(c.job)
 	}
 	if f.copies[winIdx].hedged {
 		d.res.HedgeWins++
 		f.attempt.SetLabel("hedge-win", "1")
 	}
-	f.attempt.SetLabel("node", win.Node())
+	f.attempt.SetLabel("node", d.results[i].Node)
 	f.attempt.End()
-	id := d.wf.tasks[i].ID
-	d.res.Tasks[id] = &TaskResult{
-		ID:          id,
-		Mode:        t.mode,
-		Node:        win.Node(),
-		Attempts:    t.attempts,
-		SubmittedAt: win.SubmittedAt,
-		StartedAt:   win.StartedAt,
-		FinishedAt:  win.FinishedAt,
-	}
 	for _, c := range d.wf.childs[i] {
 		ct := &d.tasks[c]
 		ct.waiting--
@@ -223,10 +228,9 @@ func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
 	kept := f.copies[:0]
 	for _, c := range f.copies {
 		if c.job.Status() == condor.StatusFailed {
-			if c.span != nil {
-				c.span.SetLabel("status", "failed")
-				c.span.End()
-			}
+			d.e.Pool.Release(c.job)
+			c.span.SetLabel("status", "failed")
+			c.span.End()
 			continue
 		}
 		kept = append(kept, c)
@@ -244,42 +248,30 @@ func (d *dagRun) failAttempt(p *sim.Proc, i int32, f *flight) (time.Duration, *A
 	d.retire(i)
 	f.attempt.SetLabel("status", "failed")
 	f.attempt.End()
-	id, attempts := d.wf.tasks[i].ID, d.tasks[i].attempts
-	if attempts >= d.e.Retry.Attempts() {
-		d.wfSpan.SetLabel("status", "aborted")
-		// Per-task retries exhausted: abort with a rescue capturing
-		// completed-task state. Jobs still in flight are abandoned (their
-		// results discarded); the rescue DAG re-runs those tasks.
-		return 0, &AbortError{
-			Task:     id,
-			Attempts: attempts,
-			Reason:   AbortRetries,
-			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
-		}
-	}
-	if !d.e.Budget.TryRetry() {
-		// The engine-wide retry budget denied the resubmission: failures
-		// are outpacing successes, so degrade gracefully — abort with a
-		// rescue instead of joining the storm.
-		d.wfSpan.SetLabel("status", "aborted")
-		return 0, &AbortError{
-			Task:     id,
-			Attempts: attempts,
-			Reason:   AbortRetryBudget,
-			Rescue:   d.e.buildRescue(d.wf, d.res, id, d.abandonedJobs()),
-		}
+	attempts := int(d.tasks[i].attempts)
+	switch {
+	case attempts >= d.e.Retry.Attempts():
+		return 0, d.abort(AbortRetries, d.wf.tasks[i].ID, attempts)
+	case !d.e.Budget.TryRetry():
+		// Failures are outpacing successes: degrade gracefully instead of
+		// joining the resubmission storm.
+		return 0, d.abort(AbortRetryBudget, d.wf.tasks[i].ID, attempts)
 	}
 	// Exponential backoff before resubmission, jittered so concurrent
 	// workflows don't resubmit in lockstep.
 	return d.e.Retry.Backoff(attempts, p.Rand()), nil
 }
 
-// deadlineAbort builds the AbortError for a run that outlived its deadline.
-func (d *dagRun) deadlineAbort() *AbortError {
+// abort ends the run with a rescue capturing completed-task state. Jobs
+// still in flight are abandoned (their results discarded); the rescue DAG
+// re-runs those tasks. task is empty for a deadline abort.
+func (d *dagRun) abort(reason, task string, attempts int) *AbortError {
 	d.wfSpan.SetLabel("status", "aborted")
 	return &AbortError{
-		Reason: AbortDeadline,
-		Rescue: d.e.buildRescue(d.wf, d.res, "", d.abandonedJobs()),
+		Task:     task,
+		Attempts: attempts,
+		Reason:   reason,
+		Rescue:   d.e.buildRescue(d.wf, d.res, task, d.abandonedJobs()),
 	}
 }
 
@@ -292,30 +284,30 @@ func (d *dagRun) submitOne(i int32) (*flight, error) {
 		sp = d.tracer.Start(d.wfSpan, "wms", "task",
 			trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
 			trace.L("mode", t.mode.String()),
-			trace.L("attempt", strconv.Itoa(t.attempts+1)))
+			trace.L("attempt", strconv.Itoa(int(t.attempts)+1)))
 	}
-	popCur := d.tracer.Push(sp) // condor job span nests under the attempt
-	job, err := d.e.submitTask(d.wf, task, t.mode, d.absDeadline)
-	popCur()
+	job, err := d.submitTask(i, sp)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	t.attempts++
-	f := &flight{attempt: sp, copies: []flightCopy{{job: job}}}
+	f := &flight{attempt: sp}
+	f.copies = append(f.first[:0], flightCopy{job: job})
 	t.flight = f
 	k, _ := d.inflightPos(i)
 	d.inflight = slices.Insert(d.inflight, k, i)
 	return f, nil
 }
 
-// hedgeCap returns the maximum number of speculative copies per attempt.
-func (d *dagRun) hedgeCap() int {
-	hedgeMax := d.e.HedgeMax
-	if hedgeMax <= 0 {
-		hedgeMax = 1
+// hedgeDue reports whether flight f may take another speculative copy
+// (HedgeMax, default 1, caps them per attempt) and how long until its
+// newest copy has been in flight for HedgeAfter.
+func (d *dagRun) hedgeDue(f *flight, now time.Duration) (wait time.Duration, ok bool) {
+	if len(f.copies) > max(d.e.HedgeMax, 1) {
+		return 0, false
 	}
-	return hedgeMax
+	return d.e.HedgeAfter - (now - f.copies[len(f.copies)-1].job.SubmittedAt), true
 }
 
 // submitHedgeCopy launches one speculative duplicate of an in-flight task.
@@ -329,9 +321,7 @@ func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
 			trace.L("workflow", d.wf.Name), trace.L("task", task.ID),
 			trace.L("copy", strconv.Itoa(len(f.copies))))
 	}
-	popCur := d.tracer.Push(hs)
-	job, err := d.e.submitTask(d.wf, task, d.tasks[i].mode, d.absDeadline)
-	popCur()
+	job, err := d.submitTask(i, hs)
 	if err != nil {
 		hs.End()
 		return nil, err

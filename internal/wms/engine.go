@@ -155,6 +155,7 @@ type Engine struct {
 type flight struct {
 	attempt *trace.Span
 	copies  []flightCopy
+	first   [1]flightCopy // copies' backing array until a hedge grows it
 }
 
 // flightCopy is one submitted copy of an attempt. span is nil for the
@@ -188,7 +189,7 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	if execMode == config.ExecTrigger && e.Broker == nil {
 		return nil, fmt.Errorf("wms: execution mode %q needs Engine.Broker", execMode)
 	}
-	if err := wf.Validate(); err != nil {
+	if err := wf.validateOnce(); err != nil {
 		return nil, err
 	}
 	switch e.Staging {
@@ -255,15 +256,13 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	return res, nil
 }
 
-// submitTask plans one task into a condor job for its mode and submits it.
-// A non-zero deadline (absolute virtual time) rides along into serverless
-// invocations so the serving layer can drop work past it.
-func (e *Engine) submitTask(wf *Workflow, task *TaskSpec, mode Mode, deadline time.Duration) (*condor.Job, error) {
-	tr, ok := e.Catalogs.Transformation(task.Transformation)
-	if !ok {
-		return nil, fmt.Errorf("wms: unknown transformation %q", task.Transformation)
-	}
-	name := wf.Name + "/" + task.ID
+// submitTask plans one copy of task i into a condor job for its mode and
+// submits it, with the job's span under sp. The job's payload is the task's
+// own run state (taskState.Run), so a submission builds no closure, and the
+// "<workflow>/<task>" name is built only for a tracer.
+func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
+	defer d.tracer.Push(sp)()
+	e, t, task := d.e, &d.tasks[i], d.wf.tasks[i]
 	var requires func(*cluster.Node) bool
 	if task.RequireNode != "" {
 		want := task.RequireNode
@@ -277,59 +276,11 @@ func (e *Engine) submitTask(wf *Workflow, task *TaskSpec, mode Mode, deadline ti
 	if remoteData {
 		inBytes, outBytes = referenceBytes, referenceBytes
 	}
-
-	// stageIn/stageOut touch the data service from the execution node when
-	// remote staging is on; no-ops for condorio. With ScratchCache on,
-	// shared-fs staging keeps a scratch copy of every file that passes
-	// through a node: stage-out writes it alongside the share, and stage-in
-	// short-circuits to local scratch when the file is already resident —
-	// the residency the data-locality placement policy steers towards.
-	stageIn := func(p *sim.Proc, node string) error {
-		for _, f := range task.Inputs {
-			switch e.Staging {
-			case StageSharedFS:
-				if e.Prm.ScratchCache {
-					sc := e.Cl.MustNode(node).Scratch
-					if sc.Has(f.LFN) {
-						if _, err := sc.Get(p, f.LFN); err != nil {
-							return err
-						}
-						continue
-					}
-					size, err := e.FS.Read(p, node, f.LFN)
-					if err != nil {
-						return err
-					}
-					sc.Put(p, f.LFN, size)
-					continue
-				}
-				if _, err := e.FS.Read(p, node, f.LFN); err != nil {
-					return err
-				}
-			case StageObjectStore:
-				if _, err := e.Store.Get(p, node, wf.Name, f.LFN); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	img, _, err := t.resources()
+	if err != nil {
+		return nil, err
 	}
-	stageOut := func(p *sim.Proc, node string) error {
-		for _, f := range task.Outputs {
-			switch e.Staging {
-			case StageSharedFS:
-				if e.Prm.ScratchCache {
-					e.Cl.MustNode(node).Scratch.Put(p, f.LFN, f.Bytes)
-				}
-				e.FS.Write(p, node, f.LFN, f.Bytes)
-			case StageObjectStore:
-				if err := e.Store.Put(p, node, wf.Name, f.LFN, f.Bytes); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
+	inBytes += img.Bytes() // container mode: the image travels with the job
 
 	// The task's logical input files feed condor's data-locality placement
 	// score (residency only ever matters under remote staging).
@@ -339,118 +290,209 @@ func (e *Engine) submitTask(wf *Workflow, task *TaskSpec, mode Mode, deadline ti
 			inputLFNs = append(inputLFNs, f.LFN)
 		}
 	}
-	submit := func(inB, outB int64, run condor.JobFunc) *condor.Job {
-		return e.Pool.SubmitJob(condor.JobSpec{
-			Name:                name,
-			Priority:            task.Priority,
-			Requires:            requires,
-			TransferInputBytes:  inB,
-			TransferOutputBytes: outB,
-			InputLFNs:           inputLFNs,
-			Run:                 run,
-		})
+	var name string
+	if d.tracer != nil {
+		name = t.name()
 	}
+	return e.Pool.SubmitJob(condor.JobSpec{
+		Name:                name,
+		Priority:            task.Priority,
+		Requires:            requires,
+		TransferInputBytes:  inBytes,
+		TransferOutputBytes: outBytes,
+		InputLFNs:           inputLFNs,
+		Run:                 t,
+	}), nil
+}
 
-	switch mode {
+// resources resolves what the task's mode runs: the container image, or
+// the serverless function. Submission checks them; the payload looks them
+// up again on the worker, so the task state stays small.
+func (t *taskState) resources() (img registry.Image, svc *knative.Service, err error) {
+	e, task := t.d.e, t.d.wf.tasks[t.i]
+	tr, ok := e.Catalogs.Transformation(task.Transformation)
+	if !ok {
+		return img, nil, fmt.Errorf("wms: unknown transformation %q", task.Transformation)
+	}
+	switch t.mode {
 	case ModeNative:
-		// Setup 1: the task runs straight on the claimed slot.
-		return submit(inBytes, outBytes, func(ctx *condor.ExecContext) error {
-			if err := stageIn(ctx.Proc, ctx.Node.Name); err != nil {
-				return err
-			}
-			sp := trace.Start(ctx.Proc, "exec", "exec",
-				trace.L("task", name), trace.L("node", ctx.Node.Name))
-			if e.checkpointingActive() {
-				if err := e.runCheckpointed(ctx, name, task.EffectiveWorkScale()); err != nil {
-					sp.SetLabel("status", "failed")
-					sp.End()
-					return err
-				}
-			} else {
-				work := e.Cl.NextTaskWork() * task.EffectiveWorkScale()
-				ctx.Node.Exec(ctx.Proc, work, 1)
-			}
-			sp.End()
-			return stageOut(ctx.Proc, ctx.Node.Name)
-		}), nil
-
 	case ModeContainer:
-		// Setup 2: the image travels with the job, is loaded on the worker,
-		// and a fresh container runs the task under a one-core quota.
-		img, ok := e.Reg.Image(tr.Image)
-		if !ok {
-			return nil, fmt.Errorf("wms: image %q for transformation %q not in registry", tr.Image, tr.Name)
+		if img, ok = e.Reg.Image(tr.Image); !ok {
+			return img, nil, fmt.Errorf("wms: image %q for transformation %q not in registry", tr.Image, tr.Name)
 		}
-		return submit(inBytes+img.Bytes(), outBytes, func(ctx *condor.ExecContext) error {
-			rt, ok := e.Runtimes[ctx.Node.Name]
-			if !ok {
-				return fmt.Errorf("wms: no container runtime on %s", ctx.Node.Name)
-			}
-			rt.ImportImage(ctx.Proc, img)
-			c, err := rt.Create(ctx.Proc, img.Name, 1)
-			if err != nil {
-				return err
-			}
-			// Tear the container down on every exit so a retried attempt
-			// starts from a clean slate — leaking a container per failed
-			// attempt would make resubmission non-idempotent (and slowly eat
-			// the node under fault injection).
-			cleanup := func(err error) error {
-				_ = c.StopRemove(ctx.Proc)
-				return err
-			}
-			if err := c.Start(ctx.Proc); err != nil {
-				return cleanup(err)
-			}
-			if err := stageIn(ctx.Proc, ctx.Node.Name); err != nil {
-				return cleanup(err)
-			}
-			work := e.Cl.NextTaskWork() * task.EffectiveWorkScale()
-			if err := c.Exec(ctx.Proc, work); err != nil {
-				return cleanup(err)
-			}
-			if err := stageOut(ctx.Proc, ctx.Node.Name); err != nil {
-				return cleanup(err)
-			}
-			return c.StopRemove(ctx.Proc)
-		}), nil
-
 	case ModeServerless:
-		// Setup 3: the original job is replaced by an invoker wrapper. The
-		// wrapper is itself a condor job (the critical path includes it,
-		// §IV-4). With by-value staging, inputs come to the wrapper's node
-		// and travel to the function in the request body; with shared-fs
-		// staging the function's node reads the share directly.
 		if e.Services == nil {
-			return nil, fmt.Errorf("wms: task %s assigned serverless but no service resolver configured", name)
+			return img, nil, fmt.Errorf("wms: task %s assigned serverless but no service resolver configured", t.name())
 		}
-		svc, ok := e.Services(task.Transformation)
-		if !ok {
-			return nil, fmt.Errorf("wms: no serverless function registered for transformation %q", task.Transformation)
+		if svc, ok = e.Services(task.Transformation); !ok {
+			return img, nil, fmt.Errorf("wms: no serverless function registered for transformation %q", task.Transformation)
 		}
-		return submit(inBytes, outBytes, func(ctx *condor.ExecContext) error {
-			ws := trace.Start(ctx.Proc, "wms", "wrapper-startup",
-				trace.L("task", name), trace.L("node", ctx.Node.Name))
-			ctx.Proc.Sleep(e.Prm.WrapperStartup) // python invoker script startup
-			ws.End()
-			work := e.Cl.NextTaskWork() * task.EffectiveWorkScale()
-			req := knative.Request{
-				From:       ctx.Node.Name,
-				PayloadIn:  task.InputBytes(),
-				PayloadOut: task.OutputBytes(),
-				Work:       work,
-				Deadline:   deadline,
-			}
-			if remoteData {
-				req.PayloadIn, req.PayloadOut = referenceBytes, referenceBytes
-				req.StageIn = stageIn
-				req.StageOut = stageOut
-			}
-			_, err := svc.Invoke(ctx.Proc, req)
-			return err
-		}), nil
-
 	default:
-		return nil, fmt.Errorf("wms: unknown mode %v", mode)
+		return img, nil, fmt.Errorf("wms: unknown mode %v", t.mode)
 	}
+	return img, svc, nil
+}
+
+// name is the task's "<workflow>/<task>" name, for spans, checkpoints and
+// errors.
+func (t *taskState) name() string {
+	return t.d.wf.Name + "/" + t.d.wf.tasks[t.i].ID
+}
+
+// span opens a span under p's current span labelled with the task's name
+// and the node; untraced, it builds no name.
+func (t *taskState) span(p *sim.Proc, substrate, name, node string) *trace.Span {
+	tr := trace.FromEnv(p.Env())
+	if tr == nil {
+		return nil
+	}
+	return tr.StartCurrent(substrate, name, trace.L("task", t.name()), trace.L("node", node))
+}
+
+// Run is the task's condor payload: its mode's body on the claimed slot.
+func (t *taskState) Run(ctx *condor.ExecContext) error {
+	switch t.mode {
+	case ModeContainer:
+		return t.runContainer(ctx)
+	case ModeServerless:
+		return t.runServerless(ctx)
+	}
+	return t.runNative(ctx)
+}
+
+// runNative is Setup 1: the task runs straight on the claimed slot.
+func (t *taskState) runNative(ctx *condor.ExecContext) error {
+	e, task := t.d.e, t.d.wf.tasks[t.i]
+	if err := t.stageIn(ctx.Proc, ctx.Node.Name); err != nil {
+		return err
+	}
+	sp := t.span(ctx.Proc, "exec", "exec", ctx.Node.Name)
+	if e.checkpointingActive() {
+		if err := e.runCheckpointed(ctx, t.name(), task.EffectiveWorkScale()); err != nil {
+			sp.SetLabel("status", "failed")
+			sp.End()
+			return err
+		}
+	} else {
+		ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.EffectiveWorkScale(), 1)
+	}
+	sp.End()
+	return t.stageOut(ctx.Proc, ctx.Node.Name)
+}
+
+// runContainer is Setup 2: the image came with the job, is loaded on the
+// worker, and a fresh container runs the task under a one-core quota.
+func (t *taskState) runContainer(ctx *condor.ExecContext) error {
+	e, p := t.d.e, ctx.Proc
+	rt, ok := e.Runtimes[ctx.Node.Name]
+	if !ok {
+		return fmt.Errorf("wms: no container runtime on %s", ctx.Node.Name)
+	}
+	img, _, err := t.resources()
+	if err != nil {
+		return err
+	}
+	rt.ImportImage(p, img)
+	c, err := rt.Create(p, img.Name, 1)
+	if err != nil {
+		return err
+	}
+	err = c.Start(p)
+	if err == nil {
+		err = t.stageIn(p, ctx.Node.Name)
+	}
+	if err == nil {
+		err = c.Exec(p, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].EffectiveWorkScale())
+	}
+	if err == nil {
+		err = t.stageOut(p, ctx.Node.Name)
+	}
+	// Tear the container down on every exit so a retried attempt starts
+	// from a clean slate — leaking a container per failed attempt would
+	// make resubmission non-idempotent (and slowly eat the node under
+	// fault injection).
+	if stopErr := c.StopRemove(p); err == nil {
+		err = stopErr
+	}
+	return err
+}
+
+// runServerless is Setup 3: the original job is replaced by an invoker
+// wrapper. The wrapper is itself a condor job (the critical path includes
+// it, §IV-4). With by-value staging, inputs come to the wrapper's node and
+// travel to the function in the request body; with remote staging the
+// function's node reads the data service directly. The run's deadline
+// rides along so the serving layer can drop work past it.
+func (t *taskState) runServerless(ctx *condor.ExecContext) error {
+	e, task := t.d.e, t.d.wf.tasks[t.i]
+	_, svc, err := t.resources()
+	if err != nil {
+		return err
+	}
+	ws := t.span(ctx.Proc, "wms", "wrapper-startup", ctx.Node.Name)
+	ctx.Proc.Sleep(e.Prm.WrapperStartup) // python invoker script startup
+	ws.End()
+	req := knative.Request{
+		From:       ctx.Node.Name,
+		PayloadIn:  task.InputBytes(),
+		PayloadOut: task.OutputBytes(),
+		Work:       e.Cl.NextTaskWork() * task.EffectiveWorkScale(),
+		Deadline:   t.d.absDeadline,
+	}
+	if e.Staging != StageByValue {
+		req.PayloadIn, req.PayloadOut = referenceBytes, referenceBytes
+		req.StageIn, req.StageOut = t.stageIn, t.stageOut
+	}
+	_, err = svc.Invoke(ctx.Proc, req)
+	return err
+}
+
+// stageIn and stageOut touch the data service from the execution node when
+// remote staging is on; they are no-ops for condorio. With ScratchCache on,
+// shared-fs staging keeps a scratch copy of every file that passes through
+// a node: stage-out writes it alongside the share, and stage-in
+// short-circuits to local scratch when the file is already resident — the
+// residency the data-locality placement policy steers towards.
+func (t *taskState) stageIn(p *sim.Proc, node string) error {
+	e, wf := t.d.e, t.d.wf
+	for _, f := range wf.tasks[t.i].Inputs {
+		var err error
+		switch e.Staging {
+		case StageSharedFS:
+			if !e.Prm.ScratchCache {
+				_, err = e.FS.Read(p, node, f.LFN)
+			} else if sc := e.Cl.MustNode(node).Scratch; sc.Has(f.LFN) {
+				_, err = sc.Get(p, f.LFN)
+			} else {
+				var size int64
+				if size, err = e.FS.Read(p, node, f.LFN); err == nil {
+					sc.Put(p, f.LFN, size)
+				}
+			}
+		case StageObjectStore:
+			_, err = e.Store.Get(p, node, wf.Name, f.LFN)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t *taskState) stageOut(p *sim.Proc, node string) error {
+	e, wf := t.d.e, t.d.wf
+	for _, f := range wf.tasks[t.i].Outputs {
+		switch e.Staging {
+		case StageSharedFS:
+			if e.Prm.ScratchCache {
+				e.Cl.MustNode(node).Scratch.Put(p, f.LFN, f.Bytes)
+			}
+			e.FS.Write(p, node, f.LFN, f.Bytes)
+		case StageObjectStore:
+			if err := e.Store.Put(p, node, wf.Name, f.LFN, f.Bytes); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

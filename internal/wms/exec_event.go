@@ -67,7 +67,7 @@ func (e *Engine) runEvent(p *sim.Proc, d *dagRun, broker *knative.Broker) error 
 			if r.fin.Done() {
 				return
 			}
-			r.finish(d.deadlineAbort())
+			r.finish(d.abort(AbortDeadline, "", 0))
 		})
 	}
 
@@ -109,17 +109,13 @@ func (r *eventRun) armHedges(i int32, f *flight) {
 	if d.e.HedgeAfter <= 0 {
 		return
 	}
-	hedgeMax := d.hedgeCap()
-	d.e.Env.Go("wms-hedge-"+d.wf.Name+"/"+d.wf.tasks[i].ID, func(wp *sim.Proc) {
-		for {
-			if r.fin.Done() || d.tasks[i].flight != f {
+	d.e.Env.Go("wms-hedge", func(wp *sim.Proc) {
+		for !r.fin.Done() && d.tasks[i].flight == f {
+			wait, ok := d.hedgeDue(f, wp.Now())
+			if !ok {
 				return
 			}
-			if len(f.copies) >= 1+hedgeMax {
-				return
-			}
-			newest := f.copies[len(f.copies)-1].job
-			if wait := d.e.HedgeAfter - (wp.Now() - newest.SubmittedAt); wait > 0 {
+			if wait > 0 {
 				wp.Sleep(wait)
 				continue // re-check: the flight may have settled or grown
 			}
@@ -139,8 +135,7 @@ func (r *eventRun) armHedges(i int32, f *flight) {
 // event from the job's node and lets the broker's filtered trigger decide.
 func (r *eventRun) watchJob(i int32, job *condor.Job) {
 	d := r.d
-	subject := d.wf.Name + "/" + d.wf.tasks[i].ID
-	d.e.Env.Go("wms-watch-"+subject, func(wp *sim.Proc) {
+	d.e.Env.Go("wms-watch", func(wp *sim.Proc) {
 		_ = d.e.Pool.Wait(wp, job)
 		if r.fin.Done() {
 			return
@@ -148,6 +143,8 @@ func (r *eventRun) watchJob(i int32, job *condor.Job) {
 		if r.broker != nil {
 			// Triggerflow path: the completing node publishes the settled
 			// event; the broker's filtered trigger releases successors.
+			// The job may be released already, but its struct is reused
+			// only after this watcher has run.
 			node := job.Node()
 			if node == "" {
 				node = cluster.SubmitNodeName
@@ -155,7 +152,7 @@ func (r *eventRun) watchJob(i int32, job *condor.Job) {
 			_ = r.broker.Publish(wp, node, knative.Event{
 				Type:    TaskSettledEventType,
 				Source:  node,
-				Subject: subject,
+				Subject: d.wf.Name + "/" + d.wf.tasks[i].ID,
 			})
 			return
 		}

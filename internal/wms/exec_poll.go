@@ -22,14 +22,9 @@ func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
 		if e.HedgeAfter <= 0 {
 			return nil
 		}
-		hedgeMax := d.hedgeCap()
 		for _, i := range d.inflight {
 			f := d.tasks[i].flight
-			if len(f.copies) >= 1+hedgeMax {
-				continue
-			}
-			newest := f.copies[len(f.copies)-1].job
-			if p.Now()-newest.SubmittedAt < e.HedgeAfter {
+			if wait, ok := d.hedgeDue(f, p.Now()); !ok || wait > 0 {
 				continue
 			}
 			if _, err := d.submitHedgeCopy(i, f); err != nil {
@@ -53,7 +48,7 @@ func (e *Engine) runPoll(p *sim.Proc, d *dagRun) error {
 		// Workflow deadline: stop resubmitting and abort with a rescue; the
 		// serving layer is already dropping the in-flight work past it.
 		if d.absDeadline > 0 && p.Now() >= d.absDeadline {
-			return d.deadlineAbort()
+			return d.abort(AbortDeadline, "", 0)
 		}
 		d.scan = append(d.scan[:0], d.inflight...)
 		for _, i := range d.scan {

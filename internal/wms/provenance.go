@@ -1,9 +1,12 @@
 package wms
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -55,7 +58,9 @@ func (r *RunResult) Provenance(wf *Workflow) Provenance {
 		for id := range r.Tasks {
 			ids = append(ids, id)
 		}
-		sortByStart(ids, r.Tasks)
+		slices.SortFunc(ids, func(a, b string) int {
+			return cmp.Or(cmp.Compare(r.Tasks[a].StartedAt, r.Tasks[b].StartedAt), strings.Compare(a, b))
+		})
 	}
 	for _, id := range ids {
 		t := r.Tasks[id]
@@ -74,23 +79,6 @@ func (r *RunResult) Provenance(wf *Workflow) Provenance {
 		p.TotalRetries += t.Attempts - 1
 	}
 	return p
-}
-
-func sortByStart(ids []string, tasks map[string]*TaskResult) {
-	less := func(a, b string) bool {
-		ta, tb := tasks[a], tasks[b]
-		if ta.StartedAt != tb.StartedAt {
-			return ta.StartedAt < tb.StartedAt
-		}
-		return a < b
-	}
-	// Insertion sort: id lists are small and this keeps the file free of
-	// another sort.Slice closure allocation in the hot path.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // WriteProvenance writes the run's provenance as indented JSON.

@@ -22,8 +22,8 @@ type SpecTask struct {
 	ID             string     `json:"id"`
 	Transformation string     `json:"transformation"`
 	Mode           string     `json:"mode,omitempty"`
-	Inputs         []SpecFile `json:"inputs,omitempty"`
-	Outputs        []SpecFile `json:"outputs,omitempty"`
+	Inputs         []FileSpec `json:"inputs,omitempty"`
+	Outputs        []FileSpec `json:"outputs,omitempty"`
 	Deps           []string   `json:"deps,omitempty"`
 	// WorkScale multiplies the transformation's service demand (0 = 1).
 	WorkScale float64 `json:"work_scale,omitempty"`
@@ -31,12 +31,6 @@ type SpecTask struct {
 	Priority int `json:"priority,omitempty"`
 	// RequireNode pins the task to a named worker.
 	RequireNode string `json:"require_node,omitempty"`
-}
-
-// SpecFile is a logical file reference.
-type SpecFile struct {
-	LFN   string `json:"lfn"`
-	Bytes int64  `json:"bytes"`
 }
 
 // ParseMode converts a mode string to a Mode.
@@ -80,18 +74,11 @@ func (s Spec) Build() (*Workflow, ModeAssigner, error) {
 	wf := NewWorkflow(s.Name)
 	modes := make(map[string]Mode, len(s.Tasks))
 	for _, t := range s.Tasks {
-		files := func(fs []SpecFile) []FileSpec {
-			out := make([]FileSpec, len(fs))
-			for i, f := range fs {
-				out[i] = FileSpec{LFN: f.LFN, Bytes: f.Bytes}
-			}
-			return out
-		}
 		if err := wf.AddTask(TaskSpec{
 			ID:             t.ID,
 			Transformation: t.Transformation,
-			Inputs:         files(t.Inputs),
-			Outputs:        files(t.Outputs),
+			Inputs:         t.Inputs,
+			Outputs:        t.Outputs,
 			WorkScale:      t.WorkScale,
 			Priority:       t.Priority,
 			RequireNode:    t.RequireNode,
@@ -126,18 +113,11 @@ func SaveSpec(w io.Writer, wf *Workflow, mode Mode) error {
 	s := Spec{Name: wf.Name, DefaultMode: mode.String()}
 	for _, id := range wf.TaskIDs() {
 		task, _ := wf.Task(id)
-		files := func(fs []FileSpec) []SpecFile {
-			out := make([]SpecFile, len(fs))
-			for i, f := range fs {
-				out[i] = SpecFile{LFN: f.LFN, Bytes: f.Bytes}
-			}
-			return out
-		}
 		s.Tasks = append(s.Tasks, SpecTask{
 			ID:             id,
 			Transformation: task.Transformation,
-			Inputs:         files(task.Inputs),
-			Outputs:        files(task.Outputs),
+			Inputs:         task.Inputs,
+			Outputs:        task.Outputs,
 			Deps:           wf.Parents(id),
 			WorkScale:      task.WorkScale,
 			Priority:       task.Priority,

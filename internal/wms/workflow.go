@@ -16,14 +16,16 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
-// FileSpec is a logical file with its size.
+// FileSpec is a logical file with its size; it is also the JSON form of a
+// file in a Spec.
 type FileSpec struct {
 	// LFN is the logical file name, unique within a workflow run.
-	LFN string
+	LFN string `json:"lfn"`
 	// Bytes is the file's size.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 }
 
 // TaskSpec is one abstract job: an invocation of a transformation over
@@ -77,15 +79,19 @@ func (t *TaskSpec) OutputBytes() int64 {
 // Workflow is an abstract DAG of tasks. Tasks are stored densely in
 // declaration order: AddTask gives each task the next int32 index and
 // AddDependency appends to per-index adjacency lists, so the engine and
-// Validate work on indices and only the API edge speaks string IDs. A
-// Workflow is never mutated by a run, so one can be shared read-only by
-// concurrent simulations.
+// Validate work on indices and only the API edge speaks string IDs. A run
+// changes nothing in a Workflow but its atomic validation verdict, so one
+// can be shared by concurrent simulations.
 type Workflow struct {
 	Name    string
 	index   map[string]int32 // task ID → declaration index
 	tasks   []*TaskSpec
 	parents [][]int32 // child → parents, one entry per AddDependency
 	childs  [][]int32 // parent → children
+	// valid caches a successful Validate until the next AddTask or
+	// AddDependency. It is atomic because concurrent simulations share a
+	// Workflow and each run validates it.
+	valid atomic.Bool
 }
 
 // NewWorkflow returns an empty workflow.
@@ -102,6 +108,7 @@ func (w *Workflow) AddTask(t TaskSpec) error {
 		return fmt.Errorf("wms: duplicate task %q", t.ID)
 	}
 	spec := t
+	w.invalidate()
 	w.index[t.ID] = int32(len(w.tasks))
 	w.tasks = append(w.tasks, &spec)
 	w.parents = append(w.parents, nil)
@@ -119,6 +126,7 @@ func (w *Workflow) AddDependency(parent, child string) error {
 	if !ok {
 		return fmt.Errorf("wms: dependency references unknown task %q", child)
 	}
+	w.invalidate()
 	w.parents[ci] = append(w.parents[ci], pi)
 	w.childs[pi] = append(w.childs[pi], ci)
 	return nil
@@ -276,7 +284,25 @@ func (w *Workflow) Validate() error {
 			}
 		}
 	}
+	w.valid.Store(true)
 	return nil
+}
+
+// invalidate drops a cached Validate verdict. Building a workflow calls it
+// per task and edge, so it stores only when there is a verdict to drop.
+func (w *Workflow) invalidate() {
+	if w.valid.Load() {
+		w.valid.Store(false)
+	}
+}
+
+// validateOnce is Validate for a run: a workflow that passed is not
+// checked again until it changes.
+func (w *Workflow) validateOnce() error {
+	if w.valid.Load() {
+		return nil
+	}
+	return w.Validate()
 }
 
 // stampAncestors marks every ancestor of task i with mark, by depth-first
