@@ -16,10 +16,10 @@ func TestPrintSpans(t *testing.T) {
 	tr := trace.New(env)
 	env.Go("main", func(p *sim.Proc) {
 		p.Sleep(1500 * time.Millisecond)
-		outer := tr.StartCurrent("crt", "create", trace.L("image", "matmul"), trace.L("node", "worker1"))
+		outer := tr.Start(nil, "crt", "create", trace.L("image", "matmul"), trace.L("node", "worker1"))
 		p.Sleep(90 * time.Millisecond)
 		outer.End()
-		tr.StartCurrent("crt", "exec") // never ended
+		tr.Start(nil, "crt", "exec") // never ended
 		tr.Start(nil, "wms", "release").End()
 	})
 	env.Run()

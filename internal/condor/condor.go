@@ -33,6 +33,9 @@ type ExecContext struct {
 	Node *cluster.Node
 	// Job is the job being executed.
 	Job *Job
+	// Span is the job's payload span, the parent of every span the payload
+	// opens; nil when no tracer is attached.
+	Span *trace.Span
 }
 
 // Runner is a job's payload, executed on the claimed worker node. A
@@ -339,6 +342,8 @@ type JobSpec struct {
 	// data-locality placement policy.
 	InputLFNs []string
 	Run       Runner
+	// Parent is the span the job's span nests under; nil makes it a root.
+	Parent *trace.Span
 }
 
 // SubmitJob queues a job described by spec. It never blocks; wait for
@@ -359,7 +364,7 @@ func (s *Schedd) SubmitJob(spec JobSpec) *Job {
 	j.SubmittedAt = s.env.Now()
 	s.nextID++
 	tr := trace.FromEnv(s.env)
-	j.span = tr.StartCurrent("condor", "job", trace.L("job", j.Name))
+	j.span = tr.Start(spec.Parent, "condor", "job", trace.L("job", j.Name))
 	j.queue = tr.Start(j.span, "condor", "queue", trace.L("job", j.Name))
 	if s.prm.PerJobNegotiation {
 		// The schedd's reschedule request triggers a negotiation for this
@@ -638,10 +643,8 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job) {
 		err = fmt.Errorf("condor: job %d evicted on %s (injected fault)", j.ID, sd.node.Name)
 	} else {
 		payload := tr.Start(j.claim, "condor", "payload")
-		pop := tr.Push(payload)
-		j.ctx.Proc, j.ctx.Node = p, sd.node
+		j.ctx.Proc, j.ctx.Node, j.ctx.Span = p, sd.node, payload
 		err = j.Run.Run(&j.ctx)
-		pop()
 		payload.End()
 		if err == nil && sd.epoch != epoch {
 			// The node crashed mid-execution; the charged work ran but its

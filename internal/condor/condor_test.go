@@ -8,6 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 type fixture struct {
@@ -72,6 +74,40 @@ func TestJobRunsAndCompletes(t *testing.T) {
 	f.env.Run()
 	if f.s.Completed() != 1 {
 		t.Errorf("Completed = %d", f.s.Completed())
+	}
+}
+
+// TestJobSpanParentFromContinuation: a job submitted from a continuation,
+// where no process runs, nests its span under JobSpec.Parent, and its
+// payload receives the payload span in ExecContext.Span.
+func TestJobSpanParentFromContinuation(t *testing.T) {
+	f := newFixture(t, fastCycle)
+	tr := trace.New(f.env)
+	parent := tr.Start(nil, "wms", "task")
+	var j *Job
+	var payload *trace.Span
+	f.env.Defer(func() {
+		j = f.s.SubmitJob(JobSpec{Name: "task", Parent: parent, Run: JobFunc(func(ctx *ExecContext) error {
+			payload = ctx.Span
+			return nil
+		})})
+	})
+	f.env.Go("main", func(p *sim.Proc) {
+		if err := f.s.Wait(p, j); err != nil {
+			t.Error(err)
+		}
+		f.s.Shutdown()
+	})
+	f.env.Run()
+	job := tracetest.MustFind(t, tr, tracetest.Match{Substrate: "condor", Name: "job"})[0]
+	if job.Parent() != parent.ID() {
+		t.Fatalf("condor/job span's parent is #%d, want #%d", job.Parent(), parent.ID())
+	}
+	if payload == nil || payload.Name() != "payload" || !payload.Ended() {
+		t.Fatalf("ExecContext.Span = %v, want the ended payload span", payload)
+	}
+	if claim := tr.Span(payload.Parent()); claim == nil || claim.Parent() != job.ID() {
+		t.Errorf("payload span's parent %v is not the job's claim", claim)
 	}
 }
 

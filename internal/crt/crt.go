@@ -126,11 +126,16 @@ func (rt *Runtime) CreatedTotal() int { return rt.createdTotal }
 // RemovedTotal returns the lifetime count of containers removed.
 func (rt *Runtime) RemovedTotal() int { return rt.removedTotal }
 
-// PullImage fetches the named image from the registry, transferring only
-// layers absent from this node's cache, and records it in the local store.
-// Transient registry failures are retried under the PullRetry policy with
-// exponential backoff; permanent errors (unknown image) surface immediately.
-func (rt *Runtime) PullImage(p *sim.Proc, name string) error {
+// PullImage is Pull with no parent span: a pre-pull outside any traced
+// operation.
+func (rt *Runtime) PullImage(p *sim.Proc, name string) error { return rt.Pull(p, nil, name) }
+
+// Pull fetches the named image from the registry, transferring only layers
+// absent from this node's cache, and records it in the local store; its
+// span nests under parent. Transient registry failures are retried under
+// the PullRetry policy with exponential backoff; permanent errors (unknown
+// image) surface immediately.
+func (rt *Runtime) Pull(p *sim.Proc, parent *trace.Span, name string) error {
 	if rt.HasImage(name) {
 		return nil
 	}
@@ -144,12 +149,11 @@ func (rt *Runtime) PullImage(p *sim.Proc, name string) error {
 			missing = append(missing, l)
 		}
 	}
-	sp := trace.Start(p, "crt", "pull", trace.L("image", name), trace.L("node", rt.node.Name))
-	pop := trace.FromEnv(rt.env).Push(sp)
+	sp := trace.FromEnv(rt.env).Start(parent, "crt", "pull", trace.L("image", name), trace.L("node", rt.node.Name))
 	rp := rt.params.PullRetry
 	var err error
 	for attempt := 1; attempt <= rp.Attempts(); attempt++ {
-		err = rt.reg.PullLayers(p, rt.node.Name, img, missing)
+		err = rt.reg.PullLayers(p, sp, rt.node.Name, img, missing)
 		if err == nil {
 			rt.budget.OnSuccess()
 			break
@@ -166,7 +170,6 @@ func (rt *Runtime) PullImage(p *sim.Proc, name string) error {
 		}
 		p.Sleep(rp.Backoff(attempt, p.Rand()))
 	}
-	pop()
 	if err != nil {
 		sp.SetLabel("status", "failed")
 		sp.End()
@@ -184,9 +187,10 @@ func (rt *Runtime) PullImage(p *sim.Proc, name string) error {
 // node (Pegasus's container universe ships the image as a job input file):
 // the unpack work is charged against the node's shared load bandwidth, so
 // concurrent jobs importing on the same node contend — a significant part of
-// the traditional-container path's poor parallel scaling.
-func (rt *Runtime) ImportImage(p *sim.Proc, img registry.Image) {
-	sp := trace.Start(p, "crt", "import", trace.L("image", img.Name), trace.L("node", rt.node.Name))
+// the traditional-container path's poor parallel scaling. The import's
+// span nests under parent.
+func (rt *Runtime) ImportImage(p *sim.Proc, parent *trace.Span, img registry.Image) {
+	sp := trace.FromEnv(rt.env).Start(parent, "crt", "import", trace.L("image", img.Name), trace.L("node", rt.node.Name))
 	defer sp.End()
 	rt.loader.Run(p, float64(img.Bytes()), 0)
 	for _, l := range img.Layers {
@@ -217,16 +221,17 @@ func (c *Container) Node() *cluster.Node { return c.rt.node }
 
 // The lifecycle ops Create, Start and StopRemove each have a blocking form,
 // for a process, and a chained form, for a continuation chain (see
-// sim.Env.Defer): Begin* checks the op, opens its span under an explicit
+// sim.Env.Defer): Begin* checks the op, opens its span under the given
 // parent and arms then to run once the op's overhead has elapsed, and then
 // calls the matching End*, which applies the op's outcome. The blocking
-// form is the same begin, a Sleep, and the same End*.
+// form is the same begin, a Sleep, and the same End*. Both forms, and
+// Exec, open their span under the parent they are passed.
 
 // Create provisions a container from a locally available image, charging
 // the create overhead. capCores > 0 applies a cgroup CPU quota to
 // everything later executed in the container; 0 leaves it uncapped.
-func (rt *Runtime) Create(p *sim.Proc, image string, capCores float64) (*Container, error) {
-	c, err := rt.beginCreate(trace.FromEnv(rt.env).Current(), image, capCores)
+func (rt *Runtime) Create(p *sim.Proc, parent *trace.Span, image string, capCores float64) (*Container, error) {
+	c, err := rt.beginCreate(parent, image, capCores)
 	if err != nil {
 		return nil, err
 	}
@@ -298,13 +303,9 @@ func (c *Container) span(parent *trace.Span, name string) *trace.Span {
 	return tr.Start(parent, "crt", name, trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
 }
 
-// current is the running process's open span, the parent of a blocking
-// op's span.
-func (c *Container) current() *trace.Span { return trace.FromEnv(c.rt.env).Current() }
-
 // Start transitions the container to running, charging the start overhead.
-func (c *Container) Start(p *sim.Proc) error {
-	if err := c.beginStart(c.current()); err != nil {
+func (c *Container) Start(p *sim.Proc, parent *trace.Span) error {
+	if err := c.beginStart(parent); err != nil {
 		return err
 	}
 	p.Sleep(c.rt.params.ContainerStart)
@@ -346,11 +347,11 @@ func (c *Container) EndStart() error {
 // reservation (cgroup shares), so containerized work is shielded from
 // noisy neighbours — the isolation half of the paper's trade-off. Floors
 // scale down when a node's reservations are oversubscribed.
-func (c *Container) Exec(p *sim.Proc, work float64) error {
+func (c *Container) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
 	if c.state != StateRunning {
 		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
 	}
-	sp := c.span(c.current(), "exec")
+	sp := c.span(parent, "exec")
 	defer sp.End()
 	c.execs++
 	rate := 1.0
@@ -367,8 +368,8 @@ func (c *Container) Exec(p *sim.Proc, work float64) error {
 
 // StopRemove stops and removes the container, charging the teardown
 // overhead.
-func (c *Container) StopRemove(p *sim.Proc) error {
-	if err := c.beginStopRemove(c.current()); err != nil {
+func (c *Container) StopRemove(p *sim.Proc, parent *trace.Span) error {
+	if err := c.beginStopRemove(parent); err != nil {
 		return err
 	}
 	p.Sleep(c.rt.params.ContainerStopRemove)
@@ -400,19 +401,20 @@ func (c *Container) EndStopRemove() {
 
 // DockerRun is the `docker run --rm` path of the Fig. 1 motivation
 // experiment: CLI round trip, create, start, execute one task, teardown.
+// Its lifecycle spans are roots.
 func (rt *Runtime) DockerRun(p *sim.Proc, image string, work, capCores float64) error {
 	p.Sleep(rt.params.DockerCLI)
-	c, err := rt.Create(p, image, capCores)
+	c, err := rt.Create(p, nil, image, capCores)
 	if err != nil {
 		return err
 	}
-	if err := c.Start(p); err != nil {
-		_ = c.StopRemove(p)
+	if err := c.Start(p, nil); err != nil {
+		_ = c.StopRemove(p, nil)
 		return err
 	}
-	if err := c.Exec(p, work); err != nil {
-		_ = c.StopRemove(p)
+	if err := c.Exec(p, nil, work); err != nil {
+		_ = c.StopRemove(p, nil)
 		return err
 	}
-	return c.StopRemove(p)
+	return c.StopRemove(p, nil)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
 	"repro/internal/wms"
@@ -95,7 +96,7 @@ func TestTraceReconciliation(t *testing.T) {
 	}
 }
 
-// TestChromeExportPinned pins the Chrome export of three quick captures to
+// TestChromeExportPinned pins the Chrome export of the quick captures to
 // SHA-256 digests, so a change to the tracer or to any instrumented
 // substrate that alters the exported bytes fails here, not only when two
 // runs of one build disagree. A deliberate change to the trace must update
@@ -116,6 +117,27 @@ func TestChromeExportPinned(t *testing.T) {
 		{"protected", func() (*TraceCapture, error) {
 			return TraceProtectedOnce(o.Seed, o.Prm, true)
 		}, "6ef8cef3723cc86ff4e5f2d3a24454bbbf9af2c97dbd880271ced09e7d3a3650"},
+		{"native", func() (*TraceCapture, error) {
+			return TraceOnce(o.Seed, o.Prm, wms.ModeNative, true, false)
+		}, "2e6716d069bc898b3df4982ea69a98841a94f599cacd98761b662c38a93fe968"},
+		{"container", func() (*TraceCapture, error) {
+			return TraceOnce(o.Seed, o.Prm, wms.ModeContainer, true, false)
+		}, "894bcff72b1962ba7bf71ae6c401861f8ed044aeac738ae953737711c3221bc7"},
+		{"serverless-trigger", func() (*TraceCapture, error) {
+			prm := o.Prm
+			prm.ExecMode = "trigger"
+			return TraceOnce(o.Seed, prm, wms.ModeServerless, true, false)
+		}, "2cbc6e0e76275dbf470d643447f91132c34a7216cd61d97f81bb757d5cef8dc6"},
+		{"serverless-object-store", func() (*TraceCapture, error) {
+			s := core.NewStack(o.Seed, o.Prm)
+			s.Engine.Staging = wms.StageObjectStore
+			tc, err := traceMontage(s, &TraceCapture{Mode: wms.ModeServerless, Tracer: trace.New(s.Env)}, true, core.DefaultPolicy())
+			if err == nil {
+				tracetest.MustFind(t, tc.Tracer, tracetest.Match{Substrate: "storage", Name: "put"})
+				tracetest.MustFind(t, tc.Tracer, tracetest.Match{Substrate: "storage", Name: "get"})
+			}
+			return tc, err
+		}, "b2f4993e340389f6b24eefcba4af94c020b67ada1d59310c192a8d0552ef189a"},
 	}
 	for _, c := range cases {
 		tc, err := c.run()

@@ -146,7 +146,7 @@ func (b *Broker) dispatchLoop(p *sim.Proc) {
 			}
 			tr.Delivered++
 			trigger, event := tr, ev
-			p.Env().Go("trigger-"+tr.Name, func(hp *sim.Proc) {
+			p.Env().Go("trigger", func(hp *sim.Proc) {
 				trigger.Handler(hp, event)
 			})
 		}

@@ -218,7 +218,7 @@ func TestPickAvailableAllocatesNothing(t *testing.T) {
 				return
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				h := svc.pickAvailable()
+				h := svc.pickAvailable(nil)
 				h.gate.Release()
 			})
 			if allocs != 0 {

@@ -120,11 +120,11 @@ type Request struct {
 	Work float64
 	// StageIn, if set, runs on the serving replica's node before the task
 	// body (inside the concurrency gate) — e.g. reading inputs from a
-	// shared filesystem.
-	StageIn func(p *sim.Proc, node string) error
+	// shared filesystem. parent is the invocation's span.
+	StageIn func(p *sim.Proc, parent *trace.Span, node string) error
 	// StageOut, if set, runs on the serving node after the task body —
 	// e.g. writing outputs back to the shared filesystem.
-	StageOut func(p *sim.Proc, node string) error
+	StageOut func(p *sim.Proc, parent *trace.Span, node string) error
 	// Deadline is the request's absolute virtual-time deadline. It
 	// propagates with the request and is enforced at activator admission,
 	// at every queue wake-up, and at the queue-proxy just before
@@ -133,6 +133,9 @@ type Request struct {
 	// is waiting for. 0 means no deadline; when Params.InvokeDeadline is
 	// set, Invoke stamps absent deadlines on entry.
 	Deadline time.Duration
+	// Parent is the span the invocation's spans nest under; nil makes
+	// them roots.
+	Parent *trace.Span
 }
 
 // Response reports how an invocation was served.
@@ -438,7 +441,7 @@ func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 	for attempt := 1; ; attempt++ {
 		now := p.Now()
 		if !s.breaker.Allow(now) {
-			br := trace.Start(p, "knative", "breaker",
+			br := trace.FromEnv(p.Env()).Start(req.Parent, "knative", "breaker",
 				trace.L("service", s.spec.Name),
 				trace.L("state", s.breaker.State(now).String()))
 			br.End()
@@ -468,7 +471,7 @@ func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 		}
 		var bo *trace.Span
 		if tr := trace.FromEnv(p.Env()); tr != nil {
-			bo = tr.StartCurrent("knative", "backoff",
+			bo = tr.Start(req.Parent, "knative", "backoff",
 				trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
 		}
 		p.Sleep(rp.Backoff(attempt, p.Rand()))
@@ -488,11 +491,10 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	tr := trace.FromEnv(s.kn.env)
 	var sp *trace.Span
 	if tr != nil {
-		sp = tr.StartCurrent("knative", "invoke",
+		sp = tr.Start(req.Parent, "knative", "invoke",
 			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
 	}
-	pop := tr.Push(sp)
-	defer func() { pop(); sp.End() }()
+	defer sp.End()
 
 	kn := s.kn
 	// Ingress hop: client → route.
@@ -574,7 +576,7 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 			sp.SetLabel("status", "deadline")
 			return Response{}, fmt.Errorf("knative: service %s: %w in queue", s.spec.Name, resilience.ErrDeadlineExceeded), false
 		}
-		h = s.pickAvailable()
+		h = s.pickAvailable(sp)
 		if h != nil {
 			break
 		}
@@ -615,12 +617,12 @@ func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, e
 	var stageErr error
 	var execErr error
 	if req.StageIn != nil {
-		stageErr = req.StageIn(p, h.pod.NodeName)
+		stageErr = req.StageIn(p, sp, h.pod.NodeName)
 	}
 	if stageErr == nil {
-		execErr = h.pod.Exec(p, req.Work)
+		execErr = h.pod.Exec(p, sp, req.Work)
 		if execErr == nil && req.StageOut != nil {
-			stageErr = req.StageOut(p, h.pod.NodeName)
+			stageErr = req.StageOut(p, sp, h.pod.NodeName)
 		}
 	}
 	if stageErr == nil && execErr == nil {
@@ -704,9 +706,9 @@ func (kn *Knative) codecTime(bytes int64) time.Duration {
 }
 
 // pickAvailable chooses a ready replica with free concurrency capacity
-// (pickReplica) and claims one request slot on it. It returns nil when every
-// ready replica is saturated.
-func (s *Service) pickAvailable() *podHandle {
+// (pickReplica) and claims one request slot on it, recording the decision
+// under parent. It returns nil when every ready replica is saturated.
+func (s *Service) pickAvailable(parent *trace.Span) *podHandle {
 	best, feasible, _ := s.pickReplica()
 	if best < 0 {
 		return nil
@@ -724,7 +726,7 @@ func (s *Service) pickAvailable() *podHandle {
 		// re-waits on readySig and retries the pick.
 		return nil
 	}
-	sched.Record(tr, tr.Current(), "knative", s.spec.Routing.String(), s.spec.Name, dec)
+	sched.Record(tr, parent, "knative", s.spec.Routing.String(), s.spec.Name, dec)
 	return h
 }
 

@@ -130,13 +130,13 @@ func (pod *Pod) Ready() bool { return pod.ready }
 // ReadyAt returns the virtual time the pod became ready.
 func (pod *Pod) ReadyAt() time.Duration { return pod.readyAt }
 
-// Exec runs work core-seconds in the pod's container, blocking the caller.
-// It fails if the pod is not running.
-func (pod *Pod) Exec(p *sim.Proc, work float64) error {
+// Exec runs work core-seconds in the pod's container, blocking the caller;
+// its span nests under parent. It fails if the pod is not running.
+func (pod *Pod) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
 	if !pod.ready || pod.container == nil {
 		return fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
 	}
-	return pod.container.Exec(p, work)
+	return pod.container.Exec(p, parent, work)
 }
 
 type podOp struct {
@@ -768,9 +768,7 @@ func (k *Kube) advance(pod *Pod) {
 // in a process that the kernel runs before any other ready entry, so the
 // pull starts where the bring-up reached it, and then continues the chain.
 func (k *Kube) pull(p *sim.Proc, pod *Pod) {
-	pop := trace.FromEnv(k.env).Push(pod.sp)
-	err := k.runtimes[pod.node.Index].PullImage(p, pod.Spec.Image)
-	pop()
+	err := k.runtimes[pod.node.Index].Pull(p, pod.sp, pod.Spec.Image)
 	if err != nil {
 		pod.node.ReleaseMem(pod.Spec.MemMB)
 		k.endBringUp(pod, PhaseFailed, "failed", err)
@@ -821,7 +819,7 @@ func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {
 		return
 	}
 	if pod.container != nil && pod.container.State() == crt.StateRunning {
-		_ = pod.container.StopRemove(p)
+		_ = pod.container.StopRemove(p, nil)
 		node.ReleaseMem(pod.Spec.MemMB)
 	}
 	pod.phase = PhaseDead

@@ -267,12 +267,12 @@ func TestPodExec(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("client", func(p *sim.Proc) {
 		pod, _ := f.k.CreatePod(spec("fn-1"))
-		if err := pod.Exec(p, 1); err == nil {
+		if err := pod.Exec(p, nil, 1); err == nil {
 			t.Error("exec on pending pod succeeded")
 		}
 		_ = f.k.WaitReady(p, pod)
 		start := p.Now()
-		if err := pod.Exec(p, 0.5); err != nil {
+		if err := pod.Exec(p, nil, 0.5); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.Now() - start; got != 500*time.Millisecond {

@@ -105,21 +105,23 @@ func (r *Registry) Breaker() *resilience.Breaker { return r.breaker }
 // retryable by the runtime's pull policy. With a breaker installed,
 // consecutive failures trip it and later pulls fast-fail with
 // ErrCircuitOpen (not transient: the runtime's retry loop stops
-// immediately instead of hammering a down endpoint).
-func (r *Registry) PullLayers(p *sim.Proc, node string, img Image, missing []Layer) error {
+// immediately instead of hammering a down endpoint). The pull's spans nest
+// under parent.
+func (r *Registry) PullLayers(p *sim.Proc, parent *trace.Span, node string, img Image, missing []Layer) error {
 	if _, ok := r.images[img.Name]; !ok {
 		return fmt.Errorf("registry: image %q not found", img.Name)
 	}
+	tr := trace.FromEnv(p.Env())
 	if !r.breaker.Allow(p.Now()) {
-		br := trace.Start(p, "registry", "breaker",
+		br := tr.Start(parent, "registry", "breaker",
 			trace.L("image", img.Name), trace.L("node", node),
 			trace.L("state", r.breaker.State(p.Now()).String()))
 		br.End()
 		return fmt.Errorf("registry: pull %q to %s: %w", img.Name, node, resilience.ErrCircuitOpen)
 	}
 	var sp *trace.Span
-	if tr := trace.FromEnv(p.Env()); tr != nil {
-		sp = tr.StartCurrent("registry", "layers",
+	if tr != nil {
+		sp = tr.Start(parent, "registry", "layers",
 			trace.L("image", img.Name), trace.L("node", node), trace.L("layers", strconv.Itoa(len(missing))))
 	}
 	defer sp.End()

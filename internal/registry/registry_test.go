@@ -56,7 +56,7 @@ func TestPullLayersChargesNetworkTime(t *testing.T) {
 	reg.Push(img)
 	env.Go("pull", func(p *sim.Proc) {
 		start := p.Now()
-		if err := reg.PullLayers(p, "worker1", img, img.Layers); err != nil {
+		if err := reg.PullLayers(p, nil, "worker1", img, img.Layers); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := p.Now() - start
@@ -75,7 +75,7 @@ func TestPullUnknownImageFails(t *testing.T) {
 	env, _, reg := newCluster(t)
 	img := NewImage("never-pushed", []int64{1}, 1)
 	env.Go("pull", func(p *sim.Proc) {
-		if err := reg.PullLayers(p, "worker1", img, img.Layers); err == nil {
+		if err := reg.PullLayers(p, nil, "worker1", img, img.Layers); err == nil {
 			t.Error("pull of unpushed image succeeded")
 		}
 	})
@@ -87,7 +87,7 @@ func TestPullNoMissingLayersIsFree(t *testing.T) {
 	img := NewImage("app", []int64{100 << 20}, 10<<20)
 	reg.Push(img)
 	env.Go("pull", func(p *sim.Proc) {
-		if err := reg.PullLayers(p, "worker1", img, nil); err != nil {
+		if err := reg.PullLayers(p, nil, "worker1", img, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now() != 0 {

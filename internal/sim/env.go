@@ -45,7 +45,6 @@ type Env struct {
 	ready       ring[runnable]
 	procPool    []*Proc // idle processes, coroutines suspended, for Go
 	seq         uint64
-	cur         *Proc
 	alive       int
 	nextID      int
 	rng         *RNG
@@ -104,12 +103,6 @@ func (e *Env) Tracer() any { return e.tracer }
 
 // Stats returns the kernel's work counters so far.
 func (e *Env) Stats() Stats { return e.stats }
-
-// CurrentProc returns the process whose coroutine is running, or nil when
-// the scheduler itself (an event callback or a continuation) is running.
-// Because scheduling is strictly sequential this is unambiguous at any
-// instant.
-func (e *Env) CurrentProc() *Proc { return e.cur }
 
 // DumpBlocked writes one line per live process to the sink, in spawn
 // order — the first debugging step when a simulation fails to drain
@@ -317,10 +310,8 @@ func (e *Env) step(horizon time.Duration) bool {
 	if r, ok := e.ready.pop(); ok {
 		if p := r.p; p != nil {
 			e.stats.Resumes++
-			e.cur = p
 			p.state = stateRunning
 			p.resume()
-			e.cur = nil
 		} else {
 			e.stats.Continuations++
 			r.fn()

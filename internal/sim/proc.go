@@ -105,9 +105,6 @@ func (p *Proc) Env() *Env { return p.env }
 // Name returns the name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the process's unique id within its environment.
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 

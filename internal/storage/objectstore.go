@@ -70,9 +70,9 @@ func (o *ObjectStore) MakeBucket(name string) error {
 }
 
 // Put uploads an object from a node: request latency + transfer to the
-// host + service-side write bandwidth.
-func (o *ObjectStore) Put(p *sim.Proc, fromNode, bucket, key string, size int64) error {
-	sp := trace.Start(p, "storage", "put",
+// host + service-side write bandwidth. Its span nests under parent.
+func (o *ObjectStore) Put(p *sim.Proc, parent *trace.Span, fromNode, bucket, key string, size int64) error {
+	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "put",
 		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", fromNode))
 	defer sp.End()
 	if o.down {
@@ -92,9 +92,10 @@ func (o *ObjectStore) Put(p *sim.Proc, fromNode, bucket, key string, size int64)
 	return nil
 }
 
-// Get downloads an object to a node and returns its size.
-func (o *ObjectStore) Get(p *sim.Proc, toNode, bucket, key string) (int64, error) {
-	sp := trace.Start(p, "storage", "get",
+// Get downloads an object to a node and returns its size. Its span nests
+// under parent.
+func (o *ObjectStore) Get(p *sim.Proc, parent *trace.Span, toNode, bucket, key string) (int64, error) {
+	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "get",
 		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", toNode))
 	defer sp.End()
 	if o.down {

@@ -116,9 +116,9 @@ func NewSharedFS(env *sim.Env, net *simnet.Network, host string, diskBps float64
 func (fs *SharedFS) Host() string { return fs.host }
 
 // Write stores a file from the given node, charging the transfer to the
-// host plus the host disk write.
-func (fs *SharedFS) Write(p *sim.Proc, fromNode, name string, size int64) {
-	sp := trace.Start(p, "storage", "write",
+// host plus the host disk write. Its span nests under parent.
+func (fs *SharedFS) Write(p *sim.Proc, parent *trace.Span, fromNode, name string, size int64) {
+	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "write",
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", fromNode))
 	defer sp.End()
 	fs.net.Transfer(p, fromNode, fs.host, size)
@@ -127,13 +127,13 @@ func (fs *SharedFS) Write(p *sim.Proc, fromNode, name string, size int64) {
 }
 
 // Read fetches a file to the given node, charging the host disk read plus
-// the transfer, and returns its size.
-func (fs *SharedFS) Read(p *sim.Proc, toNode, name string) (int64, error) {
+// the transfer, and returns its size. Its span nests under parent.
+func (fs *SharedFS) Read(p *sim.Proc, parent *trace.Span, toNode, name string) (int64, error) {
 	size, ok := fs.files[name]
 	if !ok {
 		return 0, fmt.Errorf("storage: shared fs: no file %q", name)
 	}
-	sp := trace.Start(p, "storage", "read",
+	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "read",
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", toNode))
 	defer sp.End()
 	fs.disk.Read(p, size)

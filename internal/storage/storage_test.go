@@ -94,14 +94,14 @@ func TestSharedFSRemoteRoundTrip(t *testing.T) {
 	fs := NewSharedFS(env, net, "submit", 1000)
 	env.Go("job", func(p *sim.Proc) {
 		start := p.Now()
-		fs.Write(p, "w1", "out.dat", 1000)
+		fs.Write(p, nil, "w1", "out.dat", 1000)
 		// transfer 1000B @1000B/s = 1s + 1ms latency; disk write 1s.
 		wrote := p.Now() - start
 		want := 2*time.Second + time.Millisecond
 		if wrote != want {
 			t.Errorf("remote write took %v, want %v", wrote, want)
 		}
-		sz, err := fs.Read(p, "w1", "out.dat")
+		sz, err := fs.Read(p, nil, "w1", "out.dat")
 		if err != nil || sz != 1000 {
 			t.Fatalf("Read = %d, %v", sz, err)
 		}
@@ -118,7 +118,7 @@ func TestSharedFSLocalAccessSkipsNetwork(t *testing.T) {
 	fs := NewSharedFS(env, net, "submit", 1000)
 	fs.Touch("in.dat", 1000)
 	env.Go("job", func(p *sim.Proc) {
-		if _, err := fs.Read(p, "submit", "in.dat"); err != nil {
+		if _, err := fs.Read(p, nil, "submit", "in.dat"); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now() != time.Second { // disk only, no latency/transfer
@@ -133,7 +133,7 @@ func TestSharedFSMissingFile(t *testing.T) {
 	net := testNet(env)
 	fs := NewSharedFS(env, net, "submit", 1000)
 	env.Go("job", func(p *sim.Proc) {
-		if _, err := fs.Read(p, "w1", "ghost"); err == nil {
+		if _, err := fs.Read(p, nil, "w1", "ghost"); err == nil {
 			t.Error("read of missing file succeeded")
 		}
 	})

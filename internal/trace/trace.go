@@ -10,13 +10,13 @@
 // is bit-for-bit reproducible for a given seed — two same-seed runs export
 // byte-identical traces, which the determinism suite asserts.
 //
-// Spans form a forest: parentage is threaded either explicitly (an object
-// such as a condor job carries its span across processes) or implicitly via
-// the tracer's current-span stack, which exploits the kernel's cooperative
-// scheduling — exactly one process runs at a time, so "the current span of
-// the running process" is unambiguous. Each span is linked to its parent's
-// children and to its root when it starts, so the analyzer and the exporter
-// walk the forest without building an index.
+// Spans form a forest, and every Start names its parent: a span travels as
+// data to the code that opens its children — in a condor job's spec and
+// execution context, a knative request, or an argument of the storage,
+// registry and container-runtime calls. A continuation has no process, so
+// it passes the span its state carries. Each span is linked to its
+// parent's children and to its root when it starts, so the analyzer and
+// the exporter walk the forest without building an index.
 //
 // Substrates call trace.FromEnv and the nil tracer is a no-op. Start copies
 // its labels, so a call site's label list stays on its stack: an untraced run
@@ -140,14 +140,13 @@ func (sp *Span) End() {
 type Tracer struct {
 	env   *sim.Env
 	spans []*Span
-	cur   map[int]*Span // proc ID → innermost open span
 }
 
 // New creates a tracer, attaches it to env, and returns it. Calling New
 // twice on one environment replaces the earlier tracer for subsequent
 // FromEnv lookups.
 func New(env *sim.Env) *Tracer {
-	t := &Tracer{env: env, cur: make(map[int]*Span)}
+	t := &Tracer{env: env}
 	env.SetTracer(t)
 	return t
 }
@@ -216,61 +215,4 @@ func (t *Tracer) Start(parent *Span, substrate, name string, labels ...Label) *S
 	}
 	t.spans = append(t.spans, sp)
 	return sp
-}
-
-// Current returns the innermost open span of the running process, or nil
-// when none was pushed (or the scheduler itself is running).
-func (t *Tracer) Current() *Span {
-	if t == nil {
-		return nil
-	}
-	p := t.env.CurrentProc()
-	if p == nil {
-		return nil
-	}
-	return t.cur[p.ID()]
-}
-
-// StartCurrent opens a span parented on the running process's current span.
-func (t *Tracer) StartCurrent(substrate, name string, labels ...Label) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.Start(t.Current(), substrate, name, labels...)
-}
-
-// Push makes sp the running process's current span and returns the function
-// that restores the previous one. Typical use:
-//
-//	sp := tr.StartCurrent("condor", "payload")
-//	defer tr.Push(sp)()
-//	... nested calls parent their spans on sp via StartCurrent ...
-//	sp.End()
-//
-// Safe on a nil tracer and in scheduler context (both no-ops).
-func (t *Tracer) Push(sp *Span) func() {
-	if t == nil {
-		return func() {}
-	}
-	p := t.env.CurrentProc()
-	if p == nil {
-		return func() {}
-	}
-	id := p.ID()
-	prev, had := t.cur[id]
-	t.cur[id] = sp
-	return func() {
-		if had {
-			t.cur[id] = prev
-		} else {
-			delete(t.cur, id)
-		}
-	}
-}
-
-// Start is the substrate-side convenience: open a span parented on the
-// calling process's current span in p's environment. Returns nil (a no-op
-// span) when tracing is off.
-func Start(p *sim.Proc, substrate, name string, labels ...Label) *Span {
-	return FromEnv(p.Env()).StartCurrent(substrate, name, labels...)
 }

@@ -16,19 +16,17 @@ func TestSpanLifecycleAndThreading(t *testing.T) {
 		t.Fatal("FromEnv did not return the attached tracer")
 	}
 	env.Go("worker", func(p *sim.Proc) {
-		root := tr.StartCurrent("test", "root", trace.L("k", "v"))
+		root := tr.Start(nil, "test", "root", trace.L("k", "v"))
 		if root.Parent() != 0 {
 			t.Errorf("root parent = %d, want 0", root.Parent())
 		}
-		pop := tr.Push(root)
 		p.Sleep(time.Second)
-		child := trace.Start(p, "test", "child")
+		child := tr.Start(root, "test", "child")
 		if child.Parent() != root.ID() {
 			t.Errorf("child parent = %d, want %d", child.Parent(), root.ID())
 		}
 		p.Sleep(2 * time.Second)
 		child.End()
-		pop()
 		root.End()
 		root.End() // idempotent
 		if got := root.Duration(); got != 3*time.Second {
@@ -59,20 +57,16 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr := trace.FromEnv(env); tr != nil {
 		t.Fatal("tracer attached to fresh env")
 	}
-	env.Go("worker", func(p *sim.Proc) {
-		sp := trace.Start(p, "test", "op") // no tracer: nil span
-		sp.SetLabel("a", "b")
-		sp.End()
-		if sp.Ended() {
-			t.Error("nil span reports ended")
-		}
-		var tr *trace.Tracer
-		if tr.Len() != 0 || tr.StartCurrent("x", "y") != nil {
-			t.Error("nil tracer not a no-op")
-		}
-		tr.Push(nil)()
-	})
-	env.Run()
+	tr := trace.FromEnv(env)
+	sp := tr.Start(nil, "test", "op") // no tracer: nil span
+	sp.SetLabel("a", "b")
+	sp.End()
+	if sp.Ended() {
+		t.Error("nil span reports ended")
+	}
+	if tr.Len() != 0 || tr.Start(sp, "x", "y") != nil {
+		t.Error("nil tracer not a no-op")
+	}
 }
 
 func TestChromeExportIsValidAndDeterministic(t *testing.T) {
@@ -80,15 +74,13 @@ func TestChromeExportIsValidAndDeterministic(t *testing.T) {
 		env := sim.NewEnv(7)
 		tr := trace.New(env)
 		env.Go("w", func(p *sim.Proc) {
-			a := tr.StartCurrent("s1", "a", trace.L("x", "1"))
-			pop := tr.Push(a)
+			a := tr.Start(nil, "s1", "a", trace.L("x", "1"))
 			p.Sleep(1500 * time.Microsecond)
-			b := tr.StartCurrent("s2", "b")
+			b := tr.Start(a, "s2", "b")
 			p.Sleep(time.Millisecond)
 			b.End()
-			pop()
 			a.End()
-			tr.StartCurrent("s1", "never-ended")
+			tr.Start(nil, "s1", "never-ended")
 		})
 		env.Run()
 		return tr.ChromeBytes()
@@ -128,7 +120,7 @@ func TestAnalyzeReconcilesWithMakespan(t *testing.T) {
 	env := sim.NewEnv(3)
 	tr := trace.New(env)
 	env.Go("engine", func(p *sim.Proc) {
-		wf := tr.StartCurrent("wms", "workflow", trace.L("workflow", "chain"))
+		wf := tr.Start(nil, "wms", "workflow", trace.L("workflow", "chain"))
 		p.Sleep(time.Second) // initial poll slack → idle
 
 		// Task a: one attempt, 2s queue + 3s exec, observed 1s late.
@@ -204,18 +196,15 @@ func TestAnalyzeErrors(t *testing.T) {
 // ending a labelled span allocates nothing — the variadic label list stays
 // on the caller's stack because Start copies what it keeps.
 func TestUntracedStartAllocatesNothing(t *testing.T) {
-	env := sim.NewEnv(1)
-	env.Go("worker", func(p *sim.Proc) {
-		node := "worker1"
-		allocs := testing.AllocsPerRun(100, func() {
-			sp := trace.Start(p, "crt", "exec", trace.L("image", "matmul"), trace.L("node", node))
-			sp.End()
-		})
-		if allocs != 0 {
-			t.Errorf("%v allocations per untraced Start, want 0", allocs)
-		}
+	tr := trace.FromEnv(sim.NewEnv(1))
+	node := "worker1"
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := tr.Start(nil, "crt", "exec", trace.L("image", "matmul"), trace.L("node", node))
+		sp.End()
 	})
-	env.Run()
+	if allocs != 0 {
+		t.Errorf("%v allocations per untraced Start, want 0", allocs)
+	}
 }
 
 // TestStartCopiesLabels: a span keeps its own copy of the labels passed to

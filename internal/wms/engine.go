@@ -217,7 +217,7 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	}
 
 	tracer := trace.FromEnv(e.Env)
-	wfSpan := tracer.StartCurrent("wms", "workflow", trace.L("workflow", wf.Name))
+	wfSpan := tracer.Start(nil, "wms", "workflow", trace.L("workflow", wf.Name))
 	defer wfSpan.End() // End is idempotent; covers error returns too
 
 	d, err := newDagRun(e, wf, assign, rescue, res, tracer, wfSpan)
@@ -261,7 +261,6 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 // own run state (taskState.Run), so a submission builds no closure, and the
 // "<workflow>/<task>" name is built only for a tracer.
 func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
-	defer d.tracer.Push(sp)()
 	e, t, task := d.e, &d.tasks[i], d.wf.tasks[i]
 	var requires func(*cluster.Node) bool
 	if task.RequireNode != "" {
@@ -302,6 +301,7 @@ func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
 		TransferOutputBytes: outBytes,
 		InputLFNs:           inputLFNs,
 		Run:                 t,
+		Parent:              sp,
 	}), nil
 }
 
@@ -339,14 +339,14 @@ func (t *taskState) name() string {
 	return t.d.wf.Name + "/" + t.d.wf.tasks[t.i].ID
 }
 
-// span opens a span under p's current span labelled with the task's name
-// and the node; untraced, it builds no name.
-func (t *taskState) span(p *sim.Proc, substrate, name, node string) *trace.Span {
-	tr := trace.FromEnv(p.Env())
+// span opens a span under parent labelled with the task's name and the
+// node; untraced, it builds no name.
+func (t *taskState) span(parent *trace.Span, substrate, name, node string) *trace.Span {
+	tr := trace.FromEnv(t.d.e.Env)
 	if tr == nil {
 		return nil
 	}
-	return tr.StartCurrent(substrate, name, trace.L("task", t.name()), trace.L("node", node))
+	return tr.Start(parent, substrate, name, trace.L("task", t.name()), trace.L("node", node))
 }
 
 // Run is the task's condor payload: its mode's body on the claimed slot.
@@ -363,10 +363,10 @@ func (t *taskState) Run(ctx *condor.ExecContext) error {
 // runNative is Setup 1: the task runs straight on the claimed slot.
 func (t *taskState) runNative(ctx *condor.ExecContext) error {
 	e, task := t.d.e, t.d.wf.tasks[t.i]
-	if err := t.stageIn(ctx.Proc, ctx.Node.Name); err != nil {
+	if err := t.stageIn(ctx.Proc, ctx.Span, ctx.Node.Name); err != nil {
 		return err
 	}
-	sp := t.span(ctx.Proc, "exec", "exec", ctx.Node.Name)
+	sp := t.span(ctx.Span, "exec", "exec", ctx.Node.Name)
 	if e.checkpointingActive() {
 		if err := e.runCheckpointed(ctx, t.name(), task.EffectiveWorkScale()); err != nil {
 			sp.SetLabel("status", "failed")
@@ -377,13 +377,13 @@ func (t *taskState) runNative(ctx *condor.ExecContext) error {
 		ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.EffectiveWorkScale(), 1)
 	}
 	sp.End()
-	return t.stageOut(ctx.Proc, ctx.Node.Name)
+	return t.stageOut(ctx.Proc, ctx.Span, ctx.Node.Name)
 }
 
 // runContainer is Setup 2: the image came with the job, is loaded on the
 // worker, and a fresh container runs the task under a one-core quota.
 func (t *taskState) runContainer(ctx *condor.ExecContext) error {
-	e, p := t.d.e, ctx.Proc
+	e, p, sp := t.d.e, ctx.Proc, ctx.Span
 	rt, ok := e.Runtimes[ctx.Node.Name]
 	if !ok {
 		return fmt.Errorf("wms: no container runtime on %s", ctx.Node.Name)
@@ -392,26 +392,26 @@ func (t *taskState) runContainer(ctx *condor.ExecContext) error {
 	if err != nil {
 		return err
 	}
-	rt.ImportImage(p, img)
-	c, err := rt.Create(p, img.Name, 1)
+	rt.ImportImage(p, sp, img)
+	c, err := rt.Create(p, sp, img.Name, 1)
 	if err != nil {
 		return err
 	}
-	err = c.Start(p)
+	err = c.Start(p, sp)
 	if err == nil {
-		err = t.stageIn(p, ctx.Node.Name)
+		err = t.stageIn(p, sp, ctx.Node.Name)
 	}
 	if err == nil {
-		err = c.Exec(p, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].EffectiveWorkScale())
+		err = c.Exec(p, sp, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].EffectiveWorkScale())
 	}
 	if err == nil {
-		err = t.stageOut(p, ctx.Node.Name)
+		err = t.stageOut(p, sp, ctx.Node.Name)
 	}
 	// Tear the container down on every exit so a retried attempt starts
 	// from a clean slate — leaking a container per failed attempt would
 	// make resubmission non-idempotent (and slowly eat the node under
 	// fault injection).
-	if stopErr := c.StopRemove(p); err == nil {
+	if stopErr := c.StopRemove(p, sp); err == nil {
 		err = stopErr
 	}
 	return err
@@ -429,7 +429,7 @@ func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 	if err != nil {
 		return err
 	}
-	ws := t.span(ctx.Proc, "wms", "wrapper-startup", ctx.Node.Name)
+	ws := t.span(ctx.Span, "wms", "wrapper-startup", ctx.Node.Name)
 	ctx.Proc.Sleep(e.Prm.WrapperStartup) // python invoker script startup
 	ws.End()
 	req := knative.Request{
@@ -438,6 +438,7 @@ func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 		PayloadOut: task.OutputBytes(),
 		Work:       e.Cl.NextTaskWork() * task.EffectiveWorkScale(),
 		Deadline:   t.d.absDeadline,
+		Parent:     ctx.Span,
 	}
 	if e.Staging != StageByValue {
 		req.PayloadIn, req.PayloadOut = referenceBytes, referenceBytes
@@ -452,25 +453,26 @@ func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 // shared-fs staging keeps a scratch copy of every file that passes through
 // a node: stage-out writes it alongside the share, and stage-in
 // short-circuits to local scratch when the file is already resident — the
-// residency the data-locality placement policy steers towards.
-func (t *taskState) stageIn(p *sim.Proc, node string) error {
+// residency the data-locality placement policy steers towards. The I/O
+// spans nest under parent.
+func (t *taskState) stageIn(p *sim.Proc, parent *trace.Span, node string) error {
 	e, wf := t.d.e, t.d.wf
 	for _, f := range wf.tasks[t.i].Inputs {
 		var err error
 		switch e.Staging {
 		case StageSharedFS:
 			if !e.Prm.ScratchCache {
-				_, err = e.FS.Read(p, node, f.LFN)
+				_, err = e.FS.Read(p, parent, node, f.LFN)
 			} else if sc := e.Cl.MustNode(node).Scratch; sc.Has(f.LFN) {
 				_, err = sc.Get(p, f.LFN)
 			} else {
 				var size int64
-				if size, err = e.FS.Read(p, node, f.LFN); err == nil {
+				if size, err = e.FS.Read(p, parent, node, f.LFN); err == nil {
 					sc.Put(p, f.LFN, size)
 				}
 			}
 		case StageObjectStore:
-			_, err = e.Store.Get(p, node, wf.Name, f.LFN)
+			_, err = e.Store.Get(p, parent, node, wf.Name, f.LFN)
 		}
 		if err != nil {
 			return err
@@ -479,7 +481,7 @@ func (t *taskState) stageIn(p *sim.Proc, node string) error {
 	return nil
 }
 
-func (t *taskState) stageOut(p *sim.Proc, node string) error {
+func (t *taskState) stageOut(p *sim.Proc, parent *trace.Span, node string) error {
 	e, wf := t.d.e, t.d.wf
 	for _, f := range wf.tasks[t.i].Outputs {
 		switch e.Staging {
@@ -487,9 +489,9 @@ func (t *taskState) stageOut(p *sim.Proc, node string) error {
 			if e.Prm.ScratchCache {
 				e.Cl.MustNode(node).Scratch.Put(p, f.LFN, f.Bytes)
 			}
-			e.FS.Write(p, node, f.LFN, f.Bytes)
+			e.FS.Write(p, parent, node, f.LFN, f.Bytes)
 		case StageObjectStore:
-			if err := e.Store.Put(p, node, wf.Name, f.LFN, f.Bytes); err != nil {
+			if err := e.Store.Put(p, parent, node, wf.Name, f.LFN, f.Bytes); err != nil {
 				return err
 			}
 		}
