@@ -57,6 +57,13 @@ func (n *Node) ExecReserved(p *sim.Proc, work, capCores, floorCores float64) {
 	n.CPU.RunReserved(p, work, capCores, floorCores)
 }
 
+// ExecReservedThen is ExecReserved's chained form: then runs where the
+// blocking form would return (see fluid.Server.RunReservedThen).
+func (n *Node) ExecReservedThen(work, capCores, floorCores float64, then func()) {
+	n.tasksRun++
+	n.CPU.RunReservedThen(work, capCores, floorCores, then)
+}
+
 // TasksRun returns how many Exec calls the node has served.
 func (n *Node) TasksRun() int { return n.tasksRun }
 

@@ -348,22 +348,49 @@ func (c *Container) EndStart() error {
 // noisy neighbours — the isolation half of the paper's trade-off. Floors
 // scale down when a node's reservations are oversubscribed.
 func (c *Container) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
-	if c.state != StateRunning {
-		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
+	sp, rate, floor, err := c.beginExec(parent)
+	if err != nil {
+		return err
 	}
-	sp := c.span(parent, "exec")
-	defer sp.End()
+	c.rt.node.ExecReserved(p, work, rate, floor)
+	sp.End()
+	return nil
+}
+
+// ExecThen is Exec's chained form: then runs where Exec would return. An
+// error means then was not armed.
+func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) error {
+	sp, rate, floor, err := c.beginExec(parent)
+	if err != nil {
+		return err
+	}
+	if sp != nil {
+		next := then
+		then = func() {
+			sp.End()
+			next()
+		}
+	}
+	c.rt.node.ExecReservedThen(work, rate, floor, then)
+	return nil
+}
+
+// beginExec checks the container runs, opens the exec span under parent,
+// and returns the CPU cap and floor the work runs with.
+func (c *Container) beginExec(parent *trace.Span) (sp *trace.Span, rate, floor float64, err error) {
+	if c.state != StateRunning {
+		return nil, 0, 0, fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
+	}
+	sp = c.span(parent, "exec")
 	c.execs++
-	rate := 1.0
+	rate = 1.0
 	if c.CapCores > 0 && c.CapCores < rate {
 		rate = c.CapCores
 	}
-	floor := 0.0
 	if c.CapCores > 0 {
 		floor = rate
 	}
-	c.rt.node.ExecReserved(p, work, rate, floor)
-	return nil
+	return sp, rate, floor, nil
 }
 
 // StopRemove stops and removes the container, charging the teardown

@@ -187,34 +187,7 @@ func OverloadOnce(seed uint64, prm config.Params, arm OverloadArm, mult float64,
 			p.Sleep(gap)
 			out.Arrivals++
 			wg.Add(1)
-			name := fmt.Sprintf("client-%06d", out.Arrivals)
-			s.Env.Go(name, func(cp *sim.Proc) {
-				defer wg.Done()
-				start := cp.Now()
-				for attempt := 1; ; attempt++ {
-					_, err := svc.Invoke(cp, knative.Request{
-						From: cluster.SubmitNodeName,
-						Work: overloadWork,
-					})
-					if err == nil {
-						lat := cp.Now() - start
-						out.Completed++
-						latencies = append(latencies, lat.Seconds())
-						if lat <= overloadSLO {
-							out.Good++
-						}
-						clientBudget.OnSuccess()
-						return
-					}
-					// Give up when patience (the SLO) has run out, the
-					// attempt cap is hit, or the budget denies the retry.
-					if cp.Now()-start >= overloadSLO || attempt >= overloadClientAttempts || !clientBudget.TryRetry() {
-						out.Failed++
-						return
-					}
-					cp.Sleep(cp.Rand().Jitter(overloadClientBackoff, 0.5))
-				}
-			})
+			s.Env.Defer(func() { overloadClient(s.Env, svc, clientBudget, &out, &latencies, wg.Done) })
 		}
 		if until := end + overloadDrain; p.Now() < until {
 			p.Sleep(until - p.Now())
@@ -239,6 +212,42 @@ func OverloadOnce(seed uint64, prm config.Params, arm OverloadArm, mult float64,
 		out.P99Sec = latencies[idx-1]
 	}
 	return out
+}
+
+// overloadClient is one arrival: it invokes the function, retrying failures
+// after a jittered backoff while its patience (the SLO), its attempt cap
+// and the client budget allow, records the outcome in out, and then calls
+// done.
+func overloadClient(env *sim.Env, svc *knative.Service, budget *resilience.RetryBudget,
+	out *OverloadRun, latencies *[]float64, done func()) {
+	start := env.Now()
+	attempt := 1
+	var try func()
+	try = func() {
+		svc.InvokeAsync(knative.Request{From: cluster.SubmitNodeName, Work: overloadWork}, func(_ knative.Response, err error) {
+			if err == nil {
+				lat := env.Now() - start
+				out.Completed++
+				*latencies = append(*latencies, lat.Seconds())
+				if lat <= overloadSLO {
+					out.Good++
+				}
+				budget.OnSuccess()
+				done()
+				return
+			}
+			// Give up when patience (the SLO) has run out, the attempt
+			// cap is hit, or the budget denies the retry.
+			if env.Now()-start >= overloadSLO || attempt >= overloadClientAttempts || !budget.TryRetry() {
+				out.Failed++
+				done()
+				return
+			}
+			attempt++
+			env.Delay(env.Rand().Jitter(overloadClientBackoff, 0.5), try)
+		})
+	}
+	try()
 }
 
 // OverloadRow aggregates the repetitions at one (arm, rate) point.

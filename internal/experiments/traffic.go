@@ -202,29 +202,28 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 			env.Go(fmt.Sprintf("gen-%03d", i), func(gp *sim.Proc) {
 				defer wg.Done()
 				rng := gp.Rand()
-				n := 0
 				workload.OpenLoop(rng, mix[i], peak, size.Window, func(at time.Duration) bool {
 					if wake := start + at; wake > gp.Now() {
 						gp.Sleep(wake - gp.Now())
 					}
 					out.Arrivals++
-					n++
 					wg.Add(1)
-					env.Go(fmt.Sprintf("c-%03d-%06d", i, n), func(cp *sim.Proc) {
-						defer wg.Done()
-						t0 := cp.Now()
-						_, err := svc.Invoke(cp, knative.Request{
+					env.Defer(func() {
+						t0 := env.Now()
+						svc.InvokeAsync(knative.Request{
 							From:       cluster.SubmitNodeName,
 							PayloadIn:  2048,
 							PayloadOut: 1024,
 							Work:       trafficWork,
+						}, func(_ knative.Response, err error) {
+							defer wg.Done()
+							if err != nil {
+								out.Errors++
+								return
+							}
+							out.Completed++
+							latencies = append(latencies, (env.Now() - t0).Seconds())
 						})
-						if err != nil {
-							out.Errors++
-							return
-						}
-						out.Completed++
-						latencies = append(latencies, (cp.Now() - t0).Seconds())
 					})
 					return true
 				})

@@ -59,6 +59,8 @@ type job struct {
 	floor     float64 // guaranteed rate (cgroup reservation); 0 means none
 	rate      float64
 	gate      sim.Gate // parks the submitting process until the job drains
+	then      func()   // or, for a chained submission, runs once it drains
+	fire      func()   // releases the job and runs then; bound at first use
 }
 
 // New returns a fluid server with the given capacity in work units per
@@ -119,8 +121,27 @@ func (s *Server) Run(p *sim.Proc, work float64, maxRate float64) {
 // oversubscription); leftover capacity above the floors is distributed
 // max-min as in Run.
 func (s *Server) RunReserved(p *sim.Proc, work, maxRate, floor float64) {
+	if j := s.begin(work, maxRate, floor, nil); j != nil {
+		j.gate.Wait(p)
+		s.release(j)
+	}
+}
+
+// RunReservedThen is RunReserved's chained form (see sim.Env.Defer): then
+// runs at once when there is no work, and otherwise from the run queue at
+// the job's departure, in the slot where a process blocked in RunReserved
+// would resume.
+func (s *Server) RunReservedThen(work, maxRate, floor float64, then func()) {
+	if s.begin(work, maxRate, floor, then) == nil {
+		then()
+	}
+}
+
+// begin admits a job of work units and reschedules the server; it returns
+// nil when there is no work to serve. A non-nil then makes the job chained.
+func (s *Server) begin(work, maxRate, floor float64, then func()) *job {
 	if work <= 0 {
-		return
+		return nil
 	}
 	if maxRate < 0 || floor < 0 {
 		panic("fluid: negative rate cap or floor")
@@ -130,13 +151,21 @@ func (s *Server) RunReserved(p *sim.Proc, work, maxRate, floor float64) {
 	}
 	s.advance()
 	j := s.newJob(work, maxRate, floor)
+	j.then = then
+	if then != nil && j.fire == nil {
+		j.fire = func() {
+			then := j.then
+			j.then = nil
+			s.release(j)
+			then()
+		}
+	}
 	s.jobs = append(s.jobs, j)
 	if j.cap > 0 || j.floor > 0 {
 		s.bounded++
 	}
 	s.reschedule()
-	j.gate.Wait(p)
-	s.release(j)
+	return j
 }
 
 // newJob takes a job struct off the pool (or allocates one) and initializes
@@ -159,8 +188,8 @@ func (s *Server) newJob(work, maxRate, floor float64) *job {
 	return j
 }
 
-// release recycles a drained job struct. Called by the submitting process
-// after its gate opened, when nothing else references the job.
+// release recycles a drained job struct. Called where the job's submitter
+// resumes, when nothing else references the job.
 func (s *Server) release(j *job) {
 	s.pool = append(s.pool, j)
 }
@@ -355,7 +384,11 @@ func (s *Server) complete() {
 				s.bounded--
 			}
 			departed = true
-			j.gate.Open()
+			if j.then != nil {
+				s.env.Defer(j.fire)
+			} else {
+				j.gate.Open()
+			}
 		} else {
 			kept = append(kept, j)
 		}

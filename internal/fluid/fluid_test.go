@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -360,4 +361,59 @@ func TestRateReporting(t *testing.T) {
 	env.Go("capped", func(p *sim.Proc) { srv.Run(p, 10, 1) })
 	env.Go("uncapped", func(p *sim.Proc) { srv.Run(p, 10, 2) })
 	env.Run()
+}
+
+// TestRunReservedThenMatchesRunReserved: jobs submitted in chained form
+// depart, and their continuations run, in the order and at the times the
+// same jobs' blocking submitters resume — equal-time departures included,
+// interleaved with a process sleeping beside them, and a zero-work job
+// continuing at once.
+func TestRunReservedThenMatchesRunReserved(t *testing.T) {
+	type sub struct {
+		name             string
+		at               time.Duration
+		work, cap, floor float64
+	}
+	subs := []sub{
+		{"a", 0, 1, 0, 0},
+		{"b", 0, 1, 0, 0}, // departs with a
+		{"c", time.Second, 0.5, 0.5, 0},
+		{"d", time.Second, 0, 0, 0},
+		{"e", 1200 * time.Millisecond, 3, 2, 1},
+		{"f", 1200 * time.Millisecond, 0.5, 0, 0.5},
+	}
+	run := func(chained bool) []string {
+		env := sim.NewEnv(1)
+		srv := New(env, "cpu", 2)
+		var order []string
+		note := func(name string) { order = append(order, name+"@"+env.Now().String()) }
+		env.Go("ticker", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				p.Sleep(500 * time.Millisecond)
+				note("tick")
+			}
+		})
+		for _, s := range subs {
+			if chained {
+				env.At(s.at, func() {
+					env.Defer(func() {
+						srv.RunReservedThen(s.work, s.cap, s.floor, func() { note(s.name) })
+					})
+				})
+				continue
+			}
+			env.At(s.at, func() {
+				env.Go(s.name, func(p *sim.Proc) {
+					srv.RunReserved(p, s.work, s.cap, s.floor)
+					note(s.name)
+				})
+			})
+		}
+		env.Run()
+		return order
+	}
+	procs, chain := run(false), run(true)
+	if !slices.Equal(procs, chain) {
+		t.Errorf("chained order %v, blocking order %v", chain, procs)
+	}
 }

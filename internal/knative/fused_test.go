@@ -29,7 +29,7 @@ type refDecision struct {
 // referenceRoute is the router as a plain loop of a filter and one score
 // plugin — the form knative evaluated through the plugin framework before
 // it was fused into evalReplica. Every replica is visited in rotation order
-// from offset; ready replicas with gate capacity pass; the term is minus
+// from offset; ready replicas with a free slot pass; the term is minus
 // the replica's in-flight requests, or minus its node's CPU queue length
 // ×1e6 plus those under least-node-load, with the node looked up by name;
 // the total is the term summed from 0; a strictly higher total displaces
@@ -45,7 +45,7 @@ func referenceRoute(s *Service, offset int, rejects map[string]int) refDecision 
 		case !h.pod.Ready():
 			rejects["ready"]++
 			continue
-		case h.gate.Available() <= 0:
+		case h.free <= 0:
 			rejects["capacity"]++
 			continue
 		}
@@ -131,7 +131,7 @@ func newRouteFixture(t *testing.T) *fixture {
 
 // TestFusedRoutingMatchesReference is the differential gate on the router's
 // fused evaluation: under both routes, over a seeded churn of request
-// bursts that saturate the replicas' concurrency gates and drive the
+// bursts that saturate the replicas' request slots and drive the
 // autoscaler to scale up, and pod kills that the autoscaler replaces, the
 // fused evaluation and the plugin-loop reference agree on the winner, the
 // feasible and visited counts, and the total and per-plugin scores bit for
@@ -219,7 +219,7 @@ func TestPickAvailableAllocatesNothing(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(100, func() {
 				h := svc.pickAvailable(nil)
-				h.gate.Release()
+				h.free++
 			})
 			if allocs != 0 {
 				t.Errorf("%s: %v allocations per pick, want 0", route, allocs)

@@ -1,0 +1,493 @@
+package knative
+
+import (
+	"fmt"
+	"strconv"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/resilience"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// Invoke performs one synchronous function call: route to a replica
+// (buffering in the activator on scale-from-zero), move the input payload to
+// the replica's node, execute under the queue-proxy's concurrency limit, and
+// return the output payload. Replica failures (scale-down races, pod kills)
+// are retried through the full path under the InvokeRetry policy, with
+// exponential backoff between attempts; application-level (staging) errors
+// surface to the caller unretried.
+//
+// With overload protection configured, Invoke additionally: stamps a
+// default deadline from Params.InvokeDeadline, fast-fails when the
+// service's circuit breaker is open (ErrCircuitOpen, not retried), feeds
+// the breaker with backend verdicts, and gates every retry through the
+// serving layer's shared retry budget — an exhausted budget surfaces the
+// last backend error instead of re-amplifying it.
+//
+// Invoke runs the invocation as InvokeAsync does and parks p once, until
+// the chain ends; p then resumes ahead of every ready entry, where it would
+// have continued had it waited through each step itself.
+func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
+	c := s.kn.newCall(s, req)
+	c.start()
+	if !c.finished {
+		c.caller.Wait(p)
+	}
+	resp, err := c.resp, c.err
+	s.kn.freeCall(c)
+	return resp, err
+}
+
+// InvokeAsync is Invoke as a continuation chain (see sim.Env.Defer): it
+// needs no process, and done, which must not block, receives the outcome
+// where Invoke would have returned it. Called at the run-queue slot where a
+// process spawned to call Invoke would first run, it keeps every (at, seq),
+// run-queue order and random draw of that process. Only the StageIn and
+// StageOut hooks run in a process, started with Env.GoFirst where the
+// chain reaches them.
+func (s *Service) InvokeAsync(req Request, done func(Response, error)) {
+	c := s.kn.newCall(s, req)
+	c.done = done
+	c.start()
+}
+
+// call is one invocation in flight: its request, the attempt under way,
+// and the state the steps of its chain share. Calls are recycled through
+// Knative.calls, and every wait re-arms the one step closure bound when the
+// call was allocated, so a warm invocation allocates nothing.
+type call struct {
+	s      *Service
+	req    Request
+	done   func(Response, error) // InvokeAsync's callback; nil under Invoke
+	caller sim.Gate              // parks Invoke's process
+	step   func()                // c.advance, bound once
+
+	sp    *trace.Span // the attempt's invoke span
+	phase *trace.Span // the open coldstart, queue, payload, proxy or backoff span
+	h     *podHandle  // the replica whose slot the attempt holds
+	// attempt counts the attempts made; enq and slot are when the current
+	// one joined the queue and claimed its slot.
+	attempt   int
+	enq, slot time.Duration
+	resp      Response
+	// err is the failure of the attempt's staging or execution, retryable
+	// when its replica died; once the call finished, the outcome.
+	err   error
+	stage callStage
+	died  bool
+	cold  bool
+	// admitted holds a seat in the activator's waiting room, counted a
+	// share of the service's in-flight requests; finished records an end
+	// reached before Invoke's caller parked.
+	admitted, counted, finished bool
+}
+
+// callStage names the step an invocation's chain runs next.
+type callStage uint8
+
+const (
+	callBackoff    callStage = iota // a retry's backoff has elapsed
+	callIngress                     // the ingress message reached the route
+	callColdWait                    // a cold-start waiter woke
+	callQueueWait                   // a queued request woke
+	callEncodedIn                   // the request body is marshalled
+	callSentIn                      // the body reached the replica's node
+	callDecodedIn                   // the function unmarshalled it
+	callProxied                     // the queue-proxy overhead has elapsed
+	callStagedIn                    // StageIn returned
+	callExecuted                    // the function body ran
+	callStagedOut                   // StageOut returned
+	callEncodedOut                  // the response is marshalled
+	callSentOut                     // the response reached the caller's node
+	callDecodedOut                  // the caller unmarshalled it
+)
+
+func (kn *Knative) newCall(s *Service, req Request) *call {
+	var c *call
+	if n := len(kn.calls); n > 0 {
+		c = kn.calls[n-1]
+		kn.calls[n-1] = nil
+		kn.calls = kn.calls[:n-1]
+	} else {
+		c = &call{}
+		c.step = c.advance
+	}
+	c.s, c.req = s, req
+	return c
+}
+
+func (kn *Knative) freeCall(c *call) {
+	*c = call{step: c.step}
+	kn.calls = append(kn.calls, c)
+}
+
+// start stamps the default deadline and makes the first attempt.
+func (c *call) start() {
+	kn := c.s.kn
+	if c.req.Deadline == 0 && kn.prm.InvokeDeadline > 0 {
+		c.req.Deadline = kn.env.Now() + kn.prm.InvokeDeadline
+	}
+	c.attempt = 1
+	c.try()
+}
+
+// finish ends the invocation with err and the last attempt's response.
+func (c *call) finish(err error) {
+	if c.done != nil {
+		done, resp := c.done, c.resp
+		c.s.kn.freeCall(c)
+		done(resp, err)
+		return
+	}
+	c.err = err
+	c.finished = true
+	if c.caller.Waiting() {
+		c.caller.OpenFirst()
+	}
+}
+
+// try makes one attempt: the breaker's verdict, then the ingress hop.
+func (c *call) try() {
+	s := c.s
+	env := s.kn.env
+	c.resp, c.err, c.died, c.cold = Response{}, nil, false, false
+	now := env.Now()
+	if !s.breaker.Allow(now) {
+		br := trace.FromEnv(env).Start(c.req.Parent, "knative", "breaker",
+			trace.L("service", s.spec.Name),
+			trace.L("state", s.breaker.State(now).String()))
+		br.End()
+		c.finish(fmt.Errorf("knative: service %s: %w", s.spec.Name, resilience.ErrCircuitOpen))
+		return
+	}
+	if s.stopped {
+		c.endAttempt(fmt.Errorf("knative: service %s is shut down", s.spec.Name), false)
+		return
+	}
+	s.Requests++
+	if tr := trace.FromEnv(env); tr != nil {
+		c.sp = tr.Start(c.req.Parent, "knative", "invoke",
+			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(c.attempt)))
+	}
+	// Ingress hop: client → route.
+	c.stage = callIngress
+	s.kn.cl.Net.MessageThen(c.req.From, cluster.SubmitNodeName, c.step)
+}
+
+// advance runs the chain's next step. Each step runs in the event callback
+// that ends its wait, or from the run queue for a zero wait, a wake-up or a
+// drained fluid job: since an event fires only on an empty run queue, the
+// chain keeps every (at, seq), run-queue order and RNG draw a process
+// waiting through the same steps would have.
+func (c *call) advance() {
+	kn := c.s.kn
+	switch c.stage {
+	case callBackoff:
+		c.endPhase()
+		c.attempt++
+		c.try()
+	case callIngress:
+		c.admit()
+	case callColdWait:
+		c.coldWait()
+	case callQueueWait:
+		c.queueWait()
+	case callEncodedIn:
+		c.stage = callSentIn
+		kn.cl.Net.TransferThen(c.req.From, c.h.pod.NodeName, c.req.PayloadIn, c.step)
+	case callSentIn:
+		c.stage = callDecodedIn
+		kn.env.Delay(kn.codecTime(c.req.PayloadIn), c.step)
+	case callDecodedIn:
+		c.endPhase()
+		c.phase = trace.FromEnv(kn.env).Start(c.sp, "knative", "queue-proxy")
+		c.stage = callProxied
+		kn.env.Delay(kn.prm.QueueProxyOverhead, c.step)
+	case callProxied:
+		c.endPhase()
+		c.proxied()
+	case callStagedIn:
+		if c.err != nil {
+			c.endSlot()
+			return
+		}
+		c.exec()
+	case callExecuted:
+		if c.req.StageOut != nil {
+			c.stage = callStagedOut
+			kn.env.GoFirst("stage-out", c.runHook)
+			return
+		}
+		c.payloadOut()
+	case callStagedOut:
+		if c.err != nil {
+			c.endSlot()
+			return
+		}
+		c.payloadOut()
+	case callEncodedOut:
+		c.stage = callSentOut
+		kn.cl.Net.TransferThen(c.h.pod.NodeName, c.req.From, c.req.PayloadOut, c.step)
+	case callSentOut:
+		c.stage = callDecodedOut
+		kn.env.Delay(kn.codecTime(c.req.PayloadOut), c.step)
+	case callDecodedOut:
+		c.endPhase()
+		c.endSlot()
+	}
+}
+
+// runHook is the body of the process a StageIn or StageOut hook runs in;
+// it continues the chain when the hook returns.
+func (c *call) runHook(p *sim.Proc) {
+	if c.stage == callStagedIn {
+		c.err = c.req.StageIn(p, c.sp, c.h.pod.NodeName)
+	} else {
+		c.err = c.req.StageOut(p, c.sp, c.h.pod.NodeName)
+	}
+	c.advance()
+}
+
+func (c *call) endPhase() {
+	c.phase.End()
+	c.phase = nil
+}
+
+// admit is activator admission: a bounded waiting room replaces the
+// unbounded ingress buffer. Requests already past their deadline, arriving
+// to a full room, or facing an estimated wait longer than their remaining
+// budget are shed at the door — before they consume queue space or pod
+// capacity.
+func (c *call) admit() {
+	s := c.s
+	env := s.kn.env
+	tr := trace.FromEnv(env)
+	remaining := resilience.Remaining(c.req.Deadline, env.Now())
+	if c.req.Deadline > 0 && remaining <= 0 {
+		s.DeadlineDrops++
+		c.sp.SetLabel("status", "deadline")
+		c.endAttempt(fmt.Errorf("knative: service %s: %w at admission", s.spec.Name, resilience.ErrDeadlineExceeded), false)
+		return
+	}
+	if err := s.admission.TryEnter(s.estimateWait(), remaining); err != nil {
+		shed := tr.Start(c.sp, "knative", "shed",
+			trace.L("service", s.spec.Name), trace.L("reason", shedReason(err)))
+		shed.End()
+		c.sp.SetLabel("status", "shed")
+		c.endAttempt(fmt.Errorf("knative: service %s: %w", s.spec.Name, err), false)
+		return
+	}
+	c.admitted = true
+	s.inFlight++
+	c.counted = true
+	if s.ReadyPods() == 0 {
+		// Activator path: ensure a replica is coming and buffer.
+		c.cold = true
+		s.ColdStarts++
+		c.phase = tr.Start(c.sp, "knative", "coldstart", trace.L("service", s.spec.Name))
+		if s.StartingPods() == 0 {
+			s.scaleTo(1)
+		}
+		c.coldWait()
+		return
+	}
+	c.enqueue()
+}
+
+// gaveUp ends an attempt waiting on readySig when the service has stopped
+// or the request's deadline has passed, and reports whether it did; where
+// names the wait in the deadline error.
+func (c *call) gaveUp(where string) bool {
+	s := c.s
+	switch {
+	case s.stopped:
+		c.endPhase()
+		c.sp.SetLabel("status", "failed")
+		c.endAttempt(fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false)
+	case resilience.Expired(c.req.Deadline, s.kn.env.Now()):
+		c.endPhase()
+		s.DeadlineDrops++
+		c.sp.SetLabel("status", "deadline")
+		c.endAttempt(fmt.Errorf("knative: service %s: %w %s", s.spec.Name, resilience.ErrDeadlineExceeded, where), false)
+	default:
+		return false
+	}
+	return true
+}
+
+// coldWait waits on readySig until a replica is ready, unless the service
+// stops or the deadline passes first.
+func (c *call) coldWait() {
+	s := c.s
+	if s.ReadyPods() == 0 {
+		if c.gaveUp("during cold start") {
+			return
+		}
+		c.stage = callColdWait
+		s.readySig.Then(s.kn.env, c.step)
+		return
+	}
+	c.endPhase()
+	c.enqueue()
+}
+
+// enqueue buffers the request at the ingress (as the activator/queue-proxy
+// pair does) until capacity exists.
+func (c *call) enqueue() {
+	env := c.s.kn.env
+	c.enq = env.Now()
+	c.phase = trace.FromEnv(env).Start(c.sp, "knative", "queue", trace.L("service", c.s.spec.Name))
+	c.queueWait()
+}
+
+// queueWait takes the first free slot on any ready replica, so freshly
+// scaled pods immediately absorb queued load. Every wake-up re-checks the
+// deadline so a queued request that missed its budget is dropped instead
+// of occupying a slot.
+func (c *call) queueWait() {
+	s := c.s
+	kn := s.kn
+	env := kn.env
+	if c.gaveUp("in queue") {
+		return
+	}
+	h := s.pickAvailable(c.sp)
+	if h == nil {
+		c.stage = callQueueWait
+		s.readySig.Then(env, c.step)
+		return
+	}
+	c.h = h
+	c.admitted = false // holding a serving slot: leave the waiting room
+	s.admission.Exit()
+	h.inFlight++
+	c.phase.SetLabel("node", h.pod.NodeName)
+	c.endPhase()
+	now := env.Now()
+	c.resp = Response{PodNode: h.pod.NodeName, Cold: c.cold, Queued: now - c.enq}
+	c.sp.SetLabel("node", h.pod.NodeName)
+	c.slot = now
+	// Pass-by-value file handling (§IV-3): the caller marshals the input
+	// files into the request body, the function unmarshals them; the
+	// response payload pays the same costs in reverse.
+	c.phase = trace.FromEnv(env).Start(c.sp, "knative", "payload-in")
+	c.stage = callEncodedIn
+	env.Delay(kn.codecTime(c.req.PayloadIn), c.step)
+}
+
+// proxied is queue-proxy deadline enforcement, the last check before the
+// function body runs: payload transfer and proxy overhead may have
+// consumed the remaining budget, and executing anyway would waste a pod
+// slot on a response nobody is waiting for.
+func (c *call) proxied() {
+	s := c.s
+	if resilience.Expired(c.req.Deadline, s.kn.env.Now()) {
+		c.freeSlot()
+		s.DeadlineDrops++
+		c.sp.SetLabel("status", "deadline")
+		c.endAttempt(fmt.Errorf("knative: service %s: %w at queue-proxy", s.spec.Name, resilience.ErrDeadlineExceeded), false)
+		return
+	}
+	if c.req.StageIn != nil {
+		c.stage = callStagedIn
+		s.kn.env.GoFirst("stage-in", c.runHook)
+		return
+	}
+	c.exec()
+}
+
+// exec runs the function body on the replica.
+func (c *call) exec() {
+	c.stage = callExecuted
+	if err := c.h.pod.ExecThen(c.sp, c.req.Work, c.step); err != nil {
+		c.err, c.died = err, true
+		c.endSlot()
+	}
+}
+
+// payloadOut returns the response body to the caller.
+func (c *call) payloadOut() {
+	kn := c.s.kn
+	c.phase = trace.FromEnv(kn.env).Start(c.sp, "knative", "payload-out")
+	c.stage = callEncodedOut
+	kn.env.Delay(kn.codecTime(c.req.PayloadOut), c.step)
+}
+
+// freeSlot returns the attempt's slot; capacity freed admits
+// ingress-buffered requests.
+func (c *call) freeSlot() {
+	c.h.free++
+	c.h.inFlight--
+	c.s.readySig.Broadcast()
+}
+
+// endSlot frees the slot of an attempt that reached its replica and ends
+// the attempt with its verdict.
+func (c *call) endSlot() {
+	s := c.s
+	c.freeSlot()
+	if c.err != nil {
+		// The replica died under us (scale-down race, pod kill):
+		// retryable. Or an application-level failure: surface to the
+		// caller, no retry.
+		c.sp.SetLabel("status", "failed")
+		c.endAttempt(c.err, c.died)
+		return
+	}
+	s.observeSlotTime(s.kn.env.Now() - c.slot)
+	c.endAttempt(nil, false)
+}
+
+// endAttempt closes an attempt that ended with err — retryable for a
+// replica death as opposed to terminal (shed, deadline drop, shutdown,
+// staging failure) — feeds the breaker, and retries after a backoff when
+// the policy and the retry budget allow.
+func (c *call) endAttempt(err error, retryable bool) {
+	s := c.s
+	kn := s.kn
+	env := kn.env
+	if c.counted {
+		s.inFlight--
+		c.counted = false
+	}
+	if c.admitted {
+		s.admission.Exit()
+		c.admitted = false
+	}
+	c.sp.End()
+	c.sp, c.h = nil, nil
+	now := env.Now()
+	switch {
+	case err == nil:
+		s.breaker.OnSuccess(now)
+		kn.budget.OnSuccess()
+		c.finish(nil)
+		return
+	case retryable:
+		// Backend failure (replica death): the breaker's signal.
+		s.breaker.OnFailure(now)
+	default:
+		// Shed, deadline drop, or application error: no verdict on
+		// backend health — return a claimed half-open probe slot.
+		s.breaker.OnDrop(now)
+		c.finish(err)
+		return
+	}
+	rp := kn.prm.InvokeRetry
+	if c.attempt >= rp.Attempts() {
+		c.finish(err)
+		return
+	}
+	if !kn.budget.TryRetry() {
+		c.finish(fmt.Errorf("knative: service %s: retry budget exhausted: %w", s.spec.Name, err))
+		return
+	}
+	if tr := trace.FromEnv(env); tr != nil {
+		c.phase = tr.Start(c.req.Parent, "knative", "backoff",
+			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(c.attempt)))
+	}
+	c.stage = callBackoff
+	env.Delay(rp.Backoff(c.attempt, env.Rand()), c.step)
+}

@@ -15,7 +15,6 @@ package knative
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -119,11 +118,13 @@ type Request struct {
 	// Work is the task's service demand in core-seconds.
 	Work float64
 	// StageIn, if set, runs on the serving replica's node before the task
-	// body (inside the concurrency gate) — e.g. reading inputs from a
-	// shared filesystem. parent is the invocation's span.
+	// body, holding the request's slot — e.g. reading inputs from a shared
+	// filesystem. parent is the invocation's span. p is a process of its
+	// own that runs the hook where the request reaches it, so the hook may
+	// block.
 	StageIn func(p *sim.Proc, parent *trace.Span, node string) error
-	// StageOut, if set, runs on the serving node after the task body —
-	// e.g. writing outputs back to the shared filesystem.
+	// StageOut, if set, runs on the serving node after the task body, as
+	// StageIn does — e.g. writing outputs back to the shared filesystem.
 	StageOut func(p *sim.Proc, parent *trace.Span, node string) error
 	// Deadline is the request's absolute virtual-time deadline. It
 	// propagates with the request and is enforced at activator admission,
@@ -153,7 +154,7 @@ type Response struct {
 // drops the handle in the same step that deletes the pod.
 type podHandle struct {
 	pod      *kube.Pod
-	gate     *sim.Semaphore
+	free     int // request slots left under ContainerConcurrency
 	inFlight int
 }
 
@@ -217,6 +218,7 @@ type Knative struct {
 	services []*Service
 	byName   map[string]*Service
 	brokers  []*Broker
+	calls    []*call // recycled invocations (see Service.InvokeAsync)
 
 	// budget is the serving layer's shared retry budget: invoke retries
 	// across every service draw from one bucket, so a single failing
@@ -381,7 +383,7 @@ func (s *Service) addPod() *podHandle {
 	}
 	name := fmt.Sprintf("%s-%05d", s.spec.Name, s.nextPod)
 	s.nextPod++
-	h := &podHandle{gate: sim.NewSemaphore(cc)}
+	h := &podHandle{free: cc}
 	pod, err := s.kn.k.CreatePod(kube.PodSpec{
 		Name:       name,
 		Image:      s.spec.Image,
@@ -416,237 +418,6 @@ func (s *Service) removeHandle(h *podHandle) bool {
 		}
 	}
 	return false
-}
-
-// Invoke performs one synchronous function call: route to a replica
-// (buffering in the activator on scale-from-zero), move the input payload to
-// the replica's node, execute under the queue-proxy's concurrency gate, and
-// return the output payload. Replica failures (scale-down races, pod kills)
-// are retried through the full path under the InvokeRetry policy, with
-// exponential backoff between attempts; application-level (staging) errors
-// surface to the caller unretried.
-//
-// With overload protection configured, Invoke additionally: stamps a
-// default deadline from Params.InvokeDeadline, fast-fails when the
-// service's circuit breaker is open (ErrCircuitOpen, not retried), feeds
-// the breaker with backend verdicts, and gates every retry through the
-// serving layer's shared retry budget — an exhausted budget surfaces the
-// last backend error instead of re-amplifying it.
-func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
-	prm := s.kn.prm
-	if req.Deadline == 0 && prm.InvokeDeadline > 0 {
-		req.Deadline = p.Now() + prm.InvokeDeadline
-	}
-	rp := prm.InvokeRetry
-	for attempt := 1; ; attempt++ {
-		now := p.Now()
-		if !s.breaker.Allow(now) {
-			br := trace.FromEnv(p.Env()).Start(req.Parent, "knative", "breaker",
-				trace.L("service", s.spec.Name),
-				trace.L("state", s.breaker.State(now).String()))
-			br.End()
-			return Response{}, fmt.Errorf("knative: service %s: %w", s.spec.Name, resilience.ErrCircuitOpen)
-		}
-		resp, err, retryable := s.invokeOnce(p, req, attempt)
-		now = p.Now()
-		switch {
-		case err == nil:
-			s.breaker.OnSuccess(now)
-			s.kn.budget.OnSuccess()
-			return resp, nil
-		case retryable:
-			// Backend failure (replica death): the breaker's signal.
-			s.breaker.OnFailure(now)
-		default:
-			// Shed, deadline drop, or application error: no verdict on
-			// backend health — return a claimed half-open probe slot.
-			s.breaker.OnDrop(now)
-			return resp, err
-		}
-		if attempt >= rp.Attempts() {
-			return resp, err
-		}
-		if !s.kn.budget.TryRetry() {
-			return resp, fmt.Errorf("knative: service %s: retry budget exhausted: %w", s.spec.Name, err)
-		}
-		var bo *trace.Span
-		if tr := trace.FromEnv(p.Env()); tr != nil {
-			bo = tr.Start(req.Parent, "knative", "backoff",
-				trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
-		}
-		p.Sleep(rp.Backoff(attempt, p.Rand()))
-		bo.End()
-	}
-}
-
-// invokeOnce is one attempt of the invocation path. The third return value
-// reports whether the error class is retryable (replica death) as opposed to
-// terminal (shutdown, staging failure).
-func (s *Service) invokeOnce(p *sim.Proc, req Request, attempt int) (Response, error, bool) {
-	if s.stopped {
-		return Response{}, fmt.Errorf("knative: service %s is shut down", s.spec.Name), false
-	}
-	s.Requests++
-
-	tr := trace.FromEnv(s.kn.env)
-	var sp *trace.Span
-	if tr != nil {
-		sp = tr.Start(req.Parent, "knative", "invoke",
-			trace.L("service", s.spec.Name), trace.L("attempt", strconv.Itoa(attempt)))
-	}
-	defer sp.End()
-
-	kn := s.kn
-	// Ingress hop: client → route.
-	kn.cl.Net.Message(p, req.From, cluster.SubmitNodeName)
-
-	// Activator admission: a bounded waiting room replaces the unbounded
-	// ingress buffer. Requests already past their deadline, arriving to a
-	// full room, or facing an estimated wait longer than their remaining
-	// budget are shed at the door — before they consume queue space or
-	// pod capacity.
-	remaining := resilience.Remaining(req.Deadline, p.Now())
-	if req.Deadline > 0 && remaining <= 0 {
-		s.DeadlineDrops++
-		sp.SetLabel("status", "deadline")
-		return Response{}, fmt.Errorf("knative: service %s: %w at admission", s.spec.Name, resilience.ErrDeadlineExceeded), false
-	}
-	if err := s.admission.TryEnter(s.estimateWait(), remaining); err != nil {
-		shed := tr.Start(sp, "knative", "shed",
-			trace.L("service", s.spec.Name), trace.L("reason", shedReason(err)))
-		shed.End()
-		sp.SetLabel("status", "shed")
-		return Response{}, fmt.Errorf("knative: service %s: %w", s.spec.Name, err), false
-	}
-	admitted := true
-	exitAdmission := func() {
-		if admitted {
-			s.admission.Exit()
-			admitted = false
-		}
-	}
-	defer exitAdmission()
-
-	s.inFlight++
-	defer func() { s.inFlight-- }()
-
-	cold := false
-	if s.ReadyPods() == 0 {
-		// Activator path: ensure a replica is coming and buffer.
-		cold = true
-		s.ColdStarts++
-		cs := tr.Start(sp, "knative", "coldstart", trace.L("service", s.spec.Name))
-		if s.StartingPods() == 0 {
-			s.scaleTo(1)
-		}
-		for s.ReadyPods() == 0 {
-			if s.stopped {
-				cs.End()
-				sp.SetLabel("status", "failed")
-				return Response{}, fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false
-			}
-			if resilience.Expired(req.Deadline, p.Now()) {
-				cs.End()
-				s.DeadlineDrops++
-				sp.SetLabel("status", "deadline")
-				return Response{}, fmt.Errorf("knative: service %s: %w during cold start", s.spec.Name, resilience.ErrDeadlineExceeded), false
-			}
-			s.readySig.Wait(p)
-		}
-		cs.End()
-	}
-
-	// Route when capacity exists: requests buffer at the ingress (as the
-	// activator/queue-proxy pair does) and take the first free slot on any
-	// ready replica, so freshly scaled pods immediately absorb queued load.
-	// Every wake-up re-checks the deadline so a queued request that missed
-	// its budget is dropped instead of occupying a slot.
-	enq := p.Now()
-	qs := tr.Start(sp, "knative", "queue", trace.L("service", s.spec.Name))
-	var h *podHandle
-	for {
-		if s.stopped {
-			qs.End()
-			sp.SetLabel("status", "failed")
-			return Response{}, fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false
-		}
-		if resilience.Expired(req.Deadline, p.Now()) {
-			qs.End()
-			s.DeadlineDrops++
-			sp.SetLabel("status", "deadline")
-			return Response{}, fmt.Errorf("knative: service %s: %w in queue", s.spec.Name, resilience.ErrDeadlineExceeded), false
-		}
-		h = s.pickAvailable(sp)
-		if h != nil {
-			break
-		}
-		s.readySig.Wait(p)
-	}
-	exitAdmission() // holding a serving slot: leave the waiting room
-	h.inFlight++
-	qs.SetLabel("node", h.pod.NodeName)
-	qs.End()
-	queued := p.Now() - enq
-	sp.SetLabel("node", h.pod.NodeName)
-	slotStart := p.Now()
-
-	resp := Response{PodNode: h.pod.NodeName, Cold: cold, Queued: queued}
-	// Pass-by-value file handling (§IV-3): the caller marshals the input
-	// files into the request body, the function unmarshals them; the
-	// response payload pays the same costs in reverse.
-	pi := tr.Start(sp, "knative", "payload-in")
-	p.Sleep(kn.codecTime(req.PayloadIn))
-	kn.cl.Net.Transfer(p, req.From, h.pod.NodeName, req.PayloadIn)
-	p.Sleep(kn.codecTime(req.PayloadIn))
-	pi.End()
-	qp := tr.Start(sp, "knative", "queue-proxy")
-	p.Sleep(kn.prm.QueueProxyOverhead)
-	qp.End()
-	// Queue-proxy deadline enforcement: last check before the function
-	// body runs. Payload transfer and proxy overhead may have consumed
-	// the remaining budget; executing anyway would waste a pod slot on a
-	// response nobody is waiting for.
-	if resilience.Expired(req.Deadline, p.Now()) {
-		h.gate.Release()
-		h.inFlight--
-		s.readySig.Broadcast()
-		s.DeadlineDrops++
-		sp.SetLabel("status", "deadline")
-		return resp, fmt.Errorf("knative: service %s: %w at queue-proxy", s.spec.Name, resilience.ErrDeadlineExceeded), false
-	}
-	var stageErr error
-	var execErr error
-	if req.StageIn != nil {
-		stageErr = req.StageIn(p, sp, h.pod.NodeName)
-	}
-	if stageErr == nil {
-		execErr = h.pod.Exec(p, sp, req.Work)
-		if execErr == nil && req.StageOut != nil {
-			stageErr = req.StageOut(p, sp, h.pod.NodeName)
-		}
-	}
-	if stageErr == nil && execErr == nil {
-		po := tr.Start(sp, "knative", "payload-out")
-		p.Sleep(kn.codecTime(req.PayloadOut))
-		kn.cl.Net.Transfer(p, h.pod.NodeName, req.From, req.PayloadOut)
-		p.Sleep(kn.codecTime(req.PayloadOut))
-		po.End()
-	}
-	h.gate.Release()
-	h.inFlight--
-	s.readySig.Broadcast() // capacity freed: admit ingress-buffered requests
-	if execErr != nil {
-		// The replica died under us (scale-down race, pod kill): retryable.
-		sp.SetLabel("status", "failed")
-		return resp, execErr, true
-	}
-	if stageErr != nil {
-		// Application-level failure: surface to the caller, no retry.
-		sp.SetLabel("status", "failed")
-		return resp, stageErr, false
-	}
-	s.observeSlotTime(p.Now() - slotStart)
-	return resp, nil, false
 }
 
 // shedReason labels a shed span with which admission check fired.
@@ -716,16 +487,10 @@ func (s *Service) pickAvailable(parent *trace.Span) *podHandle {
 	tr := trace.FromEnv(s.kn.env)
 	var dec sched.Decision
 	if tr != nil {
-		dec = s.decision(best, feasible) // before the claim takes gate capacity
+		dec = s.decision(best, feasible) // before the claim takes a slot
 	}
 	h := s.pods[best]
-	if !h.gate.TryAcquire() {
-		// The winner's capacity vanished between the evaluation and the
-		// claim (a scale-down or pod kill interleaved with this request's
-		// wake-up). Treat it like no replica being available: the caller
-		// re-waits on readySig and retries the pick.
-		return nil
-	}
+	h.free--
 	sched.Record(tr, parent, "knative", s.spec.Routing.String(), s.spec.Name, dec)
 	return h
 }
@@ -741,12 +506,12 @@ func (s *Service) pickReplica() (best, feasible, visited int) {
 }
 
 // evalReplica is the router's evaluation of replica i, fused into one pass:
-// the ready and gate-capacity checks, then the route's total score, lowest
+// the ready and free-slot checks, then the route's total score, lowest
 // load wins. Totals are spelled 0 − … by the shared signed-zero rule (see
 // sched.Decision): an idle replica totals +0 while its term is −0.
 func (s *Service) evalReplica(i int) (float64, bool) {
 	h := s.pods[i]
-	if !h.pod.Ready() || h.gate.Available() <= 0 {
+	if !h.pod.Ready() || h.free <= 0 {
 		return 0, false
 	}
 	return 0 - s.load(h), true

@@ -254,3 +254,53 @@ func TestBreakerTripsOnReplicaDeathsAndRecovers(t *testing.T) {
 	})
 	f.env.Run()
 }
+
+// TestQueuedRequestsResumeCallerOnce: requests queued on one saturated
+// replica wait as continuations, so each caller's process resumes at most
+// twice, at its spawn and when its invocation ends, however many
+// completions broadcast to the queue meanwhile.
+func TestQueuedRequestsResumeCallerOnce(t *testing.T) {
+	f := newFixture(t)
+	const clients = 64
+	var before, after sim.Stats
+	var elapsed time.Duration
+	done := 0
+	f.env.Go("main", func(p *sim.Proc) {
+		f.prePull(p)
+		spec := baseSpec() // ContainerConcurrency 1
+		spec.MinScale, spec.InitialScale, spec.MaxScale = 1, 1, 1
+		svc, err := f.kn.Deploy(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := sim.NewWaitGroup(f.env)
+		before = f.env.Stats()
+		start := p.Now()
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			f.env.Go("client", func(cp *sim.Proc) {
+				defer wg.Done()
+				if _, err := svc.Invoke(cp, req(0.01)); err != nil {
+					t.Error(err)
+					return
+				}
+				done++
+			})
+		}
+		wg.Wait(p)
+		after = f.env.Stats()
+		elapsed = p.Now() - start
+		f.kn.Shutdown()
+	})
+	f.env.Run()
+	if done != clients {
+		t.Fatalf("completed %d/%d requests", done, clients)
+	}
+	// Besides the callers, main resumes once from wg.Wait and the
+	// autoscaler at most three times per tick it sleeps through.
+	others := 1 + 3*int(elapsed/f.prm.AutoscalerTick+1)
+	if got, max := after.Resumes-before.Resumes, 2*clients+others; got > max {
+		t.Errorf("%d resumes over %d queued requests (%v), want at most %d: two per caller and %d others",
+			got, clients, elapsed, max, others)
+	}
+}

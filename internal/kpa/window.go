@@ -31,13 +31,17 @@ func (w *window) Record(now time.Duration, v float64) {
 
 // prune drops samples strictly older than cutoff. Samples at exactly the
 // cutoff stay: the seed autoscaler's window test was `at >= cutoff`, and
-// byte-identical goldens depend on that inclusive boundary.
+// byte-identical goldens depend on that inclusive boundary. The survivors
+// move to the front of the same backing array, in order, so a window that
+// has reached its span records without allocating.
 func (w *window) prune(cutoff time.Duration) {
 	i := 0
 	for i < len(w.samples) && w.samples[i].at < cutoff {
 		i++
 	}
-	w.samples = w.samples[i:]
+	if i > 0 {
+		w.samples = w.samples[:copy(w.samples, w.samples[i:])]
+	}
 }
 
 // Average returns the uniform mean over samples with at >= cutoff, and

@@ -190,3 +190,33 @@ func TestKPAMetricAggregator(t *testing.T) {
 		})
 	}
 }
+
+// TestMetricAggregatorRecordAllocatesNothing: once both windows have filled
+// their stable span, a tick's Record reuses the windows' storage.
+func TestMetricAggregatorRecordAllocatesNothing(t *testing.T) {
+	cfg := Config{TargetValue: 1, Tick: 2 * s, StableWindow: 60 * s, PanicWindow: 6 * s, PanicThreshold: 2}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	agg := NewMetricAggregator(cfg)
+	now := time.Duration(0)
+	tick := func() {
+		now += cfg.Tick
+		agg.Record(now, 3, 1.5)
+	}
+	for now < 2*cfg.StableWindow {
+		tick()
+	}
+	// One run is 1000 ticks, so an occasional regrowth cannot round to 0.
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 1000; i++ {
+			tick()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per 1000 steady-state Records, want 0", allocs)
+	}
+	if n := len(agg.conc.samples); n != int(cfg.StableWindow/cfg.Tick)+1 {
+		t.Errorf("window holds %d samples, want %d", n, cfg.StableWindow/cfg.Tick+1)
+	}
+}

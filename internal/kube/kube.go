@@ -133,10 +133,29 @@ func (pod *Pod) ReadyAt() time.Duration { return pod.readyAt }
 // Exec runs work core-seconds in the pod's container, blocking the caller;
 // its span nests under parent. It fails if the pod is not running.
 func (pod *Pod) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
-	if !pod.ready || pod.container == nil {
-		return fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
+	c, err := pod.serving()
+	if err != nil {
+		return err
 	}
-	return pod.container.Exec(p, parent, work)
+	return c.Exec(p, parent, work)
+}
+
+// ExecThen is Exec's chained form: then runs where Exec would return. An
+// error means then was not armed.
+func (pod *Pod) ExecThen(parent *trace.Span, work float64, then func()) error {
+	c, err := pod.serving()
+	if err != nil {
+		return err
+	}
+	return c.ExecThen(parent, work, then)
+}
+
+// serving returns the container of a ready pod.
+func (pod *Pod) serving() (*crt.Container, error) {
+	if !pod.ready || pod.container == nil {
+		return nil, fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
+	}
+	return pod.container, nil
 }
 
 type podOp struct {

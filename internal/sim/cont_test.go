@@ -105,6 +105,72 @@ func TestFutureThenOrder(t *testing.T) {
 	}
 }
 
+// TestSignalThenOrder: Broadcast enqueues continuation waiters and blocked
+// processes together in arrival order, each at the run-queue slot where a
+// woken process resumes, and a continuation that registers again waits for
+// the next Broadcast, as a process looping on Wait does.
+func TestSignalThenOrder(t *testing.T) {
+	env := NewEnv(1)
+	var sig Signal
+	var order []string
+	env.Go("p1", func(p *Proc) {
+		sig.Wait(p)
+		order = append(order, "p1@"+env.Now().String())
+	})
+	env.Defer(func() {
+		again := true
+		var wait func()
+		wait = func() {
+			order = append(order, "c1@"+env.Now().String())
+			if again {
+				again = false
+				sig.Then(env, wait)
+			}
+		}
+		sig.Then(env, wait)
+	})
+	env.Go("p2", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			sig.Wait(p)
+			order = append(order, "p2@"+env.Now().String())
+		}
+	})
+	env.After(time.Second, func() {
+		env.Go("bystander", func(p *Proc) { order = append(order, "bystander") })
+		sig.Broadcast()
+	})
+	env.After(2*time.Second, sig.Broadcast)
+	env.Run()
+	want := []string{"bystander", "p1@1s", "c1@1s", "p2@1s", "c1@2s", "p2@2s"}
+	if !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if sig.Waiting() != 0 {
+		t.Errorf("%d waiters left", sig.Waiting())
+	}
+}
+
+// TestOpenFirstRunsNext: a process released with Gate.OpenFirst resumes
+// before every entry already in the run queue.
+func TestOpenFirstRunsNext(t *testing.T) {
+	env := NewEnv(1)
+	var g Gate
+	var order []string
+	env.Go("waiter", func(p *Proc) {
+		g.Wait(p)
+		order = append(order, "waiter")
+	})
+	env.After(time.Second, func() {
+		env.Go("a", func(p *Proc) { order = append(order, "a") })
+		env.Defer(func() { order = append(order, "cont") })
+		g.OpenFirst()
+	})
+	env.Run()
+	if want := []string{"waiter", "a", "cont"}; !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
 // TestStatsCounts: the work counters count events fired, coroutines
 // created, resumes and continuations — and a cancelled event is not fired.
 func TestStatsCounts(t *testing.T) {

@@ -9,7 +9,8 @@
 // runs as a chain of continuations and event callbacks, with no coroutine.
 // The waits are Sleep, Chan.Recv, Future.Get, Semaphore.Acquire,
 // WaitGroup.Wait, Gate.Wait and Signal.Wait; each parks the bare *Proc, and
-// none has a timeout. A Chan is an unbounded queue drained by exactly one
+// none has a timeout. Env.Delay, Future.Then and Signal.Then are the
+// continuation forms of Sleep, Future.Get and Signal.Wait. A Chan is an unbounded queue drained by exactly one
 // receiving loop, and its sends never block. Because scheduling is strictly
 // sequential and all randomness is drawn from a seeded generator, a
 // simulation run is bit-for-bit reproducible for a given seed.

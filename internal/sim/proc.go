@@ -131,6 +131,15 @@ func (p *Proc) wake() {
 	p.env.enqueue(p)
 }
 
+// wakeFirst is wake ahead of every ready entry: the process runs next.
+func (p *Proc) wakeFirst() {
+	if p.state != stateParked {
+		panic(fmt.Sprintf("sim: wake of %v in state %d", p, p.state))
+	}
+	p.state = stateReady
+	p.env.ready.pushFront(runnable{p: p})
+}
+
 // Sleep blocks the process for d of virtual time. Non-positive durations
 // yield the processor without advancing the clock. Sleeping allocates
 // nothing in steady state: the wake-up event is a recycled struct carrying

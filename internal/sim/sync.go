@@ -2,7 +2,7 @@ package sim
 
 // Semaphore is a counting semaphore of unit permits with FIFO fairness:
 // waiters acquire in arrival order. It models bounded resources such as a
-// condor schedd's shadow or a queue-proxy's container-concurrency gate.
+// condor schedd's shadow.
 type Semaphore struct {
 	avail int
 	q     ring[*Proc]
@@ -117,29 +117,63 @@ func (g *Gate) Open() {
 	p.wake()
 }
 
+// OpenFirst is Open for a waiter that handed its work to a continuation
+// chain: the process enters the run queue ahead of every ready entry, so it
+// resumes where it would have continued had it run the chain itself.
+func (g *Gate) OpenFirst() {
+	p := g.p
+	if p == nil {
+		panic("sim: Open of a Gate with no waiter")
+	}
+	g.p = nil
+	p.wakeFirst()
+}
+
 // Waiting reports whether a process is parked on the gate.
 func (g *Gate) Waiting() bool { return g.p != nil }
 
-// Signal is a broadcast-only condition variable: processes Wait on it and
-// every Broadcast wakes all current waiters. It backs watch/notify patterns
-// (informers, reconcile loops). The zero Signal is ready to use.
+// Signal is a broadcast-only condition variable: processes Wait on it,
+// continuations wait with Then, and every Broadcast wakes all current
+// waiters. It backs watch/notify patterns (informers, reconcile loops). The
+// zero Signal is ready to use.
 type Signal struct {
-	waiters []*Proc
+	waiters []sigWaiter
+	env     *Env // the continuation waiters' run queue
+}
+
+// sigWaiter is a process blocked in Wait or, when p is nil, a continuation
+// registered with Then.
+type sigWaiter struct {
+	p  *Proc
+	fn func()
 }
 
 // Wait blocks the calling process until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	s.waiters = append(s.waiters, sigWaiter{p: p})
 	p.park()
 }
 
-// Broadcast wakes every process currently blocked in Wait. The waiter
-// slice is kept for the next cycle, so a steady wait/broadcast loop does not
-// allocate: a wake only enqueues, and no waiter can run before the slice is
-// cleared.
+// Then is the continuation form of Wait: fn runs from env's run queue after
+// the next Broadcast, in arrival order with the processes blocked in Wait.
+// A waiter that must keep waiting registers again, as a process loops on
+// Wait.
+func (s *Signal) Then(env *Env, fn func()) {
+	s.env = env
+	s.waiters = append(s.waiters, sigWaiter{fn: fn})
+}
+
+// Broadcast enqueues every current waiter, processes and continuations
+// alike, in arrival order. The waiter slice is kept for the next cycle, so
+// a steady wait/broadcast loop does not allocate: a wake only enqueues, and
+// no waiter can run before the slice is cleared.
 func (s *Signal) Broadcast() {
-	for _, p := range s.waiters {
-		p.wake()
+	for _, w := range s.waiters {
+		if w.p != nil {
+			w.p.wake()
+		} else {
+			s.env.Defer(w.fn)
+		}
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]

@@ -28,6 +28,7 @@ type Network struct {
 	ifaces    map[string]*iface
 	parts     map[string]bool
 	healed    sim.Signal
+	flows     []*flow // recycled chained transfers
 }
 
 type iface struct {
@@ -124,9 +125,14 @@ func (n *Network) Heal(a, b string) {
 
 // waitReachable blocks the calling process while from↔to is partitioned.
 func (n *Network) waitReachable(p *sim.Proc, from, to string) {
-	for n.parts[partKey(from, to)] {
+	for n.partitioned(from, to) {
 		n.healed.Wait(p)
 	}
+}
+
+// partitioned reports whether from↔to is severed.
+func (n *Network) partitioned(from, to string) bool {
+	return len(n.parts) > 0 && n.parts[partKey(from, to)]
 }
 
 // AttachFaults registers the network's fault hooks: latency spikes
@@ -161,16 +167,43 @@ func (n *Network) AttachFaults(in *faults.Injector) {
 	})
 }
 
+// The waits Message and Transfer each have a blocking form, for a process,
+// and a chained form, for a continuation chain (see sim.Env.Defer), that
+// share one begin and one end: the chained form runs then where the
+// blocking form would return, at once when it would not block.
+
 // Message charges one small control message from one node to another
 // (latency only; bandwidth is negligible). Loopback is free.
 func (n *Network) Message(p *sim.Proc, from, to string) {
-	if from == to {
+	if !n.beginMessage(from, to) {
 		return
+	}
+	n.waitReachable(p, from, to)
+	p.Sleep(n.Latency())
+}
+
+// MessageThen is Message's chained form.
+func (n *Network) MessageThen(from, to string, then func()) {
+	if !n.beginMessage(from, to) {
+		then()
+		return
+	}
+	if n.partitioned(from, to) {
+		n.healed.Then(n.env, func() { n.MessageThen(from, to, then) })
+		return
+	}
+	n.env.Delay(n.Latency(), then)
+}
+
+// beginMessage checks both endpoints and reports whether the message
+// crosses the fabric.
+func (n *Network) beginMessage(from, to string) bool {
+	if from == to {
+		return false
 	}
 	n.mustIface(from)
 	n.mustIface(to)
-	n.waitReachable(p, from, to)
-	p.Sleep(n.Latency())
+	return true
 }
 
 // Transfer moves size bytes from one node to another, blocking the calling
@@ -179,12 +212,8 @@ func (n *Network) Message(p *sim.Proc, from, to string) {
 // bandwidth; each transfer is additionally capped at the receiver's
 // interface rate. Loopback transfers are free.
 func (n *Network) Transfer(p *sim.Proc, from, to string, size int64) {
-	if size < 0 {
-		panic("simnet: negative transfer size")
-	}
-	src := n.mustIface(from)
-	dst := n.mustIface(to)
-	if from == to {
+	src, dst, ok := n.beginTransfer(from, to, size)
+	if !ok {
 		return
 	}
 	n.waitReachable(p, from, to)
@@ -192,13 +221,91 @@ func (n *Network) Transfer(p *sim.Proc, from, to string, size int64) {
 	if size == 0 {
 		return
 	}
-	rateCap := 0.0
-	if dst.bps < src.bps {
-		rateCap = dst.bps
+	src.egress.Run(p, float64(size), rateCap(src, dst))
+	endTransfer(src, dst, size)
+}
+
+// TransferThen is Transfer's chained form.
+func (n *Network) TransferThen(from, to string, size int64, then func()) {
+	src, dst, ok := n.beginTransfer(from, to, size)
+	if !ok {
+		then()
+		return
 	}
-	src.egress.Run(p, float64(size), rateCap)
+	if n.partitioned(from, to) {
+		n.healed.Then(n.env, func() { n.TransferThen(from, to, size, then) })
+		return
+	}
+	f := n.newFlow()
+	f.src, f.dst, f.size, f.then = src, dst, size, then
+	n.env.Delay(n.Latency(), f.propagated)
+}
+
+// beginTransfer checks the size and both endpoints, and reports whether the
+// transfer crosses the fabric.
+func (n *Network) beginTransfer(from, to string, size int64) (src, dst *iface, ok bool) {
+	if size < 0 {
+		panic("simnet: negative transfer size")
+	}
+	src = n.mustIface(from)
+	dst = n.mustIface(to)
+	return src, dst, from != to
+}
+
+// rateCap is a transfer's rate cap: the receiver's interface rate when it
+// is slower than the sender's, else none.
+func rateCap(src, dst *iface) float64 {
+	if dst.bps < src.bps {
+		return dst.bps
+	}
+	return 0
+}
+
+// endTransfer accounts a transfer whose bytes have drained.
+func endTransfer(src, dst *iface, size int64) {
 	src.tx += size
 	dst.rx += size
+}
+
+// flow is a chained transfer past its partition wait. Flows are recycled,
+// so a steady stream of chained transfers allocates nothing.
+type flow struct {
+	src, dst *iface
+	size     int64
+	then     func()
+	// propagated runs once the latency has elapsed, drained once the
+	// bytes have left the sender's egress; both are bound once per struct.
+	propagated, drained func()
+}
+
+func (n *Network) newFlow() *flow {
+	if k := len(n.flows); k > 0 {
+		f := n.flows[k-1]
+		n.flows[k-1] = nil
+		n.flows = n.flows[:k-1]
+		return f
+	}
+	f := &flow{}
+	f.propagated = func() {
+		if f.size == 0 {
+			n.endFlow(f)
+			return
+		}
+		f.src.egress.RunReservedThen(float64(f.size), rateCap(f.src, f.dst), 0, f.drained)
+	}
+	f.drained = func() {
+		endTransfer(f.src, f.dst, f.size)
+		n.endFlow(f)
+	}
+	return f
+}
+
+// endFlow recycles f and runs its continuation.
+func (n *Network) endFlow(f *flow) {
+	then := f.then
+	*f = flow{propagated: f.propagated, drained: f.drained}
+	n.flows = append(n.flows, f)
+	then()
 }
 
 // BytesSent returns the total bytes a node has sent.
