@@ -53,12 +53,12 @@ func (n *Node) Exec(p *sim.Proc, work float64, capCores float64) {
 // task from noisy neighbours (performance isolation), while the cap bounds
 // it. Floors scale down proportionally if the node is over-reserved.
 func (n *Node) ExecReserved(p *sim.Proc, work, capCores, floorCores float64) {
-	n.tasksRun++
-	n.CPU.RunReserved(p, work, capCores, floorCores)
+	n.ExecReservedThen(work, capCores, floorCores, p.Resumer())
+	p.Await()
 }
 
-// ExecReservedThen is ExecReserved's chained form: then runs where the
-// blocking form would return (see fluid.Server.RunReservedThen).
+// ExecReservedThen is ExecReserved's continuation form: then runs where
+// the process would resume (see fluid.Server.RunReservedThen).
 func (n *Node) ExecReservedThen(work, capCores, floorCores float64, then func()) {
 	n.tasksRun++
 	n.CPU.RunReservedThen(work, capCores, floorCores, then)

@@ -26,3 +26,31 @@ func TestUntracedDockerRunAllocations(t *testing.T) {
 	})
 	f.env.Run()
 }
+
+// TestExecSteadyStateZeroAlloc: a process running tasks in one started
+// container with the blocking Exec allocates nothing per task when no
+// tracer is attached.
+func TestExecSteadyStateZeroAlloc(t *testing.T) {
+	f := newFixture(t)
+	f.env.Go("main", func(p *sim.Proc) {
+		if err := f.rt.PullImage(p, "matmul"); err != nil {
+			t.Fatal(err)
+		}
+		c, err := f.rt.Create(p, nil, "matmul", 0.5)
+		if err == nil {
+			err = c.Start(p, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.Exec(p, nil, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v allocations per untraced Exec, want 0", allocs)
+		}
+	})
+	f.env.Run()
+}

@@ -9,7 +9,6 @@ package crt
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
@@ -219,52 +218,38 @@ func (c *Container) Execs() int { return c.execs }
 // Node returns the node hosting the container.
 func (c *Container) Node() *cluster.Node { return c.rt.node }
 
-// The lifecycle ops Create, Start and StopRemove each have a blocking form,
-// for a process, and a chained form, for a continuation chain (see
-// sim.Env.Defer): Begin* checks the op, opens its span under the given
-// parent and arms then to run once the op's overhead has elapsed, and then
-// calls the matching End*, which applies the op's outcome. The blocking
-// form is the same begin, a Sleep, and the same End*. Both forms, and
-// Exec, open their span under the parent they are passed.
+// The lifecycle ops Create, Start, Exec and StopRemove are their
+// continuation forms (BeginCreate, BeginStart, ExecThen, BeginStopRemove)
+// with the calling process's resume and one park. Begin* checks the op,
+// opens its span under the given parent and arms then to run once the
+// op's overhead has elapsed; then calls the matching End*, which applies
+// the op's outcome.
 
 // Create provisions a container from a locally available image, charging
 // the create overhead. capCores > 0 applies a cgroup CPU quota to
 // everything later executed in the container; 0 leaves it uncapped.
 func (rt *Runtime) Create(p *sim.Proc, parent *trace.Span, image string, capCores float64) (*Container, error) {
-	c, err := rt.beginCreate(parent, image, capCores)
+	c, err := rt.BeginCreate(parent, image, capCores, p.Resumer())
 	if err != nil {
 		return nil, err
 	}
-	p.Sleep(rt.params.ContainerCreate)
+	p.Await()
 	if err := c.EndCreate(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// BeginCreate is Create's chained form. The container it returns has no ID
-// and is not live until EndCreate succeeds. An error means then was not
-// armed.
+// BeginCreate is Create's continuation form. The container it returns has
+// no ID and is not live until EndCreate succeeds. An error means then was
+// not armed.
 func (rt *Runtime) BeginCreate(parent *trace.Span, image string, capCores float64, then func()) (*Container, error) {
-	c, err := rt.beginCreate(parent, image, capCores)
-	return c, rt.arm(err, rt.params.ContainerCreate, then)
-}
-
-// arm is the tail of every chained form: unless the op's begin failed, then
-// runs once the op's overhead d has elapsed.
-func (rt *Runtime) arm(err error, d time.Duration, then func()) error {
-	if err == nil {
-		rt.env.Delay(d, then)
-	}
-	return err
-}
-
-func (rt *Runtime) beginCreate(parent *trace.Span, image string, capCores float64) (*Container, error) {
 	if !rt.HasImage(image) {
 		return nil, fmt.Errorf("crt: %s: create: image %q not present", rt.node.Name, image)
 	}
 	c := &Container{Image: image, CapCores: capCores, rt: rt, state: StateCreated}
 	c.op = trace.FromEnv(rt.env).Start(parent, "crt", "create", trace.L("image", image), trace.L("node", rt.node.Name))
+	rt.env.Delay(rt.params.ContainerCreate, then)
 	return c, nil
 }
 
@@ -305,23 +290,21 @@ func (c *Container) span(parent *trace.Span, name string) *trace.Span {
 
 // Start transitions the container to running, charging the start overhead.
 func (c *Container) Start(p *sim.Proc, parent *trace.Span) error {
-	if err := c.beginStart(parent); err != nil {
+	if err := c.BeginStart(parent, p.Resumer()); err != nil {
 		return err
 	}
-	p.Sleep(c.rt.params.ContainerStart)
+	p.Await()
 	return c.EndStart()
 }
 
-// BeginStart is Start's chained form. An error means then was not armed.
+// BeginStart is Start's continuation form. An error means then was not
+// armed.
 func (c *Container) BeginStart(parent *trace.Span, then func()) error {
-	return c.rt.arm(c.beginStart(parent), c.rt.params.ContainerStart, then)
-}
-
-func (c *Container) beginStart(parent *trace.Span) error {
 	if c.state != StateCreated {
 		return fmt.Errorf("crt: start: container %d is %v", c.ID, c.state)
 	}
 	c.op = c.span(parent, "start")
+	c.rt.env.Delay(c.rt.params.ContainerStart, then)
 	return nil
 }
 
@@ -348,73 +331,57 @@ func (c *Container) EndStart() error {
 // noisy neighbours — the isolation half of the paper's trade-off. Floors
 // scale down when a node's reservations are oversubscribed.
 func (c *Container) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
-	sp, rate, floor, err := c.beginExec(parent)
-	if err != nil {
+	if err := c.ExecThen(parent, work, p.Resumer()); err != nil {
 		return err
 	}
-	c.rt.node.ExecReserved(p, work, rate, floor)
-	sp.End()
+	p.Await()
 	return nil
 }
 
-// ExecThen is Exec's chained form: then runs where Exec would return. An
-// error means then was not armed.
+// ExecThen is Exec's continuation form: then runs once the work completes.
+// An error means then was not armed.
 func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) error {
-	sp, rate, floor, err := c.beginExec(parent)
-	if err != nil {
-		return err
+	if c.state != StateRunning {
+		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
 	}
-	if sp != nil {
+	if sp := c.span(parent, "exec"); sp != nil {
 		next := then
 		then = func() {
 			sp.End()
 			next()
 		}
 	}
-	c.rt.node.ExecReservedThen(work, rate, floor, then)
-	return nil
-}
-
-// beginExec checks the container runs, opens the exec span under parent,
-// and returns the CPU cap and floor the work runs with.
-func (c *Container) beginExec(parent *trace.Span) (sp *trace.Span, rate, floor float64, err error) {
-	if c.state != StateRunning {
-		return nil, 0, 0, fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
-	}
-	sp = c.span(parent, "exec")
 	c.execs++
-	rate = 1.0
+	rate, floor := 1.0, 0.0
 	if c.CapCores > 0 && c.CapCores < rate {
 		rate = c.CapCores
 	}
 	if c.CapCores > 0 {
 		floor = rate
 	}
-	return sp, rate, floor, nil
+	c.rt.node.ExecReservedThen(work, rate, floor, then)
+	return nil
 }
 
 // StopRemove stops and removes the container, charging the teardown
 // overhead.
 func (c *Container) StopRemove(p *sim.Proc, parent *trace.Span) error {
-	if err := c.beginStopRemove(parent); err != nil {
+	if err := c.BeginStopRemove(parent, p.Resumer()); err != nil {
 		return err
 	}
-	p.Sleep(c.rt.params.ContainerStopRemove)
+	p.Await()
 	c.EndStopRemove()
 	return nil
 }
 
-// BeginStopRemove is StopRemove's chained form. An error means then was not
-// armed.
+// BeginStopRemove is StopRemove's continuation form. An error means then
+// was not armed.
 func (c *Container) BeginStopRemove(parent *trace.Span, then func()) error {
-	return c.rt.arm(c.beginStopRemove(parent), c.rt.params.ContainerStopRemove, then)
-}
-
-func (c *Container) beginStopRemove(parent *trace.Span) error {
 	if c.state == StateRemoved {
 		return fmt.Errorf("crt: remove: container %d already removed", c.ID)
 	}
 	c.op = c.span(parent, "stop-remove")
+	c.rt.env.Delay(c.rt.params.ContainerStopRemove, then)
 	return nil
 }
 

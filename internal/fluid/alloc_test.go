@@ -52,3 +52,26 @@ func TestUncappedChurnZeroAlloc(t *testing.T) {
 		t.Errorf("uncapped churn allocates %.1f times per second of virtual time, want 0", avg)
 	}
 }
+
+// TestReservedCycleZeroAlloc: processes looping on the blocking
+// RunReserved with caps and floors (the general water-filling path)
+// allocate nothing once warm: parking on the chained form adds no
+// closure.
+func TestReservedCycleZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(1)
+	srv := New(env, "cpu", 4)
+	for i := 0; i < 3; i++ {
+		env.Go("loop", func(p *sim.Proc) {
+			for {
+				srv.RunReserved(p, 1, 1, 0.5)
+			}
+		})
+	}
+	env.RunFor(20 * time.Second)
+	avg := testing.AllocsPerRun(100, func() {
+		env.RunFor(time.Second)
+	})
+	if avg != 0 {
+		t.Errorf("reserved arrival/departure cycle allocates %.1f times per second of virtual time, want 0", avg)
+	}
+}

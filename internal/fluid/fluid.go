@@ -58,9 +58,8 @@ type job struct {
 	cap       float64 // max rate; 0 means uncapped
 	floor     float64 // guaranteed rate (cgroup reservation); 0 means none
 	rate      float64
-	gate      sim.Gate // parks the submitting process until the job drains
-	then      func()   // or, for a chained submission, runs once it drains
-	fire      func()   // releases the job and runs then; bound at first use
+	then      func() // runs once the job drains
+	fire      func() // releases the job and runs then; bound once per job
 }
 
 // New returns a fluid server with the given capacity in work units per
@@ -119,29 +118,20 @@ func (s *Server) Run(p *sim.Proc, work float64, maxRate float64) {
 // performance-isolation property). When the sum of floors exceeds the
 // server's capacity, floors scale down proportionally (reservation
 // oversubscription); leftover capacity above the floors is distributed
-// max-min as in Run.
+// max-min as in Run. It is RunReservedThen with the process's resume.
 func (s *Server) RunReserved(p *sim.Proc, work, maxRate, floor float64) {
-	if j := s.begin(work, maxRate, floor, nil); j != nil {
-		j.gate.Wait(p)
-		s.release(j)
-	}
+	s.RunReservedThen(work, maxRate, floor, p.Resumer())
+	p.Await()
 }
 
-// RunReservedThen is RunReserved's chained form (see sim.Env.Defer): then
-// runs at once when there is no work, and otherwise from the run queue at
-// the job's departure, in the slot where a process blocked in RunReserved
-// would resume.
+// RunReservedThen is RunReserved's continuation form (see sim.Env.Defer):
+// then runs at once when there is no work, and otherwise from the run
+// queue at the job's departure, in departure order with the other jobs
+// that drain at the same instant.
 func (s *Server) RunReservedThen(work, maxRate, floor float64, then func()) {
-	if s.begin(work, maxRate, floor, then) == nil {
-		then()
-	}
-}
-
-// begin admits a job of work units and reschedules the server; it returns
-// nil when there is no work to serve. A non-nil then makes the job chained.
-func (s *Server) begin(work, maxRate, floor float64, then func()) *job {
 	if work <= 0 {
-		return nil
+		then()
+		return
 	}
 	if maxRate < 0 || floor < 0 {
 		panic("fluid: negative rate cap or floor")
@@ -152,20 +142,11 @@ func (s *Server) begin(work, maxRate, floor float64, then func()) *job {
 	s.advance()
 	j := s.newJob(work, maxRate, floor)
 	j.then = then
-	if then != nil && j.fire == nil {
-		j.fire = func() {
-			then := j.then
-			j.then = nil
-			s.release(j)
-			then()
-		}
-	}
 	s.jobs = append(s.jobs, j)
 	if j.cap > 0 || j.floor > 0 {
 		s.bounded++
 	}
 	s.reschedule()
-	return j
 }
 
 // newJob takes a job struct off the pool (or allocates one) and initializes
@@ -178,6 +159,12 @@ func (s *Server) newJob(work, maxRate, floor float64) *job {
 		s.pool = s.pool[:n-1]
 	} else {
 		j = &job{}
+		j.fire = func() {
+			then := j.then
+			j.then = nil
+			s.pool = append(s.pool, j)
+			then()
+		}
 	}
 	j.seq = s.nextSeq
 	j.remaining = work
@@ -186,12 +173,6 @@ func (s *Server) newJob(work, maxRate, floor float64) *job {
 	j.rate = 0
 	s.nextSeq++
 	return j
-}
-
-// release recycles a drained job struct. Called where the job's submitter
-// resumes, when nothing else references the job.
-func (s *Server) release(j *job) {
-	s.pool = append(s.pool, j)
 }
 
 // advance charges elapsed virtual time against every active job at its
@@ -384,11 +365,7 @@ func (s *Server) complete() {
 				s.bounded--
 			}
 			departed = true
-			if j.then != nil {
-				s.env.Defer(j.fire)
-			} else {
-				j.gate.Open()
-			}
+			s.env.Defer(j.fire)
 		} else {
 			kept = append(kept, j)
 		}

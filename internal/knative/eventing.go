@@ -63,6 +63,7 @@ type Broker struct {
 	name       string
 	queue      *sim.Chan[Event]
 	triggers   []*Trigger
+	deliveries []*delivery // recycled, for dispatchLoop
 	accepted   int
 	dispatched int
 	stopped    bool
@@ -145,12 +146,41 @@ func (b *Broker) dispatchLoop(p *sim.Proc) {
 				continue
 			}
 			tr.Delivered++
-			trigger, event := tr, ev
-			p.Env().Go("trigger", func(hp *sim.Proc) {
-				trigger.Handler(hp, event)
-			})
+			d := b.newDelivery()
+			d.tr, d.ev = tr, ev
+			p.Env().Go("trigger", d.run)
 		}
 	}
+}
+
+// delivery is one event on its way to one trigger: the body of a
+// "trigger" process. Deliveries are recycled, and each binds its body
+// once, so a steady publish→deliver cycle allocates nothing.
+type delivery struct {
+	b   *Broker
+	tr  *Trigger
+	ev  Event
+	run func(*sim.Proc) // d.deliver, bound once
+}
+
+func (b *Broker) newDelivery() *delivery {
+	if n := len(b.deliveries); n > 0 {
+		d := b.deliveries[n-1]
+		b.deliveries[n-1] = nil
+		b.deliveries = b.deliveries[:n-1]
+		return d
+	}
+	d := &delivery{b: b}
+	d.run = d.deliver
+	return d
+}
+
+// deliver recycles d and runs the trigger's handler on its event.
+func (d *delivery) deliver(p *sim.Proc) {
+	tr, ev := d.tr, d.ev
+	d.tr, d.ev = nil, Event{}
+	d.b.deliveries = append(d.b.deliveries, d)
+	tr.Handler(p, ev)
 }
 
 // shutdown closes the queue so the dispatch loop drains and exits. Events

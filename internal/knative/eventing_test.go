@@ -213,3 +213,36 @@ func TestSubjectPrefixFilterAndUnsubscribe(t *testing.T) {
 		t.Errorf("Delivered = %d, want 1", trig.Delivered)
 	}
 }
+
+// TestDeliveryCycleAllocatesNothing: a steady publish→deliver cycle, one
+// event from a worker fanned out to two triggers whose handlers block,
+// allocates nothing once the broker's deliveries, the process pool and
+// the queues are warm.
+func TestDeliveryCycleAllocatesNothing(t *testing.T) {
+	f := newFixture(t)
+	broker := f.kn.NewBroker("default")
+	handled := 0
+	handler := func(p *sim.Proc, ev Event) {
+		p.Sleep(time.Millisecond)
+		handled++
+	}
+	broker.Subscribe("a", "tick", handler)
+	broker.Subscribe("b", "", handler)
+	f.env.Go("producer", func(p *sim.Proc) {
+		for {
+			_ = broker.Publish(p, "worker1", Event{Type: "tick", Subject: "s"})
+			p.Sleep(10 * time.Millisecond)
+		}
+	})
+	f.env.RunFor(time.Second) // warm pools
+	before := handled
+	avg := testing.AllocsPerRun(100, func() {
+		f.env.RunFor(10 * time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("publish→deliver cycle allocates %.1f times, want 0", avg)
+	}
+	if handled == before {
+		t.Error("no event was delivered during the measured runs")
+	}
+}

@@ -26,15 +26,15 @@ import (
 // serving layer's shared retry budget — an exhausted budget surfaces the
 // last backend error instead of re-amplifying it.
 //
-// Invoke runs the invocation as InvokeAsync does and parks p once, until
-// the chain ends; p then resumes ahead of every ready entry, where it would
-// have continued had it waited through each step itself.
+// Invoke runs the invocation as InvokeAsync does, with p's resume at the
+// chain's end, and parks p once: p resumes in the slot where the chain
+// ends, where it would have continued had it waited through each step
+// itself.
 func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 	c := s.kn.newCall(s, req)
+	c.resume = p.Resumer()
 	c.start()
-	if !c.finished {
-		c.caller.Wait(p)
-	}
+	p.Await()
 	resp, err := c.resp, c.err
 	s.kn.freeCall(c)
 	return resp, err
@@ -61,7 +61,7 @@ type call struct {
 	s      *Service
 	req    Request
 	done   func(Response, error) // InvokeAsync's callback; nil under Invoke
-	caller sim.Gate              // parks Invoke's process
+	resume func()                // Invoke's caller's resume; nil under InvokeAsync
 	step   func()                // c.advance, bound once
 
 	sp    *trace.Span // the attempt's invoke span
@@ -79,9 +79,8 @@ type call struct {
 	died  bool
 	cold  bool
 	// admitted holds a seat in the activator's waiting room, counted a
-	// share of the service's in-flight requests; finished records an end
-	// reached before Invoke's caller parked.
-	admitted, counted, finished bool
+	// share of the service's in-flight requests.
+	admitted, counted bool
 }
 
 // callStage names the step an invocation's chain runs next.
@@ -135,17 +134,14 @@ func (c *call) start() {
 
 // finish ends the invocation with err and the last attempt's response.
 func (c *call) finish(err error) {
-	if c.done != nil {
-		done, resp := c.done, c.resp
-		c.s.kn.freeCall(c)
-		done(resp, err)
+	if c.resume != nil {
+		c.err = err
+		c.resume()
 		return
 	}
-	c.err = err
-	c.finished = true
-	if c.caller.Waiting() {
-		c.caller.OpenFirst()
-	}
+	done, resp := c.done, c.resp
+	c.s.kn.freeCall(c)
+	done(resp, err)
 }
 
 // try makes one attempt: the breaker's verdict, then the ingress hop.

@@ -133,29 +133,20 @@ func (pod *Pod) ReadyAt() time.Duration { return pod.readyAt }
 // Exec runs work core-seconds in the pod's container, blocking the caller;
 // its span nests under parent. It fails if the pod is not running.
 func (pod *Pod) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
-	c, err := pod.serving()
-	if err != nil {
+	if err := pod.ExecThen(parent, work, p.Resumer()); err != nil {
 		return err
 	}
-	return c.Exec(p, parent, work)
+	p.Await()
+	return nil
 }
 
-// ExecThen is Exec's chained form: then runs where Exec would return. An
-// error means then was not armed.
+// ExecThen is Exec's continuation form: then runs once the work completes.
+// An error means then was not armed.
 func (pod *Pod) ExecThen(parent *trace.Span, work float64, then func()) error {
-	c, err := pod.serving()
-	if err != nil {
-		return err
-	}
-	return c.ExecThen(parent, work, then)
-}
-
-// serving returns the container of a ready pod.
-func (pod *Pod) serving() (*crt.Container, error) {
 	if !pod.ready || pod.container == nil {
-		return nil, fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
+		return fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
 	}
-	return pod.container, nil
+	return pod.container.ExecThen(parent, work, then)
 }
 
 type podOp struct {

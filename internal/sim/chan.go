@@ -5,8 +5,11 @@ package sim
 // and a send never blocks. Use it for queues between simulation
 // processes; ordinary Go channels would deadlock the cooperative scheduler.
 type Chan[T any] struct {
-	q      ring[T]
-	recv   *Proc // the process inside Recv, from park until it resumes
+	q ring[T]
+	// recv is the resume of the process inside Recv, from its park until
+	// it runs; once called it is replaced by nop, so a second Send before
+	// the receiver runs does not wake it twice.
+	recv   func()
 	closed bool
 }
 
@@ -32,8 +35,8 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		panic("sim: concurrent Recv on Chan")
 	}
 	if c.q.n == 0 && !c.closed {
-		c.recv = p
-		p.park()
+		c.recv = p.resume
+		p.park(stateWaiting)
 		c.recv = nil
 	}
 	return c.q.pop()
@@ -50,10 +53,12 @@ func (c *Chan[T]) Close() {
 	c.wakeRecv()
 }
 
-// wakeRecv wakes the receiver unless it is not parked or an earlier Send
-// in the same tick already woke it.
+// wakeRecv wakes the parked receiver, if any.
 func (c *Chan[T]) wakeRecv() {
-	if p := c.recv; p != nil && p.state == stateParked {
-		p.wake()
+	if w := c.recv; w != nil {
+		c.recv = nop
+		w()
 	}
 }
+
+func nop() {}

@@ -21,49 +21,6 @@ func TestDeferTakesProcessSlot(t *testing.T) {
 	}
 }
 
-// TestDelayMatchesSleep: a chain of Delay continuations and a process
-// sleeping through the same waits step in lockstep — equal-time wake-ups
-// interleave as two sleeping processes would, and a zero wait yields to
-// the back of the run queue.
-func TestDelayMatchesSleep(t *testing.T) {
-	waits := []time.Duration{time.Second, 0, 2 * time.Second, 0, 0, time.Second}
-	run := func(chained bool) []string {
-		env := NewEnv(1)
-		var order []string
-		env.Go("other", func(p *Proc) {
-			for _, d := range waits {
-				order = append(order, "other@"+env.Now().String())
-				p.Sleep(d)
-			}
-		})
-		if chained {
-			i := 0
-			var step func()
-			step = func() {
-				order = append(order, "x@"+env.Now().String())
-				if i < len(waits) {
-					i++
-					env.Delay(waits[i-1], step)
-				}
-			}
-			env.Defer(step)
-		} else {
-			env.Go("x", func(p *Proc) {
-				for _, d := range waits {
-					order = append(order, "x@"+env.Now().String())
-					p.Sleep(d)
-				}
-				order = append(order, "x@"+env.Now().String())
-			})
-		}
-		env.Run()
-		return order
-	}
-	if procs, chain := run(false), run(true); !slices.Equal(procs, chain) {
-		t.Errorf("chain order %v, process order %v", chain, procs)
-	}
-}
-
 // TestGoFirstRunsNext: a process spawned with GoFirst runs before every
 // entry already in the run queue.
 func TestGoFirstRunsNext(t *testing.T) {
@@ -85,85 +42,22 @@ func TestGoFirstRunsNext(t *testing.T) {
 	}
 }
 
-// TestFutureThenOrder: Set enqueues continuation waiters and blocked
-// processes together in arrival order, and Then on a resolved future calls
-// at once.
-func TestFutureThenOrder(t *testing.T) {
+// TestResumerRunsNext: a parked process whose Resumer a continuation calls
+// runs before every entry already in the run queue, in the slot where the
+// continuation ran.
+func TestResumerRunsNext(t *testing.T) {
 	env := NewEnv(1)
-	var f Future[int]
-	var order []string
-	env.Go("p1", func(p *Proc) { order = append(order, "p1="+string(rune('0'+f.Get(p)))) })
-	env.Defer(func() { f.Then(env, func() { order = append(order, "c1="+string(rune('0'+f.Value()))) }) })
-	env.Go("p2", func(p *Proc) { order = append(order, "p2="+string(rune('0'+f.Get(p)))) })
-	env.After(time.Second, func() {
-		f.Set(7)
-		f.Then(env, func() { order = append(order, "late") })
-	})
-	env.Run()
-	if want := []string{"late", "p1=7", "c1=7", "p2=7"}; !slices.Equal(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-}
-
-// TestSignalThenOrder: Broadcast enqueues continuation waiters and blocked
-// processes together in arrival order, each at the run-queue slot where a
-// woken process resumes, and a continuation that registers again waits for
-// the next Broadcast, as a process looping on Wait does.
-func TestSignalThenOrder(t *testing.T) {
-	env := NewEnv(1)
-	var sig Signal
-	var order []string
-	env.Go("p1", func(p *Proc) {
-		sig.Wait(p)
-		order = append(order, "p1@"+env.Now().String())
-	})
-	env.Defer(func() {
-		again := true
-		var wait func()
-		wait = func() {
-			order = append(order, "c1@"+env.Now().String())
-			if again {
-				again = false
-				sig.Then(env, wait)
-			}
-		}
-		sig.Then(env, wait)
-	})
-	env.Go("p2", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			sig.Wait(p)
-			order = append(order, "p2@"+env.Now().String())
-		}
-	})
-	env.After(time.Second, func() {
-		env.Go("bystander", func(p *Proc) { order = append(order, "bystander") })
-		sig.Broadcast()
-	})
-	env.After(2*time.Second, sig.Broadcast)
-	env.Run()
-	want := []string{"bystander", "p1@1s", "c1@1s", "p2@1s", "c1@2s", "p2@2s"}
-	if !slices.Equal(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-	if sig.Waiting() != 0 {
-		t.Errorf("%d waiters left", sig.Waiting())
-	}
-}
-
-// TestOpenFirstRunsNext: a process released with Gate.OpenFirst resumes
-// before every entry already in the run queue.
-func TestOpenFirstRunsNext(t *testing.T) {
-	env := NewEnv(1)
-	var g Gate
+	var resume func()
 	var order []string
 	env.Go("waiter", func(p *Proc) {
-		g.Wait(p)
+		resume = p.Resumer()
+		p.Await()
 		order = append(order, "waiter")
 	})
 	env.After(time.Second, func() {
 		env.Go("a", func(p *Proc) { order = append(order, "a") })
 		env.Defer(func() { order = append(order, "cont") })
-		g.OpenFirst()
+		resume()
 	})
 	env.Run()
 	if want := []string{"waiter", "a", "cont"}; !slices.Equal(order, want) {

@@ -1,27 +1,26 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// An Env owns a virtual clock and a set of cooperatively scheduled processes.
-// Exactly one process runs at a time; a process runs until it blocks in one
-// of the kernel's waits and the kernel then hands control to the next
-// runnable entry, or advances the virtual clock to the next pending event
-// when nothing is runnable. The run queue holds processes and plain
-// continuations (Env.Defer): a fixed sequence of steps that owns no queue
-// runs as a chain of continuations and event callbacks, with no coroutine.
-// The waits are Sleep, Chan.Recv, Future.Get, Semaphore.Acquire,
-// WaitGroup.Wait, Gate.Wait and Signal.Wait; each parks the bare *Proc, and
-// none has a timeout. Env.Delay, Future.Then and Signal.Then are the
-// continuation forms of Sleep, Future.Get and Signal.Wait. A Chan is an unbounded queue drained by exactly one
-// receiving loop, and its sends never block. Because scheduling is strictly
-// sequential and all randomness is drawn from a seeded generator, a
-// simulation run is bit-for-bit reproducible for a given seed.
+// An Env owns a virtual clock, an event queue and a run queue. Exactly one
+// thing runs at a time: the next run-queue entry or, when the run queue is
+// empty, the next pending event. Every run-queue entry and every event
+// action is a plain func(), a continuation, and every wait has one shape:
+// it takes the continuation to run when the wait ends. Env.Delay waits on
+// the clock, Future.Then on a value and Signal.Then on a broadcast.
 //
-// The design mirrors classic process-based simulators (SimPy, OMNeT++): model
-// code is written as ordinary straight-line Go in functions of the form
-// func(*Proc), spawned with Env.Go. Each process is a stdlib coroutine
-// (iter.Pull): the driver resumes it, and it switches straight back when it
-// blocks. Shared state needs no locking — the coroutine switches between the
-// driver and the single running process form a happens-before chain over
-// all model state.
+// A process, spawned with Env.Go, is ordinary straight-line Go in a
+// func(*Proc). It waits by handing one of those waits its resume, a
+// continuation bound once per process (Proc.Resumer), and parking in
+// Proc.Await. The kernel's blocking waits (Sleep, Future.Get, Signal.Wait,
+// Semaphore.Acquire, WaitGroup.Wait and Chan.Recv) queue the same resume
+// and park the same way; none has a timeout. A Chan is an unbounded queue
+// drained by exactly one receiving loop, and its sends never block.
+//
+// Each process is a stdlib coroutine (iter.Pull): the run loop resumes it,
+// and it switches straight back when it parks. Shared state needs no
+// locking: the switches form a happens-before chain over all model state.
+// Because scheduling is strictly sequential and all randomness is drawn
+// from a seeded generator, a run is bit-for-bit reproducible for a given
+// seed.
 package sim
 
 import (
@@ -30,7 +29,7 @@ import (
 )
 
 // Env is a discrete-event simulation environment: a virtual clock, an event
-// queue, and a run queue of processes and continuations. Create one with
+// queue, and a run queue of continuations. Create one with
 // NewEnv and drive it with Run, RunUntil, or RunFor. An Env must be driven
 // from a single goroutine that is not itself a simulation process.
 type Env struct {
@@ -39,28 +38,19 @@ type Env struct {
 	free   []*event   // recycled event structs; steady-state After is 0-alloc
 	// ncancel counts cancelled events still in the heap; the heap-top
 	// drop and compaction both keep it exact, so the compaction trigger
-	// never fires over an almost-clean queue. compactions counts eager
-	// sweeps, for tests.
-	ncancel     int
-	compactions int
-	ready       ring[runnable]
-	procPool    []*Proc // idle processes, coroutines suspended, for Go
-	seq         uint64
-	alive       int
-	nextID      int
-	rng         *RNG
-	tracer      any // see SetTracer
-	stats       Stats
+	// never fires over an almost-clean queue.
+	ncancel  int
+	ready    ring[func()]
+	procPool []*Proc // idle processes, coroutines suspended, for Go
+	seq      uint64
+	alive    int
+	nextID   int
+	rng      *RNG
+	tracer   any // see SetTracer
+	stats    Stats
 	// live is the sentinel of a ring of the live processes, linked
 	// through Proc.prev/next in spawn order, for DumpBlocked.
 	live Proc
-}
-
-// runnable is one run-queue entry: a process to resume or, when p is nil, a
-// continuation to call.
-type runnable struct {
-	p  *Proc
-	fn func()
 }
 
 // Stats counts the kernel's work in a run. The counts are deterministic:
@@ -69,7 +59,8 @@ type Stats struct {
 	Events        int // events fired (cancelled ones are not counted)
 	Coroutines    int // coroutines created; pooled reuse is not counted
 	Resumes       int // switches into a process
-	Continuations int // continuations run from the run queue
+	Continuations int // other entries run from the run queue
+	Compactions   int // eager sweeps of cancelled events
 }
 
 // NewEnv returns a fresh simulation environment whose random source is
@@ -103,7 +94,11 @@ func (e *Env) SetTracer(t any) { e.tracer = t }
 func (e *Env) Tracer() any { return e.tracer }
 
 // Stats returns the kernel's work counters so far.
-func (e *Env) Stats() Stats { return e.stats }
+func (e *Env) Stats() Stats {
+	s := e.stats
+	s.Continuations -= s.Resumes // step counts a switch into a process too
+	return s
+}
 
 // DumpBlocked writes one line per live process to the sink, in spawn
 // order — the first debugging step when a simulation fails to drain
@@ -122,7 +117,7 @@ func (e *Env) DumpBlocked(sink func(line string)) {
 // is alive.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	p := e.spawn(name, fn)
-	e.ready.push(runnable{p: p})
+	e.ready.push(p.enter)
 	return p
 }
 
@@ -132,7 +127,7 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 // it would have in a process.
 func (e *Env) GoFirst(name string, fn func(*Proc)) *Proc {
 	p := e.spawn(name, fn)
-	e.ready.pushFront(runnable{p: p})
+	e.ready.pushFront(p.enter)
 	return p
 }
 
@@ -140,7 +135,7 @@ func (e *Env) GoFirst(name string, fn func(*Proc)) *Proc {
 // context at the slot where a process spawned now would first run. Like an
 // event callback it must not block on simulation primitives.
 func (e *Env) Defer(fn func()) {
-	e.ready.push(runnable{fn: fn})
+	e.ready.push(fn)
 }
 
 // Delay is Proc.Sleep for a continuation: fn runs in an event callback d
@@ -177,7 +172,7 @@ func (e *Env) spawn(name string, fn func(*Proc)) *Proc {
 
 // newEvent takes an event struct off the free list (or allocates one) and
 // stamps it with the next sequence number.
-func (e *Env) newEvent(at time.Duration, fn func(), p *Proc) *event {
+func (e *Env) newEvent(at time.Duration, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -189,7 +184,6 @@ func (e *Env) newEvent(at time.Duration, fn func(), p *Proc) *event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.proc = p
 	e.seq++
 	return ev
 }
@@ -202,7 +196,6 @@ func (e *Env) newEvent(at time.Duration, fn func(), p *Proc) *event {
 func (e *Env) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.proc = nil
 	ev.cancelled = false
 	e.free = append(e.free, ev)
 }
@@ -224,7 +217,7 @@ func (e *Env) noteCancelled() {
 // heap property. Pop order of the survivors is unchanged (see
 // eventQueue.heapify).
 func (e *Env) compactEvents() {
-	e.compactions++
+	e.stats.Compactions++
 	kept := e.events[:0]
 	for _, ev := range e.events {
 		if ev.cancelled {
@@ -246,7 +239,7 @@ func (e *Env) At(t time.Duration, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
-	ev := e.newEvent(t, fn, nil)
+	ev := e.newEvent(t, fn)
 	e.events.push(ev)
 	return Timer{env: e, ev: ev, gen: ev.gen}
 }
@@ -254,12 +247,6 @@ func (e *Env) At(t time.Duration, fn func()) Timer {
 // After schedules fn to run in scheduler context d from now. See At.
 func (e *Env) After(d time.Duration, fn func()) Timer {
 	return e.At(e.now+d, fn)
-}
-
-// afterWake schedules a bare wake-up of p d from now — the allocation-free
-// core of Sleep (no closure, no Timer handle).
-func (e *Env) afterWake(d time.Duration, p *Proc) {
-	e.events.push(e.newEvent(e.now+d, nil, p))
 }
 
 // Run drives the simulation until no process is runnable and no event is
@@ -298,25 +285,21 @@ func (e *Env) RunFor(d time.Duration) time.Duration {
 }
 
 // step executes one scheduling decision: run the next ready entry (a
-// process to its next blocking point, or a continuation), or fire the next
-// event. horizon < 0 means no limit. It returns false when there is nothing
-// left to do within the horizon.
+// continuation, or the switch that runs a process to its next park), or
+// fire the next event. horizon < 0 means no limit. It returns false when
+// there is nothing left to do within the horizon.
 //
 // Ready entries run first, then events in strict (at, seq) order, one per
 // step, so a woken process runs before the next same-timestamp event. An
 // event fires only on an empty run queue, which is why a continuation run
-// in the callback keeps the order a woken process would have had.
+// in the callback keeps the order a woken process would have had, and why
+// a process resumed from the callback runs next whether it enters the run
+// queue at the front or the back.
 // Cancelled events are dropped as they surface at the heap top.
 func (e *Env) step(horizon time.Duration) bool {
-	if r, ok := e.ready.pop(); ok {
-		if p := r.p; p != nil {
-			e.stats.Resumes++
-			p.state = stateRunning
-			p.resume()
-		} else {
-			e.stats.Continuations++
-			r.fn()
-		}
+	if fn, ok := e.ready.pop(); ok {
+		e.stats.Continuations++
+		fn()
 		return true
 	}
 	for len(e.events) > 0 {
@@ -334,23 +317,12 @@ func (e *Env) step(horizon time.Duration) bool {
 		e.events.popMin()
 		e.now = ev.at
 		e.stats.Events++
-		fn, p := ev.fn, ev.proc
+		fn := ev.fn
 		e.release(ev)
-		if p != nil {
-			p.wake()
-		} else {
-			fn()
-		}
+		fn()
 		return true
 	}
 	return false
-}
-
-// enqueue marks p ready and appends it to the run queue. The caller must be
-// the running process or an event callback.
-func (e *Env) enqueue(p *Proc) {
-	p.state = stateReady
-	e.ready.push(runnable{p: p})
 }
 
 // ring is a head-indexed growable FIFO with power-of-two capacity: the

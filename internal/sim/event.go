@@ -5,15 +5,12 @@ import "time"
 // event is a scheduled callback in the environment's event queue. Event
 // structs are owned by the Env and recycled through a free list once they
 // fire or their cancellation is collected; gen counts recycles so that a
-// stale Timer handle can tell that the event it armed is gone. When proc is
-// non-nil the event is a bare process wake-up (the Sleep fast path) and fn
-// is unused — firing it enqueues the process without any closure.
+// stale Timer handle can tell that the event it armed is gone.
 type event struct {
 	at        time.Duration
 	seq       uint64 // tie-break so equal-time events fire in schedule order
 	gen       uint64 // bumped every time the struct returns to the free list
 	fn        func()
-	proc      *Proc
 	cancelled bool
 }
 
@@ -38,7 +35,6 @@ func (t Timer) Stop() bool {
 	}
 	ev.cancelled = true
 	ev.fn = nil
-	ev.proc = nil
 	t.env.noteCancelled()
 	return true
 }

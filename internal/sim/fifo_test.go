@@ -370,7 +370,7 @@ func TestEventOrderMatchesReference(t *testing.T) {
 			t.Fatalf("firing sequences diverge at %d: kernel %d vs reference %d", i, got[i], want[i])
 		}
 	}
-	if env.compactions == 0 {
+	if env.Stats().Compactions == 0 {
 		t.Error("script ran no compaction; it no longer covers the eager path")
 	}
 	if env.ncancel != 0 || len(env.events) != 0 {

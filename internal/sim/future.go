@@ -5,17 +5,12 @@ package sim
 // number of parties call Get or Then. The zero Future is unresolved and
 // ready to use, so it can be embedded by value.
 type Future[T any] struct {
-	done    bool
-	val     T
-	waiters []waiter
-}
-
-// waiter is a process blocked in Get or, when p is nil, the enqueue of a
-// continuation registered with Then. The enqueue closure carries the Env,
-// so the Future itself stays as small as a process-only one.
-type waiter struct {
-	p       *Proc
-	enqueue func()
+	done bool
+	val  T
+	// waiters enqueue themselves when called: a process blocked in Get
+	// is its resume, and a Then waiter's closure carries its Env, so the
+	// Future itself holds no Env.
+	waiters []func()
 }
 
 // NewFuture returns an unresolved future.
@@ -31,11 +26,7 @@ func (f *Future[T]) Set(v T) {
 	f.done = true
 	f.val = v
 	for _, w := range f.waiters {
-		if w.p != nil {
-			w.p.wake()
-		} else {
-			w.enqueue()
-		}
+		w()
 	}
 	clear(f.waiters)
 	f.waiters = f.waiters[:0] // keep the storage for Reset
@@ -59,8 +50,8 @@ func (f *Future[T]) Value() T { return f.val }
 // value.
 func (f *Future[T]) Get(p *Proc) T {
 	if !f.done {
-		f.waiters = append(f.waiters, waiter{p: p})
-		p.park()
+		f.waiters = append(f.waiters, p.resume)
+		p.park(stateWaiting)
 	}
 	return f.val
 }
@@ -73,5 +64,5 @@ func (f *Future[T]) Then(env *Env, fn func()) {
 		fn()
 		return
 	}
-	f.waiters = append(f.waiters, waiter{enqueue: func() { env.Defer(fn) }})
+	f.waiters = append(f.waiters, func() { env.Defer(fn) })
 }

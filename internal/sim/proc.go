@@ -16,7 +16,9 @@ type procState int
 const (
 	stateReady procState = iota
 	stateRunning
-	stateParked
+	stateParked  // in Await: resume runs it next
+	stateWaiting // in a kernel wait: resume queues it in arrival order
+	stateResumed // running, its resume already called: Await returns at once
 	stateDone
 )
 
@@ -26,8 +28,10 @@ func (s procState) String() string {
 		return "ready"
 	case stateRunning:
 		return "running"
-	case stateParked:
+	case stateParked, stateWaiting:
 		return "parked"
+	case stateResumed:
+		return "resumed"
 	case stateDone:
 		return "done"
 	default:
@@ -36,9 +40,9 @@ func (s procState) String() string {
 }
 
 // Proc is a simulation process: a coroutine (iter.Pull) scheduled
-// cooperatively by its Env. All blocking methods must be called from the
-// process's own function body (the fn passed to Env.Go); calling them from
-// outside the simulation corrupts scheduling.
+// cooperatively by its Env. Await, Yield and every wait that takes a *Proc
+// must be called from the process's own function body (the fn passed to
+// Env.Go); calling them from outside the simulation corrupts scheduling.
 type Proc struct {
 	env   *Env
 	id    int
@@ -47,11 +51,15 @@ type Proc struct {
 	fn    func(*Proc) // the body of the current lifetime; nil while idle
 	// prev and next link the live processes in spawn order (Env.live).
 	prev, next *Proc
-	// resume switches from the driver into the coroutine, which runs until
+	// pull switches from the run loop into the coroutine, which runs until
 	// it calls yield; stop ends an idle coroutine.
-	resume func() (struct{}, bool)
-	stop   func()
-	yield  func(struct{}) bool
+	pull  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// enter is p's run-queue entry (p.run), and resume (p.wake) puts it
+	// there. Both are bound once per Proc, so no wait allocates a closure
+	// to wake a process.
+	enter, resume func()
 }
 
 // maxIdleProcs caps the finished processes whose coroutines stay suspended
@@ -63,7 +71,8 @@ const maxIdleProcs = 16
 func newProc(e *Env) *Proc {
 	e.stats.Coroutines++
 	p := &Proc{env: e}
-	p.resume, p.stop = iter.Pull(p.body)
+	p.pull, p.stop = iter.Pull(p.body)
+	p.enter, p.resume = p.run, p.wake
 	return p
 }
 
@@ -114,49 +123,76 @@ func (p *Proc) Rand() *RNG { return p.env.rng }
 // String identifies the process in diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.id, p.name) }
 
-// park switches back to the driver and blocks until another process or an
-// event callback calls wake and the driver resumes the coroutine.
-func (p *Proc) park() {
-	p.state = stateParked
+// run switches from the run loop into the coroutine until the process parks,
+// yields or returns.
+func (p *Proc) run() {
+	p.env.stats.Resumes++
+	p.state = stateRunning
+	p.pull()
+}
+
+// Resumer returns the continuation that ends the process's wait in Await:
+// the one way a process waits is to hand it to a wait's continuation form
+// and park. Called while the process is parked, it puts the process at the
+// front of the run queue, so it runs in the slot where the continuation
+// ran; called before the process parks, because the wait finished at once,
+// it makes Await return without parking. The func is bound once per
+// process and allocates nothing.
+func (p *Proc) Resumer() func() { return p.resume }
+
+// wake is the process's resume. The kernel's own waits (Future,
+// Semaphore, WaitGroup, Chan) queue it too; for them it queues the process
+// behind the entries already ready, in arrival order with the other
+// waiters its wait releases.
+func (p *Proc) wake() {
+	switch p.state {
+	case stateParked:
+		p.state = stateReady
+		p.env.ready.pushFront(p.enter)
+	case stateWaiting:
+		p.state = stateReady
+		p.env.ready.push(p.enter)
+	case stateRunning:
+		p.state = stateResumed
+	default:
+		panic(fmt.Sprintf("sim: resume of %v in state %v", p, p.state))
+	}
+}
+
+// Await parks the process until its resume is called, and returns at once
+// when that already happened.
+func (p *Proc) Await() { p.park(stateParked) }
+
+// park switches back to the run loop in state s, a parked state, unless the
+// process's resume was called first.
+func (p *Proc) park(s procState) {
+	if p.state == stateResumed {
+		p.state = stateRunning
+		return
+	}
+	p.state = s
 	p.yield(struct{}{})
 }
 
-// wake moves a parked process back onto the run queue. The caller must be
-// the running process or an event callback. Waking a non-parked process is
-// a kernel bug.
-func (p *Proc) wake() {
-	if p.state != stateParked {
-		panic(fmt.Sprintf("sim: wake of %v in state %d", p, p.state))
-	}
-	p.env.enqueue(p)
-}
-
-// wakeFirst is wake ahead of every ready entry: the process runs next.
-func (p *Proc) wakeFirst() {
-	if p.state != stateParked {
-		panic(fmt.Sprintf("sim: wake of %v in state %d", p, p.state))
-	}
-	p.state = stateReady
-	p.env.ready.pushFront(runnable{p: p})
-}
-
-// Sleep blocks the process for d of virtual time. Non-positive durations
+// Sleep blocks the process for d of virtual time: an event d from now runs
+// the process's resume, and the process parks once. Non-positive durations
 // yield the processor without advancing the clock. Sleeping allocates
-// nothing in steady state: the wake-up event is a recycled struct carrying
-// the process pointer directly, with no closure and no Timer handle.
+// nothing in steady state: the event is a recycled struct, the resume a
+// bound func, and no Timer handle escapes.
 func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
 		p.Yield()
 		return
 	}
-	p.env.afterWake(d, p)
-	p.park()
+	p.env.After(d, p.resume)
+	p.Await()
 }
 
 // Yield places the process at the back of the run queue, letting every other
 // currently runnable process execute before it resumes. The clock does not
 // advance.
 func (p *Proc) Yield() {
-	p.env.enqueue(p)
+	p.state = stateReady
+	p.env.ready.push(p.enter)
 	p.yield(struct{}{})
 }

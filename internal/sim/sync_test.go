@@ -1,9 +1,5 @@
 package sim
 
-// Gate tests live alongside the other primitive tests; Gate is the
-// allocation-free single-waiter rendezvous backing pooled objects such as
-// fluid's job structs.
-
 import (
 	"strings"
 	"testing"
@@ -195,58 +191,62 @@ func TestFutureDoubleSetPanics(t *testing.T) {
 	f.Set(2)
 }
 
-func TestGateWaitOpen(t *testing.T) {
+// TestResumerEndsAwait: a process parked in Await resumes when its
+// Resumer is called, and Await returns at once when the Resumer was called
+// before it, as when a wait finishes synchronously.
+func TestResumerEndsAwait(t *testing.T) {
 	env := NewEnv(1)
-	var g Gate
-	var opened time.Duration
+	var woke time.Duration = -1
 	env.Go("waiter", func(p *Proc) {
-		g.Wait(p)
-		opened = p.Now()
-	})
-	env.Go("opener", func(p *Proc) {
-		p.Sleep(time.Second)
-		if !g.Waiting() {
-			t.Error("Waiting = false with a parked waiter")
+		p.Resumer()() // finished at once
+		p.Await()
+		if p.Now() != 0 {
+			t.Errorf("Await after an early resume returned at %v, want 0", p.Now())
 		}
-		g.Open()
+		env.After(time.Second, p.Resumer())
+		p.Await()
+		woke = p.Now()
 	})
 	env.Run()
-	if opened != time.Second {
-		t.Errorf("waiter released at %v, want 1s", opened)
-	}
-	if g.Waiting() {
-		t.Error("Waiting = true after Open")
+	if woke != time.Second {
+		t.Errorf("waiter resumed at %v, want 1s", woke)
 	}
 }
 
-func TestGateReuse(t *testing.T) {
+// TestResumerReuse: the Resumer is bound once per process and ends each
+// of its successive waits.
+func TestResumerReuse(t *testing.T) {
 	env := NewEnv(1)
-	var g Gate
 	rounds := 0
 	env.Go("waiter", func(p *Proc) {
+		resume := p.Resumer()
 		for i := 0; i < 5; i++ {
-			g.Wait(p)
+			env.After(time.Second, resume)
+			p.Await()
 			rounds++
 		}
 	})
-	env.Go("opener", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(time.Second)
-			g.Open()
-		}
-	})
 	env.Run()
-	if rounds != 5 {
-		t.Errorf("waiter released %d times, want 5", rounds)
+	if rounds != 5 || env.Now() != 5*time.Second {
+		t.Errorf("waiter resumed %d times by %v, want 5 by 5s", rounds, env.Now())
 	}
 }
 
-func TestGateOpenWithoutWaiterPanics(t *testing.T) {
+// TestResumeTwicePanics: resuming a process that is already back in the
+// run queue is a modelling bug.
+func TestResumeTwicePanics(t *testing.T) {
+	env := NewEnv(1)
+	env.Go("waiter", func(p *Proc) {
+		env.After(time.Second, func() {
+			p.Resumer()()
+			p.Resumer()()
+		})
+		p.Await()
+	})
 	defer func() {
-		if recover() == nil {
-			t.Error("Open without waiter did not panic")
+		if r := recover(); r == nil || !strings.Contains(r.(string), "resume of") {
+			t.Errorf("second resume recovered %v, want a resume panic", r)
 		}
 	}()
-	var g Gate
-	g.Open()
+	env.Run()
 }

@@ -96,7 +96,7 @@ func TestCancelledCompaction(t *testing.T) {
 	if len(env.events) > 2*want+64 {
 		t.Errorf("queue not compacted: %d events buried for %d survivors", len(env.events), want)
 	}
-	if env.compactions == 0 {
+	if env.Stats().Compactions == 0 {
 		t.Error("no compaction ran under a 90% cancellation load")
 	}
 	env.Run()
@@ -126,8 +126,8 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 			}
 			env.RunFor(2 * time.Millisecond)
 		}
-		if env.compactions != 0 {
-			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.compactions)
+		if env.Stats().Compactions != 0 {
+			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.Stats().Compactions)
 		}
 		if env.ncancel != 0 || len(env.events) != 0 {
 			t.Errorf("leaked accounting: ncancel=%d queued=%d", env.ncancel, len(env.events))
@@ -143,8 +143,8 @@ func TestNoSpuriousCompactionArmCancelPop(t *testing.T) {
 			}
 			env.RunFor(300 * time.Millisecond)
 		}
-		if env.compactions != 0 {
-			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.compactions)
+		if env.Stats().Compactions != 0 {
+			t.Errorf("compactions = %d under arm-cancel-pop, want 0", env.Stats().Compactions)
 		}
 		if env.ncancel != 0 || len(env.events) != 0 {
 			t.Errorf("leaked accounting: ncancel=%d queued=%d", env.ncancel, len(env.events))

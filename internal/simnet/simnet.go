@@ -28,7 +28,7 @@ type Network struct {
 	ifaces    map[string]*iface
 	parts     map[string]bool
 	healed    sim.Signal
-	flows     []*flow // recycled chained transfers
+	flows     []*flow // idle flows, recycled
 }
 
 type iface struct {
@@ -123,13 +123,6 @@ func (n *Network) Heal(a, b string) {
 	n.healed.Broadcast()
 }
 
-// waitReachable blocks the calling process while from↔to is partitioned.
-func (n *Network) waitReachable(p *sim.Proc, from, to string) {
-	for n.partitioned(from, to) {
-		n.healed.Wait(p)
-	}
-}
-
 // partitioned reports whether from↔to is severed.
 func (n *Network) partitioned(from, to string) bool {
 	return len(n.parts) > 0 && n.parts[partKey(from, to)]
@@ -167,43 +160,30 @@ func (n *Network) AttachFaults(in *faults.Injector) {
 	})
 }
 
-// The waits Message and Transfer each have a blocking form, for a process,
-// and a chained form, for a continuation chain (see sim.Env.Defer), that
-// share one begin and one end: the chained form runs then where the
-// blocking form would return, at once when it would not block.
+// Message and Transfer are their continuation forms, MessageThen and
+// TransferThen, with the calling process's resume and one park: then runs
+// where the process resumes, at once when the wait does not block.
 
 // Message charges one small control message from one node to another
 // (latency only; bandwidth is negligible). Loopback is free.
 func (n *Network) Message(p *sim.Proc, from, to string) {
-	if !n.beginMessage(from, to) {
-		return
-	}
-	n.waitReachable(p, from, to)
-	p.Sleep(n.Latency())
+	n.MessageThen(from, to, p.Resumer())
+	p.Await()
 }
 
-// MessageThen is Message's chained form.
+// MessageThen is Message's continuation form.
 func (n *Network) MessageThen(from, to string, then func()) {
-	if !n.beginMessage(from, to) {
+	if from == to {
 		then()
 		return
 	}
+	n.mustIface(from)
+	n.mustIface(to)
 	if n.partitioned(from, to) {
 		n.healed.Then(n.env, func() { n.MessageThen(from, to, then) })
 		return
 	}
 	n.env.Delay(n.Latency(), then)
-}
-
-// beginMessage checks both endpoints and reports whether the message
-// crosses the fabric.
-func (n *Network) beginMessage(from, to string) bool {
-	if from == to {
-		return false
-	}
-	n.mustIface(from)
-	n.mustIface(to)
-	return true
 }
 
 // Transfer moves size bytes from one node to another, blocking the calling
@@ -212,23 +192,17 @@ func (n *Network) beginMessage(from, to string) bool {
 // bandwidth; each transfer is additionally capped at the receiver's
 // interface rate. Loopback transfers are free.
 func (n *Network) Transfer(p *sim.Proc, from, to string, size int64) {
-	src, dst, ok := n.beginTransfer(from, to, size)
-	if !ok {
-		return
-	}
-	n.waitReachable(p, from, to)
-	p.Sleep(n.Latency())
-	if size == 0 {
-		return
-	}
-	src.egress.Run(p, float64(size), rateCap(src, dst))
-	endTransfer(src, dst, size)
+	n.TransferThen(from, to, size, p.Resumer())
+	p.Await()
 }
 
-// TransferThen is Transfer's chained form.
+// TransferThen is Transfer's continuation form.
 func (n *Network) TransferThen(from, to string, size int64, then func()) {
-	src, dst, ok := n.beginTransfer(from, to, size)
-	if !ok {
+	if size < 0 {
+		panic("simnet: negative transfer size")
+	}
+	src, dst := n.mustIface(from), n.mustIface(to)
+	if from == to {
 		then()
 		return
 	}
@@ -241,17 +215,6 @@ func (n *Network) TransferThen(from, to string, size int64, then func()) {
 	n.env.Delay(n.Latency(), f.propagated)
 }
 
-// beginTransfer checks the size and both endpoints, and reports whether the
-// transfer crosses the fabric.
-func (n *Network) beginTransfer(from, to string, size int64) (src, dst *iface, ok bool) {
-	if size < 0 {
-		panic("simnet: negative transfer size")
-	}
-	src = n.mustIface(from)
-	dst = n.mustIface(to)
-	return src, dst, from != to
-}
-
 // rateCap is a transfer's rate cap: the receiver's interface rate when it
 // is slower than the sender's, else none.
 func rateCap(src, dst *iface) float64 {
@@ -261,14 +224,8 @@ func rateCap(src, dst *iface) float64 {
 	return 0
 }
 
-// endTransfer accounts a transfer whose bytes have drained.
-func endTransfer(src, dst *iface, size int64) {
-	src.tx += size
-	dst.rx += size
-}
-
-// flow is a chained transfer past its partition wait. Flows are recycled,
-// so a steady stream of chained transfers allocates nothing.
+// flow is a transfer past its partition wait. Flows are recycled,
+// so a steady stream of transfers allocates nothing.
 type flow struct {
 	src, dst *iface
 	size     int64
@@ -294,7 +251,8 @@ func (n *Network) newFlow() *flow {
 		f.src.egress.RunReservedThen(float64(f.size), rateCap(f.src, f.dst), 0, f.drained)
 	}
 	f.drained = func() {
-		endTransfer(f.src, f.dst, f.size)
+		f.src.tx += f.size
+		f.dst.rx += f.size
 		n.endFlow(f)
 	}
 	return f

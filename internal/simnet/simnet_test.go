@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func TestUnknownNodePanics(t *testing.T) {
 			t.Error("message to unknown node did not panic")
 		}
 	}()
-	n.Message(nil, "submit", "nope") // panics in mustIface before touching p
+	n.MessageThen("submit", "nope", func() {}) // panics in mustIface
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
@@ -135,4 +136,88 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	n.AddNode("w1", 10)
+}
+
+// TestTransferThenMatchesTransfer: transfers submitted in chained form
+// finish, and their continuations run, in the order and at the times the
+// same transfers' blocking callers resume — loopback and zero-size
+// transfers, transfers contending for one egress, and transfers held by a
+// partition healed while they wait, interleaved with a process sleeping
+// beside them.
+func TestTransferThenMatchesTransfer(t *testing.T) {
+	type sub struct {
+		name     string
+		at       time.Duration
+		from, to string
+		size     int64
+	}
+	subs := []sub{
+		{"loop", 0, "w1", "w1", 500},
+		{"zero", 0, "submit", "w1", 0},
+		{"a", 0, "submit", "w1", 100},
+		{"b", 0, "submit", "w2", 100}, // contends with a at submit's egress
+		{"c", 500 * time.Millisecond, "submit", "w1", 50},
+		{"part", 1500 * time.Millisecond, "w1", "w2", 100}, // waits out the partition
+		{"part0", 1500 * time.Millisecond, "w2", "w1", 0},
+		{"free", 1500 * time.Millisecond, "w1", "submit", 100},
+	}
+	run := func(chained bool) []string {
+		env := sim.NewEnv(1)
+		n := newNet(env)
+		var order []string
+		note := func(name string) { order = append(order, name+"@"+env.Now().String()) }
+		env.Go("ticker", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				p.Sleep(500 * time.Millisecond)
+				note("tick")
+			}
+		})
+		env.At(time.Second, func() { n.Partition("w1", "w2") })
+		env.At(2*time.Second, func() { n.Heal("w1", "w2") })
+		for _, s := range subs {
+			if chained {
+				env.At(s.at, func() {
+					env.Defer(func() {
+						n.TransferThen(s.from, s.to, s.size, func() { note(s.name) })
+					})
+				})
+				continue
+			}
+			env.At(s.at, func() {
+				env.Go(s.name, func(p *sim.Proc) {
+					n.Transfer(p, s.from, s.to, s.size)
+					note(s.name)
+				})
+			})
+		}
+		env.Run()
+		return order
+	}
+	procs, chain := run(false), run(true)
+	if !slices.Equal(procs, chain) {
+		t.Errorf("chained order %v, blocking order %v", chain, procs)
+	}
+	if !slices.Contains(procs, "part@4.001s") || !slices.Contains(procs, "part0@2.001s") {
+		t.Errorf("partitioned transfers did not wait for the heal: %v", procs)
+	}
+}
+
+// TestTransferSteadyStateZeroAlloc: a process moving bytes with the
+// blocking Transfer in a loop allocates nothing once the flow, job and
+// event pools are warm: parking on the chained form adds no closure.
+func TestTransferSteadyStateZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(1)
+	n := newNet(env)
+	env.Go("xfer", func(p *sim.Proc) {
+		for {
+			n.Transfer(p, "submit", "w1", 100) // 1ms latency + 1s
+		}
+	})
+	env.RunFor(10 * time.Second) // warm pools
+	avg := testing.AllocsPerRun(100, func() {
+		env.RunFor(time.Second + time.Millisecond)
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Transfer allocates %.1f times per transfer, want 0", avg)
+	}
 }
