@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/crt"
 	"repro/internal/experiments"
 	"repro/internal/fluid"
 	"repro/internal/knative"
@@ -311,17 +310,12 @@ func benchKubePlacement(b *testing.B, nodes, samplePercent int) {
 	prm.WorkerNodes = nodes
 	prm.SchedulerLatency = 0
 	prm.SchedSamplePercent = samplePercent
-	env := sim.NewEnv(1)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
-	reg.Push(registry.NewImage("fn", []int64{1}, 1))
-	k := kube.New(env, cl, crt.NewSet(env, cl, reg, prm), prm)
-	k.Start()
+	pl := core.NewPlatform(1, prm)
+	env, k := pl.Env, pl.Kube
+	pl.Registry.Push(registry.NewImage("fn", []int64{1}, 1))
 	env.Go("prepull", func(p *sim.Proc) {
-		for _, w := range k.Workers() {
-			if err := k.Runtime(w).PullImage(p, "fn"); err != nil {
-				panic(err)
-			}
+		if err := pl.PrePull(p, "fn"); err != nil {
+			panic(err)
 		}
 	})
 	env.Run()

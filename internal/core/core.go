@@ -26,12 +26,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/condor"
 	"repro/internal/config"
-	"repro/internal/crt"
 	"repro/internal/faults"
 	"repro/internal/knative"
-	"repro/internal/kube"
 	"repro/internal/registry"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/wms"
@@ -90,18 +87,12 @@ func ReusePolicy() DeployPolicy {
 	}
 }
 
-// Stack assembles the full simulated testbed: cluster, registry, container
-// runtimes, HTCondor pool, Kubernetes control plane, Knative serving, and
-// the workflow engine, all wired together.
+// Stack is the full simulated testbed: a Platform plus the workflow layer
+// on top of it — the HTCondor pool, the catalogs, shared storage, and the
+// workflow engine wired to the platform's runtimes and Knative services.
 type Stack struct {
-	Env      *sim.Env
-	Prm      config.Params
-	Cluster  *cluster.Cluster
-	Registry *registry.Registry
-	Runtimes crt.Set
+	Platform
 	Pool     *condor.Schedd
-	Kube     *kube.Kube
-	Knative  *knative.Knative
 	Catalogs *wms.Catalogs
 	Engine   *wms.Engine
 	// FS is the shared filesystem exported by the submit node, used when
@@ -115,60 +106,28 @@ type Stack struct {
 }
 
 // NewStack builds and starts the testbed described by prm on a fresh
-// simulation environment with the given seed.
+// simulation environment with the given seed: the platform, then on it the
+// workflow layer.
 func NewStack(seed uint64, prm config.Params) *Stack {
-	env := sim.NewEnv(seed)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
-	breakerPol := resilience.BreakerPolicy{
-		Failures:       prm.BreakerFailures,
-		OpenFor:        prm.BreakerOpenFor,
-		HalfOpenProbes: prm.BreakerHalfOpenProbes,
-	}
-	reg.Protect(breakerPol)
-	rts := crt.NewSet(env, cl, reg, prm)
-	var budget *resilience.RetryBudget
-	if prm.RetryBudgetRatio > 0 {
-		// One budget shared by image pulls and workflow resubmission:
-		// retries anywhere in the stack draw on the same earnings.
-		budget = resilience.NewRetryBudget(prm.RetryBudgetRatio, prm.RetryBudgetBurst)
-		rts.GateRetries(budget)
-	}
-	pool := condor.New(env, cl, prm)
-	pool.Start()
-	k := kube.New(env, cl, rts, prm)
-	k.Start()
-	kn := knative.New(env, cl, k, prm)
-	cat := wms.NewCatalogs()
-	fs := storage.NewSharedFS(env, cl.Net, cluster.SubmitNodeName, 400e6)
-	store := storage.NewObjectStore(env, cl.Net, cluster.SubmitNodeName, 400e6)
-
-	s := &Stack{
-		Env:      env,
-		Prm:      prm,
-		Cluster:  cl,
-		Registry: reg,
-		Runtimes: rts,
-		Pool:     pool,
-		Kube:     k,
-		Knative:  kn,
-		Catalogs: cat,
-		FS:       fs,
-		Store:    store,
-	}
+	s := &Stack{Platform: NewPlatform(seed, prm)}
+	s.Pool = condor.New(s.Env, s.Cluster, prm)
+	s.Pool.Start()
+	s.Catalogs = wms.NewCatalogs()
+	s.FS = storage.NewSharedFS(s.Env, s.Cluster.Net, cluster.SubmitNodeName, 400e6)
+	s.Store = storage.NewObjectStore(s.Env, s.Cluster.Net, cluster.SubmitNodeName, 400e6)
 	s.Engine = &wms.Engine{
-		Env:        env,
-		Cl:         cl,
-		Pool:       pool,
-		Runtimes:   rts,
-		Reg:        reg,
-		Catalogs:   cat,
+		Env:        s.Env,
+		Cl:         s.Cluster,
+		Pool:       s.Pool,
+		Runtimes:   s.Runtimes,
+		Reg:        s.Registry,
+		Catalogs:   s.Catalogs,
 		Prm:        prm,
 		Retry:      prm.TaskRetry,
-		Services:   kn.Service,
-		FS:         fs,
-		Store:      store,
-		Budget:     budget,
+		Services:   s.Knative.Service,
+		FS:         s.FS,
+		Store:      s.Store,
+		Budget:     s.budget,
 		HedgeAfter: prm.HedgeAfter,
 		HedgeMax:   prm.HedgeMax,
 	}
@@ -178,7 +137,7 @@ func NewStack(seed uint64, prm config.Params) *Stack {
 	// poll and decentralized modes. An unparseable ExecMode stays Broker-less
 	// here; the engine rejects it with the parse error at run time.
 	if mode, err := config.ParseExecMode(prm.ExecMode); err == nil && mode == config.ExecTrigger {
-		s.Engine.Broker = kn.NewBroker("wms-completions")
+		s.Engine.Broker = s.Knative.NewBroker("wms-completions")
 	}
 	return s
 }
@@ -229,10 +188,8 @@ func (s *Stack) DeployFunction(p *sim.Proc, transformation string, policy Deploy
 		return fmt.Errorf("core: function for %q already deployed", transformation)
 	}
 	if policy.PrePullAllNodes {
-		for _, w := range s.Cluster.Workers {
-			if err := s.Runtimes[w.Name].PullImage(p, tr.Image); err != nil {
-				return err
-			}
+		if err := s.PrePull(p, tr.Image); err != nil {
+			return err
 		}
 	}
 	_, err := s.Knative.Deploy(p, knative.ServiceSpec{
@@ -284,8 +241,7 @@ func (s *Stack) AutoIntegrate(p *sim.Proc, wf *wms.Workflow, policy DeployPolicy
 
 // Shutdown stops every daemon so Env.Run drains.
 func (s *Stack) Shutdown() {
-	s.Knative.Shutdown()
-	s.Kube.Shutdown()
+	s.Platform.Shutdown()
 	s.Pool.Shutdown()
 }
 

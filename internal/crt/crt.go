@@ -70,22 +70,17 @@ type Set map[string]*Runtime
 func NewSet(env *sim.Env, cl *cluster.Cluster, reg *registry.Registry, params config.Params) Set {
 	set := make(Set, len(cl.Workers))
 	for _, w := range cl.Workers {
-		set[w.Name] = New(env, w, reg, params)
+		set[w.Name] = &Runtime{
+			env:    env,
+			node:   w,
+			reg:    reg,
+			params: params,
+			layers: make(map[string]bool),
+			images: make(map[string]registry.Image),
+			loader: fluid.New(env, "imgload:"+w.Name, params.ImageLoadBps),
+		}
 	}
 	return set
-}
-
-// New returns a runtime for node backed by the given registry.
-func New(env *sim.Env, node *cluster.Node, reg *registry.Registry, params config.Params) *Runtime {
-	return &Runtime{
-		env:    env,
-		node:   node,
-		reg:    reg,
-		params: params,
-		layers: make(map[string]bool),
-		images: make(map[string]registry.Image),
-		loader: fluid.New(env, "imgload:"+node.Name, params.ImageLoadBps),
-	}
 }
 
 // AttachFaults connects every runtime in the set to the fault injector

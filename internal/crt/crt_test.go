@@ -27,7 +27,7 @@ func newFixture(t *testing.T) *fixture {
 	reg := registry.New(c.Net)
 	img := registry.NewImage("matmul", prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1])
 	reg.Push(img)
-	rt := New(env, c.Workers[0], reg, prm)
+	rt := NewSet(env, c, reg, prm)[c.Workers[0].Name]
 	return &fixture{env: env, c: c, reg: reg, rt: rt, img: img, prm: prm}
 }
 

@@ -431,10 +431,8 @@ func redirectionOnce(seed uint64, o Options, route knative.RoutePolicy, requests
 		defer s.Shutdown()
 		// One replica per worker so the router has a real choice.
 		tr, _ := s.Catalogs.Transformation(workload.MatmulTransformation)
-		for _, w := range s.Cluster.Workers {
-			if err := s.Runtimes[w.Name].PullImage(p, tr.Image); err != nil {
-				panic(err)
-			}
+		if err := s.PrePull(p, tr.Image); err != nil {
+			panic(err)
 		}
 		svc, err := s.Knative.Deploy(p, knative.ServiceSpec{
 			Name:                 workload.MatmulTransformation,

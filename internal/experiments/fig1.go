@@ -7,9 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/crt"
+	"repro/internal/core"
 	"repro/internal/knative"
-	"repro/internal/kube"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -94,26 +93,25 @@ func Fig1(o Options) Fig1Result {
 // already local (the overhead measured is container create/destroy, not
 // pulls).
 func fig1Docker(seed uint64, prm config.Params, n int) time.Duration {
-	env := sim.NewEnv(seed)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
-	reg.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
-	rt := crt.New(env, cl.Workers[0], reg, prm)
+	pl := core.NewPlatform(seed, prm)
+	pl.Registry.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
+	rt := pl.Runtimes[pl.Cluster.Workers[0].Name]
 
 	var total time.Duration
-	env.Go("docker-cli", func(p *sim.Proc) {
+	pl.Env.Go("docker-cli", func(p *sim.Proc) {
+		defer pl.Shutdown()
 		if err := rt.PullImage(p, fig1Image); err != nil {
 			panic(err)
 		}
 		start := p.Now()
 		for i := 0; i < n; i++ {
-			if err := rt.DockerRun(p, fig1Image, cl.NextTaskWork(), 0); err != nil {
+			if err := rt.DockerRun(p, fig1Image, pl.Cluster.NextTaskWork(), 0); err != nil {
 				panic(err)
 			}
 		}
 		total = p.Now() - start
 	})
-	env.Run()
+	pl.Env.Run()
 	return total
 }
 
@@ -121,23 +119,16 @@ func fig1Docker(seed uint64, prm config.Params, n int) time.Duration {
 // zero — the first request cold-starts (the paper's 1.48 s annotation), the
 // rest reuse the warm container.
 func fig1Knative(seed uint64, prm config.Params, n int) (total, cold time.Duration) {
-	env := sim.NewEnv(seed)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
-	reg.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
-	rts := crt.NewSet(env, cl, reg, prm)
-	k := kube.New(env, cl, rts, prm)
-	k.Start()
-	kn := knative.New(env, cl, k, prm)
+	pl := core.NewPlatform(seed, prm)
+	pl.Registry.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
 
-	env.Go("client", func(p *sim.Proc) {
+	pl.Env.Go("client", func(p *sim.Proc) {
+		defer pl.Shutdown()
 		// Image staged on workers ("input data was stored on the node").
-		for _, w := range k.Workers() {
-			if err := k.Runtime(w).PullImage(p, fig1Image); err != nil {
-				panic(err)
-			}
+		if err := pl.PrePull(p, fig1Image); err != nil {
+			panic(err)
 		}
-		svc, err := kn.Deploy(p, knative.ServiceSpec{
+		svc, err := pl.Knative.Deploy(p, knative.ServiceSpec{
 			Name:                 "matmul",
 			Image:                fig1Image,
 			ContainerConcurrency: 8,
@@ -159,7 +150,7 @@ func fig1Knative(seed uint64, prm config.Params, n int) (total, cold time.Durati
 				From:       cluster.SubmitNodeName,
 				PayloadIn:  256,
 				PayloadOut: 256,
-				Work:       cl.NextTaskWork(),
+				Work:       pl.Cluster.NextTaskWork(),
 			})
 			if err != nil {
 				panic(err)
@@ -169,10 +160,8 @@ func fig1Knative(seed uint64, prm config.Params, n int) (total, cold time.Durati
 			}
 		}
 		total = p.Now() - start
-		kn.Shutdown()
-		k.Shutdown()
 	})
-	env.Run()
+	pl.Env.Run()
 	return total, cold
 }
 

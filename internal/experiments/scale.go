@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/crt"
+	"repro/internal/core"
 	"repro/internal/kube"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
@@ -82,23 +82,18 @@ type ScaleRun struct {
 // same apiserver queue the next wave's binds use.
 func ScaleOnce(base config.Params, mode config.CPMode, nodes, placements int) ScaleRun {
 	prm := scaleParams(base, mode, nodes)
-	env := sim.NewEnv(1)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
+	pl := core.NewPlatform(1, prm)
+	k := pl.Kube
 	// A 2-byte image: the study measures the control plane, not pulls.
-	reg.Push(registry.NewImage("fn", []int64{1}, 1))
-	k := kube.New(env, cl, crt.NewSet(env, cl, reg, prm), prm)
-	k.Start()
+	pl.Registry.Push(registry.NewImage("fn", []int64{1}, 1))
 
 	out := ScaleRun{Mode: mode.String(), Nodes: nodes}
 	latencies := make([]float64, 0, placements)
 	var window time.Duration
-	env.Go("driver", func(p *sim.Proc) {
-		defer k.Shutdown()
-		for _, w := range k.Workers() {
-			if err := k.Runtime(w).PullImage(p, "fn"); err != nil {
-				panic(err)
-			}
+	pl.Env.Go("driver", func(p *sim.Proc) {
+		defer pl.Shutdown()
+		if err := pl.PrePull(p, "fn"); err != nil {
+			panic(err)
 		}
 		waveSize := nodes * prm.CoresPerNode
 		for placed := 0; placed < placements; {
@@ -131,12 +126,12 @@ func ScaleOnce(base config.Params, mode config.CPMode, nodes, placements int) Sc
 			for _, pod := range pods {
 				k.DeletePod(pod.Spec.Name)
 			}
-			for !drained(cl) {
+			for !drained(pl.Cluster) {
 				p.Sleep(250 * time.Millisecond)
 			}
 		}
 	})
-	env.Run()
+	pl.Env.Run()
 	out.Placements = len(latencies)
 	out.P50Ms = metrics.Percentile(latencies, 50)
 	out.P99Ms = metrics.Percentile(latencies, 99)

@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/crt"
+	"repro/internal/core"
 	"repro/internal/knative"
 	"repro/internal/kpa"
-	"repro/internal/kube"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -122,13 +121,9 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 	prm.ActivatorQueueCap = trafficQueueCap
 	arm.Params(&prm)
 
-	env := sim.NewEnv(seed)
-	cl := cluster.New(env, prm)
-	reg := registry.New(cl.Net)
-	reg.Push(registry.NewImage("fn", prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
-	k := kube.New(env, cl, crt.NewSet(env, cl, reg, prm), prm)
-	k.Start()
-	kn := knative.New(env, cl, k, prm)
+	pl := core.NewPlatform(seed, prm)
+	env := pl.Env
+	pl.Registry.Push(registry.NewImage("fn", prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
 
 	// The platform-wide shape: one diurnal cycle across the window with a
 	// flash crowd through the middle. Tenants split it by Zipf popularity.
@@ -146,11 +141,11 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 		// Stage the image on every worker up front so the study measures
 		// pod cold starts, not a one-time registry stampede.
 		pull := sim.NewWaitGroup(env)
-		for _, w := range k.Workers() {
+		for _, w := range pl.Cluster.Workers {
 			pull.Add(1)
-			env.Go("pull-"+w, func(pp *sim.Proc) {
+			env.Go("pull-"+w.Name, func(pp *sim.Proc) {
 				defer pull.Done()
-				if err := k.Runtime(w).PullImage(pp, "fn"); err != nil {
+				if err := pl.Runtimes[w.Name].PullImage(pp, "fn"); err != nil {
 					panic(err)
 				}
 			})
@@ -170,7 +165,7 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 			if arm.Spec != nil {
 				arm.Spec(&spec)
 			}
-			svc, err := kn.Deploy(p, spec)
+			svc, err := pl.Knative.Deploy(p, spec)
 			if err != nil {
 				panic(err)
 			}
@@ -233,7 +228,7 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 		if until := end + trafficDrain; p.Now() < until {
 			p.Sleep(until - p.Now())
 		}
-		kn.Shutdown()
+		pl.Shutdown()
 		wg.Wait(p)
 
 		for _, svc := range services {

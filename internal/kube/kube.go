@@ -333,6 +333,9 @@ func (k *Kube) CreatePod(spec PodSpec) (*Pod, error) {
 	if !k.started {
 		return nil, fmt.Errorf("kube: control plane not started")
 	}
+	if k.stopped {
+		return nil, fmt.Errorf("kube: control plane shut down")
+	}
 	if _, exists := k.pods[spec.Name]; exists {
 		return nil, fmt.Errorf("kube: pod %q already exists", spec.Name)
 	}
@@ -372,16 +375,14 @@ func (k *Kube) DeletePod(name string) {
 // deliver hands a pod operation to a node's kubelet after the control
 // plane's propagation delay. The zero-delay path is the seed's in-process
 // send — no event is scheduled, so inactive planes stay byte-identical.
+// Once Shutdown has closed the kubelet queues the op is dropped: the
+// scheduler can still bind a pod it held across Shutdown.
 func (k *Kube) deliver(op podOp, delay time.Duration) {
-	if delay <= 0 {
+	if delay > 0 {
+		k.env.After(delay, func() { k.deliver(op, 0) })
+	} else if !k.stopped {
 		k.nodeQ[op.pod.node.Index].Send(op)
-		return
 	}
-	k.env.After(delay, func() {
-		if !k.stopped { // queue closed by Shutdown; drop the late delivery
-			k.nodeQ[op.pod.node.Index].Send(op)
-		}
-	})
 }
 
 // AttachFaults connects the control plane to the fault injector: a node

@@ -221,6 +221,30 @@ func TestDeleteWhileSchedulingResolvesOnce(t *testing.T) {
 	}
 }
 
+// TestShutdownWhileSchedulingDropsBind: Shutdown while the scheduler holds a
+// pod closes the kubelet queues under it. The scheduler still binds the pod
+// when its sleep ends, and the bind's delivery is dropped instead of sent on
+// a closed queue. A pod created after Shutdown is refused with an error.
+func TestShutdownWhileSchedulingDropsBind(t *testing.T) {
+	f := newFixture(t)
+	f.env.Go("client", func(p *sim.Proc) {
+		pod, _ := f.k.CreatePod(spec("fn-1"))
+		p.Sleep(f.prm.SchedulerLatency / 2)
+		f.k.DeletePod("fn-1")
+		f.k.Shutdown()
+		if err := f.k.WaitReady(p, pod); err == nil {
+			t.Error("pod deleted while scheduling reported ready")
+		}
+		if _, err := f.k.CreatePod(spec("fn-2")); err == nil {
+			t.Error("CreatePod after Shutdown accepted")
+		}
+	})
+	f.env.Run()
+	if n := f.env.Alive(); n != 0 {
+		t.Errorf("%d processes still alive after the run, want 0", n)
+	}
+}
+
 func TestUnknownImageFailsPod(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("client", func(p *sim.Proc) {
