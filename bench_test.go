@@ -1,9 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (one bench
-// per experiment), plus ablations of the design choices DESIGN.md calls
-// out. Each iteration executes the full scenario in the discrete-event
-// simulator; the reported wall time is simulator throughput, and the
-// experiment's own result (virtual seconds, slopes) is attached as custom
-// metrics so `go test -bench` output doubles as a results table.
+// Benchmarks of the design choices DESIGN.md calls out (ablations), the
+// placement hot path, the replication runner, the simulator kernel and the
+// workflow engine. The per-study benchmarks that regenerate the paper's
+// tables and figures live with the studies, in internal/experiments. Each
+// iteration executes the full scenario in the discrete-event simulator; the
+// reported wall time is simulator throughput, and the scenario's own result
+// (virtual seconds) is attached as custom metrics.
 package repro
 
 import (
@@ -28,71 +29,6 @@ func quickOpts() experiments.Options {
 	o := experiments.QuickOptions()
 	o.Reps = 1
 	return o
-}
-
-// BenchmarkFig1ContainerReuse regenerates Fig. 1: docker-per-task vs
-// knative container reuse over a sequential task sweep.
-func BenchmarkFig1ContainerReuse(b *testing.B) {
-	o := quickOpts()
-	var res experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig1(o)
-	}
-	b.ReportMetric(res.DockerFit.Slope, "docker_s/task")
-	b.ReportMetric(res.KnativeFit.Slope, "knative_s/task")
-	b.ReportMetric(res.SpeedupPct, "reduction_%")
-}
-
-// BenchmarkFig2ParallelScaling regenerates Fig. 2: parallel-task scaling of
-// native, knative, and condor-container execution.
-func BenchmarkFig2ParallelScaling(b *testing.B) {
-	o := quickOpts()
-	var res experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig2(o)
-	}
-	b.ReportMetric(res.NativeFit.Slope, "native_s/task")
-	b.ReportMetric(res.KnativeFit.Slope, "knative_s/task")
-	b.ReportMetric(res.ContainerFit.Slope, "container_s/task")
-}
-
-// BenchmarkFig5TradeoffPoint regenerates the centre point of Fig. 5's
-// ternary sweep (equal thirds of each mode).
-func BenchmarkFig5TradeoffPoint(b *testing.B) {
-	o := quickOpts()
-	mix := experiments.Mix{Native: 1.0 / 3, Container: 1.0 / 3, Serverless: 1.0 / 3}
-	var res experiments.MixResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunMix(o, mix)
-	}
-	b.ReportMetric(res.MakespanSecs, "virtual_s")
-}
-
-// BenchmarkFig6Scenarios regenerates each of Fig. 6's five highlighted bars.
-func BenchmarkFig6Scenarios(b *testing.B) {
-	for _, sc := range experiments.Fig6Mixes() {
-		sc := sc
-		b.Run(sc.Label, func(b *testing.B) {
-			o := quickOpts()
-			var res experiments.MixResult
-			for i := 0; i < b.N; i++ {
-				res = experiments.RunMix(o, sc.Mix)
-			}
-			b.ReportMetric(res.MakespanSecs, "virtual_s")
-		})
-	}
-}
-
-// BenchmarkColdStart regenerates the Fig. 1 cold-start annotation (1.48 s
-// in the paper).
-func BenchmarkColdStart(b *testing.B) {
-	o := quickOpts()
-	var res experiments.ColdStartResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.ColdStart(o)
-	}
-	b.ReportMetric(res.ColdSecs, "cold_virtual_s")
-	b.ReportMetric(res.WarmSecs, "warm_virtual_s")
 }
 
 // ---- Ablations ----
@@ -206,26 +142,6 @@ func BenchmarkAblationPassByValue(b *testing.B) {
 				m = benchChain(1, prm, wms.ModeServerless, core.ReusePolicy())
 			}
 			b.ReportMetric(m.Seconds(), "virtual_s")
-		})
-	}
-}
-
-// BenchmarkAblationUplink varies the submit-node uplink — the mechanism
-// behind Fig. 2's container slope.
-func BenchmarkAblationUplink(b *testing.B) {
-	for _, uc := range []struct {
-		name string
-		bps  float64
-	}{{"1Gbps", 1e9 / 8}, {"10Gbps", 10e9 / 8}} {
-		uc := uc
-		b.Run(uc.name, func(b *testing.B) {
-			o := quickOpts()
-			o.Prm.SubmitUplinkBps = uc.bps
-			var res experiments.Fig2Result
-			for i := 0; i < b.N; i++ {
-				res = experiments.Fig2(o)
-			}
-			b.ReportMetric(res.ContainerFit.Slope, "container_s/task")
 		})
 	}
 }
@@ -547,99 +463,5 @@ func BenchmarkWorkflowFanOut(b *testing.B) {
 				s.Env.Run()
 			}
 		})
-	}
-}
-
-// ---- Extension benchmarks (the paper's §VIII and §IX future work) ----
-
-// BenchmarkExtDataMovement runs the §VIII communication-overhead study.
-func BenchmarkExtDataMovement(b *testing.B) {
-	o := quickOpts()
-	var res experiments.DataMovementResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.DataMovement(o)
-	}
-	for _, row := range res.Rows {
-		if row.Mode == wms.ModeServerless {
-			b.ReportMetric(row.TotalMB, row.Staging.String()+"_total_MB")
-		}
-	}
-}
-
-// BenchmarkExtResizing runs the §IX-C task-resizing study.
-func BenchmarkExtResizing(b *testing.B) {
-	o := quickOpts()
-	var res experiments.ResizingResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Resizing(o)
-	}
-	if len(res.Rows) >= 2 {
-		b.ReportMetric(res.Rows[0].Makespan, "split1_virtual_s")
-		b.ReportMetric(res.Rows[len(res.Rows)-1].Makespan, "splitN_virtual_s")
-	}
-}
-
-// BenchmarkExtRedirection runs the §IX-D task-redirection study.
-func BenchmarkExtRedirection(b *testing.B) {
-	o := quickOpts()
-	var res experiments.RedirectionResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Redirection(o)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.MeanSec, row.Policy+"_mean_s")
-	}
-}
-
-// BenchmarkExtClustering runs the §II-C task-clustering study.
-func BenchmarkExtClustering(b *testing.B) {
-	o := quickOpts()
-	var res experiments.ClusteringResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Clustering(o)
-	}
-	if len(res.Rows) >= 2 {
-		b.ReportMetric(res.Rows[0].Makespan, "unclustered_virtual_s")
-		b.ReportMetric(res.Rows[1].Makespan, "clustered_virtual_s")
-	}
-}
-
-// BenchmarkExtMontage runs the §IX-A complex-workflow study.
-func BenchmarkExtMontage(b *testing.B) {
-	o := quickOpts()
-	var res experiments.MontageResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Montage(o)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.Makespan, row.Mode.String()+"_virtual_s")
-	}
-}
-
-// BenchmarkExtPlacement runs the internal/sched policy sweep and reports
-// registry egress per kube policy.
-func BenchmarkExtPlacement(b *testing.B) {
-	o := quickOpts()
-	var res experiments.PlacementResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Placement(o)
-	}
-	for _, row := range res.Rows {
-		if row.Mode == wms.ModeServerless {
-			b.ReportMetric(row.PulledMB, row.Policy+"_pulled_MB")
-		}
-	}
-}
-
-// BenchmarkExtIsolation quantifies the Fig. 5 isolation axis under a noisy
-// co-tenant.
-func BenchmarkExtIsolation(b *testing.B) {
-	o := quickOpts()
-	var res experiments.IsolationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Isolation(o)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.Slowdown, row.Mode.String()+"_slowdown")
 	}
 }

@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -84,33 +83,12 @@ func main() {
 		o.Reps = *reps
 	}
 	o.Workers = *workers
+	o.TraceOut = *traceOut
 
 	for _, e := range exps {
-		res := e.Run(o)
-		if tr, ok := res.(experiments.TraceResult); ok && *traceOut != "" {
-			res = chromeExport{tr, *traceOut}
-		}
-		if err := experiments.WriteSection(os.Stdout, e.Name, res); err != nil {
+		if err := experiments.WriteSection(os.Stdout, e, o); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// chromeExport writes each trace capture's Chrome trace_event JSON to
-// <prefix>-<label>.json ahead of the trace table.
-type chromeExport struct {
-	experiments.TraceResult
-	prefix string
-}
-
-func (c chromeExport) WriteTable(w io.Writer) error {
-	for _, tc := range c.Rows {
-		path := fmt.Sprintf("%s-%s.json", c.prefix, tc.Label())
-		if err := os.WriteFile(path, tc.Tracer.ChromeBytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s (%d spans)\n", path, tc.Tracer.Len())
-	}
-	return c.TraceResult.WriteTable(w)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/cluster"
@@ -26,34 +25,28 @@ import (
 // finished by then counts as not completed.
 const chaosHorizon = 6 * time.Hour
 
-// ChaosRun is one seeded chaos run's outcome.
-type ChaosRun struct {
-	// Completed reports whether the workflow finished inside the horizon
-	// (possibly via rescue-DAG recovery).
-	Completed bool
-	// MakespanSec is the workflow makespan (spanning rescues), valid only
-	// when Completed.
-	MakespanSec float64
-	// Retries counts attempts beyond each task's first, plus jobs
+// chaosRun is one seeded chaos run's outcome. The workflow may complete via
+// rescue-DAG recovery; its makespan then spans the rescues.
+type chaosRun struct {
+	runOutcome
+	// retries counts attempts beyond each task's first, plus jobs
 	// abandoned at aborts.
-	Retries int
-	// Rescues is how many rescue-DAG recoveries the run needed.
-	Rescues int
-	// FaultEvents is the injector's trace record count.
-	FaultEvents int
-	// Trace is the full fault trace (byte-identical across runs with the
+	retries int
+	// rescues is how many rescue-DAG recoveries the run needed.
+	rescues int
+	// faultEvents is the injector's trace record count.
+	faultEvents int
+	// trace is the full fault trace (byte-identical across runs with the
 	// same seed and rate).
-	Trace string
+	trace string
 }
 
-func (r ChaosRun) outcome() runOutcome { return runOutcome{r.Completed, r.MakespanSec} }
-
-// ChaosOnce executes one seeded chaos run at the given transient job-failure
+// chaosOnce executes one seeded chaos run at the given transient job-failure
 // rate. The incident schedule is fixed: worker2 crashes at t=90s for 3
 // minutes, and the registry browns out (bandwidth ÷8) from t=30s for 2
 // minutes. rate 0 keeps the incident schedule but no probabilistic
 // failures; scheduleIncidents=false gives a clean fault-free baseline.
-func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents bool, quick bool) ChaosRun {
+func chaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents bool, quick bool) chaosRun {
 	s := core.NewStack(seed, prm)
 	in := s.EnableFaults()
 
@@ -66,9 +59,8 @@ func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents b
 		}
 	}
 
-	var out ChaosRun
-	s.Env.Go("main", func(p *sim.Proc) {
-		defer s.Shutdown()
+	var out chaosRun
+	runMain(s.Env, s, chaosHorizon, func(p *sim.Proc) {
 		wf := mosaic(quick)
 		// Cold policy: no pre-provisioned replicas and no pre-pull, so the
 		// serverless tasks' first invocations pull through the (possibly
@@ -79,111 +71,97 @@ func ChaosOnce(seed uint64, prm config.Params, rate float64, scheduleIncidents b
 		}
 		assign := wms.AssignFractions(s.Env.Rand().Fork(), 0.4, 0.2, 0.4)
 		res, stats, err := s.Engine.RunWorkflowWithRecovery(p, wf, assign, 3)
-		out.Rescues = stats.Rescues
-		out.Retries = stats.Abandoned
+		out.rescues = stats.Rescues
+		out.retries = stats.Abandoned
 		if err != nil {
 			return
 		}
 		for _, task := range res.Tasks {
-			out.Retries += task.Attempts - 1
+			out.retries += task.Attempts - 1
 		}
-		out.Completed = true
-		out.MakespanSec = res.Makespan().Seconds()
+		out.runOutcome = runOutcome{true, res.Makespan().Seconds()}
 	})
-	s.Env.RunUntil(chaosHorizon)
-	out.FaultEvents = in.Events()
-	out.Trace = in.Trace()
+	out.faultEvents = in.Events()
+	out.trace = in.Trace()
 	return out
 }
 
-// ChaosRow aggregates the repetitions at one failure rate. Counters that can
+// chaosRow aggregates the repetitions at one failure rate. Counters that can
 // accrue on runs which never finish (retries, fault events) are reported
 // under both denominators explicitly — per attempted run and per completed
 // run — instead of silently mixing them the way the first version of this
 // sweep did (makespan over completed, retries over attempted).
-type ChaosRow struct {
-	Rate      float64
-	Attempted int
-	Completion
-	InflationPct float64 // vs the fault-free baseline
+type chaosRow struct {
+	Rate           float64 `col:"fault_rate" fmt:"%.2f"`
+	CompletionRate float64 `col:"completion"`
+	N              int     `col:"n"`
+	Makespan       float64 `col:"makespan_s"`
+	MakespanStd    float64 `col:"makespan_std_s"`
+	InflationPct   float64 `col:"inflation_pct"` // vs the fault-free baseline
 	// MeanRetriesAttempted / MeanRetriesCompleted are the retry counter
 	// averaged over all attempted runs and over completed runs only.
-	MeanRetriesAttempted float64
-	MeanRetriesCompleted float64
-	Rescues              int // total across reps
+	MeanRetriesAttempted float64 `col:"retries/att"`
+	MeanRetriesCompleted float64 `col:"retries/compl"`
+	Rescues              int     `col:"rescues"` // total across reps
 	// MeanFaultsAttempted / MeanFaultsCompleted are the injector's event
 	// count under each denominator.
-	MeanFaultsAttempted float64
-	MeanFaultsCompleted float64
+	MeanFaultsAttempted float64 `col:"faults/att"`
+	MeanFaultsCompleted float64 `col:"faults/compl"`
 }
 
-// ChaosResult is the escalating-fault-rate study.
-type ChaosResult struct {
-	// BaselineSec is the fault-free mean makespan the inflation column is
-	// relative to.
-	BaselineSec float64
-	Rows        []ChaosRow
+// chaosCell is one sweep point; the fault-free baseline runs no incident
+// schedule.
+type chaosCell struct {
+	rate      float64
+	incidents bool
 }
 
-// Chaos sweeps the transient-failure rate, reporting completion rate,
+// chaos sweeps the transient-failure rate, reporting completion rate,
 // makespan inflation over a fault-free baseline, retry counts (under both
 // denominators), and rescue-DAG usage. The fault-free baseline and every
 // (rate, rep) pair are independent seeded runs, so the whole study fans out
 // across the pool at once.
-func Chaos(o Options) ChaosResult {
-	rates := []float64{0, 0.1, 0.25}
-	if o.Quick {
-		rates = []float64{0, 0.25}
-	}
-	// Cell 0 is the fault-free baseline (no incident schedule); cell 1+i
-	// runs the incidents at rates[i].
-	type chaosCell struct {
-		rate      float64
-		incidents bool
-	}
-	cells := []chaosCell{{0, false}}
-	for _, rate := range rates {
-		cells = append(cells, chaosCell{rate, true})
-	}
-	runs := sweep(o, cells, func(c chaosCell, seed uint64) ChaosRun {
-		return ChaosOnce(seed, o.Prm, c.rate, c.incidents, o.Quick)
-	})
-
-	res := ChaosResult{BaselineSec: completion(runs[0]).Makespan}
-	for ri, rate := range rates {
-		row := ChaosRow{Rate: rate, Attempted: len(runs[1+ri]), Completion: completion(runs[1+ri])}
+var chaos = study[chaosCell, chaosRun, chaosRow]{
+	cells: func(o Options) []chaosCell {
+		rates := sized(o.Quick, []float64{0, 0.1, 0.25}, []float64{0, 0.25})
+		// Cell 0 is the fault-free baseline; cell 1+i runs the incidents
+		// at rates[i].
+		cells := []chaosCell{{0, false}}
+		for _, rate := range rates {
+			cells = append(cells, chaosCell{rate, true})
+		}
+		return cells
+	},
+	once: func(o Options, c chaosCell, seed uint64) chaosRun {
+		return chaosOnce(seed, o.Prm, c.rate, c.incidents, o.Quick)
+	},
+	fold: func(_ Options, c chaosCell, reps []chaosRun) chaosRow {
+		done := completionOf(reps)
+		row := chaosRow{Rate: c.rate, CompletionRate: done.CompletionRate, N: done.N,
+			Makespan: done.Makespan, MakespanStd: done.MakespanStd}
 		var retA, retC, fltA, fltC metrics.Welford
-		for _, run := range runs[1+ri] {
-			retA.Add(float64(run.Retries))
-			fltA.Add(float64(run.FaultEvents))
-			row.Rescues += run.Rescues
-			if run.Completed {
-				retC.Add(float64(run.Retries))
-				fltC.Add(float64(run.FaultEvents))
+		for _, run := range reps {
+			retA.Add(float64(run.retries))
+			fltA.Add(float64(run.faultEvents))
+			row.Rescues += run.rescues
+			if run.ok {
+				retC.Add(float64(run.retries))
+				fltC.Add(float64(run.faultEvents))
 			}
 		}
 		row.MeanRetriesAttempted = retA.Mean()
 		row.MeanRetriesCompleted = retC.Mean()
 		row.MeanFaultsAttempted = fltA.Mean()
 		row.MeanFaultsCompleted = fltC.Mean()
-		if res.BaselineSec > 0 && row.N > 0 {
-			row.InflationPct = (row.Makespan/res.BaselineSec - 1) * 100
+		return row
+	},
+	report: func(_ Options, rows []chaosRow) report {
+		baseline, rows := rows[0].Makespan, rows[1:]
+		for i := range rows {
+			if baseline > 0 && rows[i].N > 0 {
+				rows[i].InflationPct = (rows[i].Makespan/baseline - 1) * 100
+			}
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
-// WriteTable renders the chaos study.
-func (r ChaosResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("fault_rate", "completion", "n", "makespan_s", "makespan_std_s", "inflation_pct", "retries/att", "retries/compl", "rescues", "faults/att", "faults/compl")
-	for _, row := range r.Rows {
-		tbl.AddRow(fmt.Sprintf("%.2f", row.Rate), row.CompletionRate, row.N, row.Makespan, row.MakespanStd, row.InflationPct,
-			row.MeanRetriesAttempted, row.MeanRetriesCompleted, row.Rescues, row.MeanFaultsAttempted, row.MeanFaultsCompleted)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\nchaos (robustness): Montage in mixed mode under escalating transient-failure\nrates plus a fixed incident schedule (worker2 crash @90s for 3m, registry\nbrownout ÷8 @30s for 2m); recovery via layered retries and rescue-DAG\nresumption; baseline (fault-free) makespan %.1f s\n", r.BaselineSec)
-	return err
+		return report{rows: rows, note: fmt.Sprintf("\nchaos (robustness): Montage in mixed mode under escalating transient-failure\nrates plus a fixed incident schedule (worker2 crash @90s for 3m, registry\nbrownout ÷8 @30s for 2m); recovery via layered retries and rescue-DAG\nresumption; baseline (fault-free) makespan %.1f s\n", baseline)}
+	},
 }

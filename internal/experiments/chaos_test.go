@@ -16,17 +16,17 @@ func chaosPrm() config.Params {
 }
 
 func TestChaosDeterminism(t *testing.T) {
-	a := ChaosOnce(1, chaosPrm(), 0.3, true, true)
-	b := ChaosOnce(1, chaosPrm(), 0.3, true, true)
-	if a.Trace != b.Trace {
-		t.Errorf("same seed produced different fault traces:\n%s\n---\n%s", a.Trace, b.Trace)
+	a := chaosOnce(1, chaosPrm(), 0.3, true, true)
+	b := chaosOnce(1, chaosPrm(), 0.3, true, true)
+	if a.trace != b.trace {
+		t.Errorf("same seed produced different fault traces:\n%s\n---\n%s", a.trace, b.trace)
 	}
-	if a.Completed != b.Completed || a.MakespanSec != b.MakespanSec ||
-		a.Retries != b.Retries || a.Rescues != b.Rescues || a.FaultEvents != b.FaultEvents {
+	if a.ok != b.ok || a.makespan != b.makespan ||
+		a.retries != b.retries || a.rescues != b.rescues || a.faultEvents != b.faultEvents {
 		t.Errorf("same seed produced different metrics: %+v vs %+v", a, b)
 	}
-	c := ChaosOnce(2, chaosPrm(), 0.3, true, true)
-	if c.Trace == a.Trace {
+	c := chaosOnce(2, chaosPrm(), 0.3, true, true)
+	if c.trace == a.trace {
 		t.Error("different seeds produced identical fault traces")
 	}
 }
@@ -37,64 +37,64 @@ func TestChaosDeterminism(t *testing.T) {
 func TestChaosMontageSurvivesIncidents(t *testing.T) {
 	// 10% transient failures with the default (generous) retry budget:
 	// retries absorb everything.
-	mild := ChaosOnce(1, config.Default(), 0.1, true, true)
-	if !mild.Completed {
-		t.Errorf("montage did not complete at 10%% fault rate:\n%s", mild.Trace)
+	mild := chaosOnce(1, config.Default(), 0.1, true, true)
+	if !mild.ok {
+		t.Errorf("montage did not complete at 10%% fault rate:\n%s", mild.trace)
 	}
-	if mild.FaultEvents < 4 {
-		t.Errorf("fault events = %d; incident schedule not delivered", mild.FaultEvents)
+	if mild.faultEvents < 4 {
+		t.Errorf("fault events = %d; incident schedule not delivered", mild.faultEvents)
 	}
 
 	// 30% failures with a 2-attempt budget: tasks exhaust their budgets, so
 	// completion requires rescue-DAG resumption.
-	harsh := ChaosOnce(1, chaosPrm(), 0.3, true, true)
-	if !harsh.Completed {
-		t.Errorf("montage did not complete under harsh faults:\n%s", harsh.Trace)
+	harsh := chaosOnce(1, chaosPrm(), 0.3, true, true)
+	if !harsh.ok {
+		t.Errorf("montage did not complete under harsh faults:\n%s", harsh.trace)
 	}
-	if harsh.Retries < 1 {
+	if harsh.retries < 1 {
 		t.Error("no retries recorded under 30% fault injection")
 	}
-	if harsh.Rescues < 1 {
+	if harsh.rescues < 1 {
 		t.Error("no rescue-DAG recovery exercised under harsh faults")
 	}
 	for _, want := range []string{"node-crash", "registry-brownout", "job-failure"} {
-		if !strings.Contains(harsh.Trace, want) {
-			t.Errorf("trace missing %s:\n%s", want, harsh.Trace)
+		if !strings.Contains(harsh.trace, want) {
+			t.Errorf("trace missing %s:\n%s", want, harsh.trace)
 		}
 	}
 }
 
 func TestChaosBaselineIsFaultFree(t *testing.T) {
-	base := ChaosOnce(1, config.Default(), 0, false, true)
-	if !base.Completed {
+	base := chaosOnce(1, config.Default(), 0, false, true)
+	if !base.ok {
 		t.Error("baseline run did not complete")
 	}
-	if base.FaultEvents != 0 || base.Trace != "" {
-		t.Errorf("baseline recorded %d fault events:\n%s", base.FaultEvents, base.Trace)
+	if base.faultEvents != 0 || base.trace != "" {
+		t.Errorf("baseline recorded %d fault events:\n%s", base.faultEvents, base.trace)
 	}
 	// With incidents on, the same seed is slowed down, never sped up.
-	incidents := ChaosOnce(1, config.Default(), 0, true, true)
-	if incidents.Completed && incidents.MakespanSec < base.MakespanSec {
+	incidents := chaosOnce(1, config.Default(), 0, true, true)
+	if incidents.ok && incidents.makespan < base.makespan {
 		t.Errorf("incident run (%.1fs) faster than fault-free baseline (%.1fs)",
-			incidents.MakespanSec, base.MakespanSec)
+			incidents.makespan, base.makespan)
 	}
 }
 
 func TestChaosSweepTable(t *testing.T) {
 	o := QuickOptions()
 	o.Reps = 1
-	res := Chaos(o)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (quick sweep)", len(res.Rows))
+	rows := chaos.rows(o)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d, want the baseline and 2 rates (quick sweep)", len(rows))
 	}
-	if res.BaselineSec <= 0 {
-		t.Errorf("baseline = %.1f", res.BaselineSec)
+	if baseline := rows[0].Makespan; baseline <= 0 {
+		t.Errorf("baseline = %.1f", baseline)
 	}
-	if res.Rows[0].Rate != 0 || res.Rows[0].CompletionRate != 1 {
-		t.Errorf("zero-rate row: %+v", res.Rows[0])
+	if rows[1].Rate != 0 || rows[1].CompletionRate != 1 {
+		t.Errorf("zero-rate row: %+v", rows[1])
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := chaos.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fault_rate", "completion", "inflation_pct", "rescues"} {

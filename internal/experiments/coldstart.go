@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/knative"
@@ -12,50 +9,52 @@ import (
 	"repro/internal/workload"
 )
 
-// ColdStartResult compares a scale-from-zero invocation with a warm one —
-// the 1.48 s annotation of Fig. 1 (each latency mean ± sample stddev over
+// coldRep is one run's latencies: the first, scale-from-zero invocation and
+// the warm one after it.
+type coldRep struct{ cold, warm float64 }
+
+// coldCell folds one cell's latencies over its reps.
+type coldCell struct{ cold, warm metrics.Welford }
+
+// coldStartRow is one latency of the comparison (mean ± sample stddev over
 // N seeded repetitions).
-type ColdStartResult struct {
-	ColdSecs float64
-	ColdStd  float64
-	WarmSecs float64
-	WarmStd  float64
-	// ColdNoImageSecs separates the image-staged cold start (the paper's
-	// number) from a fully cold node that must pull the image first.
-	ColdNoImageSecs float64
-	ColdNoImageStd  float64
-	N               int
+type coldStartRow struct {
+	Path    string  `col:"path"`
+	Latency float64 `col:"latency_s"`
+	Std     float64 `col:"std_s"`
+	N       int     `col:"n"`
 }
 
-// ColdStart measures the three latencies, averaged over o.Reps seeds.
-func ColdStart(o Options) ColdStartResult {
-	// Cell 0 stages the image on every node first; cell 1 pulls it cold.
-	type coldRep struct{ cold, warm float64 }
-	runs := sweep(o, []bool{true, false}, func(prePull bool, seed uint64) coldRep {
-		cold, warm := coldStartOnce(seed, o, prePull)
-		return coldRep{cold, warm}
-	})
-	var cw, ww, nw metrics.Welford
-	for r, staged := range runs[0] {
-		cw.Add(staged.cold)
-		ww.Add(staged.warm)
-		nw.Add(runs[1][r].cold)
-	}
-	return ColdStartResult{
-		ColdSecs:        cw.Mean(),
-		ColdStd:         cw.Std(),
-		WarmSecs:        ww.Mean(),
-		WarmStd:         ww.Std(),
-		ColdNoImageSecs: nw.Mean(),
-		ColdNoImageStd:  nw.Std(),
-		N:               cw.N(),
-	}
+// coldStart compares a scale-from-zero invocation with a warm one — the
+// 1.48 s annotation of Fig. 1. Cell true stages the image on every node
+// first (the paper's number); cell false is a fully cold node that must
+// pull the image.
+var coldStart = study[bool, coldRep, coldCell]{
+	cells: func(Options) []bool { return []bool{true, false} },
+	once:  coldStartOnce,
+	fold: func(_ Options, _ bool, reps []coldRep) coldCell {
+		var c coldCell
+		for _, rep := range reps {
+			c.cold.Add(rep.cold)
+			c.warm.Add(rep.warm)
+		}
+		return c
+	},
+	report: func(_ Options, cells []coldCell) report {
+		staged, pulled := cells[0], cells[1]
+		n := staged.cold.N()
+		return report{rows: []coldStartRow{
+			{"cold (image staged)", staged.cold.Mean(), staged.cold.Std(), n},
+			{"cold (image pull included)", pulled.cold.Mean(), pulled.cold.Std(), n},
+			{"warm (container reused)", staged.warm.Mean(), staged.warm.Std(), n},
+		}, note: "\npaper reference: 1.48s cold start (Fig. 1)\n"}
+	},
 }
 
-func coldStartOnce(seed uint64, o Options, prePull bool) (coldSecs, warmSecs float64) {
+func coldStartOnce(o Options, prePull bool, seed uint64) (rep coldRep) {
 	s := core.NewStack(seed, o.Prm)
-	s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
-	s.Env.Go("main", func(p *sim.Proc) {
+	s.RegisterTransformation(workload.MatmulTransformation, appLayer(o.Prm))
+	runMain(s.Env, s, 0, func(p *sim.Proc) {
 		policy := core.DeployPolicy{
 			InitialScale:         0,
 			ContainerConcurrency: 8,
@@ -71,27 +70,12 @@ func coldStartOnce(seed uint64, o Options, prePull bool) (coldSecs, warmSecs flo
 		if _, err := svc.Invoke(p, req); err != nil {
 			panic(err)
 		}
-		coldSecs = (p.Now() - t0).Seconds()
+		rep.cold = (p.Now() - t0).Seconds()
 		t0 = p.Now()
 		if _, err := svc.Invoke(p, req); err != nil {
 			panic(err)
 		}
-		warmSecs = (p.Now() - t0).Seconds()
-		s.Shutdown()
+		rep.warm = (p.Now() - t0).Seconds()
 	})
-	s.Env.Run()
-	return coldSecs, warmSecs
-}
-
-// WriteTable renders the comparison.
-func (r ColdStartResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("path", "latency_s", "std_s", "n")
-	tbl.AddRow("cold (image staged)", r.ColdSecs, r.ColdStd, r.N)
-	tbl.AddRow("cold (image pull included)", r.ColdNoImageSecs, r.ColdNoImageStd, r.N)
-	tbl.AddRow("warm (container reused)", r.WarmSecs, r.WarmStd, r.N)
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\npaper reference: 1.48s cold start (Fig. 1)\n")
-	return err
+	return rep
 }

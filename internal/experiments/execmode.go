@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -33,11 +32,9 @@ type execModeSize struct {
 }
 
 func execModeSizeFor(quick bool) execModeSize {
-	if quick {
-		return execModeSize{Width: 8, Depth: 3, Nodes: 3, Cores: 8}
-	}
-	// 256 chains of depth 40 → 10242 tasks on a 512-core cluster.
-	return execModeSize{Width: 256, Depth: 40, Nodes: 32, Cores: 16}
+	// Full size: 256 chains of depth 40 → 10242 tasks on a 512-core cluster.
+	return sized(quick, execModeSize{Width: 256, Depth: 40, Nodes: 32, Cores: 16},
+		execModeSize{Width: 8, Depth: 3, Nodes: 3, Cores: 8})
 }
 
 // ExecModeRun is one seeded run of the fan DAG under one execution mode.
@@ -61,20 +58,13 @@ func ExecModeOnce(seed uint64, base config.Params, mode config.ExecMode, quick b
 
 	s := core.NewStack(seed, prm)
 	tr := trace.New(s.Env)
+	wf := workload.FanOutFanIn(sim.NewRNG(seed), "fan",
+		size.Width, size.Depth, execModeFileBytes, workload.UniformScale(0.5, 1.5))
 	var out ExecModeRun
-	s.Env.Go("main", func(p *sim.Proc) {
-		defer s.Shutdown()
-		s.RegisterTransformation(workload.MatmulTransformation,
-			prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
-		wf := workload.FanOutFanIn(sim.NewRNG(seed), "fan",
-			size.Width, size.Depth, execModeFileBytes, workload.UniformScale(0.5, 1.5))
-		res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeNative))
-		if err != nil {
-			panic(err)
-		}
+	_, err := workflowRun{wf: wf, mode: wms.ModeNative, after: func(res *wms.RunResult) error {
 		cp, err := trace.Analyze(tr, wf, "fan")
 		if err != nil {
-			panic(err)
+			return err
 		}
 		out.Tasks = len(res.Tasks)
 		out.MakespanS = res.Makespan().Seconds()
@@ -84,75 +74,62 @@ func ExecModeOnce(seed uint64, base config.Params, mode config.ExecMode, quick b
 				out.ReleaseSpans++
 			}
 		}
-	})
-	s.Env.Run()
+		return nil
+	}}.on(s)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
 
-// ExecModeRow is one mode's scorecard over the repetitions.
-type ExecModeRow struct {
-	Mode         string
-	P50S, P99S   float64 // makespan percentiles across reps, seconds
-	PollMeanS    float64 // mean dagman-poll bucket, seconds
-	PollElimPct  float64 // % of the poll mode's bucket eliminated
-	ReleaseSpans float64 // mean release markers per run
+// execModeRow is one mode's scorecard over the repetitions.
+type execModeRow struct {
+	Mode config.ExecMode `col:"mode"`
+	// P50S and P99S are makespan percentiles across reps, seconds.
+	P50S         float64 `col:"p50_s"`
+	P99S         float64 `col:"p99_s"`
+	PollMeanS    float64 `col:"poll_s"`        // mean dagman-poll bucket, seconds
+	PollElimPct  float64 `col:"poll_elim_pct"` // % of the poll mode's bucket eliminated
+	ReleaseSpans float64 `col:"releases"`      // mean release markers per run
+	tasks        int     // DAG size per run
 }
 
-// ExecModeResult is the release-path comparison.
-type ExecModeResult struct {
-	Tasks int // DAG size per run
-	Reps  int
-	Rows  []ExecModeRow
-}
-
-// ExecModeStudy replays the same seeded fan DAGs under every execution mode.
+// execMode replays the same seeded fan DAGs under every execution mode.
 // Each (mode, rep) pair is an independent simulation fanned across the
 // worker pool; results are identical at any worker count.
-func ExecModeStudy(o Options) ExecModeResult {
-	modes := config.ExecModes()
-	runs := sweep(o, modes, func(mode config.ExecMode, seed uint64) ExecModeRun {
+var execMode = study[config.ExecMode, ExecModeRun, execModeRow]{
+	cells: func(Options) []config.ExecMode { return config.ExecModes() },
+	once: func(o Options, mode config.ExecMode, seed uint64) ExecModeRun {
 		return ExecModeOnce(seed, o.Prm, mode, o.Quick)
-	})
-
-	res := ExecModeResult{Reps: o.Reps}
-	var pollBase float64
-	for mi, mode := range modes {
-		makespans := make([]float64, 0, o.Reps)
+	},
+	fold: func(_ Options, mode config.ExecMode, reps []ExecModeRun) execModeRow {
+		makespans := make([]float64, 0, len(reps))
 		var poll, rel metrics.Welford
-		for _, run := range runs[mi] {
-			res.Tasks = run.Tasks
+		for _, run := range reps {
 			makespans = append(makespans, run.MakespanS)
 			poll.Add(run.PollS)
 			rel.Add(float64(run.ReleaseSpans))
 		}
-		row := ExecModeRow{
-			Mode:         mode.String(),
+		return execModeRow{
+			Mode:         mode,
 			P50S:         metrics.Percentile(makespans, 50),
 			P99S:         metrics.Percentile(makespans, 99),
 			PollMeanS:    poll.Mean(),
 			ReleaseSpans: rel.Mean(),
+			tasks:        reps[len(reps)-1].Tasks,
 		}
-		if mode == config.ExecPoll {
-			pollBase = row.PollMeanS
+	},
+	report: func(o Options, rows []execModeRow) report {
+		var pollBase float64
+		for i, row := range rows {
+			if row.Mode == config.ExecPoll {
+				pollBase = row.PollMeanS
+			}
+			if pollBase > 0 {
+				rows[i].PollElimPct = (1 - row.PollMeanS/pollBase) * 100
+			}
 		}
-		if pollBase > 0 {
-			row.PollElimPct = (1 - row.PollMeanS/pollBase) * 100
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
-// WriteTable renders the execution-mode comparison.
-func (r ExecModeResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("mode", "p50_s", "p99_s", "poll_s", "poll_elim_pct", "releases")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Mode, row.P50S, row.P99S, row.PollMeanS, row.PollElimPct, row.ReleaseSpans)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\nexecmode (release-path study): %d-task fan-out/fan-in DAG, %d seeded reps\nper mode; poll_s is the critical path's completion→observation lag, which\nthe decentralized and trigger modes eliminate by releasing successors at\ncompletion time instead of at the next DAGMan poll tick\n",
-		r.Tasks, r.Reps)
-	return err
+		return report{rows: rows, note: fmt.Sprintf("\nexecmode (release-path study): %d-task fan-out/fan-in DAG, %d seeded reps\nper mode; poll_s is the critical path's completion→observation lag, which\nthe decentralized and trigger modes eliminate by releasing successors at\ncompletion time instead of at the next DAGMan poll tick\n",
+			rows[len(rows)-1].tasks, o.Reps)}
+	},
 }

@@ -18,28 +18,30 @@ import (
 // a regression in any substrate that would change "who wins" fails CI.
 
 func TestFig1ShapeDockerSlowerAndColdStart(t *testing.T) {
-	res := Fig1(QuickOptions())
-	if len(res.Rows) == 0 {
+	o := QuickOptions()
+	rows := fig1.rows(o)
+	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		if row.DockerSecs <= row.KnativeSecs {
 			t.Errorf("at %d tasks docker %.1fs <= knative %.1fs", row.Tasks, row.DockerSecs, row.KnativeSecs)
 		}
 	}
-	if res.DockerFit.Slope <= res.KnativeFit.Slope {
-		t.Errorf("docker slope %.3f <= knative slope %.3f", res.DockerFit.Slope, res.KnativeFit.Slope)
+	docker, knative, speedup := fig1Fits(rows)
+	if docker.Slope <= knative.Slope {
+		t.Errorf("docker slope %.3f <= knative slope %.3f", docker.Slope, knative.Slope)
 	}
 	// Paper: "up to 30%" reduction; accept the 15–35% band.
-	if res.SpeedupPct < 15 || res.SpeedupPct > 35 {
-		t.Errorf("slope reduction %.1f%%, want 15–35%%", res.SpeedupPct)
+	if speedup < 15 || speedup > 35 {
+		t.Errorf("slope reduction %.1f%%, want 15–35%%", speedup)
 	}
 	// Paper: 1.48 s cold start.
-	if res.ColdStartSecs < 1.2 || res.ColdStartSecs > 1.8 {
-		t.Errorf("cold start %.2fs, want ≈1.48s", res.ColdStartSecs)
+	if cold := rows[len(rows)-1].coldSecs; cold < 1.2 || cold > 1.8 {
+		t.Errorf("cold start %.2fs, want ≈1.48s", cold)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := fig1.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "docker fit") {
@@ -48,8 +50,10 @@ func TestFig1ShapeDockerSlowerAndColdStart(t *testing.T) {
 }
 
 func TestFig2ShapeSlopes(t *testing.T) {
-	res := Fig2(QuickOptions())
-	n, k, c := res.NativeFit.Slope, res.KnativeFit.Slope, res.ContainerFit.Slope
+	o := QuickOptions()
+	rows := fig2.rows(o)
+	native, knative, container := fig2Fits(rows)
+	n, k, c := native.Slope, knative.Slope, container.Slope
 	if !(n <= k) {
 		t.Errorf("native slope %.3f > knative slope %.3f", n, k)
 	}
@@ -62,7 +66,7 @@ func TestFig2ShapeSlopes(t *testing.T) {
 		t.Errorf("container slope %.3f not ≫ native %.3f", c, n)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := fig2.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,9 +75,8 @@ func TestFig6ShapeOrdering(t *testing.T) {
 	o := QuickOptions()
 	// Quick mode shrinks the workload; keep the paper's geometry by using
 	// enough tasks for the per-task overheads to accumulate.
-	res := Fig6(o)
-	byLabel := map[string]Fig6Scenario{}
-	for _, s := range res.Scenarios {
+	byLabel := map[string]fig6Row{}
+	for _, s := range fig6.rows(o) {
 		byLabel[s.Label] = s
 	}
 	native := byLabel["all-native"].MakespanSecs
@@ -97,14 +100,13 @@ func TestFig6ShapeOrdering(t *testing.T) {
 }
 
 func TestFig5SimplexCoverageAndExtremes(t *testing.T) {
-	o := QuickOptions()
-	res := Fig5(o)
+	points := fig5.rows(QuickOptions())
 	// Step 0.5 simplex: 6 points.
-	if len(res.Points) != 6 {
-		t.Fatalf("points = %d, want 6", len(res.Points))
+	if len(points) != 6 {
+		t.Fatalf("points = %d, want 6", len(points))
 	}
 	var nativeOnly, containerOnly float64
-	for _, pt := range res.Points {
+	for _, pt := range points {
 		sum := pt.Mix.Native + pt.Mix.Container + pt.Mix.Serverless
 		if sum < 0.99 || sum > 1.01 {
 			t.Errorf("mix %v does not sum to 1", pt.Mix)
@@ -128,18 +130,21 @@ func TestFig5SimplexCoverageAndExtremes(t *testing.T) {
 }
 
 func TestColdStartShape(t *testing.T) {
-	res := ColdStart(QuickOptions())
-	if res.ColdSecs < 1.2 || res.ColdSecs > 1.8 {
-		t.Errorf("cold = %.3fs, want ≈1.48s", res.ColdSecs)
+	o := QuickOptions()
+	cells := coldStart.rows(o)
+	staged, pulled := cells[0], cells[1]
+	cold, warm, coldNoImage := staged.cold.Mean(), staged.warm.Mean(), pulled.cold.Mean()
+	if cold < 1.2 || cold > 1.8 {
+		t.Errorf("cold = %.3fs, want ≈1.48s", cold)
 	}
-	if res.WarmSecs >= res.ColdSecs/10 {
-		t.Errorf("warm %.3fs not ≪ cold %.3fs", res.WarmSecs, res.ColdSecs)
+	if warm >= cold/10 {
+		t.Errorf("warm %.3fs not ≪ cold %.3fs", warm, cold)
 	}
-	if res.ColdNoImageSecs <= res.ColdSecs {
-		t.Errorf("un-staged cold %.3fs not slower than staged %.3fs", res.ColdNoImageSecs, res.ColdSecs)
+	if coldNoImage <= cold {
+		t.Errorf("un-staged cold %.3fs not slower than staged %.3fs", coldNoImage, cold)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := coldStart.tabulate(o, cells).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +173,7 @@ func TestSharedWorkflowAcrossWorkers(t *testing.T) {
 	wf := workload.Chain("shared", 6, prm.MatrixBytes)
 	runs := parallel.Run(8, 4, func(int) *wms.RunResult {
 		s := core.NewStack(1, prm)
-		s.RegisterTransformation(workload.MatmulTransformation, prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+		s.RegisterTransformation(workload.MatmulTransformation, appLayer(prm))
 		var res *wms.RunResult
 		s.Env.Go("main", func(p *sim.Proc) {
 			defer s.Shutdown()

@@ -8,12 +8,13 @@ import (
 )
 
 func TestDataMovementShape(t *testing.T) {
-	res := DataMovement(QuickOptions())
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	o := QuickOptions()
+	rows := dataMovement.rows(o)
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	byKey := map[string]DataMovementRow{}
-	for _, row := range res.Rows {
+	byKey := map[string]dataMovementRow{}
+	for _, row := range rows {
 		byKey[row.Mode.String()+"/"+row.Staging.String()] = row
 	}
 	cont := byKey["container/by-value"]
@@ -40,39 +41,41 @@ func TestDataMovementShape(t *testing.T) {
 		t.Errorf("object-store total %.1fMB not < by-value %.1fMB", slsOS.TotalMB, slsVal.TotalMB)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := dataMovement.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestResizingTradeoff(t *testing.T) {
-	res := Resizing(QuickOptions())
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	o := QuickOptions()
+	rows := resizing.rows(o)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	// Quick mode compares split 1 vs 4: splitting a heavy task must help.
-	if res.Rows[1].Makespan >= res.Rows[0].Makespan {
-		t.Errorf("split 4 (%.1fs) not faster than split 1 (%.1fs)", res.Rows[1].Makespan, res.Rows[0].Makespan)
+	if rows[1].Completion.Makespan >= rows[0].Completion.Makespan {
+		t.Errorf("split 4 (%.1fs) not faster than split 1 (%.1fs)", rows[1].Completion.Makespan, rows[0].Completion.Makespan)
 	}
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		if row.Tasks != 5*row.Split {
 			t.Errorf("split %d has %d tasks", row.Split, row.Tasks)
 		}
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := resizing.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRedirectionAvoidsHotNode(t *testing.T) {
-	res := Redirection(QuickOptions())
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	o := QuickOptions()
+	rows := redirection.rows(o)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	lr, lnl := res.Rows[0], res.Rows[1]
+	lr, lnl := rows[0], rows[1]
 	if lr.Policy != "least-requests" || lnl.Policy != "least-node-load" {
-		t.Fatalf("row order: %v", res.Rows)
+		t.Fatalf("row order: %v", rows)
 	}
 	if lnl.MeanSec >= lr.MeanSec {
 		t.Errorf("load-aware mean %.3fs not better than default %.3fs", lnl.MeanSec, lr.MeanSec)
@@ -81,49 +84,51 @@ func TestRedirectionAvoidsHotNode(t *testing.T) {
 		t.Errorf("load-aware p95 %.3fs worse than default %.3fs", lnl.P95Sec, lr.P95Sec)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := redirection.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestClusteringAmortisesScheduling(t *testing.T) {
-	res := Clustering(QuickOptions())
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	o := QuickOptions()
+	rows := clustering.rows(o)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	unclustered, clustered := res.Rows[0], res.Rows[1]
-	if clustered.Makespan >= unclustered.Makespan {
-		t.Errorf("clustered %.1fs not faster than unclustered %.1fs", clustered.Makespan, unclustered.Makespan)
+	unclustered, clustered := rows[0], rows[1]
+	if clustered.Completion.Makespan >= unclustered.Completion.Makespan {
+		t.Errorf("clustered %.1fs not faster than unclustered %.1fs", clustered.Completion.Makespan, unclustered.Completion.Makespan)
 	}
 	if clustered.Jobs >= unclustered.Jobs {
 		t.Errorf("clustering did not reduce job count: %d vs %d", clustered.Jobs, unclustered.Jobs)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := clustering.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMontageComplexWorkflowOrdering(t *testing.T) {
-	res := Montage(QuickOptions())
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	o := QuickOptions()
+	rows := montage.rows(o)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	byMode := map[wms.Mode]MontageRow{}
-	for _, row := range res.Rows {
+	byMode := map[wms.Mode]montageRow{}
+	for _, row := range rows {
 		byMode[row.Mode] = row
 		if row.Tasks != 14 { // 4 tiles: 4+3+1+1+4+1
 			t.Errorf("%v tasks = %d, want 14", row.Mode, row.Tasks)
 		}
 	}
-	native := byMode[wms.ModeNative].Makespan
-	sls := byMode[wms.ModeServerless].Makespan
-	cont := byMode[wms.ModeContainer].Makespan
+	native := byMode[wms.ModeNative].Completion.Makespan
+	sls := byMode[wms.ModeServerless].Completion.Makespan
+	cont := byMode[wms.ModeContainer].Completion.Makespan
 	if !(native <= sls && native < cont) {
 		t.Errorf("mode ordering broken on complex workflow: native %.1f, serverless %.1f, container %.1f", native, sls, cont)
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := montage.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,12 +136,12 @@ func TestMontageComplexWorkflowOrdering(t *testing.T) {
 func TestIsolationQuantified(t *testing.T) {
 	o := QuickOptions()
 	o.Reps = 1
-	res := Isolation(o)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	rows := isolation.rows(o)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	byMode := map[wms.Mode]IsolationRow{}
-	for _, row := range res.Rows {
+	byMode := map[wms.Mode]isolationRow{}
+	for _, row := range rows {
 		byMode[row.Mode] = row
 	}
 	native := byMode[wms.ModeNative]
@@ -150,7 +155,7 @@ func TestIsolationQuantified(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := res.WriteTable(&sb); err != nil {
+	if err := isolation.tabulate(o, rows).write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }

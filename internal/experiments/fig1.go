@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/cluster"
@@ -14,92 +13,98 @@ import (
 	"repro/internal/sim"
 )
 
-// Fig1Row is one x-position of Fig. 1: total time to run `Tasks` sequential
+// fig1Row is one x-position of Fig. 1: total time to run Tasks sequential
 // matrix multiplications under each container-management strategy, averaged
 // over the seeded repetitions (mean ± sample stddev over N reps).
-type Fig1Row struct {
-	Tasks        int
-	DockerSecs   float64
-	DockerStd    float64
-	KnativeSecs  float64
-	KnativeStd   float64
-	DockerPerTk  float64
-	KnativePerTk float64
-	N            int
-}
-
-// Fig1Result is the full figure: the series, the regression fits the paper
-// annotates, and the measured cold start (1.48 s in the paper).
-type Fig1Result struct {
-	Rows          []Fig1Row
-	DockerFit     metrics.Fit
-	KnativeFit    metrics.Fit
-	ColdStartSecs float64
-	// SpeedupPct is the slope-based reduction in per-task time
-	// ("up to 30%" in the paper).
-	SpeedupPct float64
+type fig1Row struct {
+	Tasks        int     `col:"tasks"`
+	DockerSecs   float64 `col:"docker_total_s"`
+	DockerStd    float64 `col:"docker_std_s"`
+	KnativeSecs  float64 `col:"knative_total_s"`
+	KnativeStd   float64 `col:"knative_std_s"`
+	DockerPerTk  float64 `col:"docker_per_task_s"`
+	KnativePerTk float64 `col:"knative_per_task_s"`
+	N            int     `col:"n"`
+	coldSecs     float64 // mean cold start of the knative arm
 }
 
 const fig1Image = "matmul-img"
 
-// Fig1 reproduces the container-reuse motivation experiment (§III-B):
+type fig1Rep struct{ docker, knative, cold float64 }
+
+// fig1 reproduces the container-reuse motivation experiment (§III-B):
 // docker runs every task in a fresh container from the CLI; knative sends
-// sequential HTTP requests to a service that reuses one warm container.
-func Fig1(o Options) Fig1Result {
-	sizes := []int{20, 40, 60, 80, 100, 120, 140, 160}
-	if o.Quick {
-		sizes = []int{20, 60, 100}
-	}
-	var res Fig1Result
-	type fig1Rep struct{ docker, knative, cold float64 }
-	runs := sweep(o, sizes, func(n int, seed uint64) fig1Rep {
-		d := fig1Docker(seed, o.Prm, n)
-		k, cold := fig1Knative(seed, o.Prm, n)
-		return fig1Rep{d.Seconds(), k.Seconds(), cold.Seconds()}
-	})
-	var xs, dy, ky []float64 // the regression series
-	for si, n := range sizes {
+// sequential HTTP requests to a service that reuses one warm container. The
+// note gives the regression fits the paper annotates, the measured cold
+// start (1.48 s in the paper) and the slope-based speedup.
+var fig1 = study[int, fig1Rep, fig1Row]{
+	cells: func(o Options) []int {
+		return sized(o.Quick, []int{20, 40, 60, 80, 100, 120, 140, 160}, []int{20, 60, 100})
+	},
+	once: func(o Options, n int, seed uint64) fig1Rep {
+		docker := fig1Docker(seed, o.Prm, n)
+		knative, cold := fig1Knative(seed, o.Prm, n)
+		return fig1Rep{docker, knative, cold}
+	},
+	fold: func(_ Options, n int, reps []fig1Rep) fig1Row {
 		var dw, kw, cw metrics.Welford
-		for _, rep := range runs[si] {
+		for _, rep := range reps {
 			dw.Add(rep.docker)
 			kw.Add(rep.knative)
 			cw.Add(rep.cold)
 		}
-		row := Fig1Row{
-			Tasks:       n,
-			DockerSecs:  dw.Mean(),
-			DockerStd:   dw.Std(),
-			KnativeSecs: kw.Mean(),
-			KnativeStd:  kw.Std(),
-			N:           dw.N(),
+		return fig1Row{
+			Tasks:        n,
+			DockerSecs:   dw.Mean(),
+			DockerStd:    dw.Std(),
+			KnativeSecs:  kw.Mean(),
+			KnativeStd:   kw.Std(),
+			DockerPerTk:  dw.Mean() / float64(n),
+			KnativePerTk: kw.Mean() / float64(n),
+			N:            dw.N(),
+			coldSecs:     cw.Mean(),
 		}
-		row.DockerPerTk = row.DockerSecs / float64(n)
-		row.KnativePerTk = row.KnativeSecs / float64(n)
-		res.Rows = append(res.Rows, row)
-		res.ColdStartSecs = cw.Mean()
-		xs = append(xs, float64(n))
+	},
+	report: func(_ Options, rows []fig1Row) report {
+		docker, knative, speedup := fig1Fits(rows)
+		return report{rows: rows, note: fmt.Sprintf(
+			"\ndocker fit:  %v\nknative fit: %v\ncold start:  %.2fs (paper: 1.48s)\nslope-based reduction: %.1f%% (paper: up to 30%%)\n",
+			docker, knative, rows[len(rows)-1].coldSecs, speedup)}
+	},
+}
+
+// fig1Fits regresses each arm's total time on the task count and returns
+// the slope-based reduction in per-task time ("up to 30%" in the paper).
+func fig1Fits(rows []fig1Row) (docker, knative metrics.Fit, speedupPct float64) {
+	var xs, dy, ky []float64
+	for _, row := range rows {
+		xs = append(xs, float64(row.Tasks))
 		dy = append(dy, row.DockerSecs)
 		ky = append(ky, row.KnativeSecs)
 	}
-	res.DockerFit, _ = metrics.LinearFit(xs, dy)
-	res.KnativeFit, _ = metrics.LinearFit(xs, ky)
-	if res.DockerFit.Slope > 0 {
-		res.SpeedupPct = 100 * (1 - res.KnativeFit.Slope/res.DockerFit.Slope)
+	docker, _ = metrics.LinearFit(xs, dy)
+	knative, _ = metrics.LinearFit(xs, ky)
+	if docker.Slope > 0 {
+		speedupPct = 100 * (1 - knative.Slope/docker.Slope)
 	}
-	return res
+	return docker, knative, speedupPct
+}
+
+// fig1Platform is a serving platform with the matmul image in its
+// registry.
+func fig1Platform(seed uint64, prm config.Params) core.Platform {
+	pl := core.NewPlatform(seed, prm)
+	pl.Registry.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
+	return pl
 }
 
 // fig1Docker: n sequential `docker run` invocations on one worker, image
 // already local (the overhead measured is container create/destroy, not
-// pulls).
-func fig1Docker(seed uint64, prm config.Params, n int) time.Duration {
-	pl := core.NewPlatform(seed, prm)
-	pl.Registry.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
+// pulls). It returns their total time in seconds.
+func fig1Docker(seed uint64, prm config.Params, n int) (total float64) {
+	pl := fig1Platform(seed, prm)
 	rt := pl.Runtimes[pl.Cluster.Workers[0].Name]
-
-	var total time.Duration
-	pl.Env.Go("docker-cli", func(p *sim.Proc) {
-		defer pl.Shutdown()
+	runMain(pl.Env, &pl, 0, func(p *sim.Proc) {
 		if err := rt.PullImage(p, fig1Image); err != nil {
 			panic(err)
 		}
@@ -109,21 +114,18 @@ func fig1Docker(seed uint64, prm config.Params, n int) time.Duration {
 				panic(err)
 			}
 		}
-		total = p.Now() - start
+		total = (p.Now() - start).Seconds()
 	})
-	pl.Env.Run()
 	return total
 }
 
 // fig1Knative: n sequential HTTP invocations against a service scaled from
 // zero — the first request cold-starts (the paper's 1.48 s annotation), the
-// rest reuse the warm container.
-func fig1Knative(seed uint64, prm config.Params, n int) (total, cold time.Duration) {
-	pl := core.NewPlatform(seed, prm)
-	pl.Registry.Push(registry.NewImage(fig1Image, prm.ImageLayersBytes[:1], prm.ImageLayersBytes[1]))
-
-	pl.Env.Go("client", func(p *sim.Proc) {
-		defer pl.Shutdown()
+// rest reuse the warm container. It returns their total time and the cold
+// start, in seconds.
+func fig1Knative(seed uint64, prm config.Params, n int) (total, cold float64) {
+	pl := fig1Platform(seed, prm)
+	runMain(pl.Env, &pl, 0, func(p *sim.Proc) {
 		// Image staged on workers ("input data was stored on the node").
 		if err := pl.PrePull(p, fig1Image); err != nil {
 			panic(err)
@@ -156,30 +158,12 @@ func fig1Knative(seed uint64, prm config.Params, n int) (total, cold time.Durati
 				panic(err)
 			}
 			if resp.Cold {
-				cold = p.Now() - t0 - durationFromWork(prm.TaskWork(i)) // startup share of the cold request
+				// The startup share of the cold request.
+				work := time.Duration(prm.TaskWork(i) * float64(time.Second))
+				cold = (p.Now() - t0 - work).Seconds()
 			}
 		}
-		total = p.Now() - start
+		total = (p.Now() - start).Seconds()
 	})
-	pl.Env.Run()
 	return total, cold
-}
-
-func durationFromWork(coreSeconds float64) time.Duration {
-	return time.Duration(coreSeconds * float64(time.Second))
-}
-
-// WriteTable renders the figure's series and annotations.
-func (r Fig1Result) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("tasks", "docker_total_s", "docker_std_s", "knative_total_s", "knative_std_s", "docker_per_task_s", "knative_per_task_s", "n")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Tasks, row.DockerSecs, row.DockerStd, row.KnativeSecs, row.KnativeStd, row.DockerPerTk, row.KnativePerTk, row.N)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w,
-		"\ndocker fit:  %v\nknative fit: %v\ncold start:  %.2fs (paper: 1.48s)\nslope-based reduction: %.1f%% (paper: up to 30%%)\n",
-		r.DockerFit, r.KnativeFit, r.ColdStartSecs, r.SpeedupPct)
-	return err
 }

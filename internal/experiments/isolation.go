@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
+	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -11,111 +11,93 @@ import (
 	"repro/internal/workload"
 )
 
-// IsolationRow quantifies one execution mode's performance isolation
+// isolationRow quantifies one execution mode's performance isolation
 // (means ± sample stddev over N seeded repetitions).
-type IsolationRow struct {
-	Mode wms.Mode
+type isolationRow struct {
+	Mode wms.Mode `col:"mode"`
 	// QuietExecSecs is the mean task execution time on an idle cluster.
-	QuietExecSecs float64
-	QuietStd      float64
+	QuietExecSecs float64 `col:"quiet_exec_s"`
+	QuietStd      float64 `col:"quiet_std_s"`
 	// ContendedExecSecs is the same under a noisy co-tenant saturating
 	// every worker.
-	ContendedExecSecs float64
-	ContendedStd      float64
+	ContendedExecSecs float64 `col:"contended_exec_s"`
+	ContendedStd      float64 `col:"contended_std_s"`
 	// Slowdown = contended / quiet — 1.0 is perfect isolation.
-	Slowdown float64
-	N        int
+	Slowdown float64 `col:"slowdown"`
+	N        int     `col:"n"`
 }
 
-// IsolationResult quantifies the isolation axis of the paper's Fig. 5
-// triangle, which the paper treats qualitatively: under a noisy co-tenant,
-// native tasks slow down (they have no resource guarantee) while
-// containerized and serverless tasks hold their cgroup reservation.
-type IsolationResult struct {
-	Rows []IsolationRow
-}
+type isoRep struct{ quiet, contended float64 }
 
-// Isolation runs a chain of heavy tasks (20 core-seconds each, a
-// long-running experiment) in each mode, on a quiet cluster and again with
-// 16 uncapped background jobs per worker, and compares per-task execution
-// times.
-func Isolation(o Options) IsolationResult {
-	tasks := 5
-	if o.Quick {
-		tasks = 3
-	}
-	modes := []wms.Mode{wms.ModeNative, wms.ModeContainer, wms.ModeServerless}
-	type isoRep struct{ quiet, contended float64 }
-	runs := sweep(o, modes, func(mode wms.Mode, seed uint64) isoRep {
+// isolation quantifies the isolation axis of the paper's Fig. 5 triangle,
+// which the paper treats qualitatively: under a noisy co-tenant, native
+// tasks slow down (they have no resource guarantee) while containerized and
+// serverless tasks hold their cgroup reservation. It runs a chain of heavy
+// tasks (20 core-seconds each, a long-running experiment) in each mode, on
+// a quiet cluster and again with 16 uncapped background jobs per worker,
+// and compares per-task execution times.
+var isolation = study[wms.Mode, isoRep, isolationRow]{
+	cells: func(Options) []wms.Mode {
+		return []wms.Mode{wms.ModeNative, wms.ModeContainer, wms.ModeServerless}
+	},
+	once: func(o Options, mode wms.Mode, seed uint64) isoRep {
+		tasks := sized(o.Quick, 5, 3)
 		return isoRep{
-			quiet:     isolationRun(seed, o, mode, tasks, false),
-			contended: isolationRun(seed, o, mode, tasks, true),
+			quiet:     isolationRun(seed, o.Prm, mode, tasks, false),
+			contended: isolationRun(seed, o.Prm, mode, tasks, true),
 		}
-	})
-	var res IsolationResult
-	for mi, mode := range modes {
-		row := IsolationRow{Mode: mode}
+	},
+	fold: func(_ Options, mode wms.Mode, reps []isoRep) isolationRow {
 		var qw, cw metrics.Welford
-		for _, rep := range runs[mi] {
+		for _, rep := range reps {
 			qw.Add(rep.quiet)
 			cw.Add(rep.contended)
 		}
-		row.QuietExecSecs = qw.Mean()
-		row.QuietStd = qw.Std()
-		row.ContendedExecSecs = cw.Mean()
-		row.ContendedStd = cw.Std()
-		row.N = qw.N()
+		row := isolationRow{Mode: mode, QuietExecSecs: qw.Mean(), QuietStd: qw.Std(),
+			ContendedExecSecs: cw.Mean(), ContendedStd: cw.Std(), N: qw.N()}
 		if row.QuietExecSecs > 0 {
 			row.Slowdown = row.ContendedExecSecs / row.QuietExecSecs
 		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
+		return row
+	},
+	note: "\nextension: the isolation axis of Fig. 5's triangle, quantified — cgroup\nreservations hold containerized and serverless tasks at ~1.0x under a noisy\nco-tenant while native tasks slow with the node's load\n",
 }
 
 // isolationRun returns the mean task execution time (start → finish on the
 // worker) for one victim chain.
-func isolationRun(seed uint64, o Options, mode wms.Mode, tasks int, contended bool) float64 {
-	s := core.NewStack(seed, o.Prm)
-	s.RegisterTransformation(workload.MatmulTransformation, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
-	var mean float64
-	s.Env.Go("main", func(p *sim.Proc) {
-		defer s.Shutdown()
-		if mode == wms.ModeServerless {
-			if err := s.DeployFunction(p, workload.MatmulTransformation, core.ReusePolicy()); err != nil {
-				panic(err)
+func isolationRun(seed uint64, prm config.Params, mode wms.Mode, tasks int, contended bool) float64 {
+	s := core.NewStack(seed, prm)
+	wf := heavyChain("iso", tasks, prm.MatrixBytes)
+	res, err := workflowRun{wf: wf, mode: mode, policy: core.ReusePolicy(),
+		before: func(p *sim.Proc) {
+			if !contended {
+				return
 			}
-		}
-		if contended {
 			// The co-tenant: 16 uncapped compute jobs per worker, running
 			// outside any cgroup (a greedy native user).
 			for _, w := range s.Cluster.Workers {
-				w := w
 				for i := 0; i < 16; i++ {
 					s.Env.Go("tenant", func(hp *sim.Proc) { w.Exec(hp, 1e6, 0) })
 				}
 			}
-			p.Sleep(o.Prm.NegotiationDelay / 4) // let the storm establish
-		}
-		wf := heavyChain("iso", tasks, o.Prm.MatrixBytes)
-		result, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(mode))
-		if err != nil {
-			panic(err)
-		}
-		// Sum in workflow task order: result.Tasks is a map, and ranging
-		// over it directly makes the float accumulation order — and hence
-		// the last ulps of the mean — vary run to run.
-		ids := wf.TaskIDs()
-		var sum float64
-		for _, id := range ids {
-			t := result.Tasks[id]
-			sum += (t.FinishedAt - t.StartedAt).Seconds()
-		}
-		mean = sum / float64(len(ids))
-	})
-	// The co-tenant never finishes; bound the run generously.
-	s.Env.RunUntil(4 * 3600 * 1e9)
-	return mean
+			p.Sleep(prm.NegotiationDelay / 4) // let the storm establish
+		},
+		// The co-tenant never finishes; bound the run generously.
+		horizon: 4 * time.Hour,
+	}.on(s)
+	if err != nil {
+		panic(err)
+	}
+	// Sum in workflow task order: res.Tasks is a map, and ranging over it
+	// directly makes the float accumulation order — and hence the last ulps
+	// of the mean — vary run to run.
+	ids := wf.TaskIDs()
+	var sum float64
+	for _, id := range ids {
+		t := res.Tasks[id]
+		sum += (t.FinishedAt - t.StartedAt).Seconds()
+	}
+	return sum / float64(len(ids))
 }
 
 // heavyChain is a sequential chain of ~20-core-second tasks.
@@ -126,17 +108,4 @@ func heavyChain(name string, tasks int, matrixBytes int64) *wms.Workflow {
 		t.WorkScale = 48 // ≈ 20 core-seconds at the calibrated demand
 	}
 	return wf
-}
-
-// WriteTable renders the isolation comparison.
-func (r IsolationResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("mode", "quiet_exec_s", "quiet_std_s", "contended_exec_s", "contended_std_s", "slowdown", "n")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Mode.String(), row.QuietExecSecs, row.QuietStd, row.ContendedExecSecs, row.ContendedStd, row.Slowdown, row.N)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\nextension: the isolation axis of Fig. 5's triangle, quantified — cgroup\nreservations hold containerized and serverless tasks at ~1.0x under a noisy\nco-tenant while native tasks slow with the node's load\n")
-	return err
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -51,51 +50,40 @@ const (
 	overloadHorizon = 5 * time.Minute
 )
 
-// OverloadArm is a cumulative protection level.
-type OverloadArm int
+// overloadArm is a cumulative protection level.
+type overloadArm int
 
 // The arms, each adding one mechanism over the previous.
 const (
-	// ArmNone is the seed behaviour: unbounded buffering, no deadlines.
-	ArmNone OverloadArm = iota
-	// ArmDeadlines propagates a per-request deadline enforced at admission,
+	// armNone is the seed behaviour: unbounded buffering, no deadlines.
+	armNone overloadArm = iota
+	// armDeadlines propagates a per-request deadline enforced at admission,
 	// queue wake-ups, and the queue-proxy.
-	ArmDeadlines
-	// ArmBudgets adds token-bucket retry budgets on both the client and the
+	armDeadlines
+	// armBudgets adds token-bucket retry budgets on both the client and the
 	// serving layer, capping retry amplification.
-	ArmBudgets
-	// ArmFull adds activator admission control (bounded waiting room,
+	armBudgets
+	// armFull adds activator admission control (bounded waiting room,
 	// shed-on-estimated-wait) and per-service circuit breakers.
-	ArmFull
+	armFull
 )
 
-func (a OverloadArm) String() string {
-	switch a {
-	case ArmNone:
-		return "none"
-	case ArmDeadlines:
-		return "deadlines"
-	case ArmBudgets:
-		return "+budgets"
-	case ArmFull:
-		return "full"
-	default:
-		return fmt.Sprintf("OverloadArm(%d)", int(a))
-	}
+func (a overloadArm) String() string {
+	return [...]string{"none", "deadlines", "+budgets", "full"}[a]
 }
 
-var overloadArms = []OverloadArm{ArmNone, ArmDeadlines, ArmBudgets, ArmFull}
+var overloadArms = []overloadArm{armNone, armDeadlines, armBudgets, armFull}
 
 // overloadParams applies an arm's protection knobs to the base parameters.
-func overloadParams(prm config.Params, arm OverloadArm) config.Params {
-	if arm >= ArmDeadlines {
+func overloadParams(prm config.Params, arm overloadArm) config.Params {
+	if arm >= armDeadlines {
 		prm.InvokeDeadline = overloadDeadline
 	}
-	if arm >= ArmBudgets {
+	if arm >= armBudgets {
 		prm.RetryBudgetRatio = 0.1
 		prm.RetryBudgetBurst = 10
 	}
-	if arm >= ArmFull {
+	if arm >= armFull {
 		prm.ActivatorQueueCap = 2 * overloadPods
 		prm.BreakerFailures = 5
 		prm.BreakerOpenFor = 10 * time.Second
@@ -104,65 +92,59 @@ func overloadParams(prm config.Params, arm OverloadArm) config.Params {
 	return prm
 }
 
-// OverloadCapacity returns the fixed-scale service's saturation throughput
+// overloadCapacity returns the fixed-scale service's saturation throughput
 // in requests/s: every request holds one of the overloadPods serving slots
 // for its work plus the queue-proxy overhead.
-func OverloadCapacity(prm config.Params) float64 {
+func overloadCapacity(prm config.Params) float64 {
 	perSlot := overloadWork + prm.QueueProxyOverhead.Seconds()
 	return float64(overloadPods) / perSlot
 }
 
-// OverloadRun is one seeded run at one (arm, rate) point.
-type OverloadRun struct {
+// overloadRun is one seeded run at one (arm, rate) point.
+type overloadRun struct {
 	// Arrivals is how many requests the open-loop generator issued.
 	Arrivals int
-	// Completed / Good count successful completions (any latency / within
-	// the SLO); Failed counts clients that gave up.
-	Completed, Good, Failed int
+	// Good counts completions within the SLO.
+	Good int
 	// ServerRequests is the serving layer's attempt counter, including
 	// platform-internal retries — the numerator of retry amplification.
 	ServerRequests int
-	// Shed / DeadlineDrops / FastFails are the service's protection
-	// counters (admission sheds, deadline enforcement, breaker denials).
-	Shed, DeadlineDrops, FastFails int
+	// Shed / DeadlineDrops are the service's protection counters
+	// (admission sheds, deadline enforcement).
+	Shed, DeadlineDrops int
 	// P99Sec is the 99th-percentile latency over successful completions.
 	P99Sec float64
-	// CapacityRPS is the analytic saturation throughput.
-	CapacityRPS float64
 	// WindowSec is the measurement window the goodput is divided by.
 	WindowSec float64
 }
 
 // GoodputRPS is the rate of within-SLO completions over the arrival window.
-func (r OverloadRun) GoodputRPS() float64 {
+func (r overloadRun) GoodputRPS() float64 {
 	if r.WindowSec <= 0 {
 		return 0
 	}
 	return float64(r.Good) / r.WindowSec
 }
 
-// OverloadOnce executes one seeded open-loop run: Poisson arrivals at
+// overloadOnce executes one seeded open-loop run: Poisson arrivals at
 // mult × capacity for the window, each arrival a client that invokes the
 // function, retries failures (bounded, and budget-gated in the budget arms)
 // while its SLO patience lasts, and records whether it completed in time.
-func OverloadOnce(seed uint64, prm config.Params, arm OverloadArm, mult float64, quick bool) OverloadRun {
+func overloadOnce(seed uint64, prm config.Params, arm overloadArm, mult float64, quick bool) overloadRun {
 	prm = overloadParams(prm, arm)
-	window := 20 * time.Second
-	if quick {
-		window = 6 * time.Second
-	}
+	window := sized(quick, 20*time.Second, 6*time.Second)
 	s := core.NewStack(seed, prm)
 
-	out := OverloadRun{CapacityRPS: OverloadCapacity(prm), WindowSec: window.Seconds()}
-	lambda := mult * out.CapacityRPS
+	out := overloadRun{WindowSec: window.Seconds()}
+	lambda := mult * overloadCapacity(prm)
 	var clientBudget *resilience.RetryBudget
-	if arm >= ArmBudgets {
+	if arm >= armBudgets {
 		clientBudget = resilience.NewRetryBudget(prm.RetryBudgetRatio, prm.RetryBudgetBurst)
 	}
 	var latencies []float64
 
 	s.Env.Go("main", func(p *sim.Proc) {
-		s.RegisterTransformation("matmul", prm.ImageLayersBytes[len(prm.ImageLayersBytes)-1])
+		s.RegisterTransformation("matmul", appLayer(prm))
 		policy := core.DeployPolicy{
 			MinScale:             overloadPods,
 			InitialScale:         overloadPods,
@@ -199,7 +181,6 @@ func OverloadOnce(seed uint64, prm config.Params, arm OverloadArm, mult float64,
 		ov := svc.Overload()
 		out.Shed = ov.ShedFull + ov.ShedWait
 		out.DeadlineDrops = ov.DeadlineDrops
-		out.FastFails = ov.BreakerFastFails
 	})
 	s.Env.RunUntil(overloadHorizon)
 
@@ -219,7 +200,7 @@ func OverloadOnce(seed uint64, prm config.Params, arm OverloadArm, mult float64,
 // and the client budget allow, records the outcome in out, and then calls
 // done.
 func overloadClient(env *sim.Env, svc *knative.Service, budget *resilience.RetryBudget,
-	out *OverloadRun, latencies *[]float64, done func()) {
+	out *overloadRun, latencies *[]float64, done func()) {
 	start := env.Now()
 	attempt := 1
 	var try func()
@@ -227,7 +208,6 @@ func overloadClient(env *sim.Env, svc *knative.Service, budget *resilience.Retry
 		svc.InvokeAsync(knative.Request{From: cluster.SubmitNodeName, Work: overloadWork}, func(_ knative.Response, err error) {
 			if err == nil {
 				lat := env.Now() - start
-				out.Completed++
 				*latencies = append(*latencies, lat.Seconds())
 				if lat <= overloadSLO {
 					out.Good++
@@ -239,7 +219,6 @@ func overloadClient(env *sim.Env, svc *knative.Service, budget *resilience.Retry
 			// Give up when patience (the SLO) has run out, the attempt
 			// cap is hit, or the budget denies the retry.
 			if env.Now()-start >= overloadSLO || attempt >= overloadClientAttempts || !budget.TryRetry() {
-				out.Failed++
 				done()
 				return
 			}
@@ -250,56 +229,48 @@ func overloadClient(env *sim.Env, svc *knative.Service, budget *resilience.Retry
 	try()
 }
 
-// OverloadRow aggregates the repetitions at one (arm, rate) point.
-type OverloadRow struct {
-	Arm  OverloadArm
-	Mult float64
+// overloadRow aggregates the repetitions at one (arm, rate) point.
+type overloadRow struct {
+	Arm  overloadArm `col:"protection"`
+	Mult float64     `col:"offered_x" fmt:"%.0fx"`
 	// OfferedRPS is the arrival rate; GoodputRPS / GoodputFrac are within-
 	// SLO completions per second, absolute and as a fraction of capacity.
-	OfferedRPS   float64
-	GoodputRPS   float64
-	GoodputFrac  float64
-	P99Sec       float64
-	ShedFrac     float64 // admission sheds per arrival
-	DeadlineFrac float64 // deadline drops per arrival
+	OfferedRPS   float64 `col:"offered_rps"`
+	GoodputRPS   float64 `col:"goodput_rps"`
+	GoodputFrac  float64 `col:"goodput_frac"`
+	P99Sec       float64 `col:"p99_s"`
+	ShedFrac     float64 `col:"shed/arr"` // admission sheds per arrival
+	DeadlineFrac float64 `col:"ddl/arr"`  // deadline drops per arrival
 	// Amplification is serving-layer attempts per arrival: >1 means retries
 	// multiplied the offered load inside the platform.
-	Amplification float64
+	Amplification float64 `col:"amplification"`
 }
 
-// OverloadResult is the protection-arm × offered-rate study.
-type OverloadResult struct {
-	CapacityRPS float64
-	Rows        []OverloadRow
+type overloadCell struct {
+	arm  overloadArm
+	mult float64
 }
 
-// Overload sweeps offered load from saturation to far past it for each
+// overload sweeps offered load from saturation to far past it for each
 // protection arm. Every (arm, rate, rep) triple is an independent seeded
 // simulation fanned across the pool.
-func Overload(o Options) OverloadResult {
-	mults := []float64{1, 2, 5, 8}
-	if o.Quick {
-		mults = []float64{1, 5}
-	}
-	type overloadCell struct {
-		arm  OverloadArm
-		mult float64
-	}
-	var cells []overloadCell
-	for _, arm := range overloadArms {
-		for _, mult := range mults {
-			cells = append(cells, overloadCell{arm, mult})
+var overload = study[overloadCell, overloadRun, overloadRow]{
+	cells: func(o Options) []overloadCell {
+		var cells []overloadCell
+		for _, arm := range overloadArms {
+			for _, mult := range sized(o.Quick, []float64{1, 2, 5, 8}, []float64{1, 5}) {
+				cells = append(cells, overloadCell{arm, mult})
+			}
 		}
-	}
-	runs := sweep(o, cells, func(c overloadCell, seed uint64) OverloadRun {
-		return OverloadOnce(seed, o.Prm, c.arm, c.mult, o.Quick)
-	})
-
-	res := OverloadResult{CapacityRPS: OverloadCapacity(o.Prm)}
-	for ci, c := range cells {
-		row := OverloadRow{Arm: c.arm, Mult: c.mult, OfferedRPS: c.mult * res.CapacityRPS}
+		return cells
+	},
+	once: func(o Options, c overloadCell, seed uint64) overloadRun {
+		return overloadOnce(seed, o.Prm, c.arm, c.mult, o.Quick)
+	},
+	fold: func(o Options, c overloadCell, reps []overloadRun) overloadRow {
+		capacity := overloadCapacity(o.Prm)
 		var good, p99, shed, ddl, amp metrics.Welford
-		for _, run := range runs[ci] {
+		for _, run := range reps {
 			good.Add(run.GoodputRPS())
 			p99.Add(run.P99Sec)
 			if run.Arrivals > 0 {
@@ -308,28 +279,11 @@ func Overload(o Options) OverloadResult {
 				amp.Add(float64(run.ServerRequests) / float64(run.Arrivals))
 			}
 		}
-		row.GoodputRPS = good.Mean()
-		row.GoodputFrac = row.GoodputRPS / res.CapacityRPS
-		row.P99Sec = p99.Mean()
-		row.ShedFrac = shed.Mean()
-		row.DeadlineFrac = ddl.Mean()
-		row.Amplification = amp.Mean()
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}
-
-// WriteTable renders the overload study.
-func (r OverloadResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("protection", "offered_x", "offered_rps", "goodput_rps", "goodput_frac", "p99_s", "shed/arr", "ddl/arr", "amplification")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Arm.String(), fmt.Sprintf("%.0fx", row.Mult), row.OfferedRPS,
-			row.GoodputRPS, row.GoodputFrac, row.P99Sec, row.ShedFrac, row.DeadlineFrac, row.Amplification)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\noverload (robustness): open-loop Poisson arrivals into a fixed-scale\nfunction (%d pods, capacity %.1f req/s, SLO %s) under cumulative protections;\nwithout them the queue grows without bound and goodput collapses past\nsaturation, while deadlines + retry budgets + admission control + breakers\nshed the excess and hold goodput at capacity\n",
-		overloadPods, r.CapacityRPS, overloadSLO)
-	return err
+		return overloadRow{c.arm, c.mult, c.mult * capacity, good.Mean(), good.Mean() / capacity,
+			p99.Mean(), shed.Mean(), ddl.Mean(), amp.Mean()}
+	},
+	report: func(o Options, rows []overloadRow) report {
+		return report{rows: rows, note: fmt.Sprintf("\noverload (robustness): open-loop Poisson arrivals into a fixed-scale\nfunction (%d pods, capacity %.1f req/s, SLO %s) under cumulative protections;\nwithout them the queue grows without bound and goodput collapses past\nsaturation, while deadlines + retry budgets + admission control + breakers\nshed the excess and hold goodput at capacity\n",
+			overloadPods, overloadCapacity(o.Prm), overloadSLO)}
+	},
 }

@@ -15,11 +15,11 @@ import (
 // and keeps goodput at capacity with its p99 inside the SLO.
 func TestOverloadCliffAndProtection(t *testing.T) {
 	prm := config.Default()
-	cap := OverloadCapacity(prm)
+	cap := overloadCapacity(prm)
 
-	none := OverloadOnce(1, prm, ArmNone, 5, true)
-	full := OverloadOnce(1, prm, ArmFull, 5, true)
-	ddl := OverloadOnce(1, prm, ArmDeadlines, 5, true)
+	none := overloadOnce(1, prm, armNone, 5, true)
+	full := overloadOnce(1, prm, armFull, 5, true)
+	ddl := overloadOnce(1, prm, armDeadlines, 5, true)
 
 	if g := none.GoodputRPS(); g > 0.7*cap {
 		t.Errorf("unprotected goodput at 5x = %.1f rps, want collapse below 0.7x capacity (%.1f)", g, cap)
@@ -51,7 +51,7 @@ func TestOverloadCliffAndProtection(t *testing.T) {
 func TestOverloadProtectionsInertUnderCapacity(t *testing.T) {
 	prm := config.Default()
 	for _, arm := range overloadArms {
-		run := OverloadOnce(1, prm, arm, 1, true)
+		run := overloadOnce(1, prm, arm, 1, true)
 		offered := float64(run.Arrivals) / run.WindowSec
 		if g := run.GoodputRPS(); g < 0.9*offered {
 			t.Errorf("arm %s at 1x: goodput %.1f rps vs offered %.1f; protections degrade a healthy system", arm, g, offered)
@@ -67,7 +67,7 @@ func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
 		o.Reps = 1
 		o.Workers = workers
 		var buf bytes.Buffer
-		if err := Overload(o).WriteTable(&buf); err != nil {
+		if err := overload.run(o).write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -84,7 +84,7 @@ func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
 func TestOverloadOnceSeedDeterminism(t *testing.T) {
 	prm := config.Default()
 	fp := func(seed uint64) string {
-		r := OverloadOnce(seed, prm, ArmFull, 5, true)
+		r := overloadOnce(seed, prm, armFull, 5, true)
 		return fmt.Sprintf("%+v", r)
 	}
 	if fp(3) != fp(3) {

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wms"
-	"repro/internal/workload"
 )
 
 // The placement experiment sweeps the internal/sched policies over the
@@ -25,77 +20,62 @@ import (
 // data-locality placement steers jobs to nodes that already hold their
 // inputs and cuts shared-filesystem transfer time versus most-free-rr.
 
-// PlacementRow is one (mode, policy) cell: makespan mean ± std, registry
+// placementRow is one (mode, policy) cell: makespan mean ± std, registry
 // egress, and shared-fs staging-transfer time, averaged over completed reps.
-type PlacementRow struct {
-	Mode   wms.Mode
-	Policy string
-	Completion
-	PulledMB float64
-	StagingS float64
+type placementRow struct {
+	Mode           wms.Mode `col:"mode"`
+	Policy         string   `col:"policy"`
+	Makespan       float64  `col:"makespan_s"`
+	MakespanStd    float64  `col:"std_s"`
+	PulledMB       float64  `col:"pulled_MB"`
+	StagingS       float64  `col:"staging_s"`
+	N              int      `col:"n"`
+	CompletionRate float64  `col:"completion"`
 }
 
-// PlacementResult is the placement-policy study.
-type PlacementResult struct {
-	Rows []PlacementRow
+type placementCell struct {
+	mode   wms.Mode
+	policy string
 }
 
-// Placement runs the policy sweep: four kube policies under serverless
+type placementRep struct {
+	runOutcome
+	pulledMB float64
+	stagingS float64
+}
+
+// placement runs the policy sweep: four kube policies under serverless
 // execution and two condor policies under native execution, shared-fs
 // staging with scratch caching throughout.
-func Placement(o Options) PlacementResult {
-	type placementCfg struct {
-		mode   wms.Mode
-		policy string
-	}
-	cfgs := []placementCfg{
-		{wms.ModeServerless, sched.PolicyLeastRequested},
-		{wms.ModeServerless, sched.PolicyBinPack},
-		{wms.ModeServerless, sched.PolicySpread},
-		{wms.ModeServerless, sched.PolicyImageLocality},
-		{wms.ModeNative, sched.PolicyMostFreeRR},
-		{wms.ModeNative, sched.PolicyDataLocality},
-	}
-	type plRep struct {
-		runOutcome
-		pulledMB float64
-		stagingS float64
-	}
-	runs := sweep(o, cfgs, func(cfg placementCfg, seed uint64) plRep {
+var placement = study[placementCell, placementRep, placementRow]{
+	cells: func(Options) []placementCell {
+		return []placementCell{
+			{wms.ModeServerless, sched.PolicyLeastRequested},
+			{wms.ModeServerless, sched.PolicyBinPack},
+			{wms.ModeServerless, sched.PolicySpread},
+			{wms.ModeServerless, sched.PolicyImageLocality},
+			{wms.ModeNative, sched.PolicyMostFreeRR},
+			{wms.ModeNative, sched.PolicyDataLocality},
+		}
+	},
+	once: func(o Options, c placementCell, seed uint64) placementRep {
 		prm := o.Prm
 		prm.ScratchCache = true
-		if cfg.mode == wms.ModeServerless {
-			prm.KubePlacementPolicy = cfg.policy
+		if c.mode == wms.ModeServerless {
+			prm.KubePlacementPolicy = c.policy
 		} else {
-			prm.CondorPlacementPolicy = cfg.policy
+			prm.CondorPlacementPolicy = c.policy
 		}
 		s := core.NewStack(seed, prm)
 		tr := trace.New(s.Env)
 		s.Engine.Staging = wms.StageSharedFS
-		var rep plRep
-		s.Env.Go("main", func(p *sim.Proc) {
-			defer s.Shutdown()
-			wf := mosaic(o.Quick)
-			if cfg.mode == wms.ModeServerless {
-				// Scale from zero, one request per replica: autoscaler churn
-				// maximizes the number of placement decisions taken.
-				pol := core.DeployPolicy{ContainerConcurrency: 1, CapCores: 1}
-				if err := s.AutoIntegrate(p, wf, pol); err != nil {
-					return
-				}
-			} else {
-				for _, t := range workload.MontageTransformations() {
-					s.RegisterTransformation(t, o.Prm.ImageLayersBytes[len(o.Prm.ImageLayersBytes)-1])
-				}
-			}
-			result, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(cfg.mode))
-			if err != nil {
-				return
-			}
-			rep.ok = true
-			rep.makespan = result.Makespan().Seconds()
-		})
-		s.Env.Run()
+		// Scale from zero, one request per replica: autoscaler churn
+		// maximizes the number of placement decisions taken.
+		rep := placementRep{runOutcome: outcomeOf(workflowRun{
+			wf:     mosaic(o.Quick),
+			mode:   c.mode,
+			policy: core.DeployPolicy{ContainerConcurrency: 1, CapCores: 1},
+		}.on(s))}
 		rep.pulledMB = float64(s.Cluster.Net.BytesSent(cluster.RegistryNodeName)) / 1e6
 		for _, sp := range tr.Spans() {
 			if sp.Substrate() == "storage" {
@@ -103,37 +83,18 @@ func Placement(o Options) PlacementResult {
 			}
 		}
 		return rep
-	})
-	var res PlacementResult
-	for ci, cfg := range cfgs {
+	},
+	fold: func(_ Options, c placementCell, reps []placementRep) placementRow {
 		var pull, stage metrics.Welford
-		for _, rep := range runs[ci] {
+		for _, rep := range reps {
 			if rep.ok {
 				pull.Add(rep.pulledMB)
 				stage.Add(rep.stagingS)
 			}
 		}
-		res.Rows = append(res.Rows, PlacementRow{
-			Mode:       cfg.mode,
-			Policy:     cfg.policy,
-			Completion: completion(runs[ci]),
-			PulledMB:   pull.Mean(),
-			StagingS:   stage.Mean(),
-		})
-	}
-	return res
-}
-
-// WriteTable renders the placement-policy study.
-func (r PlacementResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("mode", "policy", "makespan_s", "std_s", "pulled_MB", "staging_s", "n", "completion")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Mode.String(), row.Policy, row.Makespan, row.MakespanStd,
-			row.PulledMB, row.StagingS, row.N, row.CompletionRate)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\nplacement-policy sweep (internal/sched) over Montage: serverless rows vary the\nkube scheduler (pulled_MB is registry egress — image-locality follows warm\nimages), native rows vary the condor negotiator with scratch-cached shared-fs\nstaging (staging_s is shared-fs transfer time — data-locality follows inputs)\n")
-	return err
+		done := completionOf(reps)
+		return placementRow{c.mode, c.policy, done.Makespan, done.MakespanStd,
+			pull.Mean(), stage.Mean(), done.N, done.CompletionRate}
+	},
+	note: "\nplacement-policy sweep (internal/sched) over Montage: serverless rows vary the\nkube scheduler (pulled_MB is registry egress — image-locality follows warm\nimages), native rows vary the condor negotiator with scratch-cached shared-fs\nstaging (staging_s is shared-fs transfer time — data-locality follows inputs)\n",
 }

@@ -16,9 +16,8 @@ import (
 // least-requested kube policy, and data-locality spends less shared-fs
 // staging time than the seed most-free-rr condor policy. All runs complete.
 func TestPlacementPolicyEffects(t *testing.T) {
-	res := Placement(QuickOptions())
-	rows := map[string]PlacementRow{}
-	for _, row := range res.Rows {
+	rows := map[string]placementRow{}
+	for _, row := range placement.rows(QuickOptions()) {
 		rows[row.Mode.String()+"/"+row.Policy] = row
 		if row.CompletionRate != 1 {
 			t.Errorf("%s/%s: completion %v, want 1", row.Mode, row.Policy, row.CompletionRate)
@@ -46,11 +45,11 @@ func TestPlacementSpansCarryDecision(t *testing.T) {
 		wms.ModeNative:     {"condor"},
 	}
 	for mode, layers := range wantLayers {
-		tc, err := TraceOnce(1, prm, mode, true, false)
+		tc, err := traceOnce(1, prm, traceCell{mode: mode}, true)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		spans := tracetest.MustFind(t, tc.Tracer, tracetest.Match{Substrate: "sched", Name: "place"})
+		spans := tracetest.MustFind(t, tc.tracer, tracetest.Match{Substrate: "sched", Name: "place"})
 		seen := map[string]bool{}
 		for _, sp := range spans {
 			layer, _ := sp.Label("layer")

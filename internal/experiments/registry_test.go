@@ -19,19 +19,19 @@ func TestSelect(t *testing.T) {
 			t.Errorf("listed target %q does not resolve: %v", target, err)
 		}
 	}
-	for _, g := range groupTargets {
-		exps, _ := Select(g.target)
+	for _, group := range []string{paper, ext} {
+		exps, _ := Select(group)
 		var got, want []string
 		for _, e := range exps {
 			got = append(got, e.Name)
 		}
 		for _, e := range experimentTable {
-			if e.Group == g.group {
+			if e.Group == group {
 				want = append(want, e.Name)
 			}
 		}
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Errorf("%s runs %v, want the %s group %v", g.target, got, g.group, want)
+		if len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s runs %v, want its group %v", group, got, want)
 		}
 	}
 	_, err := Select("fig9")

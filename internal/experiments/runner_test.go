@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -72,12 +71,22 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// invarianceCases names each experiment's case in TestWorkerCountInvariance.
+// The names are fixed so that test IDs stay comparable across changes; an
+// experiment missing here is named after its target.
+var invarianceCases = map[string]string{
+	"config": "Config", "coldstart": "ColdStart", "fig1": "Fig1", "fig2": "Fig2",
+	"fig5": "Fig5", "fig6": "Fig6", "datamove": "DataMovement", "resize": "Resizing",
+	"redirect": "Redirection", "clustering": "Clustering", "montage": "Montage",
+	"isolation": "Isolation", "placement": "Placement", "chaos": "Chaos",
+	"overload": "Overload", "traffic": "Traffic", "execmode": "ExecMode", "scale": "Scale",
+}
+
 // TestWorkerCountInvariance is the parallel runner's acceptance gate: every
 // experiment in the table must produce identical results at Workers=1 (the
 // old sequential loops) and Workers=8. reflect.DeepEqual over float64 fields
 // is exact equality, so any scheduling-dependent accumulation order would
-// fail here. Cases are named after each driver's result type (Fig1Result →
-// Fig1).
+// fail here.
 func TestWorkerCountInvariance(t *testing.T) {
 	type invCase struct {
 		name string
@@ -90,8 +99,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if e.Name == "trace" {
 			continue // captures hold pointers: TestWorkerCountInvarianceTrace
 		}
-		name := strings.TrimSuffix(e.result.Name(), "Result")
-		cases = append(cases, invCase{name, func(o Options) any { return e.Run(o) }})
+		name, ok := invarianceCases[e.Name]
+		if !ok {
+			name = e.Name
+		}
+		cases = append(cases, invCase{name, func(o Options) any { return e.run(o) }})
 	}
 	for _, c := range cases {
 		c := c
@@ -110,27 +122,27 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestWorkerCountInvarianceTrace covers the trace experiment separately:
-// TraceCapture holds pointers (tracer, analysis), so equality is asserted on
+// traceCapture holds pointers (tracer, analysis), so equality is asserted on
 // the exported Chrome trace bytes and the critical-path reconciliation.
 func TestWorkerCountInvarianceTrace(t *testing.T) {
 	seq := QuickOptions()
 	seq.Workers = 1
 	par := QuickOptions()
 	par.Workers = 8
-	a, b := Trace(seq), Trace(par)
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row count differs: %d vs %d", len(a.Rows), len(b.Rows))
+	a, b := traceStudy.rows(seq), traceStudy.rows(par)
+	if len(a) != len(b) {
+		t.Fatalf("row count differs: %d vs %d", len(a), len(b))
 	}
-	for i := range a.Rows {
-		ra, rb := a.Rows[i], b.Rows[i]
-		if ra.Mode != rb.Mode {
-			t.Fatalf("row %d mode order differs: %v vs %v", i, ra.Mode, rb.Mode)
+	for i := range a {
+		ra, rb := a[i], b[i]
+		if ra.mode != rb.mode {
+			t.Fatalf("row %d mode order differs: %v vs %v", i, ra.mode, rb.mode)
 		}
-		if !bytes.Equal(ra.Tracer.ChromeBytes(), rb.Tracer.ChromeBytes()) {
-			t.Errorf("mode %v: chrome trace differs between worker counts", ra.Mode)
+		if !bytes.Equal(ra.tracer.ChromeBytes(), rb.tracer.ChromeBytes()) {
+			t.Errorf("mode %v: chrome trace differs between worker counts", ra.mode)
 		}
-		if ra.Path.Makespan != rb.Path.Makespan || ra.Path.StageSum() != rb.Path.StageSum() {
-			t.Errorf("mode %v: critical path differs between worker counts", ra.Mode)
+		if ra.path.Makespan != rb.path.Makespan || ra.path.StageSum() != rb.path.StageSum() {
+			t.Errorf("mode %v: critical path differs between worker counts", ra.mode)
 		}
 	}
 }
@@ -141,7 +153,7 @@ func TestWorkersZeroDefaults(t *testing.T) {
 	def := QuickOptions() // Workers zero value
 	seq := QuickOptions()
 	seq.Workers = 1
-	if a, b := ColdStart(def), ColdStart(seq); !reflect.DeepEqual(a, b) {
+	if a, b := coldStart.run(def), coldStart.run(seq); !reflect.DeepEqual(a, b) {
 		t.Errorf("default workers differ from sequential:\n  def: %+v\n  seq: %+v", a, b)
 	}
 }
@@ -155,14 +167,14 @@ func TestWorkersZeroDefaults(t *testing.T) {
 func TestConcurrentEnvsIndependent(t *testing.T) {
 	prm := config.Default()
 	prm.TaskRetry.MaxAttempts = 2
-	want1 := ChaosOnce(1, prm, 0.3, true, true)
-	want2 := ChaosOnce(2, prm, 0.3, true, true)
+	want1 := chaosOnce(1, prm, 0.3, true, true)
+	want2 := chaosOnce(2, prm, 0.3, true, true)
 
-	type out struct{ run ChaosRun }
+	type out struct{ run chaosRun }
 	ch1 := make(chan out)
 	ch2 := make(chan out)
-	go func() { ch1 <- out{ChaosOnce(1, prm, 0.3, true, true)} }()
-	go func() { ch2 <- out{ChaosOnce(2, prm, 0.3, true, true)} }()
+	go func() { ch1 <- out{chaosOnce(1, prm, 0.3, true, true)} }()
+	go func() { ch2 <- out{chaosOnce(2, prm, 0.3, true, true)} }()
 	got1, got2 := <-ch1, <-ch2
 
 	if !reflect.DeepEqual(got1.run, want1) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/cluster"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/kube"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/sim"
 )
@@ -27,20 +25,11 @@ import (
 // the study needs no seeded repetitions and is worker-count invariant.
 
 // scaleNodeCounts returns the cluster sizes swept.
-func scaleNodeCounts(quick bool) []int {
-	if quick {
-		return []int{16, 32}
-	}
-	return []int{512, 2048, 4096}
-}
+func scaleNodeCounts(quick bool) []int { return sized(quick, []int{512, 2048, 4096}, []int{16, 32}) }
 
-// scalePlacements is the pod-placement count per cell.
-func scalePlacements(quick bool) int {
-	if quick {
-		return 600
-	}
-	return 170_000 // 2 modes × 3 node counts × 170k ≈ 1.02M placements
-}
+// scalePlacements is the pod-placement count per cell: 2 modes × 3 node
+// counts × 170k ≈ 1.02M placements at full size.
+func scalePlacements(quick bool) int { return sized(quick, 170_000, 600) }
 
 // scaleParams is the sweep's control-plane calibration, shared by both
 // modes — only CPMode differs between the arms. The apiserver sustains 500
@@ -65,13 +54,13 @@ func scaleParams(base config.Params, mode config.CPMode, nodes int) config.Param
 
 // ScaleRun is one (mode, nodes) cell of the sweep.
 type ScaleRun struct {
-	Mode       string
-	Nodes      int
-	Placements int
-	P50Ms      float64 // placement latency p50, milliseconds
-	P99Ms      float64 // placement latency p99, milliseconds
-	BindsPerS  float64 // sustained placements/s over the placement windows
-	QMaxMs     float64 // worst single apiserver queue wait, milliseconds
+	Mode       string  `col:"mode"`
+	Nodes      int     `col:"nodes"`
+	Placements int     `col:"placements"`
+	P50Ms      float64 `col:"p50_ms"`      // placement latency p50, milliseconds
+	P99Ms      float64 `col:"p99_ms"`      // placement latency p99, milliseconds
+	BindsPerS  float64 `col:"binds_per_s"` // sustained placements/s over the placement windows
+	QMaxMs     float64 `col:"qmax_ms"`     // worst single apiserver queue wait, milliseconds
 }
 
 // ScaleOnce runs one cell: waves of one-core pods pack the cluster to its
@@ -90,8 +79,7 @@ func ScaleOnce(base config.Params, mode config.CPMode, nodes, placements int) Sc
 	out := ScaleRun{Mode: mode.String(), Nodes: nodes}
 	latencies := make([]float64, 0, placements)
 	var window time.Duration
-	pl.Env.Go("driver", func(p *sim.Proc) {
-		defer pl.Shutdown()
+	runMain(pl.Env, &pl, 0, func(p *sim.Proc) {
 		if err := pl.PrePull(p, "fn"); err != nil {
 			panic(err)
 		}
@@ -131,7 +119,6 @@ func ScaleOnce(base config.Params, mode config.CPMode, nodes, placements int) Sc
 			}
 		}
 	})
-	pl.Env.Run()
 	out.Placements = len(latencies)
 	out.P50Ms = metrics.Percentile(latencies, 50)
 	out.P99Ms = metrics.Percentile(latencies, 99)
@@ -153,70 +140,51 @@ func drained(cl *cluster.Cluster) bool {
 	return true
 }
 
-// ScaleResult is the baseline-vs-direct sweep.
-type ScaleResult struct {
-	Rows []ScaleRun
-	// Total is the placement count across all cells (>1M at full size).
-	Total int
-	// P99SpeedupMax is baseline p99 / direct p99 at the largest node count.
-	P99SpeedupMax float64
+type scaleCell struct {
+	mode  config.CPMode
+	nodes int
 }
 
-// ScaleStudy sweeps both control-plane modes across the node counts. Cells
-// are independent deterministic simulations fanned across the worker pool;
+// scale sweeps both control-plane modes across the node counts. Cells are
+// independent deterministic simulations fanned across the worker pool;
 // results are identical at any worker count.
-func ScaleStudy(o Options) ScaleResult {
-	type cell struct {
-		mode  config.CPMode
-		nodes int
-	}
-	var cells []cell
-	nodeCounts := scaleNodeCounts(o.Quick)
-	for _, mode := range config.CPModes() {
-		for _, n := range nodeCounts {
-			cells = append(cells, cell{mode, n})
+var scale = study[scaleCell, ScaleRun, ScaleRun]{
+	cells: func(o Options) []scaleCell {
+		var cells []scaleCell
+		for _, mode := range config.CPModes() {
+			for _, n := range scaleNodeCounts(o.Quick) {
+				cells = append(cells, scaleCell{mode, n})
+			}
 		}
-	}
-	placements := scalePlacements(o.Quick)
-	runs := parallel.Run(len(cells), o.Workers, func(i int) ScaleRun {
-		return ScaleOnce(o.Prm, cells[i].mode, cells[i].nodes, placements)
-	})
-
-	res := ScaleResult{Rows: runs}
-	largest := nodeCounts[len(nodeCounts)-1]
-	var base, direct ScaleRun
-	for _, r := range runs {
-		res.Total += r.Placements
-		switch {
-		case r.Nodes != largest:
-		case r.Mode == config.CPStore.String():
-			base = r
-		case r.Mode == config.CPDirect.String():
-			direct = r
-		}
-	}
-	if direct.P99Ms > 0 {
-		res.P99SpeedupMax = base.P99Ms / direct.P99Ms
-	}
-	return res
+		return cells
+	},
+	once: func(o Options, c scaleCell, _ uint64) ScaleRun {
+		return ScaleOnce(o.Prm, c.mode, c.nodes, scalePlacements(o.Quick))
+	},
+	fold:   first[scaleCell, ScaleRun],
+	oneRep: true,
+	report: func(_ Options, rows []ScaleRun) report {
+		total, speedup, largest := scaleSummary(rows)
+		return report{rows: rows, note: fmt.Sprintf("\nscale (control-plane study): %d pod placements total in full-pack waves;\nplacement latency = pod create → ready. Both modes share the same cost\nconstants; baseline routes bindings, status updates, and deletions through\nthe apiserver queue + store commit + watch propagation, direct passes them\ncomponent-to-component (async store reconciliation). Direct cuts placement\np99 %.1fx at %d nodes.\n",
+			total, speedup, largest)}
+	},
 }
 
-// WriteTable renders the control-plane scale sweep.
-func (r ScaleResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("mode", "nodes", "placements", "p50_ms", "p99_ms", "binds_per_s", "qmax_ms")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Mode, row.Nodes, row.Placements, row.P50Ms, row.P99Ms, row.BindsPerS, row.QMaxMs)
+// scaleSummary returns the placement count across all cells (>1M at full
+// size) and the baseline p99 over the direct p99 at the largest node count.
+func scaleSummary(rows []ScaleRun) (total int, p99Speedup float64, largest int) {
+	for _, r := range rows {
+		total += r.Placements
+		largest = max(largest, r.Nodes)
 	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	largest := 0
-	for _, row := range r.Rows {
-		if row.Nodes > largest {
-			largest = row.Nodes
+	p99 := map[string]float64{}
+	for _, r := range rows {
+		if r.Nodes == largest {
+			p99[r.Mode] = r.P99Ms
 		}
 	}
-	_, err := fmt.Fprintf(w, "\nscale (control-plane study): %d pod placements total in full-pack waves;\nplacement latency = pod create → ready. Both modes share the same cost\nconstants; baseline routes bindings, status updates, and deletions through\nthe apiserver queue + store commit + watch propagation, direct passes them\ncomponent-to-component (async store reconciliation). Direct cuts placement\np99 %.1fx at %d nodes.\n",
-		r.Total, r.P99SpeedupMax, largest)
-	return err
+	if direct := p99[config.CPDirect.String()]; direct > 0 {
+		p99Speedup = p99[config.CPStore.String()] / direct
+	}
+	return total, p99Speedup, largest
 }

@@ -11,15 +11,16 @@ import (
 // wait, and the direct path beats the baseline's placement p99 and
 // bindings/s at the largest node count.
 func TestScaleStudyQuick(t *testing.T) {
-	res := ScaleStudy(QuickOptions())
+	rows := scale.rows(QuickOptions())
 	nodeCounts := scaleNodeCounts(true)
-	if want := 2 * len(nodeCounts); len(res.Rows) != want {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
+	if want := 2 * len(nodeCounts); len(rows) != want {
+		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
-	if want := 2 * len(nodeCounts) * scalePlacements(true); res.Total != want {
-		t.Fatalf("total placements = %d, want %d", res.Total, want)
+	total, speedup, _ := scaleSummary(rows)
+	if want := 2 * len(nodeCounts) * scalePlacements(true); total != want {
+		t.Fatalf("total placements = %d, want %d", total, want)
 	}
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		if row.Placements != scalePlacements(true) {
 			t.Errorf("%s/%d placed %d pods, want %d", row.Mode, row.Nodes, row.Placements, scalePlacements(true))
 		}
@@ -29,7 +30,7 @@ func TestScaleStudyQuick(t *testing.T) {
 	}
 	largest := nodeCounts[len(nodeCounts)-1]
 	var base, direct ScaleRun
-	for _, row := range res.Rows {
+	for _, row := range rows {
 		if row.Nodes != largest {
 			continue
 		}
@@ -54,8 +55,8 @@ func TestScaleStudyQuick(t *testing.T) {
 		t.Errorf("direct bindings/s %.1f not over baseline %.1f at %d nodes",
 			direct.BindsPerS, base.BindsPerS, largest)
 	}
-	if res.P99SpeedupMax <= 1 {
-		t.Errorf("p99 speedup %.2f, want > 1", res.P99SpeedupMax)
+	if speedup <= 1 {
+		t.Errorf("p99 speedup %.2f, want > 1", speedup)
 	}
 }
 

@@ -17,22 +17,22 @@ import (
 func TestDeterministicGoldenTrace(t *testing.T) {
 	o := QuickOptions()
 	capture := func(chaos bool) []byte {
-		tc, err := TraceOnce(o.Seed, o.Prm, wms.ModeServerless, true, chaos)
+		tc, err := traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless, chaos: chaos}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tc.Tracer.ChromeBytes()
+		return tc.tracer.ChromeBytes()
 	}
 	tracetest.AssertSameTrace(t, capture(false), capture(false))
 	tracetest.AssertSameTrace(t, capture(true), capture(true))
 
 	// A different seed must give a different trace (same span structure is
 	// possible but jittered timings make a collision implausible).
-	tc2, err := TraceOnce(o.Seed+17, o.Prm, wms.ModeServerless, true, false)
+	tc2, err := traceOnce(o.Seed+17, o.Prm, traceCell{mode: wms.ModeServerless}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(capture(false)) == string(tc2.Tracer.ChromeBytes()) {
+	if string(capture(false)) == string(tc2.tracer.ChromeBytes()) {
 		t.Error("different seeds produced identical traces")
 	}
 }
@@ -44,27 +44,27 @@ func TestDeterministicGoldenTrace(t *testing.T) {
 // export is byte-deterministic.
 func TestTraceProtectedCapture(t *testing.T) {
 	o := QuickOptions()
-	tc, err := TraceProtectedOnce(o.Seed, o.Prm, true)
+	tc, err := traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless, protected: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed, breaker, hedge := tc.ProtectionSpans()
+	shed, breaker, hedge := tc.protectionSpans()
 	if shed == 0 || breaker == 0 || hedge == 0 {
 		t.Errorf("protection spans shed=%d breaker=%d hedge=%d, want all > 0", shed, breaker, hedge)
 	}
-	if tc.Path == nil || len(tc.Path.Steps) == 0 {
+	if tc.path == nil || len(tc.path.Steps) == 0 {
 		t.Fatal("protected capture has no critical path")
 	}
 	// Reconciliation must survive concurrency: hedge copies overlap their
 	// primaries, and the analyzer counts exactly one chain per attempt.
-	if tc.Path.StageSum() != tc.Path.Makespan {
-		t.Errorf("protected capture: stage sum %v != makespan %v", tc.Path.StageSum(), tc.Path.Makespan)
+	if tc.path.StageSum() != tc.path.Makespan {
+		t.Errorf("protected capture: stage sum %v != makespan %v", tc.path.StageSum(), tc.path.Makespan)
 	}
-	tc2, err := TraceProtectedOnce(o.Seed, o.Prm, true)
+	tc2, err := traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless, protected: true}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracetest.AssertSameTrace(t, tc.Tracer.ChromeBytes(), tc2.Tracer.ChromeBytes())
+	tracetest.AssertSameTrace(t, tc.tracer.ChromeBytes(), tc2.tracer.ChromeBytes())
 }
 
 // TestTraceReconciliation asserts the acceptance criterion: for every
@@ -73,16 +73,16 @@ func TestTraceProtectedCapture(t *testing.T) {
 func TestTraceReconciliation(t *testing.T) {
 	o := QuickOptions()
 	for _, mode := range []wms.Mode{wms.ModeNative, wms.ModeContainer, wms.ModeServerless} {
-		tc, err := TraceOnce(o.Seed, o.Prm, mode, true, false)
+		tc, err := traceOnce(o.Seed, o.Prm, traceCell{mode: mode}, true)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		cp := tc.Path
+		cp := tc.path
 		if cp.StageSum() != cp.Makespan {
 			t.Errorf("%s: stage sum %v != makespan %v", mode, cp.StageSum(), cp.Makespan)
 		}
-		if cp.Makespan != tc.Result.Makespan() {
-			t.Errorf("%s: trace makespan %v != wms result %v", mode, cp.Makespan, tc.Result.Makespan())
+		if cp.Makespan != tc.result.Makespan() {
+			t.Errorf("%s: trace makespan %v != wms result %v", mode, cp.Makespan, tc.result.Makespan())
 		}
 		if len(cp.Steps) == 0 {
 			t.Errorf("%s: empty critical path", mode)
@@ -105,36 +105,36 @@ func TestChromeExportPinned(t *testing.T) {
 	o := QuickOptions()
 	cases := []struct {
 		name string
-		run  func() (*TraceCapture, error)
+		run  func() (*traceCapture, error)
 		want string
 	}{
-		{"serverless", func() (*TraceCapture, error) {
-			return TraceOnce(o.Seed, o.Prm, wms.ModeServerless, true, false)
+		{"serverless", func() (*traceCapture, error) {
+			return traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless}, true)
 		}, "69144da6b8dbc0fd4ed469ed420c324a0de4b7eddc19e9f1036e5639212d1a98"},
-		{"serverless-chaos", func() (*TraceCapture, error) {
-			return TraceOnce(o.Seed, o.Prm, wms.ModeServerless, true, true)
+		{"serverless-chaos", func() (*traceCapture, error) {
+			return traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless, chaos: true}, true)
 		}, "d27ac7fab9bb18216620f6f3ec7e2fc364622f2a5690a72c7e496f95e8458dec"},
-		{"protected", func() (*TraceCapture, error) {
-			return TraceProtectedOnce(o.Seed, o.Prm, true)
+		{"protected", func() (*traceCapture, error) {
+			return traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeServerless, protected: true}, true)
 		}, "6ef8cef3723cc86ff4e5f2d3a24454bbbf9af2c97dbd880271ced09e7d3a3650"},
-		{"native", func() (*TraceCapture, error) {
-			return TraceOnce(o.Seed, o.Prm, wms.ModeNative, true, false)
+		{"native", func() (*traceCapture, error) {
+			return traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeNative}, true)
 		}, "2e6716d069bc898b3df4982ea69a98841a94f599cacd98761b662c38a93fe968"},
-		{"container", func() (*TraceCapture, error) {
-			return TraceOnce(o.Seed, o.Prm, wms.ModeContainer, true, false)
+		{"container", func() (*traceCapture, error) {
+			return traceOnce(o.Seed, o.Prm, traceCell{mode: wms.ModeContainer}, true)
 		}, "894bcff72b1962ba7bf71ae6c401861f8ed044aeac738ae953737711c3221bc7"},
-		{"serverless-trigger", func() (*TraceCapture, error) {
+		{"serverless-trigger", func() (*traceCapture, error) {
 			prm := o.Prm
 			prm.ExecMode = "trigger"
-			return TraceOnce(o.Seed, prm, wms.ModeServerless, true, false)
+			return traceOnce(o.Seed, prm, traceCell{mode: wms.ModeServerless}, true)
 		}, "2cbc6e0e76275dbf470d643447f91132c34a7216cd61d97f81bb757d5cef8dc6"},
-		{"serverless-object-store", func() (*TraceCapture, error) {
+		{"serverless-object-store", func() (*traceCapture, error) {
 			s := core.NewStack(o.Seed, o.Prm)
 			s.Engine.Staging = wms.StageObjectStore
-			tc, err := traceMontage(s, &TraceCapture{Mode: wms.ModeServerless, Tracer: trace.New(s.Env)}, true, core.DefaultPolicy())
+			tc, err := traceMontage(s, &traceCapture{traceCell: traceCell{mode: wms.ModeServerless}, tracer: trace.New(s.Env)}, true, core.DefaultPolicy())
 			if err == nil {
-				tracetest.MustFind(t, tc.Tracer, tracetest.Match{Substrate: "storage", Name: "put"})
-				tracetest.MustFind(t, tc.Tracer, tracetest.Match{Substrate: "storage", Name: "get"})
+				tracetest.MustFind(t, tc.tracer, tracetest.Match{Substrate: "storage", Name: "put"})
+				tracetest.MustFind(t, tc.tracer, tracetest.Match{Substrate: "storage", Name: "get"})
 			}
 			return tc, err
 		}, "b2f4993e340389f6b24eefcba4af94c020b67ada1d59310c192a8d0552ef189a"},
@@ -144,7 +144,7 @@ func TestChromeExportPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(tc.Tracer.ChromeBytes())); got != c.want {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.tracer.ChromeBytes())); got != c.want {
 			t.Errorf("%s: Chrome export sha256 = %s, want %s", c.name, got, c.want)
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/cluster"
@@ -59,14 +58,12 @@ type trafficSize struct {
 }
 
 func trafficSizeFor(quick bool) trafficSize {
-	if quick {
-		return trafficSize{Services: 12, TotalRPS: 60, Window: 12 * time.Second, Nodes: 3}
-	}
-	return trafficSize{Services: 200, TotalRPS: 520, Window: 100 * time.Second, Nodes: 16}
+	return sized(quick, trafficSize{Services: 200, TotalRPS: 520, Window: 100 * time.Second, Nodes: 16},
+		trafficSize{Services: 12, TotalRPS: 60, Window: 12 * time.Second, Nodes: 3})
 }
 
-// TrafficArm is one autoscaler parameterization under test.
-type TrafficArm struct {
+// trafficArm is one autoscaler parameterization under test.
+type trafficArm struct {
 	Name string
 	// Params mutates the platform-level autoscaler knobs.
 	Params func(*config.Params)
@@ -74,34 +71,31 @@ type TrafficArm struct {
 	Spec func(*knative.ServiceSpec)
 }
 
-// TrafficArms are the configurations the study compares: the seed defaults,
+// trafficArms are the configurations the study compares: the seed defaults,
 // a twitchier panic configuration, rate-clamped scaling with a scale-down
 // delay, and RPS-driven scaling.
-func TrafficArms() []TrafficArm {
-	return []TrafficArm{
-		{Name: "seed", Params: func(*config.Params) {}},
-		{Name: "fast-panic", Params: func(prm *config.Params) {
-			prm.AutoscalerTick = time.Second
-			prm.StableWindow = 30 * time.Second
-			prm.PanicWindow = 3 * time.Second
-		}},
-		{Name: "clamped", Params: func(prm *config.Params) {
-			prm.MaxScaleUpRate = 10
-			prm.MaxScaleDownRate = 2
-			prm.ScaleDownDelay = 20 * time.Second
-		}},
-		{Name: "rps", Params: func(*config.Params) {}, Spec: func(spec *knative.ServiceSpec) {
-			spec.ScalingMetric = kpa.MetricRPS
-			spec.Target = 10 // requests/s per pod
-		}},
-	}
+var trafficArms = []trafficArm{
+	{Name: "seed", Params: func(*config.Params) {}},
+	{Name: "fast-panic", Params: func(prm *config.Params) {
+		prm.AutoscalerTick = time.Second
+		prm.StableWindow = 30 * time.Second
+		prm.PanicWindow = 3 * time.Second
+	}},
+	{Name: "clamped", Params: func(prm *config.Params) {
+		prm.MaxScaleUpRate = 10
+		prm.MaxScaleDownRate = 2
+		prm.ScaleDownDelay = 20 * time.Second
+	}},
+	{Name: "rps", Params: func(*config.Params) {}, Spec: func(spec *knative.ServiceSpec) {
+		spec.ScalingMetric = kpa.MetricRPS
+		spec.Target = 10 // requests/s per pod
+	}},
 }
 
-// TrafficRun is one seeded replay of the trace against one arm.
-type TrafficRun struct {
+// trafficRun is one seeded replay of the trace against one arm.
+type trafficRun struct {
 	Arrivals      int
 	Completed     int
-	Errors        int
 	ColdStarts    int
 	Shed          int
 	DeadlineDrops int
@@ -111,9 +105,9 @@ type TrafficRun struct {
 	PodSeconds float64
 }
 
-// TrafficOnce executes one seeded run: deploy the tenant fleet, replay the
+// trafficOnce executes one seeded run: deploy the tenant fleet, replay the
 // open-loop trace, and collect the arm's scorecard.
-func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) TrafficRun {
+func trafficOnce(seed uint64, base config.Params, arm trafficArm, quick bool) trafficRun {
 	size := trafficSizeFor(quick)
 	prm := base
 	prm.WorkerNodes = size.Nodes
@@ -133,7 +127,7 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 	peak := size.TotalRPS * (1 + trafficDiurnalSwing) * trafficFlashBoost
 	mix := workload.TenantMix(size.Services, trafficZipfAlpha, shape)
 
-	var out TrafficRun
+	var out trafficRun
 	var latencies []float64
 	services := make([]*knative.Service, size.Services)
 
@@ -213,7 +207,6 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 						}, func(_ knative.Response, err error) {
 							defer wg.Done()
 							if err != nil {
-								out.Errors++
 								return
 							}
 							out.Completed++
@@ -248,39 +241,33 @@ func TrafficOnce(seed uint64, base config.Params, arm TrafficArm, quick bool) Tr
 	return out
 }
 
-// TrafficRow is one arm's scorecard averaged over repetitions.
-type TrafficRow struct {
-	Arm      string
-	Arrivals float64 // mean arrivals per rep
-	P50Ms    float64
-	P99Ms    float64
-	P999Ms   float64
-	ColdFrac float64 // cold starts per completion
-	ShedFrac float64 // admission sheds per arrival
-	DdlFrac  float64 // deadline drops per arrival
-	PodSecs  float64 // mean pod-seconds per rep
+// trafficRow is one arm's scorecard averaged over repetitions.
+type trafficRow struct {
+	Arm      string  `col:"autoscaler"`
+	Arrivals float64 `col:"arrivals"` // mean arrivals per rep
+	P50Ms    float64 `col:"p50_ms"`
+	P99Ms    float64 `col:"p99_ms"`
+	P999Ms   float64 `col:"p999_ms"`
+	ColdFrac float64 `col:"cold/req"` // cold starts per completion
+	ShedFrac float64 `col:"shed/arr"` // admission sheds per arrival
+	DdlFrac  float64 `col:"ddl/arr"`  // deadline drops per arrival
+	PodSecs  float64 `col:"pod_s"`    // mean pod-seconds per rep
+	arrivals int     // total across reps
 }
 
-// TrafficResult is the autoscaler-arm comparison.
-type TrafficResult struct {
-	TotalArrivals int // across every arm and rep
-	Rows          []TrafficRow
-}
-
-// Traffic replays the same seeded traces against each autoscaler arm.
+// traffic replays the same seeded traces against each autoscaler arm.
 // Every (arm, rep) pair is an independent simulation fanned across the
 // worker pool; results are identical at any worker count.
-func Traffic(o Options) TrafficResult {
-	arms := TrafficArms()
-	runs := sweep(o, arms, func(arm TrafficArm, seed uint64) TrafficRun {
-		return TrafficOnce(seed, o.Prm, arm, o.Quick)
-	})
-
-	var res TrafficResult
-	for ai, arm := range arms {
+var traffic = study[trafficArm, trafficRun, trafficRow]{
+	cells: func(Options) []trafficArm { return trafficArms },
+	once: func(o Options, arm trafficArm, seed uint64) trafficRun {
+		return trafficOnce(seed, o.Prm, arm, o.Quick)
+	},
+	fold: func(_ Options, arm trafficArm, reps []trafficRun) trafficRow {
+		row := trafficRow{Arm: arm.Name}
 		var arr, p50, p99, p999, cold, shed, ddl, podsec metrics.Welford
-		for _, run := range runs[ai] {
-			res.TotalArrivals += run.Arrivals
+		for _, run := range reps {
+			row.arrivals += run.Arrivals
 			arr.Add(float64(run.Arrivals))
 			p50.Add(run.P50 * 1000)
 			p99.Add(run.P99 * 1000)
@@ -294,32 +281,16 @@ func Traffic(o Options) TrafficResult {
 			}
 			podsec.Add(run.PodSeconds)
 		}
-		res.Rows = append(res.Rows, TrafficRow{
-			Arm:      arm.Name,
-			Arrivals: arr.Mean(),
-			P50Ms:    p50.Mean(),
-			P99Ms:    p99.Mean(),
-			P999Ms:   p999.Mean(),
-			ColdFrac: cold.Mean(),
-			ShedFrac: shed.Mean(),
-			DdlFrac:  ddl.Mean(),
-			PodSecs:  podsec.Mean(),
-		})
-	}
-	return res
-}
-
-// WriteTable renders the autoscaler study.
-func (r TrafficResult) WriteTable(w io.Writer) error {
-	tbl := metrics.NewTable("autoscaler", "arrivals", "p50_ms", "p99_ms", "p999_ms", "cold/req", "shed/arr", "ddl/arr", "pod_s")
-	for _, row := range r.Rows {
-		tbl.AddRow(row.Arm, row.Arrivals, row.P50Ms, row.P99Ms, row.P999Ms,
-			row.ColdFrac, row.ShedFrac, row.DdlFrac, row.PodSecs)
-	}
-	if err := tbl.Write(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "\ntraffic (autoscaler study): %d total open-loop arrivals, Zipf tenant mix\nover a diurnal curve with a %gx flash crowd, replayed per KPA\nparameterization; tail latency and cold starts trade against pod-seconds\n",
-		r.TotalArrivals, trafficFlashBoost)
-	return err
+		row.Arrivals, row.P50Ms, row.P99Ms, row.P999Ms = arr.Mean(), p50.Mean(), p99.Mean(), p999.Mean()
+		row.ColdFrac, row.ShedFrac, row.DdlFrac, row.PodSecs = cold.Mean(), shed.Mean(), ddl.Mean(), podsec.Mean()
+		return row
+	},
+	report: func(_ Options, rows []trafficRow) report {
+		total := 0
+		for _, row := range rows {
+			total += row.arrivals
+		}
+		return report{rows: rows, note: fmt.Sprintf("\ntraffic (autoscaler study): %d total open-loop arrivals, Zipf tenant mix\nover a diurnal curve with a %gx flash crowd, replayed per KPA\nparameterization; tail latency and cold starts trade against pod-seconds\n",
+			total, trafficFlashBoost)}
+	},
 }

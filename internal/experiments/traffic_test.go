@@ -16,12 +16,12 @@ import (
 func TestTrafficArmsDifferentiate(t *testing.T) {
 	o := QuickOptions()
 	o.Workers = 1
-	res := Traffic(o)
-	if len(res.Rows) != len(TrafficArms()) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(TrafficArms()))
+	rows := traffic.rows(o)
+	if len(rows) != len(trafficArms) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(trafficArms))
 	}
-	byName := map[string]TrafficRow{}
-	for _, row := range res.Rows {
+	byName := map[string]trafficRow{}
+	for _, row := range rows {
 		byName[row.Arm] = row
 		if row.Arrivals <= 0 {
 			t.Errorf("arm %s saw no arrivals", row.Arm)
@@ -34,10 +34,10 @@ func TestTrafficArmsDifferentiate(t *testing.T) {
 			t.Errorf("arm %s recorded no pod-seconds", row.Arm)
 		}
 	}
-	for _, row := range res.Rows {
-		if row.Arrivals != res.Rows[0].Arrivals {
+	for _, row := range rows {
+		if row.Arrivals != rows[0].Arrivals {
 			t.Errorf("arm %s arrivals %.0f != %s arrivals %.0f; trace not shared across arms",
-				row.Arm, row.Arrivals, res.Rows[0].Arm, res.Rows[0].Arrivals)
+				row.Arm, row.Arrivals, rows[0].Arm, rows[0].Arrivals)
 		}
 	}
 	if byName["clamped"].PodSecs < byName["seed"].PodSecs {
@@ -79,7 +79,7 @@ func TestSeedCompatGoldens(t *testing.T) {
 			o := QuickOptions()
 			o.Workers = 0 // worker count is proven irrelevant; use the pool
 			var buf bytes.Buffer
-			if err := WriteSection(&buf, name, exps[0].Run(o)); err != nil {
+			if err := WriteSection(&buf, exps[0], o); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf.Bytes(), golden) {

@@ -185,22 +185,6 @@ func TestTableWrite(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("got %d lines, want 4", len(lines))
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tbl.NumRows())
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tbl := NewTable("a", "b")
-	tbl.AddRow("x,y", 1.0)
-	var sb strings.Builder
-	if err := tbl.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n\"x,y\",1.000\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
 }
 
 func TestMinMaxMean(t *testing.T) {

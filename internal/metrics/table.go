@@ -32,9 +32,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Write renders the table with space-aligned columns.
 func (t *Table) Write(w io.Writer) error {
 	widths := make([]int, len(t.header))
@@ -71,33 +68,6 @@ func (t *Table) Write(w io.Writer) error {
 	}
 	for _, row := range t.rows {
 		if _, err := fmt.Fprintln(w, line(row)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV renders the table as comma-separated values.
-func (t *Table) WriteCSV(w io.Writer) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(parts, ","))
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeRow(row); err != nil {
 			return err
 		}
 	}

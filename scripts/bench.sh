@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the repo's benchmarks and emit a machine-readable snapshot.
 #
+# Benchmarks the root package (ablations, kernel, placement, runner, engine)
+# and internal/experiments (one benchmark per study).
+#
 # Produces two files in $OUT_DIR (default: bench/):
 #   BENCH_<git-sha>.txt   raw `go test -bench` output (benchstat-compatible)
 #   BENCH_<git-sha>.json  parsed {benchmark, ns_op, b_op, allocs_op, metrics{}}
@@ -48,7 +51,7 @@ if [ -n "${BENCH_INPUT:-}" ]; then
     cp "$BENCH_INPUT" "$RAW"
 else
     echo "benchmarking '${PATTERN}' count=${COUNT} benchtime=${BENCHTIME} -> ${RAW}" >&2
-    go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
+    go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/experiments | tee "$RAW"
 fi
 
 # A pattern that matches nothing still exits 0 from `go test` and would

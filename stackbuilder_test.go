@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -72,5 +73,62 @@ func TestDriversUseOneStackBuilder(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// experimentsAPI is all that internal/experiments exports: the table
+// (Options, Select and its Experiment entries, Targets, WriteSection), the
+// mixes examples/tradeoff sweeps, and the two single-run functions
+// e2ebench's tests compare their drivers against.
+var experimentsAPI = []string{
+	"DefaultOptions", "ExecModeOnce", "ExecModeRun", "Experiment", "Mix", "MixResult",
+	"Options", "QuickOptions", "RunMix", "ScaleOnce", "ScaleRun", "Select", "Targets",
+	"WriteSection",
+}
+
+// TestExperimentsExportOnlyTheTable keeps internal/experiments' API to its
+// table: a study is an entry of the table, not a typed public driver with
+// its own result type, so a new exported top-level name must be added here
+// on purpose.
+func TestExperimentsExportOnlyTheTable(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/experiments", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.IsExported() {
+						got = append(got, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								got = append(got, s.Name.Name)
+							}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								if name.IsExported() {
+									got = append(got, name.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(experimentsAPI, " ") {
+		t.Errorf("internal/experiments exports %d names, want the %d of the table API:\n got  %v\n want %v",
+			len(got), len(experimentsAPI), got, experimentsAPI)
 	}
 }
