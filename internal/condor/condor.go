@@ -177,6 +177,7 @@ type Schedd struct {
 	faults   *faults.Injector
 	stopped  bool
 	started  bool
+	cycle    func() // negotiate, bound once (cycle mode)
 	running  int
 	finished int
 	free     []*Job // settled, released jobs awaiting reuse
@@ -209,19 +210,21 @@ func New(env *sim.Env, cl *cluster.Cluster, prm config.Params) *Schedd {
 }
 
 // Start launches the negotiator (cycle mode only; per-job mode matches from
-// submit-triggered events). Call once before submitting jobs.
+// submit-triggered events), a recurring event whose first cycle is drawn
+// where a process spawned now would first run. Call once before submitting.
 func (s *Schedd) Start() {
 	if s.started {
 		panic("condor: Start called twice")
 	}
 	s.started = true
 	if !s.prm.PerJobNegotiation {
-		s.env.Go("negotiator", s.negotiatorLoop)
+		s.cycle = s.negotiate
+		s.env.Defer(s.nextCycle)
 	}
 }
 
-// Shutdown stops the negotiator after its current cycle. Jobs already
-// matched run to completion; idle jobs stay idle forever.
+// Shutdown stops the negotiator: its armed cycle ends without matching.
+// Jobs already matched run to completion; idle jobs stay idle forever.
 func (s *Schedd) Shutdown() { s.stopped = true }
 
 // AttachFaults connects the pool to the fault injector: node crashes
@@ -510,15 +513,20 @@ func (s *Schedd) Wait(p *sim.Proc, j *Job) error {
 	return j.done.Get(p)
 }
 
-// negotiatorLoop (cycle mode) matches idle jobs to free slots once per
-// (jittered) cycle.
-func (s *Schedd) negotiatorLoop(p *sim.Proc) {
-	for !s.stopped {
-		p.Sleep(s.rng.Jitter(s.prm.NegotiatorCycle, s.prm.NegotiatorJitterFrac))
-		if s.stopped {
-			return
-		}
+// nextCycle (cycle mode) draws the negotiator's next (jittered) cycle and
+// arms its end.
+func (s *Schedd) nextCycle() {
+	if !s.stopped {
+		s.env.Delay(s.rng.Jitter(s.prm.NegotiatorCycle, s.prm.NegotiatorJitterFrac), s.cycle)
+	}
+}
+
+// negotiate ends a cycle: it matches idle jobs to free slots and arms the
+// next cycle.
+func (s *Schedd) negotiate() {
+	if !s.stopped {
 		s.matchmake()
+		s.nextCycle()
 	}
 }
 

@@ -460,3 +460,33 @@ func TestShutdownStopsNegotiator(t *testing.T) {
 		t.Errorf("%d processes alive after shutdown", f.env.Alive())
 	}
 }
+
+// TestCycleModeSpawnsOnlyJobs: in cycle mode the negotiator is a recurring
+// event, so a run creates coroutines for its driver and its jobs alone.
+// The six jobs match in one cycle and run at once, one coroutine each.
+func TestCycleModeSpawnsOnlyJobs(t *testing.T) {
+	f := newFixture(t, func(p *config.Params) { p.PerJobNegotiation = false })
+	const jobs = 6
+	f.env.Go("main", func(p *sim.Proc) {
+		var js []*Job
+		for i := 0; i < jobs; i++ {
+			js = append(js, f.s.Submit("task", 0, 0, func(ctx *ExecContext) error {
+				ctx.Proc.Sleep(time.Second)
+				return nil
+			}))
+		}
+		for _, j := range js {
+			if err := f.s.Wait(p, j); err != nil {
+				t.Error(err)
+			}
+		}
+		f.s.Shutdown()
+	})
+	f.env.Run()
+	if want := 1 + jobs; f.env.Stats().Coroutines != want {
+		t.Errorf("run created %d coroutines, want %d (the driver and its jobs)", f.env.Stats().Coroutines, want)
+	}
+	if f.env.Alive() != 0 {
+		t.Errorf("%d processes alive after shutdown", f.env.Alive())
+	}
+}

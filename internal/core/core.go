@@ -132,9 +132,9 @@ func NewStack(seed uint64, prm config.Params) *Stack {
 		HedgeMax:   prm.HedgeMax,
 	}
 	// The completion broker exists only under the trigger execution mode: its
-	// dispatch loop is a simulation process, and creating it unconditionally
-	// would shift process creation order (and thus RNG/span identity) for the
-	// poll and decentralized modes. An unparseable ExecMode stays Broker-less
+	// dispatch takes a run-queue slot, and creating it unconditionally would
+	// shift the run order (and thus RNG/span identity) for the poll and
+	// decentralized modes. An unparseable ExecMode stays Broker-less
 	// here; the engine rejects it with the parse error at run time.
 	if mode, err := config.ParseExecMode(prm.ExecMode); err == nil && mode == config.ExecTrigger {
 		s.Engine.Broker = s.Knative.NewBroker("wms-completions")

@@ -121,3 +121,54 @@ func TestScaleDownKeepsBusyPods(t *testing.T) {
 	})
 	f.env.RunUntil(15 * time.Minute)
 }
+
+// TestAutoscalerSpawnsNoCoroutine: an autoscaled service scales up from
+// zero under a burst, back to zero when idle, and shuts down on the
+// driver's coroutine alone — the autoscaler is a chain of continuations,
+// and so is every request of the burst.
+func TestAutoscalerSpawnsNoCoroutine(t *testing.T) {
+	f := newFixture(t)
+	peak, idle := 0, -1
+	f.env.Go("main", func(p *sim.Proc) {
+		f.prePull(p)
+		spec := baseSpec()
+		spec.ContainerConcurrency = 1
+		svc, err := f.kn.Deploy(p, spec)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wg := sim.NewWaitGroup(f.env)
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			svc.InvokeAsync(req(3.0), func(_ Response, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				wg.Done()
+			})
+		}
+		for svc.ReadyPods() < 8 && p.Now() < time.Minute {
+			p.Sleep(250 * time.Millisecond)
+			peak = max(peak, svc.ReadyPods())
+		}
+		wg.Wait(p)
+		p.Sleep(f.prm.StableWindow + f.prm.ScaleToZeroGrace + time.Minute)
+		idle = len(svc.pods)
+		f.kn.Shutdown()
+		f.k.Shutdown()
+	})
+	f.env.Run()
+	if peak < 2 {
+		t.Errorf("peak of %d ready replicas under an 8-request burst, want a scale-up", peak)
+	}
+	if idle != 0 {
+		t.Errorf("%d replicas left after idling, want scale to zero", idle)
+	}
+	if n := f.env.Stats().Coroutines; n != 1 {
+		t.Errorf("run created %d coroutines, want 1 (the driver)", n)
+	}
+	if n := f.env.Alive(); n != 0 {
+		t.Errorf("%d processes alive after shutdown", n)
+	}
+}

@@ -63,17 +63,19 @@ type Broker struct {
 	name       string
 	queue      *sim.Chan[Event]
 	triggers   []*Trigger
-	deliveries []*delivery // recycled, for dispatchLoop
+	deliveries []*delivery // recycled, for dispatch
 	accepted   int
 	dispatched int
 	stopped    bool
 }
 
-// NewBroker creates a broker and starts its dispatch loop.
+// NewBroker creates a broker and starts its dispatch: its first drain
+// takes the run-queue slot of a process spawned now.
 func (kn *Knative) NewBroker(name string) *Broker {
-	b := &Broker{kn: kn, name: name, queue: sim.NewUnbounded[Event]()}
+	b := &Broker{kn: kn, name: name}
+	b.queue = sim.NewUnbounded[Event](kn.env, b.dispatch)
 	kn.brokers = append(kn.brokers, b)
-	kn.env.Go("broker-"+name, b.dispatchLoop)
+	kn.env.Defer(b.dispatch)
 	return b
 }
 
@@ -128,15 +130,15 @@ func (b *Broker) Publish(p *sim.Proc, fromNode string, ev Event) error {
 // Accepted returns how many events the broker has taken in.
 func (b *Broker) Accepted() int { return b.accepted }
 
-// Dispatched returns how many accepted events the dispatch loop has fanned
+// Dispatched returns how many accepted events the dispatch has fanned
 // out to triggers (matching or not). After a drained shutdown it equals
 // Accepted — the broker never drops or double-counts an accepted event.
 func (b *Broker) Dispatched() int { return b.dispatched }
 
-// dispatchLoop fans each event out to matching triggers.
-func (b *Broker) dispatchLoop(p *sim.Proc) {
+// dispatch drains the queue, fanning each event out to matching triggers.
+func (b *Broker) dispatch() {
 	for {
-		ev, ok := b.queue.Recv(p)
+		ev, ok := b.queue.Recv()
 		if !ok {
 			return
 		}
@@ -148,7 +150,7 @@ func (b *Broker) dispatchLoop(p *sim.Proc) {
 			tr.Delivered++
 			d := b.newDelivery()
 			d.tr, d.ev = tr, ev
-			p.Env().Go("trigger", d.run)
+			b.kn.env.Go("trigger", d.run)
 		}
 	}
 }
@@ -183,11 +185,10 @@ func (d *delivery) deliver(p *sim.Proc) {
 	tr.Handler(p, ev)
 }
 
-// shutdown closes the queue so the dispatch loop drains and exits. Events
-// already accepted stay in the queue and are still dispatched (sim.Chan
-// drains buffered values before reporting closed); publishers blocked in
-// their ingress hop observe the stop on resume and get an error instead of
-// a send on the closed queue.
+// shutdown closes the queue. Events already accepted stay in the queue and
+// are still dispatched (sim.Chan drains buffered values before reporting
+// closed); publishers blocked in their ingress hop observe the stop on
+// resume and get an error instead of a send on the closed queue.
 func (b *Broker) shutdown() {
 	if !b.stopped {
 		b.stopped = true

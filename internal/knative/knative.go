@@ -172,6 +172,14 @@ type Service struct {
 	readySig sim.Signal
 	stopped  bool
 
+	// The autoscaler's state (see autoscale), and its step, bound once.
+	agg          *kpa.MetricAggregator
+	as           *kpa.Autoscaler
+	lastRequests int
+	desired      int
+	scaleStage   scaleStage
+	step         func()
+
 	// Overload protection (nil members = disabled, the seed behaviour).
 	breaker   *resilience.Breaker
 	admission *resilience.Admission
@@ -287,7 +295,10 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 			return nil, fmt.Errorf("knative: deploy %s: %w", spec.Name, err)
 		}
 	}
-	kn.env.Go("autoscaler-"+spec.Name, svc.autoscalerLoop)
+	svc.agg = kpa.NewMetricAggregator(ascfg)
+	svc.as = kpa.MustNew(ascfg)
+	svc.step = svc.autoscale
+	kn.env.Defer(svc.step)
 	return svc, nil
 }
 
@@ -638,48 +649,60 @@ func (kn *Knative) hpaConfig(spec ServiceSpec) kpa.Config {
 	}
 }
 
-// autoscalerLoop is the service's one reconcile loop, for either class:
-// every tick it records the instantaneous concurrency and the request rate
-// over the elapsed tick into the sliding windows, asks the kpa autoscaler
-// for a recommendation, and reconciles the replica count. The class only
-// picks the kpa.Config (kpaConfig or hpaConfig); all algorithmic state
-// (windows, panic exit, idle clock, delay window) lives in internal/kpa.
-func (s *Service) autoscalerLoop(p *sim.Proc) {
-	tick := s.ascfg.Tick
-	agg := kpa.NewMetricAggregator(s.ascfg)
-	as := kpa.MustNew(s.ascfg)
-	lastRequests := 0
-	for !s.stopped {
-		p.Sleep(tick)
-		if s.stopped {
-			return
-		}
+// scaleStage names the autoscaler step that runs next.
+type scaleStage uint8
+
+const (
+	scaleStart  scaleStage = iota // arm the first tick
+	scaleScrape                   // the tick elapsed: read the metrics
+	scaleDecide                   // the metric read elapsed: recommend
+	scaleWrite                    // the scale write elapsed: reconcile
+)
+
+// autoscale is the service's one reconcile loop, for either class: every
+// tick it records the instantaneous concurrency and the request rate over
+// the elapsed tick into the sliding windows, asks the kpa autoscaler for a
+// recommendation, and reconciles the replica count. The class only picks
+// the kpa.Config (kpaConfig or hpaConfig); all algorithmic state (windows,
+// panic exit, idle clock, delay window) lives in internal/kpa. Each wait
+// arms s.step, which runs in the event callback when the wait ends.
+func (s *Service) autoscale() {
+	if s.stopped {
+		return
+	}
+	switch s.scaleStage {
+	case scaleScrape:
 		// The metric scrape rides the control plane (an apiserver read in
 		// the store-mediated baseline, a direct connection in direct mode);
 		// zero delay = the seed's free metrics pipeline.
 		if d := s.kn.k.ControlPlane().MetricReadDelay(); d > 0 {
-			p.Sleep(d)
-			if s.stopped {
-				return
-			}
+			s.scaleStage = scaleDecide
+			s.kn.env.After(d, s.step)
+			return
 		}
+		fallthrough
+	case scaleDecide:
 		s.purgeDead()
-		now := p.Now()
-		rps := float64(s.Requests-lastRequests) / tick.Seconds()
-		lastRequests = s.Requests
-		agg.Record(now, float64(s.inFlight), rps)
-		rec := as.Scale(agg.Snapshot(now, s.ReadyPods()), now)
+		now := s.kn.env.Now()
+		rps := float64(s.Requests-s.lastRequests) / s.ascfg.Tick.Seconds()
+		s.lastRequests = s.Requests
+		s.agg.Record(now, float64(s.inFlight), rps)
+		rec := s.as.Scale(s.agg.Snapshot(now, s.ReadyPods()), now)
 		if rec.Hold {
-			continue
+			break
 		}
 		// The scale decision is a write the scheduler must observe before
 		// the replica change takes effect.
+		s.desired = rec.Desired
 		if d := s.kn.k.ControlPlane().ScaleWriteDelay(); d > 0 {
-			p.Sleep(d)
-			if s.stopped {
-				return
-			}
+			s.scaleStage = scaleWrite
+			s.kn.env.After(d, s.step)
+			return
 		}
-		s.scaleTo(rec.Desired)
+		fallthrough
+	case scaleWrite:
+		s.scaleTo(s.desired)
 	}
+	s.scaleStage = scaleScrape
+	s.kn.env.Delay(s.ascfg.Tick, s.step)
 }

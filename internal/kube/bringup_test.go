@@ -334,8 +334,8 @@ func TestPodLifecycleAllocs(t *testing.T) {
 }
 
 // TestPodLifecycleSpawnsNoCoroutine: a 64-pod wave, brought up and deleted,
-// runs on the scheduler, the kubelets and the driver alone — no bring-up or
-// readiness watch costs a coroutine.
+// costs the driver's coroutine alone — the scheduler, the kubelets, every
+// bring-up, teardown and readiness watch run on continuations.
 func TestPodLifecycleSpawnsNoCoroutine(t *testing.T) {
 	f := newFixtureWith(t, func(p *config.Params) { p.WorkerNodes = 8 })
 	ready := 0
@@ -369,10 +369,23 @@ func TestPodLifecycleSpawnsNoCoroutine(t *testing.T) {
 	if ready != 64 {
 		t.Errorf("%d readiness continuations saw a ready pod, want 64", ready)
 	}
-	if want := 1 + 8 + 1; f.env.Stats().Coroutines != want {
-		t.Errorf("run created %d coroutines, want %d (scheduler, 8 kubelets, driver)", f.env.Stats().Coroutines, want)
+	if want := 1; f.env.Stats().Coroutines != want {
+		t.Errorf("run created %d coroutines, want %d (the driver)", f.env.Stats().Coroutines, want)
 	}
 	if f.env.Alive() != 0 {
 		t.Errorf("%d processes alive after shutdown", f.env.Alive())
+	}
+}
+
+// TestStartSpawnsNoCoroutine: a 2,048-worker control plane starts, idles
+// and shuts down without a coroutine — the scheduler and the kubelets are
+// handlers of their queues.
+func TestStartSpawnsNoCoroutine(t *testing.T) {
+	f := newFixtureWith(t, func(p *config.Params) { p.WorkerNodes = 2048 })
+	f.env.Run()
+	f.k.Shutdown()
+	f.env.Run()
+	if n := f.env.Stats().Coroutines; n != 0 {
+		t.Errorf("start and shutdown created %d coroutines, want 0", n)
 	}
 }

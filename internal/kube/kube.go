@@ -111,6 +111,7 @@ const (
 	stageStatus                      // the Ready status write propagated
 	stageFailed                      // a failed bring-up's container is removed
 	stageCancelled                   // a deleted bring-up's container is removed
+	stageTornDown                    // a deleted running pod's container is removed
 )
 
 // CreatedAt returns the virtual time the pod was submitted (CreatePod).
@@ -187,17 +188,22 @@ type Kube struct {
 	prm     config.Params
 	cp      *cplane.Plane
 	pods    map[string]*Pod
-	schedQ  *sim.Chan[*Pod]
 	faults  *faults.Injector
 	started bool
 	stopped bool
+
+	// The scheduler (schedule, bound once in sched) is the handler of
+	// schedQ; placing is the pod it holds through SchedulerLatency.
+	schedQ  *sim.Chan[*Pod]
+	sched   func()
+	placing *Pod
 
 	// Per-node state, indexed by cluster.Node.Index (the worker's position
 	// in cl.Workers), so neither placement nor the pod lifecycle hashes a
 	// node name. reqCPU/reqMemMB/podsOn are the requested resources and
 	// live pods maintained on bind/unbind (O(1) per decision, replacing the
 	// seed's O(nodes×pods) store rescan, which the tests keep as their
-	// oracle).
+	// oracle). Each kubelet is the handler of its node's nodeQ.
 	nodeQ    []*sim.Chan[podOp]
 	runtimes []*crt.Runtime
 	cordoned []bool
@@ -241,7 +247,6 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 		prm:      prm,
 		cp:       cplane.New(env, prm),
 		pods:     make(map[string]*Pod),
-		schedQ:   sim.NewUnbounded[*Pod](),
 		nodeQ:    make([]*sim.Chan[podOp], n),
 		runtimes: make([]*crt.Runtime, n),
 		cordoned: make([]bool, n),
@@ -251,8 +256,10 @@ func New(env *sim.Env, cl *cluster.Cluster, runtimes crt.Set, prm config.Params)
 		policy:   cmp.Or(prm.KubePlacementPolicy, sched.PolicyLeastRequested),
 		target:   sched.SampleTarget(n, prm.SchedSamplePercent),
 	}
+	k.sched = k.schedule
+	k.schedQ = sim.NewUnbounded[*Pod](env, k.sched)
 	for i, w := range cl.Workers {
-		k.nodeQ[i] = sim.NewUnbounded[podOp]()
+		k.nodeQ[i] = sim.NewUnbounded[podOp](env, func() { k.kubelet(i) })
 		k.runtimes[i] = runtimes[w.Name]
 		if shape := (nodeShape{cores: w.Cores, memMB: w.MemMB}); !slices.Contains(k.shapes, shape) {
 			k.shapes = append(k.shapes, shape)
@@ -300,25 +307,26 @@ func (k *Kube) Workers() []string {
 	return names
 }
 
-// Start launches the scheduler and kubelet processes. It must be called
-// once, from outside or inside simulation context, before pods are created.
+// Start launches the scheduler and the kubelets, the handlers of their work
+// queues. It must be called once, from outside or inside simulation
+// context, before pods are created. The scheduler's first drain takes the
+// run-queue slot of a process spawned now; the kubelets' run here, since
+// nothing reaches a node's queue before the scheduler's first bind.
 func (k *Kube) Start() {
 	if k.started {
 		panic("kube: Start called twice")
 	}
 	k.started = true
-	k.env.Go("kube-scheduler", k.schedulerLoop)
-	for _, w := range k.cl.Workers {
-		w := w
-		k.env.Go("kubelet-"+w.Name, func(p *sim.Proc) { k.kubeletLoop(p, w) })
+	k.env.Defer(k.sched)
+	for i := range k.nodeQ {
+		k.kubelet(i)
 	}
 }
 
-// Shutdown closes the scheduler and kubelet work queues so their processes
-// exit once already-queued operations (including pending pod deletions)
-// drain. Call it after deleting all pods to let the simulation finish. The
-// kubelet queues close in worker order, so their procs wake in the same
-// order in every same-seed run.
+// Shutdown closes the scheduler and kubelet work queues; operations queued
+// before it (including pending pod deletions) still drain. Call it after
+// deleting all pods to let the simulation finish. The kubelet queues close
+// in worker order, so their handlers run in the same order in every run.
 func (k *Kube) Shutdown() {
 	k.stopped = true
 	k.schedQ.Close()
@@ -461,40 +469,41 @@ func (k *Kube) PodsOnNode(node string) int {
 	return 0
 }
 
-// schedulerLoop binds pending pods to the node chosen by the configured
-// placement policy (default: lowest requested CPU, ties broken by stable
-// node order). A pod that fits no node right now — but could once capacity
-// frees — stays Pending and is retried on pod deletion and uncordon; only a
-// pod that can never fit any node is failed outright.
-func (k *Kube) schedulerLoop(p *sim.Proc) {
+// schedule is the scheduler: it binds each queued pod, held in placing
+// through SchedulerLatency, to the node chosen by the configured placement
+// policy (default: lowest requested CPU, ties broken by stable node order).
+// A pod that fits no node right now — but could once capacity frees — stays
+// Pending and is retried on pod deletion and uncordon; only a pod that can
+// never fit any node is failed outright.
+func (k *Kube) schedule() {
+	if pod := k.placing; pod != nil {
+		k.placing = nil
+		best, feasible, _ := k.pickNode(&pod.Spec)
+		switch {
+		case best >= 0:
+			if tr := trace.FromEnv(k.env); tr != nil {
+				dec := k.decision(&pod.Spec, best, feasible)
+				sched.Record(tr, nil, "kube", k.policy, pod.Spec.Name, dec)
+			}
+			k.bind(pod, k.cl.Workers[best])
+			k.deliver(podOp{pod: pod}, k.cp.BindDelay())
+		case k.fitsEver(pod.Spec):
+			k.addPending(pod)
+		case !pod.deleted: // a deleted pod resolved at DeletePod
+			pod.phase = PhaseFailed
+			pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
+		}
+	}
 	for {
-		pod, ok := k.schedQ.Recv(p)
+		pod, ok := k.schedQ.Recv()
 		if !ok {
 			return
 		}
-		if pod.deleted {
-			continue
+		if !pod.deleted {
+			k.placing = pod
+			k.env.Delay(k.prm.SchedulerLatency, k.sched)
+			return
 		}
-		p.Sleep(k.prm.SchedulerLatency)
-		best, feasible, _ := k.pickNode(&pod.Spec)
-		if best < 0 {
-			if !k.fitsEver(pod.Spec) {
-				if !pod.deleted { // a deleted pod resolved at DeletePod
-					pod.phase = PhaseFailed
-					pod.readyF.Set(fmt.Errorf("kube: no node fits pod %s", pod.Spec.Name))
-				}
-				continue
-			}
-			k.addPending(pod)
-			continue
-		}
-		if tr := trace.FromEnv(k.env); tr != nil {
-			dec := k.decision(&pod.Spec, best, feasible)
-			sched.Record(tr, nil, "kube", k.policy, pod.Spec.Name, dec)
-		}
-		node := k.cl.Workers[best]
-		k.bind(pod, node)
-		k.deliver(podOp{pod: pod}, k.cp.BindDelay())
 	}
 }
 
@@ -663,25 +672,33 @@ func (k *Kube) kickPending() {
 	}
 }
 
-// kubeletLoop reconciles pods bound to one node.
-func (k *Kube) kubeletLoop(p *sim.Proc, node *cluster.Node) {
-	q := k.nodeQ[node.Index]
+// kubelet reconciles the pods bound to worker i. Pod startups proceed in
+// parallel (the kubelet does not serialize unrelated pods); image-layer
+// pulls still contend on the network. A bring-up is a chain of steps (see
+// advance); its first step waits its turn in the run queue like any newly
+// started work. A teardown stops the drain until stageTornDown resumes it.
+func (k *Kube) kubelet(i int) {
+	q := k.nodeQ[i]
 	for {
-		op, ok := q.Recv(p)
+		op, ok := q.Recv()
 		if !ok {
 			return
 		}
-		if op.delete {
-			k.teardown(p, op.pod, node)
-			continue
+		switch pod := op.pod; {
+		case !op.delete:
+			pod.step = func() { k.advance(pod) }
+			k.env.Defer(pod.step)
+		case pod.phase != PhaseRunning:
+			// A pod still starting up is cleaned up by its own bring-up
+			// chain (which observes pod.deleted at its next check); tearing
+			// it down here would double-release its resources.
+		case pod.container != nil && pod.container.State() == crt.StateRunning:
+			pod.stage = stageTornDown
+			_ = pod.container.BeginStopRemove(nil, pod.step) // running, so not yet removed
+			return
+		default:
+			k.retire(pod)
 		}
-		// Pod startups proceed in parallel (the kubelet does not serialize
-		// unrelated pods); image-layer pulls still contend on the network.
-		// A bring-up is a chain of steps (see advance); its first step
-		// waits its turn in the run queue like any newly started work.
-		pod := op.pod
-		pod.step = func() { k.advance(pod) }
-		k.env.Defer(pod.step)
 	}
 }
 
@@ -693,7 +710,8 @@ func (k *Kube) kubeletLoop(p *sim.Proc, node *cluster.Node) {
 // an event fires only on an empty run queue, the chain keeps every
 // (at, seq), run-queue order and RNG draw a process sleeping through the
 // same waits would have. Only pulling an absent image blocks; it runs in a
-// process of its own (see pull).
+// process of its own (see pull). The chain also runs a running pod's
+// teardown (stageTornDown), which resumes its kubelet's drain.
 func (k *Kube) advance(pod *Pod) {
 	node := pod.node
 	switch pod.stage {
@@ -772,6 +790,11 @@ func (k *Kube) advance(pod *Pod) {
 		node.ReleaseMem(pod.Spec.MemMB)
 		k.endBringUp(pod, PhaseDead, "cancelled",
 			fmt.Errorf("kube: pod %s deleted during startup", pod.Spec.Name))
+	case stageTornDown:
+		pod.container.EndStopRemove()
+		node.ReleaseMem(pod.Spec.MemMB)
+		k.retire(pod)
+		k.kubelet(node.Index)
 	}
 }
 
@@ -822,19 +845,10 @@ func (k *Kube) endBringUp(pod *Pod, phase Phase, status string, err error) {
 	pod.sp.End()
 }
 
-func (k *Kube) teardown(p *sim.Proc, pod *Pod, node *cluster.Node) {
-	// A pod still starting up is cleaned up by its own bring-up chain
-	// (which observes pod.deleted at its next check); tearing it down here
-	// would double-release its resources.
-	if pod.phase != PhaseRunning {
-		return
-	}
-	if pod.container != nil && pod.container.State() == crt.StateRunning {
-		_ = pod.container.StopRemove(p, nil)
-		node.ReleaseMem(pod.Spec.MemMB)
-	}
+// retire ends a deleted running pod whose container is gone.
+func (k *Kube) retire(pod *Pod) {
 	pod.phase = PhaseDead
 	pod.ready = false
 	k.unbind(pod) // normally already unbound at DeletePod; idempotent
-	k.kickPendingFor(node)
+	k.kickPendingFor(pod.node)
 }

@@ -90,19 +90,24 @@ func TestAfterFireSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestChanHandOffSteadyStateZeroAlloc: a send to a parked receiver wakes
-// the bare *Proc and the value passes through the queue's ring, so the
+// TestChanHandOffSteadyStateZeroAlloc: a send to an armed queue queues
+// its bound handler and the value passes through the queue's ring, so the
 // hand-off loop allocates nothing once the ring has grown.
 func TestChanHandOffSteadyStateZeroAlloc(t *testing.T) {
 	env := NewEnv(1)
-	q := NewUnbounded[int]()
+	var q *Chan[int]
 	got := 0
-	env.Go("receiver", func(p *Proc) {
+	drain := func() {
 		for {
-			v, _ := q.Recv(p)
+			v, ok := q.Recv()
+			if !ok {
+				return
+			}
 			got += v
 		}
-	})
+	}
+	q = NewUnbounded[int](env, drain)
+	env.Defer(drain)
 	env.Go("sender", func(p *Proc) {
 		for {
 			q.Send(1)

@@ -11,9 +11,9 @@
 // func(*Proc). It waits by handing one of those waits its resume, a
 // continuation bound once per process (Proc.Resumer), and parking in
 // Proc.Await. The kernel's blocking waits (Sleep, Future.Get, Signal.Wait,
-// Semaphore.Acquire, WaitGroup.Wait and Chan.Recv) queue the same resume
-// and park the same way; none has a timeout. A Chan is an unbounded queue
-// drained by exactly one receiving loop, and its sends never block.
+// Semaphore.Acquire and WaitGroup.Wait) queue the same resume and park the
+// same way; none has a timeout. A control loop is no process: a Chan is an
+// unbounded queue drained by one handler, and its sends never block.
 //
 // Each process is a stdlib coroutine (iter.Pull): the run loop resumes it,
 // and it switches straight back when it parks. Shared state needs no

@@ -7,11 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// A minimal simulation: a producer hands work to a worker loop through
-// the worker's queue on the virtual clock.
+// A minimal simulation: a producer process hands work to a worker loop
+// through the worker's queue on the virtual clock. The worker is the
+// queue's handler: it takes one job at a time, and a job's wait ends in the
+// step that resumes the drain.
 func Example() {
 	env := sim.NewEnv(1)
-	jobs := sim.NewUnbounded[string]()
+	var jobs *sim.Chan[string]
+	var job string
+	var work, done func()
+	work = func() {
+		if next, ok := jobs.Recv(); ok {
+			job = next
+			env.Delay(500*time.Millisecond, done)
+		}
+	}
+	done = func() {
+		fmt.Printf("%v %s done\n", env.Now(), job)
+		work()
+	}
+	jobs = sim.NewUnbounded[string](env, work)
+	env.Defer(work)
 
 	env.Go("producer", func(p *sim.Proc) {
 		for _, name := range []string{"stage-in", "compute", "stage-out"} {
@@ -19,16 +35,6 @@ func Example() {
 			jobs.Send(name)
 		}
 		jobs.Close()
-	})
-	env.Go("worker", func(p *sim.Proc) {
-		for {
-			job, ok := jobs.Recv(p)
-			if !ok {
-				return
-			}
-			p.Sleep(500 * time.Millisecond)
-			fmt.Printf("%v %s done\n", p.Now(), job)
-		}
 	})
 
 	end := env.Run()

@@ -174,21 +174,24 @@ func TestWaitOrder(t *testing.T) {
 		},
 		want: []string{"defer@1s", "bystander@1s", "p1@1s", "p2@1s", "delay0@1s", "ev3@1s"},
 	}, {
-		// A Send wakes the parked receiver once; a second Send before it
-		// resumes only queues its value.
+		// A Send queues the armed handler once; a second Send before it
+		// runs only queues its value. The handler starts where a receiving
+		// process would have been spawned, and keeps its order.
 		name: "ChanRecv",
 		run: func(l *orderLog) {
 			env := l.env
-			ch := NewUnbounded[string]()
-			env.Go("recv", func(p *Proc) {
+			var ch *Chan[string]
+			drain := func() {
 				for {
-					v, ok := ch.Recv(p)
+					v, ok := ch.Recv()
 					if !ok {
 						return
 					}
 					l.add("recv-" + v)
 				}
-			})
+			}
+			ch = NewUnbounded[string](env, drain)
+			env.Defer(drain)
 			env.At(time.Second, func() {
 				env.Defer(l.note("defer"))
 				ch.Send("a")

@@ -40,7 +40,7 @@ func (s procState) String() string {
 }
 
 // Proc is a simulation process: a coroutine (iter.Pull) scheduled
-// cooperatively by its Env. Await, Yield and every wait that takes a *Proc
+// cooperatively by its Env. Await and every wait that takes a *Proc
 // must be called from the process's own function body (the fn passed to
 // Env.Go); calling them from outside the simulation corrupts scheduling.
 type Proc struct {
@@ -141,7 +141,7 @@ func (p *Proc) run() {
 func (p *Proc) Resumer() func() { return p.resume }
 
 // wake is the process's resume. The kernel's own waits (Future,
-// Semaphore, WaitGroup, Chan) queue it too; for them it queues the process
+// Semaphore, WaitGroup) queue it too; for them it queues the process
 // behind the entries already ready, in arrival order with the other
 // waiters its wait releases.
 func (p *Proc) wake() {
@@ -174,25 +174,13 @@ func (p *Proc) park(s procState) {
 	p.yield(struct{}{})
 }
 
-// Sleep blocks the process for d of virtual time: an event d from now runs
-// the process's resume, and the process parks once. Non-positive durations
-// yield the processor without advancing the clock. Sleeping allocates
-// nothing in steady state: the event is a recycled struct, the resume a
-// bound func, and no Timer handle escapes.
+// Sleep blocks the process for d of virtual time: Env.Delay with the
+// process's resume, and one park. A non-positive d yields the processor
+// without advancing the clock: the process resumes from the back of the run
+// queue, after every entry already ready. Sleeping allocates nothing in
+// steady state: the event is a recycled struct, the resume a bound func,
+// and no Timer handle escapes.
 func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 {
-		p.Yield()
-		return
-	}
-	p.env.After(d, p.resume)
+	p.env.Delay(d, p.resume)
 	p.Await()
-}
-
-// Yield places the process at the back of the run queue, letting every other
-// currently runnable process execute before it resumes. The clock does not
-// advance.
-func (p *Proc) Yield() {
-	p.state = stateReady
-	p.env.ready.push(p.enter)
-	p.yield(struct{}{})
 }

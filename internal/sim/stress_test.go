@@ -17,16 +17,29 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 		sent := NewWaitGroup(env)
 		var fp uint64
 
-		// Each consumer loop owns its queue; producers route every value
-		// to a random consumer, and the closer shuts the queues once the
-		// last value is sent.
+		// Each consumer is the handler of its queue, taking a millisecond
+		// per value; producers route every value, under the semaphore, to
+		// a random consumer, and the closer shuts the queues once the last
+		// value is sent.
 		const producers, consumers, sleepers = 50, 50, 100
 		qs := make([]*Chan[int], consumers)
 		for i := range qs {
-			qs[i] = NewUnbounded[int]()
+			var v int
+			var drain, done func()
+			drain = func() {
+				var ok bool
+				if v, ok = qs[i].Recv(); ok {
+					env.Delay(time.Millisecond, done)
+				}
+			}
+			done = func() {
+				fp = fp*31 + uint64(v) + uint64(env.Now())
+				drain()
+			}
+			qs[i] = NewUnbounded[int](env, drain)
+			env.Defer(drain)
 		}
 		for i := 0; i < producers; i++ {
-			i := i
 			wg.Add(1)
 			sent.Add(1)
 			env.Go("producer", func(p *Proc) {
@@ -34,23 +47,10 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 				defer sent.Done()
 				for j := 0; j < 20; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(50)) * time.Millisecond)
-					qs[p.Rand().Intn(consumers)].Send(i*1000 + j)
-				}
-			})
-		}
-		for _, q := range qs {
-			wg.Add(1)
-			env.Go("consumer", func(p *Proc) {
-				defer wg.Done()
-				for {
-					v, ok := q.Recv(p)
-					if !ok {
-						return
-					}
 					sem.Acquire(p)
 					p.Sleep(time.Millisecond)
 					sem.Release()
-					fp = fp*31 + uint64(v) + uint64(p.Now())
+					qs[p.Rand().Intn(consumers)].Send(i*1000 + j)
 				}
 			})
 		}
@@ -148,7 +148,7 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 	run := func(seed uint64) (fingerprint uint64, end time.Duration) {
 		env := NewEnv(seed)
 		wg := NewWaitGroup(env)
-		ch := NewUnbounded[int]()
+		var ch *Chan[int]
 		var fp uint64
 		mix := func(p *Proc, depth, i int) {
 			// Arm a timer; cancel half mid-flight after a short sleep.
@@ -186,15 +186,17 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 				spawn(p, 0)
 			})
 		}
-		env.Go("drain", func(p *Proc) {
+		drain := func() {
 			for {
-				v, ok := ch.Recv(p)
+				v, ok := ch.Recv()
 				if !ok {
 					return
 				}
 				fp = fp*131 + uint64(v)
 			}
-		})
+		}
+		ch = NewUnbounded[int](env, drain)
+		env.Defer(drain)
 		env.Go("closer", func(p *Proc) {
 			wg.Wait(p)
 			ch.Close()

@@ -132,3 +132,67 @@ func TestExperimentsExportOnlyTheTable(t *testing.T) {
 			len(got), len(experimentsAPI), got, experimentsAPI)
 	}
 }
+
+// substrateProcs are the processes the library may spawn, as (package,
+// name or name prefix) pairs: code that takes a *sim.Proc. A control loop
+// that runs no such code is a handler of its queue or a chain of
+// continuations, never a process.
+var substrateProcs = map[[2]string]bool{
+	{"condor", "job"}:        true, // the Runner gets ctx.Proc
+	{"core", "wf-"}:          true,
+	{"wms", "wms-watch"}:     true,
+	{"wms", "wms-hedge"}:     true,
+	{"wms", "wms-deadline-"}: true,
+	{"knative", "trigger"}:   true, // a broker delivery: Handler takes a *sim.Proc
+	{"knative", "stage-in"}:  true, // the GoFirst hooks
+	{"knative", "stage-out"}: true,
+	{"kube", "pull-"}:        true,
+}
+
+// TestSubstratesSpawnOnlyListedProcs keeps the substrates' control loops
+// off coroutines: every Env.Go and Env.GoFirst in the non-test code under
+// internal/ (experiment drivers aside) must spawn a process substrateProcs
+// lists, named by a string literal or a literal prefix.
+func TestSubstratesSpawnOnlyListedProcs(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == filepath.Join("internal", "experiments"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 2 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Go" && sel.Sel.Name != "GoFirst" {
+				return true
+			}
+			name := call.Args[0]
+			if bin, ok := name.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
+				name = bin.X
+			}
+			prefix := ""
+			if lit, ok := name.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				prefix, _ = strconv.Unquote(lit.Value)
+			}
+			if !substrateProcs[[2]string{f.Name.Name, prefix}] {
+				t.Errorf("%s: %s spawns process %q, which substrateProcs does not list: make the loop a handler",
+					fset.Position(call.Pos()), f.Name.Name, prefix)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
