@@ -113,12 +113,16 @@ type Job struct {
 	epoch    int
 	released bool
 
+	// then is the continuation Then registered, nil when none waits.
+	then func(*Job)
+
 	// match, body and recycle are tryMatch, runJob and reuse bound to this
-	// struct. They are made once per struct and survive recycling, so a
-	// submission allocates no closure.
-	match   func()
-	body    func(*sim.Proc)
-	recycle func()
+	// struct. wake, which queues settled, and settled, the call of then,
+	// are bound at the struct's first Then. They survive recycling, so
+	// neither a submission nor a Then allocates a closure once the struct
+	// is warm.
+	match, recycle, wake, settled func()
+	body                          func(*sim.Proc)
 
 	// span covers the job's full queue lifetime; queue and claim are its
 	// matchmaking-wait and slot-occupancy children, and the per-phase spans
@@ -416,8 +420,8 @@ func (s *Schedd) Release(j *Job) {
 
 // reuse clears a settled, released job and puts it on the free list.
 func (s *Schedd) reuse(j *Job) {
-	done, match, body, recycle := j.done, j.match, j.body, j.recycle
-	*j = Job{done: done, match: match, body: body, recycle: recycle}
+	done, match, body, recycle, wake, settled := j.done, j.match, j.body, j.recycle, j.wake, j.settled
+	*j = Job{done: done, match: match, body: body, recycle: recycle, wake: wake, settled: settled}
 	j.done.Reset()
 	j.ctx.Job = j
 	s.free = append(s.free, j)
@@ -511,6 +515,32 @@ func (s *Schedd) dispatchBlocked(max int) {
 // Wait blocks until the job completes, returning its error.
 func (s *Schedd) Wait(p *sim.Proc, j *Job) error {
 	return j.done.Get(p)
+}
+
+// Then is Wait's continuation form for one watcher: fn(j) runs from the
+// run queue once j settles, in arrival order with the processes blocked
+// in Wait, and at once when j has settled already. A job holds one such
+// continuation at a time. The job's call of fn is bound once per struct,
+// so a watcher that binds fn once waits without allocating. The struct is
+// recycled only after fn has run, so fn may read a released job.
+func (s *Schedd) Then(j *Job, fn func(*Job)) {
+	if j.done.Done() {
+		fn(j)
+		return
+	}
+	if j.then != nil {
+		panic("condor: a second continuation on one job")
+	}
+	if j.wake == nil {
+		j.wake = func() { s.env.Defer(j.settled) }
+		j.settled = func() {
+			fn := j.then
+			j.then = nil
+			fn(j)
+		}
+	}
+	j.then = fn
+	j.done.Notify(j.wake)
 }
 
 // nextCycle (cycle mode) draws the negotiator's next (jittered) cycle and

@@ -1,6 +1,7 @@
 package condor
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -121,4 +122,97 @@ func TestDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	f.s.Release(j)
+}
+
+// TestThenRunsWhereWaitResumes: a Then continuation runs in arrival order
+// with the processes blocked in Wait on the same job, reads a released
+// job's own node, and runs at once on a job that has already settled. The
+// released struct is recycled only after the continuation has run.
+func TestThenRunsWhereWaitResumes(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	var log []string
+	f.env.Go("main", func(p *sim.Proc) {
+		j := f.s.SubmitJob(JobSpec{Run: noop})
+		f.env.Go("first", func(wp *sim.Proc) {
+			_ = f.s.Wait(wp, j)
+			log = append(log, "wait first")
+		})
+		p.Sleep(time.Millisecond) // the first waiter parks
+		f.s.Then(j, func(sj *Job) {
+			log = append(log, "then "+sj.Node())
+			if len(f.s.free) != 0 {
+				t.Error("the released job was recycled before its continuation ran")
+			}
+		})
+		f.env.Go("last", func(wp *sim.Proc) {
+			_ = f.s.Wait(wp, j)
+			log = append(log, "wait last")
+		})
+		p.Sleep(time.Millisecond)
+		f.s.Release(j)
+		for j.Status() != StatusRunning {
+			p.Sleep(100 * time.Millisecond)
+		}
+		want := j.Node()
+		p.Sleep(time.Minute) // the job settles and is recycled
+		if got := strings.Join(log, ", "); got != "wait first, then "+want+", wait last" {
+			t.Errorf("wake order %q, want the continuation between the waiters, reading node %s", got, want)
+		}
+		if len(f.s.free) != 1 {
+			t.Errorf("free list %v, want the released job", f.s.free)
+		}
+		k := f.s.SubmitJob(JobSpec{Run: noop})
+		_ = f.s.Wait(p, k)
+		ran := false
+		f.s.Then(k, func(*Job) { ran = true })
+		if !ran {
+			t.Error("Then on a settled job did not run at once")
+		}
+	})
+	f.env.Run()
+}
+
+// TestThenCycleAllocatesNothing: a submitter that watches each job with
+// one bound continuation and releases it there allocates nothing once the
+// job structs are warm.
+func TestThenCycleAllocatesNothing(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	const period = time.Minute
+	settled := 0
+	watch := func(j *Job) {
+		settled++
+		f.s.Release(j)
+	}
+	var submit func()
+	submit = func() {
+		f.s.Then(f.s.SubmitJob(JobSpec{Run: noop}), watch)
+		f.env.After(period, submit)
+	}
+	f.env.Defer(submit)
+	// A parked process keeps the kernel's idle coroutines between cycles.
+	f.env.Go("keeper", func(p *sim.Proc) { p.Sleep(time.Duration(1 << 62)) })
+	cycle := func() { f.env.RunFor(period) }
+	for i := 0; i < 3; i++ {
+		cycle() // warm the free lists, rings and pools
+	}
+	before := settled
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a watched job's cycle allocates %.2f times, want 0", allocs)
+	}
+	if settled-before < 50 {
+		t.Errorf("only %d continuations ran in 51 cycles", settled-before)
+	}
+}
+
+// TestSecondThenPanics: a job holds one continuation at a time.
+func TestSecondThenPanics(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	j := f.s.SubmitJob(JobSpec{Run: noop})
+	f.s.Then(j, func(*Job) {})
+	defer func() {
+		if got := recover(); got != "condor: a second continuation on one job" {
+			t.Errorf("second Then: recovered %v", got)
+		}
+	}()
+	f.s.Then(j, func(*Job) {})
 }

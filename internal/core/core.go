@@ -293,11 +293,14 @@ func (s *Stack) RunConcurrentWorkflows(p *sim.Proc, wfs []*wms.Workflow, assign 
 	errs := make([]error, len(wfs))
 	wg := sim.NewWaitGroup(s.Env)
 	for i, wf := range wfs {
-		i, wf := i, wf
 		wg.Add(1)
-		s.Env.Go("wf-"+wf.Name, func(wp *sim.Proc) {
-			defer wg.Done()
-			results[i], errs[i] = s.Engine.RunWorkflow(wp, wf, assign)
+		// Each run starts at the slot where a process spawned now would
+		// first run.
+		s.Env.Defer(func() {
+			s.Engine.RunWorkflowThen(wf, assign, func(res *wms.RunResult, err error) {
+				results[i], errs[i] = res, err
+				wg.Done()
+			})
 		})
 	}
 	wg.Wait(p)

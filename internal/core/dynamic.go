@@ -21,9 +21,8 @@ type DynamicRun struct {
 
 // DynamicRuns collects the executions a WatchAndRun trigger has launched.
 type DynamicRuns struct {
-	stack *Stack
-	wg    *sim.WaitGroup
-	runs  []*DynamicRun
+	wg   *sim.WaitGroup
+	runs []*DynamicRun
 }
 
 // Runs returns the completed (and failed) executions so far.
@@ -40,14 +39,16 @@ type WorkflowBuilder func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner)
 // into a workflow by build and run through the engine immediately. The
 // returned DynamicRuns tracks completions.
 func (s *Stack) WatchAndRun(broker *knative.Broker, triggerName, eventType string, build WorkflowBuilder) *DynamicRuns {
-	d := &DynamicRuns{stack: s, wg: sim.NewWaitGroup(s.Env)}
-	broker.Subscribe(triggerName, eventType, func(p *sim.Proc, ev knative.Event) {
+	d := &DynamicRuns{wg: sim.NewWaitGroup(s.Env)}
+	broker.Subscribe(triggerName, eventType, func(ev knative.Event) {
 		wf, assign := build(ev)
 		run := &DynamicRun{Event: ev}
 		d.runs = append(d.runs, run)
 		d.wg.Add(1)
-		defer d.wg.Done()
-		run.Result, run.Err = s.Engine.RunWorkflow(p, wf, assign)
+		s.Engine.RunWorkflowThen(wf, assign, func(res *wms.RunResult, err error) {
+			run.Result, run.Err = res, err
+			d.wg.Done()
+		})
 	})
 	return d
 }

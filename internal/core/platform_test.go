@@ -53,7 +53,7 @@ func TestNewStackAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 209
+	const budget = 146
 	prm := config.Default()
 	if allocs := testing.AllocsPerRun(50, func() { NewStack(1, prm) }); allocs > budget {
 		t.Errorf("NewStack allocates %v objects, budget %d", allocs, budget)

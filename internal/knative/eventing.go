@@ -31,9 +31,11 @@ type Event struct {
 	At time.Duration
 }
 
-// Handler consumes a delivered event. It runs in its own simulation
-// process, so it may block (invoke functions, run workflows).
-type Handler func(p *sim.Proc, ev Event)
+// Handler consumes a delivered event. It runs from the run queue at the
+// slot where a process spawned at dispatch would first run, and it must
+// not block: a handler that waits (invokes a function, runs a workflow)
+// uses the continuation forms, or spawns its own process.
+type Handler func(ev Event)
 
 // Trigger subscribes a handler to events of one type ("" matches all),
 // optionally narrowed to subjects with a given prefix.
@@ -57,13 +59,14 @@ func (tr *Trigger) matches(ev Event) bool {
 
 // Broker is an eventing broker hosted on the control-plane node. Events
 // are accepted into a store-and-forward queue and dispatched asynchronously
-// to every matching trigger, each delivery in its own process.
+// to every matching trigger, each delivery a continuation of its own.
 type Broker struct {
 	kn         *Knative
 	name       string
 	queue      *sim.Chan[Event]
 	triggers   []*Trigger
-	deliveries []*delivery // recycled, for dispatch
+	deliveries []*delivery    // recycled, for dispatch
+	pubs       []*publication // recycled, for publish
 	accepted   int
 	dispatched int
 	stopped    bool
@@ -105,26 +108,103 @@ func (b *Broker) Unsubscribe(tr *Trigger) {
 
 // Publish sends an event to the broker from the given node, paying the
 // ingress hop, and returns once the broker has accepted it (delivery is
-// asynchronous).
+// asynchronous). It is PublishThen's path with the calling process's
+// resume, and one park.
 func (b *Broker) Publish(p *sim.Proc, fromNode string, ev Event) error {
+	pub := b.publish(fromNode, ev, nil, p.Resumer())
+	p.Await()
+	err := pub.err
+	b.free(pub)
+	return err
+}
+
+// PublishThen is Publish's continuation form: then, when non-nil, gets
+// Publish's result where a process blocked in Publish would resume, at
+// once when the broker is already shut down. A steady stream of
+// publications allocates nothing.
+func (b *Broker) PublishThen(fromNode string, ev Event, then func(error)) {
+	b.publish(fromNode, ev, then, nil)
+}
+
+// publication is one event on its way into the broker: the ingress
+// message, then the payload transfer. Publications are recycled, and each
+// binds its steps once.
+type publication struct {
+	b      *Broker
+	from   string
+	ev     Event
+	err    error
+	then   func(error) // PublishThen's continuation
+	resume func()      // a process parked in Publish; it frees the struct
+	// sent runs when the ingress message arrives, accept when the payload
+	// has too.
+	sent, accept func()
+}
+
+// publish starts a publication for a continuation (then) or for a process
+// (resume): the message hop from the publisher's node, then the payload.
+func (b *Broker) publish(from string, ev Event, then func(error), resume func()) *publication {
+	var pub *publication
+	if n := len(b.pubs); n > 0 {
+		pub = b.pubs[n-1]
+		b.pubs[n-1] = nil
+		b.pubs = b.pubs[:n-1]
+	} else {
+		pub = &publication{b: b}
+		pub.sent = func() {
+			if pub.ev.DataBytes > 0 {
+				b.kn.cl.Net.TransferThen(pub.from, cluster.SubmitNodeName, pub.ev.DataBytes, pub.accept)
+				return
+			}
+			pub.accept()
+		}
+		pub.accept = pub.accepted
+	}
+	pub.from, pub.ev, pub.then, pub.resume = from, ev, then, resume
 	if b.stopped {
-		return fmt.Errorf("knative: broker %s is shut down", b.name)
+		pub.finish(fmt.Errorf("knative: broker %s is shut down", b.name))
+	} else {
+		b.kn.cl.Net.MessageThen(from, cluster.SubmitNodeName, pub.sent)
 	}
-	b.kn.cl.Net.Message(p, fromNode, cluster.SubmitNodeName)
-	if ev.DataBytes > 0 {
-		b.kn.cl.Net.Transfer(p, fromNode, cluster.SubmitNodeName, ev.DataBytes)
-	}
-	// The ingress hop parked this process; the broker may have shut down in
-	// the meantime, closing the queue. Re-check before enqueueing: sending
-	// on the closed queue would panic, and counting the event as accepted
-	// would overstate intake by an event that was never dispatched.
+	return pub
+}
+
+// accepted enqueues the event once it has reached the broker. The ingress
+// hop took time; the broker may have shut down in the meantime, closing
+// the queue. Sending on the closed queue would panic, and counting the
+// event as accepted would overstate intake by an event that was never
+// dispatched, so the publisher gets an error instead.
+func (pub *publication) accepted() {
+	b := pub.b
 	if b.stopped {
-		return fmt.Errorf("knative: broker %s shut down during publish", b.name)
+		pub.finish(fmt.Errorf("knative: broker %s shut down during publish", b.name))
+		return
 	}
-	ev.At = p.Now()
+	ev := pub.ev
+	ev.At = b.kn.env.Now()
 	b.accepted++
 	b.queue.Send(ev)
-	return nil
+	pub.finish(nil)
+}
+
+// finish hands the result to the publisher: a parked process reads it and
+// frees the struct, a continuation gets it after the struct is freed.
+func (pub *publication) finish(err error) {
+	if pub.resume != nil {
+		pub.err = err
+		pub.resume()
+		return
+	}
+	then := pub.then
+	pub.b.free(pub)
+	if then != nil {
+		then(err)
+	}
+}
+
+func (b *Broker) free(pub *publication) {
+	pub.from, pub.ev, pub.err, pub.then, pub.resume = "", Event{}, nil, nil, nil
+	b.pubs = append(b.pubs, pub)
 }
 
 // Accepted returns how many events the broker has taken in.
@@ -150,19 +230,19 @@ func (b *Broker) dispatch() {
 			tr.Delivered++
 			d := b.newDelivery()
 			d.tr, d.ev = tr, ev
-			b.kn.env.Go("trigger", d.run)
+			b.kn.env.Defer(d.run)
 		}
 	}
 }
 
-// delivery is one event on its way to one trigger: the body of a
-// "trigger" process. Deliveries are recycled, and each binds its body
-// once, so a steady publish→deliver cycle allocates nothing.
+// delivery is one event on its way to one trigger. Deliveries are
+// recycled, and each binds its run once, so a steady publish→deliver cycle
+// allocates nothing.
 type delivery struct {
 	b   *Broker
 	tr  *Trigger
 	ev  Event
-	run func(*sim.Proc) // d.deliver, bound once
+	run func() // d.deliver, bound once
 }
 
 func (b *Broker) newDelivery() *delivery {
@@ -178,17 +258,17 @@ func (b *Broker) newDelivery() *delivery {
 }
 
 // deliver recycles d and runs the trigger's handler on its event.
-func (d *delivery) deliver(p *sim.Proc) {
+func (d *delivery) deliver() {
 	tr, ev := d.tr, d.ev
 	d.tr, d.ev = nil, Event{}
 	d.b.deliveries = append(d.b.deliveries, d)
-	tr.Handler(p, ev)
+	tr.Handler(ev)
 }
 
 // shutdown closes the queue. Events already accepted stay in the queue and
 // are still dispatched (sim.Chan drains buffered values before reporting
-// closed); publishers blocked in their ingress hop observe the stop on
-// resume and get an error instead of a send on the closed queue.
+// closed); publications still in their ingress hop observe the stop when
+// it ends and report an error instead of a send on the closed queue.
 func (b *Broker) shutdown() {
 	if !b.stopped {
 		b.stopped = true

@@ -12,10 +12,10 @@ func TestBrokerDeliversToMatchingTriggers(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var fileEvents, allEvents []Event
-	broker.Subscribe("file-watcher", "dev.repro.file.arrived", func(p *sim.Proc, ev Event) {
+	broker.Subscribe("file-watcher", "dev.repro.file.arrived", func(ev Event) {
 		fileEvents = append(fileEvents, ev)
 	})
-	broker.Subscribe("audit", "", func(p *sim.Proc, ev Event) {
+	broker.Subscribe("audit", "", func(ev Event) {
 		allEvents = append(allEvents, ev)
 	})
 	f.env.Go("producer", func(p *sim.Proc) {
@@ -40,9 +40,11 @@ func TestBrokerHandlersRunConcurrently(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var done []time.Duration
-	broker.Subscribe("slow", "tick", func(p *sim.Proc, ev Event) {
-		p.Sleep(10 * time.Second)
-		done = append(done, p.Now())
+	broker.Subscribe("slow", "tick", func(ev Event) {
+		f.env.Go("slow", func(p *sim.Proc) {
+			p.Sleep(10 * time.Second)
+			done = append(done, p.Now())
+		})
 	})
 	f.env.Go("producer", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -65,7 +67,7 @@ func TestBrokerHandlersRunConcurrently(t *testing.T) {
 func TestBrokerEventPayloadChargesNetwork(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
-	broker.Subscribe("sink", "", func(p *sim.Proc, ev Event) {})
+	broker.Subscribe("sink", "", func(ev Event) {})
 	f.env.Go("producer", func(p *sim.Proc) {
 		start := p.Now()
 		_ = broker.Publish(p, "worker1", Event{Type: "big", DataBytes: 125_000_000}) // 1s at 1Gbps... worker egress is 10Gbps
@@ -103,10 +105,12 @@ func TestEventTriggeredInvocation(t *testing.T) {
 			return
 		}
 		broker := f.kn.NewBroker("default")
-		broker.Subscribe("on-data", "dev.repro.file.arrived", func(hp *sim.Proc, ev Event) {
-			if _, err := svc.Invoke(hp, req(0.42)); err == nil {
-				served++
-			}
+		broker.Subscribe("on-data", "dev.repro.file.arrived", func(ev Event) {
+			f.env.Go("on-data", func(hp *sim.Proc) {
+				if _, err := svc.Invoke(hp, req(0.42)); err == nil {
+					served++
+				}
+			})
 		})
 		for i := 0; i < 4; i++ {
 			_ = broker.Publish(p, "worker2", Event{Type: "dev.repro.file.arrived"})
@@ -130,7 +134,7 @@ func TestShutdownRacesInflightPublish(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	delivered := 0
-	broker.Subscribe("sink", "", func(p *sim.Proc, ev Event) { delivered++ })
+	broker.Subscribe("sink", "", func(ev Event) { delivered++ })
 	var raceErr error
 	f.env.Go("producer", func(p *sim.Proc) {
 		// Blocks in the ingress hop; the stopper shuts the broker down in
@@ -162,7 +166,7 @@ func TestShutdownDrainsAcceptedEvents(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	delivered := 0
-	broker.Subscribe("sink", "", func(p *sim.Proc, ev Event) { delivered++ })
+	broker.Subscribe("sink", "", func(ev Event) { delivered++ })
 	f.env.Go("producer", func(p *sim.Proc) {
 		_ = broker.Publish(p, "worker1", Event{Type: "a"})
 		_ = broker.Publish(p, "worker1", Event{Type: "b"})
@@ -186,10 +190,10 @@ func TestSubjectPrefixFilterAndUnsubscribe(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var wfA, all []string
-	trig := broker.SubscribeFiltered("wf-a", "task.settled", "wfA/", func(p *sim.Proc, ev Event) {
+	trig := broker.SubscribeFiltered("wf-a", "task.settled", "wfA/", func(ev Event) {
 		wfA = append(wfA, ev.Subject)
 	})
-	broker.Subscribe("audit", "", func(p *sim.Proc, ev Event) {
+	broker.Subscribe("audit", "", func(ev Event) {
 		all = append(all, ev.Subject)
 	})
 	f.env.Go("producer", func(p *sim.Proc) {
@@ -215,17 +219,15 @@ func TestSubjectPrefixFilterAndUnsubscribe(t *testing.T) {
 }
 
 // TestDeliveryCycleAllocatesNothing: a steady publish→deliver cycle, one
-// event from a worker fanned out to two triggers whose handlers block,
-// allocates nothing once the broker's deliveries, the process pool and
-// the queues are warm.
+// event from a worker fanned out to two triggers whose handlers wait a
+// millisecond, allocates nothing once the broker's publications and
+// deliveries, the process pool and the queues are warm.
 func TestDeliveryCycleAllocatesNothing(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	handled := 0
-	handler := func(p *sim.Proc, ev Event) {
-		p.Sleep(time.Millisecond)
-		handled++
-	}
+	count := func() { handled++ }
+	handler := func(ev Event) { f.env.Delay(time.Millisecond, count) }
 	broker.Subscribe("a", "tick", handler)
 	broker.Subscribe("b", "", handler)
 	f.env.Go("producer", func(p *sim.Proc) {
@@ -244,5 +246,44 @@ func TestDeliveryCycleAllocatesNothing(t *testing.T) {
 	}
 	if handled == before {
 		t.Error("no event was delivered during the measured runs")
+	}
+}
+
+// TestPublishThenReportsWhereProcessResumes: PublishThen hands its result
+// to the continuation at the instant Publish returns to a process: nil on
+// acceptance after the ingress hop and the payload transfer, the shutdown
+// error when the broker stops during the hop, and the error at once on a
+// broker already shut down.
+func TestPublishThenReportsWhereProcessResumes(t *testing.T) {
+	f := newFixture(t)
+	broker := f.kn.NewBroker("default")
+	broker.Subscribe("sink", "", func(Event) {})
+	var procAt, thenAt time.Duration
+	var thenErr, raceErr, stoppedErr error
+	f.env.Go("producer", func(p *sim.Proc) {
+		ev := Event{Type: "x", DataBytes: 1 << 20}
+		broker.PublishThen("worker1", ev, func(err error) { thenErr, thenAt = err, f.env.Now() })
+		if err := broker.Publish(p, "worker1", ev); err != nil {
+			t.Error(err)
+		}
+		procAt = p.Now()
+		broker.PublishThen("worker1", ev, func(err error) { raceErr = err })
+		f.kn.Shutdown()
+		p.Sleep(time.Second)
+		called := false
+		broker.PublishThen("worker1", ev, func(err error) { stoppedErr, called = err, true })
+		if !called {
+			t.Error("PublishThen on a stopped broker did not report at once")
+		}
+	})
+	f.env.Run()
+	if thenErr != nil || thenAt != procAt || thenAt == 0 {
+		t.Errorf("continuation got %v at %v, want nil at %v (where Publish returned)", thenErr, thenAt, procAt)
+	}
+	if raceErr == nil || stoppedErr == nil {
+		t.Errorf("publishes against a stopping broker reported %v and %v, want errors", raceErr, stoppedErr)
+	}
+	if broker.Accepted() != 2 || broker.Dispatched() != 2 {
+		t.Errorf("Accepted %d, Dispatched %d, want 2 and 2", broker.Accepted(), broker.Dispatched())
 	}
 }

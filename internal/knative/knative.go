@@ -245,10 +245,6 @@ func New(env *sim.Env, cl *cluster.Cluster, k *kube.Kube, prm config.Params) *Kn
 	return kn
 }
 
-// RetryBudget exposes the serving layer's shared invoke retry budget (nil
-// when disabled) for experiment-level amplification accounting.
-func (kn *Knative) RetryBudget() *resilience.RetryBudget { return kn.budget }
-
 // Deploy registers a service and blocks until its initial replicas (if any)
 // are ready — task registration happens before workflow execution (§IV-1).
 // The service's autoscaler parameterization (from Params plus the spec) is

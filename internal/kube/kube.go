@@ -323,16 +323,14 @@ func (k *Kube) Start() {
 	}
 }
 
-// Shutdown closes the scheduler and kubelet work queues; operations queued
-// before it (including pending pod deletions) still drain. Call it after
-// deleting all pods to let the simulation finish. The kubelet queues close
-// in worker order, so their handlers run in the same order in every run.
+// Shutdown closes the scheduler's work queue; operations queued before it
+// (including pending pod deletions) still drain. Call it after deleting
+// all pods to let the simulation finish. The kubelet queues stay open:
+// deliver drops every op once the control plane has stopped, so a kubelet
+// drains what it holds and then waits on a queue nothing sends to.
 func (k *Kube) Shutdown() {
 	k.stopped = true
 	k.schedQ.Close()
-	for _, q := range k.nodeQ {
-		q.Close()
-	}
 }
 
 // CreatePod registers a pod and queues it for scheduling. It does not

@@ -50,10 +50,23 @@ func (f *Future[T]) Value() T { return f.val }
 // value.
 func (f *Future[T]) Get(p *Proc) T {
 	if !f.done {
-		f.waiters = append(f.waiters, p.resume)
+		f.Notify(p.resume)
 		p.park(stateWaiting)
 	}
 	return f.val
+}
+
+// Notify is Then for a continuation that queues itself: Set calls fn, in
+// arrival order with the other waiters, and Notify calls it at once when
+// the future has resolved. fn runs inside Set, so it must only queue work,
+// as a process's resume does. A caller that binds fn once waits without
+// the closure Then allocates.
+func (f *Future[T]) Notify(fn func()) {
+	if f.done {
+		fn()
+		return
+	}
+	f.waiters = append(f.waiters, fn)
 }
 
 // Then is the continuation form of Get: fn runs at once when the future has
@@ -64,5 +77,5 @@ func (f *Future[T]) Then(env *Env, fn func()) {
 		fn()
 		return
 	}
-	f.waiters = append(f.waiters, func() { env.Defer(fn) })
+	f.Notify(func() { env.Defer(fn) })
 }

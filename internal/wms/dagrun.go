@@ -9,16 +9,16 @@ import (
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/sim"
+	"repro/internal/config"
+	"repro/internal/knative"
 	"repro/internal/trace"
 )
 
-// dagRun is the pure, mode-agnostic core of one workflow execution: ready-set
-// maintenance, dependency tracking, attempt/retry accounting, hedge tracking,
-// and result assembly. The three execution modes (poll, decentralized,
-// trigger) drive the same bookkeeping and differ only in *who* observes a
-// completion and *when* successors are released — see exec_poll.go and
-// exec_event.go.
+// dagRun is one workflow execution: ready-set maintenance, dependency
+// tracking, attempt/retry accounting, hedge tracking, and result assembly,
+// driven by the release engine (release.go). The three execution modes
+// (poll, decentralized, trigger) share all of it and differ only in *who*
+// observes a completion and *when* successors are released.
 //
 // All per-task state lives in slices indexed by the workflow's declaration
 // index. A task enters the ready set when its indegree countdown reaches
@@ -39,6 +39,20 @@ type dagRun struct {
 	tracer      *trace.Tracer
 	wfSpan      *trace.Span
 	absDeadline time.Duration
+
+	mode   config.ExecMode
+	done   func(*RunResult, error) // the caller's continuation
+	err    error                   // the outcome, once over
+	over   bool                    // the outcome is decided; pending steps bail
+	waited bool                    // the caller waits: an end is reported from the run queue
+	ticked bool                    // poll: past the phase wake-up
+	prefix string                  // trigger: "<workflow>/", the subject prefix
+	trig   *knative.Trigger
+
+	// tick, watch and report are pollTick, copySettled and the outcome's
+	// report, bound once per run.
+	tick, report func()
+	watch        func(*condor.Job)
 }
 
 // taskState is one task's share of a run's state. It is also the task's
@@ -70,6 +84,7 @@ func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *Rescue, res
 		tracer:  tracer,
 		wfSpan:  wfSpan,
 	}
+	d.tick, d.report, d.watch = d.pollTick, d.reportOutcome, d.copySettled
 	for i, t := range wf.tasks {
 		d.tasks[i] = taskState{d: d, i: int32(i), mode: assign(wf.Name, t.ID)}
 	}
@@ -244,7 +259,7 @@ func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
 // resubmission after the returned backoff, or returns the AbortError
 // (retries exhausted, or the engine-wide retry budget denied the
 // resubmission) that ends the run.
-func (d *dagRun) failAttempt(p *sim.Proc, i int32, f *flight) (time.Duration, *AbortError) {
+func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *AbortError) {
 	d.retire(i)
 	f.attempt.SetLabel("status", "failed")
 	f.attempt.End()
@@ -259,7 +274,7 @@ func (d *dagRun) failAttempt(p *sim.Proc, i int32, f *flight) (time.Duration, *A
 	}
 	// Exponential backoff before resubmission, jittered so concurrent
 	// workflows don't resubmit in lockstep.
-	return d.e.Retry.Backoff(attempts, p.Rand()), nil
+	return d.e.Retry.Backoff(attempts, d.e.Env.Rand()), nil
 }
 
 // abort ends the run with a rescue capturing completed-task state. Jobs

@@ -98,8 +98,8 @@ func (r *RunResult) ModeCount(m Mode) int {
 }
 
 // Engine is the DAGMan-like executor: it plans each abstract task into a
-// condor job for its assigned mode and drives the DAG, polling the queue
-// every DAGManPoll like condor_dagman does.
+// condor job for its assigned mode and drives the DAG, releasing ready
+// tasks on the release path Prm.ExecMode selects (release.go).
 type Engine struct {
 	Env      *sim.Env
 	Cl       *cluster.Cluster
@@ -156,6 +156,7 @@ type flight struct {
 	attempt *trace.Span
 	copies  []flightCopy
 	first   [1]flightCopy // copies' backing array until a hedge grows it
+	hedge   func()        // the event-driven hedge timer's step, when hedging
 }
 
 // flightCopy is one submitted copy of an attempt. span is nil for the
@@ -173,15 +174,42 @@ type flightCopy struct {
 // exhausts the engine's retry budget the error is an *AbortError carrying a
 // Rescue; ResumeWorkflow (or RunWorkflowWithRecovery) continues from it.
 func (e *Engine) RunWorkflow(p *sim.Proc, wf *Workflow, assign ModeAssigner) (*RunResult, error) {
-	return e.run(p, wf, assign, nil)
+	return e.await(p, wf, assign, nil)
 }
 
-// run is the shared front half of RunWorkflow and ResumeWorkflow: it
-// validates the DAG, stages external inputs, assigns modes, reinstates any
-// rescue state, and then hands the prepared dagRun to the execution-mode
-// driver selected by Prm.ExecMode (exec_poll.go, exec_event.go). A non-nil
-// rescue pre-marks finished tasks and reinstates checkpoint progress.
-func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Rescue) (*RunResult, error) {
+// RunWorkflowThen is RunWorkflow's continuation form: it starts the run and
+// hands its outcome to done where a process blocked in RunWorkflow would
+// resume, at once when the run cannot start.
+func (e *Engine) RunWorkflowThen(wf *Workflow, assign ModeAssigner, done func(*RunResult, error)) {
+	e.start(wf, assign, nil, done)
+}
+
+// await is start with the calling process's resume, and one park.
+func (e *Engine) await(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Rescue) (res *RunResult, err error) {
+	resume := p.Resumer()
+	e.start(wf, assign, rescue, func(r *RunResult, rerr error) {
+		res, err = r, rerr
+		resume()
+	})
+	p.Await()
+	return res, err
+}
+
+// start is the shared front half of every run: it validates the DAG,
+// stages external inputs, assigns modes, reinstates any rescue state, and
+// hands the prepared dagRun to the release engine. A non-nil rescue
+// pre-marks finished tasks and reinstates checkpoint progress.
+func (e *Engine) start(wf *Workflow, assign ModeAssigner, rescue *Rescue, done func(*RunResult, error)) {
+	d, err := e.prepare(wf, assign, rescue)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	d.done = done
+	d.begin()
+}
+
+func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *Rescue) (*dagRun, error) {
 	execMode, err := config.ParseExecMode(e.Prm.ExecMode)
 	if err != nil {
 		return nil, err
@@ -212,18 +240,18 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	}
 	res := &RunResult{
 		Workflow:  wf.Name,
-		StartedAt: p.Now(),
+		StartedAt: e.Env.Now(),
 		Tasks:     make(map[string]*TaskResult, wf.Len()),
 	}
 
 	tracer := trace.FromEnv(e.Env)
 	wfSpan := tracer.Start(nil, "wms", "workflow", trace.L("workflow", wf.Name))
-	defer wfSpan.End() // End is idempotent; covers error returns too
-
 	d, err := newDagRun(e, wf, assign, rescue, res, tracer, wfSpan)
 	if err != nil {
+		wfSpan.End()
 		return nil, err
 	}
+	d.mode = execMode
 	if rescue != nil {
 		// Rescue-DAG resume: newDagRun planned the finished tasks out of the
 		// DAG; checkpointed partial progress is reinstated, and the makespan
@@ -237,23 +265,25 @@ func (e *Engine) run(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Res
 	if e.Deadline > 0 {
 		d.absDeadline = res.StartedAt + e.Deadline
 	}
+	return d, nil
+}
 
-	switch execMode {
-	case config.ExecDecentralized:
-		err = e.runEvent(p, d, nil)
-	case config.ExecTrigger:
-		err = e.runEvent(p, d, e.Broker)
-	default:
-		err = e.runPoll(p, d)
+// reportOutcome is the back half of every run: it checks DAG settlement
+// (every task settled exactly once, nothing in flight), closes the
+// workflow span and hands the outcome to the caller.
+func (d *dagRun) reportOutcome() {
+	if d.trig != nil {
+		d.e.Broker.Unsubscribe(d.trig)
+	}
+	res, err := d.res, d.err
+	if err == nil && (d.ndone != d.wf.Len() || len(res.Tasks) != d.wf.Len() || len(d.inflight) != 0) {
+		err = fmt.Errorf("wms: workflow %s ended with %d of %d tasks settled, %d in flight", d.wf.Name, d.ndone, d.wf.Len(), len(d.inflight))
 	}
 	if err != nil {
-		return nil, err
+		res = nil
 	}
-	// DAG settlement: every task settled exactly once, nothing in flight.
-	if d.ndone != wf.Len() || len(res.Tasks) != wf.Len() || len(d.inflight) != 0 {
-		return nil, fmt.Errorf("wms: workflow %s ended with %d of %d tasks settled, %d in flight", wf.Name, d.ndone, wf.Len(), len(d.inflight))
-	}
-	return res, nil
+	d.wfSpan.End()
+	d.done(res, err)
 }
 
 // submitTask plans one copy of task i into a condor job for its mode and

@@ -338,3 +338,51 @@ func TestUnknownExecModeFailsRun(t *testing.T) {
 	})
 	s.env.Run()
 }
+
+// TestRunWorkflowThenMatchesRunWorkflow: the continuation form of a run
+// ends at the same instant, with the same result, as RunWorkflow in a
+// process on an identical stack, in every mode; a run that cannot start
+// reports its error at once.
+func TestRunWorkflowThenMatchesRunWorkflow(t *testing.T) {
+	for _, mode := range []string{"poll", "decentralized", "trigger"} {
+		t.Run(mode, func(t *testing.T) {
+			var want, got *RunResult
+			var wantAt, gotAt time.Duration
+			a := newModeStack(t, mode, nil)
+			a.env.Go("main", func(p *sim.Proc) {
+				defer a.shutdown()
+				var err error
+				if want, err = a.eng.RunWorkflow(p, fanDAG(t, 3, 2), AssignAll(ModeNative)); err != nil {
+					t.Error(err)
+				}
+				wantAt = p.Now()
+			})
+			a.env.Run()
+			b := newModeStack(t, mode, nil)
+			b.env.Defer(func() {
+				b.eng.RunWorkflowThen(fanDAG(t, 3, 2), AssignAll(ModeNative), func(res *RunResult, err error) {
+					defer b.shutdown()
+					if err != nil {
+						t.Error(err)
+					}
+					got, gotAt = res, b.env.Now()
+				})
+			})
+			b.env.Run()
+			if got == nil || want == nil || gotAt != wantAt || got.Makespan() != want.Makespan() || len(got.Tasks) != len(want.Tasks) {
+				t.Errorf("continuation ended at %v with %+v, process at %v with %+v", gotAt, got, wantAt, want)
+			}
+			cyclic := chain(t, 2)
+			if err := cyclic.AddDependency(taskID(1), taskID(0)); err != nil {
+				t.Fatal(err)
+			}
+			called := false
+			b.eng.RunWorkflowThen(cyclic, AssignAll(ModeNative), func(_ *RunResult, err error) {
+				called = err != nil
+			})
+			if !called {
+				t.Error("a run that cannot start did not report its error at once")
+			}
+		})
+	}
+}

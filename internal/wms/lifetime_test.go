@@ -11,12 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// chainRunAllocs returns the allocations of one poll-mode native run of an
-// n-task chain on a warm stack: the same workflow, run once per period by
-// a driver that outlives the measurement.
-func chainRunAllocs(t *testing.T, n int) float64 {
+// chainRunAllocs returns the allocations of one native run of an n-task
+// chain under the given execution mode on a warm stack: the same workflow,
+// run once per period by a driver that outlives the measurement.
+func chainRunAllocs(t *testing.T, mode string, n int) float64 {
 	t.Helper()
-	s := newStack(t, nil)
+	s := newModeStack(t, mode, nil)
 	wf := chain(t, n)
 	const period = time.Hour // one run, settled, per period
 	s.env.Go("driver", func(p *sim.Proc) {
@@ -36,25 +36,35 @@ func chainRunAllocs(t *testing.T, n int) float64 {
 	return testing.AllocsPerRun(5, run)
 }
 
-// TestPollChainAllocsPerTask: a task attempt of a poll-mode native chain
-// allocates little beyond its flight. The condor job is a recycled struct,
-// the payload is a pointer into the run's task state, the result lives in
-// the run's result slab, and the task's name is never built untraced. (The
-// 1.1 measured per task is the flight plus the result map's growth.)
-func TestPollChainAllocsPerTask(t *testing.T) {
-	short, long := chainRunAllocs(t, 4), chainRunAllocs(t, 24)
-	perTask := (long - short) / 20
-	t.Logf("%.0f allocations per 4-task run, %.0f per 24-task run: %.2f per task", short, long, perTask)
-	if perTask > 1.5 {
-		t.Errorf("a chain task allocates %.2f times, want at most 1.5", perTask)
+// TestChainAllocsPerTask: a task attempt of a native chain allocates
+// little beyond its flight, under every release path. The condor job is a
+// recycled struct, the payload is a pointer into the run's task state,
+// the result lives in the run's result slab, the task's name is never
+// built untraced, and the settle continuation, the broker's publication
+// and its delivery are bound once. (Poll and decentralized measure 1.1
+// per task: the flight plus the result map's growth. Trigger adds the
+// settled event's Subject string.)
+func TestChainAllocsPerTask(t *testing.T) {
+	for _, c := range []struct {
+		mode  string
+		bound float64
+	}{{"poll", 1.5}, {"decentralized", 1.5}, {"trigger", 2.5}} {
+		t.Run(c.mode, func(t *testing.T) {
+			short, long := chainRunAllocs(t, c.mode, 4), chainRunAllocs(t, c.mode, 24)
+			perTask := (long - short) / 20
+			t.Logf("%.0f allocations per 4-task run, %.0f per 24-task run: %.2f per task", short, long, perTask)
+			if perTask > c.bound {
+				t.Errorf("a chain task allocates %.2f times, want at most %.1f", perTask, c.bound)
+			}
+		})
 	}
 }
 
 // TestReleasedLoserPublishesFromItsNode: under trigger release a hedged
-// task's losing copy is released at the win while its watcher is still
-// parked. When the loser settles, its watcher publishes the settled event
-// from the node the loser ran on, not from whatever job next takes the
-// released struct.
+// task's losing copy is released at the win while its settle continuation
+// still waits. When the loser settles, the continuation publishes the
+// settled event from the node the loser ran on, not from whatever job next
+// takes the released struct.
 func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	s := newModeStack(t, "trigger", nil)
 	s.eng.HedgeAfter = 6 * time.Second
@@ -73,7 +83,7 @@ func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	var victim *cluster.Node
 	var sources []string
 	s.eng.Broker.SubscribeFiltered("spy", TaskSettledEventType, "straggler/t0",
-		func(_ *sim.Proc, ev knative.Event) { sources = append(sources, ev.Source) })
+		func(ev knative.Event) { sources = append(sources, ev.Source) })
 	var res *RunResult
 	s.env.Go("main", func(p *sim.Proc) {
 		// Once the primary starts executing somewhere, swamp that node's

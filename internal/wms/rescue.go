@@ -157,7 +157,7 @@ func (e *Engine) ResumeWorkflow(p *sim.Proc, wf *Workflow, assign ModeAssigner, 
 	if rescue.Workflow != wf.Name {
 		return nil, fmt.Errorf("wms: rescue is for workflow %q, not %q", rescue.Workflow, wf.Name)
 	}
-	return e.run(p, wf, assign, rescue)
+	return e.await(p, wf, assign, rescue)
 }
 
 // RecoveryStats summarises a workflow's journey through rescue-DAG

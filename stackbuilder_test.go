@@ -139,11 +139,6 @@ func TestExperimentsExportOnlyTheTable(t *testing.T) {
 // continuations, never a process.
 var substrateProcs = map[[2]string]bool{
 	{"condor", "job"}:        true, // the Runner gets ctx.Proc
-	{"core", "wf-"}:          true,
-	{"wms", "wms-watch"}:     true,
-	{"wms", "wms-hedge"}:     true,
-	{"wms", "wms-deadline-"}: true,
-	{"knative", "trigger"}:   true, // a broker delivery: Handler takes a *sim.Proc
 	{"knative", "stage-in"}:  true, // the GoFirst hooks
 	{"knative", "stage-out"}: true,
 	{"kube", "pull-"}:        true,
