@@ -65,6 +65,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
+	if *reps < 0 {
+		fmt.Fprintf(os.Stderr, "repro: bad -reps %d: want 0 (the paper default) or more\n", *reps)
+		os.Exit(2)
+	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "repro: bad -workers %d: want 0 (GOMAXPROCS) or more\n", *workers)
+		os.Exit(2)
+	}
 	exps, err := experiments.Select(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)

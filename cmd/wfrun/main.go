@@ -17,9 +17,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -36,26 +38,42 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "wfrun: %v\n", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil {
+		return
 	}
+	fmt.Fprintf(os.Stderr, "wfrun: %v\n", err)
+	var bad flagError
+	if errors.As(err, &bad) {
+		os.Exit(2)
+	}
+	os.Exit(1)
 }
 
-func run() error {
+// flagError is a bad flag value. The command exits 2 on it, as the flag
+// package does on a malformed flag, before anything runs.
+type flagError string
+
+func (e flagError) Error() string { return string(e) }
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("wfrun", flag.ExitOnError)
 	var (
-		specPath  = flag.String("spec", "", "JSON workflow spec (overrides -chain)")
-		chainLen  = flag.String("chain", "10", "generated chain length")
-		workflows = flag.Int("workflows", 1, "concurrent copies of the workflow")
-		modeFlag  = flag.String("mode", "native", "native | container | serverless | mix:N,C,S")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		traced    = flag.Bool("trace", false, "print the recorded spans")
-		fast      = flag.Bool("fast", false, "shrink condor latencies (quick demos)")
-		provPath  = flag.String("provenance", "", "write JSON provenance of the first workflow to this file")
-		htmlPath  = flag.String("html", "", "write an HTML Gantt timeline of the first workflow to this file")
-		staging   = flag.String("staging", "by-value", "data staging: by-value | shared-fs | object-store")
+		specPath  = fs.String("spec", "", "JSON workflow spec (overrides -chain)")
+		chainLen  = fs.String("chain", "10", "generated chain length")
+		workflows = fs.Int("workflows", 1, "concurrent copies of the workflow")
+		modeFlag  = fs.String("mode", "native", "native | container | serverless | mix:N,C,S")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		traced    = fs.Bool("trace", false, "print the recorded spans")
+		fast      = fs.Bool("fast", false, "shrink condor latencies (quick demos)")
+		provPath  = fs.String("provenance", "", "write JSON provenance of the first workflow to this file")
+		htmlPath  = fs.String("html", "", "write an HTML Gantt timeline of the first workflow to this file")
+		staging   = fs.String("staging", "by-value", "data staging: by-value | shared-fs | object-store")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a malformed flag exits 2
+	if *workflows < 1 {
+		return flagError(fmt.Sprintf("bad -workflows %d: want at least 1", *workflows))
+	}
 
 	prm := config.Default()
 	if *fast {
@@ -75,7 +93,7 @@ func run() error {
 	case "object-store":
 		s.Engine.Staging = wms.StageObjectStore
 	default:
-		return fmt.Errorf("unknown -staging %q", *staging)
+		return flagError(fmt.Sprintf("unknown -staging %q", *staging))
 	}
 
 	// Resolve the workload.
@@ -113,7 +131,7 @@ func run() error {
 	} else {
 		n, err := strconv.Atoi(*chainLen)
 		if err != nil || n <= 0 {
-			return fmt.Errorf("bad -chain %q", *chainLen)
+			return flagError(fmt.Sprintf("bad -chain %q", *chainLen))
 		}
 		wfs = workload.ConcurrentChains(*workflows, n, prm.MatrixBytes)
 		assign, needsServerless, err = parseModeFlag(*modeFlag, s.Env.Rand().Fork())
@@ -220,26 +238,29 @@ func printSpans(w io.Writer, tr *trace.Tracer) {
 }
 
 // parseModeFlag understands "native", "container", "serverless", and
-// "mix:N,C,S" weight triples.
+// "mix:N,C,S" triples of finite, non-negative weights, not all zero.
 func parseModeFlag(s string, rng *sim.RNG) (wms.ModeAssigner, bool, error) {
 	if rest, ok := strings.CutPrefix(s, "mix:"); ok {
 		parts := strings.Split(rest, ",")
 		if len(parts) != 3 {
-			return nil, false, fmt.Errorf("mix wants three weights, got %q", rest)
+			return nil, false, flagError(fmt.Sprintf("bad -mode %q: mix wants three weights", s))
 		}
 		var w [3]float64
 		for i, p := range parts {
 			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil || v < 0 {
-				return nil, false, fmt.Errorf("bad mix weight %q", p)
+			if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, false, flagError(fmt.Sprintf("bad -mode %q: weight %q is not a finite, non-negative number", s, p))
 			}
 			w[i] = v
+		}
+		if w[0]+w[1]+w[2] == 0 {
+			return nil, false, flagError(fmt.Sprintf("bad -mode %q: every weight is zero", s))
 		}
 		return wms.AssignFractions(rng, w[0], w[1], w[2]), w[2] > 0, nil
 	}
 	m, err := wms.ParseMode(s)
 	if err != nil {
-		return nil, false, err
+		return nil, false, flagError(fmt.Sprintf("bad -mode: %v", err))
 	}
 	return wms.AssignAll(m), m == wms.ModeServerless, nil
 }

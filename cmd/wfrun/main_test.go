@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -29,5 +30,29 @@ func TestPrintSpans(t *testing.T) {
 		"       1.59s  wms/release                        0s\n\n"
 	if b.String() != want {
 		t.Errorf("printSpans =\n%q\nwant\n%q", b.String(), want)
+	}
+}
+
+// TestBadFlagValuesFailFast: a bad -workflows or -mode value is a flag
+// error naming the flag, returned before anything runs, never a panic or a
+// run of some other shape.
+func TestBadFlagValuesFailFast(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workflows", "-1"},
+		{"-workflows", "0"},
+		{"-mode", "mix:0,0,0"},
+		{"-mode", "mix:NaN,1,1"},
+		{"-mode", "mix:Inf,1,0"},
+		{"-mode", "mix:1,-1,1"},
+		{"-mode", "mix:1,1"},
+		{"-mode", "bogus"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			err := run(append([]string{"-fast"}, args...))
+			var bad flagError
+			if !errors.As(err, &bad) || !strings.Contains(err.Error(), args[0]) {
+				t.Errorf("run(%q) = %v, want a flag error naming %s", args, err, args[0])
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/fluid"
@@ -38,7 +37,6 @@ type Node struct {
 	Scratch *storage.Scratch
 
 	memUsedMB int
-	tasksRun  int
 }
 
 // Exec runs work core-seconds on the node's CPU. capCores > 0 applies a
@@ -60,12 +58,8 @@ func (n *Node) ExecReserved(p *sim.Proc, work, capCores, floorCores float64) {
 // ExecReservedThen is ExecReserved's continuation form: then runs where
 // the process would resume (see fluid.Server.RunReservedThen).
 func (n *Node) ExecReservedThen(work, capCores, floorCores float64, then func()) {
-	n.tasksRun++
 	n.CPU.RunReservedThen(work, capCores, floorCores, then)
 }
-
-// TasksRun returns how many Exec calls the node has served.
-func (n *Node) TasksRun() int { return n.tasksRun }
 
 // ReserveMem claims MB of memory; it returns an error when the node is out
 // of memory (admission failure, mirrors kubelet rejection).
@@ -149,11 +143,6 @@ func (c *Cluster) MustNode(name string) *Node {
 	return n
 }
 
-// AllNodes returns the submit node followed by the workers.
-func (c *Cluster) AllNodes() []*Node {
-	return append([]*Node{c.Submit}, c.Workers...)
-}
-
 // NextTaskWork returns the service demand of the next application task:
 // the calibrated base demand, the cluster-wide drift term (Fig. 1's mild
 // per-task slowdown), and multiplicative run-to-run noise.
@@ -165,7 +154,3 @@ func (c *Cluster) NextTaskWork() float64 {
 	}
 	return w
 }
-
-// Latency returns the network's one-way latency, for components that model
-// small control round trips.
-func (c *Cluster) Latency() time.Duration { return c.Net.Latency() }

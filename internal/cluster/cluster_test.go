@@ -31,9 +31,6 @@ func TestNewBuildsPaperTopology(t *testing.T) {
 	if !c.Net.HasNode(RegistryNodeName) {
 		t.Error("registry endpoint missing from network")
 	}
-	if len(c.AllNodes()) != 4 {
-		t.Errorf("AllNodes = %d, want 4", len(c.AllNodes()))
-	}
 }
 
 func TestNodeLookup(t *testing.T) {
@@ -72,9 +69,6 @@ func TestNativeContention(t *testing.T) {
 		if d != 2*time.Second {
 			t.Errorf("task %d at %v, want 2s", i, d)
 		}
-	}
-	if w.TasksRun() != 2 {
-		t.Errorf("TasksRun = %d", w.TasksRun())
 	}
 }
 

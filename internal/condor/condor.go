@@ -45,12 +45,6 @@ type Runner interface {
 	Run(ctx *ExecContext) error
 }
 
-// JobFunc is a payload written as a function.
-type JobFunc func(ctx *ExecContext) error
-
-// Run calls f.
-func (f JobFunc) Run(ctx *ExecContext) error { return f(ctx) }
-
 // JobStatus tracks a job through the queue.
 type JobStatus int
 
@@ -153,7 +147,7 @@ type startd struct {
 	// the exact slot a job ran on (slot-exclusivity is asserted on spans).
 	claimed []bool
 	// offline marks a crashed node: it matches no jobs and its slots are
-	// unclaimed until RestoreNode.
+	// unclaimed until restoreNode.
 	offline bool
 	// epoch increments on every crash, so jobs claimed before the crash
 	// cannot double-free slots the reboot already reset, and their results
@@ -242,18 +236,18 @@ func (s *Schedd) AttachFaults(in *faults.Injector) {
 	}
 	in.OnFault(faults.KindNodeCrash, func(f faults.Fault, begin bool) {
 		if begin {
-			s.CrashNode(f.Target)
+			s.crashNode(f.Target)
 		} else {
-			s.RestoreNode(f.Target)
+			s.restoreNode(f.Target)
 		}
 	})
 }
 
-// CrashNode takes a worker's startd offline: its free slots vanish, it
+// crashNode takes a worker's startd offline: its free slots vanish, it
 // matches no further jobs, and jobs currently claimed on it lose their
 // results when they next reach an observable completion point. Unknown node
 // names are ignored (the fault may target a node outside this pool).
-func (s *Schedd) CrashNode(name string) {
+func (s *Schedd) crashNode(name string) {
 	for _, sd := range s.startds {
 		if sd.node.Name != name {
 			continue
@@ -265,9 +259,9 @@ func (s *Schedd) CrashNode(name string) {
 	}
 }
 
-// RestoreNode brings a crashed startd back with all slots free (the reboot
+// restoreNode brings a crashed startd back with all slots free (the reboot
 // wiped its claims) and immediately offers the slots to blocked jobs.
-func (s *Schedd) RestoreNode(name string) {
+func (s *Schedd) restoreNode(name string) {
 	for _, sd := range s.startds {
 		if sd.node.Name != name {
 			continue
@@ -287,15 +281,6 @@ func (s *Schedd) RestoreNode(name string) {
 	}
 }
 
-// TotalSlots returns the pool's slot count.
-func (s *Schedd) TotalSlots() int {
-	n := 0
-	for _, sd := range s.startds {
-		n += sd.slots
-	}
-	return n
-}
-
 // FreeSlots returns currently unclaimed slots.
 func (s *Schedd) FreeSlots() int {
 	n := 0
@@ -305,39 +290,7 @@ func (s *Schedd) FreeSlots() int {
 	return n
 }
 
-// QueueDepth returns the number of jobs waiting to start.
-func (s *Schedd) QueueDepth() int { return len(s.idle) + len(s.blocked) }
-
-// Completed returns the number of jobs finished (successfully or not).
-func (s *Schedd) Completed() int { return s.finished }
-
-// Submit queues a job at default priority. It never blocks; wait for
-// completion with Wait.
-func (s *Schedd) Submit(name string, inBytes, outBytes int64, fn JobFunc) *Job {
-	return s.SubmitPriority(name, 0, inBytes, outBytes, fn)
-}
-
-// SubmitPriority queues a job with an explicit priority (condor JobPrio):
-// when slots are scarce, higher-priority jobs start first.
-func (s *Schedd) SubmitPriority(name string, priority int, inBytes, outBytes int64, fn JobFunc) *Job {
-	return s.SubmitConstrained(name, priority, nil, inBytes, outBytes, fn)
-}
-
-// SubmitConstrained queues a job with a priority and a requirements
-// expression the matched node must satisfy (condor's Requirements ClassAd).
-func (s *Schedd) SubmitConstrained(name string, priority int, requires func(*cluster.Node) bool, inBytes, outBytes int64, fn JobFunc) *Job {
-	return s.SubmitJob(JobSpec{
-		Name:                name,
-		Priority:            priority,
-		Requires:            requires,
-		TransferInputBytes:  inBytes,
-		TransferOutputBytes: outBytes,
-		Run:                 fn,
-	})
-}
-
-// JobSpec describes a job to queue (the full submit-file surface; the
-// Submit* helpers cover the common subsets).
+// JobSpec describes a job to queue: the submit-file surface.
 type JobSpec struct {
 	Name     string
 	Priority int

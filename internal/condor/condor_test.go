@@ -32,6 +32,25 @@ func newFixture(t *testing.T, mut func(*config.Params)) *fixture {
 	return &fixture{env: env, cl: cl, s: s, prm: prm}
 }
 
+// jobFunc is a payload written as a function.
+type jobFunc func(ctx *ExecContext) error
+
+func (f jobFunc) Run(ctx *ExecContext) error { return f(ctx) }
+
+// submit queues a job at default priority with no requirements.
+func submit(s *Schedd, name string, inBytes, outBytes int64, fn jobFunc) *Job {
+	return s.SubmitJob(JobSpec{Name: name, TransferInputBytes: inBytes, TransferOutputBytes: outBytes, Run: fn})
+}
+
+// totalSlots is the pool's slot count.
+func (s *Schedd) totalSlots() int {
+	n := 0
+	for _, sd := range s.startds {
+		n += sd.slots
+	}
+	return n
+}
+
 // fastCycle switches to the global-cycle negotiation model with a short,
 // deterministic cycle.
 func fastCycle(p *config.Params) {
@@ -53,7 +72,7 @@ func fastPerJob(p *config.Params) {
 func TestJobRunsAndCompletes(t *testing.T) {
 	f := newFixture(t, fastCycle)
 	f.env.Go("main", func(p *sim.Proc) {
-		j := f.s.Submit("task", 1<<20, 1<<19, func(ctx *ExecContext) error {
+		j := submit(f.s, "task", 1<<20, 1<<19, func(ctx *ExecContext) error {
 			ctx.Node.Exec(ctx.Proc, 0.44, 1)
 			return nil
 		})
@@ -72,8 +91,8 @@ func TestJobRunsAndCompletes(t *testing.T) {
 		f.s.Shutdown()
 	})
 	f.env.Run()
-	if f.s.Completed() != 1 {
-		t.Errorf("Completed = %d", f.s.Completed())
+	if f.s.finished != 1 {
+		t.Errorf("finished = %d", f.s.finished)
 	}
 }
 
@@ -87,7 +106,7 @@ func TestJobSpanParentFromContinuation(t *testing.T) {
 	var j *Job
 	var payload *trace.Span
 	f.env.Defer(func() {
-		j = f.s.SubmitJob(JobSpec{Name: "task", Parent: parent, Run: JobFunc(func(ctx *ExecContext) error {
+		j = f.s.SubmitJob(JobSpec{Name: "task", Parent: parent, Run: jobFunc(func(ctx *ExecContext) error {
 			payload = ctx.Span
 			return nil
 		})})
@@ -117,7 +136,7 @@ func TestJobWaitsForNegotiationCycle(t *testing.T) {
 		p.NegotiatorJitterFrac = 0
 	})
 	f.env.Go("main", func(p *sim.Proc) {
-		j := f.s.Submit("task", 0, 0, func(ctx *ExecContext) error { return nil })
+		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
 		_ = f.s.Wait(p, j)
 		if j.MatchedAt < 10*time.Second {
 			t.Errorf("matched at %v, before first cycle", j.MatchedAt)
@@ -132,7 +151,7 @@ func TestParallelJobsSpreadAcrossNodes(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 6; i++ {
-			jobs = append(jobs, f.s.Submit("task", 0, 0, func(ctx *ExecContext) error {
+			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
 				ctx.Node.Exec(ctx.Proc, 1, 1)
 				return nil
 			}))
@@ -165,7 +184,7 @@ func TestPoolSaturationDefersToNextCycle(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 3; i++ {
-			jobs = append(jobs, f.s.Submit("task", 0, 0, func(ctx *ExecContext) error {
+			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
 				ctx.Proc.Sleep(time.Second) // hold the slot
 				return nil
 			}))
@@ -180,8 +199,8 @@ func TestPoolSaturationDefersToNextCycle(t *testing.T) {
 		f.s.Shutdown()
 	})
 	f.env.Run()
-	if f.s.FreeSlots() != f.s.TotalSlots() {
-		t.Errorf("slots leaked: %d free of %d", f.s.FreeSlots(), f.s.TotalSlots())
+	if f.s.FreeSlots() != f.s.totalSlots() {
+		t.Errorf("slots leaked: %d free of %d", f.s.FreeSlots(), f.s.totalSlots())
 	}
 }
 
@@ -195,7 +214,7 @@ func TestShadowSpawnSerializesDispatch(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < n; i++ {
-			jobs = append(jobs, f.s.Submit("task", 0, 0, func(ctx *ExecContext) error { return nil }))
+			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil }))
 		}
 		var starts []time.Duration
 		for _, j := range jobs {
@@ -224,7 +243,7 @@ func TestInputTransfersShareSubmitUplink(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 4; i++ {
-			jobs = append(jobs, f.s.Submit("task", 1e6, 0, func(ctx *ExecContext) error { return nil }))
+			jobs = append(jobs, submit(f.s, "task", 1e6, 0, func(ctx *ExecContext) error { return nil }))
 		}
 		var lastStart time.Duration
 		for _, j := range jobs {
@@ -247,7 +266,7 @@ func TestFailedJobPropagatesError(t *testing.T) {
 	f := newFixture(t, fastCycle)
 	boom := errors.New("task exploded")
 	f.env.Go("main", func(p *sim.Proc) {
-		j := f.s.Submit("task", 0, 1<<20, func(ctx *ExecContext) error { return boom })
+		j := submit(f.s, "task", 0, 1<<20, func(ctx *ExecContext) error { return boom })
 		if err := f.s.Wait(p, j); !errors.Is(err, boom) {
 			t.Errorf("err = %v", err)
 		}
@@ -257,7 +276,7 @@ func TestFailedJobPropagatesError(t *testing.T) {
 		f.s.Shutdown()
 	})
 	f.env.Run()
-	if f.s.FreeSlots() != f.s.TotalSlots() {
+	if f.s.FreeSlots() != f.s.totalSlots() {
 		t.Error("failed job leaked its slot")
 	}
 }
@@ -272,7 +291,7 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 			t.Error("Submit before Start did not panic")
 		}
 	}()
-	s.Submit("task", 0, 0, func(ctx *ExecContext) error { return nil })
+	submit(s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
 }
 
 func TestPerJobNegotiationDelay(t *testing.T) {
@@ -284,7 +303,7 @@ func TestPerJobNegotiationDelay(t *testing.T) {
 	})
 	f.env.Go("main", func(p *sim.Proc) {
 		p.Sleep(3 * time.Second) // submit mid-stream; delay counts from submit
-		j := f.s.Submit("task", 0, 0, func(ctx *ExecContext) error { return nil })
+		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
 		_ = f.s.Wait(p, j)
 		if j.MatchedAt != 11*time.Second {
 			t.Errorf("matched at %v, want 11s (submit 3s + delay 8s)", j.MatchedAt)
@@ -303,11 +322,11 @@ func TestPerJobBlockedJobGetsFreedSlot(t *testing.T) {
 		p.JobStartOverhead = 0
 	})
 	f.env.Go("main", func(p *sim.Proc) {
-		hold := f.s.Submit("holder", 0, 0, func(ctx *ExecContext) error {
+		hold := submit(f.s, "holder", 0, 0, func(ctx *ExecContext) error {
 			ctx.Proc.Sleep(10 * time.Second)
 			return nil
 		})
-		waiter := f.s.Submit("waiter", 0, 0, func(ctx *ExecContext) error { return nil })
+		waiter := submit(f.s, "waiter", 0, 0, func(ctx *ExecContext) error { return nil })
 		_ = f.s.Wait(p, hold)
 		_ = f.s.Wait(p, waiter)
 		// Holder occupies the only slot until t=11s; waiter was negotiated
@@ -318,8 +337,8 @@ func TestPerJobBlockedJobGetsFreedSlot(t *testing.T) {
 		f.s.Shutdown()
 	})
 	f.env.Run()
-	if f.s.QueueDepth() != 0 {
-		t.Errorf("QueueDepth = %d after drain", f.s.QueueDepth())
+	if n := len(f.s.idle) + len(f.s.blocked); n != 0 {
+		t.Errorf("queue depth = %d after drain", n)
 	}
 }
 
@@ -333,20 +352,20 @@ func TestPriorityOrdersBlockedQueue(t *testing.T) {
 	})
 	var order []string
 	f.env.Go("main", func(p *sim.Proc) {
-		hold := f.s.Submit("holder", 0, 0, func(ctx *ExecContext) error {
+		hold := submit(f.s, "holder", 0, 0, func(ctx *ExecContext) error {
 			ctx.Proc.Sleep(10 * time.Second)
 			return nil
 		})
 		// Both negotiate at ~1s while the holder occupies the slot; the
 		// low-priority job was submitted first but must yield.
-		low := f.s.Submit("low", 0, 0, func(ctx *ExecContext) error {
+		low := submit(f.s, "low", 0, 0, func(ctx *ExecContext) error {
 			order = append(order, "low")
 			return nil
 		})
-		high := f.s.SubmitPriority("high", 10, 0, 0, func(ctx *ExecContext) error {
+		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 10, Run: jobFunc(func(ctx *ExecContext) error {
 			order = append(order, "high")
 			return nil
-		})
+		})})
 		_ = f.s.Wait(p, hold)
 		_ = f.s.Wait(p, high)
 		_ = f.s.Wait(p, low)
@@ -368,20 +387,20 @@ func TestPriorityOrdersCycleQueue(t *testing.T) {
 	})
 	var first string
 	f.env.Go("main", func(p *sim.Proc) {
-		low := f.s.Submit("low", 0, 0, func(ctx *ExecContext) error {
+		low := submit(f.s, "low", 0, 0, func(ctx *ExecContext) error {
 			if first == "" {
 				first = "low"
 			}
 			ctx.Proc.Sleep(time.Second)
 			return nil
 		})
-		high := f.s.SubmitPriority("high", 5, 0, 0, func(ctx *ExecContext) error {
+		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 5, Run: jobFunc(func(ctx *ExecContext) error {
 			if first == "" {
 				first = "high"
 			}
 			ctx.Proc.Sleep(time.Second)
 			return nil
-		})
+		})})
 		_ = f.s.Wait(p, low)
 		_ = f.s.Wait(p, high)
 		f.s.Shutdown()
@@ -396,9 +415,9 @@ func TestRequirementsPinJobToNode(t *testing.T) {
 	f := newFixture(t, fastPerJob)
 	f.env.Go("main", func(p *sim.Proc) {
 		want := "worker2"
-		j := f.s.SubmitConstrained("pinned", 0, func(n *cluster.Node) bool {
+		j := f.s.SubmitJob(JobSpec{Name: "pinned", Requires: func(n *cluster.Node) bool {
 			return n.Name == want
-		}, 0, 0, func(ctx *ExecContext) error { return nil })
+		}, Run: jobFunc(func(ctx *ExecContext) error { return nil })})
 		if err := f.s.Wait(p, j); err != nil {
 			t.Fatal(err)
 		}
@@ -413,21 +432,21 @@ func TestRequirementsPinJobToNode(t *testing.T) {
 func TestUnsatisfiableRequirementStaysIdle(t *testing.T) {
 	f := newFixture(t, fastPerJob)
 	f.env.Go("main", func(p *sim.Proc) {
-		f.s.SubmitConstrained("impossible", 0, func(n *cluster.Node) bool {
+		f.s.SubmitJob(JobSpec{Name: "impossible", Requires: func(n *cluster.Node) bool {
 			return false
-		}, 0, 0, func(ctx *ExecContext) error { return nil })
-		ok := f.s.Submit("normal", 0, 0, func(ctx *ExecContext) error { return nil })
+		}, Run: jobFunc(func(ctx *ExecContext) error { return nil })})
+		ok := submit(f.s, "normal", 0, 0, func(ctx *ExecContext) error { return nil })
 		if err := f.s.Wait(p, ok); err != nil {
 			t.Fatal(err)
 		}
 		f.s.Shutdown()
 	})
 	f.env.RunUntil(time.Minute)
-	if f.s.QueueDepth() != 1 {
-		t.Errorf("QueueDepth = %d, want 1 (the unsatisfiable job)", f.s.QueueDepth())
+	if n := len(f.s.idle) + len(f.s.blocked); n != 1 {
+		t.Errorf("queue depth = %d, want 1 (the unsatisfiable job)", n)
 	}
-	if f.s.Completed() != 1 {
-		t.Errorf("Completed = %d; the satisfiable job must not be blocked", f.s.Completed())
+	if f.s.finished != 1 {
+		t.Errorf("finished = %d; the satisfiable job must not be blocked", f.s.finished)
 	}
 }
 
@@ -436,9 +455,9 @@ func TestRequirementsDoNotBlockQueueInCycleMode(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		// Unsatisfiable job submitted FIRST; the later unconstrained job
 		// must still be matched in the same cycle.
-		f.s.SubmitConstrained("stuck", 5, func(n *cluster.Node) bool { return false },
-			0, 0, func(ctx *ExecContext) error { return nil })
-		ok := f.s.Submit("runs", 0, 0, func(ctx *ExecContext) error { return nil })
+		f.s.SubmitJob(JobSpec{Name: "stuck", Priority: 5, Requires: func(n *cluster.Node) bool { return false },
+			Run: jobFunc(func(ctx *ExecContext) error { return nil })})
+		ok := submit(f.s, "runs", 0, 0, func(ctx *ExecContext) error { return nil })
 		if err := f.s.Wait(p, ok); err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +489,7 @@ func TestCycleModeSpawnsOnlyJobs(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var js []*Job
 		for i := 0; i < jobs; i++ {
-			js = append(js, f.s.Submit("task", 0, 0, func(ctx *ExecContext) error {
+			js = append(js, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
 				ctx.Proc.Sleep(time.Second)
 				return nil
 			}))

@@ -172,7 +172,7 @@ func matchChurn(t *testing.T, policy string) {
 			js.InputLFNs = append(js.InputLFNs, lfns[rng.Intn(len(lfns))])
 		}
 		run := time.Duration(1+rng.Intn(8)) * time.Second
-		js.Run = JobFunc(func(ctx *ExecContext) error { ctx.Proc.Sleep(run); return nil })
+		js.Run = jobFunc(func(ctx *ExecContext) error { ctx.Proc.Sleep(run); return nil })
 		return js
 	}
 	probe := func(js JobSpec) {
@@ -188,14 +188,12 @@ func matchChurn(t *testing.T, policy string) {
 				js := spec(fmt.Sprintf("j-%d", step))
 				probe(js)
 				f.s.SubmitJob(js)
-			case r < 8:
+			case r < 9:
 				worker().Scratch.Put(p, lfns[rng.Intn(len(lfns))], 1<<20)
-			case r == 8:
-				worker().Scratch.Delete(lfns[rng.Intn(len(lfns))])
 			case r == 9:
-				f.s.CrashNode(worker().Name)
+				f.s.crashNode(worker().Name)
 			case r < 12:
-				f.s.RestoreNode(worker().Name)
+				f.s.restoreNode(worker().Name)
 			default:
 				p.Sleep(time.Duration(rng.Intn(4000)) * time.Millisecond)
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 // noop is a payload that allocates nothing to call.
-var noop = JobFunc(func(*ExecContext) error { return nil })
+var noop = jobFunc(func(*ExecContext) error { return nil })
 
 // TestReleasedJobCycleAllocatesNothing: once warm, a submit → settle →
 // release cycle reuses the released job's struct, its bound callbacks and
@@ -77,7 +77,7 @@ func TestReleasedJobOutlivesItsWakeups(t *testing.T) {
 	var next *Job
 	var seen string
 	f.env.Go("main", func(p *sim.Proc) {
-		j := f.s.SubmitJob(JobSpec{Run: JobFunc(func(ctx *ExecContext) error {
+		j := f.s.SubmitJob(JobSpec{Run: jobFunc(func(ctx *ExecContext) error {
 			ctx.Proc.Sleep(time.Second)
 			return nil
 		})})

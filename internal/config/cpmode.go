@@ -49,8 +49,8 @@ func CPModes() []CPMode {
 	return []CPMode{CPStore, CPDirect}
 }
 
-// CPModeNames lists the accepted knob values in canonical order.
-func CPModeNames() []string {
+// cpModeNames lists the accepted knob values in canonical order.
+func cpModeNames() []string {
 	names := make([]string, 0, 2)
 	for _, m := range CPModes() {
 		names = append(names, m.String())
@@ -70,6 +70,6 @@ func ParseCPMode(s string) (CPMode, error) {
 		return CPDirect, nil
 	default:
 		return CPStore, fmt.Errorf("config: unknown control-plane mode %q (valid: %s)",
-			s, strings.Join(CPModeNames(), ", "))
+			s, strings.Join(cpModeNames(), ", "))
 	}
 }

@@ -50,8 +50,8 @@ func ExecModes() []ExecMode {
 	return []ExecMode{ExecPoll, ExecDecentralized, ExecTrigger}
 }
 
-// ExecModeNames lists the accepted knob values in canonical order.
-func ExecModeNames() []string {
+// execModeNames lists the accepted knob values in canonical order.
+func execModeNames() []string {
 	names := make([]string, 0, 3)
 	for _, m := range ExecModes() {
 		names = append(names, m.String())
@@ -73,6 +73,6 @@ func ParseExecMode(s string) (ExecMode, error) {
 		return ExecTrigger, nil
 	default:
 		return ExecPoll, fmt.Errorf("config: unknown execution mode %q (valid: %s)",
-			s, strings.Join(ExecModeNames(), ", "))
+			s, strings.Join(execModeNames(), ", "))
 	}
 }

@@ -173,7 +173,7 @@ type Params struct {
 	WatchLatency time.Duration
 	// SchedSamplePercent is the kube scheduler's percentage-of-nodes-to-
 	// score: stop filtering once this percentage of the cluster (never
-	// fewer than sched.MinFeasibleToScore) has passed the feasibility
+	// fewer than sched's floor of 100) has passed the feasibility
 	// filters, rotating the scan's start node between decisions so no node
 	// range is permanently favoured. 0 = score every node (seed).
 	SchedSamplePercent int

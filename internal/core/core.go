@@ -275,17 +275,6 @@ func (r *ConcurrentResult) MeanMakespan() time.Duration {
 	return sum / time.Duration(len(r.Runs))
 }
 
-// ModeCounts tallies executed tasks by mode across all runs.
-func (r *ConcurrentResult) ModeCounts() map[wms.Mode]int {
-	counts := make(map[wms.Mode]int)
-	for _, run := range r.Runs {
-		for _, t := range run.Tasks {
-			counts[t.Mode]++
-		}
-	}
-	return counts
-}
-
 // RunConcurrentWorkflows launches every workflow at once (Fig. 4) and
 // blocks until all complete.
 func (s *Stack) RunConcurrentWorkflows(p *sim.Proc, wfs []*wms.Workflow, assign wms.ModeAssigner) (*ConcurrentResult, error) {

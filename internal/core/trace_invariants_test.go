@@ -45,7 +45,7 @@ func tracedRun(t *testing.T, seed uint64, mode wms.Mode, jobFailRate, crtFailRat
 				return
 			}
 		} else {
-			for _, trf := range workload.MontageTransformations() {
+			for _, trf := range []string{"mProject", "mDiffFit", "mConcatFit", "mBgModel", "mBackground", "mAdd"} {
 				s.RegisterTransformation(trf, 14<<20)
 			}
 		}

@@ -99,13 +99,10 @@ func New(env *sim.Env, prm config.Params) *Plane {
 	return cp
 }
 
-// Mode returns the plane's communication path.
-func (cp *Plane) Mode() config.CPMode { return cp.mode }
-
-// Active reports whether any cost constant is nonzero. Inactive planes are
+// active reports whether any cost constant is nonzero. Inactive planes are
 // the seed's free control plane: every delay method returns 0, callers take
 // their original inline paths, and goldens stay byte-identical.
-func (cp *Plane) Active() bool {
+func (cp *Plane) active() bool {
 	return cp.svc > 0 || cp.base > 0 || cp.commit > 0 || cp.watch > 0
 }
 
@@ -152,7 +149,7 @@ func (cp *Plane) direct(reconcile bool) time.Duration {
 // watch propagation. Direct: one direct message to the kubelet, store
 // reconciled asynchronously.
 func (cp *Plane) BindDelay() time.Duration {
-	if !cp.Active() {
+	if !cp.active() {
 		return 0
 	}
 	if cp.mode == config.CPDirect {
@@ -165,7 +162,7 @@ func (cp *Plane) BindDelay() time.Duration {
 // structure as BindDelay. Deletion is not placement-critical, but it shares
 // the apiserver queue, so churn storms load the same server bindings use.
 func (cp *Plane) DeleteDelay() time.Duration {
-	if !cp.Active() {
+	if !cp.active() {
 		return 0
 	}
 	if cp.mode == config.CPDirect {
@@ -179,7 +176,7 @@ func (cp *Plane) DeleteDelay() time.Duration {
 // plus one watch propagation after the probe passes). Direct mode notifies
 // watchers with a direct message and reconciles the store in the background.
 func (cp *Plane) StatusDelay() time.Duration {
-	if !cp.Active() {
+	if !cp.active() {
 		return 0
 	}
 	if cp.mode == config.CPDirect {
@@ -192,7 +189,7 @@ func (cp *Plane) StatusDelay() time.Duration {
 // apiserver read (the metrics pipeline rides the store path). Direct: the
 // autoscaler reads component metrics over a direct connection.
 func (cp *Plane) MetricReadDelay() time.Duration {
-	if !cp.Active() {
+	if !cp.active() {
 		return 0
 	}
 	if cp.mode == config.CPDirect {
@@ -205,7 +202,7 @@ func (cp *Plane) MetricReadDelay() time.Duration {
 // a scale write plus the scheduler's watch propagation in the baseline, a
 // direct message to the scheduler in direct mode.
 func (cp *Plane) ScaleWriteDelay() time.Duration {
-	if !cp.Active() {
+	if !cp.active() {
 		return 0
 	}
 	if cp.mode == config.CPDirect {

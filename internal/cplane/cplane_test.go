@@ -22,7 +22,7 @@ func TestInactivePlaneIsFree(t *testing.T) {
 	for _, mode := range []string{"", "baseline", "direct"} {
 		env := sim.NewEnv(1)
 		cp := New(env, params(func(p *config.Params) { p.CPMode = mode }))
-		if cp.Active() {
+		if cp.active() {
 			t.Fatalf("mode %q: zero-valued plane is active", mode)
 		}
 		delays := []time.Duration{
@@ -64,7 +64,7 @@ func TestStoreQueueArithmetic(t *testing.T) {
 		p.EtcdCommitLatency = 20 * time.Millisecond
 		p.WatchLatency = 50 * time.Millisecond
 	}))
-	if !cp.Active() {
+	if !cp.active() {
 		t.Fatal("plane with nonzero constants is inactive")
 	}
 	// First write at t=0: no wait + 100ms svc + 5ms base + 20ms commit +
@@ -136,7 +136,7 @@ func TestDirectPathCosts(t *testing.T) {
 	if st.DirectSends != 4 || st.AsyncWrites != 3 {
 		t.Errorf("stats = %+v, want 4 direct sends, 3 async writes", st)
 	}
-	if cp.Mode() != config.CPDirect {
-		t.Errorf("mode = %v, want direct", cp.Mode())
+	if cp.mode != config.CPDirect {
+		t.Errorf("mode = %v, want direct", cp.mode)
 	}
 }

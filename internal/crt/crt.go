@@ -101,9 +101,6 @@ func (set Set) GateRetries(b *resilience.RetryBudget) {
 	}
 }
 
-// Node returns the node this runtime manages.
-func (rt *Runtime) Node() *cluster.Node { return rt.node }
-
 // HasImage reports whether the named image is in the local store.
 func (rt *Runtime) HasImage(name string) bool {
 	_, ok := rt.images[name]
@@ -116,9 +113,6 @@ func (rt *Runtime) Live() int { return rt.createdTotal - rt.removedTotal }
 // CreatedTotal returns the lifetime count of containers created — the
 // metric that separates Docker-per-task from serverless reuse.
 func (rt *Runtime) CreatedTotal() int { return rt.createdTotal }
-
-// RemovedTotal returns the lifetime count of containers removed.
-func (rt *Runtime) RemovedTotal() int { return rt.removedTotal }
 
 // PullImage is Pull with no parent span: a pre-pull outside any traced
 // operation.
@@ -200,18 +194,11 @@ type Container struct {
 	CapCores float64
 	rt       *Runtime
 	state    State
-	execs    int
 	op       *trace.Span // span of the create, start or stop-remove in flight
 }
 
 // State returns the container's lifecycle state.
 func (c *Container) State() State { return c.state }
-
-// Execs returns how many tasks this container has served — >1 means reuse.
-func (c *Container) Execs() int { return c.execs }
-
-// Node returns the node hosting the container.
-func (c *Container) Node() *cluster.Node { return c.rt.node }
 
 // The lifecycle ops Create, Start, Exec and StopRemove are their
 // continuation forms (BeginCreate, BeginStart, ExecThen, BeginStopRemove)
@@ -346,7 +333,6 @@ func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) erro
 			next()
 		}
 	}
-	c.execs++
 	rate, floor := 1.0, 0.0
 	if c.CapCores > 0 && c.CapCores < rate {
 		rate = c.CapCores

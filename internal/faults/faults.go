@@ -187,9 +187,9 @@ func (in *Injector) setRate(kind Kind, target string, p float64) {
 	m[target] = p
 }
 
-// Rate returns the active failure probability for a kind at a target: the
+// rate returns the active failure probability for a kind at a target: the
 // larger of the target-specific and the all-targets ("") rate.
-func (in *Injector) Rate(kind Kind, target string) float64 {
+func (in *Injector) rate(kind Kind, target string) float64 {
 	m := in.rates[kind]
 	if m == nil {
 		return 0
@@ -207,7 +207,7 @@ func (in *Injector) Rate(kind Kind, target string) float64 {
 // when no rate is active, so runs without faults consume no injector
 // entropy.
 func (in *Injector) Roll(kind Kind, target string) bool {
-	p := in.Rate(kind, target)
+	p := in.rate(kind, target)
 	if p <= 0 {
 		return false
 	}

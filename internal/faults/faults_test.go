@@ -57,15 +57,15 @@ func TestWindowActivatesAndClearsRate(t *testing.T) {
 	env := sim.NewEnv(1)
 	in := NewInjector(env)
 	in.Schedule(Fault{Kind: KindJobFailure, At: time.Second, Duration: time.Second, Rate: 0.5})
-	if in.Rate(KindJobFailure, "worker1") != 0 {
+	if in.rate(KindJobFailure, "worker1") != 0 {
 		t.Error("rate active before window")
 	}
 	env.RunUntil(1500 * time.Millisecond)
-	if got := in.Rate(KindJobFailure, "worker1"); got != 0.5 {
+	if got := in.rate(KindJobFailure, "worker1"); got != 0.5 {
 		t.Errorf("rate inside window = %g, want 0.5", got)
 	}
 	env.Run()
-	if got := in.Rate(KindJobFailure, "worker1"); got != 0 {
+	if got := in.rate(KindJobFailure, "worker1"); got != 0 {
 		t.Errorf("rate after window = %g, want 0", got)
 	}
 }
@@ -75,13 +75,13 @@ func TestRatePrefersLargerOfTargetAndGlobal(t *testing.T) {
 	in := NewInjector(env)
 	in.SetRate(KindRegistryError, "", 0.1)
 	in.SetRate(KindRegistryError, "worker2", 0.6)
-	if got := in.Rate(KindRegistryError, "worker2"); got != 0.6 {
+	if got := in.rate(KindRegistryError, "worker2"); got != 0.6 {
 		t.Errorf("target rate = %g, want 0.6", got)
 	}
-	if got := in.Rate(KindRegistryError, "worker1"); got != 0.1 {
+	if got := in.rate(KindRegistryError, "worker1"); got != 0.1 {
 		t.Errorf("global fallback = %g, want 0.1", got)
 	}
-	if got := in.Rate(KindCreateFail, "worker1"); got != 0 {
+	if got := in.rate(KindCreateFail, "worker1"); got != 0 {
 		t.Errorf("other kind = %g, want 0", got)
 	}
 }

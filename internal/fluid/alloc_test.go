@@ -54,7 +54,7 @@ func TestUncappedChurnZeroAlloc(t *testing.T) {
 }
 
 // TestReservedCycleZeroAlloc: processes looping on the blocking
-// RunReserved with caps and floors (the general water-filling path)
+// runReserved with caps and floors (the general water-filling path)
 // allocate nothing once warm: parking on the chained form adds no
 // closure.
 func TestReservedCycleZeroAlloc(t *testing.T) {
@@ -63,7 +63,7 @@ func TestReservedCycleZeroAlloc(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		env.Go("loop", func(p *sim.Proc) {
 			for {
-				srv.RunReserved(p, 1, 1, 0.5)
+				srv.runReserved(p, 1, 1, 0.5)
 			}
 		})
 	}

@@ -19,7 +19,8 @@ func Example() {
 		fmt.Println("hog finished at", p.Now())
 	})
 	env.Go("container", func(p *sim.Proc) {
-		cpu.RunReserved(p, 3, 1, 1) // one core, guaranteed
+		cpu.RunReservedThen(3, 1, 1, p.Resumer()) // one core, guaranteed
+		p.Await()
 		fmt.Println("container finished at", p.Now())
 	})
 

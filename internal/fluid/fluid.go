@@ -95,36 +95,27 @@ func (s *Server) Served() float64 {
 	return s.served
 }
 
-// Rate returns the aggregate service rate currently in use.
-func (s *Server) Rate() float64 {
-	total := 0.0
-	for _, j := range s.jobs {
-		total += j.rate
-	}
-	return total
-}
-
 // Run serves `work` units for the calling process, sharing the server with
 // every other concurrent job, and blocks until the work completes. maxRate
 // caps the job's service rate (0 = uncapped): a containerized task with a
 // one-core cgroup quota runs with maxRate 1 on a CPU server whose capacity
 // is the node's core count.
 func (s *Server) Run(p *sim.Proc, work float64, maxRate float64) {
-	s.RunReserved(p, work, maxRate, 0)
+	s.runReserved(p, work, maxRate, 0)
 }
 
-// RunReserved is Run with a guaranteed floor rate — the cgroup reservation
+// runReserved is Run with a guaranteed floor rate — the cgroup reservation
 // that makes containerized tasks immune to noisy neighbours (the paper's
 // performance-isolation property). When the sum of floors exceeds the
 // server's capacity, floors scale down proportionally (reservation
 // oversubscription); leftover capacity above the floors is distributed
 // max-min as in Run. It is RunReservedThen with the process's resume.
-func (s *Server) RunReserved(p *sim.Proc, work, maxRate, floor float64) {
+func (s *Server) runReserved(p *sim.Proc, work, maxRate, floor float64) {
 	s.RunReservedThen(work, maxRate, floor, p.Resumer())
 	p.Await()
 }
 
-// RunReservedThen is RunReserved's continuation form (see sim.Env.Defer):
+// RunReservedThen is runReserved's continuation form (see sim.Env.Defer):
 // then runs at once when there is no work, and otherwise from the run
 // queue at the job's departure, in departure order with the other jobs
 // that drain at the same instant.

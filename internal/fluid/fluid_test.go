@@ -150,7 +150,7 @@ func TestReservationShieldsFromNoisyNeighbours(t *testing.T) {
 	}
 	var done time.Duration
 	env.Go("reserved", func(p *sim.Proc) {
-		srv.RunReserved(p, 2, 1, 1)
+		srv.runReserved(p, 2, 1, 1)
 		done = p.Now()
 	})
 	env.RunUntil(time.Hour)
@@ -185,7 +185,7 @@ func TestOverReservedFloorsScaleProportionally(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		env.Go("job", func(p *sim.Proc) {
-			srv.RunReserved(p, 4, 4, 4)
+			srv.runReserved(p, 4, 4, 4)
 			done[i] = p.Now()
 		})
 	}
@@ -201,7 +201,7 @@ func TestFloorClampedToCap(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := New(env, "cpu", 8)
 	env.Go("job", func(p *sim.Proc) {
-		srv.RunReserved(p, 2, 1, 5) // floor above cap clamps to 1
+		srv.runReserved(p, 2, 1, 5) // floor above cap clamps to 1
 		if p.Now() != 2*time.Second {
 			t.Errorf("finished at %v, want 2s", p.Now())
 		}
@@ -216,7 +216,7 @@ func TestReservedPlusSpareCapacity(t *testing.T) {
 	srv := New(env, "cpu", 8)
 	var reservedDone, freeDone time.Duration
 	env.Go("reserved", func(p *sim.Proc) {
-		srv.RunReserved(p, 2, 1, 1)
+		srv.runReserved(p, 2, 1, 1)
 		reservedDone = p.Now()
 	})
 	env.Go("free", func(p *sim.Proc) {
@@ -351,7 +351,11 @@ func TestRateReporting(t *testing.T) {
 	srv := New(env, "cpu", 4)
 	env.Go("watcher", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		if got := srv.Rate(); math.Abs(got-3) > 1e-9 {
+		got := 0.0
+		for _, j := range srv.jobs {
+			got += j.rate
+		}
+		if math.Abs(got-3) > 1e-9 {
 			t.Errorf("Rate = %f, want 3 (two jobs: cap 1 + uncapped 2... )", got)
 		}
 		if srv.Load() != 2 {
@@ -404,7 +408,7 @@ func TestRunReservedThenMatchesRunReserved(t *testing.T) {
 			}
 			env.At(s.at, func() {
 				env.Go(s.name, func(p *sim.Proc) {
-					srv.RunReserved(p, s.work, s.cap, s.floor)
+					srv.runReserved(p, s.work, s.cap, s.floor)
 					note(s.name)
 				})
 			})

@@ -9,17 +9,14 @@ package httpfn
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/resilience"
 )
 
 // Server wraps the matmul task in an HTTP event listener.
@@ -115,19 +112,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// HTTPError is a non-200 response from a function server, preserved with
-// its status code so callers (the balancer's breakers) can tell backend
-// failures (5xx) from caller mistakes (4xx).
-type HTTPError struct {
-	StatusCode int
-	Status     string
-	Msg        string
-}
-
-func (e *HTTPError) Error() string {
-	return fmt.Sprintf("httpfn: %s: %s", e.Status, e.Msg)
-}
-
 // Client invokes function servers.
 type Client struct {
 	HTTP http.Client
@@ -138,7 +122,8 @@ type Client struct {
 }
 
 // Invoke POSTs both operands by value to base/invoke and decodes the
-// product from the response. Non-200 responses surface as *HTTPError.
+// product from the response. A non-200 response is an error carrying its
+// status and the start of its body.
 func (c *Client) Invoke(base string, a, b *matrix.Matrix) (*matrix.Matrix, error) {
 	var body bytes.Buffer
 	if _, err := a.WriteTo(&body); err != nil {
@@ -165,11 +150,7 @@ func (c *Client) Invoke(base string, a, b *matrix.Matrix) (*matrix.Matrix, error
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, &HTTPError{
-			StatusCode: resp.StatusCode,
-			Status:     resp.Status,
-			Msg:        string(bytes.TrimSpace(msg)),
-		}
+		return nil, fmt.Errorf("httpfn: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	return matrix.ReadFrom(resp.Body)
 }
@@ -186,16 +167,11 @@ func (c *Client) Healthy(base string) bool {
 }
 
 // Balancer round-robins invocations over a set of function replicas — the
-// live stand-in for the serverless router. Protect installs an independent
-// circuit breaker per backend; an open backend is skipped in the rotation.
+// live stand-in for the serverless router.
 type Balancer struct {
 	client Client
 	bases  []string
 	next   atomic.Uint64
-
-	mu       sync.Mutex
-	breakers []*resilience.Breaker
-	epoch    time.Time
 }
 
 // NewBalancer returns a balancer over the given base URLs.
@@ -206,61 +182,8 @@ func NewBalancer(bases ...string) *Balancer {
 	return &Balancer{bases: append([]string(nil), bases...)}
 }
 
-// Protect installs one circuit breaker per backend. The breakers are the
-// same deterministic state machines the simulation uses, driven here by
-// wall-clock time since installation.
-func (lb *Balancer) Protect(pol resilience.BreakerPolicy) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.epoch = time.Now()
-	lb.breakers = make([]*resilience.Breaker, len(lb.bases))
-	for i := range lb.breakers {
-		lb.breakers[i] = resilience.NewBreaker(pol)
-	}
-}
-
-func (lb *Balancer) allow(i int) bool {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if lb.breakers == nil {
-		return true
-	}
-	return lb.breakers[i].Allow(time.Since(lb.epoch))
-}
-
-func (lb *Balancer) report(i int, err error) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if lb.breakers == nil {
-		return
-	}
-	b, now := lb.breakers[i], time.Since(lb.epoch)
-	var he *HTTPError
-	switch {
-	case err == nil:
-		b.OnSuccess(now)
-	case errors.As(err, &he) && he.StatusCode < 500:
-		// Caller mistake (4xx): no verdict on backend health.
-		b.OnDrop(now)
-	default:
-		b.OnFailure(now)
-	}
-}
-
-// Invoke forwards to the next replica in round-robin order, skipping
-// backends whose breaker is open. When every backend is open it fails fast
-// with ErrCircuitOpen instead of piling onto saturated replicas.
+// Invoke forwards to the next replica in round-robin order.
 func (lb *Balancer) Invoke(a, b *matrix.Matrix) (*matrix.Matrix, error) {
-	n := uint64(len(lb.bases))
-	start := lb.next.Add(1) - 1
-	for k := uint64(0); k < n; k++ {
-		i := int((start + k) % n)
-		if !lb.allow(i) {
-			continue
-		}
-		out, err := lb.client.Invoke(lb.bases[i], a, b)
-		lb.report(i, err)
-		return out, err
-	}
-	return nil, fmt.Errorf("httpfn: all %d backends: %w", n, resilience.ErrCircuitOpen)
+	i := (lb.next.Add(1) - 1) % uint64(len(lb.bases))
+	return lb.client.Invoke(lb.bases[i], a, b)
 }

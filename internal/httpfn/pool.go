@@ -10,7 +10,7 @@ import (
 
 // Pool is a live miniature of the Knative autoscaler: a set of real
 // function servers that grows when in-flight concurrency exceeds the
-// per-replica target and shrinks back to the floor when idle. It lets the
+// per-replica target. It lets the
 // live examples exercise cold starts and scale-out with real HTTP and real
 // compute.
 type Pool struct {
@@ -98,29 +98,6 @@ func (p *Pool) Invoke(a, b *matrix.Matrix) (*matrix.Matrix, error) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return p.client.Invoke(base, a, b)
-}
-
-// ScaleDown shrinks the pool back to Min, closing surplus replicas.
-func (p *Pool) ScaleDown() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.servers) > p.Min {
-		last := len(p.servers) - 1
-		_ = p.servers[last].Close()
-		p.servers = p.servers[:last]
-		p.bases = p.bases[:last]
-	}
-}
-
-// Invocations sums requests served across all current replicas.
-func (p *Pool) Invocations() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total int64
-	for _, srv := range p.servers {
-		total += srv.Invocations()
-	}
-	return total
 }
 
 // Close shuts every replica down.

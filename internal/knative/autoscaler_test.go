@@ -105,7 +105,7 @@ func TestScaleDownKeepsBusyPods(t *testing.T) {
 			return
 		}
 		// One long request keeps a pod busy while the service goes idle.
-		done := sim.NewFuture[struct{}]()
+		done := new(sim.Future[struct{}])
 		f.env.Go("long", func(cp *sim.Proc) {
 			if _, err := svc.Invoke(cp, req(200)); err != nil {
 				t.Error(err)

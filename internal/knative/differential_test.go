@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/crt"
+	"repro/internal/faults"
 	"repro/internal/kube"
 	"repro/internal/registry"
 	"repro/internal/resilience"
@@ -65,6 +66,12 @@ func servingChurn(t *testing.T, seed uint64, traced bool, launch launcher) (stri
 	}
 	f := newStack(sim.NewEnv(seed), prm)
 	env := f.env
+	// Partitions take the network's fault path. NewInjector forks env's
+	// stream; restoring it keeps the draws the digests were recorded with.
+	rngState := *env.Rand()
+	in := faults.NewInjector(env)
+	*env.Rand() = rngState
+	f.cl.Net.AttachFaults(in)
 	if traced {
 		trace.New(env)
 	}
@@ -126,10 +133,10 @@ func servingChurn(t *testing.T, seed uint64, traced bool, launch launcher) (stri
 					cov.kills++
 				case 3:
 					w := fmt.Sprintf("worker%d", 1+cp.Rand().Intn(3))
-					f.cl.Net.Partition(cluster.SubmitNodeName, w)
+					d := time.Duration(100+cp.Rand().Intn(900)) * time.Millisecond
+					in.Schedule(faults.Fault{Kind: faults.KindNetPartition, At: cp.Now(), Duration: d, Target: cluster.SubmitNodeName + "|" + w})
 					cov.partitions++
-					cp.Sleep(time.Duration(100+cp.Rand().Intn(900)) * time.Millisecond)
-					f.cl.Net.Heal(cluster.SubmitNodeName, w)
+					cp.Sleep(d)
 				}
 			}
 		})

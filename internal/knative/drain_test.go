@@ -1,11 +1,24 @@
 package knative
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
+
+// crashNode crashes the named node from now for d (for good when d is 0),
+// by the path a node-crash fault takes: kube drains the node, cordoning it
+// and evicting its pods, and uncordons it when the window ends. It returns
+// once the crash has begun.
+func (f *fixture) crashNode(p *sim.Proc, name string, d time.Duration) {
+	in := faults.NewInjector(f.env)
+	f.k.AttachFaults(in)
+	in.Schedule(faults.Fault{Kind: faults.KindNodeCrash, At: p.Now(), Duration: d, Target: name})
+	p.Sleep(time.Nanosecond) // the crash is an event at now
+}
 
 // TestServiceSurvivesNodeDrain: a node under maintenance is drained; the
 // autoscaler replaces the killed replicas on the remaining nodes and the
@@ -13,7 +26,6 @@ import (
 func TestServiceSurvivesNodeDrain(t *testing.T) {
 	f := newFixture(t)
 	var servedAfter int
-	var drainedNode string
 	f.env.Go("main", func(p *sim.Proc) {
 		defer f.kn.Shutdown()
 		f.prePull(p)
@@ -26,11 +38,11 @@ func TestServiceSurvivesNodeDrain(t *testing.T) {
 			return
 		}
 		// Drain the node hosting the first replica.
-		drainedNode = f.cl.Workers[0].Name
-		evicted := f.k.DrainNode(drainedNode)
-		if evicted == 0 {
-			t.Error("drain evicted nothing")
+		drainedNode := f.cl.Workers[0].Name
+		if !slices.Contains(svcPods(svc), drainedNode) {
+			t.Errorf("no replica on %s: the drain would evict nothing", drainedNode)
 		}
+		f.crashNode(p, drainedNode, 0)
 		// The autoscaler needs a tick to notice and replace the pods.
 		p.Sleep(4 * f.prm.AutoscalerTick)
 		if n := svc.ReadyPods(); n < 3 {
@@ -48,13 +60,13 @@ func TestServiceSurvivesNodeDrain(t *testing.T) {
 			}
 			servedAfter++
 		}
+		if slices.Contains(svcPods(svc), drainedNode) {
+			t.Errorf("pods remain on drained node")
+		}
 	})
 	f.env.RunUntil(10 * time.Minute)
 	if servedAfter != 6 {
 		t.Fatalf("served %d requests after drain", servedAfter)
-	}
-	if f.k.PodsOnNode(drainedNode) != 0 {
-		t.Errorf("pods remain on drained node")
 	}
 }
 
@@ -66,7 +78,9 @@ func TestUncordonRestoresScheduling(t *testing.T) {
 		defer f.kn.Shutdown()
 		f.prePull(p)
 		name := f.cl.Workers[0].Name
-		f.k.CordonNode(name)
+		const window = 5 * time.Minute
+		end := p.Now() + window
+		f.crashNode(p, name, window)
 		spec := baseSpec()
 		spec.MinScale = 3
 		spec.InitialScale = 3
@@ -75,12 +89,14 @@ func TestUncordonRestoresScheduling(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		for _, h := range svcPods(svc) {
-			if h == name {
-				t.Errorf("pod scheduled on cordoned node")
-			}
+		if slices.Contains(svcPods(svc), name) {
+			t.Errorf("pod scheduled on cordoned node")
 		}
-		f.k.UncordonNode(name)
+		if p.Now() >= end {
+			t.Errorf("deploy ended at %v, after the cordon window", p.Now())
+			return
+		}
+		p.Sleep(end - p.Now()) // the node is uncordoned at end
 		spec2 := baseSpec()
 		spec2.Name = "matmul2"
 		spec2.MinScale = 3
@@ -90,13 +106,7 @@ func TestUncordonRestoresScheduling(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		found := false
-		for _, n := range svcPods(svc2) {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(svcPods(svc2), name) {
 			t.Error("no pod landed on uncordoned node")
 		}
 	})

@@ -352,9 +352,6 @@ func (kn *Knative) Shutdown() {
 	}
 }
 
-// Spec returns the service's declaration.
-func (s *Service) Spec() ServiceSpec { return s.spec }
-
 // ReadyPods counts serving replicas. Readiness is the kube pod's own, so
 // it is visible the moment the kubelet reports it, independent of watcher
 // scheduling.

@@ -23,42 +23,31 @@ type Autoscaler struct {
 	delay window
 }
 
-// New builds an autoscaler after validating the configuration.
-func New(cfg Config) (*Autoscaler, error) {
+// MustNew builds an autoscaler for a configuration known to be valid; it
+// panics with Validate's error otherwise.
+func MustNew(cfg Config) *Autoscaler {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		panic(err)
 	}
 	return &Autoscaler{
 		cfg:       cfg,
 		idleSince: -1,
 		delay:     newWindow(cfg.ScaleDownDelay),
-	}, nil
-}
-
-// MustNew is New for configurations known to be valid; it panics otherwise.
-func MustNew(cfg Config) *Autoscaler {
-	a, err := New(cfg)
-	if err != nil {
-		panic(err)
 	}
-	return a
 }
 
-// Config returns the autoscaler's (validated) configuration.
-func (a *Autoscaler) Config() Config { return a.cfg }
-
-// InPanic reports whether panic mode is active as of now.
-func (a *Autoscaler) InPanic(now time.Duration) bool {
+// inPanic reports whether panic mode is active as of now.
+func (a *Autoscaler) inPanic(now time.Duration) bool {
 	return a.cfg.PanicThreshold > 0 && now < a.panicEnd
 }
 
-// ClampRates applies the scale-up/down rate clamps to a desired count
+// clampRates applies the scale-up/down rate clamps to a desired count
 // relative to the given ready count: one decision may grow the fleet to at
 // most ceil(ready*MaxScaleUpRate) and shrink it to at least
 // floor(ready/MaxScaleDownRate). Ready counts below 1 clamp as 1 so a
 // scaled-to-zero service can still activate. The operation is idempotent
 // for a fixed ready count.
-func (c Config) ClampRates(desired, ready int) int {
+func (c Config) clampRates(desired, ready int) int {
 	if ready < 1 {
 		ready = 1
 	}
@@ -107,19 +96,19 @@ func (c Config) ClampBounds(desired int) int {
 //     stayed idle for ScaleToZeroGrace.
 func (a *Autoscaler) Scale(snap Snapshot, now time.Duration) Recommendation {
 	if !snap.Valid {
-		return Recommendation{Hold: true, InPanic: a.InPanic(now)}
+		return Recommendation{Hold: true, InPanic: a.inPanic(now)}
 	}
 	ready := snap.ReadyPods
 	if ready < 1 {
 		ready = 1
 	}
-	desiredStable := a.cfg.ClampRates(int(math.Ceil(snap.StableValue/a.cfg.TargetValue)), ready)
-	desiredPanic := a.cfg.ClampRates(int(math.Ceil(snap.PanicValue/a.cfg.TargetValue)), ready)
+	desiredStable := a.cfg.clampRates(int(math.Ceil(snap.StableValue/a.cfg.TargetValue)), ready)
+	desiredPanic := a.cfg.clampRates(int(math.Ceil(snap.PanicValue/a.cfg.TargetValue)), ready)
 
 	if a.cfg.PanicThreshold > 0 && float64(desiredPanic) >= a.cfg.PanicThreshold*float64(ready) {
 		a.panicEnd = now + a.cfg.StableWindow
 	}
-	inPanic := a.InPanic(now)
+	inPanic := a.inPanic(now)
 	desired := desiredStable
 	if inPanic && desiredPanic > desired {
 		desired = desiredPanic

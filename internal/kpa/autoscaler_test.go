@@ -202,8 +202,8 @@ func TestKPARateClamps(t *testing.T) {
 			cfg := defaultConfig()
 			cfg.MaxScaleUpRate = tc.up
 			cfg.MaxScaleDownRate = tc.down
-			if got := cfg.ClampRates(tc.desired, tc.ready); got != tc.want {
-				t.Errorf("ClampRates(%d, ready %d) = %d, want %d", tc.desired, tc.ready, got, tc.want)
+			if got := cfg.clampRates(tc.desired, tc.ready); got != tc.want {
+				t.Errorf("clampRates(%d, ready %d) = %d, want %d", tc.desired, tc.ready, got, tc.want)
 			}
 		})
 	}
@@ -495,9 +495,14 @@ func TestKPAConfigValidate(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("Validate() = %v, want mention of %q", err, tc.wantErr)
 			}
-			if _, err2 := New(cfg); err2 == nil {
-				t.Error("New accepted an invalid config")
-			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("MustNew accepted an invalid config")
+					}
+				}()
+				MustNew(cfg)
+			}()
 		})
 	}
 }

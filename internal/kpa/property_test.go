@@ -76,9 +76,9 @@ func TestKPAPropertyClampIdempotent(t *testing.T) {
 		cfg := randConfig(rng)
 		desired := rng.Intn(200) - 20
 		ready := rng.Intn(50)
-		once := cfg.ClampRates(desired, ready)
-		if twice := cfg.ClampRates(once, ready); twice != once {
-			t.Fatalf("trial %d: ClampRates not idempotent: %d -> %d -> %d (cfg %+v, ready %d)",
+		once := cfg.clampRates(desired, ready)
+		if twice := cfg.clampRates(once, ready); twice != once {
+			t.Fatalf("trial %d: clampRates not idempotent: %d -> %d -> %d (cfg %+v, ready %d)",
 				trial, desired, once, twice, cfg, ready)
 		}
 		once = cfg.ClampBounds(desired)
@@ -115,7 +115,7 @@ func TestKPAPropertyPanicNeverBelowStable(t *testing.T) {
 			if r < 1 {
 				r = 1
 			}
-			stableOnly := cfg.ClampBounds(cfg.ClampRates(int(math.Ceil(stable/cfg.TargetValue)), r))
+			stableOnly := cfg.ClampBounds(cfg.clampRates(int(math.Ceil(stable/cfg.TargetValue)), r))
 			if rec.Desired < stableOnly {
 				t.Fatalf("trial %d step %d: desired %d below stable-only %d (stable %v panic %v ready %d cfg %+v)",
 					trial, step, rec.Desired, stableOnly, stable, panicV, ready, cfg)

@@ -51,7 +51,7 @@ func referencePlace(k *Kube, spec PodSpec, offset int, rejects map[string]int) r
 		case sched.PolicyBinPack:
 			return []term{{"bin-pack", 1, r}}
 		case sched.PolicySpread:
-			return []term{{"spread", 1, -float64(k.PodsOnNode(w.Name))}}
+			return []term{{"spread", 1, -float64(k.podsOnNode(w.Name))}}
 		case sched.PolicyImageLocality:
 			has := 0.0
 			if rt := k.Runtime(w.Name); spec.Image != "" && rt != nil && rt.HasImage(spec.Image) {
@@ -213,11 +213,11 @@ func diffChurn(t *testing.T, policy string, pct int) {
 				f.k.DeletePod(live[i])
 				live = append(live[:i], live[i+1:]...)
 			case r == 16:
-				f.k.CordonNode(f.k.Workers()[rng.Intn(nodes)])
+				f.k.cordonNode(f.k.Workers()[rng.Intn(nodes)])
 			case r == 17:
-				f.k.UncordonNode(f.k.Workers()[rng.Intn(nodes)])
+				f.k.uncordonNode(f.k.Workers()[rng.Intn(nodes)])
 			case r == 18:
-				f.k.DrainNode(f.k.Workers()[rng.Intn(nodes)])
+				f.k.drainNode(f.k.Workers()[rng.Intn(nodes)])
 			default:
 				p.Sleep(time.Duration(rng.Intn(3000)) * time.Millisecond)
 			}

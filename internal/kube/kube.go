@@ -131,18 +131,9 @@ func (pod *Pod) Ready() bool { return pod.ready }
 // ReadyAt returns the virtual time the pod became ready.
 func (pod *Pod) ReadyAt() time.Duration { return pod.readyAt }
 
-// Exec runs work core-seconds in the pod's container, blocking the caller;
-// its span nests under parent. It fails if the pod is not running.
-func (pod *Pod) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
-	if err := pod.ExecThen(parent, work, p.Resumer()); err != nil {
-		return err
-	}
-	p.Await()
-	return nil
-}
-
-// ExecThen is Exec's continuation form: then runs once the work completes.
-// An error means then was not armed.
+// ExecThen runs work core-seconds in the pod's container, its span nested
+// under parent, and then runs once the work completes. It fails, arming
+// nothing, if the pod is not running.
 func (pod *Pod) ExecThen(parent *trace.Span, work float64, then func()) error {
 	if !pod.ready || pod.container == nil {
 		return fmt.Errorf("kube: pod %s not ready", pod.Spec.Name)
@@ -402,33 +393,33 @@ func (k *Kube) AttachFaults(in *faults.Injector) {
 			return
 		}
 		if begin {
-			k.DrainNode(f.Target)
+			k.drainNode(f.Target)
 		} else {
-			k.UncordonNode(f.Target)
+			k.uncordonNode(f.Target)
 		}
 	})
 }
 
-// CordonNode marks a node unschedulable (kubectl cordon).
-func (k *Kube) CordonNode(name string) {
+// cordonNode marks a node unschedulable (kubectl cordon).
+func (k *Kube) cordonNode(name string) {
 	if w := k.worker(name); w != nil {
 		k.cordoned[w.Index] = true
 	}
 }
 
-// UncordonNode makes a node schedulable again and retries pending pods.
-func (k *Kube) UncordonNode(name string) {
+// uncordonNode makes a node schedulable again and retries pending pods.
+func (k *Kube) uncordonNode(name string) {
 	if w := k.worker(name); w != nil {
 		k.cordoned[w.Index] = false
 	}
 	k.kickPending()
 }
 
-// DrainNode cordons a node and deletes every pod bound to it (kubectl
+// drainNode cordons a node and deletes every pod bound to it (kubectl
 // drain) — maintenance, spot reclamation, or failure. Workload controllers
 // (the knative autoscaler here) replace the pods elsewhere.
-func (k *Kube) DrainNode(name string) int {
-	k.CordonNode(name)
+func (k *Kube) drainNode(name string) {
+	k.cordonNode(name)
 	var victims []string
 	for podName, pod := range k.pods {
 		if pod.NodeName == name {
@@ -439,7 +430,6 @@ func (k *Kube) DrainNode(name string) int {
 	for _, podName := range victims {
 		k.DeletePod(podName)
 	}
-	return len(victims)
 }
 
 // WaitReady blocks until the pod becomes ready or fails, returning a non-nil
@@ -456,15 +446,6 @@ func (k *Kube) OnReady(pod *Pod, fn func(error)) {
 	k.env.Defer(func() {
 		pod.readyF.Then(k.env, func() { fn(pod.readyF.Value()) })
 	})
-}
-
-// PodsOnNode counts live pods bound to a node, from the O(1) accounting
-// maintained on bind/unbind.
-func (k *Kube) PodsOnNode(node string) int {
-	if w := k.worker(node); w != nil {
-		return k.podsOn[w.Index]
-	}
-	return 0
 }
 
 // schedule is the scheduler: it binds each queued pod, held in placing

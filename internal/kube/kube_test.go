@@ -19,6 +19,14 @@ type fixture struct {
 	prm config.Params
 }
 
+// podsOnNode counts live pods bound to a node.
+func (k *Kube) podsOnNode(node string) int {
+	if w := k.worker(node); w != nil {
+		return k.podsOn[w.Index]
+	}
+	return 0
+}
+
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	env := sim.NewEnv(1)
@@ -142,8 +150,8 @@ func TestDeletePodFreesResources(t *testing.T) {
 		if pod.Ready() {
 			t.Error("deleted pod still ready")
 		}
-		if f.k.PodsOnNode(node.Name) != 0 {
-			t.Errorf("PodsOnNode = %d", f.k.PodsOnNode(node.Name))
+		if f.k.podsOnNode(node.Name) != 0 {
+			t.Errorf("PodsOnNode = %d", f.k.podsOnNode(node.Name))
 		}
 	})
 	f.env.Run()
@@ -291,14 +299,15 @@ func TestPodExec(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("client", func(p *sim.Proc) {
 		pod, _ := f.k.CreatePod(spec("fn-1"))
-		if err := pod.Exec(p, nil, 1); err == nil {
+		if err := pod.ExecThen(nil, 1, p.Resumer()); err == nil {
 			t.Error("exec on pending pod succeeded")
 		}
 		_ = f.k.WaitReady(p, pod)
 		start := p.Now()
-		if err := pod.Exec(p, nil, 0.5); err != nil {
+		if err := pod.ExecThen(nil, 0.5, p.Resumer()); err != nil {
 			t.Fatal(err)
 		}
+		p.Await()
 		if got := p.Now() - start; got != 500*time.Millisecond {
 			t.Errorf("exec took %v, want 500ms", got)
 		}

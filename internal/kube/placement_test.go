@@ -42,7 +42,7 @@ func assertAccounting(t *testing.T, f *fixture, when string) {
 		if f.k.reqMemMB[w.Index] != mem {
 			t.Errorf("%s: %s: accounted mem %d != rescan %d", when, w.Name, f.k.reqMemMB[w.Index], mem)
 		}
-		if got := f.k.PodsOnNode(w.Name); got != pods {
+		if got := f.k.podsOnNode(w.Name); got != pods {
 			t.Errorf("%s: %s: accounted pod count %d != rescan %d", when, w.Name, got, pods)
 		}
 	}
@@ -91,7 +91,7 @@ func TestPendingPodBindsAfterUncordon(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("client", func(p *sim.Proc) {
 		for _, w := range f.k.Workers() {
-			f.k.CordonNode(w)
+			f.k.cordonNode(w)
 		}
 		pod, err := f.k.CreatePod(spec("parked"))
 		if err != nil {
@@ -101,7 +101,7 @@ func TestPendingPodBindsAfterUncordon(t *testing.T) {
 		if pod.Phase() != PhasePending {
 			t.Fatalf("pod on fully cordoned cluster: phase %v, want Pending", pod.Phase())
 		}
-		f.k.UncordonNode("worker2")
+		f.k.uncordonNode("worker2")
 		if err := f.k.WaitReady(p, pod); err != nil {
 			t.Fatalf("pod did not bind after uncordon: %v", err)
 		}
@@ -161,10 +161,10 @@ func TestRequestedAccountingMatchesScan(t *testing.T) {
 		assertAccounting(t, f, "after teardown")
 
 		victim := pods[0].NodeName
-		f.k.DrainNode(victim)
+		f.k.drainNode(victim)
 		assertAccounting(t, f, "after drain")
 		p.Sleep(2 * time.Second)
-		f.k.UncordonNode(victim)
+		f.k.uncordonNode(victim)
 		assertAccounting(t, f, "after uncordon")
 	})
 	f.env.Run()

@@ -1,6 +1,6 @@
 // Package matrix implements the paper's actual computational task (§V-B):
 // multiplication of 350×350 integer matrices read from and written to disk.
-// The live examples and the calibration path run this real computation; the
+// The live examples and cmd/fnserve run this real computation; the
 // simulation charges the calibrated service time instead.
 package matrix
 
@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 )
 
 // PaperN is the matrix dimension used throughout the paper's evaluation.
@@ -35,12 +34,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]int64, rows*cols)}
 }
 
-// At returns the element at (i, j).
-func (m *Matrix) At(i, j int) int64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v int64) { m.Data[i*m.Cols+j] = v }
-
 // Rand fills the matrix with uniform integers in [lo, hi] drawn from next,
 // a function returning uniform uint64s (e.g. a sim.RNG's Uint64).
 func (m *Matrix) Rand(next func() uint64, lo, hi int64) {
@@ -48,19 +41,6 @@ func (m *Matrix) Rand(next func() uint64, lo, hi int64) {
 	for i := range m.Data {
 		m.Data[i] = lo + int64(next()%span)
 	}
-}
-
-// Equal reports element-wise equality.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Mul returns m·o. It panics on a shape mismatch. The inner loops are
@@ -84,18 +64,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 				oRow[j] += a * b
 			}
 		}
-	}
-	return out
-}
-
-// Add returns m + o. It panics on a shape mismatch.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("matrix: shape mismatch in Add")
-	}
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + o.Data[i]
 	}
 	return out
 }
@@ -144,22 +112,4 @@ func ReadFrom(r io.Reader) (*Matrix, error) {
 		m.Data[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 	}
 	return m, nil
-}
-
-// EncodedBytes returns the serialised size of a rows×cols matrix.
-func EncodedBytes(rows, cols int) int64 {
-	return 12 + 8*int64(rows)*int64(cols)
-}
-
-// CalibrateServiceTime measures how long one PaperN×PaperN multiplication
-// takes on this machine, for feeding real numbers back into the simulation's
-// TaskCoreSeconds parameter. next seeds the operand matrices.
-func CalibrateServiceTime(next func() uint64) time.Duration {
-	a := New(PaperN, PaperN)
-	b := New(PaperN, PaperN)
-	a.Rand(next, PaperValueMin, PaperValueMax)
-	b.Rand(next, PaperValueMin, PaperValueMax)
-	start := time.Now()
-	_ = a.Mul(b)
-	return time.Since(start)
 }

@@ -77,9 +77,9 @@ func (w *Welford) N() int { return w.n }
 // Mean returns the running mean, or 0 before any observation.
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Var returns the sample variance (n-1 denominator), or 0 for fewer than
+// variance returns the sample variance (n-1 denominator), or 0 for fewer than
 // two observations.
-func (w *Welford) Var() float64 {
+func (w *Welford) variance() float64 {
 	if w.n < 2 {
 		return 0
 	}
@@ -88,7 +88,7 @@ func (w *Welford) Var() float64 {
 
 // Std returns the sample standard deviation, or 0 for fewer than two
 // observations.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
+func (w *Welford) Std() float64 { return math.Sqrt(w.variance()) }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
@@ -100,34 +100,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Max returns the maximum, or 0 for an empty sample.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum, or 0 for an empty sample.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0–100) using linear interpolation

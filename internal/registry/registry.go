@@ -94,10 +94,6 @@ func (r *Registry) Protect(pol resilience.BreakerPolicy) {
 	r.breaker = resilience.NewBreaker(pol)
 }
 
-// Breaker exposes the pull-path breaker (nil when unprotected) for
-// experiment and test assertions.
-func (r *Registry) Breaker() *resilience.Breaker { return r.breaker }
-
 // PullLayers transfers the given layers of the named image to node,
 // blocking the calling process for the network time. The caller (the node's
 // container runtime) decides which layers are missing. With fault injection

@@ -20,7 +20,6 @@ type Admission struct {
 	cap     int
 	waiting int
 
-	admitted int
 	shedFull int
 	shedWait int
 }
@@ -52,7 +51,6 @@ func (a *Admission) TryEnter(estWait, remaining time.Duration) error {
 		return fmt.Errorf("%w (est %v > remaining %v)", ErrWouldExpire, estWait, remaining)
 	}
 	a.waiting++
-	a.admitted++
 	return nil
 }
 
@@ -73,14 +71,6 @@ func (a *Admission) Waiting() int {
 		return 0
 	}
 	return a.waiting
-}
-
-// Admitted returns the lifetime admit count.
-func (a *Admission) Admitted() int {
-	if a == nil {
-		return 0
-	}
-	return a.admitted
 }
 
 // Shed returns the lifetime shed counts: queue-full sheds and

@@ -16,8 +16,8 @@ type BreakerPolicy struct {
 	HalfOpenProbes int
 }
 
-// Enabled reports whether the policy configures an active breaker.
-func (pol BreakerPolicy) Enabled() bool { return pol.Failures > 0 }
+// enabled reports whether the policy configures an active breaker.
+func (pol BreakerPolicy) enabled() bool { return pol.Failures > 0 }
 
 // BreakerState is the circuit breaker's state.
 type BreakerState int
@@ -64,7 +64,7 @@ type Breaker struct {
 // NewBreaker returns a closed breaker under pol, or nil when the policy is
 // disabled — call sites need no separate enabled check.
 func NewBreaker(pol BreakerPolicy) *Breaker {
-	if !pol.Enabled() {
+	if !pol.enabled() {
 		return nil
 	}
 	if pol.HalfOpenProbes <= 0 {

@@ -15,9 +15,6 @@ type RetryBudget struct {
 	ratio  float64
 	burst  float64
 	tokens float64
-
-	granted int
-	denied  int
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per success with an
@@ -53,33 +50,7 @@ func (b *RetryBudget) TryRetry() bool {
 	}
 	if b.tokens >= 1-tokenEps {
 		b.tokens--
-		b.granted++
 		return true
 	}
-	b.denied++
 	return false
-}
-
-// Tokens returns the current balance.
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	return b.tokens
-}
-
-// Granted returns how many retries the budget has allowed.
-func (b *RetryBudget) Granted() int {
-	if b == nil {
-		return 0
-	}
-	return b.granted
-}
-
-// Denied returns how many retries the budget has refused.
-func (b *RetryBudget) Denied() int {
-	if b == nil {
-		return 0
-	}
-	return b.denied
 }

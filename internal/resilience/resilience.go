@@ -38,14 +38,6 @@ var (
 	ErrCircuitOpen = errors.New("resilience: circuit breaker open")
 )
 
-// IsOverload reports whether err is (or wraps) one of the overload
-// rejection classes — a shed, a deadline miss, or a breaker fast-fail —
-// as opposed to an infrastructure or application failure.
-func IsOverload(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrWouldExpire) ||
-		errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrCircuitOpen)
-}
-
 // Expired reports whether the absolute deadline has passed at now. A zero
 // deadline means "none" and never expires.
 func Expired(deadline, now time.Duration) bool {

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -38,9 +37,6 @@ func TestRetryBudgetBurstThenRatio(t *testing.T) {
 	if b.TryRetry() {
 		t.Fatal("second retry granted off one earned token")
 	}
-	if g, d := b.Granted(), b.Denied(); g != 4 || d != 2 {
-		t.Fatalf("granted/denied = %d/%d, want 4/2", g, d)
-	}
 }
 
 func TestRetryBudgetCapsAtBurst(t *testing.T) {
@@ -48,7 +44,7 @@ func TestRetryBudgetCapsAtBurst(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.OnSuccess()
 	}
-	if got := b.Tokens(); got != 2 {
+	if got := b.tokens; got != 2 {
 		t.Fatalf("tokens = %v, want capped at 2", got)
 	}
 }
@@ -218,9 +214,6 @@ func TestAdmissionBoundsAndEstimates(t *testing.T) {
 	if full != 1 || wait != 1 {
 		t.Fatalf("shed = (%d, %d), want (1, 1)", full, wait)
 	}
-	if a.Admitted() != 3 {
-		t.Fatalf("admitted = %d, want 3", a.Admitted())
-	}
 }
 
 func TestAdmissionExitUnderflowPanics(t *testing.T) {
@@ -250,22 +243,5 @@ func TestDeadlineHelpers(t *testing.T) {
 	}
 	if got := Remaining(time.Second, 3*time.Second); got != -2*time.Second {
 		t.Fatalf("Remaining past deadline = %v, want -2s", got)
-	}
-}
-
-func TestIsOverloadClassification(t *testing.T) {
-	for _, err := range []error{ErrQueueFull, ErrWouldExpire, ErrDeadlineExceeded, ErrCircuitOpen} {
-		if !IsOverload(err) {
-			t.Errorf("IsOverload(%v) = false", err)
-		}
-		if !IsOverload(fmt.Errorf("layer context: %w", err)) {
-			t.Errorf("IsOverload(wrapped %v) = false", err)
-		}
-	}
-	if IsOverload(errors.New("disk on fire")) {
-		t.Error("IsOverload misclassified an infrastructure error")
-	}
-	if IsOverload(nil) {
-		t.Error("IsOverload(nil) = true")
 	}
 }

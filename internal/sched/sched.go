@@ -42,12 +42,12 @@ const (
 	PolicyDataLocality   = "data-locality"
 )
 
-// MinFeasibleToScore is the sampling floor: a sampling placement never
+// minFeasibleToScore is the sampling floor: a sampling placement never
 // settles for fewer feasible candidates than this (unless fewer exist),
 // matching the kube-scheduler's minFeasibleNodesToFind. Small clusters are
 // therefore always scored exhaustively and sampling only changes behaviour
 // at scale.
-const MinFeasibleToScore = 100
+const minFeasibleToScore = 100
 
 // SampleTarget returns how many feasible candidates out of n a placement
 // scores before stopping early at the given percentage-of-nodes-to-score,
@@ -56,7 +56,7 @@ func SampleTarget(n, percent int) int {
 	if percent <= 0 || percent >= 100 {
 		return n
 	}
-	return min(max(n*percent/100, MinFeasibleToScore), n)
+	return min(max(n*percent/100, minFeasibleToScore), n)
 }
 
 // Scan is the one placement loop every consumer shares. It visits indices
@@ -118,8 +118,8 @@ type Decision struct {
 	Feasible int
 }
 
-// FormatScore renders a score for trace labels with a stable short form.
-func FormatScore(v float64) string {
+// formatScore renders a score for trace labels with a stable short form.
+func formatScore(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
@@ -137,10 +137,10 @@ func Record(tr *trace.Tracer, parent *trace.Span, layer, policy, unit string, d 
 		trace.L("policy", policy),
 		trace.L("unit", unit),
 		trace.L("node", d.Node),
-		trace.L("score", FormatScore(d.Score)),
+		trace.L("score", formatScore(d.Score)),
 		trace.L("feasible", strconv.Itoa(d.Feasible)))
 	for _, ps := range d.PerPlugin {
-		sp.SetLabel("score."+ps.Plugin, FormatScore(ps.Value))
+		sp.SetLabel("score."+ps.Plugin, formatScore(ps.Value))
 	}
 	sp.End()
 }

@@ -76,14 +76,14 @@ func TestSamplingStopsEarly(t *testing.T) {
 	}
 }
 
-// TestSamplingFloor: the MinFeasibleToScore floor keeps small samples
+// TestSamplingFloor: the minFeasibleToScore floor keeps small samples
 // honest — 10% of 500 is 50, but the scan still scores 100.
 func TestSamplingFloor(t *testing.T) {
-	if got := SampleTarget(500, 10); got != MinFeasibleToScore {
-		t.Errorf("target %d, want floor %d", got, MinFeasibleToScore)
+	if got := SampleTarget(500, 10); got != minFeasibleToScore {
+		t.Errorf("target %d, want floor %d", got, minFeasibleToScore)
 	}
-	if _, feasible, _ := Scan(500, 0, SampleTarget(500, 10), flat); feasible != MinFeasibleToScore {
-		t.Errorf("feasible %d, want floor %d", feasible, MinFeasibleToScore)
+	if _, feasible, _ := Scan(500, 0, SampleTarget(500, 10), flat); feasible != minFeasibleToScore {
+		t.Errorf("feasible %d, want floor %d", feasible, minFeasibleToScore)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestSignalBroadcastSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		env.Go("waiter", func(p *Proc) {
 			for {
-				sig.Wait(p)
+				waitSignal(&sig, p)
 				woke++
 			}
 		})

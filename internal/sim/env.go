@@ -10,7 +10,7 @@
 // A process, spawned with Env.Go, is ordinary straight-line Go in a
 // func(*Proc). It waits by handing one of those waits its resume, a
 // continuation bound once per process (Proc.Resumer), and parking in
-// Proc.Await. The kernel's blocking waits (Sleep, Future.Get, Signal.Wait,
+// Proc.Await. The kernel's blocking waits (Sleep, Future.Get,
 // Semaphore.Acquire and WaitGroup.Wait) queue the same resume and park the
 // same way; none has a timeout. A control loop is no process: a Chan is an
 // unbounded queue drained by one handler, and its sends never block.
@@ -23,10 +23,7 @@
 // seed.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Env is a discrete-event simulation environment: a virtual clock, an event
 // queue, and a run queue of continuations. Create one with
@@ -48,9 +45,6 @@ type Env struct {
 	rng      *RNG
 	tracer   any // see SetTracer
 	stats    Stats
-	// live is the sentinel of a ring of the live processes, linked
-	// through Proc.prev/next in spawn order, for DumpBlocked.
-	live Proc
 }
 
 // Stats counts the kernel's work in a run. The counts are deterministic:
@@ -67,9 +61,7 @@ type Stats struct {
 // seeded with seed. Two environments with the same seed and the same model
 // code execute identically.
 func NewEnv(seed uint64) *Env {
-	e := &Env{rng: NewRNG(seed)}
-	e.live.prev, e.live.next = &e.live, &e.live
-	return e
+	return &Env{rng: NewRNG(seed)}
 }
 
 // Now returns the current virtual time, measured from the start of the
@@ -98,16 +90,6 @@ func (e *Env) Stats() Stats {
 	s := e.stats
 	s.Continuations -= s.Resumes // step counts a switch into a process too
 	return s
-}
-
-// DumpBlocked writes one line per live process to the sink, in spawn
-// order — the first debugging step when a simulation fails to drain
-// (Alive > 0 after Run): whatever is listed is parked on a primitive
-// nobody will signal.
-func (e *Env) DumpBlocked(sink func(line string)) {
-	for p := e.live.next; p != &e.live; p = p.next {
-		sink(fmt.Sprintf("%v [%s]", p, p.state))
-	}
 }
 
 // Go spawns a new process executing fn and schedules it to run at the
@@ -165,8 +147,6 @@ func (e *Env) spawn(name string, fn func(*Proc)) *Proc {
 	p.state = stateReady
 	e.nextID++
 	e.alive++
-	p.prev, p.next = e.live.prev, &e.live // append to the live ring
-	p.prev.next, e.live.prev = p, p
 	return p
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -169,57 +168,11 @@ func TestGoFromWithinProc(t *testing.T) {
 
 func TestBlockedForeverReported(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[int]()
+	f := new(Future[int])
 	env.Go("stuck", func(p *Proc) { f.Get(p) })
 	env.Run()
 	if env.Alive() != 1 {
 		t.Errorf("Alive = %d, want 1 (process blocked on unresolved future)", env.Alive())
-	}
-}
-
-func TestDumpBlockedListsStuckProcesses(t *testing.T) {
-	env := NewEnv(1)
-	f := NewFuture[int]()
-	env.Go("stuck-one", func(p *Proc) { f.Get(p) })
-	env.Go("stuck-two", func(p *Proc) { f.Get(p) })
-	env.Go("finisher", func(p *Proc) { p.Sleep(time.Second) })
-	env.Run()
-	var lines []string
-	env.DumpBlocked(func(line string) { lines = append(lines, line) })
-	if len(lines) != 2 {
-		t.Fatalf("DumpBlocked listed %d processes, want 2: %v", len(lines), lines)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "stuck") || !strings.Contains(l, "parked") {
-			t.Errorf("unexpected dump line %q", l)
-		}
-	}
-	// Order is spawn order.
-	if !strings.Contains(lines[0], "stuck-one") {
-		t.Errorf("lines out of spawn order: %v", lines)
-	}
-
-	// A process retiring between two live ones leaves the rest in spawn
-	// order, and a later Go that reuses its coroutine lists last.
-	env = NewEnv(1)
-	f = NewFuture[int]()
-	env.Go("stuck-one", func(p *Proc) { f.Get(p) })
-	middle := env.Go("middle", func(p *Proc) {})
-	env.Go("stuck-two", func(p *Proc) { f.Get(p) })
-	var late *Proc
-	env.Go("spawner", func(p *Proc) {
-		p.Sleep(time.Second)
-		late = env.Go("late", func(p *Proc) { f.Get(p) })
-	})
-	env.Run()
-	if late != middle {
-		t.Fatal("late did not reuse the middle process's coroutine")
-	}
-	lines = lines[:0]
-	env.DumpBlocked(func(line string) { lines = append(lines, line) })
-	want := []string{"proc 0 (stuck-one) [parked]", "proc 2 (stuck-two) [parked]", "proc 4 (late) [parked]"}
-	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
-		t.Errorf("DumpBlocked = %q, want %q", lines, want)
 	}
 }
 

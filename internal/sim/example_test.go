@@ -49,7 +49,7 @@ func Example() {
 // Futures resolve once and wake every waiter at the same virtual instant.
 func ExampleFuture() {
 	env := sim.NewEnv(1)
-	ready := sim.NewFuture[string]()
+	ready := new(sim.Future[string])
 
 	for i := 0; i < 2; i++ {
 		i := i

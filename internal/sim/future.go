@@ -13,9 +13,6 @@ type Future[T any] struct {
 	waiters []func()
 }
 
-// NewFuture returns an unresolved future.
-func NewFuture[T any]() *Future[T] { return &Future[T]{} }
-
 // Set resolves the future with v and enqueues every waiter, processes and
 // continuations alike, in arrival order. Setting a future twice is a
 // modelling bug and panics.

@@ -89,14 +89,14 @@ func TestWaitOrder(t *testing.T) {
 		},
 		want: []string{"late@1s", "bystander@1s", "p1@1s", "c1@1s", "p2@1s", "defer@1s", "ev2@1s"},
 	}, {
-		// Broadcast wakes Wait processes and Then continuations in
+		// Broadcast wakes waiting processes and Then continuations in
 		// arrival order; a continuation that registers again waits for
-		// the next Broadcast, as a process looping on Wait does.
+		// the next Broadcast, as a process looping on its wait does.
 		name: "SignalWait",
 		run: func(l *orderLog) {
 			env := l.env
 			var sig Signal
-			env.Go("p1", func(p *Proc) { sig.Wait(p); l.add("p1") })
+			env.Go("p1", func(p *Proc) { waitSignal(&sig, p); l.add("p1") })
 			env.Defer(func() {
 				again := true
 				var wait func()
@@ -111,7 +111,7 @@ func TestWaitOrder(t *testing.T) {
 			})
 			env.Go("p2", func(p *Proc) {
 				for i := 0; i < 2; i++ {
-					sig.Wait(p)
+					waitSignal(&sig, p)
 					l.add("p2")
 				}
 			})
@@ -131,7 +131,7 @@ func TestWaitOrder(t *testing.T) {
 		run: func(l *orderLog) {
 			env := l.env
 			sem := NewSemaphore(1)
-			sem.TryAcquire() // held until the event at 1s
+			sem.tryAcquire() // held until the event at 1s
 			for _, name := range []string{"p1", "p2"} {
 				env.Go(name, func(p *Proc) {
 					sem.Acquire(p)

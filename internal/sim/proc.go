@@ -49,8 +49,6 @@ type Proc struct {
 	name  string
 	state procState
 	fn    func(*Proc) // the body of the current lifetime; nil while idle
-	// prev and next link the live processes in spawn order (Env.live).
-	prev, next *Proc
 	// pull switches from the run loop into the coroutine, which runs until
 	// it calls yield; stop ends an idle coroutine.
 	pull  func() (struct{}, bool)
@@ -87,7 +85,6 @@ func (p *Proc) body(yield func(struct{}) bool) {
 		p.fn = nil
 		p.state = stateDone
 		e.alive--
-		p.prev.next, p.next.prev = p.next, p.prev // leave the live ring
 		if len(e.procPool) == maxIdleProcs {
 			return
 		}
@@ -110,9 +107,6 @@ func (e *Env) releaseIdle() {
 
 // Env returns the environment the process belongs to.
 func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the name given at spawn time.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }

@@ -17,7 +17,7 @@ type RNG struct {
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{inc: (seed << 1) | 1}
 	r.state = splitmix64(seed)
-	r.Uint32()
+	r.uint32()
 	return r
 }
 
@@ -26,7 +26,7 @@ func NewRNG(seed uint64) *RNG {
 // component its own stream so adding draws in one component does not perturb
 // another.
 func (r *RNG) Fork() *RNG {
-	return NewRNG(uint64(r.Uint32())<<32 | uint64(r.Uint32()))
+	return NewRNG(r.Uint64())
 }
 
 func splitmix64(x uint64) uint64 {
@@ -36,8 +36,8 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *RNG) Uint32() uint32 {
+// uint32 returns a uniformly distributed 32-bit value.
+func (r *RNG) uint32() uint32 {
 	old := r.state
 	r.state = old*6364136223846793005 + r.inc
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
@@ -47,7 +47,7 @@ func (r *RNG) Uint32() uint32 {
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	return uint64(r.Uint32())<<32 | uint64(r.Uint32())
+	return uint64(r.uint32())<<32 | uint64(r.uint32())
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -75,35 +75,6 @@ func (r *RNG) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// NormFloat64 returns a standard normal value (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle randomises the order of n elements using swap (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
 	}
 }
 

@@ -48,7 +48,8 @@ func churnRun(t *testing.T, seed uint64) (fingerprint uint64, end time.Duration)
 			case 1:
 				srv.Run(p, 0.4, 0.5) // capped
 			default:
-				srv.RunReserved(p, 0.4, 0, 0.2) // floored
+				srv.RunReservedThen(0.4, 0, 0.2, p.Resumer()) // floored
+				p.Await()
 			}
 			fp = fp*31 + uint64(p.Now())
 			if i < 8 {

@@ -67,11 +67,11 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(1000)) * time.Millisecond)
 				}
-				sig.Wait(p)
+				waitSignal(&sig, p)
 			})
 		}
 		env.Go("broadcaster", func(p *Proc) {
-			for sig.Waiting() < sleepers {
+			for len(sig.waiters) < sleepers {
 				p.Sleep(100 * time.Millisecond)
 			}
 			sig.Broadcast()

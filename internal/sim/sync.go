@@ -16,20 +16,17 @@ func NewSemaphore(n int) *Semaphore {
 	return &Semaphore{avail: n}
 }
 
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }
-
 // Acquire blocks the calling process until a permit is free and takes it.
 func (s *Semaphore) Acquire(p *Proc) {
-	if !s.TryAcquire() {
+	if !s.tryAcquire() {
 		s.q.push(p.resume)
 		p.park(stateWaiting)
 	}
 }
 
-// TryAcquire takes a permit if one is free and no earlier waiter is
+// tryAcquire takes a permit if one is free and no earlier waiter is
 // queued, and reports whether it succeeded.
-func (s *Semaphore) TryAcquire() bool {
+func (s *Semaphore) tryAcquire() bool {
 	if s.q.n == 0 && s.avail > 0 {
 		s.avail--
 		return true
@@ -86,25 +83,17 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	p.park(stateWaiting)
 }
 
-// Signal is a broadcast-only condition variable: processes Wait on it,
-// continuations wait with Then, and every Broadcast wakes all current
-// waiters. It backs watch/notify patterns (informers, reconcile loops). The
+// Signal is a broadcast-only condition variable: continuations wait with
+// Then, and every Broadcast wakes all current waiters. It backs watch/notify patterns (informers, reconcile loops). The
 // zero Signal is ready to use.
 type Signal struct {
 	waiters []func() // continuations, in arrival order
 	env     *Env     // the waiters' run queue
 }
 
-// Wait blocks the calling process until the next Broadcast: Then with the
-// process's resume, and one park.
-func (s *Signal) Wait(p *Proc) {
-	s.Then(p.env, p.resume)
-	p.Await()
-}
-
 // Then waits for the next Broadcast: fn runs from env's run queue, in
 // arrival order with the other waiters. A waiter that must keep waiting
-// registers again, as a process loops on Wait.
+// registers again.
 func (s *Signal) Then(env *Env, fn func()) {
 	s.env = env
 	s.waiters = append(s.waiters, fn)
@@ -121,6 +110,3 @@ func (s *Signal) Broadcast() {
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
 }
-
-// Waiting returns the number of blocked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }

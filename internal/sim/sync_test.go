@@ -75,13 +75,13 @@ func TestSemaphoreTryAcquireRespectsQueue(t *testing.T) {
 	})
 	env.Go("opportunist", func(p *Proc) {
 		p.Sleep(2 * time.Millisecond)
-		if sem.TryAcquire() {
-			t.Error("TryAcquire succeeded while a waiter was queued")
+		if sem.tryAcquire() {
+			t.Error("tryAcquire succeeded while a waiter was queued")
 		}
 	})
 	env.Run()
-	if sem.Available() != 1 {
-		t.Errorf("Available = %d, want 1", sem.Available())
+	if sem.avail != 1 {
+		t.Errorf("avail = %d, want 1", sem.avail)
 	}
 }
 
@@ -126,20 +126,26 @@ func TestWaitGroupZeroWaitReturnsImmediately(t *testing.T) {
 	}
 }
 
+// waitSignal parks p until sig's next Broadcast.
+func waitSignal(sig *Signal, p *Proc) {
+	sig.Then(p.env, p.resume)
+	p.Await()
+}
+
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv(1)
 	var sig Signal // the zero Signal is ready to use
 	woken := 0
 	for i := 0; i < 4; i++ {
 		env.Go("waiter", func(p *Proc) {
-			sig.Wait(p)
+			waitSignal(&sig, p)
 			woken++
 		})
 	}
 	env.Go("caster", func(p *Proc) {
 		p.Sleep(time.Second)
-		if sig.Waiting() != 4 {
-			t.Errorf("Waiting = %d, want 4", sig.Waiting())
+		if len(sig.waiters) != 4 {
+			t.Errorf("waiters = %d, want 4", len(sig.waiters))
 		}
 		sig.Broadcast()
 	})
@@ -151,7 +157,7 @@ func TestSignalBroadcast(t *testing.T) {
 
 func TestFutureSetBeforeGet(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[string]()
+	f := new(Future[string])
 	f.Set("ready")
 	env.Go("p", func(p *Proc) {
 		if v := f.Get(p); v != "ready" {
@@ -163,7 +169,7 @@ func TestFutureSetBeforeGet(t *testing.T) {
 
 func TestFutureWakesAllWaiters(t *testing.T) {
 	env := NewEnv(1)
-	f := NewFuture[int]()
+	f := new(Future[int])
 	got := 0
 	for i := 0; i < 3; i++ {
 		env.Go("waiter", func(p *Proc) {
@@ -186,7 +192,7 @@ func TestFutureDoubleSetPanics(t *testing.T) {
 			t.Error("second Set did not panic")
 		}
 	}()
-	f := NewFuture[int]()
+	f := new(Future[int])
 	f.Set(1)
 	f.Set(2)
 }

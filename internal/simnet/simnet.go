@@ -71,26 +71,26 @@ func (n *Network) HasNode(name string) bool {
 	return ok
 }
 
-// Latency returns the one-way message latency, including any active
+// oneWay returns the one-way message latency, including any active
 // latency-spike fault.
-func (n *Network) Latency() time.Duration {
+func (n *Network) oneWay() time.Duration {
 	return time.Duration(float64(n.latency) * n.latFactor)
 }
 
-// SetLatencyFactor scales the fabric's one-way latency by f (1 restores the
+// setLatencyFactor scales the fabric's one-way latency by f (1 restores the
 // configured value) — the delivery mechanism for latency-spike faults.
-func (n *Network) SetLatencyFactor(f float64) {
+func (n *Network) setLatencyFactor(f float64) {
 	if f <= 0 {
 		panic(fmt.Sprintf("simnet: latency factor %v must be positive", f))
 	}
 	n.latFactor = f
 }
 
-// SetBandwidthFactor scales a node's egress bandwidth to 1/f of its
+// setBandwidthFactor scales a node's egress bandwidth to 1/f of its
 // configured value (f=1 restores it) — the delivery mechanism for bandwidth
 // brownouts such as a throttled registry. Transfers already in flight are
 // re-paced at the new rate.
-func (n *Network) SetBandwidthFactor(node string, f float64) {
+func (n *Network) setBandwidthFactor(node string, f float64) {
 	if f <= 0 {
 		panic(fmt.Sprintf("simnet: bandwidth factor %v must be positive", f))
 	}
@@ -107,18 +107,18 @@ func partKey(a, b string) string {
 	return a + "|" + b
 }
 
-// Partition severs connectivity between two nodes. Messages and transfers
-// between them block until Heal — partitioned traffic stalls rather than
+// partition severs connectivity between two nodes. Messages and transfers
+// between them block until heal — partitioned traffic stalls rather than
 // erroring, matching TCP behaviour within typical fault windows.
-func (n *Network) Partition(a, b string) {
+func (n *Network) partition(a, b string) {
 	n.mustIface(a)
 	n.mustIface(b)
 	n.parts[partKey(a, b)] = true
 }
 
-// Heal restores connectivity between two nodes and releases traffic blocked
+// heal restores connectivity between two nodes and releases traffic blocked
 // on the partition.
-func (n *Network) Heal(a, b string) {
+func (n *Network) heal(a, b string) {
 	delete(n.parts, partKey(a, b))
 	n.healed.Broadcast()
 }
@@ -135,9 +135,9 @@ func (n *Network) partitioned(from, to string) bool {
 func (n *Network) AttachFaults(in *faults.Injector) {
 	in.OnFault(faults.KindNetLatency, func(f faults.Fault, begin bool) {
 		if begin {
-			n.SetLatencyFactor(f.Rate)
+			n.setLatencyFactor(f.Rate)
 		} else {
-			n.SetLatencyFactor(1)
+			n.setLatencyFactor(1)
 		}
 	})
 	in.OnFault(faults.KindNetPartition, func(f faults.Fault, begin bool) {
@@ -146,16 +146,16 @@ func (n *Network) AttachFaults(in *faults.Injector) {
 			panic(fmt.Sprintf("simnet: partition target %q not of form a|b", f.Target))
 		}
 		if begin {
-			n.Partition(a, b)
+			n.partition(a, b)
 		} else {
-			n.Heal(a, b)
+			n.heal(a, b)
 		}
 	})
 	in.OnFault(faults.KindRegistryBrownout, func(f faults.Fault, begin bool) {
 		if begin {
-			n.SetBandwidthFactor(f.Target, f.Rate)
+			n.setBandwidthFactor(f.Target, f.Rate)
 		} else {
-			n.SetBandwidthFactor(f.Target, 1)
+			n.setBandwidthFactor(f.Target, 1)
 		}
 	})
 }
@@ -183,7 +183,7 @@ func (n *Network) MessageThen(from, to string, then func()) {
 		n.healed.Then(n.env, func() { n.MessageThen(from, to, then) })
 		return
 	}
-	n.env.Delay(n.Latency(), then)
+	n.env.Delay(n.oneWay(), then)
 }
 
 // Transfer moves size bytes from one node to another, blocking the calling
@@ -212,7 +212,7 @@ func (n *Network) TransferThen(from, to string, size int64, then func()) {
 	}
 	f := n.newFlow()
 	f.src, f.dst, f.size, f.then = src, dst, size, then
-	n.env.Delay(n.Latency(), f.propagated)
+	n.env.Delay(n.oneWay(), f.propagated)
 }
 
 // rateCap is a transfer's rate cap: the receiver's interface rate when it

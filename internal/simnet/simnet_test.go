@@ -172,8 +172,8 @@ func TestTransferThenMatchesTransfer(t *testing.T) {
 				note("tick")
 			}
 		})
-		env.At(time.Second, func() { n.Partition("w1", "w2") })
-		env.At(2*time.Second, func() { n.Heal("w1", "w2") })
+		env.At(time.Second, func() { n.partition("w1", "w2") })
+		env.At(2*time.Second, func() { n.heal("w1", "w2") })
 		for _, s := range subs {
 			if chained {
 				env.At(s.at, func() {

@@ -40,11 +40,8 @@ func NewObjectStore(env *sim.Env, net *simnet.Network, host string, bps float64)
 	}
 }
 
-// Host returns the service's node.
-func (o *ObjectStore) Host() string { return o.host }
-
 // AttachFaults registers the outage hook: during a KindStoreOutage window
-// every Put/Get/Stat fails fast with a transient service-unavailable error.
+// every Put and Get fails fast with a transient service-unavailable error.
 func (o *ObjectStore) AttachFaults(in *faults.Injector) {
 	in.OnFault(faults.KindStoreOutage, func(_ faults.Fault, begin bool) {
 		o.down = begin
@@ -57,16 +54,6 @@ func (o *ObjectStore) unavailable(p *sim.Proc, node, op string) error {
 	o.net.Message(p, node, o.host)
 	o.net.Message(p, o.host, node)
 	return faults.Transientf("storage: object store %s: %s: service unavailable", o.host, op)
-}
-
-// MakeBucket creates a bucket; creating an existing bucket is an error
-// (matching S3 semantics).
-func (o *ObjectStore) MakeBucket(name string) error {
-	if _, dup := o.buckets[name]; dup {
-		return fmt.Errorf("storage: bucket %q already exists", name)
-	}
-	o.buckets[name] = make(map[string]int64)
-	return nil
 }
 
 // Put uploads an object from a node: request latency + transfer to the
@@ -115,24 +102,6 @@ func (o *ObjectStore) Get(p *sim.Proc, parent *trace.Span, toNode, bucket, key s
 	}
 	o.net.Transfer(p, o.host, toNode, size)
 	o.gets++
-	return size, nil
-}
-
-// Stat returns an object's size without a transfer (HEAD request).
-func (o *ObjectStore) Stat(p *sim.Proc, fromNode, bucket, key string) (int64, error) {
-	if o.down {
-		return 0, o.unavailable(p, fromNode, "stat "+bucket+"/"+key)
-	}
-	b, ok := o.buckets[bucket]
-	if !ok {
-		return 0, fmt.Errorf("storage: no bucket %q", bucket)
-	}
-	size, ok := b[key]
-	if !ok {
-		return 0, fmt.Errorf("storage: no object %s/%s", bucket, key)
-	}
-	o.net.Message(p, fromNode, o.host)
-	o.net.Message(p, o.host, fromNode)
 	return size, nil
 }
 

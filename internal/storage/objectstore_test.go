@@ -12,9 +12,7 @@ func newStore(t *testing.T) (*sim.Env, *ObjectStore) {
 	env := sim.NewEnv(1)
 	net := testNet(env) // from storage_test.go: submit + w1 at 1000 B/s
 	os := NewObjectStore(env, net, "submit", 1000)
-	if err := os.MakeBucket("data"); err != nil {
-		t.Fatal(err)
-	}
+	os.buckets["data"] = map[string]int64{}
 	return env, os
 }
 
@@ -48,28 +46,6 @@ func TestObjectStoreErrors(t *testing.T) {
 		}
 		if _, err := store.Get(p, nil, "w1", "data", "missing"); err == nil {
 			t.Error("get of missing object succeeded")
-		}
-		if _, err := store.Stat(p, "w1", "data", "missing"); err == nil {
-			t.Error("stat of missing object succeeded")
-		}
-	})
-	env.Run()
-	if err := store.MakeBucket("data"); err == nil {
-		t.Error("duplicate bucket accepted")
-	}
-}
-
-func TestObjectStoreSeedAndStat(t *testing.T) {
-	env, store := newStore(t)
-	store.Seed("data", "in.dat", 12345)
-	env.Go("client", func(p *sim.Proc) {
-		size, err := store.Stat(p, "w1", "data", "in.dat")
-		if err != nil || size != 12345 {
-			t.Fatalf("Stat = %d, %v", size, err)
-		}
-		// HEAD is two control messages: 2 ms at the 1 ms test latency.
-		if p.Now() != 2*time.Millisecond {
-			t.Errorf("Stat took %v, want 2ms", p.Now())
 		}
 	})
 	env.Run()

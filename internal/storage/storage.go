@@ -24,22 +24,19 @@ func NewDisk(env *sim.Env, name string, bps float64) *Disk {
 	return &Disk{srv: fluid.New(env, "disk:"+name, bps)}
 }
 
-// Read charges a read of size bytes, sharing bandwidth with concurrent I/O.
-func (d *Disk) Read(p *sim.Proc, size int64) {
+// read charges a read of size bytes, sharing bandwidth with concurrent I/O.
+func (d *Disk) read(p *sim.Proc, size int64) {
 	if size > 0 {
 		d.srv.Run(p, float64(size), 0)
 	}
 }
 
-// Write charges a write of size bytes.
-func (d *Disk) Write(p *sim.Proc, size int64) {
+// write charges a write of size bytes.
+func (d *Disk) write(p *sim.Proc, size int64) {
 	if size > 0 {
 		d.srv.Run(p, float64(size), 0)
 	}
 }
-
-// Load returns the number of in-flight I/O operations.
-func (d *Disk) Load() int { return d.srv.Load() }
 
 // Scratch is a node-local staging directory tracking logical files by name
 // and size — the per-job sandbox condor's file transfer populates.
@@ -56,7 +53,7 @@ func NewScratch(node string, disk *Disk) *Scratch {
 
 // Put records a file and charges the disk write.
 func (s *Scratch) Put(p *sim.Proc, name string, size int64) {
-	s.disk.Write(p, size)
+	s.disk.write(p, size)
 	s.files[name] = size
 }
 
@@ -66,7 +63,7 @@ func (s *Scratch) Get(p *sim.Proc, name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("storage: %s: no file %q", s.node, name)
 	}
-	s.disk.Read(p, size)
+	s.disk.read(p, size)
 	return size, nil
 }
 
@@ -75,18 +72,6 @@ func (s *Scratch) Has(name string) bool {
 	_, ok := s.files[name]
 	return ok
 }
-
-// Size returns a file's size without charging I/O (metadata lookup).
-func (s *Scratch) Size(name string) (int64, bool) {
-	sz, ok := s.files[name]
-	return sz, ok
-}
-
-// Delete removes a file (free, like unlink).
-func (s *Scratch) Delete(name string) { delete(s.files, name) }
-
-// Len returns the number of files present.
-func (s *Scratch) Len() int { return len(s.files) }
 
 // SharedFS is a network filesystem exported by one host node. Reads and
 // writes from other nodes traverse the network and the host's disk; local
@@ -112,9 +97,6 @@ func NewSharedFS(env *sim.Env, net *simnet.Network, host string, diskBps float64
 	}
 }
 
-// Host returns the node exporting the filesystem.
-func (fs *SharedFS) Host() string { return fs.host }
-
 // Write stores a file from the given node, charging the transfer to the
 // host plus the host disk write. Its span nests under parent.
 func (fs *SharedFS) Write(p *sim.Proc, parent *trace.Span, fromNode, name string, size int64) {
@@ -122,7 +104,7 @@ func (fs *SharedFS) Write(p *sim.Proc, parent *trace.Span, fromNode, name string
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", fromNode))
 	defer sp.End()
 	fs.net.Transfer(p, fromNode, fs.host, size)
-	fs.disk.Write(p, size)
+	fs.disk.write(p, size)
 	fs.files[name] = size
 }
 
@@ -136,7 +118,7 @@ func (fs *SharedFS) Read(p *sim.Proc, parent *trace.Span, toNode, name string) (
 	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "read",
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", toNode))
 	defer sp.End()
-	fs.disk.Read(p, size)
+	fs.disk.read(p, size)
 	fs.net.Transfer(p, fs.host, toNode, size)
 	return size, nil
 }
@@ -145,12 +127,6 @@ func (fs *SharedFS) Read(p *sim.Proc, parent *trace.Span, toNode, name string) (
 func (fs *SharedFS) Has(name string) bool {
 	_, ok := fs.files[name]
 	return ok
-}
-
-// Stat returns a file's size without charging I/O.
-func (fs *SharedFS) Stat(name string) (int64, bool) {
-	sz, ok := fs.files[name]
-	return sz, ok
 }
 
 // Touch records a file's existence without charging any I/O — used to seed

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// WriteChrome renders the trace in Chrome's trace_event JSON format
+// ChromeBytes renders the trace in Chrome's trace_event JSON format
 // (complete "X" events, one per ended span), loadable in chrome://tracing
 // and Perfetto. The output is canonical: spans are ordered by (start, ID),
 // labels keep insertion order, and numbers use fixed-precision formatting,
@@ -16,7 +16,16 @@ import (
 //
 // Each root span and its descendants share a tid (the root's ID), giving
 // every task lifecycle its own lane in the viewer.
-func (t *Tracer) WriteChrome(w io.Writer) error {
+func (t *Tracer) ChromeBytes() []byte {
+	var buf bytes.Buffer
+	if err := t.writeChrome(&buf); err != nil {
+		panic("trace: chrome export: " + err.Error()) // bytes.Buffer cannot fail
+	}
+	return buf.Bytes()
+}
+
+// writeChrome writes ChromeBytes' output to w.
+func (t *Tracer) writeChrome(w io.Writer) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
@@ -37,15 +46,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\"}\n")
 	return err
-}
-
-// ChromeBytes returns WriteChrome's output as a byte slice.
-func (t *Tracer) ChromeBytes() []byte {
-	var buf bytes.Buffer
-	if err := t.WriteChrome(&buf); err != nil {
-		panic("trace: chrome export: " + err.Error()) // bytes.Buffer cannot fail
-	}
-	return buf.Bytes()
 }
 
 func writeChromeEvent(w io.Writer, sp *Span) error {

@@ -66,8 +66,8 @@ func Stages() []Stage {
 	}
 }
 
-// StageOf classifies a span into its stage bucket.
-func StageOf(sp *Span) Stage {
+// stageOf classifies a span into its stage bucket.
+func stageOf(sp *Span) Stage {
 	switch sp.substrate {
 	case "condor":
 		switch sp.name {
@@ -155,9 +155,6 @@ type Step struct {
 	// Stages decomposes End−Start by stage bucket.
 	Stages map[Stage]time.Duration
 }
-
-// Duration returns the step's span on the critical path.
-func (s Step) Duration() time.Duration { return s.End - s.Start }
 
 // CriticalPath is the longest dependency chain through one workflow's trace,
 // with a per-stage decomposition that reconciles exactly with the makespan:
@@ -289,7 +286,7 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 		}
 		// Time inside the step not covered by any attempt is retry backoff
 		// (the engine's notBefore gate between a failure and resubmission).
-		if wait := step.Duration() - attempted; wait > 0 {
+		if wait := step.End - step.Start - attempted; wait > 0 {
 			step.Stages[StageRetryWait] += wait
 		}
 		cp.Steps = append(cp.Steps, step)
@@ -340,7 +337,7 @@ func addSelfTimes(root *Span, into map[Stage]time.Duration) {
 			if self < 0 {
 				self = 0
 			}
-			st := StageOf(sp)
+			st := stageOf(sp)
 			if sp == root && hedgeWon {
 				st = StageQueue
 			}
@@ -403,29 +400,7 @@ func (cp *CriticalPath) StepsTable() *metrics.Table {
 				dom, max = st, d
 			}
 		}
-		tbl.AddRow(s.Task, s.Gap.Seconds(), (s.Start - cp.Start).Seconds(), s.Duration().Seconds(), s.Attempts, string(dom))
-	}
-	return tbl
-}
-
-// Summary tallies span count and total time per (substrate, operation) over
-// the whole trace — the flat view of where simulated time was spent.
-func (t *Tracer) Summary() *metrics.Table {
-	type key struct{ substrate, name string }
-	totals := make(map[key]time.Duration)
-	counts := make(map[key]int)
-	var order []key
-	for _, sp := range t.Spans() {
-		k := key{sp.substrate, sp.name}
-		if _, seen := totals[k]; !seen {
-			order = append(order, k)
-		}
-		totals[k] += sp.Duration()
-		counts[k]++
-	}
-	tbl := metrics.NewTable("substrate", "op", "count", "total_s")
-	for _, k := range order {
-		tbl.AddRow(k.substrate, k.name, counts[k], totals[k].Seconds())
+		tbl.AddRow(s.Task, s.Gap.Seconds(), (s.Start - cp.Start).Seconds(), (s.End - s.Start).Seconds(), s.Attempts, string(dom))
 	}
 	return tbl
 }

@@ -3,7 +3,6 @@ package wms
 import (
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // ClusterVertical performs Pegasus-style label-based (vertical) task
@@ -79,7 +78,7 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 		seen := make(map[string]bool)
 		for _, j := range members {
 			t := wf.tasks[j]
-			merged.WorkScale += t.EffectiveWorkScale()
+			merged.WorkScale += t.effectiveWorkScale()
 			for _, f := range t.Inputs {
 				if !produced[f.LFN] && !seen[f.LFN] {
 					seen[f.LFN] = true
@@ -124,6 +123,3 @@ func ClusterVertical(wf *Workflow, maxSize int) (*Workflow, error) {
 	}
 	return out, nil
 }
-
-// ClusterName reports whether an ID is a merged cluster (for diagnostics).
-func ClusterName(id string) bool { return strings.Contains(id, "..") }

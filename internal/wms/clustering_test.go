@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -18,12 +19,12 @@ func TestClusterVerticalMergesChain(t *testing.T) {
 	}
 	ids := cw.TaskIDs()
 	for _, id := range ids {
-		if !ClusterName(id) {
+		if !strings.Contains(id, "..") {
 			t.Errorf("task %s is not a merged cluster", id)
 		}
 		task, _ := cw.Task(id)
-		if task.EffectiveWorkScale() != 5 {
-			t.Errorf("cluster %s WorkScale = %f, want 5", id, task.EffectiveWorkScale())
+		if task.effectiveWorkScale() != 5 {
+			t.Errorf("cluster %s WorkScale = %f, want 5", id, task.effectiveWorkScale())
 		}
 	}
 	// The second cluster depends on the first.

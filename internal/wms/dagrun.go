@@ -73,7 +73,7 @@ type taskState struct {
 // order, plans a rescue's finished tasks out of the DAG (their recorded
 // provenance carries over), and starts the indegree countdown of every
 // other task, readying those with no unfinished parent.
-func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *Rescue, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) (*dagRun, error) {
+func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) (*dagRun, error) {
 	d := &dagRun{
 		e:       e,
 		wf:      wf,
@@ -256,21 +256,21 @@ func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
 
 // failAttempt handles a task attempt with no live copies left: it retires
 // the flight and ends its attempt span, then either authorizes a
-// resubmission after the returned backoff, or returns the AbortError
+// resubmission after the returned backoff, or returns the abortError
 // (retries exhausted, or the engine-wide retry budget denied the
 // resubmission) that ends the run.
-func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *AbortError) {
+func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *abortError) {
 	d.retire(i)
 	f.attempt.SetLabel("status", "failed")
 	f.attempt.End()
 	attempts := int(d.tasks[i].attempts)
 	switch {
 	case attempts >= d.e.Retry.Attempts():
-		return 0, d.abort(AbortRetries, d.wf.tasks[i].ID, attempts)
+		return 0, d.abort(abortRetries, d.wf.tasks[i].ID, attempts)
 	case !d.e.Budget.TryRetry():
 		// Failures are outpacing successes: degrade gracefully instead of
 		// joining the resubmission storm.
-		return 0, d.abort(AbortRetryBudget, d.wf.tasks[i].ID, attempts)
+		return 0, d.abort(abortRetryBudget, d.wf.tasks[i].ID, attempts)
 	}
 	// Exponential backoff before resubmission, jittered so concurrent
 	// workflows don't resubmit in lockstep.
@@ -280,9 +280,9 @@ func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *AbortError) {
 // abort ends the run with a rescue capturing completed-task state. Jobs
 // still in flight are abandoned (their results discarded); the rescue DAG
 // re-runs those tasks. task is empty for a deadline abort.
-func (d *dagRun) abort(reason, task string, attempts int) *AbortError {
+func (d *dagRun) abort(reason, task string, attempts int) *abortError {
 	d.wfSpan.SetLabel("status", "aborted")
-	return &AbortError{
+	return &abortError{
 		Task:     task,
 		Attempts: attempts,
 		Reason:   reason,

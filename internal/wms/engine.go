@@ -171,8 +171,8 @@ type flightCopy struct {
 
 // RunWorkflow executes the workflow with the given mode assignment and
 // blocks until it completes. It returns per-task provenance. When a task
-// exhausts the engine's retry budget the error is an *AbortError carrying a
-// Rescue; ResumeWorkflow (or RunWorkflowWithRecovery) continues from it.
+// exhausts the engine's retry budget the error is an *abortError carrying a
+// rescue state; resumeWorkflow (or RunWorkflowWithRecovery) continues from it.
 func (e *Engine) RunWorkflow(p *sim.Proc, wf *Workflow, assign ModeAssigner) (*RunResult, error) {
 	return e.await(p, wf, assign, nil)
 }
@@ -185,7 +185,7 @@ func (e *Engine) RunWorkflowThen(wf *Workflow, assign ModeAssigner, done func(*R
 }
 
 // await is start with the calling process's resume, and one park.
-func (e *Engine) await(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Rescue) (res *RunResult, err error) {
+func (e *Engine) await(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *rescueState) (res *RunResult, err error) {
 	resume := p.Resumer()
 	e.start(wf, assign, rescue, func(r *RunResult, rerr error) {
 		res, err = r, rerr
@@ -199,7 +199,7 @@ func (e *Engine) await(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *R
 // stages external inputs, assigns modes, reinstates any rescue state, and
 // hands the prepared dagRun to the release engine. A non-nil rescue
 // pre-marks finished tasks and reinstates checkpoint progress.
-func (e *Engine) start(wf *Workflow, assign ModeAssigner, rescue *Rescue, done func(*RunResult, error)) {
+func (e *Engine) start(wf *Workflow, assign ModeAssigner, rescue *rescueState, done func(*RunResult, error)) {
 	d, err := e.prepare(wf, assign, rescue)
 	if err != nil {
 		done(nil, err)
@@ -209,7 +209,7 @@ func (e *Engine) start(wf *Workflow, assign ModeAssigner, rescue *Rescue, done f
 	d.begin()
 }
 
-func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *Rescue) (*dagRun, error) {
+func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *rescueState) (*dagRun, error) {
 	execMode, err := config.ParseExecMode(e.Prm.ExecMode)
 	if err != nil {
 		return nil, err
@@ -301,7 +301,7 @@ func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
 
 	// Sandbox sizes: with condorio staging the matrices travel with the
 	// job; with a shared filesystem or object store only tiny manifests do.
-	inBytes, outBytes := task.InputBytes(), task.OutputBytes()
+	inBytes, outBytes := task.inputBytes(), task.outputBytes()
 	if remoteData {
 		inBytes, outBytes = referenceBytes, referenceBytes
 	}
@@ -398,13 +398,13 @@ func (t *taskState) runNative(ctx *condor.ExecContext) error {
 	}
 	sp := t.span(ctx.Span, "exec", "exec", ctx.Node.Name)
 	if e.checkpointingActive() {
-		if err := e.runCheckpointed(ctx, t.name(), task.EffectiveWorkScale()); err != nil {
+		if err := e.runCheckpointed(ctx, t.name(), task.effectiveWorkScale()); err != nil {
 			sp.SetLabel("status", "failed")
 			sp.End()
 			return err
 		}
 	} else {
-		ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.EffectiveWorkScale(), 1)
+		ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.effectiveWorkScale(), 1)
 	}
 	sp.End()
 	return t.stageOut(ctx.Proc, ctx.Span, ctx.Node.Name)
@@ -432,7 +432,7 @@ func (t *taskState) runContainer(ctx *condor.ExecContext) error {
 		err = t.stageIn(p, sp, ctx.Node.Name)
 	}
 	if err == nil {
-		err = c.Exec(p, sp, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].EffectiveWorkScale())
+		err = c.Exec(p, sp, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].effectiveWorkScale())
 	}
 	if err == nil {
 		err = t.stageOut(p, sp, ctx.Node.Name)
@@ -464,9 +464,9 @@ func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 	ws.End()
 	req := knative.Request{
 		From:       ctx.Node.Name,
-		PayloadIn:  task.InputBytes(),
-		PayloadOut: task.OutputBytes(),
-		Work:       e.Cl.NextTaskWork() * task.EffectiveWorkScale(),
+		PayloadIn:  task.inputBytes(),
+		PayloadOut: task.outputBytes(),
+		Work:       e.Cl.NextTaskWork() * task.effectiveWorkScale(),
 		Deadline:   t.d.absDeadline,
 		Parent:     ctx.Span,
 	}

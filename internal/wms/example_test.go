@@ -29,7 +29,7 @@ func ExampleClusterVertical() {
 	}
 	for _, id := range clustered.TaskIDs() {
 		task, _ := clustered.Task(id)
-		fmt.Printf("%s (work x%.0f)\n", id, task.EffectiveWorkScale())
+		fmt.Printf("%s (work x%.0f)\n", id, task.WorkScale)
 	}
 	// Output:
 	// step0..step1 (work x2)

@@ -80,7 +80,8 @@ func TestExecModesAgreeOnCompletions(t *testing.T) {
 		makespan time.Duration
 	}
 	var outcomes []outcome
-	for _, mode := range config.ExecModeNames() {
+	for _, m := range config.ExecModes() {
+		mode := m.String()
 		s := newModeStack(t, mode, nil)
 		wf := fanDAG(t, 4, 3)
 		var res *RunResult
@@ -221,9 +222,9 @@ func TestEventModeRetriesAndRescue(t *testing.T) {
 			s.env.Go("main", func(p *sim.Proc) {
 				defer s.shutdown()
 				_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-				var abort *AbortError
+				var abort *abortError
 				if !errors.As(err, &abort) {
-					t.Errorf("err = %v, want AbortError", err)
+					t.Errorf("err = %v, want abortError", err)
 					return
 				}
 				if abort.Task != "b" {
@@ -235,7 +236,7 @@ func TestEventModeRetriesAndRescue(t *testing.T) {
 				if now := p.Now(); now < 45*time.Second {
 					p.Sleep(45*time.Second - now)
 				}
-				res, err := s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), abort.Rescue)
+				res, err := s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), abort.Rescue)
 				if err != nil {
 					t.Errorf("resume failed: %v", err)
 					return
@@ -293,12 +294,12 @@ func TestEventModeDeadlineAborts(t *testing.T) {
 			s.env.Go("main", func(p *sim.Proc) {
 				defer s.shutdown()
 				_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-				var abort *AbortError
+				var abort *abortError
 				if !errors.As(err, &abort) {
-					t.Errorf("err = %v, want AbortError", err)
+					t.Errorf("err = %v, want abortError", err)
 					return
 				}
-				if abort.Reason != AbortDeadline {
+				if abort.Reason != abortDeadline {
 					t.Errorf("reason = %v, want deadline", abort.Reason)
 				}
 				if abort.Rescue == nil {

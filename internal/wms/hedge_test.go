@@ -91,12 +91,12 @@ func TestRetryBudgetExhaustionAborts(t *testing.T) {
 		s.deployFunction(p, t)
 		s.kn.Shutdown() // every invocation will now fail
 		_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeServerless))
-		var abort *AbortError
+		var abort *abortError
 		if !errors.As(err, &abort) {
-			t.Fatalf("err = %v, want *AbortError", err)
+			t.Fatalf("err = %v, want *abortError", err)
 		}
-		if abort.Reason != AbortRetryBudget {
-			t.Errorf("abort reason = %q, want %q", abort.Reason, AbortRetryBudget)
+		if abort.Reason != abortRetryBudget {
+			t.Errorf("abort reason = %q, want %q", abort.Reason, abortRetryBudget)
 		}
 		if abort.Rescue == nil {
 			t.Error("budget abort carries no rescue DAG")
@@ -118,12 +118,12 @@ func TestWorkflowDeadlineAborts(t *testing.T) {
 	}
 	s.env.Go("main", func(p *sim.Proc) {
 		_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-		var abort *AbortError
+		var abort *abortError
 		if !errors.As(err, &abort) {
-			t.Fatalf("err = %v, want *AbortError", err)
+			t.Fatalf("err = %v, want *abortError", err)
 		}
-		if abort.Reason != AbortDeadline {
-			t.Errorf("abort reason = %q, want %q", abort.Reason, AbortDeadline)
+		if abort.Reason != abortDeadline {
+			t.Errorf("abort reason = %q, want %q", abort.Reason, abortDeadline)
 		}
 		if abort.Rescue == nil {
 			t.Error("deadline abort carries no rescue DAG")

@@ -7,24 +7,23 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 )
 
-// Provenance is the JSON record of a workflow run — the equivalent of
+// provenance is the JSON record of a workflow run — the equivalent of
 // Pegasus's kickstart/monitord provenance, consumable by external analysis
 // tools.
-type Provenance struct {
+type provenance struct {
 	Workflow     string           `json:"workflow"`
 	StartedSec   float64          `json:"started_s"`
 	FinishedSec  float64          `json:"finished_s"`
 	MakespanSec  float64          `json:"makespan_s"`
-	Tasks        []TaskProvenance `json:"tasks"`
+	Tasks        []taskProvenance `json:"tasks"`
 	ModeCounts   map[string]int   `json:"mode_counts"`
 	TotalRetries int              `json:"total_retries"`
 }
 
-// TaskProvenance records one task's execution.
-type TaskProvenance struct {
+// taskProvenance records one task's execution.
+type taskProvenance struct {
 	ID           string  `json:"id"`
 	Mode         string  `json:"mode"`
 	Node         string  `json:"node"`
@@ -36,11 +35,11 @@ type TaskProvenance struct {
 	ExecSec      float64 `json:"exec_s"`
 }
 
-// Provenance converts the run into its exportable record. Tasks appear in
-// the workflow's declaration order when wf is supplied, or sorted by start
-// time when wf is nil.
-func (r *RunResult) Provenance(wf *Workflow) Provenance {
-	p := Provenance{
+// WriteProvenance writes the run's provenance as indented JSON. Tasks
+// appear in the workflow's declaration order when wf is supplied, or sorted
+// by start time when wf is nil.
+func (r *RunResult) WriteProvenance(w io.Writer, wf *Workflow) error {
+	p := provenance{
 		Workflow:    r.Workflow,
 		StartedSec:  r.StartedAt.Seconds(),
 		FinishedSec: r.FinishedAt.Seconds(),
@@ -64,7 +63,7 @@ func (r *RunResult) Provenance(wf *Workflow) Provenance {
 	}
 	for _, id := range ids {
 		t := r.Tasks[id]
-		p.Tasks = append(p.Tasks, TaskProvenance{
+		p.Tasks = append(p.Tasks, taskProvenance{
 			ID:           t.ID,
 			Mode:         t.Mode.String(),
 			Node:         t.Node,
@@ -78,29 +77,10 @@ func (r *RunResult) Provenance(wf *Workflow) Provenance {
 		p.ModeCounts[t.Mode.String()]++
 		p.TotalRetries += t.Attempts - 1
 	}
-	return p
-}
-
-// WriteProvenance writes the run's provenance as indented JSON.
-func (r *RunResult) WriteProvenance(w io.Writer, wf *Workflow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.Provenance(wf)); err != nil {
+	if err := enc.Encode(p); err != nil {
 		return fmt.Errorf("wms: encoding provenance: %w", err)
 	}
 	return nil
-}
-
-// ReadProvenance parses a provenance record written by WriteProvenance.
-func ReadProvenance(rd io.Reader) (Provenance, error) {
-	var p Provenance
-	if err := json.NewDecoder(rd).Decode(&p); err != nil {
-		return Provenance{}, fmt.Errorf("wms: decoding provenance: %w", err)
-	}
-	return p, nil
-}
-
-// Duration is a convenience accessor for analysis code.
-func (tp TaskProvenance) Duration() time.Duration {
-	return time.Duration((tp.FinishedSec - tp.SubmittedSec) * float64(time.Second))
 }

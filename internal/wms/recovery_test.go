@@ -2,7 +2,6 @@ package wms
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,14 +53,13 @@ func TestAbortWritesRescueAndResumeSkipsFinishedTasks(t *testing.T) {
 	// worker2 kills every job for the first 40 s of virtual time.
 	in.Schedule(faults.Fault{Kind: faults.KindJobFailure, At: 0, Duration: 40 * time.Second, Rate: 1, Target: "worker2"})
 	wf := pinnedChain(t)
-	rescuePath := filepath.Join(t.TempDir(), "rescue.json")
 
 	s.env.Go("main", func(p *sim.Proc) {
 		defer s.shutdown()
 		_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-		var abort *AbortError
+		var abort *abortError
 		if !errors.As(err, &abort) {
-			t.Errorf("err = %v, want AbortError", err)
+			t.Errorf("err = %v, want abortError", err)
 			return
 		}
 		if abort.Task != "b" {
@@ -74,22 +72,11 @@ func TestAbortWritesRescueAndResumeSkipsFinishedTasks(t *testing.T) {
 			t.Error("failed task b recorded as done")
 		}
 
-		// Round-trip the rescue through its on-disk JSON form.
-		if err := WriteRescue(rescuePath, abort.Rescue); err != nil {
-			t.Errorf("write rescue: %v", err)
-			return
-		}
-		rescue, err := ReadRescue(rescuePath)
-		if err != nil {
-			t.Errorf("read rescue: %v", err)
-			return
-		}
-
 		// Wait out the incident, then resubmit the rescue DAG.
 		if now := p.Now(); now < 45*time.Second {
 			p.Sleep(45*time.Second - now)
 		}
-		res, err := s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
+		res, err := s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), abort.Rescue)
 		if err != nil {
 			t.Errorf("resume failed: %v", err)
 			return
@@ -153,9 +140,9 @@ func TestRecoveryBudgetExhausts(t *testing.T) {
 			t.Error("recovery succeeded under a permanent fault")
 			return
 		}
-		var abort *AbortError
+		var abort *abortError
 		if !errors.As(err, &abort) {
-			t.Errorf("terminal err = %v, want AbortError", err)
+			t.Errorf("terminal err = %v, want abortError", err)
 		}
 		if stats.Rescues != 2 {
 			t.Errorf("rescues = %d, want the full budget of 2", stats.Rescues)
@@ -169,7 +156,7 @@ func TestResumeValidatesWorkflowName(t *testing.T) {
 	wf := chain(t, 1)
 	s.env.Go("main", func(p *sim.Proc) {
 		defer s.shutdown()
-		_, err := s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), &Rescue{Workflow: "other"})
+		_, err := s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), &rescueState{Workflow: "other"})
 		if err == nil {
 			t.Error("rescue for a different workflow accepted")
 		}
@@ -255,14 +242,15 @@ func TestRetriedContainerTasksLeakNoContainers(t *testing.T) {
 // rescue that holds b but not its parent a: a runs, and finishing it must
 // not release the already-finished b a second time.
 func TestResumeKeepsRescuedTaskWhoseParentIsNot(t *testing.T) {
-	for _, mode := range config.ExecModeNames() {
+	for _, m := range config.ExecModes() {
+		mode := m.String()
 		s := newModeStack(t, mode, nil)
 		wf := pinnedChain(t)
 		rescued := &TaskResult{ID: "b", Mode: ModeNative, Attempts: 1}
-		rescue := &Rescue{Workflow: wf.Name, Done: map[string]*TaskResult{"b": rescued}}
+		rescue := &rescueState{Workflow: wf.Name, Done: map[string]*TaskResult{"b": rescued}}
 		s.env.Go("main", func(p *sim.Proc) {
 			defer s.shutdown()
-			res, err := s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
+			res, err := s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
 			if err != nil {
 				t.Errorf("%s: resume: %v", mode, err)
 				return

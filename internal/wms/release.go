@@ -12,11 +12,11 @@ import (
 	"repro/internal/trace"
 )
 
-// TaskSettledEventType is the CloudEvents type published for every task copy
+// taskSettledEventType is the CloudEvents type published for every task copy
 // that settles (completes or fails) under the trigger execution mode. The
 // event subject is "<workflow>/<task>"; the per-run trigger filters on the
 // workflow prefix.
-const TaskSettledEventType = "dev.repro.wms.task.settled"
+const taskSettledEventType = "dev.repro.wms.task.settled"
 
 // The release engine. A run is a chain of continuations around one
 // release decision, settle: resolve a winning copy, prune failed copies,
@@ -57,7 +57,7 @@ func (d *dagRun) begin() {
 	}
 	if d.mode == config.ExecTrigger {
 		d.prefix = d.wf.Name + "/"
-		d.trig = d.e.Broker.SubscribeFiltered("wms-"+d.wf.Name, TaskSettledEventType, d.prefix, d.deliver)
+		d.trig = d.e.Broker.SubscribeFiltered("wms-"+d.wf.Name, taskSettledEventType, d.prefix, d.deliver)
 	}
 	if d.absDeadline > 0 {
 		// Poll checks the deadline every tick; here a timer aborts the run
@@ -212,7 +212,7 @@ func (d *dagRun) copySettled(j *condor.Job) {
 	if node == "" {
 		node = cluster.SubmitNodeName
 	}
-	d.e.Broker.PublishThen(node, knative.Event{Type: TaskSettledEventType, Source: node, Subject: t.name()}, nil)
+	d.e.Broker.PublishThen(node, knative.Event{Type: taskSettledEventType, Source: node, Subject: t.name()}, nil)
 }
 
 // deliver is the run's trigger handler.
@@ -282,6 +282,6 @@ func (d *dagRun) armDeadline() {
 // expire aborts the run at its deadline with a rescue.
 func (d *dagRun) expire() {
 	if !d.over {
-		d.end(d.abort(AbortDeadline, "", 0))
+		d.end(d.abort(abortDeadline, "", 0))
 	}
 }

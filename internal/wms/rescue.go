@@ -1,10 +1,8 @@
 package wms
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/sim"
@@ -13,68 +11,68 @@ import (
 // Rescue-DAG recovery, modelled on Pegasus/DAGMan: when a workflow aborts
 // because a task exhausted its retry budget, the engine captures which tasks
 // already finished (and, for checkpointed tasks, how far the aborted ones
-// got) as a Rescue. Resubmitting the workflow with the rescue skips the
+// got) as a rescue state. Resubmitting the workflow with the rescue skips the
 // finished tasks — the re-planned "rescue DAG" — and the retry budget starts
 // fresh, so an operator can drive a workflow through repeated infrastructure
 // incidents without re-running completed work.
 
-// TaskCheckpoint is a checkpointed task's persisted progress.
-type TaskCheckpoint struct {
-	Total float64 `json:"total"`
-	Done  float64 `json:"done"`
+// taskCheckpoint is a checkpointed task's saved progress.
+type taskCheckpoint struct {
+	Total float64
+	Done  float64
 }
 
-// Rescue is the persisted recovery state of an aborted workflow run.
-type Rescue struct {
+// rescueState is the recovery state of an aborted workflow run.
+type rescueState struct {
 	// Workflow names the aborted workflow; resume validates it.
-	Workflow string `json:"workflow"`
+	Workflow string
 	// StartedAt is the original run's start time, so a resumed run's
 	// makespan spans the whole recovery story.
-	StartedAt time.Duration `json:"started_at"`
+	StartedAt time.Duration
 	// Aborted is the task whose retry budget ran out.
-	Aborted string `json:"aborted"`
+	Aborted string
 	// Abandoned counts jobs still in flight at abort time; their results
 	// are discarded and the tasks re-run in the rescue DAG.
-	Abandoned int `json:"abandoned"`
+	Abandoned int
 	// Done maps finished task IDs to their recorded results.
-	Done map[string]*TaskResult `json:"done"`
+	Done map[string]*TaskResult
 	// Progress carries checkpoint state for unfinished tasks, keyed by
 	// task ID.
-	Progress map[string]TaskCheckpoint `json:"progress,omitempty"`
+	Progress map[string]taskCheckpoint
 }
 
-// Abort reasons carried by AbortError.Reason.
+// Abort reasons carried by abortError.Reason.
 const (
-	// AbortRetries: the task's own attempt budget ran out.
-	AbortRetries = "retries"
-	// AbortRetryBudget: the engine-wide retry budget denied a
+	// abortRetries: the task's own attempt budget ran out.
+	abortRetries = "retries"
+	// abortRetryBudget: the engine-wide retry budget denied a
 	// resubmission (failures outpacing successes).
-	AbortRetryBudget = "retry-budget"
-	// AbortDeadline: the workflow's deadline passed mid-run.
-	AbortDeadline = "deadline"
+	abortRetryBudget = "retry-budget"
+	// abortDeadline: the workflow's deadline passed mid-run.
+	abortDeadline = "deadline"
 )
 
-// AbortError is returned by RunWorkflow (and ResumeWorkflow) when the run
+// abortError is returned by RunWorkflow (and resumeWorkflow) when the run
 // cannot continue: a task exhausted its retries, the engine-wide retry
 // budget denied a resubmission, or the workflow deadline passed. It carries
 // the rescue state needed to resume.
-type AbortError struct {
+type abortError struct {
 	// Task is the task that triggered the abort (empty for deadline
 	// aborts, which are a property of the whole run).
 	Task     string
 	Attempts int
-	// Reason is one of the Abort* constants; empty means AbortRetries
+	// Reason is one of the Abort* constants; empty means abortRetries
 	// (the original abort class).
 	Reason string
-	Rescue *Rescue
+	Rescue *rescueState
 }
 
-func (e *AbortError) Error() string {
+func (e *abortError) Error() string {
 	switch e.Reason {
-	case AbortDeadline:
+	case abortDeadline:
 		return fmt.Sprintf("wms: workflow %s exceeded its deadline (%d tasks completed; rescue available)",
 			e.Rescue.Workflow, len(e.Rescue.Done))
-	case AbortRetryBudget:
+	case abortRetryBudget:
 		return fmt.Sprintf("wms: task %s/%s denied resubmission by the retry budget after %d attempts (%d tasks completed; rescue available)",
 			e.Rescue.Workflow, e.Task, e.Attempts, len(e.Rescue.Done))
 	default:
@@ -83,32 +81,9 @@ func (e *AbortError) Error() string {
 	}
 }
 
-// WriteRescue persists a rescue file as JSON (the on-disk artefact a real
-// DAGMan writes next to the DAG).
-func WriteRescue(path string, r *Rescue) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadRescue loads a rescue file written by WriteRescue.
-func ReadRescue(path string) (*Rescue, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r := &Rescue{}
-	if err := json.Unmarshal(data, r); err != nil {
-		return nil, fmt.Errorf("wms: rescue %s: %w", path, err)
-	}
-	return r, nil
-}
-
 // buildRescue snapshots recovery state at abort time.
-func (e *Engine) buildRescue(wf *Workflow, res *RunResult, aborted string, abandoned int) *Rescue {
-	r := &Rescue{
+func (e *Engine) buildRescue(wf *Workflow, res *RunResult, aborted string, abandoned int) *rescueState {
+	r := &rescueState{
 		Workflow:  wf.Name,
 		StartedAt: res.StartedAt,
 		Aborted:   aborted,
@@ -122,9 +97,9 @@ func (e *Engine) buildRescue(wf *Workflow, res *RunResult, aborted string, aband
 	for key, st := range e.progress {
 		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
 			if r.Progress == nil {
-				r.Progress = make(map[string]TaskCheckpoint)
+				r.Progress = make(map[string]taskCheckpoint)
 			}
-			r.Progress[key[len(prefix):]] = TaskCheckpoint{Total: st.total, Done: st.done}
+			r.Progress[key[len(prefix):]] = taskCheckpoint{Total: st.total, Done: st.done}
 		}
 	}
 	return r
@@ -132,7 +107,7 @@ func (e *Engine) buildRescue(wf *Workflow, res *RunResult, aborted string, aband
 
 // restoreProgress reinstates checkpoint state from a rescue so resumed tasks
 // continue from their last checkpoint instead of from scratch.
-func (e *Engine) restoreProgress(wf *Workflow, r *Rescue) {
+func (e *Engine) restoreProgress(wf *Workflow, r *rescueState) {
 	if len(r.Progress) == 0 {
 		return
 	}
@@ -144,13 +119,13 @@ func (e *Engine) restoreProgress(wf *Workflow, r *Rescue) {
 	}
 }
 
-// ResumeWorkflow re-runs an aborted workflow from its rescue state: finished
+// resumeWorkflow re-runs an aborted workflow from its rescue state: finished
 // tasks are skipped, checkpointed progress is reinstated, and every
 // unfinished task gets a fresh retry budget. The returned result's makespan
 // spans from the original run's start. The rescue must come from the same
 // stack (staged outputs of finished tasks are assumed present on the shared
 // data services).
-func (e *Engine) ResumeWorkflow(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *Rescue) (*RunResult, error) {
+func (e *Engine) resumeWorkflow(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *rescueState) (*RunResult, error) {
 	if rescue == nil {
 		return e.RunWorkflow(p, wf, assign)
 	}
@@ -179,13 +154,13 @@ func (e *Engine) RunWorkflowWithRecovery(p *sim.Proc, wf *Workflow, assign ModeA
 	var stats RecoveryStats
 	res, err := e.RunWorkflow(p, wf, assign)
 	for err != nil {
-		var abort *AbortError
+		var abort *abortError
 		if !errors.As(err, &abort) || stats.Rescues >= maxRescues {
 			return nil, stats, err
 		}
 		stats.Rescues++
 		stats.Abandoned += abort.Rescue.Abandoned
-		res, err = e.ResumeWorkflow(p, wf, assign, abort.Rescue)
+		res, err = e.resumeWorkflow(p, wf, assign, abort.Rescue)
 	}
 	return res, stats, nil
 }

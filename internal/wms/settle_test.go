@@ -86,7 +86,8 @@ func checkSettlement(t *testing.T, label string, wf *Workflow, res *RunResult) {
 func TestDAGSettlementInvariants(t *testing.T) {
 	const burstAt, burstFor = 20 * time.Second, 30 * time.Second
 	retried := 0
-	for _, mode := range config.ExecModeNames() {
+	for _, m := range config.ExecModes() {
+		mode := m.String()
 		for _, maxInflight := range []int{0, 3} {
 			for seed := uint64(1); seed <= 2; seed++ {
 				label := fmt.Sprintf("%s/maxinflight=%d/seed=%d", mode, maxInflight, seed)
@@ -101,11 +102,11 @@ func TestDAGSettlementInvariants(t *testing.T) {
 				wf := randomDAG(t, seed)
 
 				var res *RunResult
-				var rescue *Rescue
+				var rescue *rescueState
 				s.env.Go("main", func(p *sim.Proc) {
 					defer s.shutdown()
 					_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-					var abort *AbortError
+					var abort *abortError
 					if !errors.As(err, &abort) {
 						t.Errorf("%s: first run returned %v, want an abort in the failure window", label, err)
 						return
@@ -115,7 +116,7 @@ func TestDAGSettlementInvariants(t *testing.T) {
 						p.Sleep(burstAt + burstFor - now)
 					}
 					s.eng.Retry.MaxAttempts = 8
-					res, err = s.eng.ResumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
+					res, err = s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
 					if err != nil {
 						t.Errorf("%s: resume: %v", label, err)
 					}

@@ -106,25 +106,3 @@ func (s Spec) Build() (*Workflow, ModeAssigner, error) {
 	assign := func(_, taskID string) Mode { return modes[taskID] }
 	return wf, assign, nil
 }
-
-// SaveSpec serialises a workflow (with a uniform mode) back to JSON — the
-// inverse of LoadSpec for generated workloads.
-func SaveSpec(w io.Writer, wf *Workflow, mode Mode) error {
-	s := Spec{Name: wf.Name, DefaultMode: mode.String()}
-	for _, id := range wf.TaskIDs() {
-		task, _ := wf.Task(id)
-		s.Tasks = append(s.Tasks, SpecTask{
-			ID:             id,
-			Transformation: task.Transformation,
-			Inputs:         task.Inputs,
-			Outputs:        task.Outputs,
-			Deps:           wf.Parents(id),
-			WorkScale:      task.WorkScale,
-			Priority:       task.Priority,
-			RequireNode:    task.RequireNode,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -1,7 +1,6 @@
 package wms
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -60,34 +59,5 @@ func TestLoadSpecErrors(t *testing.T) {
 		if _, _, err := spec.Build(); err == nil {
 			t.Errorf("case %d accepted: %s", i, c)
 		}
-	}
-}
-
-func TestSpecRoundTrip(t *testing.T) {
-	spec, err := LoadSpec(strings.NewReader(sampleSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, _, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveSpec(&buf, wf, ModeContainer); err != nil {
-		t.Fatal(err)
-	}
-	spec2, err := LoadSpec(&buf)
-	if err != nil {
-		t.Fatalf("reloading saved spec: %v\n%s", err, buf.String())
-	}
-	wf2, assign2, err := spec2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wf2.Len() != wf.Len() {
-		t.Errorf("round trip lost tasks: %d vs %d", wf2.Len(), wf.Len())
-	}
-	if assign2("demo", "a") != ModeContainer {
-		t.Error("saved default mode not applied")
 	}
 }

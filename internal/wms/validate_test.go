@@ -27,7 +27,7 @@ func referenceValidate(w *Workflow) error {
 		id := queue[0]
 		queue = queue[1:]
 		topo = append(topo, id)
-		for _, c := range w.Children(id) {
+		for _, c := range w.ids(w.childs, id) {
 			indeg[c]--
 			if indeg[c] == 0 {
 				queue = append(queue, c)

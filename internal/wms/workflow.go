@@ -50,16 +50,16 @@ type TaskSpec struct {
 	RequireNode string
 }
 
-// EffectiveWorkScale returns WorkScale with the zero value defaulted to 1.
-func (t *TaskSpec) EffectiveWorkScale() float64 {
+// effectiveWorkScale returns WorkScale with the zero value defaulted to 1.
+func (t *TaskSpec) effectiveWorkScale() float64 {
 	if t.WorkScale <= 0 {
 		return 1
 	}
 	return t.WorkScale
 }
 
-// InputBytes sums the task's input sizes.
-func (t *TaskSpec) InputBytes() int64 {
+// inputBytes sums the task's input sizes.
+func (t *TaskSpec) inputBytes() int64 {
 	var n int64
 	for _, f := range t.Inputs {
 		n += f.Bytes
@@ -67,8 +67,8 @@ func (t *TaskSpec) InputBytes() int64 {
 	return n
 }
 
-// OutputBytes sums the task's output sizes.
-func (t *TaskSpec) OutputBytes() int64 {
+// outputBytes sums the task's output sizes.
+func (t *TaskSpec) outputBytes() int64 {
 	var n int64
 	for _, f := range t.Outputs {
 		n += f.Bytes
@@ -153,9 +153,6 @@ func (w *Workflow) TaskIDs() []string {
 // Parents returns a task's parents.
 func (w *Workflow) Parents(id string) []string { return w.ids(w.parents, id) }
 
-// Children returns a task's children.
-func (w *Workflow) Children(id string) []string { return w.ids(w.childs, id) }
-
 // ids resolves one task's adjacency list to IDs (nil for an unknown task or
 // an empty list).
 func (w *Workflow) ids(adj [][]int32, id string) []string {
@@ -172,20 +169,6 @@ func (w *Workflow) ids(adj [][]int32, id string) []string {
 
 // Len returns the number of tasks.
 func (w *Workflow) Len() int { return len(w.tasks) }
-
-// TopoOrder returns a topological ordering, or an error if the DAG has a
-// cycle.
-func (w *Workflow) TopoOrder() ([]string, error) {
-	topo, err := w.topo()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(topo))
-	for k, i := range topo {
-		out[k] = w.tasks[i].ID
-	}
-	return out, nil
-}
 
 // topo is Kahn's algorithm over task indices: sources in declaration order,
 // then each dequeued task's children in AddDependency order.

@@ -35,15 +35,26 @@ func chain(t *testing.T, n int) *Workflow {
 func taskID(i int) string { return "t" + string(rune('0'+i/10)) + string(rune('0'+i%10)) }
 func lfn(i int) string    { return "m" + string(rune('0'+i/10)) + string(rune('0'+i%10)) + ".dat" }
 
+// topoIDs is w's topological order as task IDs.
+func topoIDs(t *testing.T, w *Workflow) []string {
+	t.Helper()
+	topo, err := w.topo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(topo))
+	for k, i := range topo {
+		ids[k] = w.tasks[i].ID
+	}
+	return ids
+}
+
 func TestChainStructure(t *testing.T) {
 	wf := chain(t, 10)
 	if wf.Len() != 10 {
 		t.Fatalf("Len = %d", wf.Len())
 	}
-	topo, err := wf.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := topoIDs(t, wf)
 	for i := 1; i < len(topo); i++ {
 		if topo[i-1] >= topo[i] {
 			t.Fatalf("topo order broken: %v", topo)
@@ -65,7 +76,7 @@ func TestCycleDetected(t *testing.T) {
 	_ = wf.AddTask(TaskSpec{ID: "b", Transformation: "x"})
 	_ = wf.AddDependency("a", "b")
 	_ = wf.AddDependency("b", "a")
-	if _, err := wf.TopoOrder(); err == nil {
+	if _, err := wf.topo(); err == nil {
 		t.Error("cycle not detected")
 	}
 	if err := wf.Validate(); err == nil {
@@ -130,7 +141,7 @@ func TestDiamondValidates(t *testing.T) {
 	if err := wf.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	topo, _ := wf.TopoOrder()
+	topo := topoIDs(t, wf)
 	pos := map[string]int{}
 	for i, id := range topo {
 		pos[id] = i
@@ -167,7 +178,7 @@ func TestTaskByteSums(t *testing.T) {
 		Inputs:  []FileSpec{{LFN: "a", Bytes: 10}, {LFN: "b", Bytes: 20}},
 		Outputs: []FileSpec{{LFN: "c", Bytes: 5}},
 	}
-	if task.InputBytes() != 30 || task.OutputBytes() != 5 {
-		t.Errorf("sums = %d/%d", task.InputBytes(), task.OutputBytes())
+	if task.inputBytes() != 30 || task.outputBytes() != 5 {
+		t.Errorf("sums = %d/%d", task.inputBytes(), task.outputBytes())
 	}
 }

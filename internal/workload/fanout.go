@@ -20,26 +20,9 @@ import (
 // deterministically (same seed, same sequence of draws, same workflow).
 type ScaleDist func(rng *sim.RNG) float64
 
-// ConstantScale makes every task the same size.
-func ConstantScale(s float64) ScaleDist {
-	return func(*sim.RNG) float64 { return s }
-}
-
 // UniformScale draws uniformly from [lo, hi).
 func UniformScale(lo, hi float64) ScaleDist {
 	return func(rng *sim.RNG) float64 { return lo + rng.Float64()*(hi-lo) }
-}
-
-// LongTailScale mostly returns base but with probability tailProb returns
-// base*tailFactor — a straggler-heavy distribution for hedging and
-// release-path studies.
-func LongTailScale(base, tailProb, tailFactor float64) ScaleDist {
-	return func(rng *sim.RNG) float64 {
-		if rng.Float64() < tailProb {
-			return base * tailFactor
-		}
-		return base
-	}
 }
 
 // FanOutFanIn builds the wide fan-out/fan-in DAG: entry task "in" fans out

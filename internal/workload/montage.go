@@ -117,9 +117,3 @@ func Montage(name string, tiles int, imageBytes int64) *wms.Workflow {
 	}
 	return wf
 }
-
-// MontageTransformations lists the transformations a Montage workflow
-// invokes, for registration/deployment.
-func MontageTransformations() []string {
-	return []string{"mProject", "mDiffFit", "mConcatFit", "mBgModel", "mBackground", "mAdd"}
-}

@@ -12,11 +12,6 @@ import (
 // run.
 type RateFn func(t time.Duration) float64
 
-// ConstantRate is a flat arrival rate.
-func ConstantRate(rps float64) RateFn {
-	return func(time.Duration) float64 { return rps }
-}
-
 // DiurnalRate is a sinusoidal day/night curve: the rate oscillates between
 // base×(1-swing) and base×(1+swing) with the given period, peaking at a
 // quarter period. swing must lie in [0, 1].

@@ -8,9 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
+// flat is a constant arrival rate.
+func flat(rps float64) RateFn { return func(time.Duration) float64 { return rps } }
+
 func TestOpenLoopConstantRateCount(t *testing.T) {
 	rng := sim.NewRNG(42)
-	rate := ConstantRate(50)
+	rate := flat(50)
 	var n int
 	var last time.Duration
 	OpenLoop(rng, rate, 50, 100*time.Second, func(at time.Duration) bool {
@@ -31,7 +34,7 @@ func TestOpenLoopDeterministic(t *testing.T) {
 	collect := func() []time.Duration {
 		rng := sim.NewRNG(7)
 		var out []time.Duration
-		OpenLoop(rng, ConstantRate(10), 10, 10*time.Second, func(at time.Duration) bool {
+		OpenLoop(rng, flat(10), 10, 10*time.Second, func(at time.Duration) bool {
 			out = append(out, at)
 			return true
 		})
@@ -78,7 +81,7 @@ func TestOpenLoopThinningTracksRate(t *testing.T) {
 func TestOpenLoopEarlyStop(t *testing.T) {
 	rng := sim.NewRNG(1)
 	n := 0
-	OpenLoop(rng, ConstantRate(100), 100, time.Hour, func(time.Duration) bool {
+	OpenLoop(rng, flat(100), 100, time.Hour, func(time.Duration) bool {
 		n++
 		return n < 10
 	})
@@ -105,7 +108,7 @@ func TestDiurnalRateBounds(t *testing.T) {
 }
 
 func TestFlashCrowdWindow(t *testing.T) {
-	r := FlashCrowd(ConstantRate(4), 10*time.Second, 5*time.Second, 10)
+	r := FlashCrowd(flat(4), 10*time.Second, 5*time.Second, 10)
 	cases := []struct {
 		at   time.Duration
 		want float64
@@ -144,7 +147,7 @@ func TestZipfWeights(t *testing.T) {
 }
 
 func TestTenantMixConservesRate(t *testing.T) {
-	mix := TenantMix(10, 1.2, ConstantRate(100))
+	mix := TenantMix(10, 1.2, flat(100))
 	total := 0.0
 	for _, r := range mix {
 		total += r(0)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -78,15 +79,15 @@ func TestSplitChainShape(t *testing.T) {
 			}
 		}
 		want := 16 * (1.0/4 + 0.05)
-		if task.EffectiveWorkScale() != want {
-			t.Errorf("task %s WorkScale = %f, want %f", id, task.EffectiveWorkScale(), want)
+		if task.WorkScale != want {
+			t.Errorf("task %s WorkScale = %f, want %f", id, task.WorkScale, want)
 		}
 	}
 	// Total work grows with the split overhead: 12 subtasks x 4.8 > 3 x 16.
 	total := 0.0
 	for _, id := range wf.TaskIDs() {
 		task, _ := wf.Task(id)
-		total += task.EffectiveWorkScale()
+		total += task.WorkScale
 	}
 	if total <= 3*16 {
 		t.Errorf("split total work %f not above unsplit %d (overhead missing)", total, 3*16)
@@ -103,8 +104,8 @@ func TestSplitChainSplitOneEqualsChainShape(t *testing.T) {
 	}
 	for _, id := range wf.TaskIDs() {
 		task, _ := wf.Task(id)
-		if task.EffectiveWorkScale() != 1 {
-			t.Errorf("task %s WorkScale = %f, want 1", id, task.EffectiveWorkScale())
+		if task.WorkScale != 1 {
+			t.Errorf("task %s WorkScale = %f, want 1", id, task.WorkScale)
 		}
 	}
 }
@@ -129,26 +130,23 @@ func TestMontageShape(t *testing.T) {
 	if got := len(wf.ExternalInputs()); got != tiles {
 		t.Errorf("external inputs = %d, want %d", got, tiles)
 	}
-	// Multi-transformation: every declared transformation is used.
+	// Multi-transformation: every Montage stage's transformation is used.
 	used := map[string]bool{}
 	for _, id := range wf.TaskIDs() {
 		task, _ := wf.Task(id)
 		used[task.Transformation] = true
 	}
-	for _, tr := range MontageTransformations() {
+	for _, tr := range []string{"mProject", "mDiffFit", "mConcatFit", "mBgModel", "mBackground", "mAdd"} {
 		if !used[tr] {
 			t.Errorf("transformation %s unused", tr)
 		}
 	}
 	// Topological sanity: bgmodel after concatfit, backgrounds after
 	// bgmodel.
-	topo, _ := wf.TopoOrder()
-	pos := map[string]int{}
-	for i, id := range topo {
-		pos[id] = i
-	}
-	if !(pos["concatfit"] < pos["bgmodel"] && pos["bgmodel"] < pos["background000"] && pos["background000"] < pos["add"]) {
-		t.Errorf("montage levels out of order")
+	for _, edge := range [][2]string{{"concatfit", "bgmodel"}, {"bgmodel", "background000"}, {"background000", "add"}} {
+		if !slices.Contains(wf.Parents(edge[1]), edge[0]) {
+			t.Errorf("montage levels out of order: %s does not follow %s", edge[1], edge[0])
+		}
 	}
 }
 

@@ -1,9 +1,13 @@
 package repro
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -190,4 +194,319 @@ func TestSubstratesSpawnOnlyListedProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// exportAllowlist names the exported identifiers under internal/ that no
+// non-test code of another package uses but that stay exported, each with
+// the reason it does.
+var exportAllowlist = map[string]string{
+	"condor.Schedd.FreeSlots":     "observer: tests assert that settled jobs hand their slots back",
+	"condor.Schedd.Wait":          "observer: tests block on a job and read its outcome",
+	"crt.Runtime.Live":            "observer: tests assert that no container outlives its task or pod",
+	"experiments.ExecModeOnce":    "e2ebench's tests check their dag-fan runs against it",
+	"experiments.QuickOptions":    "the root benchmarks run the quick table with it",
+	"experiments.ScaleOnce":       "e2ebench's tests check their scale-pack runs against it",
+	"fluid.Server.Served":         "observer: tests assert work conservation and the work a checkpoint saves",
+	"httpfn.Server.Invocations":   "observer: tests assert warm reuse and the balancer's round robin",
+	"knative.Broker.Accepted":     "observer: tests assert the broker neither drops nor double-counts an event",
+	"knative.Broker.Dispatched":   "observer: tests assert the broker neither drops nor double-counts an event",
+	"registry.Registry.Pulls":     "observer: tests assert which layers a pull transferred",
+	"resilience.ErrQueueFull":     "observer: knative tests tell a request shed at a full queue from other failures",
+	"sim.Env.Alive":               "observer: tests assert that a run drained, with no process parked forever",
+	"sim.Env.RunFor":              "observer: tests step a run by a period to assert state mid-run",
+	"sim.Env.Stats":               "observer: tests assert the kernel's deterministic work counters",
+	"sim.RNG.Intn":                "test input generator: property and fuzz tests draw bounded ints from a seeded stream",
+	"storage.ObjectStore.Ops":     "observer: tests count the GETs and PUTs the staging path issued",
+	"storage.SharedFS.Has":        "observer: tests assert which files staging left on the shared filesystem",
+	"wms.Workflow.ExternalInputs": "observer: workload tests assert which inputs a generated workflow needs staged",
+	"wms.Workflow.Validate":       "observer: workload and fuzz tests assert that a generated workflow is sound",
+	"workload.Random":             "test input generator: core's fuzz test draws random DAGs from it",
+}
+
+// exportGuardSkip are the packages TestInternalExportsHaveCallers does not
+// audit.
+var exportGuardSkip = map[string]string{
+	"repro/internal/trace/tracetest": "test-helper package: only tests import it",
+}
+
+// TestInternalExportsHaveCallers keeps each package's API to what another
+// package calls: every exported top-level func, var, const and type under
+// internal/, and every exported method of an exported type, must be
+// referenced by non-test code outside its package (internal/, cmd/,
+// examples/ or e2ebench/) or be named in exportAllowlist. A method also
+// counts as used when its type implements an interface that declares it
+// (fmt.Stringer, error, sort.Interface, heap.Interface or one of the
+// program's own), a const when its named type is used, and a type when it
+// appears in the signature or in an exported field of a used name.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	prog := loadProgram(t, "internal", "cmd", "examples", "e2ebench")
+	used := map[types.Object]bool{}
+	var work []types.Object
+	use := func(obj types.Object) {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		if obj.Pkg() != nil && prog.pkgs[obj.Pkg().Path()] != nil && !used[obj] {
+			used[obj] = true
+			work = append(work, obj)
+		}
+	}
+	for _, p := range prog.pkgs {
+		for _, obj := range p.info.Uses {
+			if obj.Pkg() != p.types {
+				use(obj)
+			}
+		}
+	}
+
+	// Interfaces a method can be used through.
+	var ifaces []*types.Interface
+	for path, name := range map[string]string{"fmt": "Stringer", "sort": "Interface", "container/heap": "Interface"} {
+		p, err := prog.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(name).Type().Underlying().(*types.Interface))
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, p := range prog.pkgs {
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+	}
+
+	// The audited names: exported top-level objects and exported methods of
+	// exported types.
+	var audited []types.Object
+	var paths []string
+	for path := range prog.pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if !strings.HasPrefix(path, "repro/internal/") || exportGuardSkip[path] != "" {
+			continue
+		}
+		scope := prog.pkgs[path].types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			audited = append(audited, obj)
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok || types.IsInterface(named) {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if !m.Exported() {
+					continue
+				}
+				audited = append(audited, m)
+				if named.TypeParams().Len() > 0 {
+					continue
+				}
+				for _, iface := range ifaces {
+					if declares(iface, m.Name()) && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+						use(m)
+						break
+					}
+				}
+			}
+		}
+	}
+
+	// A used name keeps the types its signature and exported fields show.
+	var mark func(types.Type)
+	mark = func(typ types.Type) {
+		switch typ := typ.(type) {
+		case *types.Named:
+			use(typ.Origin().Obj())
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				mark(typ.TypeArgs().At(i))
+			}
+		case *types.Alias:
+			use(typ.Obj())
+			mark(types.Unalias(typ))
+		case *types.Pointer:
+			mark(typ.Elem())
+		case *types.Slice:
+			mark(typ.Elem())
+		case *types.Array:
+			mark(typ.Elem())
+		case *types.Chan:
+			mark(typ.Elem())
+		case *types.Map:
+			mark(typ.Key())
+			mark(typ.Elem())
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				mark(typ.At(i).Type())
+			}
+		case *types.Signature:
+			mark(typ.Params())
+			mark(typ.Results())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				if f := typ.Field(i); f.Exported() || f.Embedded() {
+					mark(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < typ.NumMethods(); i++ {
+				mark(typ.Method(i).Type())
+			}
+		}
+	}
+	settle := func() {
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			if tn, ok := obj.(*types.TypeName); ok {
+				mark(tn.Type().Underlying())
+			} else {
+				mark(obj.Type())
+			}
+		}
+	}
+	// isUsed also counts a const of a used named type: one enum stays one
+	// namespace.
+	isUsed := func(obj types.Object) bool {
+		if c, ok := obj.(*types.Const); ok {
+			if named, ok := c.Type().(*types.Named); ok && named.Obj().Pkg() == c.Pkg() && used[named.Obj()] {
+				return true
+			}
+		}
+		return used[obj]
+	}
+	settle()
+
+	// An allowlisted name stays exported, and so do the types it shows.
+	allowed := map[string]types.Object{}
+	for _, obj := range audited {
+		key := exportKey(obj)
+		if _, ok := exportAllowlist[key]; !ok {
+			continue
+		}
+		allowed[key] = obj
+		if isUsed(obj) {
+			t.Errorf("exportAllowlist names %s, which another package uses: drop the entry", key)
+		}
+		use(obj)
+	}
+	for key := range exportAllowlist {
+		if allowed[key] == nil {
+			t.Errorf("exportAllowlist names %s, which is not an exported name under internal/: drop the entry", key)
+		}
+	}
+	settle()
+	for _, obj := range audited {
+		if !isUsed(obj) {
+			t.Errorf("%s: %s is exported, but no non-test code outside its package uses it: delete or unexport it",
+				prog.fset.Position(obj.Pos()), exportKey(obj))
+		}
+	}
+}
+
+// declares reports whether iface has a method called name.
+func declares(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// exportKey names obj as pkg.Name, or pkg.Type.Method for a method.
+func exportKey(obj types.Object) string {
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			typ := recv.Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			return obj.Pkg().Name() + "." + typ.(*types.Named).Obj().Name() + "." + obj.Name()
+		}
+	}
+	return obj.Pkg().Name() + "." + obj.Name()
+}
+
+// program is the non-test code of the module's packages, type-checked
+// from source.
+type program struct {
+	fset *token.FileSet
+	std  types.ImporterFrom
+	pkgs map[string]*checkedPkg // by import path
+}
+
+type checkedPkg struct {
+	types *types.Package
+	info  *types.Info
+}
+
+// loadProgram type-checks every package under dirs. An import of repro/...
+// is checked from its directory; the standard library is checked from
+// GOROOT's source.
+func loadProgram(t *testing.T, dirs ...string) *program {
+	t.Helper()
+	fset := token.NewFileSet()
+	prog := &program{fset: fset, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), pkgs: map[string]*checkedPkg{}}
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			_, err = prog.Import("repro/" + filepath.ToSlash(path))
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return prog
+}
+
+func (p *program) Import(path string) (*types.Package, error) {
+	return p.ImportFrom(path, "", 0)
+}
+
+func (p *program) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, "repro/")
+	if !ok {
+		return p.std.ImportFrom(path, dir, mode)
+	}
+	if c, ok := p.pkgs[path]; ok {
+		return c.types, nil
+	}
+	bp, err := build.ImportDir(filepath.FromSlash(rel), 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(p.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: p}
+	pkg, err := conf.Check(path, p.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	p.pkgs[path] = &checkedPkg{types: pkg, info: info}
+	return pkg, nil
 }
