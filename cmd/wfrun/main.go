@@ -59,7 +59,7 @@ func (e flagError) Error() string { return string(e) }
 func run(args []string) error {
 	fs := flag.NewFlagSet("wfrun", flag.ExitOnError)
 	var (
-		specPath  = fs.String("spec", "", "JSON workflow spec (overrides -chain)")
+		specPath  = fs.String("spec", "", "JSON workflow spec (instead of -chain, -workflows and -mode)")
 		chainLen  = fs.String("chain", "10", "generated chain length")
 		workflows = fs.Int("workflows", 1, "concurrent copies of the workflow")
 		modeFlag  = fs.String("mode", "native", "native | container | serverless | mix:N,C,S")
@@ -73,6 +73,19 @@ func run(args []string) error {
 	fs.Parse(args) // ExitOnError: a malformed flag exits 2
 	if *workflows < 1 {
 		return flagError(fmt.Sprintf("bad -workflows %d: want at least 1", *workflows))
+	}
+	if *specPath != "" {
+		// The spec is the whole workload: a flag that shapes a generated
+		// one would be ignored.
+		var ignored string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored == "" && (f.Name == "chain" || f.Name == "workflows" || f.Name == "mode") {
+				ignored = f.Name
+			}
+		})
+		if ignored != "" {
+			return flagError(fmt.Sprintf("-%s does not apply with -spec: the spec sets the workflow and its modes", ignored))
+		}
 	}
 
 	prm := config.Default()

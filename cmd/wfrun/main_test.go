@@ -33,10 +33,12 @@ func TestPrintSpans(t *testing.T) {
 	}
 }
 
-// TestBadFlagValuesFailFast: a bad -workflows or -mode value is a flag
-// error naming the flag, returned before anything runs, never a panic or a
-// run of some other shape.
+// TestBadFlagValuesFailFast: a bad -workflows or -mode value, or a
+// -workflows, -chain or -mode set alongside -spec, is a flag error naming
+// the flag, returned before anything runs, never a panic or a run of some
+// other shape.
 func TestBadFlagValuesFailFast(t *testing.T) {
+	const demo = "../../examples/specs/demo.json"
 	for _, args := range [][]string{
 		{"-workflows", "-1"},
 		{"-workflows", "0"},
@@ -46,8 +48,12 @@ func TestBadFlagValuesFailFast(t *testing.T) {
 		{"-mode", "mix:1,-1,1"},
 		{"-mode", "mix:1,1"},
 		{"-mode", "bogus"},
+		{"-workflows", "3", "-spec", demo},
+		{"-chain", "3", "-spec", demo},
+		{"-mode", "serverless", "-spec", demo},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
+		name := strings.ReplaceAll(strings.Join(args, " "), demo, "demo.json")
+		t.Run(name, func(t *testing.T) {
 			err := run(append([]string{"-fast"}, args...))
 			var bad flagError
 			if !errors.As(err, &bad) || !strings.Contains(err.Error(), args[0]) {

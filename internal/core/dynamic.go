@@ -40,7 +40,7 @@ type WorkflowBuilder func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner)
 // returned DynamicRuns tracks completions.
 func (s *Stack) WatchAndRun(broker *knative.Broker, triggerName, eventType string, build WorkflowBuilder) *DynamicRuns {
 	d := &DynamicRuns{wg: sim.NewWaitGroup(s.Env)}
-	broker.Subscribe(triggerName, eventType, func(ev knative.Event) {
+	broker.Subscribe(triggerName, eventType, "", func(ev knative.Event) {
 		wf, assign := build(ev)
 		run := &DynamicRun{Event: ev}
 		d.runs = append(d.runs, run)

@@ -23,8 +23,6 @@ import (
 type Server struct {
 	httpSrv *http.Server
 	lis     net.Listener
-	// invocations counts served requests — observable container reuse.
-	invocations atomic.Int64
 	// appInit simulates interpreter/library import time before the first
 	// request can be served (0 for instant readiness).
 	appInit time.Duration
@@ -64,10 +62,6 @@ func (s *Server) Close() error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
-// Invocations returns how many requests this server has served — more than
-// one means the "container" was reused.
-func (s *Server) Invocations() int64 { return s.invocations.Load() }
-
 func (s *Server) ready() bool { return time.Now().After(s.readyAt) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +98,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	product := a.Mul(b)
-	s.invocations.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if _, err := product.WriteTo(w); err != nil {
 		// Too late for a status change; the client's decode will fail.

@@ -2,9 +2,14 @@ package httpfn
 
 import (
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +17,7 @@ import (
 	"repro/internal/sim"
 )
 
-func startServer(t *testing.T, appInit time.Duration) (*Server, string) {
+func startServer(t *testing.T, appInit time.Duration) string {
 	t.Helper()
 	srv := NewServer(appInit)
 	base, err := srv.Start()
@@ -20,7 +25,29 @@ func startServer(t *testing.T, appInit time.Duration) (*Server, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv, base
+	return base
+}
+
+// countInvokes fronts the server at base with a reverse proxy that counts
+// the invocations it forwards, and returns the proxy's base URL and the
+// count: more than one through one server means its "container" was
+// reused.
+func countInvokes(t *testing.T, base string) (string, *atomic.Int64) {
+	t.Helper()
+	target, err := url.Parse(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	n := new(atomic.Int64)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/invoke" {
+			n.Add(1)
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	t.Cleanup(front.Close)
+	return front.URL, n
 }
 
 func randMat(seed uint64, n int) *matrix.Matrix {
@@ -31,7 +58,8 @@ func randMat(seed uint64, n int) *matrix.Matrix {
 }
 
 func TestInvokeComputesProduct(t *testing.T) {
-	srv, base := startServer(t, 0)
+	base := startServer(t, 0)
+	base, n := countInvokes(t, base)
 	var c Client
 	a, b := randMat(1, 30), randMat(2, 30)
 	got, err := c.Invoke(base, a, b)
@@ -41,13 +69,14 @@ func TestInvokeComputesProduct(t *testing.T) {
 	if !reflect.DeepEqual(got, a.Mul(b)) {
 		t.Error("HTTP product differs from local product")
 	}
-	if srv.Invocations() != 1 {
-		t.Errorf("Invocations = %d", srv.Invocations())
+	if n.Load() != 1 {
+		t.Errorf("invocations = %d", n.Load())
 	}
 }
 
 func TestContainerReuseAcrossTasks(t *testing.T) {
-	srv, base := startServer(t, 0)
+	base := startServer(t, 0)
+	base, n := countInvokes(t, base)
 	var c Client
 	cur := randMat(3, 20)
 	b := randMat(4, 20)
@@ -58,13 +87,13 @@ func TestContainerReuseAcrossTasks(t *testing.T) {
 		}
 		cur = next
 	}
-	if srv.Invocations() != 5 {
-		t.Errorf("Invocations = %d, want 5 through one warm server", srv.Invocations())
+	if n.Load() != 5 {
+		t.Errorf("invocations = %d, want 5 through one warm server", n.Load())
 	}
 }
 
 func TestShapeMismatchRejected(t *testing.T) {
-	_, base := startServer(t, 0)
+	base := startServer(t, 0)
 	var c Client
 	a := randMat(5, 4)
 	b := randMat(6, 7)
@@ -74,7 +103,7 @@ func TestShapeMismatchRejected(t *testing.T) {
 }
 
 func TestHealthzAndColdInit(t *testing.T) {
-	_, base := startServer(t, 300*time.Millisecond)
+	base := startServer(t, 300*time.Millisecond)
 	var c Client
 	if c.Healthy(base) {
 		t.Error("server healthy before app init finished")
@@ -89,7 +118,7 @@ func TestHealthzAndColdInit(t *testing.T) {
 }
 
 func TestInvokeDuringInitRejected(t *testing.T) {
-	_, base := startServer(t, 2*time.Second)
+	base := startServer(t, 2*time.Second)
 	var c Client
 	if _, err := c.Invoke(base, randMat(7, 5), randMat(8, 5)); err == nil {
 		t.Error("invocation during init succeeded")
@@ -97,8 +126,10 @@ func TestInvokeDuringInitRejected(t *testing.T) {
 }
 
 func TestBalancerRoundRobin(t *testing.T) {
-	srv1, base1 := startServer(t, 0)
-	srv2, base2 := startServer(t, 0)
+	base1 := startServer(t, 0)
+	base2 := startServer(t, 0)
+	base1, n1 := countInvokes(t, base1)
+	base2, n2 := countInvokes(t, base2)
 	lb := NewBalancer(base1, base2)
 	a, b := randMat(9, 10), randMat(10, 10)
 	for i := 0; i < 6; i++ {
@@ -106,13 +137,14 @@ func TestBalancerRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv1.Invocations() != 3 || srv2.Invocations() != 3 {
-		t.Errorf("distribution = %d/%d, want 3/3", srv1.Invocations(), srv2.Invocations())
+	if n1.Load() != 3 || n2.Load() != 3 {
+		t.Errorf("distribution = %d/%d, want 3/3", n1.Load(), n2.Load())
 	}
 }
 
 func TestConcurrentInvocations(t *testing.T) {
-	srv, base := startServer(t, 0)
+	base := startServer(t, 0)
+	base, n := countInvokes(t, base)
 	a, b := randMat(11, 40), randMat(12, 40)
 	want := a.Mul(b)
 	var wg sync.WaitGroup
@@ -137,13 +169,13 @@ func TestConcurrentInvocations(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if srv.Invocations() != 8 {
-		t.Errorf("Invocations = %d", srv.Invocations())
+	if n.Load() != 8 {
+		t.Errorf("invocations = %d", n.Load())
 	}
 }
 
 func TestGetInvokeRejected(t *testing.T) {
-	_, base := startServer(t, 0)
+	base := startServer(t, 0)
 	var c Client
 	resp, err := c.HTTP.Get(base + "/invoke")
 	if err != nil {

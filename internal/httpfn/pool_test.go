@@ -3,6 +3,7 @@ package httpfn
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +26,8 @@ func TestPoolServesAtFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	var n *atomic.Int64
+	p.bases[0], n = countInvokes(t, p.bases[0])
 	a, b := poolMats()
 	want := a.Mul(b)
 	for i := 0; i < 3; i++ {
@@ -39,8 +42,8 @@ func TestPoolServesAtFloor(t *testing.T) {
 	if p.Replicas() != 1 {
 		t.Errorf("Replicas = %d after sequential load, want 1", p.Replicas())
 	}
-	if n := p.servers[0].Invocations(); n != 3 {
-		t.Errorf("Invocations = %d", n)
+	if n.Load() != 3 {
+		t.Errorf("invocations = %d", n.Load())
 	}
 }
 

@@ -2,6 +2,7 @@ package knative
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,8 +47,6 @@ type Trigger struct {
 	// starts with it (e.g. one workflow's "<name>/" task namespace).
 	SubjectPrefix string
 	Handler       Handler
-
-	Delivered int
 }
 
 func (tr *Trigger) matches(ev Event) bool {
@@ -67,8 +66,6 @@ type Broker struct {
 	triggers   []*Trigger
 	deliveries []*delivery    // recycled, for dispatch
 	pubs       []*publication // recycled, for publish
-	accepted   int
-	dispatched int
 	stopped    bool
 }
 
@@ -82,14 +79,9 @@ func (kn *Knative) NewBroker(name string) *Broker {
 	return b
 }
 
-// Subscribe registers a trigger. typeMatch "" receives every event.
-func (b *Broker) Subscribe(name, typeMatch string, h Handler) *Trigger {
-	return b.SubscribeFiltered(name, typeMatch, "", h)
-}
-
-// SubscribeFiltered registers a trigger narrowed to events whose Subject has
-// the given prefix (both "" filters match everything).
-func (b *Broker) SubscribeFiltered(name, typeMatch, subjectPrefix string, h Handler) *Trigger {
+// Subscribe registers a trigger for events of type typeMatch whose Subject
+// has the given prefix; an empty filter matches everything.
+func (b *Broker) Subscribe(name, typeMatch, subjectPrefix string, h Handler) *Trigger {
 	tr := &Trigger{Name: name, TypeMatch: typeMatch, SubjectPrefix: subjectPrefix, Handler: h}
 	b.triggers = append(b.triggers, tr)
 	return tr
@@ -98,11 +90,8 @@ func (b *Broker) SubscribeFiltered(name, typeMatch, subjectPrefix string, h Hand
 // Unsubscribe removes a trigger; later events are no longer delivered to it.
 // Deliveries already fanned out keep running.
 func (b *Broker) Unsubscribe(tr *Trigger) {
-	for i, x := range b.triggers {
-		if x == tr {
-			b.triggers = append(b.triggers[:i], b.triggers[i+1:]...)
-			return
-		}
+	if i := slices.Index(b.triggers, tr); i >= 0 {
+		b.triggers = slices.Delete(b.triggers, i, i+1)
 	}
 }
 
@@ -171,9 +160,8 @@ func (b *Broker) publish(from string, ev Event, then func(error), resume func())
 
 // accepted enqueues the event once it has reached the broker. The ingress
 // hop took time; the broker may have shut down in the meantime, closing
-// the queue. Sending on the closed queue would panic, and counting the
-// event as accepted would overstate intake by an event that was never
-// dispatched, so the publisher gets an error instead.
+// the queue. Sending on the closed queue would panic, so the publisher gets
+// an error instead.
 func (pub *publication) accepted() {
 	b := pub.b
 	if b.stopped {
@@ -182,7 +170,6 @@ func (pub *publication) accepted() {
 	}
 	ev := pub.ev
 	ev.At = b.kn.env.Now()
-	b.accepted++
 	b.queue.Send(ev)
 	pub.finish(nil)
 }
@@ -207,14 +194,6 @@ func (b *Broker) free(pub *publication) {
 	b.pubs = append(b.pubs, pub)
 }
 
-// Accepted returns how many events the broker has taken in.
-func (b *Broker) Accepted() int { return b.accepted }
-
-// Dispatched returns how many accepted events the dispatch has fanned
-// out to triggers (matching or not). After a drained shutdown it equals
-// Accepted — the broker never drops or double-counts an accepted event.
-func (b *Broker) Dispatched() int { return b.dispatched }
-
 // dispatch drains the queue, fanning each event out to matching triggers.
 func (b *Broker) dispatch() {
 	for {
@@ -222,12 +201,10 @@ func (b *Broker) dispatch() {
 		if !ok {
 			return
 		}
-		b.dispatched++
 		for _, tr := range b.triggers {
 			if !tr.matches(ev) {
 				continue
 			}
-			tr.Delivered++
 			d := b.newDelivery()
 			d.tr, d.ev = tr, ev
 			b.kn.env.Defer(d.run)

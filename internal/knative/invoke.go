@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -27,9 +28,7 @@ import (
 // last backend error instead of re-amplifying it.
 //
 // Invoke runs the invocation as InvokeAsync does, with p's resume at the
-// chain's end, and parks p once: p resumes in the slot where the chain
-// ends, where it would have continued had it waited through each step
-// itself.
+// chain's end, and parks p once: p resumes in the slot where the chain ends.
 func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 	c := s.kn.newCall(s, req)
 	c.resume = p.Resumer()
@@ -78,9 +77,12 @@ type call struct {
 	stage callStage
 	died  bool
 	cold  bool
-	// admitted holds a seat in the activator's waiting room, counted a
-	// share of the service's in-flight requests.
-	admitted, counted bool
+	// next links the service's wait queue; wakeEnd marks a wake's last.
+	next    *call
+	wakeEnd bool
+	// admitted holds a seat in the activator's waiting room. An attempt
+	// admitted or holding a slot counts in the service's in-flight requests.
+	admitted bool
 }
 
 // callStage names the step an invocation's chain runs next.
@@ -89,8 +91,8 @@ type callStage uint8
 const (
 	callBackoff    callStage = iota // a retry's backoff has elapsed
 	callIngress                     // the ingress message reached the route
-	callColdWait                    // a cold-start waiter woke
-	callQueueWait                   // a queued request woke
+	callColdWait                    // waiting for a ready replica (see wait)
+	callQueueWait                   // waiting for a free slot (see wait)
 	callEncodedIn                   // the request body is marshalled
 	callSentIn                      // the body reached the replica's node
 	callDecodedIn                   // the function unmarshalled it
@@ -186,10 +188,6 @@ func (c *call) advance() {
 		c.try()
 	case callIngress:
 		c.admit()
-	case callColdWait:
-		c.coldWait()
-	case callQueueWait:
-		c.queueWait()
 	case callEncodedIn:
 		c.stage = callSentIn
 		kn.cl.Net.TransferThen(c.req.From, c.h.pod.NodeName, c.req.PayloadIn, c.step)
@@ -268,8 +266,11 @@ func (c *call) admit() {
 		return
 	}
 	if err := s.admission.TryEnter(s.estimateWait(), remaining); err != nil {
-		shed := tr.Start(c.sp, "knative", "shed",
-			trace.L("service", s.spec.Name), trace.L("reason", shedReason(err)))
+		reason := "queue-full" // which admission check fired
+		if errors.Is(err, resilience.ErrWouldExpire) {
+			reason = "would-expire"
+		}
+		shed := tr.Start(c.sp, "knative", "shed", trace.L("service", s.spec.Name), trace.L("reason", reason))
 		shed.End()
 		c.sp.SetLabel("status", "shed")
 		c.endAttempt(fmt.Errorf("knative: service %s: %w", s.spec.Name, err), false)
@@ -277,7 +278,6 @@ func (c *call) admit() {
 	}
 	c.admitted = true
 	s.inFlight++
-	c.counted = true
 	if s.ReadyPods() == 0 {
 		// Activator path: ensure a replica is coming and buffer.
 		c.cold = true
@@ -286,46 +286,10 @@ func (c *call) admit() {
 		if s.StartingPods() == 0 {
 			s.scaleTo(1)
 		}
-		c.coldWait()
-		return
-	}
-	c.enqueue()
-}
-
-// gaveUp ends an attempt waiting on readySig when the service has stopped
-// or the request's deadline has passed, and reports whether it did; where
-// names the wait in the deadline error.
-func (c *call) gaveUp(where string) bool {
-	s := c.s
-	switch {
-	case s.stopped:
-		c.endPhase()
-		c.sp.SetLabel("status", "failed")
-		c.endAttempt(fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false)
-	case resilience.Expired(c.req.Deadline, s.kn.env.Now()):
-		c.endPhase()
-		s.DeadlineDrops++
-		c.sp.SetLabel("status", "deadline")
-		c.endAttempt(fmt.Errorf("knative: service %s: %w %s", s.spec.Name, resilience.ErrDeadlineExceeded, where), false)
-	default:
-		return false
-	}
-	return true
-}
-
-// coldWait waits on readySig until a replica is ready, unless the service
-// stops or the deadline passes first.
-func (c *call) coldWait() {
-	s := c.s
-	if s.ReadyPods() == 0 {
-		if c.gaveUp("during cold start") {
-			return
-		}
 		c.stage = callColdWait
-		s.readySig.Then(s.kn.env, c.step)
+		c.wait(false, false)
 		return
 	}
-	c.endPhase()
 	c.enqueue()
 }
 
@@ -335,25 +299,56 @@ func (c *call) enqueue() {
 	env := c.s.kn.env
 	c.enq = env.Now()
 	c.phase = trace.FromEnv(env).Start(c.sp, "knative", "queue", trace.L("service", c.s.spec.Name))
-	c.queueWait()
+	c.stage = callQueueWait
+	c.wait(true, true)
 }
 
-// queueWait takes the first free slot on any ready replica, so freshly
-// scaled pods immediately absorb queued load. Every wake-up re-checks the
-// deadline so a queued request that missed its budget is dropped instead
-// of occupying a slot.
-func (c *call) queueWait() {
+// wait is a waiting request's one check, made where its wait starts and at
+// each wake that reaches it (see Service.drain). It ends the attempt if the
+// service stopped or the deadline passed, moves a cold waiter that sees a
+// ready replica to the queue, or gives a queued request a free slot unless
+// free says there is none; otherwise the request joins the back of the
+// queue. It reports whether the request acted.
+func (c *call) wait(ready, free bool) bool {
 	s := c.s
 	kn := s.kn
 	env := kn.env
-	if c.gaveUp("in queue") {
-		return
+	cold := c.stage == callColdWait
+	var h *podHandle
+	switch {
+	case cold && ready:
+		c.endPhase()
+		c.enqueue()
+		return true
+	case s.stopped:
+		c.endPhase()
+		c.sp.SetLabel("status", "failed")
+		c.endAttempt(fmt.Errorf("knative: service %s shut down while queued", s.spec.Name), false)
+		return true
+	case resilience.Expired(c.req.Deadline, env.Now()):
+		where := "in queue"
+		if cold {
+			where = "during cold start"
+		}
+		c.endPhase()
+		s.DeadlineDrops++
+		c.sp.SetLabel("status", "deadline")
+		c.endAttempt(fmt.Errorf("knative: service %s: %w %s", s.spec.Name, resilience.ErrDeadlineExceeded, where), false)
+		return true
+	case cold:
+	case !free:
+		s.rr++ // the round-robin step of the pick that would fail
+	default:
+		h = s.pickAvailable(c.sp)
 	}
-	h := s.pickAvailable(c.sp)
 	if h == nil {
-		c.stage = callQueueWait
-		s.readySig.Then(env, c.step)
-		return
+		if s.qHead == nil {
+			s.qHead = c
+		} else {
+			s.qTail.next = c
+		}
+		s.qTail = c
+		return false
 	}
 	c.h = h
 	c.admitted = false // holding a serving slot: leave the waiting room
@@ -371,6 +366,45 @@ func (c *call) queueWait() {
 	c.phase = trace.FromEnv(env).Start(c.sp, "knative", "payload-in")
 	c.stage = callEncodedIn
 	env.Delay(kn.codecTime(c.req.PayloadIn), c.step)
+	return true
+}
+
+// wake schedules a drain of the requests queued since the last wake, at
+// the run-queue slot where the first of them would run had each its own
+// entry. With nobody queued since, there is nothing to drain.
+func (s *Service) wake() {
+	if s.qHead == nil || s.qTail.wakeEnd {
+		return
+	}
+	s.qTail.wakeEnd = true
+	s.kn.env.Defer(s.drainStep)
+}
+
+// drain runs one wake: it takes the wake's requests off the front of the
+// queue in arrival order and runs wait on each. Until one acts the replicas
+// do not change, so ready and free are read once per run of checks. One
+// that ends its attempt may resume its caller, who runs first: the rest of
+// the wake continues from the front of the run queue, behind it.
+func (s *Service) drain() {
+	now := s.kn.env.Now()
+	ready, free := s.capacity()
+	for {
+		c := s.qHead
+		s.qHead, c.next = c.next, nil
+		last := c.wakeEnd
+		c.wakeEnd = false
+		if !last && (s.stopped || resilience.Expired(c.req.Deadline, now)) {
+			s.kn.env.DeferFirst(s.drainStep)
+			c.wait(ready, free)
+			return
+		}
+		if c.wait(ready, free) {
+			ready, free = s.capacity()
+		}
+		if last {
+			return
+		}
+	}
 }
 
 // proxied is queue-proxy deadline enforcement, the last check before the
@@ -416,7 +450,7 @@ func (c *call) payloadOut() {
 func (c *call) freeSlot() {
 	c.h.free++
 	c.h.inFlight--
-	c.s.readySig.Broadcast()
+	c.s.wake()
 }
 
 // endSlot frees the slot of an attempt that reached its replica and ends
@@ -444,9 +478,8 @@ func (c *call) endAttempt(err error, retryable bool) {
 	s := c.s
 	kn := s.kn
 	env := kn.env
-	if c.counted {
+	if c.admitted || c.h != nil {
 		s.inFlight--
-		c.counted = false
 	}
 	if c.admitted {
 		s.admission.Exit()

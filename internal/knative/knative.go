@@ -13,8 +13,8 @@
 package knative
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -169,8 +169,11 @@ type Service struct {
 	rr       int // round-robin offset for tie-breaking
 	inFlight int
 
-	readySig sim.Signal
-	stopped  bool
+	// qHead and qTail link the requests waiting for a replica or a slot in
+	// the order they joined: each pending wake's, then those queued since.
+	qHead, qTail *call
+	drainStep    func() // s.drain, bound once
+	stopped      bool
 
 	// The autoscaler's state (see autoscale), and its step, bound once.
 	agg          *kpa.MetricAggregator
@@ -272,6 +275,7 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 			RouteLeastRequests, RouteLeastRequests, RouteLeastNodeLoad, RouteLeastNodeLoad)
 	}
 	svc := &Service{kn: kn, spec: spec, ascfg: ascfg}
+	svc.drainStep = svc.drain
 	svc.breaker = resilience.NewBreaker(resilience.BreakerPolicy{
 		Failures:       kn.prm.BreakerFailures,
 		OpenFor:        kn.prm.BreakerOpenFor,
@@ -326,13 +330,12 @@ func (kn *Knative) AttachFaults(in *faults.Injector) {
 // creation order), modelling an external eviction or OOM kill.
 func (s *Service) killOnePod() {
 	for _, h := range s.pods {
-		if !h.pod.Ready() {
-			continue
+		if h.pod.Ready() {
+			s.kn.k.DeletePod(h.pod.Spec.Name)
+			s.removeHandle(h)
+			s.wake()
+			return
 		}
-		s.kn.k.DeletePod(h.pod.Spec.Name)
-		s.removeHandle(h)
-		s.readySig.Broadcast()
-		return
 	}
 }
 
@@ -348,7 +351,7 @@ func (kn *Knative) Shutdown() {
 			kn.k.DeletePod(h.pod.Spec.Name)
 		}
 		svc.pods = nil
-		svc.readySig.Broadcast()
+		svc.wake()
 	}
 }
 
@@ -365,16 +368,22 @@ func (s *Service) ReadyPods() int {
 	return n
 }
 
-// StartingPods counts replicas still coming up.
-func (s *Service) StartingPods() int {
-	n := 0
+// capacity reports whether a replica is ready and whether a ready one has
+// a free slot, the feasibility pickReplica routes by.
+func (s *Service) capacity() (ready, free bool) {
 	for _, h := range s.pods {
-		if !h.pod.Ready() {
-			n++
+		if h.pod.Ready() {
+			ready = true
+			if h.free > 0 {
+				return true, true
+			}
 		}
 	}
-	return n
+	return ready, false
 }
+
+// StartingPods counts replicas still coming up.
+func (s *Service) StartingPods() int { return len(s.pods) - s.ReadyPods() }
 
 // InFlight returns current concurrency (served + queued requests).
 func (s *Service) InFlight() int { return s.inFlight }
@@ -406,7 +415,7 @@ func (s *Service) addPod() *podHandle {
 		// re-examine. A replica the service already dropped changes
 		// nothing a waiter can see.
 		if err == nil || s.removeHandle(h) {
-			s.readySig.Broadcast()
+			s.wake()
 		}
 	})
 	return h
@@ -415,21 +424,11 @@ func (s *Service) addPod() *podHandle {
 // removeHandle drops a replica from the service and reports whether it was
 // still there.
 func (s *Service) removeHandle(h *podHandle) bool {
-	for i, x := range s.pods {
-		if x == h {
-			s.pods = append(s.pods[:i], s.pods[i+1:]...)
-			return true
-		}
+	i := slices.Index(s.pods, h)
+	if i >= 0 {
+		s.pods = slices.Delete(s.pods, i, i+1)
 	}
-	return false
-}
-
-// shedReason labels a shed span with which admission check fired.
-func shedReason(err error) string {
-	if errors.Is(err, resilience.ErrWouldExpire) {
-		return "would-expire"
-	}
-	return "queue-full"
+	return i >= 0
 }
 
 // estimateWait predicts the queue wait a newly arriving request faces: the
@@ -454,10 +453,7 @@ func (s *Service) servingSlots() int {
 	}
 	pods := s.ReadyPods()
 	if pods == 0 {
-		pods = s.StartingPods()
-	}
-	if pods == 0 {
-		pods = 1
+		pods = max(len(s.pods), 1) // every replica is starting
 	}
 	return pods * cc
 }
@@ -546,15 +542,10 @@ func (s *Service) decision(best, feasible int) sched.Decision {
 // service (node drains, evictions) so reconciliation sees the true replica
 // count and replaces them.
 func (s *Service) purgeDead() {
-	kept := s.pods[:0]
-	for _, h := range s.pods {
+	s.pods = slices.DeleteFunc(s.pods, func(h *podHandle) bool {
 		ph := h.pod.Phase()
-		if ph == kube.PhaseDead || ph == kube.PhaseFailed {
-			continue
-		}
-		kept = append(kept, h)
-	}
-	s.pods = kept
+		return ph == kube.PhaseDead || ph == kube.PhaseFailed
+	})
 }
 
 // scaleTo reconciles the replica count towards desired: grows immediately,
@@ -574,22 +565,19 @@ func (s *Service) scaleTo(desired int) {
 	}
 }
 
-// idleVictim returns the newest ready replica with no in-flight requests.
+// idleVictim returns the newest ready replica with no in-flight requests,
+// or else the newest replica still starting, to cancel.
 func (s *Service) idleVictim() *podHandle {
+	var starting *podHandle
 	for i := len(s.pods) - 1; i >= 0; i-- {
-		h := s.pods[i]
-		if h.pod.Ready() && h.inFlight == 0 {
+		switch h := s.pods[i]; {
+		case h.pod.Ready() && h.inFlight == 0:
 			return h
+		case !h.pod.Ready() && starting == nil:
+			starting = h
 		}
 	}
-	// Allow cancelling replicas that are still starting.
-	for i := len(s.pods) - 1; i >= 0; i-- {
-		h := s.pods[i]
-		if !h.pod.Ready() {
-			return h
-		}
-	}
-	return nil
+	return starting
 }
 
 // kpaConfig maps the platform parameters plus a service's spec onto the

@@ -120,6 +120,12 @@ func (e *Env) Defer(fn func()) {
 	e.ready.push(fn)
 }
 
+// DeferFirst is Defer for a continuation that must run next: it enters the
+// run queue ahead of every ready entry, where a process's resume puts it.
+func (e *Env) DeferFirst(fn func()) {
+	e.ready.pushFront(fn)
+}
+
 // Delay is Proc.Sleep for a continuation: fn runs in an event callback d
 // from now, or, for a non-positive d, from the back of the run queue, where
 // a sleeping process would yield.

@@ -84,8 +84,9 @@ func (wg *WaitGroup) Wait(p *Proc) {
 }
 
 // Signal is a broadcast-only condition variable: continuations wait with
-// Then, and every Broadcast wakes all current waiters. It backs watch/notify patterns (informers, reconcile loops). The
-// zero Signal is ready to use.
+// Then, and every Broadcast wakes all current waiters, each on a run-queue
+// entry of its own. simnet's partition heal is its user. The zero Signal
+// is ready to use.
 type Signal struct {
 	waiters []func() // continuations, in arrival order
 	env     *Env     // the waiters' run queue

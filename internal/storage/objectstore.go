@@ -22,8 +22,6 @@ type ObjectStore struct {
 	srv     *fluid.Server
 	buckets map[string]map[string]int64
 	down    bool
-
-	gets, puts int
 }
 
 // NewObjectStore returns a store hosted on host (which must be a network
@@ -75,7 +73,6 @@ func (o *ObjectStore) Put(p *sim.Proc, parent *trace.Span, fromNode, bucket, key
 		o.srv.Run(p, float64(size), 0)
 	}
 	b[key] = size
-	o.puts++
 	return nil
 }
 
@@ -101,7 +98,6 @@ func (o *ObjectStore) Get(p *sim.Proc, parent *trace.Span, toNode, bucket, key s
 		o.srv.Run(p, float64(size), 0)
 	}
 	o.net.Transfer(p, o.host, toNode, size)
-	o.gets++
 	return size, nil
 }
 
@@ -114,6 +110,3 @@ func (o *ObjectStore) Seed(bucket, key string, size int64) {
 	}
 	b[key] = size
 }
-
-// Ops returns lifetime GET and PUT counts.
-func (o *ObjectStore) Ops() (gets, puts int) { return o.gets, o.puts }

@@ -5,7 +5,22 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+// storeOps counts the GETs and PUTs a traced run issued, by their spans.
+func storeOps(tr *trace.Tracer) (gets, puts int) {
+	for _, sp := range tr.Spans() {
+		switch {
+		case sp.Substrate() != "storage":
+		case sp.Name() == "get":
+			gets++
+		case sp.Name() == "put":
+			puts++
+		}
+	}
+	return gets, puts
+}
 
 func newStore(t *testing.T) (*sim.Env, *ObjectStore) {
 	t.Helper()
@@ -18,6 +33,7 @@ func newStore(t *testing.T) (*sim.Env, *ObjectStore) {
 
 func TestObjectStorePutGetRoundTrip(t *testing.T) {
 	env, store := newStore(t)
+	tr := trace.New(env)
 	env.Go("client", func(p *sim.Proc) {
 		if err := store.Put(p, nil, "w1", "data", "m1.dat", 500); err != nil {
 			t.Fatal(err)
@@ -32,8 +48,7 @@ func TestObjectStorePutGetRoundTrip(t *testing.T) {
 		}
 	})
 	env.Run()
-	gets, puts := store.Ops()
-	if gets != 1 || puts != 1 {
+	if gets, puts := storeOps(tr); gets != 1 || puts != 1 {
 		t.Errorf("ops = %d gets, %d puts", gets, puts)
 	}
 }

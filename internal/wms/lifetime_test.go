@@ -82,7 +82,7 @@ func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	}
 	var victim *cluster.Node
 	var sources []string
-	s.eng.Broker.SubscribeFiltered("spy", taskSettledEventType, "straggler/t0",
+	s.eng.Broker.Subscribe("spy", taskSettledEventType, "straggler/t0",
 		func(ev knative.Event) { sources = append(sources, ev.Source) })
 	var res *RunResult
 	s.env.Go("main", func(p *sim.Proc) {

@@ -57,7 +57,7 @@ func (d *dagRun) begin() {
 	}
 	if d.mode == config.ExecTrigger {
 		d.prefix = d.wf.Name + "/"
-		d.trig = d.e.Broker.SubscribeFiltered("wms-"+d.wf.Name, taskSettledEventType, d.prefix, d.deliver)
+		d.trig = d.e.Broker.Subscribe("wms-"+d.wf.Name, taskSettledEventType, d.prefix, d.deliver)
 	}
 	if d.absDeadline > 0 {
 		// Poll checks the deadline every tick; here a timer aborts the run

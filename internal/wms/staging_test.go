@@ -9,6 +9,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 func withSharedFS(t *testing.T, s *stack) *storage.SharedFS {
@@ -206,6 +208,7 @@ func TestObjectStoreStagingServerless(t *testing.T) {
 	store := storage.NewObjectStore(s.env, s.cl.Net, cluster.SubmitNodeName, 400e6)
 	s.eng.Staging = StageObjectStore
 	s.eng.Store = store
+	tr := trace.New(s.env)
 	wf := chain(t, 3)
 	s.env.Go("main", func(p *sim.Proc) {
 		s.deployFunction(p, t)
@@ -218,7 +221,8 @@ func TestObjectStoreStagingServerless(t *testing.T) {
 		s.shutdown()
 	})
 	s.env.Run()
-	gets, puts := store.Ops()
+	gets := len(tracetest.Find(tr, tracetest.Match{Substrate: "storage", Name: "get"}))
+	puts := len(tracetest.Find(tr, tracetest.Match{Substrate: "storage", Name: "put"}))
 	// 3 tasks x 2 inputs GET and 1 output PUT each.
 	if gets != 6 || puts != 3 {
 		t.Errorf("ops = %d gets %d puts, want 6/3", gets, puts)

@@ -207,16 +207,12 @@ var exportAllowlist = map[string]string{
 	"experiments.QuickOptions":    "the root benchmarks run the quick table with it",
 	"experiments.ScaleOnce":       "e2ebench's tests check their scale-pack runs against it",
 	"fluid.Server.Served":         "observer: tests assert work conservation and the work a checkpoint saves",
-	"httpfn.Server.Invocations":   "observer: tests assert warm reuse and the balancer's round robin",
-	"knative.Broker.Accepted":     "observer: tests assert the broker neither drops nor double-counts an event",
-	"knative.Broker.Dispatched":   "observer: tests assert the broker neither drops nor double-counts an event",
 	"registry.Registry.Pulls":     "observer: tests assert which layers a pull transferred",
 	"resilience.ErrQueueFull":     "observer: knative tests tell a request shed at a full queue from other failures",
 	"sim.Env.Alive":               "observer: tests assert that a run drained, with no process parked forever",
 	"sim.Env.RunFor":              "observer: tests step a run by a period to assert state mid-run",
 	"sim.Env.Stats":               "observer: tests assert the kernel's deterministic work counters",
 	"sim.RNG.Intn":                "test input generator: property and fuzz tests draw bounded ints from a seeded stream",
-	"storage.ObjectStore.Ops":     "observer: tests count the GETs and PUTs the staging path issued",
 	"storage.SharedFS.Has":        "observer: tests assert which files staging left on the shared filesystem",
 	"wms.Workflow.ExternalInputs": "observer: workload tests assert which inputs a generated workflow needs staged",
 	"wms.Workflow.Validate":       "observer: workload and fuzz tests assert that a generated workflow is sound",
