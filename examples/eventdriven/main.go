@@ -44,7 +44,7 @@ func main() {
 
 		// Every arrival event becomes a 4-task serverless analysis chain.
 		n := 0
-		dyn = stack.WatchAndRun(broker, "on-capture", "dev.repro.capture.done",
+		dyn = stack.WatchAndRun(broker, "dev.repro.capture.done",
 			func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner) {
 				n++
 				wf := workload.Chain(fmt.Sprintf("dyn%02d", n), 4, prm.MatrixBytes)

@@ -33,7 +33,6 @@ type Node struct {
 	Cores   int
 	MemMB   int
 	CPU     *fluid.Server
-	Disk    *storage.Disk
 	Scratch *storage.Scratch
 
 	memUsedMB int
@@ -86,7 +85,6 @@ func (n *Node) MemUsedMB() int { return n.memUsedMB }
 type Cluster struct {
 	Env     *sim.Env
 	Net     *simnet.Network
-	Submit  *Node
 	Workers []*Node
 	Params  config.Params
 
@@ -105,21 +103,19 @@ func New(env *sim.Env, p config.Params) *Cluster {
 
 	mkNode := func(name string, index int, egress float64) *Node {
 		net.AddNode(name, egress)
-		disk := storage.NewDisk(env, name, 500e6) // 500 MB/s local SSD
 		n := &Node{
 			Name:    name,
 			Index:   index,
 			Cores:   p.CoresPerNode,
 			MemMB:   p.MemMBPerNode,
 			CPU:     fluid.New(env, "cpu:"+name, float64(p.CoresPerNode)),
-			Disk:    disk,
-			Scratch: storage.NewScratch(name, disk),
+			Scratch: storage.NewScratch(name, storage.NewDisk(env, name, 500e6)), // 500 MB/s local SSD
 		}
 		c.byName[name] = n
 		return n
 	}
 
-	c.Submit = mkNode(SubmitNodeName, -1, p.SubmitUplinkBps)
+	mkNode(SubmitNodeName, -1, p.SubmitUplinkBps)
 	for i := 0; i < p.WorkerNodes; i++ {
 		c.Workers = append(c.Workers, mkNode(fmt.Sprintf("worker%d", i+1), i, p.WorkerLinkBps))
 	}

@@ -11,7 +11,8 @@ import (
 func TestNewBuildsPaperTopology(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, config.Default())
-	if c.Submit == nil || c.Submit.Name != SubmitNodeName {
+	submit, ok := c.Node(SubmitNodeName)
+	if !ok || submit.Name != SubmitNodeName {
 		t.Fatal("no submit node")
 	}
 	if len(c.Workers) != 3 {
@@ -25,8 +26,8 @@ func TestNewBuildsPaperTopology(t *testing.T) {
 			t.Errorf("worker %s: Index %d, want its position %d", w.Name, w.Index, i)
 		}
 	}
-	if c.Submit.Index != -1 {
-		t.Errorf("submit Index %d, want -1", c.Submit.Index)
+	if submit.Index != -1 {
+		t.Errorf("submit Index %d, want -1", submit.Index)
 	}
 	if !c.Net.HasNode(RegistryNodeName) {
 		t.Error("registry endpoint missing from network")

@@ -31,8 +31,6 @@ type ExecContext struct {
 	Proc *sim.Proc
 	// Node is the claimed worker.
 	Node *cluster.Node
-	// Job is the job being executed.
-	Job *Job
 	// Span is the job's payload span, the parent of every span the payload
 	// opens; nil when no tracer is attached.
 	Span *trace.Span
@@ -100,7 +98,7 @@ type Job struct {
 	node   string
 	slot   int
 	done   sim.Future[error]
-	ctx    ExecContext // the payload's argument; Job is fixed per struct
+	ctx    ExecContext // the payload's argument
 	// sd is the claimed startd and epoch its epoch at claim time: a
 	// mismatch afterwards means the node crashed underneath the job.
 	sd       *startd
@@ -128,7 +126,6 @@ type Job struct {
 
 	// Timestamps for analysis.
 	SubmittedAt time.Duration
-	MatchedAt   time.Duration
 	StartedAt   time.Duration
 	FinishedAt  time.Duration
 }
@@ -227,13 +224,10 @@ func (s *Schedd) Shutdown() { s.stopped = true }
 
 // AttachFaults connects the pool to the fault injector: node crashes
 // (KindNodeCrash with a worker name as target) take the startd offline and
-// restore it at window end, and the legacy JobFailureProb knob is absorbed
-// as the standing KindJobFailure rate.
+// restore it at window end, and its KindJobFailure rate fails jobs
+// transiently.
 func (s *Schedd) AttachFaults(in *faults.Injector) {
 	s.faults = in
-	if s.prm.JobFailureProb > 0 {
-		in.SetRate(faults.KindJobFailure, "", s.prm.JobFailureProb)
-	}
 	in.OnFault(faults.KindNodeCrash, func(f faults.Fault, begin bool) {
 		if begin {
 			s.crashNode(f.Target)
@@ -347,7 +341,6 @@ func (s *Schedd) newJob() *Job {
 		return j
 	}
 	j := &Job{}
-	j.ctx.Job = j
 	j.match = func() { s.tryMatch(j) }
 	j.body = func(p *sim.Proc) { s.runJob(p, j) }
 	j.recycle = func() { s.reuse(j) }
@@ -376,7 +369,6 @@ func (s *Schedd) reuse(j *Job) {
 	done, match, body, recycle, wake, settled := j.done, j.match, j.body, j.recycle, j.wake, j.settled
 	*j = Job{done: done, match: match, body: body, recycle: recycle, wake: wake, settled: settled}
 	j.done.Reset()
-	j.ctx.Job = j
 	s.free = append(s.free, j)
 }
 
@@ -430,7 +422,6 @@ func (s *Schedd) dispatch(j *Job, best, feasible int) {
 	sd.claimed[j.slot] = true
 	j.status = StatusRunning
 	j.node = sd.node.Name
-	j.MatchedAt = s.env.Now()
 	s.running++
 	j.queue.End()
 	if tr != nil {
@@ -587,18 +578,6 @@ func (s *Schedd) decision(j *Job, best, feasible int) sched.Decision {
 	return sched.Decision{Node: sd.node.Name, Score: total, PerPlugin: per, Feasible: feasible}
 }
 
-// injectFailure decides whether this job suffers a transient injected
-// failure (starter crash, eviction). With a fault injector attached the
-// framework's KindJobFailure rate governs; otherwise the legacy
-// JobFailureProb knob rolls against the schedd's own RNG, preserving the
-// pre-framework random stream.
-func (s *Schedd) injectFailure(sd *startd) bool {
-	if s.faults != nil {
-		return s.faults.Roll(faults.KindJobFailure, sd.node.Name)
-	}
-	return s.prm.JobFailureProb > 0 && s.rng.Float64() < s.prm.JobFailureProb
-}
-
 // runJob drives one matched job: serialized shadow spawn, sandbox transfer
 // in, starter setup, payload, transfer out.
 func (s *Schedd) runJob(p *sim.Proc, j *Job) {
@@ -625,7 +604,7 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job) {
 	if sd.epoch != epoch {
 		// The node crashed between claim and start: the sandbox is gone.
 		err = faults.Transientf("condor: job %d lost: node %s crashed before start", j.ID, sd.node.Name)
-	} else if s.injectFailure(sd) {
+	} else if s.faults != nil && s.faults.Roll(faults.KindJobFailure, sd.node.Name) {
 		// Injected transient failure (starter crash, eviction): the job
 		// dies partway through its execution.
 		payload := tr.Start(j.claim, "condor", "payload", trace.L("status", "evicted"))

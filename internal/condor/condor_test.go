@@ -69,8 +69,13 @@ func fastPerJob(p *config.Params) {
 	p.CondorJitterFrac = 0
 }
 
+// matchedAt is when the schedd matched j: the start of its claim span,
+// which a tracer attached before the run records.
+func matchedAt(j *Job) time.Duration { return j.claim.Start() }
+
 func TestJobRunsAndCompletes(t *testing.T) {
 	f := newFixture(t, fastCycle)
+	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		j := submit(f.s, "task", 1<<20, 1<<19, func(ctx *ExecContext) error {
 			ctx.Node.Exec(ctx.Proc, 0.44, 1)
@@ -85,8 +90,8 @@ func TestJobRunsAndCompletes(t *testing.T) {
 		if j.Node() == "" {
 			t.Error("job has no node")
 		}
-		if !(j.SubmittedAt <= j.MatchedAt && j.MatchedAt <= j.StartedAt && j.StartedAt < j.FinishedAt) {
-			t.Errorf("timestamps out of order: %v %v %v %v", j.SubmittedAt, j.MatchedAt, j.StartedAt, j.FinishedAt)
+		if !(j.SubmittedAt <= matchedAt(j) && matchedAt(j) <= j.StartedAt && j.StartedAt < j.FinishedAt) {
+			t.Errorf("timestamps out of order: %v %v %v %v", j.SubmittedAt, matchedAt(j), j.StartedAt, j.FinishedAt)
 		}
 		f.s.Shutdown()
 	})
@@ -135,11 +140,12 @@ func TestJobWaitsForNegotiationCycle(t *testing.T) {
 		p.NegotiatorCycle = 10 * time.Second
 		p.NegotiatorJitterFrac = 0
 	})
+	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
 		_ = f.s.Wait(p, j)
-		if j.MatchedAt < 10*time.Second {
-			t.Errorf("matched at %v, before first cycle", j.MatchedAt)
+		if matchedAt(j) < 10*time.Second {
+			t.Errorf("matched at %v, before first cycle", matchedAt(j))
 		}
 		f.s.Shutdown()
 	})
@@ -181,6 +187,7 @@ func TestPoolSaturationDefersToNextCycle(t *testing.T) {
 		p.WorkerNodes = 1
 		p.CoresPerNode = 2 // 2 slots total
 	})
+	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 3; i++ {
@@ -193,8 +200,8 @@ func TestPoolSaturationDefersToNextCycle(t *testing.T) {
 			_ = f.s.Wait(p, j)
 		}
 		// Third job cannot match in the first cycle (2 slots).
-		if jobs[2].MatchedAt < 10*time.Second {
-			t.Errorf("third job matched at %v, want second cycle (≥10s)", jobs[2].MatchedAt)
+		if matchedAt(jobs[2]) < 10*time.Second {
+			t.Errorf("third job matched at %v, want second cycle (≥10s)", matchedAt(jobs[2]))
 		}
 		f.s.Shutdown()
 	})
@@ -301,12 +308,13 @@ func TestPerJobNegotiationDelay(t *testing.T) {
 		p.NegotiatorJitterFrac = 0
 		p.CondorJitterFrac = 0
 	})
+	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		p.Sleep(3 * time.Second) // submit mid-stream; delay counts from submit
 		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
 		_ = f.s.Wait(p, j)
-		if j.MatchedAt != 11*time.Second {
-			t.Errorf("matched at %v, want 11s (submit 3s + delay 8s)", j.MatchedAt)
+		if matchedAt(j) != 11*time.Second {
+			t.Errorf("matched at %v, want 11s (submit 3s + delay 8s)", matchedAt(j))
 		}
 		f.s.Shutdown()
 	})
@@ -452,6 +460,7 @@ func TestUnsatisfiableRequirementStaysIdle(t *testing.T) {
 
 func TestRequirementsDoNotBlockQueueInCycleMode(t *testing.T) {
 	f := newFixture(t, fastCycle)
+	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		// Unsatisfiable job submitted FIRST; the later unconstrained job
 		// must still be matched in the same cycle.
@@ -461,8 +470,8 @@ func TestRequirementsDoNotBlockQueueInCycleMode(t *testing.T) {
 		if err := f.s.Wait(p, ok); err != nil {
 			t.Fatal(err)
 		}
-		if ok.MatchedAt > 2*time.Second {
-			t.Errorf("unconstrained job matched at %v; head-of-line blocked", ok.MatchedAt)
+		if matchedAt(ok) > 2*time.Second {
+			t.Errorf("unconstrained job matched at %v; head-of-line blocked", matchedAt(ok))
 		}
 		f.s.Shutdown()
 	})

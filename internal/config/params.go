@@ -126,17 +126,6 @@ type Params struct {
 	// low for this long (the recommendation becomes the max over the
 	// trailing delay window). 0 = immediate scale-down, the seed behaviour.
 	ScaleDownDelay time.Duration
-	// ActivationScale is the minimum nonzero replica recommendation:
-	// scaling up from (or near) zero jumps straight to this count
-	// ("autoscaling.knative.dev/activation-scale"). Values <= 1 are
-	// neutral, the seed behaviour.
-	ActivationScale int
-	// HPASyncPeriod is the HPA-class autoscaler's evaluation period
-	// (kubernetes horizontal-pod-autoscaler sync interval).
-	HPASyncPeriod time.Duration
-	// HPATargetUtilization is the HPA-class target CPU utilization
-	// fraction per pod.
-	HPATargetUtilization float64
 
 	// ---- Kubernetes ----
 
@@ -223,12 +212,6 @@ type Params struct {
 	// triggers release successors). Parse with ParseExecMode; unknown
 	// values fail the run, never fall back to poll.
 	ExecMode string
-	// JobFailureProb injects transient job failures (starter crashes,
-	// evictions) with this per-job probability, exercising the WMS retry
-	// machinery (Pegasus's fault tolerance, §II-C). 0 disables injection.
-	// When a fault injector is attached it absorbs this knob as the
-	// standing rate for faults.KindJobFailure.
-	JobFailureProb float64
 
 	// ---- Retry policies (unified fault-recovery configuration) ----
 
@@ -341,8 +324,6 @@ func Default() Params {
 		PanicThreshold:         2.0,
 		ScaleToZeroGrace:       30 * time.Second,
 		DefaultTarget:          1,
-		HPASyncPeriod:          15 * time.Second,
-		HPATargetUtilization:   0.7,
 
 		SchedulerLatency: 40 * time.Millisecond,
 

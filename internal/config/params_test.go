@@ -47,7 +47,7 @@ func TestDefaultInternallyConsistent(t *testing.T) {
 		"ContainerCreate": p.ContainerCreate, "ContainerStart": p.ContainerStart,
 		"ContainerStopRemove": p.ContainerStopRemove, "ColdStartAppInit": p.ColdStartAppInit,
 		"NegotiationDelay": p.NegotiationDelay, "DAGManPoll": p.DAGManPoll,
-		"AutoscalerTick": p.AutoscalerTick, "HPASyncPeriod": p.HPASyncPeriod,
+		"AutoscalerTick": p.AutoscalerTick,
 	} {
 		if d <= 0 {
 			t.Errorf("%s = %v", name, d)
@@ -55,9 +55,6 @@ func TestDefaultInternallyConsistent(t *testing.T) {
 	}
 	if !p.PerJobNegotiation {
 		t.Error("per-job negotiation should be the calibrated default")
-	}
-	if p.JobFailureProb != 0 {
-		t.Error("failure injection must default off")
 	}
 }
 

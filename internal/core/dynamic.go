@@ -14,7 +14,6 @@ import (
 
 // DynamicRun records one event-triggered workflow execution.
 type DynamicRun struct {
-	Event  knative.Event
 	Result *wms.RunResult
 	Err    error
 }
@@ -25,7 +24,8 @@ type DynamicRuns struct {
 	runs []*DynamicRun
 }
 
-// Runs returns the completed (and failed) executions so far.
+// Runs returns the completed (and failed) executions so far, in the order
+// their events were delivered.
 func (d *DynamicRuns) Runs() []*DynamicRun { return d.runs }
 
 // Wait blocks until every workflow triggered so far has finished.
@@ -38,11 +38,11 @@ type WorkflowBuilder func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner)
 // WatchAndRun subscribes to the broker: every event of eventType is turned
 // into a workflow by build and run through the engine immediately. The
 // returned DynamicRuns tracks completions.
-func (s *Stack) WatchAndRun(broker *knative.Broker, triggerName, eventType string, build WorkflowBuilder) *DynamicRuns {
+func (s *Stack) WatchAndRun(broker *knative.Broker, eventType string, build WorkflowBuilder) *DynamicRuns {
 	d := &DynamicRuns{wg: sim.NewWaitGroup(s.Env)}
-	broker.Subscribe(triggerName, eventType, "", func(ev knative.Event) {
+	broker.Subscribe(eventType, "", func(ev knative.Event) {
 		wf, assign := build(ev)
-		run := &DynamicRun{Event: ev}
+		run := &DynamicRun{}
 		d.runs = append(d.runs, run)
 		d.wg.Add(1)
 		s.Engine.RunWorkflowThen(wf, assign, func(res *wms.RunResult, err error) {

@@ -25,7 +25,7 @@ func TestWatchAndRunLaunchesWorkflowPerEvent(t *testing.T) {
 		}
 		broker := s.Knative.NewBroker("default")
 		n := 0
-		dyn = s.WatchAndRun(broker, "on-data", "data.arrived",
+		dyn = s.WatchAndRun(broker, "data.arrived",
 			func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner) {
 				n++
 				return workload.Chain(fmt.Sprintf("d%d", n), 2, prm.MatrixBytes), wms.AssignAll(wms.ModeServerless)
@@ -71,7 +71,7 @@ func TestWatchAndRunOverlappingEvents(t *testing.T) {
 		}
 		broker := s.Knative.NewBroker("default")
 		n := 0
-		dyn = s.WatchAndRun(broker, "on-data", "data.arrived",
+		dyn = s.WatchAndRun(broker, "data.arrived",
 			func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner) {
 				n++
 				return workload.Chain(fmt.Sprintf("o%d", n), 3, prm.MatrixBytes), wms.AssignAll(wms.ModeServerless)

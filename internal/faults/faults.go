@@ -12,9 +12,8 @@
 //     all deliver this way;
 //   - probabilistic faults: a window activates a per-operation failure rate
 //     that a substrate polls with Roll at each vulnerable operation —
-//     transient condor job failures (absorbing the former standalone
-//     JobFailureProb knob), registry pull errors, container create/start
-//     failures (crt), and pod cold-start failures (kube).
+//     transient condor job failures, registry pull errors, container
+//     create/start failures (crt), and pod cold-start failures (kube).
 //
 // All randomness is drawn from a generator forked from the environment's
 // seeded RNG, and every delivered or fired fault is appended to a textual
@@ -74,8 +73,7 @@ const (
 	// after the container has started (readiness never reached).
 	KindColdStartFail Kind = "coldstart-fail"
 	// KindJobFailure injects transient condor job failures (starter crash,
-	// eviction) with probability Rate — the framework's absorption of the
-	// former config.JobFailureProb-only path.
+	// eviction) with probability Rate.
 	KindJobFailure Kind = "job-failure"
 	// KindStoreOutage makes the object store reject every request for the
 	// window.
@@ -167,13 +165,8 @@ func (in *Injector) deliver(f Fault, begin bool) {
 	}
 }
 
-// SetRate activates a standing per-operation failure rate for a kind and
-// target outside any scheduled window — the programmatic equivalent of an
-// open-ended window fault. Target "" applies to all targets of the kind.
-func (in *Injector) SetRate(kind Kind, target string, p float64) {
-	in.setRate(kind, target, p)
-}
-
+// setRate sets the active failure rate of a kind at a target; target ""
+// applies to all targets of the kind, and p <= 0 clears the rate.
 func (in *Injector) setRate(kind Kind, target string, p float64) {
 	m := in.rates[kind]
 	if m == nil {

@@ -73,8 +73,8 @@ func TestWindowActivatesAndClearsRate(t *testing.T) {
 func TestRatePrefersLargerOfTargetAndGlobal(t *testing.T) {
 	env := sim.NewEnv(1)
 	in := NewInjector(env)
-	in.SetRate(KindRegistryError, "", 0.1)
-	in.SetRate(KindRegistryError, "worker2", 0.6)
+	in.setRate(KindRegistryError, "", 0.1)
+	in.setRate(KindRegistryError, "worker2", 0.6)
 	if got := in.rate(KindRegistryError, "worker2"); got != 0.6 {
 		t.Errorf("target rate = %g, want 0.6", got)
 	}
@@ -100,7 +100,7 @@ func TestRollRespectsProbabilityAndTracesFires(t *testing.T) {
 		t.Errorf("events = %d before any rate", in.Events())
 	}
 
-	in.SetRate(KindJobFailure, "", 1)
+	in.setRate(KindJobFailure, "", 1)
 	if !in.Roll(KindJobFailure, "worker1") {
 		t.Error("p=1 roll did not fire")
 	}
@@ -108,7 +108,7 @@ func TestRollRespectsProbabilityAndTracesFires(t *testing.T) {
 		t.Errorf("trace missing fire record:\n%s", in.Trace())
 	}
 
-	in.SetRate(KindJobFailure, "", 0.3)
+	in.setRate(KindJobFailure, "", 0.3)
 	fired := 0
 	const n = 2000
 	for i := 0; i < n; i++ {

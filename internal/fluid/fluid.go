@@ -89,12 +89,6 @@ func (s *Server) SetCapacity(c float64) {
 // Load returns the number of jobs currently in service.
 func (s *Server) Load() int { return len(s.jobs) }
 
-// Served returns the total work completed so far.
-func (s *Server) Served() float64 {
-	s.advance()
-	return s.served
-}
-
 // Run serves `work` units for the calling process, sharing the server with
 // every other concurrent job, and blocks until the work completes. maxRate
 // caps the job's service rate (0 = uncapped): a containerized task with a

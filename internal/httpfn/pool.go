@@ -23,21 +23,21 @@ type Pool struct {
 
 	// Target is the desired in-flight requests per replica.
 	Target int
-	// Min and Max bound the replica count.
-	Min, Max int
+	// Max is the replica ceiling; NewPool starts the floor.
+	Max int
 	// AppInit is each new replica's initialisation delay (the cold start).
 	AppInit time.Duration
 
-	// ColdStarts counts replicas launched after the initial Min.
+	// ColdStarts counts replicas launched after the initial ones.
 	ColdStarts int
 }
 
-// NewPool starts a pool with its Min replicas running.
+// NewPool starts a pool with its min replicas running.
 func NewPool(target, min, max int, appInit time.Duration) (*Pool, error) {
 	if target < 1 || min < 1 || max < min {
 		return nil, fmt.Errorf("httpfn: bad pool bounds target=%d min=%d max=%d", target, min, max)
 	}
-	p := &Pool{Target: target, Min: min, Max: max, AppInit: appInit}
+	p := &Pool{Target: target, Max: max, AppInit: appInit}
 	for i := 0; i < min; i++ {
 		if err := p.addServerLocked(0); err != nil {
 			p.Close()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -28,8 +27,6 @@ type Event struct {
 	Subject string
 	// DataBytes is the payload size carried with the event.
 	DataBytes int64
-	// At is stamped by the broker on acceptance.
-	At time.Duration
 }
 
 // Handler consumes a delivered event. It runs from the run queue at the
@@ -41,7 +38,6 @@ type Handler func(ev Event)
 // Trigger subscribes a handler to events of one type ("" matches all),
 // optionally narrowed to subjects with a given prefix.
 type Trigger struct {
-	Name      string
 	TypeMatch string
 	// SubjectPrefix, when non-empty, delivers only events whose Subject
 	// starts with it (e.g. one workflow's "<name>/" task namespace).
@@ -81,8 +77,8 @@ func (kn *Knative) NewBroker(name string) *Broker {
 
 // Subscribe registers a trigger for events of type typeMatch whose Subject
 // has the given prefix; an empty filter matches everything.
-func (b *Broker) Subscribe(name, typeMatch, subjectPrefix string, h Handler) *Trigger {
-	tr := &Trigger{Name: name, TypeMatch: typeMatch, SubjectPrefix: subjectPrefix, Handler: h}
+func (b *Broker) Subscribe(typeMatch, subjectPrefix string, h Handler) *Trigger {
+	tr := &Trigger{TypeMatch: typeMatch, SubjectPrefix: subjectPrefix, Handler: h}
 	b.triggers = append(b.triggers, tr)
 	return tr
 }
@@ -168,9 +164,7 @@ func (pub *publication) accepted() {
 		pub.finish(fmt.Errorf("knative: broker %s shut down during publish", b.name))
 		return
 	}
-	ev := pub.ev
-	ev.At = b.kn.env.Now()
-	b.queue.Send(ev)
+	b.queue.Send(pub.ev)
 	pub.finish(nil)
 }
 

@@ -12,10 +12,10 @@ func TestBrokerDeliversToMatchingTriggers(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var fileEvents, allEvents []Event
-	broker.Subscribe("file-watcher", "dev.repro.file.arrived", "", func(ev Event) {
+	broker.Subscribe("dev.repro.file.arrived", "", func(ev Event) {
 		fileEvents = append(fileEvents, ev)
 	})
-	broker.Subscribe("audit", "", "", func(ev Event) {
+	broker.Subscribe("", "", func(ev Event) {
 		allEvents = append(allEvents, ev)
 	})
 	f.env.Go("producer", func(p *sim.Proc) {
@@ -37,7 +37,7 @@ func TestBrokerHandlersRunConcurrently(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var done []time.Duration
-	broker.Subscribe("slow", "tick", "", func(ev Event) {
+	broker.Subscribe("tick", "", func(ev Event) {
 		f.env.Go("slow", func(p *sim.Proc) {
 			p.Sleep(10 * time.Second)
 			done = append(done, p.Now())
@@ -64,7 +64,7 @@ func TestBrokerHandlersRunConcurrently(t *testing.T) {
 func TestBrokerEventPayloadChargesNetwork(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
-	broker.Subscribe("sink", "", "", func(ev Event) {})
+	broker.Subscribe("", "", func(ev Event) {})
 	f.env.Go("producer", func(p *sim.Proc) {
 		start := p.Now()
 		_ = broker.Publish(p, "worker1", Event{Type: "big", DataBytes: 125_000_000}) // 1s at 1Gbps... worker egress is 10Gbps
@@ -102,7 +102,7 @@ func TestEventTriggeredInvocation(t *testing.T) {
 			return
 		}
 		broker := f.kn.NewBroker("default")
-		broker.Subscribe("on-data", "dev.repro.file.arrived", "", func(ev Event) {
+		broker.Subscribe("dev.repro.file.arrived", "", func(ev Event) {
 			f.env.Go("on-data", func(hp *sim.Proc) {
 				if _, err := svc.Invoke(hp, req(0.42)); err == nil {
 					served++
@@ -131,7 +131,7 @@ func TestShutdownRacesInflightPublish(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	delivered := 0
-	broker.Subscribe("sink", "", "", func(ev Event) { delivered++ })
+	broker.Subscribe("", "", func(ev Event) { delivered++ })
 	var raceErr error
 	f.env.Go("producer", func(p *sim.Proc) {
 		// Blocks in the ingress hop; the stopper shuts the broker down in
@@ -157,7 +157,7 @@ func TestShutdownDrainsAcceptedEvents(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	delivered := 0
-	broker.Subscribe("sink", "", "", func(ev Event) { delivered++ })
+	broker.Subscribe("", "", func(ev Event) { delivered++ })
 	f.env.Go("producer", func(p *sim.Proc) {
 		_ = broker.Publish(p, "worker1", Event{Type: "a"})
 		_ = broker.Publish(p, "worker1", Event{Type: "b"})
@@ -176,10 +176,10 @@ func TestSubjectPrefixFilterAndUnsubscribe(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	var wfA, all []string
-	trig := broker.Subscribe("wf-a", "task.settled", "wfA/", func(ev Event) {
+	trig := broker.Subscribe("task.settled", "wfA/", func(ev Event) {
 		wfA = append(wfA, ev.Subject)
 	})
-	broker.Subscribe("audit", "", "", func(ev Event) {
+	broker.Subscribe("", "", func(ev Event) {
 		all = append(all, ev.Subject)
 	})
 	f.env.Go("producer", func(p *sim.Proc) {
@@ -211,8 +211,8 @@ func TestDeliveryCycleAllocatesNothing(t *testing.T) {
 	handled := 0
 	count := func() { handled++ }
 	handler := func(ev Event) { f.env.Delay(time.Millisecond, count) }
-	broker.Subscribe("a", "tick", "", handler)
-	broker.Subscribe("b", "", "", handler)
+	broker.Subscribe("tick", "", handler)
+	broker.Subscribe("", "", handler)
 	f.env.Go("producer", func(p *sim.Proc) {
 		for {
 			_ = broker.Publish(p, "worker1", Event{Type: "tick", Subject: "s"})
@@ -241,7 +241,7 @@ func TestPublishThenReportsWhereProcessResumes(t *testing.T) {
 	f := newFixture(t)
 	broker := f.kn.NewBroker("default")
 	sunk := 0
-	broker.Subscribe("sink", "", "", func(Event) { sunk++ })
+	broker.Subscribe("", "", func(Event) { sunk++ })
 	var procAt, thenAt time.Duration
 	var thenErr, raceErr, stoppedErr error
 	f.env.Go("producer", func(p *sim.Proc) {

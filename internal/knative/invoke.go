@@ -283,7 +283,7 @@ func (c *call) admit() {
 		c.cold = true
 		s.ColdStarts++
 		c.phase = tr.Start(c.sp, "knative", "coldstart", trace.L("service", s.spec.Name))
-		if s.StartingPods() == 0 {
+		if s.StartingPods() == 0 && !s.stopped {
 			s.scaleTo(1)
 		}
 		c.stage = callColdWait

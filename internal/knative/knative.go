@@ -28,19 +28,6 @@ import (
 	"repro/internal/trace"
 )
 
-// AutoscalerClass selects the scaling algorithm, mirroring the
-// "autoscaling.knative.dev/class" annotation.
-type AutoscalerClass int
-
-const (
-	// ClassKPA is knative's pod autoscaler: concurrency-based with stable
-	// and panic windows, able to scale to zero (the default).
-	ClassKPA AutoscalerClass = iota
-	// ClassHPA is the kubernetes horizontal pod autoscaler: CPU-utilization
-	// based, slower cadence, no panic mode, no scale-to-zero.
-	ClassHPA
-)
-
 // RoutePolicy selects how the router picks among ready replicas.
 type RoutePolicy int
 
@@ -94,9 +81,7 @@ type ServiceSpec struct {
 	AppInit time.Duration
 	// Routing selects the replica-picking policy (default: least requests).
 	Routing RoutePolicy
-	// Class selects the autoscaling algorithm (default: KPA).
-	Class AutoscalerClass
-	// ScalingMetric selects the KPA class's driving signal — concurrency
+	// ScalingMetric selects the autoscaler's driving signal — concurrency
 	// (default) or requests/s, the "autoscaling.knative.dev/metric"
 	// annotation. Target is interpreted in the chosen metric's unit.
 	ScalingMetric kpa.Metric
@@ -162,7 +147,7 @@ type podHandle struct {
 type Service struct {
 	kn    *Knative
 	spec  ServiceSpec
-	ascfg kpa.Config // validated autoscaler parameterization (KPA or HPA)
+	ascfg kpa.Config // validated autoscaler parameterization
 
 	pods     []*podHandle
 	nextPod  int
@@ -261,12 +246,7 @@ func (kn *Knative) Deploy(p *sim.Proc, spec ServiceSpec) (*Service, error) {
 	if spec.Target <= 0 {
 		spec.Target = kn.prm.DefaultTarget
 	}
-	var ascfg kpa.Config
-	if spec.Class == ClassHPA {
-		ascfg = kn.hpaConfig(spec)
-	} else {
-		ascfg = kn.kpaConfig(spec)
-	}
+	ascfg := kn.kpaConfig(spec)
 	if err := ascfg.Validate(); err != nil {
 		return nil, fmt.Errorf("knative: deploy %s: %w", spec.Name, err)
 	}
@@ -581,9 +561,9 @@ func (s *Service) idleVictim() *podHandle {
 }
 
 // kpaConfig maps the platform parameters plus a service's spec onto the
-// KPA-class autoscaler configuration. The zero values of the optional
-// Params knobs (rate clamps, scale-down delay, activation scale) leave the
-// seed parameterization untouched.
+// autoscaler configuration. The zero values of the optional Params knobs
+// (rate clamps, scale-down delay) leave the seed parameterization
+// untouched.
 func (kn *Knative) kpaConfig(spec ServiceSpec) kpa.Config {
 	prm := kn.prm
 	return kpa.Config{
@@ -600,33 +580,6 @@ func (kn *Knative) kpaConfig(spec ServiceSpec) kpa.Config {
 		MinScale:         spec.MinScale,
 		MaxScale:         spec.MaxScale,
 		InitialScale:     spec.InitialScale,
-		ActivationScale:  prm.ActivationScale,
-	}
-}
-
-// hpaConfig maps a service's spec onto the HPA-class configuration: CPU
-// utilization expressed as a concurrency target (in-flight requests each
-// consume up to one core against the pod's quota, so the per-pod target is
-// CapCores × target utilization), one sync period as both tick and window
-// (the kubernetes HPA averages over its own metric pipeline, modelled as
-// the sync cadence itself), no panic mode, no scale to zero — the floor is
-// max(MinScale, 1).
-func (kn *Knative) hpaConfig(spec ServiceSpec) kpa.Config {
-	perPod := 1.0
-	if spec.CapCores > 0 {
-		perPod = spec.CapCores
-	}
-	min := spec.MinScale
-	if min < 1 {
-		min = 1
-	}
-	return kpa.Config{
-		TargetValue:  perPod * kn.prm.HPATargetUtilization,
-		Tick:         kn.prm.HPASyncPeriod,
-		StableWindow: kn.prm.HPASyncPeriod,
-		MinScale:     min,
-		MaxScale:     spec.MaxScale,
-		InitialScale: spec.InitialScale,
 	}
 }
 
@@ -640,13 +593,12 @@ const (
 	scaleWrite                    // the scale write elapsed: reconcile
 )
 
-// autoscale is the service's one reconcile loop, for either class: every
-// tick it records the instantaneous concurrency and the request rate over
-// the elapsed tick into the sliding windows, asks the kpa autoscaler for a
-// recommendation, and reconciles the replica count. The class only picks
-// the kpa.Config (kpaConfig or hpaConfig); all algorithmic state (windows,
-// panic exit, idle clock, delay window) lives in internal/kpa. Each wait
-// arms s.step, which runs in the event callback when the wait ends.
+// autoscale is the service's one reconcile loop: every tick it records the
+// instantaneous concurrency and the request rate over the elapsed tick
+// into the sliding windows, asks the kpa autoscaler for a recommendation,
+// and reconciles the replica count. All algorithmic state (windows, panic
+// exit, idle clock, delay window) lives in internal/kpa. Each wait arms
+// s.step, which runs in the event callback when the wait ends.
 func (s *Service) autoscale() {
 	if s.stopped {
 		return

@@ -1,6 +1,7 @@
 package knative
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -370,6 +371,39 @@ func TestInvokeAfterShutdownFails(t *testing.T) {
 		}
 	})
 	f.env.Run()
+}
+
+// TestShutdownDuringIngressStartsNoPod: a cold request whose ingress hop
+// spans Shutdown fails as shut down while queued and scales nothing from
+// zero, so no pod or container outlives the shutdown.
+func TestShutdownDuringIngressStartsNoPod(t *testing.T) {
+	f := newFixture(t)
+	var svc *Service
+	var invokeErr error
+	f.env.Go("main", func(p *sim.Proc) {
+		f.prePull(p)
+		var err error
+		if svc, err = f.kn.Deploy(p, baseSpec()); err != nil {
+			t.Error(err)
+			return
+		}
+		r := req(0.1)
+		r.From = "worker1"
+		svc.InvokeAsync(r, func(_ Response, err error) { invokeErr = err })
+		f.kn.Shutdown()
+	})
+	f.env.Run()
+	if invokeErr == nil || !strings.Contains(invokeErr.Error(), "shut down while queued") {
+		t.Errorf("invoke error = %v, want shut down while queued", invokeErr)
+	}
+	if svc != nil && len(svc.pods) != 0 {
+		t.Errorf("service holds %d pods after shutdown, want 0", len(svc.pods))
+	}
+	for _, w := range f.k.Workers() {
+		if n := f.k.Runtime(w).Live(); n != 0 {
+			t.Errorf("%s: %d containers live after shutdown, want 0", w, n)
+		}
+	}
 }
 
 func TestSimulationDrainsAfterShutdown(t *testing.T) {

@@ -85,18 +85,16 @@ func (c Config) ClampBounds(desired int) int {
 //     PanicThreshold × ready pushes the panic exit out to now+StableWindow;
 //     while panicking the recommendation is max(stable, panic), so panic
 //     never recommends below stable;
-//  3. activation: a positive recommendation below ActivationScale is
-//     raised to it;
-//  4. scale-down delay: the recommendation is the max over the trailing
+//  3. scale-down delay: the recommendation is the max over the trailing
 //     ScaleDownDelay window, so scale-ups pass through immediately and
 //     scale-downs wait out the delay;
-//  5. bounds: MinScale/MaxScale clamp;
-//  6. scale-to-zero grace: the first zero recommendation only starts the
+//  4. bounds: MinScale/MaxScale clamp;
+//  5. scale-to-zero grace: the first zero recommendation only starts the
 //     idle clock (Hold), and zero is released only after the service has
 //     stayed idle for ScaleToZeroGrace.
 func (a *Autoscaler) Scale(snap Snapshot, now time.Duration) Recommendation {
 	if !snap.Valid {
-		return Recommendation{Hold: true, InPanic: a.inPanic(now)}
+		return Recommendation{Hold: true}
 	}
 	ready := snap.ReadyPods
 	if ready < 1 {
@@ -108,14 +106,9 @@ func (a *Autoscaler) Scale(snap Snapshot, now time.Duration) Recommendation {
 	if a.cfg.PanicThreshold > 0 && float64(desiredPanic) >= a.cfg.PanicThreshold*float64(ready) {
 		a.panicEnd = now + a.cfg.StableWindow
 	}
-	inPanic := a.inPanic(now)
 	desired := desiredStable
-	if inPanic && desiredPanic > desired {
+	if a.inPanic(now) && desiredPanic > desired {
 		desired = desiredPanic
-	}
-
-	if desired > 0 && desired < a.cfg.ActivationScale {
-		desired = a.cfg.ActivationScale
 	}
 
 	if a.cfg.ScaleDownDelay > 0 {
@@ -130,13 +123,13 @@ func (a *Autoscaler) Scale(snap Snapshot, now time.Duration) Recommendation {
 	if desired == 0 && a.cfg.MinScale == 0 {
 		if a.idleSince < 0 {
 			a.idleSince = now
-			return Recommendation{Hold: true, InPanic: inPanic}
+			return Recommendation{Hold: true}
 		}
 		if now-a.idleSince < a.cfg.ScaleToZeroGrace {
-			return Recommendation{Hold: true, InPanic: inPanic}
+			return Recommendation{Hold: true}
 		}
 	} else {
 		a.idleSince = -1
 	}
-	return Recommendation{Desired: desired, InPanic: inPanic}
+	return Recommendation{Desired: desired}
 }

@@ -41,8 +41,8 @@ func runSteps(t *testing.T, a *Autoscaler, steps []step) {
 		if !rec.Hold && rec.Desired != st.want {
 			t.Fatalf("step %d (t=%v): Desired = %d, want %d", i, st.now, rec.Desired, st.want)
 		}
-		if rec.InPanic != st.wantInPanic {
-			t.Fatalf("step %d (t=%v): InPanic = %v, want %v", i, st.now, rec.InPanic, st.wantInPanic)
+		if inPanic := a.inPanic(st.now); inPanic != st.wantInPanic {
+			t.Fatalf("step %d (t=%v): in panic = %v, want %v", i, st.now, inPanic, st.wantInPanic)
 		}
 	}
 }
@@ -301,7 +301,7 @@ func TestKPAScaleToZeroGrace(t *testing.T) {
 	}
 }
 
-// TestKPABounds is the min/max/initial/activation bounds table.
+// TestKPABounds is the min/max/initial bounds table.
 func TestKPABounds(t *testing.T) {
 	t.Run("ClampBounds", func(t *testing.T) {
 		cases := []struct {
@@ -349,50 +349,6 @@ func TestKPABounds(t *testing.T) {
 				}
 			})
 		}
-	})
-
-	t.Run("ActivationScale", func(t *testing.T) {
-		cases := []struct {
-			name       string
-			activation int
-			stable     float64
-			want       int
-		}{
-			{name: "small load jumps to activation scale", activation: 3, stable: 0.5, want: 3},
-			{name: "load above activation unaffected", activation: 3, stable: 7, want: 7},
-			{name: "activation one is neutral", activation: 1, stable: 0.5, want: 1},
-			{name: "activation zero is neutral", activation: 0, stable: 2, want: 2},
-			{name: "load exactly at activation stays", activation: 3, stable: 3, want: 3},
-		}
-		for _, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) {
-				cfg := defaultConfig()
-				cfg.PanicThreshold = 0
-				cfg.PanicWindow = 0
-				cfg.ActivationScale = tc.activation
-				a := MustNew(cfg)
-				rec := a.Scale(Snapshot{StableValue: tc.stable, PanicValue: tc.stable, ReadyPods: 1, Valid: true}, 0)
-				if rec.Hold || rec.Desired != tc.want {
-					t.Errorf("Scale = %+v, want Desired %d", rec, tc.want)
-				}
-			})
-		}
-
-		// Activation does not resurrect a truly idle service: zero stays
-		// zero (after grace), it is a floor on *nonzero* recommendations.
-		t.Run("zero load not activated", func(t *testing.T) {
-			cfg := defaultConfig()
-			cfg.ActivationScale = 3
-			cfg.ScaleToZeroGrace = 0
-			a := MustNew(cfg)
-			idle := Snapshot{StableValue: 0, PanicValue: 0, ReadyPods: 1, Valid: true}
-			if rec := a.Scale(idle, 0); !rec.Hold {
-				t.Fatalf("first idle decision = %+v, want Hold", rec)
-			}
-			if rec := a.Scale(idle, 2*s); rec.Hold || rec.Desired != 0 {
-				t.Errorf("idle decision = %+v, want Desired 0", rec)
-			}
-		})
 	})
 }
 
@@ -472,7 +428,6 @@ func TestKPAConfigValidate(t *testing.T) {
 		{name: "max below min invalid", mutate: func(c *Config) { c.MinScale = 5; c.MaxScale = 3 }, wantErr: "MaxScale"},
 		{name: "max equal min valid", mutate: func(c *Config) { c.MinScale = 3; c.MaxScale = 3 }},
 		{name: "negative initial invalid", mutate: func(c *Config) { c.InitialScale = -1 }, wantErr: "InitialScale"},
-		{name: "negative activation invalid", mutate: func(c *Config) { c.ActivationScale = -1 }, wantErr: "ActivationScale"},
 		{name: "unknown metric invalid", mutate: func(c *Config) { c.ScalingMetric = Metric(42) }, wantErr: "ScalingMetric"},
 		{name: "multiple violations all reported",
 			mutate:  func(c *Config) { c.TargetValue = 0; c.Tick = 0 },

@@ -2,8 +2,8 @@
 // pure, deterministic library in the style of libkpa: sliding-window metric
 // aggregation over concurrency and request rate, stable vs panic mode with
 // threshold entry and windowed exit, scale-up/down rate clamps, a
-// scale-down delay window, scale-to-zero grace, and min/max/initial/
-// activation bounds.
+// scale-down delay window, scale-to-zero grace, and min/max/initial
+// bounds.
 //
 // The package has no dependency on the simulator: time is an explicit
 // virtual-clock parameter (time.Duration since simulation start), metric
@@ -15,11 +15,9 @@
 //
 // Window averages are uniform. The zero-valued knobs of Config reproduce
 // the original minimal autoscaler loop this library replaced (no rate
-// clamps, no scale-down delay, activation scale 1), which keeps the seed
-// experiments byte-identical under the default parameterization. Both of
-// the serving layer's autoscaler classes run on this library through one
-// reconcile loop; the HPA class is a Config whose tick and stable window
-// are one sync period, with no panic mode and a floor of one replica.
+// clamps, no scale-down delay), which keeps the seed experiments
+// byte-identical under the default parameterization. The serving layer's
+// one reconcile loop runs on this library.
 package kpa
 
 import (
@@ -99,9 +97,6 @@ type Config struct {
 	// InitialScale is the replica count provisioned at deployment; the
 	// effective initial count is max(InitialScale, MinScale) (Initial()).
 	InitialScale int
-	// ActivationScale is the minimum nonzero recommendation: scaling from
-	// or near zero jumps straight to this count. Values <= 1 are neutral.
-	ActivationScale int
 }
 
 // Validate checks the configuration, returning an error describing every
@@ -160,9 +155,6 @@ func (c Config) Validate() error {
 	if c.InitialScale < 0 {
 		errs = append(errs, fmt.Errorf("InitialScale must be >= 0, got %d", c.InitialScale))
 	}
-	if c.ActivationScale < 0 {
-		errs = append(errs, fmt.Errorf("ActivationScale must be >= 0, got %d", c.ActivationScale))
-	}
 	if len(errs) > 0 {
 		return fmt.Errorf("kpa: invalid config: %w", errors.Join(errs...))
 	}
@@ -197,8 +189,6 @@ type Snapshot struct {
 type Recommendation struct {
 	// Desired is the recommended replica count. Meaningless when Hold.
 	Desired int
-	// InPanic reports whether panic mode was active for this decision.
-	InPanic bool
 	// Hold means "keep the current replica count": either the snapshot had
 	// no data, or a scale-to-zero is pending its grace period.
 	Hold bool

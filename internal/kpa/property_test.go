@@ -32,9 +32,6 @@ func randConfig(rng *sim.RNG) Config {
 	if cfg.MaxScale > 0 && cfg.MinScale > cfg.MaxScale {
 		cfg.MinScale = cfg.MaxScale
 	}
-	if rng.Intn(2) == 0 {
-		cfg.ActivationScale = rng.Intn(4)
-	}
 	return cfg
 }
 
@@ -89,7 +86,7 @@ func TestKPAPropertyClampIdempotent(t *testing.T) {
 	}
 }
 
-// TestKPAPropertyPanicNeverBelowStable: with delay and activation out of
+// TestKPAPropertyPanicNeverBelowStable: with the delay window out of
 // the way, every non-hold recommendation is at least the stable-mode
 // recommendation — panic can only raise, never lower.
 func TestKPAPropertyPanicNeverBelowStable(t *testing.T) {
@@ -97,7 +94,6 @@ func TestKPAPropertyPanicNeverBelowStable(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		cfg := randConfig(rng)
 		cfg.ScaleDownDelay = 0
-		cfg.ActivationScale = 0
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid random config: %v", trial, err)
 		}

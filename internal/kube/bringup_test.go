@@ -32,7 +32,7 @@ func injectRate(f *fixture, kind faults.Kind) {
 		set[w.Name] = f.k.Runtime(w.Name)
 	}
 	set.AttachFaults(in)
-	in.SetRate(kind, "", 1)
+	in.Schedule(faults.Fault{Kind: kind, At: f.env.Now(), Rate: 1})
 }
 
 // awaitStarted polls in 1 ms steps until the pod's container is running.

@@ -12,12 +12,10 @@ import (
 
 // Summary holds basic descriptive statistics of a sample.
 type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
+	N    int
+	Mean float64
+	Min  float64
+	Max  float64
 }
 
 // Summarize computes descriptive statistics. An empty sample yields a zero
@@ -38,15 +36,6 @@ func Summarize(xs []float64) Summary {
 		}
 	}
 	s.Mean = sum / float64(len(xs))
-	ss := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Percentile(xs, 50)
 	return s
 }
 

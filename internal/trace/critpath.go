@@ -160,11 +160,8 @@ type Step struct {
 // with a per-stage decomposition that reconciles exactly with the makespan:
 // summing Stages over all buckets yields Makespan to the nanosecond.
 type CriticalPath struct {
-	// Workflow is the workflow name.
-	Workflow string
-	// Start and End delimit the workflow span; Makespan = End − Start.
-	Start, End time.Duration
-	Makespan   time.Duration
+	// Start is when the workflow span began; Makespan is its length.
+	Start, Makespan time.Duration
 	// Steps is the critical path in execution order.
 	Steps []Step
 	// Stages aggregates the per-step decompositions plus StageIdle slack.
@@ -259,9 +256,7 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 	}
 
 	cp := &CriticalPath{
-		Workflow: workflow,
 		Start:    wf.start,
-		End:      wf.end,
 		Makespan: wf.end - wf.start,
 		Stages:   make(map[Stage]time.Duration),
 	}

@@ -36,9 +36,8 @@ type dagRun struct {
 	inflight []int32  // tasks with a live flight, sorted by ID (the poll scan order)
 	scan     []int32  // reused snapshot of inflight for one poll tick
 
-	tracer      *trace.Tracer
-	wfSpan      *trace.Span
-	absDeadline time.Duration
+	tracer *trace.Tracer
+	wfSpan *trace.Span
 
 	mode   config.ExecMode
 	done   func(*RunResult, error) // the caller's continuation
@@ -116,17 +115,13 @@ func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState
 func (d *dagRun) setReady(i int32) { d.ready[i>>6] |= 1 << (i & 63) }
 
 // submitReady submits ready tasks in declaration order until the set is
-// exhausted or the MaxInflight throttle (DAGMan -maxjobs) is reached. A
-// task still inside its retry backoff is skipped but stays ready. started,
-// when non-nil, sees each new flight.
+// exhausted. A task still inside its retry backoff is skipped but stays
+// ready. started, when non-nil, sees each new flight.
 func (d *dagRun) submitReady(now time.Duration, started func(i int32, f *flight)) error {
 	for w, word := range d.ready {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << b
-			if d.e.MaxInflight > 0 && len(d.inflight) >= d.e.MaxInflight {
-				return nil
-			}
 			i := int32(w<<6 | b)
 			if now < d.tasks[i].notBefore {
 				continue
@@ -187,8 +182,8 @@ func (d *dagRun) winnerIndex(f *flight) int {
 
 // observeWin resolves a task whose copy winIdx completed: the flight is
 // retired, still-running losers are abandoned (they finish on their own and
-// their results are discarded), hedge accounting is settled, the task's
-// provenance is recorded, and children whose countdown reaches zero join
+// their results are discarded), a winning hedge marks the attempt span,
+// the task's provenance is recorded, and children whose countdown reaches zero join
 // the ready set. The attempt span closes now — in poll mode that is the
 // poll tick after completion (its tail is the DAGMan-poll slack), in the
 // event-driven modes it is the moment of observation. It returns how many
@@ -220,8 +215,7 @@ func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
 		c.span.End()
 		d.e.Pool.Release(c.job)
 	}
-	if f.copies[winIdx].hedged {
-		d.res.HedgeWins++
+	if f.copies[winIdx].span != nil { // a hedge copy won
 		f.attempt.SetLabel("hedge-win", "1")
 	}
 	f.attempt.SetLabel("node", d.results[i].Node)
@@ -279,14 +273,14 @@ func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *abortError) {
 
 // abort ends the run with a rescue capturing completed-task state. Jobs
 // still in flight are abandoned (their results discarded); the rescue DAG
-// re-runs those tasks. task is empty for a deadline abort.
+// re-runs those tasks.
 func (d *dagRun) abort(reason, task string, attempts int) *abortError {
 	d.wfSpan.SetLabel("status", "aborted")
 	return &abortError{
 		Task:     task,
 		Attempts: attempts,
 		Reason:   reason,
-		Rescue:   d.e.buildRescue(d.wf, d.res, task, d.abandonedJobs()),
+		Rescue:   newRescue(d.wf, d.res, d.abandonedJobs()),
 	}
 }
 
@@ -341,7 +335,6 @@ func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
 		hs.End()
 		return nil, err
 	}
-	d.res.Hedges++
-	f.copies = append(f.copies, flightCopy{job: job, span: hs, hedged: true})
+	f.copies = append(f.copies, flightCopy{job: job, span: hs})
 	return job, nil
 }

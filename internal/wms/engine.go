@@ -76,11 +76,6 @@ type RunResult struct {
 	StartedAt  time.Duration
 	FinishedAt time.Duration
 	Tasks      map[string]*TaskResult
-
-	// Hedges counts speculative task copies launched; HedgeWins counts
-	// tasks resolved by a hedge copy finishing before the original.
-	Hedges    int
-	HedgeWins int
 }
 
 // Makespan is the workflow's wall-clock duration.
@@ -122,11 +117,6 @@ type Engine struct {
 	// Store is the object service, required when Staging is
 	// StageObjectStore. Objects live in the workflow-named bucket.
 	Store *storage.ObjectStore
-	// Checkpoint configures checkpoint/restart for native tasks (§II-C).
-	Checkpoint Checkpoint
-	// MaxInflight throttles how many of a workflow's jobs may be in the
-	// condor queue at once (DAGMan's -maxjobs); 0 = unlimited.
-	MaxInflight int
 	// Budget, when non-nil, gates every task resubmission through a shared
 	// token-bucket retry budget (successes deposit, retries withdraw). A
 	// denied resubmission aborts the workflow with a rescue instead of
@@ -139,15 +129,9 @@ type Engine struct {
 	HedgeAfter time.Duration
 	// HedgeMax caps speculative copies per task attempt (0 means 1).
 	HedgeMax int
-	// Deadline bounds the whole run relative to its start. When it passes,
-	// the engine aborts with a rescue; serverless submissions carry the
-	// absolute deadline so the serving layer drops work past it too.
-	Deadline time.Duration
 	// Broker carries task-settled events under the "trigger" execution mode
 	// (config.ExecTrigger); required for that mode, unused otherwise.
 	Broker *knative.Broker
-
-	progress map[string]*taskProgress
 }
 
 // flight is one task's in-flight attempt: the primary condor job plus any
@@ -161,12 +145,10 @@ type flight struct {
 
 // flightCopy is one submitted copy of an attempt. span is nil for the
 // primary (covered by the task-attempt span); hedge copies get their own
-// "hedge" spans. hedged marks a speculative copy — win accounting keys off
-// it rather than the span, which is nil when no tracer is attached.
+// "hedge" spans when a tracer is attached.
 type flightCopy struct {
-	job    *condor.Job
-	span   *trace.Span
-	hedged bool
+	job  *condor.Job
+	span *trace.Span
 }
 
 // RunWorkflow executes the workflow with the given mode assignment and
@@ -198,7 +180,7 @@ func (e *Engine) await(p *sim.Proc, wf *Workflow, assign ModeAssigner, rescue *r
 // start is the shared front half of every run: it validates the DAG,
 // stages external inputs, assigns modes, reinstates any rescue state, and
 // hands the prepared dagRun to the release engine. A non-nil rescue
-// pre-marks finished tasks and reinstates checkpoint progress.
+// pre-marks finished tasks.
 func (e *Engine) start(wf *Workflow, assign ModeAssigner, rescue *rescueState, done func(*RunResult, error)) {
 	d, err := e.prepare(wf, assign, rescue)
 	if err != nil {
@@ -254,16 +236,8 @@ func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *rescueState)
 	d.mode = execMode
 	if rescue != nil {
 		// Rescue-DAG resume: newDagRun planned the finished tasks out of the
-		// DAG; checkpointed partial progress is reinstated, and the makespan
-		// spans the original start.
+		// DAG, and the makespan spans the original start.
 		res.StartedAt = rescue.StartedAt
-		e.restoreProgress(wf, rescue)
-	}
-
-	// The workflow deadline is absolute from the (possibly rescued) start,
-	// and propagates into every serverless submission.
-	if e.Deadline > 0 {
-		d.absDeadline = res.StartedAt + e.Deadline
 	}
 	return d, nil
 }
@@ -363,7 +337,7 @@ func (t *taskState) resources() (img registry.Image, svc *knative.Service, err e
 	return img, svc, nil
 }
 
-// name is the task's "<workflow>/<task>" name, for spans, checkpoints and
+// name is the task's "<workflow>/<task>" name, for spans, events and
 // errors.
 func (t *taskState) name() string {
 	return t.d.wf.Name + "/" + t.d.wf.tasks[t.i].ID
@@ -397,15 +371,7 @@ func (t *taskState) runNative(ctx *condor.ExecContext) error {
 		return err
 	}
 	sp := t.span(ctx.Span, "exec", "exec", ctx.Node.Name)
-	if e.checkpointingActive() {
-		if err := e.runCheckpointed(ctx, t.name(), task.effectiveWorkScale()); err != nil {
-			sp.SetLabel("status", "failed")
-			sp.End()
-			return err
-		}
-	} else {
-		ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.effectiveWorkScale(), 1)
-	}
+	ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.effectiveWorkScale(), 1)
 	sp.End()
 	return t.stageOut(ctx.Proc, ctx.Span, ctx.Node.Name)
 }
@@ -451,8 +417,7 @@ func (t *taskState) runContainer(ctx *condor.ExecContext) error {
 // wrapper. The wrapper is itself a condor job (the critical path includes
 // it, §IV-4). With by-value staging, inputs come to the wrapper's node and
 // travel to the function in the request body; with remote staging the
-// function's node reads the data service directly. The run's deadline
-// rides along so the serving layer can drop work past it.
+// function's node reads the data service directly.
 func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 	e, task := t.d.e, t.d.wf.tasks[t.i]
 	_, svc, err := t.resources()
@@ -467,7 +432,6 @@ func (t *taskState) runServerless(ctx *condor.ExecContext) error {
 		PayloadIn:  task.inputBytes(),
 		PayloadOut: task.outputBytes(),
 		Work:       e.Cl.NextTaskWork() * task.effectiveWorkScale(),
-		Deadline:   t.d.absDeadline,
 		Parent:     ctx.Span,
 	}
 	if e.Staging != StageByValue {

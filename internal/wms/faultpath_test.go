@@ -16,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/knative"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wms"
 	"repro/internal/workload"
 )
@@ -34,9 +35,10 @@ type faultScenario struct {
 	drive func(p *sim.Proc, s *core.Stack, out *strings.Builder)
 }
 
-// writeRun renders a run's outcome: the makespan and hedge counts, then
-// every task's exact timestamps, in task ID order.
-func writeRun(out *strings.Builder, res *wms.RunResult, err error, now time.Duration) {
+// writeRun renders a run's outcome: the makespan and the hedge counts its
+// spans under tr show, then every task's exact timestamps, in task ID
+// order.
+func writeRun(out *strings.Builder, tr *trace.Tracer, res *wms.RunResult, err error, now time.Duration) {
 	var abort *wms.AbortError
 	switch {
 	case errors.As(err, &abort):
@@ -53,17 +55,18 @@ func writeRun(out *strings.Builder, res *wms.RunResult, err error, now time.Dura
 		fmt.Fprintf(out, "error %v at=%v\n", err, now)
 		return
 	}
+	hedges, wins := wms.HedgeCounts(tr, res.Workflow)
 	fmt.Fprintf(out, "run %s started=%v makespan=%v hedges=%d hedge_wins=%d\n",
-		res.Workflow, res.StartedAt, res.Makespan(), res.Hedges, res.HedgeWins)
+		res.Workflow, res.StartedAt, res.Makespan(), hedges, wins)
 	ids := make([]string, 0, len(res.Tasks))
 	for id := range res.Tasks {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		tr := res.Tasks[id]
+		task := res.Tasks[id]
 		fmt.Fprintf(out, "  task %s node=%s attempts=%d submit=%v start=%v finish=%v\n",
-			id, tr.Node, tr.Attempts, tr.SubmittedAt, tr.StartedAt, tr.FinishedAt)
+			id, task.Node, task.Attempts, task.SubmittedAt, task.StartedAt, task.FinishedAt)
 	}
 }
 
@@ -130,7 +133,7 @@ var faultScenarios = []faultScenario{
 		},
 		drive: func(p *sim.Proc, s *core.Stack, out *strings.Builder) {
 			res, err := s.Engine.RunWorkflow(p, fanWorkflow("hedge", 3, 3), wms.AssignAll(wms.ModeNative))
-			writeRun(out, res, err, p.Now())
+			writeRun(out, trace.FromEnv(s.Env), res, err, p.Now())
 		},
 	},
 	{
@@ -144,7 +147,7 @@ var faultScenarios = []faultScenario{
 		},
 		drive: func(p *sim.Proc, s *core.Stack, out *strings.Builder) {
 			res, err := s.Engine.RunWorkflow(p, pinnedWorkflow(), wms.AssignAll(wms.ModeNative))
-			writeRun(out, res, err, p.Now())
+			writeRun(out, trace.FromEnv(s.Env), res, err, p.Now())
 		},
 	},
 	{
@@ -160,7 +163,7 @@ var faultScenarios = []faultScenario{
 		drive: func(p *sim.Proc, s *core.Stack, out *strings.Builder) {
 			wf := pinnedWorkflow()
 			res, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(wms.ModeNative))
-			writeRun(out, res, err, p.Now())
+			writeRun(out, trace.FromEnv(s.Env), res, err, p.Now())
 			var abort *wms.AbortError
 			if !errors.As(err, &abort) {
 				return
@@ -169,28 +172,7 @@ var faultScenarios = []faultScenario{
 				p.Sleep(105*time.Second - now)
 			}
 			res, err = s.Engine.ResumeWorkflow(p, wf, wms.AssignAll(wms.ModeNative), abort.Rescue)
-			writeRun(out, res, err, p.Now())
-		},
-	},
-	{
-		// The deadline passes mid-run: the run aborts with a rescue and
-		// abandons its in-flight jobs.
-		name:  "deadline",
-		seed:  1,
-		setup: func(s *core.Stack) { s.Engine.Deadline = 90 * time.Second },
-		drive: func(p *sim.Proc, s *core.Stack, out *strings.Builder) {
-			res, err := s.Engine.RunWorkflow(p, fanWorkflow("deadline", 2, 4), wms.AssignAll(wms.ModeNative))
-			writeRun(out, res, err, p.Now())
-		},
-	},
-	{
-		// DAGMan -maxjobs: at most two attempts in the queue at once.
-		name:  "maxinflight",
-		seed:  1,
-		setup: func(s *core.Stack) { s.Engine.MaxInflight = 2 },
-		drive: func(p *sim.Proc, s *core.Stack, out *strings.Builder) {
-			res, err := s.Engine.RunWorkflow(p, fanWorkflow("throttled", 6, 1), wms.AssignAll(wms.ModeNative))
-			writeRun(out, res, err, p.Now())
+			writeRun(out, trace.FromEnv(s.Env), res, err, p.Now())
 		},
 	},
 	{
@@ -204,10 +186,14 @@ var faultScenarios = []faultScenario{
 				return
 			}
 			broker := s.Knative.NewBroker("default")
-			n := 0
-			dyn := s.WatchAndRun(broker, "on-capture", "dev.repro.capture.done",
+			// The subject of each run's event, in run order, and when the
+			// broker accepted each: Publish returns at acceptance.
+			var subjects []string
+			accepted := map[string]time.Duration{}
+			dyn := s.WatchAndRun(broker, "dev.repro.capture.done",
 				func(ev knative.Event) (*wms.Workflow, wms.ModeAssigner) {
-					n++
+					subjects = append(subjects, ev.Subject)
+					n := len(subjects)
 					return workload.Chain(fmt.Sprintf("dyn%02d", n), 4, s.Prm.MatrixBytes), wms.AssignAll(wms.ModeServerless)
 				})
 			for i := 0; i < 6; i++ {
@@ -221,6 +207,7 @@ var faultScenarios = []faultScenario{
 					fmt.Fprintf(out, "publish: %v\n", err)
 					return
 				}
+				accepted[fmt.Sprintf("capture-%02d.dat", i)] = p.Now()
 				if i == 2 {
 					p.Sleep(60 * time.Second)
 				} else {
@@ -228,9 +215,9 @@ var faultScenarios = []faultScenario{
 				}
 			}
 			dyn.Wait(p)
-			for _, run := range dyn.Runs() {
-				fmt.Fprintf(out, "event %s at=%v\n", run.Event.Subject, run.Event.At)
-				writeRun(out, run.Result, run.Err, p.Now())
+			for i, run := range dyn.Runs() {
+				fmt.Fprintf(out, "event %s at=%v\n", subjects[i], accepted[subjects[i]])
+				writeRun(out, trace.FromEnv(s.Env), run.Result, run.Err, p.Now())
 			}
 		},
 	},
@@ -246,6 +233,7 @@ func faultPathsGolden() string {
 			prm.ExecMode = mode
 			s := core.NewStack(sc.seed, prm)
 			s.RegisterTransformation(workload.MatmulTransformation, 18<<20)
+			trace.New(s.Env) // writeRun counts hedges from the spans
 			if sc.setup != nil {
 				sc.setup(s)
 			}
@@ -263,11 +251,11 @@ func faultPathsGolden() string {
 
 // TestFaultPathsPinned pins the release engine's fault paths in all three
 // execution modes: straggler hedges, retries with backoff then a rescue
-// and resume, a deadline abort, the MaxInflight throttle, and the
-// event-driven launch of workflows through core.WatchAndRun. Each task's
-// exact submit, start and finish times, attempts, the hedge counts, the
-// makespan or abort, and the kernel's event count must match the golden
-// byte for byte; -update-faultpaths rewrites it.
+// and resume, and the event-driven launch of workflows through
+// core.WatchAndRun. Each task's exact submit, start and finish times,
+// attempts, the hedge counts, the makespan or abort, and the kernel's
+// event count must match the golden byte for byte; -update-faultpaths
+// rewrites it.
 func TestFaultPathsPinned(t *testing.T) {
 	got := faultPathsGolden()
 	path := filepath.Join("testdata", "faultpaths.golden")

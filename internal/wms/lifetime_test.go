@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/knative"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // chainRunAllocs returns the allocations of one native run of an n-task
@@ -68,6 +69,7 @@ func TestChainAllocsPerTask(t *testing.T) {
 func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	s := newModeStack(t, "trigger", nil)
 	s.eng.HedgeAfter = 6 * time.Second
+	tr := trace.New(s.env)
 	wf := NewWorkflow("straggler")
 	for _, spec := range []TaskSpec{
 		{ID: "t0", Transformation: "matmul", WorkScale: 10},
@@ -82,7 +84,7 @@ func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	}
 	var victim *cluster.Node
 	var sources []string
-	s.eng.Broker.Subscribe("spy", taskSettledEventType, "straggler/t0",
+	s.eng.Broker.Subscribe(taskSettledEventType, "straggler/t0",
 		func(ev knative.Event) { sources = append(sources, ev.Source) })
 	var res *RunResult
 	s.env.Go("main", func(p *sim.Proc) {
@@ -110,8 +112,8 @@ func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 		s.shutdown()
 	})
 	s.env.RunUntil(time.Hour)
-	if res == nil || res.HedgeWins != 1 {
-		t.Fatalf("run %+v, want the hedge copy of t0 to win", res)
+	if _, wins := hedgeCounts(tr, wf.Name); res == nil || wins != 1 {
+		t.Fatalf("run %+v with %d hedge wins, want the hedge copy of t0 to win", res, wins)
 	}
 	want := []string{res.Tasks["t0"].Node, victim.Name}
 	if strings.Join(sources, ",") != strings.Join(want, ",") {

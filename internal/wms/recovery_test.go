@@ -130,7 +130,7 @@ func TestRecoveryBudgetExhausts(t *testing.T) {
 	in := attachFaults(s)
 	s.eng.Retry = config.RetryPolicy{MaxAttempts: 1}
 	// Permanent incident: recovery can never outlast it.
-	in.SetRate(faults.KindJobFailure, "worker2", 1)
+	in.Schedule(faults.Fault{Kind: faults.KindJobFailure, Rate: 1, Target: "worker2"})
 	wf := pinnedChain(t)
 
 	s.env.Go("main", func(p *sim.Proc) {
@@ -215,7 +215,7 @@ func TestRetriedContainerTasksLeakNoContainers(t *testing.T) {
 	s.eng.Retry = config.RetryPolicy{MaxAttempts: 8, BaseDelay: 100 * time.Millisecond, Multiplier: 2}
 	// Nearly every container start fails; retries must stop-remove the dead
 	// container each time or the runtimes leak state.
-	in.SetRate(faults.KindStartFail, "", 0.4)
+	in.Schedule(faults.Fault{Kind: faults.KindStartFail, Rate: 0.4})
 	wf := chain(t, 3)
 
 	s.env.Go("main", func(p *sim.Proc) {

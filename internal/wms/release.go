@@ -57,12 +57,7 @@ func (d *dagRun) begin() {
 	}
 	if d.mode == config.ExecTrigger {
 		d.prefix = d.wf.Name + "/"
-		d.trig = d.e.Broker.Subscribe("wms-"+d.wf.Name, taskSettledEventType, d.prefix, d.deliver)
-	}
-	if d.absDeadline > 0 {
-		// Poll checks the deadline every tick; here a timer aborts the run
-		// the moment it passes.
-		env.Defer(d.armDeadline)
+		d.trig = d.e.Broker.Subscribe(taskSettledEventType, d.prefix, d.deliver)
 	}
 	d.drain()
 	d.waited = !d.over
@@ -89,12 +84,6 @@ func (d *dagRun) end(err error) {
 func (d *dagRun) pollTick() {
 	now := d.e.Env.Now()
 	if d.ticked {
-		// Workflow deadline: stop resubmitting and abort with a rescue;
-		// the serving layer is already dropping the in-flight work past it.
-		if d.absDeadline > 0 && now >= d.absDeadline {
-			d.expire()
-			return
-		}
 		d.scan = append(d.scan[:0], d.inflight...)
 		for _, i := range d.scan {
 			if d.settle(i); d.over {
@@ -176,7 +165,7 @@ func (d *dagRun) release(i int32, f *flight, w int) {
 		d.end(nil)
 		return
 	}
-	d.drain() // newly ready successors plus any -maxjobs backlog
+	d.drain() // newly ready successors
 }
 
 // drain submits ready tasks in the event-driven modes, watching each new
@@ -267,21 +256,5 @@ func (d *dagRun) hedge(i int32, f *flight) {
 			return
 		}
 		d.e.Pool.Then(job, d.watch)
-	}
-}
-
-// armDeadline arms the event-driven deadline timer.
-func (d *dagRun) armDeadline() {
-	if wait := d.absDeadline - d.e.Env.Now(); wait > 0 {
-		d.e.Env.After(wait, d.expire)
-		return
-	}
-	d.expire()
-}
-
-// expire aborts the run at its deadline with a rescue.
-func (d *dagRun) expire() {
-	if !d.over {
-		d.end(d.abort(abortDeadline, "", 0))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestEventModeRunQueueSlots pins two run-queue slots of an event-driven
@@ -21,6 +22,8 @@ func TestEventModeRunQueueSlots(t *testing.T) {
 	s := newModeStack(t, "decentralized", nil)
 	s.eng.HedgeAfter = hedgeAfter
 	s.eng.HedgeMax = 1
+	tr := trace.New(s.env)
+	wf := chain(t, 1)
 	var order []string
 	var d *dagRun
 	s.env.Defer(func() {
@@ -28,11 +31,12 @@ func TestEventModeRunQueueSlots(t *testing.T) {
 		// hedge check and its timer fires first.
 		s.env.Defer(func() {
 			s.env.After(hedgeAfter, func() {
-				order = append(order, "mark-hedges="+strconv.Itoa(d.res.Hedges))
+				hedges, _ := hedgeCounts(tr, wf.Name)
+				order = append(order, "mark-hedges="+strconv.Itoa(hedges))
 			})
 		})
 		var err error
-		if d, err = s.eng.prepare(chain(t, 1), AssignAll(ModeNative), nil); err != nil {
+		if d, err = s.eng.prepare(wf, AssignAll(ModeNative), nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -55,8 +59,8 @@ func TestEventModeRunQueueSlots(t *testing.T) {
 	if !slices.Equal(order, want) {
 		t.Errorf("order %v, want %v", order, want)
 	}
-	if d != nil && (d.res.Hedges != 1 || d.res.HedgeWins != 0) {
-		t.Errorf("Hedges = %d, HedgeWins = %d, want one hedge launched at %v and the primary to win",
-			d.res.Hedges, d.res.HedgeWins, hedgeAfter)
+	if hedges, wins := hedgeCounts(tr, wf.Name); hedges != 1 || wins != 0 {
+		t.Errorf("hedges = %d, hedge wins = %d, want one hedge launched at %v and the primary to win",
+			hedges, wins, hedgeAfter)
 	}
 }

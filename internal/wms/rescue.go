@@ -10,17 +10,10 @@ import (
 
 // Rescue-DAG recovery, modelled on Pegasus/DAGMan: when a workflow aborts
 // because a task exhausted its retry budget, the engine captures which tasks
-// already finished (and, for checkpointed tasks, how far the aborted ones
-// got) as a rescue state. Resubmitting the workflow with the rescue skips the
+// already finished as a rescue state. Resubmitting the workflow with the rescue skips the
 // finished tasks — the re-planned "rescue DAG" — and the retry budget starts
 // fresh, so an operator can drive a workflow through repeated infrastructure
 // incidents without re-running completed work.
-
-// taskCheckpoint is a checkpointed task's saved progress.
-type taskCheckpoint struct {
-	Total float64
-	Done  float64
-}
 
 // rescueState is the recovery state of an aborted workflow run.
 type rescueState struct {
@@ -29,16 +22,11 @@ type rescueState struct {
 	// StartedAt is the original run's start time, so a resumed run's
 	// makespan spans the whole recovery story.
 	StartedAt time.Duration
-	// Aborted is the task whose retry budget ran out.
-	Aborted string
 	// Abandoned counts jobs still in flight at abort time; their results
 	// are discarded and the tasks re-run in the rescue DAG.
 	Abandoned int
 	// Done maps finished task IDs to their recorded results.
 	Done map[string]*TaskResult
-	// Progress carries checkpoint state for unfinished tasks, keyed by
-	// task ID.
-	Progress map[string]taskCheckpoint
 }
 
 // Abort reasons carried by abortError.Reason.
@@ -48,17 +36,14 @@ const (
 	// abortRetryBudget: the engine-wide retry budget denied a
 	// resubmission (failures outpacing successes).
 	abortRetryBudget = "retry-budget"
-	// abortDeadline: the workflow's deadline passed mid-run.
-	abortDeadline = "deadline"
 )
 
 // abortError is returned by RunWorkflow (and resumeWorkflow) when the run
-// cannot continue: a task exhausted its retries, the engine-wide retry
-// budget denied a resubmission, or the workflow deadline passed. It carries
-// the rescue state needed to resume.
+// cannot continue: a task exhausted its retries, or the engine-wide retry
+// budget denied a resubmission. It carries the rescue state needed to
+// resume.
 type abortError struct {
-	// Task is the task that triggered the abort (empty for deadline
-	// aborts, which are a property of the whole run).
+	// Task is the task that triggered the abort.
 	Task     string
 	Attempts int
 	// Reason is one of the Abort* constants; empty means abortRetries
@@ -69,9 +54,6 @@ type abortError struct {
 
 func (e *abortError) Error() string {
 	switch e.Reason {
-	case abortDeadline:
-		return fmt.Sprintf("wms: workflow %s exceeded its deadline (%d tasks completed; rescue available)",
-			e.Rescue.Workflow, len(e.Rescue.Done))
 	case abortRetryBudget:
 		return fmt.Sprintf("wms: task %s/%s denied resubmission by the retry budget after %d attempts (%d tasks completed; rescue available)",
 			e.Rescue.Workflow, e.Task, e.Attempts, len(e.Rescue.Done))
@@ -81,47 +63,22 @@ func (e *abortError) Error() string {
 	}
 }
 
-// buildRescue snapshots recovery state at abort time.
-func (e *Engine) buildRescue(wf *Workflow, res *RunResult, aborted string, abandoned int) *rescueState {
+// newRescue snapshots recovery state at abort time.
+func newRescue(wf *Workflow, res *RunResult, abandoned int) *rescueState {
 	r := &rescueState{
 		Workflow:  wf.Name,
 		StartedAt: res.StartedAt,
-		Aborted:   aborted,
 		Abandoned: abandoned,
 		Done:      make(map[string]*TaskResult, len(res.Tasks)),
 	}
 	for id, tr := range res.Tasks {
 		r.Done[id] = tr
 	}
-	prefix := wf.Name + "/"
-	for key, st := range e.progress {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			if r.Progress == nil {
-				r.Progress = make(map[string]taskCheckpoint)
-			}
-			r.Progress[key[len(prefix):]] = taskCheckpoint{Total: st.total, Done: st.done}
-		}
-	}
 	return r
 }
 
-// restoreProgress reinstates checkpoint state from a rescue so resumed tasks
-// continue from their last checkpoint instead of from scratch.
-func (e *Engine) restoreProgress(wf *Workflow, r *rescueState) {
-	if len(r.Progress) == 0 {
-		return
-	}
-	if e.progress == nil {
-		e.progress = make(map[string]*taskProgress)
-	}
-	for id, cp := range r.Progress {
-		e.progress[wf.Name+"/"+id] = &taskProgress{total: cp.Total, done: cp.Done}
-	}
-}
-
 // resumeWorkflow re-runs an aborted workflow from its rescue state: finished
-// tasks are skipped, checkpointed progress is reinstated, and every
-// unfinished task gets a fresh retry budget. The returned result's makespan
+// tasks are skipped, and every unfinished task gets a fresh retry budget. The returned result's makespan
 // spans from the original run's start. The rescue must come from the same
 // stack (staged outputs of finished tasks are assumed present on the shared
 // data services).

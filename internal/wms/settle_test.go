@@ -79,7 +79,7 @@ func checkSettlement(t *testing.T, label string, wf *Workflow, res *RunResult) {
 }
 
 // TestDAGSettlementInvariants drives random DAGs through every release
-// path, with and without a -maxjobs throttle, under injected job failures:
+// path under injected job failures:
 // each run first aborts in an all-jobs-fail window, then resumes from its
 // rescue with a fresh retry budget while background failures continue. Both
 // the rescue and the resumed run must settle every task exactly once.
@@ -88,61 +88,58 @@ func TestDAGSettlementInvariants(t *testing.T) {
 	retried := 0
 	for _, m := range config.ExecModes() {
 		mode := m.String()
-		for _, maxInflight := range []int{0, 3} {
-			for seed := uint64(1); seed <= 2; seed++ {
-				label := fmt.Sprintf("%s/maxinflight=%d/seed=%d", mode, maxInflight, seed)
-				s := newModeStack(t, mode, nil)
-				s.eng.MaxInflight = maxInflight
-				s.eng.Retry = config.RetryPolicy{MaxAttempts: 3, BaseDelay: 500 * time.Millisecond, Multiplier: 2}
-				in := attachFaults(s)
-				for _, w := range s.cl.Workers {
-					in.SetRate(faults.KindJobFailure, w.Name, 0.15)
-				}
-				in.Schedule(faults.Fault{Kind: faults.KindJobFailure, At: burstAt, Duration: burstFor, Rate: 1})
-				wf := randomDAG(t, seed)
+		for seed := uint64(1); seed <= 2; seed++ {
+			label := fmt.Sprintf("%s/seed=%d", mode, seed)
+			s := newModeStack(t, mode, nil)
+			s.eng.Retry = config.RetryPolicy{MaxAttempts: 3, BaseDelay: 500 * time.Millisecond, Multiplier: 2}
+			in := attachFaults(s)
+			for _, w := range s.cl.Workers {
+				in.Schedule(faults.Fault{Kind: faults.KindJobFailure, Rate: 0.15, Target: w.Name})
+			}
+			in.Schedule(faults.Fault{Kind: faults.KindJobFailure, At: burstAt, Duration: burstFor, Rate: 1})
+			wf := randomDAG(t, seed)
 
-				var res *RunResult
-				var rescue *rescueState
-				s.env.Go("main", func(p *sim.Proc) {
-					defer s.shutdown()
-					_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-					var abort *abortError
-					if !errors.As(err, &abort) {
-						t.Errorf("%s: first run returned %v, want an abort in the failure window", label, err)
-						return
-					}
-					rescue = abort.Rescue
-					if now := p.Now(); now < burstAt+burstFor {
-						p.Sleep(burstAt + burstFor - now)
-					}
-					s.eng.Retry.MaxAttempts = 8
-					res, err = s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
-					if err != nil {
-						t.Errorf("%s: resume: %v", label, err)
-					}
-				})
-				s.env.Run()
-				if res == nil {
-					continue
+			var res *RunResult
+			var rescue *rescueState
+			s.env.Go("main", func(p *sim.Proc) {
+				defer s.shutdown()
+				_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
+				var abort *abortError
+				if !errors.As(err, &abort) {
+					t.Errorf("%s: first run returned %v, want an abort in the failure window", label, err)
+					return
 				}
-				if len(rescue.Done) == 0 || len(rescue.Done) == wf.Len() {
-					t.Errorf("%s: rescue holds %d of %d tasks; the abort should fall mid-run", label, len(rescue.Done), wf.Len())
+				rescue = abort.Rescue
+				if now := p.Now(); now < burstAt+burstFor {
+					p.Sleep(burstAt + burstFor - now)
 				}
-				for id, tr := range rescue.Done {
-					for _, par := range wf.Parents(id) {
-						if rescue.Done[par] == nil {
-							t.Errorf("%s: rescue holds %s but not its parent %s", label, id, par)
-						}
-					}
-					if res.Tasks[id] != tr {
-						t.Errorf("%s: resumed run replaced the rescued result of %s", label, id)
+				s.eng.Retry.MaxAttempts = 8
+				res, err = s.eng.resumeWorkflow(p, wf, AssignAll(ModeNative), rescue)
+				if err != nil {
+					t.Errorf("%s: resume: %v", label, err)
+				}
+			})
+			s.env.Run()
+			if res == nil {
+				continue
+			}
+			if len(rescue.Done) == 0 || len(rescue.Done) == wf.Len() {
+				t.Errorf("%s: rescue holds %d of %d tasks; the abort should fall mid-run", label, len(rescue.Done), wf.Len())
+			}
+			for id, tr := range rescue.Done {
+				for _, par := range wf.Parents(id) {
+					if rescue.Done[par] == nil {
+						t.Errorf("%s: rescue holds %s but not its parent %s", label, id, par)
 					}
 				}
-				checkSettlement(t, label, wf, res)
-				for _, tr := range res.Tasks {
-					if tr.Attempts > 1 {
-						retried++
-					}
+				if res.Tasks[id] != tr {
+					t.Errorf("%s: resumed run replaced the rescued result of %s", label, id)
+				}
+			}
+			checkSettlement(t, label, wf, res)
+			for _, tr := range res.Tasks {
+				if tr.Attempts > 1 {
+					retried++
 				}
 			}
 		}

@@ -1,12 +1,11 @@
 package wms
 
 import (
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -88,9 +87,8 @@ func TestSharedFSStagingMissingEngineFS(t *testing.T) {
 }
 
 func TestFaultInjectionRetriesToCompletion(t *testing.T) {
-	s := newStack(t, func(p *config.Params) {
-		p.JobFailureProb = 0.3
-	})
+	s := newStack(t, nil)
+	attachFaults(s).Schedule(faults.Fault{Kind: faults.KindJobFailure, Rate: 0.3})
 	s.eng.Retry = config.RetryPolicy{MaxAttempts: 11}
 	wf := chain(t, 5)
 	s.env.Go("main", func(p *sim.Proc) {
@@ -112,9 +110,8 @@ func TestFaultInjectionRetriesToCompletion(t *testing.T) {
 }
 
 func TestFaultInjectionAbortsWithoutRetries(t *testing.T) {
-	s := newStack(t, func(p *config.Params) {
-		p.JobFailureProb = 1.0 // every job dies
-	})
+	s := newStack(t, nil)
+	attachFaults(s).Schedule(faults.Fault{Kind: faults.KindJobFailure, Rate: 1}) // every job dies
 	s.eng.Retry = config.RetryPolicy{MaxAttempts: 3}
 	wf := chain(t, 1)
 	s.env.Go("main", func(p *sim.Proc) {
@@ -124,58 +121,6 @@ func TestFaultInjectionAbortsWithoutRetries(t *testing.T) {
 		s.shutdown()
 	})
 	s.env.Run()
-}
-
-func TestMaxInflightThrottlesSubmissions(t *testing.T) {
-	// A 6-task fan-out with -maxjobs 2: never more than two jobs queued or
-	// running at a time, so submissions serialize into waves.
-	s := newStack(t, nil)
-	s.eng.MaxInflight = 2
-	wf := NewWorkflow("fan")
-	for i := 0; i < 6; i++ {
-		if err := wf.AddTask(TaskSpec{ID: taskID(i), Transformation: "matmul"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var res *RunResult
-	s.env.Go("main", func(p *sim.Proc) {
-		r, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
-		if err != nil {
-			t.Error(err)
-		}
-		res = r
-		s.shutdown()
-	})
-	s.env.Run()
-	if res == nil {
-		t.Fatal("no result")
-	}
-	// With the throttle, no more than 2 tasks are ever simultaneously in
-	// the queue: sweep submission/finish events and track the running count.
-	type event struct {
-		at    time.Duration
-		delta int
-	}
-	var events []event
-	for _, task := range res.Tasks {
-		events = append(events, event{task.SubmittedAt, +1}, event{task.FinishedAt, -1})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		return events[i].delta < events[j].delta // finishes before submits at ties
-	})
-	cur, peak := 0, 0
-	for _, ev := range events {
-		cur += ev.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	if peak > 2 {
-		t.Errorf("peak in-queue tasks = %d; -maxjobs 2 violated", peak)
-	}
 }
 
 func TestWorkScaleMultipliesExecution(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,7 +207,6 @@ var exportAllowlist = map[string]string{
 	"experiments.ExecModeOnce":    "e2ebench's tests check their dag-fan runs against it",
 	"experiments.QuickOptions":    "the root benchmarks run the quick table with it",
 	"experiments.ScaleOnce":       "e2ebench's tests check their scale-pack runs against it",
-	"fluid.Server.Served":         "observer: tests assert work conservation and the work a checkpoint saves",
 	"registry.Registry.Pulls":     "observer: tests assert which layers a pull transferred",
 	"resilience.ErrQueueFull":     "observer: knative tests tell a request shed at a full queue from other failures",
 	"sim.Env.Alive":               "observer: tests assert that a run drained, with no process parked forever",
@@ -407,6 +407,202 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// fieldAllowlist names the exported struct fields under internal/ that the
+// program does not both set and read but that stay, each with the reason
+// they do.
+var fieldAllowlist = map[string]string{
+	"experiments.MixResult.Mix":              "read by reflection: fig5's table renders its native, container and serverless columns",
+	"httpfn.Client.Timeout":                  "deployment setting: bounds a live invocation end to end; the live example runs without one",
+	"knative.Event.Source":                   "observer: a trigger-release test asserts the node each settled event was published from",
+	"knative.OverloadStats.BreakerFastFails": "observer: breaker tests and the serving churn digests count denials that no request outcome shows (a retried attempt's)",
+	"knative.OverloadStats.BreakerTrips":     "observer: breaker tests and the serving churn digests count the breaker's transitions to open",
+	"knative.Response.PodNode":               "observer: routing, drain and serving churn tests assert which worker served a request",
+	"knative.Response.Queued":                "observer: concurrency-gate and serving churn tests assert how long a request waited for a slot",
+}
+
+// TestInternalFieldsAreSetAndRead keeps each exported field of an exported
+// type under internal/ to one the program uses: some non-test code
+// (internal/, cmd/, examples/ or e2ebench/) must write it and some must read
+// it, or fieldAllowlist must name it. A write is a keyed or positional
+// composite literal, an assignment, an inc/dec, or taking the field's
+// address, explicitly or by calling a pointer method on it; writing into a
+// field's element or sub-field writes the field too. A field with a json
+// tag is written and read by its codec, and a function or method that
+// exportAllowlist names keeps the fields of the types it returns read. A
+// knob no code sets selects a path no binary runs; an output no code reads
+// costs every run for a test's sake.
+func TestInternalFieldsAreSetAndRead(t *testing.T) {
+	prog := loadProgram(t, "internal", "cmd", "examples", "e2ebench")
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	fieldOf := func(obj types.Object) *types.Var {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	for _, p := range prog.pkgs {
+		// writeOnly holds the field identifiers a write names without
+		// reading: an assignment's target and a composite literal's key.
+		writeOnly := map[*ast.Ident]bool{}
+		var inner func(ast.Expr)
+		// inner marks the fields e's contents live in as written: a
+		// selector chain, through indexing, down to its root.
+		inner = func(e ast.Expr) {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				if v := fieldOf(p.info.Uses[e.Sel]); v != nil {
+					written[v] = true
+					inner(e.X)
+				}
+			case *ast.IndexExpr:
+				inner(e.X)
+			}
+		}
+		lvalue := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && fieldOf(p.info.Uses[sel.Sel]) != nil {
+				writeOnly[sel.Sel] = true
+			}
+			inner(e)
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						lvalue(lhs)
+					}
+				case *ast.IncDecStmt:
+					lvalue(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						inner(n.X)
+					}
+				case *ast.SelectorExpr:
+					// x.F.M() with a pointer method M takes &x.F.
+					if sel := p.info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal {
+						_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+						if _, ptrX := sel.Recv().(*types.Pointer); ptrRecv && !ptrX {
+							inner(n.X)
+						}
+					}
+				case *ast.CompositeLit:
+					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							key := kv.Key.(*ast.Ident)
+							writeOnly[key] = true
+							written[fieldOf(p.info.Uses[key])] = true
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v := fieldOf(obj); v != nil && !writeOnly[id] {
+				read[v] = true
+			}
+		}
+	}
+
+	// An allowlisted name keeps the fields of the types it returns.
+	seen := map[types.Type]bool{}
+	var keep func(types.Type)
+	keep = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Named:
+			if st, ok := typ.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					read[st.Field(i).Origin()] = true
+					keep(st.Field(i).Type())
+				}
+			}
+		case *types.Pointer:
+			keep(typ.Elem())
+		case *types.Slice:
+			keep(typ.Elem())
+		case *types.Map:
+			keep(typ.Elem())
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				keep(typ.At(i).Type())
+			}
+		}
+	}
+
+	type field struct {
+		v   *types.Var
+		key string // pkg.Type.Field
+	}
+	var audited []field
+	for path, p := range prog.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") || exportGuardSkip[path] != "" {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if exportAllowlist[exportKey(obj)] != "" {
+					keep(obj.Type().(*types.Signature).Results())
+				}
+			case *types.TypeName:
+				if !obj.Exported() || obj.IsAlias() {
+					continue
+				}
+				named := obj.Type().(*types.Named)
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); exportAllowlist[exportKey(m)] != "" {
+						keep(m.Type().(*types.Signature).Results())
+					}
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					v := st.Field(i)
+					if _, json := reflect.StructTag(st.Tag(i)).Lookup("json"); v.Exported() && !v.Embedded() && !json {
+						audited = append(audited, field{v, p.types.Name() + "." + name + "." + v.Name()})
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(audited, func(i, j int) bool { return audited[i].key < audited[j].key })
+	allowed := map[string]bool{}
+	for _, f := range audited {
+		pos := prog.fset.Position(f.v.Pos())
+		switch _, ok := fieldAllowlist[f.key]; {
+		case ok:
+			allowed[f.key] = true
+			if written[f.v] && read[f.v] {
+				t.Errorf("fieldAllowlist names %s, which non-test code both sets and reads: drop the entry", f.key)
+			}
+		case !written[f.v] && !read[f.v]:
+			t.Errorf("%s: %s is neither set nor read by non-test code: delete it", pos, f.key)
+		case !written[f.v]:
+			t.Errorf("%s: %s is read but never set by non-test code: it is a knob only tests turn; delete it and the path it selects", pos, f.key)
+		case !read[f.v]:
+			t.Errorf("%s: %s is set but never read by non-test code: it is an output only tests read; delete it and the code that computes it", pos, f.key)
+		}
+	}
+	for key := range fieldAllowlist {
+		if !allowed[key] {
+			t.Errorf("fieldAllowlist names %s, which is not an exported field of an exported type under internal/: drop the entry", key)
+		}
+	}
+}
+
 // declares reports whether iface has a method called name.
 func declares(iface *types.Interface, name string) bool {
 	for i := 0; i < iface.NumMethods(); i++ {
@@ -441,6 +637,7 @@ type program struct {
 
 type checkedPkg struct {
 	types *types.Package
+	files []*ast.File
 	info  *types.Info
 }
 
@@ -497,12 +694,16 @@ func (p *program) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pa
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: p}
 	pkg, err := conf.Check(path, p.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	p.pkgs[path] = &checkedPkg{types: pkg, info: info}
+	p.pkgs[path] = &checkedPkg{types: pkg, files: files, info: info}
 	return pkg, nil
 }
