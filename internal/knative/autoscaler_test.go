@@ -178,27 +178,30 @@ func TestAutoscalerSpawnsNoCoroutine(t *testing.T) {
 // MinScale: the reconcile loop does not wait for a request to notice that
 // the service has no ready pod.
 func TestAutoscalerRestoresFloorAfterReplicasDie(t *testing.T) {
-	f := newFixture(t)
-	f.env.Go("main", func(p *sim.Proc) {
-		defer f.kn.Shutdown()
-		f.prePull(p)
-		spec := baseSpec()
-		spec.MinScale = 2
-		svc, err := f.kn.Deploy(p, spec)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		svc.killOnePod()
-		svc.killOnePod()
-		if n := svc.ReadyPods(); n != 0 {
-			t.Errorf("ready pods after two kills = %d, want 0", n)
-			return
-		}
-		p.Sleep(2 * time.Minute)
-		if n := svc.ReadyPods(); n != 2 {
-			t.Errorf("ready pods after 2 min idle = %d, want MinScale 2", n)
-		}
+	// The subtest names the autoscaler class, KPA, the only one there is.
+	t.Run("kpa", func(t *testing.T) {
+		f := newFixture(t)
+		f.env.Go("main", func(p *sim.Proc) {
+			defer f.kn.Shutdown()
+			f.prePull(p)
+			spec := baseSpec()
+			spec.MinScale = 2
+			svc, err := f.kn.Deploy(p, spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			svc.killOnePod()
+			svc.killOnePod()
+			if n := svc.ReadyPods(); n != 0 {
+				t.Errorf("ready pods after two kills = %d, want 0", n)
+				return
+			}
+			p.Sleep(2 * time.Minute)
+			if n := svc.ReadyPods(); n != 2 {
+				t.Errorf("ready pods after 2 min idle = %d, want MinScale 2", n)
+			}
+		})
+		f.env.Run()
 	})
-	f.env.Run()
 }
