@@ -27,8 +27,6 @@ import (
 
 // ExecContext is what a job's payload receives on the execution node.
 type ExecContext struct {
-	// Proc is the simulation process running the job.
-	Proc *sim.Proc
 	// Node is the claimed worker.
 	Node *cluster.Node
 	// Span is the job's payload span, the parent of every span the payload
@@ -36,11 +34,17 @@ type ExecContext struct {
 	Span *trace.Span
 }
 
-// Runner is a job's payload, executed on the claimed worker node. A
-// submitter that runs many jobs passes a pointer into its own state, so a
-// submission builds no closure.
+// Runner is a job's payload, executed on the claimed worker node as a chain
+// of continuations: Run starts it where the job's chain reaches the
+// payload, and the payload reports its outcome by calling done exactly
+// once, where a process running it would have returned. Each step runs
+// in the run-queue slot that a process waiting through the same steps
+// would run in. Code that takes a *sim.Proc runs in a process the payload
+// spawns with Env.GoFirst. A submitter that runs many jobs passes a
+// pointer into its own state, so a submission builds no closure; done is
+// bound once per job struct.
 type Runner interface {
-	Run(ctx *ExecContext) error
+	Run(ctx *ExecContext, done func(error))
 }
 
 // JobStatus tracks a job through the queue.
@@ -105,16 +109,24 @@ type Job struct {
 	epoch    int
 	released bool
 
+	// stage is the step a matched job's chain runs next, err the outcome
+	// it carries to the job's settlement, and phase the open span of the
+	// current step (shadow, xfer-in, job-start, payload, xfer-out or
+	// requeue).
+	stage jobStage
+	err   error
+	phase *trace.Span
+
 	// then is the continuation Then registered, nil when none waits.
 	then func(*Job)
 
-	// match, body and recycle are tryMatch, runJob and reuse bound to this
-	// struct. wake, which queues settled, and settled, the call of then,
-	// are bound at the struct's first Then. They survive recycling, so
-	// neither a submission nor a Then allocates a closure once the struct
-	// is warm.
-	match, recycle, wake, settled func()
-	body                          func(*sim.Proc)
+	// match, step, ran and recycle are tryMatch, advance, payloadDone and
+	// reuse bound to this struct. wake, which queues settled, and settled,
+	// the call of then, are bound at the struct's first Then. They survive
+	// recycling, so neither a submission, a chain step nor a Then
+	// allocates a closure once the struct is warm.
+	match, step, recycle, wake, settled func()
+	ran                                 func(error)
 
 	// span covers the job's full queue lifetime; queue and claim are its
 	// matchmaking-wait and slot-occupancy children, and the per-phase spans
@@ -342,7 +354,8 @@ func (s *Schedd) newJob() *Job {
 	}
 	j := &Job{}
 	j.match = func() { s.tryMatch(j) }
-	j.body = func(p *sim.Proc) { s.runJob(p, j) }
+	j.step = func() { s.advance(j) }
+	j.ran = func(err error) { s.payloadDone(j, err) }
 	j.recycle = func() { s.reuse(j) }
 	return j
 }
@@ -366,8 +379,8 @@ func (s *Schedd) Release(j *Job) {
 
 // reuse clears a settled, released job and puts it on the free list.
 func (s *Schedd) reuse(j *Job) {
-	done, match, body, recycle, wake, settled := j.done, j.match, j.body, j.recycle, j.wake, j.settled
-	*j = Job{done: done, match: match, body: body, recycle: recycle, wake: wake, settled: settled}
+	done, match, step, ran, recycle, wake, settled := j.done, j.match, j.step, j.ran, j.recycle, j.wake, j.settled
+	*j = Job{done: done, match: match, step: step, ran: ran, recycle: recycle, wake: wake, settled: settled}
 	j.done.Reset()
 	s.free = append(s.free, j)
 }
@@ -400,10 +413,11 @@ func insertByPriority(q []*Job, j *Job) []*Job {
 }
 
 // dispatch claims a slot on startd best, the winner of a pickStartdFor scan
-// that found feasible matching startds, and launches the job's runner
-// process. The startd's epoch is captured at claim time so a crash during
-// execution is detectable. With a tracer attached the decision is recorded
-// as a span under the job.
+// that found feasible matching startds, and starts the job's chain at the
+// run-queue slot where a process spawned now would first run. The
+// startd's epoch is captured at claim time so a crash during execution is
+// detectable. With a tracer attached the decision is recorded as a span
+// under the job.
 func (s *Schedd) dispatch(j *Job, best, feasible int) {
 	tr := trace.FromEnv(s.env)
 	var dec sched.Decision
@@ -433,7 +447,8 @@ func (s *Schedd) dispatch(j *Job, best, feasible int) {
 		sched.Record(tr, j.span, "condor", s.policy, j.Name, dec)
 	}
 	j.sd, j.epoch = sd, sd.epoch
-	s.env.Go("job", j.body)
+	j.stage = jobMatched
+	s.env.Defer(j.step)
 }
 
 // dispatchBlocked hands up to max freed slots to blocked jobs (per-job
@@ -578,61 +593,142 @@ func (s *Schedd) decision(j *Job, best, feasible int) sched.Decision {
 	return sched.Decision{Node: sd.node.Name, Score: total, PerPlugin: per, Feasible: feasible}
 }
 
-// runJob drives one matched job: serialized shadow spawn, sandbox transfer
-// in, starter setup, payload, transfer out.
-func (s *Schedd) runJob(p *sim.Proc, j *Job) {
-	sd, epoch := j.sd, j.epoch
+// jobStage names the step a matched job's chain runs next.
+type jobStage uint8
+
+const (
+	jobIdle     jobStage = iota // queued, settled or recycled: no step may run
+	jobMatched                  // the slot is claimed
+	jobShadowed                 // the shadow permit is held
+	jobSpawned                  // the shadow spawn has elapsed
+	jobSentIn                   // the input sandbox reached the worker
+	jobStarted                  // the starter's setup has elapsed
+	jobRunning                  // the payload runs (see payloadDone)
+	jobEvicted                  // the injected eviction has struck
+	jobSentOut                  // the output sandbox reached the submit node
+	jobRequeued                 // the requeue penalty has elapsed
+)
+
+// advance runs the next step of a matched job's chain: serialized shadow
+// spawn, sandbox transfer in, starter setup, payload, transfer out, and a
+// failed job's requeue penalty. Each step runs in the event callback that
+// ends its wait, or from the run queue for a zero wait or a handed-over
+// shadow permit: since an event fires only on an empty run queue, the
+// chain keeps every (at, seq), run-queue order and RNG draw of the process
+// that once ran the same steps.
+func (s *Schedd) advance(j *Job) {
+	env := s.env
+	tr := trace.FromEnv(env)
+	switch j.stage {
+	case jobMatched:
+		// condor_shadow processes spawn one at a time at the schedd; this
+		// serialization is the dominant per-job dispatch cost (Fig. 2's
+		// native slope).
+		j.phase = tr.Start(j.claim, "condor", "shadow")
+		j.stage = jobShadowed
+		s.shadow.AcquireThen(env, j.step)
+	case jobShadowed:
+		j.stage = jobSpawned
+		env.Delay(env.Rand().Jitter(s.prm.ShadowSpawn, s.prm.CondorJitterFrac), j.step)
+	case jobSpawned:
+		s.shadow.Release()
+		s.endPhase(j)
+		j.phase = tr.Start(j.claim, "condor", "xfer-in", trace.L("node", j.sd.node.Name))
+		j.stage = jobSentIn
+		s.cl.Net.TransferThen(cluster.SubmitNodeName, j.sd.node.Name, j.TransferInputBytes, j.step)
+	case jobSentIn:
+		s.endPhase(j)
+		j.phase = tr.Start(j.claim, "condor", "job-start")
+		j.stage = jobStarted
+		env.Delay(env.Rand().Jitter(s.prm.JobStartOverhead, s.prm.CondorJitterFrac), j.step)
+	case jobStarted:
+		s.endPhase(j)
+		j.StartedAt = env.Now()
+		s.execute(j)
+	case jobEvicted:
+		s.endPhase(j)
+		j.err = fmt.Errorf("condor: job %d evicted on %s (injected fault)", j.ID, j.sd.node.Name)
+		s.sendOutput(j)
+	case jobSentOut:
+		s.endPhase(j)
+		s.releaseClaim(j)
+	case jobRequeued:
+		s.endPhase(j)
+		j.status = StatusFailed
+		j.span.SetLabel("status", "failed")
+		s.settle(j)
+	default:
+		panic(fmt.Sprintf("condor: job %d stepped in stage %d", j.ID, j.stage))
+	}
+}
+
+// endPhase ends the span of the step that just finished.
+func (s *Schedd) endPhase(j *Job) {
+	j.phase.End()
+	j.phase = nil
+}
+
+// execute starts the payload on the claimed slot, unless the node crashed
+// since the claim or the fault injector evicts the job.
+func (s *Schedd) execute(j *Job) {
+	sd := j.sd
 	tr := trace.FromEnv(s.env)
-	// condor_shadow processes spawn one at a time at the schedd; this
-	// serialization is the dominant per-job dispatch cost (Fig. 2's native
-	// slope).
-	sh := tr.Start(j.claim, "condor", "shadow")
-	s.shadow.Acquire(p)
-	p.Sleep(p.Rand().Jitter(s.prm.ShadowSpawn, s.prm.CondorJitterFrac))
-	s.shadow.Release()
-	sh.End()
-
-	xin := tr.Start(j.claim, "condor", "xfer-in", trace.L("node", sd.node.Name))
-	s.cl.Net.Transfer(p, cluster.SubmitNodeName, sd.node.Name, j.TransferInputBytes)
-	xin.End()
-	js := tr.Start(j.claim, "condor", "job-start")
-	p.Sleep(p.Rand().Jitter(s.prm.JobStartOverhead, s.prm.CondorJitterFrac))
-	js.End()
-	j.StartedAt = p.Now()
-
-	var err error
-	if sd.epoch != epoch {
+	switch {
+	case sd.epoch != j.epoch:
 		// The node crashed between claim and start: the sandbox is gone.
-		err = faults.Transientf("condor: job %d lost: node %s crashed before start", j.ID, sd.node.Name)
-	} else if s.faults != nil && s.faults.Roll(faults.KindJobFailure, sd.node.Name) {
+		j.err = faults.Transientf("condor: job %d lost: node %s crashed before start", j.ID, sd.node.Name)
+		s.sendOutput(j)
+	case s.faults != nil && s.faults.Roll(faults.KindJobFailure, sd.node.Name):
 		// Injected transient failure (starter crash, eviction): the job
 		// dies partway through its execution.
-		payload := tr.Start(j.claim, "condor", "payload", trace.L("status", "evicted"))
-		p.Sleep(time.Duration(s.rng.Float64() * float64(time.Second)))
-		payload.End()
-		err = fmt.Errorf("condor: job %d evicted on %s (injected fault)", j.ID, sd.node.Name)
-	} else {
-		payload := tr.Start(j.claim, "condor", "payload")
-		j.ctx.Proc, j.ctx.Node, j.ctx.Span = p, sd.node, payload
-		err = j.Run.Run(&j.ctx)
-		payload.End()
-		if err == nil && sd.epoch != epoch {
-			// The node crashed mid-execution; the charged work ran but its
-			// results died with the machine (see the package faults
-			// modelling note).
-			err = faults.Transientf("condor: job %d lost: node %s crashed during execution", j.ID, sd.node.Name)
-		}
+		j.phase = tr.Start(j.claim, "condor", "payload", trace.L("status", "evicted"))
+		j.stage = jobEvicted
+		s.env.Delay(time.Duration(s.rng.Float64()*float64(time.Second)), j.step)
+	default:
+		j.phase = tr.Start(j.claim, "condor", "payload")
+		j.ctx.Node, j.ctx.Span = sd.node, j.phase
+		j.stage = jobRunning
+		j.Run.Run(&j.ctx, j.ran)
 	}
+}
 
-	if err == nil && j.TransferOutputBytes > 0 {
-		xout := tr.Start(j.claim, "condor", "xfer-out", trace.L("node", sd.node.Name))
-		s.cl.Net.Transfer(p, sd.node.Name, cluster.SubmitNodeName, j.TransferOutputBytes)
-		xout.End()
+// payloadDone is the payload's report (bound as the job's ran): the chain
+// resumes where a process running the payload would have returned from it.
+func (s *Schedd) payloadDone(j *Job, err error) {
+	if j.stage != jobRunning {
+		panic(fmt.Sprintf("condor: job %d's payload reported in stage %d", j.ID, j.stage))
 	}
-	j.FinishedAt = p.Now()
+	s.endPhase(j)
+	if err == nil && j.sd.epoch != j.epoch {
+		// The node crashed mid-execution; the charged work ran but its
+		// results died with the machine (see the package faults modelling
+		// note).
+		err = faults.Transientf("condor: job %d lost: node %s crashed during execution", j.ID, j.sd.node.Name)
+	}
+	j.err = err
+	s.sendOutput(j)
+}
+
+// sendOutput ships a successful job's output sandbox back to the submit
+// node, then releases the claim.
+func (s *Schedd) sendOutput(j *Job) {
+	if j.err != nil || j.TransferOutputBytes == 0 {
+		s.releaseClaim(j)
+		return
+	}
+	j.phase = trace.FromEnv(s.env).Start(j.claim, "condor", "xfer-out", trace.L("node", j.sd.node.Name))
+	j.stage = jobSentOut
+	s.cl.Net.TransferThen(j.sd.node.Name, cluster.SubmitNodeName, j.TransferOutputBytes, j.step)
+}
+
+// releaseClaim hands the job's slot back and settles a successful job; a
+// failed one first pays its requeue penalty.
+func (s *Schedd) releaseClaim(j *Job) {
+	sd := j.sd
+	j.FinishedAt = s.env.Now()
 	// Only release the slot into the epoch it was claimed from: after a
 	// crash the reboot resets the slot count itself.
-	if sd.epoch == epoch && !sd.offline {
+	if sd.epoch == j.epoch && !sd.offline {
 		sd.free++
 		sd.claimed[j.slot] = false
 	}
@@ -644,20 +740,27 @@ func (s *Schedd) runJob(p *sim.Proc, j *Job) {
 	if s.prm.PerJobNegotiation && !s.stopped {
 		s.dispatchBlocked(1)
 	}
-	if err != nil {
-		// A failed job pays a requeue penalty — the scheduler only notices
-		// the failure and can re-match it after another negotiation cycle.
-		// The job stays Running (from the queue's perspective, the claim is
-		// being cleaned up) until the penalty elapses.
-		rq := tr.Start(j.span, "condor", "requeue")
-		p.Sleep(s.rng.Jitter(s.prm.EffectiveRequeueDelay(), s.prm.NegotiatorJitterFrac))
-		rq.End()
-		j.status = StatusFailed
-		j.span.SetLabel("status", "failed")
-	} else {
+	if j.err == nil {
 		j.status = StatusCompleted
+		s.settle(j)
+		return
 	}
+	// A failed job pays a requeue penalty — the scheduler only notices the
+	// failure and can re-match it after another negotiation cycle. The job
+	// stays Running (from the queue's perspective, the claim is being
+	// cleaned up) until the penalty elapses.
+	j.phase = trace.FromEnv(s.env).Start(j.span, "condor", "requeue")
+	j.stage = jobRequeued
+	s.env.Delay(s.rng.Jitter(s.prm.EffectiveRequeueDelay(), s.prm.NegotiatorJitterFrac), j.step)
+}
+
+// settle ends the job's chain: it resolves the job's outcome, waking its
+// waiters, and queues a released job's reuse behind them.
+func (s *Schedd) settle(j *Job) {
+	j.stage = jobIdle
 	j.span.End()
+	err := j.err
+	j.err = nil
 	j.done.Set(err)
 	if j.released {
 		s.env.Defer(j.recycle)

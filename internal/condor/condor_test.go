@@ -32,10 +32,11 @@ func newFixture(t *testing.T, mut func(*config.Params)) *fixture {
 	return &fixture{env: env, cl: cl, s: s, prm: prm}
 }
 
-// jobFunc is a payload written as a function.
-type jobFunc func(ctx *ExecContext) error
+// jobFunc is a payload written as a function: it reports its outcome
+// through done, at once or from a continuation it arms.
+type jobFunc func(ctx *ExecContext, done func(error))
 
-func (f jobFunc) Run(ctx *ExecContext) error { return f(ctx) }
+func (f jobFunc) Run(ctx *ExecContext, done func(error)) { f(ctx, done) }
 
 // submit queues a job at default priority with no requirements.
 func submit(s *Schedd, name string, inBytes, outBytes int64, fn jobFunc) *Job {
@@ -77,9 +78,8 @@ func TestJobRunsAndCompletes(t *testing.T) {
 	f := newFixture(t, fastCycle)
 	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
-		j := submit(f.s, "task", 1<<20, 1<<19, func(ctx *ExecContext) error {
-			ctx.Node.Exec(ctx.Proc, 0.44, 1)
-			return nil
+		j := submit(f.s, "task", 1<<20, 1<<19, func(ctx *ExecContext, done func(error)) {
+			ctx.Node.ExecReservedThen(0.44, 1, 0, func() { done(nil) })
 		})
 		if err := f.s.Wait(p, j); err != nil {
 			t.Fatal(err)
@@ -111,9 +111,9 @@ func TestJobSpanParentFromContinuation(t *testing.T) {
 	var j *Job
 	var payload *trace.Span
 	f.env.Defer(func() {
-		j = f.s.SubmitJob(JobSpec{Name: "task", Parent: parent, Run: jobFunc(func(ctx *ExecContext) error {
+		j = f.s.SubmitJob(JobSpec{Name: "task", Parent: parent, Run: jobFunc(func(ctx *ExecContext, done func(error)) {
 			payload = ctx.Span
-			return nil
+			done(nil)
 		})})
 	})
 	f.env.Go("main", func(p *sim.Proc) {
@@ -142,7 +142,7 @@ func TestJobWaitsForNegotiationCycle(t *testing.T) {
 	})
 	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
-		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
+		j := submit(f.s, "task", 0, 0, noop)
 		_ = f.s.Wait(p, j)
 		if matchedAt(j) < 10*time.Second {
 			t.Errorf("matched at %v, before first cycle", matchedAt(j))
@@ -157,9 +157,8 @@ func TestParallelJobsSpreadAcrossNodes(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 6; i++ {
-			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
-				ctx.Node.Exec(ctx.Proc, 1, 1)
-				return nil
+			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext, done func(error)) {
+				ctx.Node.ExecReservedThen(1, 1, 0, func() { done(nil) })
 			}))
 		}
 		nodes := map[string]int{}
@@ -191,9 +190,8 @@ func TestPoolSaturationDefersToNextCycle(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 3; i++ {
-			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
-				ctx.Proc.Sleep(time.Second) // hold the slot
-				return nil
+			jobs = append(jobs, submit(f.s, "task", 0, 0, func(_ *ExecContext, done func(error)) {
+				f.env.Delay(time.Second, func() { done(nil) }) // hold the slot
 			}))
 		}
 		for _, j := range jobs {
@@ -221,7 +219,7 @@ func TestShadowSpawnSerializesDispatch(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < n; i++ {
-			jobs = append(jobs, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil }))
+			jobs = append(jobs, submit(f.s, "task", 0, 0, noop))
 		}
 		var starts []time.Duration
 		for _, j := range jobs {
@@ -250,7 +248,7 @@ func TestInputTransfersShareSubmitUplink(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		var jobs []*Job
 		for i := 0; i < 4; i++ {
-			jobs = append(jobs, submit(f.s, "task", 1e6, 0, func(ctx *ExecContext) error { return nil }))
+			jobs = append(jobs, submit(f.s, "task", 1e6, 0, noop))
 		}
 		var lastStart time.Duration
 		for _, j := range jobs {
@@ -273,7 +271,7 @@ func TestFailedJobPropagatesError(t *testing.T) {
 	f := newFixture(t, fastCycle)
 	boom := errors.New("task exploded")
 	f.env.Go("main", func(p *sim.Proc) {
-		j := submit(f.s, "task", 0, 1<<20, func(ctx *ExecContext) error { return boom })
+		j := submit(f.s, "task", 0, 1<<20, func(_ *ExecContext, done func(error)) { done(boom) })
 		if err := f.s.Wait(p, j); !errors.Is(err, boom) {
 			t.Errorf("err = %v", err)
 		}
@@ -298,7 +296,7 @@ func TestSubmitBeforeStartPanics(t *testing.T) {
 			t.Error("Submit before Start did not panic")
 		}
 	}()
-	submit(s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
+	submit(s, "task", 0, 0, noop)
 }
 
 func TestPerJobNegotiationDelay(t *testing.T) {
@@ -311,7 +309,7 @@ func TestPerJobNegotiationDelay(t *testing.T) {
 	trace.New(f.env)
 	f.env.Go("main", func(p *sim.Proc) {
 		p.Sleep(3 * time.Second) // submit mid-stream; delay counts from submit
-		j := submit(f.s, "task", 0, 0, func(ctx *ExecContext) error { return nil })
+		j := submit(f.s, "task", 0, 0, noop)
 		_ = f.s.Wait(p, j)
 		if matchedAt(j) != 11*time.Second {
 			t.Errorf("matched at %v, want 11s (submit 3s + delay 8s)", matchedAt(j))
@@ -330,11 +328,10 @@ func TestPerJobBlockedJobGetsFreedSlot(t *testing.T) {
 		p.JobStartOverhead = 0
 	})
 	f.env.Go("main", func(p *sim.Proc) {
-		hold := submit(f.s, "holder", 0, 0, func(ctx *ExecContext) error {
-			ctx.Proc.Sleep(10 * time.Second)
-			return nil
+		hold := submit(f.s, "holder", 0, 0, func(_ *ExecContext, done func(error)) {
+			f.env.Delay(10*time.Second, func() { done(nil) })
 		})
-		waiter := submit(f.s, "waiter", 0, 0, func(ctx *ExecContext) error { return nil })
+		waiter := submit(f.s, "waiter", 0, 0, noop)
 		_ = f.s.Wait(p, hold)
 		_ = f.s.Wait(p, waiter)
 		// Holder occupies the only slot until t=11s; waiter was negotiated
@@ -360,19 +357,18 @@ func TestPriorityOrdersBlockedQueue(t *testing.T) {
 	})
 	var order []string
 	f.env.Go("main", func(p *sim.Proc) {
-		hold := submit(f.s, "holder", 0, 0, func(ctx *ExecContext) error {
-			ctx.Proc.Sleep(10 * time.Second)
-			return nil
+		hold := submit(f.s, "holder", 0, 0, func(_ *ExecContext, done func(error)) {
+			f.env.Delay(10*time.Second, func() { done(nil) })
 		})
 		// Both negotiate at ~1s while the holder occupies the slot; the
 		// low-priority job was submitted first but must yield.
-		low := submit(f.s, "low", 0, 0, func(ctx *ExecContext) error {
+		low := submit(f.s, "low", 0, 0, func(_ *ExecContext, done func(error)) {
 			order = append(order, "low")
-			return nil
+			done(nil)
 		})
-		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 10, Run: jobFunc(func(ctx *ExecContext) error {
+		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 10, Run: jobFunc(func(_ *ExecContext, done func(error)) {
 			order = append(order, "high")
-			return nil
+			done(nil)
 		})})
 		_ = f.s.Wait(p, hold)
 		_ = f.s.Wait(p, high)
@@ -395,19 +391,17 @@ func TestPriorityOrdersCycleQueue(t *testing.T) {
 	})
 	var first string
 	f.env.Go("main", func(p *sim.Proc) {
-		low := submit(f.s, "low", 0, 0, func(ctx *ExecContext) error {
+		low := submit(f.s, "low", 0, 0, func(_ *ExecContext, done func(error)) {
 			if first == "" {
 				first = "low"
 			}
-			ctx.Proc.Sleep(time.Second)
-			return nil
+			f.env.Delay(time.Second, func() { done(nil) })
 		})
-		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 5, Run: jobFunc(func(ctx *ExecContext) error {
+		high := f.s.SubmitJob(JobSpec{Name: "high", Priority: 5, Run: jobFunc(func(_ *ExecContext, done func(error)) {
 			if first == "" {
 				first = "high"
 			}
-			ctx.Proc.Sleep(time.Second)
-			return nil
+			f.env.Delay(time.Second, func() { done(nil) })
 		})})
 		_ = f.s.Wait(p, low)
 		_ = f.s.Wait(p, high)
@@ -425,7 +419,7 @@ func TestRequirementsPinJobToNode(t *testing.T) {
 		want := "worker2"
 		j := f.s.SubmitJob(JobSpec{Name: "pinned", Requires: func(n *cluster.Node) bool {
 			return n.Name == want
-		}, Run: jobFunc(func(ctx *ExecContext) error { return nil })})
+		}, Run: noop})
 		if err := f.s.Wait(p, j); err != nil {
 			t.Fatal(err)
 		}
@@ -442,8 +436,8 @@ func TestUnsatisfiableRequirementStaysIdle(t *testing.T) {
 	f.env.Go("main", func(p *sim.Proc) {
 		f.s.SubmitJob(JobSpec{Name: "impossible", Requires: func(n *cluster.Node) bool {
 			return false
-		}, Run: jobFunc(func(ctx *ExecContext) error { return nil })})
-		ok := submit(f.s, "normal", 0, 0, func(ctx *ExecContext) error { return nil })
+		}, Run: noop})
+		ok := submit(f.s, "normal", 0, 0, noop)
 		if err := f.s.Wait(p, ok); err != nil {
 			t.Fatal(err)
 		}
@@ -465,8 +459,8 @@ func TestRequirementsDoNotBlockQueueInCycleMode(t *testing.T) {
 		// Unsatisfiable job submitted FIRST; the later unconstrained job
 		// must still be matched in the same cycle.
 		f.s.SubmitJob(JobSpec{Name: "stuck", Priority: 5, Requires: func(n *cluster.Node) bool { return false },
-			Run: jobFunc(func(ctx *ExecContext) error { return nil })})
-		ok := submit(f.s, "runs", 0, 0, func(ctx *ExecContext) error { return nil })
+			Run: noop})
+		ok := submit(f.s, "runs", 0, 0, noop)
 		if err := f.s.Wait(p, ok); err != nil {
 			t.Fatal(err)
 		}
@@ -490,17 +484,17 @@ func TestShutdownStopsNegotiator(t *testing.T) {
 }
 
 // TestCycleModeSpawnsOnlyJobs: in cycle mode the negotiator is a recurring
-// event, so a run creates coroutines for its driver and its jobs alone.
-// The six jobs match in one cycle and run at once, one coroutine each.
+// event and every matched job a chain of continuations, so the six jobs
+// that match in one cycle and run at once create no coroutine: the run's
+// one coroutine is its driver's.
 func TestCycleModeSpawnsOnlyJobs(t *testing.T) {
 	f := newFixture(t, func(p *config.Params) { p.PerJobNegotiation = false })
 	const jobs = 6
 	f.env.Go("main", func(p *sim.Proc) {
 		var js []*Job
 		for i := 0; i < jobs; i++ {
-			js = append(js, submit(f.s, "task", 0, 0, func(ctx *ExecContext) error {
-				ctx.Proc.Sleep(time.Second)
-				return nil
+			js = append(js, submit(f.s, "task", 0, 0, func(_ *ExecContext, done func(error)) {
+				f.env.Delay(time.Second, func() { done(nil) })
 			}))
 		}
 		for _, j := range js {
@@ -511,8 +505,8 @@ func TestCycleModeSpawnsOnlyJobs(t *testing.T) {
 		f.s.Shutdown()
 	})
 	f.env.Run()
-	if want := 1 + jobs; f.env.Stats().Coroutines != want {
-		t.Errorf("run created %d coroutines, want %d (the driver and its jobs)", f.env.Stats().Coroutines, want)
+	if got := f.env.Stats().Coroutines; got != 1 {
+		t.Errorf("run created %d coroutines, want 1 (the driver)", got)
 	}
 	if f.env.Alive() != 0 {
 		t.Errorf("%d processes alive after shutdown", f.env.Alive())

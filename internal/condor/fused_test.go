@@ -172,7 +172,7 @@ func matchChurn(t *testing.T, policy string) {
 			js.InputLFNs = append(js.InputLFNs, lfns[rng.Intn(len(lfns))])
 		}
 		run := time.Duration(1+rng.Intn(8)) * time.Second
-		js.Run = jobFunc(func(ctx *ExecContext) error { ctx.Proc.Sleep(run); return nil })
+		js.Run = jobFunc(func(_ *ExecContext, done func(error)) { f.env.Delay(run, func() { done(nil) }) })
 		return js
 	}
 	probe := func(js JobSpec) {

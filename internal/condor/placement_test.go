@@ -31,7 +31,7 @@ func TestDataLocalityPlacement(t *testing.T) {
 			j := f.s.SubmitJob(JobSpec{
 				Name:      fmt.Sprintf("loc-%d", i),
 				InputLFNs: []string{tc.lfn},
-				Run:       jobFunc(func(ctx *ExecContext) error { return nil }),
+				Run:       noop,
 			})
 			if err := f.s.Wait(p, j); err != nil {
 				t.Fatal(err)

@@ -5,15 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
-// noop is a payload that allocates nothing to call.
-var noop = jobFunc(func(*ExecContext) error { return nil })
+// noop is a payload that ends at once and allocates nothing to call.
+var noop = jobFunc(func(_ *ExecContext, done func(error)) { done(nil) })
 
 // TestReleasedJobCycleAllocatesNothing: once warm, a submit → settle →
-// release cycle reuses the released job's struct, its bound callbacks and
-// an idle coroutine, so an untraced cycle allocates nothing.
+// release cycle reuses the released job's struct and its bound callbacks,
+// so an untraced cycle allocates nothing.
 func TestReleasedJobCycleAllocatesNothing(t *testing.T) {
 	f := newFixture(t, fastPerJob)
 	const period = time.Minute // one job, settled and released, per period
@@ -77,9 +79,8 @@ func TestReleasedJobOutlivesItsWakeups(t *testing.T) {
 	var next *Job
 	var seen string
 	f.env.Go("main", func(p *sim.Proc) {
-		j := f.s.SubmitJob(JobSpec{Run: jobFunc(func(ctx *ExecContext) error {
-			ctx.Proc.Sleep(time.Second)
-			return nil
+		j := f.s.SubmitJob(JobSpec{Run: jobFunc(func(_ *ExecContext, done func(error)) {
+			f.env.Delay(time.Second, func() { done(nil) })
 		})})
 		j.done.Then(f.env, func() { next = f.s.SubmitJob(JobSpec{Run: noop}) })
 		f.env.Go("watcher", func(wp *sim.Proc) {
@@ -215,4 +216,102 @@ func TestSecondThenPanics(t *testing.T) {
 		}
 	}()
 	f.s.Then(j, func(*Job) {})
+}
+
+// sleeper is a chained payload: it holds its slot for d through one
+// Env.Delay, its continuation bound once, and reports through done.
+type sleeper struct {
+	env  *sim.Env
+	d    time.Duration
+	done func(error)
+	wake func()
+}
+
+func newSleeper(env *sim.Env, d time.Duration) *sleeper {
+	s := &sleeper{env: env, d: d}
+	s.wake = func() { s.done(nil) }
+	return s
+}
+
+func (s *sleeper) Run(_ *ExecContext, done func(error)) {
+	s.done = done
+	s.env.Delay(s.d, s.wake)
+}
+
+// TestChainedPayloadCycleAllocatesNothing: a warm job whose payload waits
+// through a chain (shadow, both sandbox transfers, the payload's own
+// delay) allocates nothing per cycle and creates no coroutine beyond the
+// driver's.
+func TestChainedPayloadCycleAllocatesNothing(t *testing.T) {
+	f := newFixture(t, fastPerJob)
+	const period = time.Minute
+	run := newSleeper(f.env, 5*time.Second)
+	f.env.Go("driver", func(p *sim.Proc) {
+		for next := period; ; next += period {
+			p.Sleep(next - p.Now())
+			j := f.s.SubmitJob(JobSpec{Run: run, TransferInputBytes: 1 << 20, TransferOutputBytes: 1 << 19})
+			if err := f.s.Wait(p, j); err != nil {
+				t.Error(err)
+			}
+			f.s.Release(j)
+		}
+	})
+	cycle := func() { f.env.RunFor(period) }
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a chained job's cycle allocates %.2f times, want 0", allocs)
+	}
+	if got := f.env.Stats().Coroutines; got != 1 {
+		t.Errorf("%d coroutines created, want 1 (the driver)", got)
+	}
+}
+
+// TestFaultedJobsFailAfterRequeue: a node crash before the payload starts
+// or while it runs, and an injected eviction, each fail the job with its
+// own error, and the failure settles only after the requeue penalty.
+func TestFaultedJobsFailAfterRequeue(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashAt time.Duration // 0: no crash
+		evict   bool
+		want    string
+	}{
+		{"crash-before-start", 1500 * time.Millisecond, false, "crashed before start"},
+		{"crash-mid-execution", 5 * time.Second, false, "crashed during execution"},
+		{"evicted", 0, true, "evicted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, func(p *config.Params) {
+				fastPerJob(p)
+				p.WorkerNodes = 1
+				p.ShadowSpawn = 0
+				p.JobStartOverhead = 2 * time.Second
+			})
+			if tc.evict {
+				in := faults.NewInjector(f.env)
+				f.s.AttachFaults(in)
+				in.Schedule(faults.Fault{Kind: faults.KindJobFailure, Rate: 1})
+			}
+			if tc.crashAt > 0 {
+				f.env.After(tc.crashAt, func() { f.s.crashNode(f.cl.Workers[0].Name) })
+			}
+			f.env.Go("main", func(p *sim.Proc) {
+				j := f.s.SubmitJob(JobSpec{Run: newSleeper(f.env, 10*time.Second)})
+				err := f.s.Wait(p, j)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("err = %v, want one saying %q", err, tc.want)
+				}
+				if j.Status() != StatusFailed {
+					t.Errorf("status = %v, want Failed", j.Status())
+				}
+				if penalty := p.Now() - j.FinishedAt; penalty != f.prm.EffectiveRequeueDelay() {
+					t.Errorf("settled %v after the claim ended, want the requeue delay %v", penalty, f.prm.EffectiveRequeueDelay())
+				}
+				f.s.Shutdown()
+			})
+			f.env.Run()
+		})
+	}
 }

@@ -193,3 +193,34 @@ func TestDoubleDeployRejected(t *testing.T) {
 	})
 	s.Env.Run()
 }
+
+// TestWorkflowRunSpawnsOnlyItsDriver: under by-value staging a workflow's
+// condor jobs, their payloads in every mode, the container lifecycles and
+// the function invocations all run as chains of continuations, so a run
+// creates one coroutine, its driver's.
+func TestWorkflowRunSpawnsOnlyItsDriver(t *testing.T) {
+	for _, mode := range []wms.Mode{wms.ModeNative, wms.ModeContainer, wms.ModeServerless} {
+		t.Run(mode.String(), func(t *testing.T) {
+			prm := fastParams()
+			s := NewStack(1, prm)
+			s.RegisterTransformation(workload.MatmulTransformation, 14<<20)
+			s.Env.Go("main", func(p *sim.Proc) {
+				defer s.Shutdown()
+				if mode == wms.ModeServerless {
+					if err := s.DeployFunction(p, workload.MatmulTransformation, DefaultPolicy()); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				wf := workload.FanOutFanIn(sim.NewRNG(1), "fan", 6, 3, prm.MatrixBytes, workload.UniformScale(0.5, 1.5))
+				if _, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(mode)); err != nil {
+					t.Error(err)
+				}
+			})
+			s.Env.Run()
+			if got := s.Env.Stats().Coroutines; got != 1 {
+				t.Errorf("run created %d coroutines, want 1 (the driver)", got)
+			}
+		})
+	}
+}

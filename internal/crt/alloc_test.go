@@ -36,15 +36,15 @@ func TestExecSteadyStateZeroAlloc(t *testing.T) {
 		if err := f.rt.PullImage(p, "matmul"); err != nil {
 			t.Fatal(err)
 		}
-		c, err := f.rt.Create(p, nil, "matmul", 0.5)
+		c, err := f.rt.create(p, nil, "matmul", 0.5)
 		if err == nil {
-			err = c.Start(p, nil)
+			err = c.start(p, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := c.Exec(p, nil, 0.01); err != nil {
+			if err := c.exec(p, nil, 0.01); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,7 +1,7 @@
 // Package crt is the per-node container runtime: a Docker-engine model with
 // an image store, container lifecycle (create → start → exec* → stop/remove)
 // and the per-operation overheads whose accumulation is the Docker curve of
-// the paper's Fig. 1. Keeping a started container and calling Exec on it
+// the paper's Fig. 1. Keeping a started container and calling ExecThen on it
 // repeatedly is container reuse — the serverless platform's headline
 // mechanism.
 package crt
@@ -171,20 +171,23 @@ func (rt *Runtime) Pull(p *sim.Proc, parent *trace.Span, name string) error {
 	return nil
 }
 
-// ImportImage models `docker load` of an image file already present on the
-// node (Pegasus's container universe ships the image as a job input file):
-// the unpack work is charged against the node's shared load bandwidth, so
-// concurrent jobs importing on the same node contend — a significant part of
-// the traditional-container path's poor parallel scaling. The import's
-// span nests under parent.
-func (rt *Runtime) ImportImage(p *sim.Proc, parent *trace.Span, img registry.Image) {
+// ImportImageThen models `docker load` of an image file already present on
+// the node (Pegasus's container universe ships the image as a job input
+// file): the unpack work is charged against the node's shared load
+// bandwidth, so concurrent jobs importing on the same node contend — a
+// significant part of the traditional-container path's poor parallel
+// scaling. The import's span nests under parent, and then runs where the
+// unpack drains (see fluid.Server.RunReservedThen).
+func (rt *Runtime) ImportImageThen(parent *trace.Span, img registry.Image, then func()) {
 	sp := trace.FromEnv(rt.env).Start(parent, "crt", "import", trace.L("image", img.Name), trace.L("node", rt.node.Name))
-	defer sp.End()
-	rt.loader.Run(p, float64(img.Bytes()), 0)
-	for _, l := range img.Layers {
-		rt.layers[l.Digest] = true
-	}
-	rt.images[img.Name] = img
+	rt.loader.RunReservedThen(float64(img.Bytes()), 0, 0, func() {
+		for _, l := range img.Layers {
+			rt.layers[l.Digest] = true
+		}
+		rt.images[img.Name] = img
+		sp.End()
+		then()
+	})
 }
 
 // Container is one container instance on a node.
@@ -200,17 +203,17 @@ type Container struct {
 // State returns the container's lifecycle state.
 func (c *Container) State() State { return c.state }
 
-// The lifecycle ops Create, Start, Exec and StopRemove are their
+// The lifecycle ops create, start, exec and stopRemove are their
 // continuation forms (BeginCreate, BeginStart, ExecThen, BeginStopRemove)
 // with the calling process's resume and one park. Begin* checks the op,
 // opens its span under the given parent and arms then to run once the
 // op's overhead has elapsed; then calls the matching End*, which applies
 // the op's outcome.
 
-// Create provisions a container from a locally available image, charging
+// create provisions a container from a locally available image, charging
 // the create overhead. capCores > 0 applies a cgroup CPU quota to
 // everything later executed in the container; 0 leaves it uncapped.
-func (rt *Runtime) Create(p *sim.Proc, parent *trace.Span, image string, capCores float64) (*Container, error) {
+func (rt *Runtime) create(p *sim.Proc, parent *trace.Span, image string, capCores float64) (*Container, error) {
 	c, err := rt.BeginCreate(parent, image, capCores, p.Resumer())
 	if err != nil {
 		return nil, err
@@ -222,7 +225,7 @@ func (rt *Runtime) Create(p *sim.Proc, parent *trace.Span, image string, capCore
 	return c, nil
 }
 
-// BeginCreate is Create's continuation form. The container it returns has
+// BeginCreate is create's continuation form. The container it returns has
 // no ID and is not live until EndCreate succeeds. An error means then was
 // not armed.
 func (rt *Runtime) BeginCreate(parent *trace.Span, image string, capCores float64, then func()) (*Container, error) {
@@ -270,8 +273,8 @@ func (c *Container) span(parent *trace.Span, name string) *trace.Span {
 	return tr.Start(parent, "crt", name, trace.L("container", c.ref()), trace.L("node", c.rt.node.Name))
 }
 
-// Start transitions the container to running, charging the start overhead.
-func (c *Container) Start(p *sim.Proc, parent *trace.Span) error {
+// start transitions the container to running, charging the start overhead.
+func (c *Container) start(p *sim.Proc, parent *trace.Span) error {
 	if err := c.BeginStart(parent, p.Resumer()); err != nil {
 		return err
 	}
@@ -279,7 +282,7 @@ func (c *Container) Start(p *sim.Proc, parent *trace.Span) error {
 	return c.EndStart()
 }
 
-// BeginStart is Start's continuation form. An error means then was not
+// BeginStart is start's continuation form. An error means then was not
 // armed.
 func (c *Container) BeginStart(parent *trace.Span, then func()) error {
 	if c.state != StateCreated {
@@ -305,14 +308,14 @@ func (c *Container) EndStart() error {
 	return nil
 }
 
-// Exec runs work core-seconds inside the container on the node's CPU and
+// exec runs work core-seconds inside the container on the node's CPU and
 // blocks until the work completes. The paper's tasks (single-threaded
 // python matmul) can use at most one core, so the effective rate cap is
 // min(1, cgroup quota). The same quota also acts as the container's CPU
 // reservation (cgroup shares), so containerized work is shielded from
 // noisy neighbours — the isolation half of the paper's trade-off. Floors
 // scale down when a node's reservations are oversubscribed.
-func (c *Container) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
+func (c *Container) exec(p *sim.Proc, parent *trace.Span, work float64) error {
 	if err := c.ExecThen(parent, work, p.Resumer()); err != nil {
 		return err
 	}
@@ -320,7 +323,7 @@ func (c *Container) Exec(p *sim.Proc, parent *trace.Span, work float64) error {
 	return nil
 }
 
-// ExecThen is Exec's continuation form: then runs once the work completes.
+// ExecThen is exec's continuation form: then runs once the work completes.
 // An error means then was not armed.
 func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) error {
 	if c.state != StateRunning {
@@ -344,9 +347,9 @@ func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) erro
 	return nil
 }
 
-// StopRemove stops and removes the container, charging the teardown
+// stopRemove stops and removes the container, charging the teardown
 // overhead.
-func (c *Container) StopRemove(p *sim.Proc, parent *trace.Span) error {
+func (c *Container) stopRemove(p *sim.Proc, parent *trace.Span) error {
 	if err := c.BeginStopRemove(parent, p.Resumer()); err != nil {
 		return err
 	}
@@ -355,7 +358,7 @@ func (c *Container) StopRemove(p *sim.Proc, parent *trace.Span) error {
 	return nil
 }
 
-// BeginStopRemove is StopRemove's continuation form. An error means then
+// BeginStopRemove is stopRemove's continuation form. An error means then
 // was not armed.
 func (c *Container) BeginStopRemove(parent *trace.Span, then func()) error {
 	if c.state == StateRemoved {
@@ -379,17 +382,17 @@ func (c *Container) EndStopRemove() {
 // Its lifecycle spans are roots.
 func (rt *Runtime) DockerRun(p *sim.Proc, image string, work, capCores float64) error {
 	p.Sleep(rt.params.DockerCLI)
-	c, err := rt.Create(p, nil, image, capCores)
+	c, err := rt.create(p, nil, image, capCores)
 	if err != nil {
 		return err
 	}
-	if err := c.Start(p, nil); err != nil {
-		_ = c.StopRemove(p, nil)
+	if err := c.start(p, nil); err != nil {
+		_ = c.stopRemove(p, nil)
 		return err
 	}
-	if err := c.Exec(p, nil, work); err != nil {
-		_ = c.StopRemove(p, nil)
+	if err := c.exec(p, nil, work); err != nil {
+		_ = c.stopRemove(p, nil)
 		return err
 	}
-	return c.StopRemove(p, nil)
+	return c.stopRemove(p, nil)
 }

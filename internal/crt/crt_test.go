@@ -93,27 +93,27 @@ func TestLifecycleOverheads(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := p.Now()
-		c, err := f.rt.Create(p, nil, "matmul", 1)
+		c, err := f.rt.create(p, nil, "matmul", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := p.Now() - start; got != f.prm.ContainerCreate {
 			t.Errorf("create took %v, want %v", got, f.prm.ContainerCreate)
 		}
-		if err := c.Start(p, nil); err != nil {
+		if err := c.start(p, nil); err != nil {
 			t.Fatal(err)
 		}
 		if c.State() != StateRunning {
 			t.Errorf("state = %v", c.State())
 		}
 		before := p.Now()
-		if err := c.Exec(p, nil, 2); err != nil { // 2 core-seconds capped at 1
+		if err := c.exec(p, nil, 2); err != nil { // 2 core-seconds capped at 1
 			t.Fatal(err)
 		}
 		if got := p.Now() - before; got != 2*time.Second {
 			t.Errorf("capped exec took %v, want 2s", got)
 		}
-		if err := c.StopRemove(p, nil); err != nil {
+		if err := c.stopRemove(p, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -126,7 +126,7 @@ func TestLifecycleOverheads(t *testing.T) {
 func TestCreateRequiresImage(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("job", func(p *sim.Proc) {
-		if _, err := f.rt.Create(p, nil, "matmul", 0); err == nil {
+		if _, err := f.rt.create(p, nil, "matmul", 0); err == nil {
 			t.Error("create without local image succeeded")
 		}
 	})
@@ -139,19 +139,19 @@ func TestExecStateErrors(t *testing.T) {
 		if err := f.rt.PullImage(p, "matmul"); err != nil {
 			t.Fatal(err)
 		}
-		c, _ := f.rt.Create(p, nil, "matmul", 0)
-		if err := c.Exec(p, nil, 1); err == nil {
+		c, _ := f.rt.create(p, nil, "matmul", 0)
+		if err := c.exec(p, nil, 1); err == nil {
 			t.Error("exec before start succeeded")
 		}
-		_ = c.Start(p, nil)
-		_ = c.StopRemove(p, nil)
-		if err := c.Exec(p, nil, 1); err == nil {
+		_ = c.start(p, nil)
+		_ = c.stopRemove(p, nil)
+		if err := c.exec(p, nil, 1); err == nil {
 			t.Error("exec after remove succeeded")
 		}
-		if err := c.StopRemove(p, nil); err == nil {
+		if err := c.stopRemove(p, nil); err == nil {
 			t.Error("double remove succeeded")
 		}
-		if err := c.Start(p, nil); err == nil {
+		if err := c.start(p, nil); err == nil {
 			t.Error("start after remove succeeded")
 		}
 	})
@@ -162,10 +162,10 @@ func TestContainerReuseCountsExecs(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("fn", func(p *sim.Proc) {
 		_ = f.rt.PullImage(p, "matmul")
-		c, _ := f.rt.Create(p, nil, "matmul", 0)
-		_ = c.Start(p, nil)
+		c, _ := f.rt.create(p, nil, "matmul", 0)
+		_ = c.start(p, nil)
 		for i := 0; i < 5; i++ {
-			if err := c.Exec(p, nil, 0.1); err != nil {
+			if err := c.exec(p, nil, 0.1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,7 +199,8 @@ func TestImportImageChargesUnpack(t *testing.T) {
 	f := newFixture(t)
 	f.env.Go("job", func(p *sim.Proc) {
 		start := p.Now()
-		f.rt.ImportImage(p, nil, f.img)
+		f.rt.ImportImageThen(nil, f.img, p.Resumer())
+		p.Await()
 		unpack := p.Now() - start
 		wantSecs := float64(f.img.Bytes()) / f.prm.ImageLoadBps
 		if got := unpack.Seconds(); got < wantSecs*0.99 || got > wantSecs*1.01 {
@@ -208,7 +209,7 @@ func TestImportImageChargesUnpack(t *testing.T) {
 		if !f.rt.HasImage("matmul") {
 			t.Error("image absent after import")
 		}
-		if _, err := f.rt.Create(p, nil, "matmul", 0); err != nil {
+		if _, err := f.rt.create(p, nil, "matmul", 0); err != nil {
 			t.Errorf("create after import: %v", err)
 		}
 	})

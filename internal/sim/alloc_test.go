@@ -136,7 +136,7 @@ func TestSemaphoreContendedSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		env.Go("worker", func(p *Proc) {
 			for {
-				sem.Acquire(p)
+				acquire(p, sem)
 				p.Sleep(time.Millisecond)
 				sem.Release()
 			}

@@ -5,14 +5,15 @@
 // empty, the next pending event. Every run-queue entry and every event
 // action is a plain func(), a continuation, and every wait has one shape:
 // it takes the continuation to run when the wait ends. Env.Delay waits on
-// the clock, Future.Then on a value and Signal.Then on a broadcast.
+// the clock, Future.Then on a value, Semaphore.AcquireThen on a permit and
+// Signal.Then on a broadcast.
 //
 // A process, spawned with Env.Go, is ordinary straight-line Go in a
 // func(*Proc). It waits by handing one of those waits its resume, a
 // continuation bound once per process (Proc.Resumer), and parking in
-// Proc.Await. The kernel's blocking waits (Sleep, Future.Get,
-// Semaphore.Acquire and WaitGroup.Wait) queue the same resume and park the
-// same way; none has a timeout. A control loop is no process: a Chan is an
+// Proc.Await. The kernel's blocking waits (Sleep, Future.Get and
+// WaitGroup.Wait) queue the same resume and park the same way; none has a
+// timeout. A control loop is no process: a Chan is an
 // unbounded queue drained by one handler, and its sends never block.
 //
 // Each process is a stdlib coroutine (iter.Pull): the run loop resumes it,

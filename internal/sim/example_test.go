@@ -75,7 +75,8 @@ func ExampleSemaphore() {
 	slots := sim.NewSemaphore(2)
 	for i := 0; i < 4; i++ {
 		env.Go("job", func(p *sim.Proc) {
-			slots.Acquire(p)
+			slots.AcquireThen(env, p.Resumer())
+			p.Await()
 			p.Sleep(time.Second)
 			slots.Release()
 		})

@@ -134,7 +134,7 @@ func TestWaitOrder(t *testing.T) {
 			sem.tryAcquire() // held until the event at 1s
 			for _, name := range []string{"p1", "p2"} {
 				env.Go(name, func(p *Proc) {
-					sem.Acquire(p)
+					acquire(p, sem)
 					l.add(name)
 					p.Sleep(0)
 					l.add(name + "-release")

@@ -134,8 +134,8 @@ func (p *Proc) run() {
 // process and allocates nothing.
 func (p *Proc) Resumer() func() { return p.resume }
 
-// wake is the process's resume. The kernel's own waits (Future,
-// Semaphore, WaitGroup) queue it too; for them it queues the process
+// wake is the process's resume. The kernel's own blocking waits (Future,
+// WaitGroup) queue it too; for them it queues the process
 // behind the entries already ready, in arrival order with the other
 // waiters its wait releases.
 func (p *Proc) wake() {

@@ -47,7 +47,7 @@ func TestStressManyProcessesDeterministic(t *testing.T) {
 				defer sent.Done()
 				for j := 0; j < 20; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(50)) * time.Millisecond)
-					sem.Acquire(p)
+					acquire(p, sem)
 					p.Sleep(time.Millisecond)
 					sem.Release()
 					qs[p.Rand().Intn(consumers)].Send(i*1000 + j)

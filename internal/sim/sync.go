@@ -5,7 +5,8 @@ package sim
 // condor schedd's shadow.
 type Semaphore struct {
 	avail int
-	q     ring[func()] // the resumes of blocked Acquires
+	q     ring[func()] // the continuations of waiting AcquireThens
+	env   *Env         // the waiters' run queue
 }
 
 // NewSemaphore returns a semaphore with n permits available.
@@ -16,12 +17,17 @@ func NewSemaphore(n int) *Semaphore {
 	return &Semaphore{avail: n}
 }
 
-// Acquire blocks the calling process until a permit is free and takes it.
-func (s *Semaphore) Acquire(p *Proc) {
-	if !s.tryAcquire() {
-		s.q.push(p.resume)
-		p.park(stateWaiting)
+// AcquireThen takes a permit and runs fn: at once when a permit is free
+// and no earlier waiter is queued, and otherwise from env's run queue when
+// a Release hands it the permit, in arrival order with the other waiters.
+// A process acquires by passing its resume and parking in Await.
+func (s *Semaphore) AcquireThen(env *Env, fn func()) {
+	if s.tryAcquire() {
+		fn()
+		return
 	}
+	s.env = env
+	s.q.push(fn)
 }
 
 // tryAcquire takes a permit if one is free and no earlier waiter is
@@ -34,11 +40,12 @@ func (s *Semaphore) tryAcquire() bool {
 	return false
 }
 
-// Release returns a permit. If a process is waiting the permit passes
-// straight to the longest waiter.
+// Release returns a permit. If a waiter is queued the permit passes
+// straight to the longest one, whose continuation joins the back of the
+// run queue.
 func (s *Semaphore) Release() {
-	if resume, ok := s.q.pop(); ok {
-		resume()
+	if fn, ok := s.q.pop(); ok {
+		s.env.Defer(fn)
 		return
 	}
 	s.avail++

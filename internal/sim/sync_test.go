@@ -6,13 +6,20 @@ import (
 	"time"
 )
 
+// acquire takes one of sem's permits for process p: AcquireThen with p's
+// resume, and one park.
+func acquire(p *Proc, sem *Semaphore) {
+	sem.AcquireThen(p.Env(), p.Resumer())
+	p.Await()
+}
+
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	env := NewEnv(1)
 	sem := NewSemaphore(2)
 	active, peak := 0, 0
 	for i := 0; i < 6; i++ {
 		env.Go("worker", func(p *Proc) {
-			sem.Acquire(p)
+			acquire(p, sem)
 			active++
 			if active > peak {
 				peak = active
@@ -39,7 +46,7 @@ func TestSemaphoreFIFONoStarvation(t *testing.T) {
 	var order []string
 	env.Go("hog", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			sem.Acquire(p)
+			acquire(p, sem)
 			order = append(order, "hog")
 			p.Sleep(time.Second)
 			sem.Release()
@@ -48,7 +55,7 @@ func TestSemaphoreFIFONoStarvation(t *testing.T) {
 	for _, name := range []string{"a", "b"} {
 		env.Go(name, func(p *Proc) {
 			p.Sleep(time.Millisecond)
-			sem.Acquire(p)
+			acquire(p, sem)
 			order = append(order, name)
 			p.Sleep(time.Second)
 			sem.Release()
@@ -64,13 +71,13 @@ func TestSemaphoreTryAcquireRespectsQueue(t *testing.T) {
 	env := NewEnv(1)
 	sem := NewSemaphore(1)
 	env.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
+		acquire(p, sem)
 		p.Sleep(time.Second)
 		sem.Release()
 	})
 	env.Go("waiter", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		sem.Acquire(p)
+		acquire(p, sem)
 		sem.Release()
 	})
 	env.Go("opportunist", func(p *Proc) {

@@ -132,6 +132,8 @@ type Engine struct {
 	// Broker carries task-settled events under the "trigger" execution mode
 	// (config.ExecTrigger); required for that mode, unused otherwise.
 	Broker *knative.Broker
+
+	execs []*taskExec // recycled payload chains (see taskState.Run)
 }
 
 // flight is one task's in-flight attempt: the primary condor job plus any
@@ -353,93 +355,263 @@ func (t *taskState) span(parent *trace.Span, substrate, name, node string) *trac
 	return tr.Start(parent, substrate, name, trace.L("task", t.name()), trace.L("node", node))
 }
 
-// Run is the task's condor payload: its mode's body on the claimed slot.
-func (t *taskState) Run(ctx *condor.ExecContext) error {
+// Run is the task's condor payload: its mode's chain on the claimed slot.
+// Hedged copies of one task run at once, so each run carries its chain
+// state in a taskExec of its own.
+func (t *taskState) Run(ctx *condor.ExecContext, done func(error)) {
+	x := t.d.e.newExec()
+	x.t, x.ctx, x.done = t, ctx, done
 	switch t.mode {
 	case ModeContainer:
-		return t.runContainer(ctx)
+		x.startContainer()
 	case ModeServerless:
-		return t.runServerless(ctx)
+		x.startServerless()
+	default:
+		x.stageIn()
 	}
-	return t.runNative(ctx)
 }
 
-// runNative is Setup 1: the task runs straight on the claimed slot.
-func (t *taskState) runNative(ctx *condor.ExecContext) error {
-	e, task := t.d.e, t.d.wf.tasks[t.i]
-	if err := t.stageIn(ctx.Proc, ctx.Span, ctx.Node.Name); err != nil {
-		return err
-	}
-	sp := t.span(ctx.Span, "exec", "exec", ctx.Node.Name)
-	ctx.Node.Exec(ctx.Proc, e.Cl.NextTaskWork()*task.effectiveWorkScale(), 1)
-	sp.End()
-	return t.stageOut(ctx.Proc, ctx.Span, ctx.Node.Name)
+// taskExec is one job's payload in flight, a chain of continuations:
+//
+//   - native (Setup 1): the task runs straight on the claimed slot;
+//   - container (Setup 2): the image came with the job, is loaded on the
+//     worker, and a fresh container runs the task under a one-core quota;
+//   - serverless (Setup 3): the original job is replaced by an invoker
+//     wrapper, itself a condor job (the critical path includes it,
+//     §IV-4). With by-value staging, inputs come to the wrapper's node and
+//     travel to the function in the request body; with remote staging the
+//     function's node reads the data service directly.
+//
+// Each step runs in the run-queue slot where a process waiting through the
+// same steps would run (see condor.Runner); only the remote-staging hooks,
+// which take a *sim.Proc, run in a process, started with Env.GoFirst where
+// the chain reaches them. Execs are recycled through the engine's free
+// list and their callbacks are bound once per struct, so a warm native
+// payload allocates nothing.
+type taskExec struct {
+	t     *taskState
+	ctx   *condor.ExecContext
+	done  func(error) // the job's report, called once by finish
+	stage execStage
+	err   error
+	sp    *trace.Span // the open exec or wrapper-startup span
+	// rt, image and c are the container mode's runtime, image and
+	// container; svc is the serverless mode's function.
+	rt    *crt.Runtime
+	image string
+	c     *crt.Container
+	svc   *knative.Service
+
+	// step, hook and invoked are advance, runHook and the invocation's
+	// report, bound once per struct.
+	step    func()
+	hook    func(*sim.Proc)
+	invoked func(knative.Response, error)
 }
 
-// runContainer is Setup 2: the image came with the job, is loaded on the
-// worker, and a fresh container runs the task under a one-core quota.
-func (t *taskState) runContainer(ctx *condor.ExecContext) error {
-	e, p, sp := t.d.e, ctx.Proc, ctx.Span
-	rt, ok := e.Runtimes[ctx.Node.Name]
+// execStage names the step a payload's chain runs next.
+type execStage uint8
+
+const (
+	execStagedIn  execStage = iota // the stage-in hook returned
+	execRan                        // the task's work drained
+	execStagedOut                  // the stage-out hook returned
+	execImported                   // container: the image is loaded
+	execCreated                    // container: the create overhead elapsed
+	execStarted                    // container: the start overhead elapsed
+	execRemoved                    // container: the stop-remove overhead elapsed
+	execWrapped                    // serverless: the invoker wrapper started
+)
+
+func (e *Engine) newExec() *taskExec {
+	if n := len(e.execs); n > 0 {
+		x := e.execs[n-1]
+		e.execs[n-1] = nil
+		e.execs = e.execs[:n-1]
+		return x
+	}
+	x := &taskExec{}
+	x.step, x.hook = x.advance, x.runHook
+	x.invoked = func(_ knative.Response, err error) { x.finish(err) }
+	return x
+}
+
+// finish recycles the exec and reports err to the job.
+func (x *taskExec) finish(err error) {
+	e, done := x.t.d.e, x.done
+	*x = taskExec{step: x.step, hook: x.hook, invoked: x.invoked}
+	e.execs = append(e.execs, x)
+	done(err)
+}
+
+// advance runs the chain's next step.
+func (x *taskExec) advance() {
+	switch x.stage {
+	case execStagedIn:
+		if x.err != nil {
+			x.worked()
+			return
+		}
+		x.exec()
+	case execRan:
+		x.sp.End()
+		x.sp = nil
+		x.stageOut()
+	case execStagedOut:
+		x.worked()
+	case execImported:
+		c, err := x.rt.BeginCreate(x.ctx.Span, x.image, 1, x.step)
+		if err != nil {
+			x.finish(err)
+			return
+		}
+		x.c, x.stage = c, execCreated
+	case execCreated:
+		if err := x.c.EndCreate(); err != nil {
+			x.finish(err)
+			return
+		}
+		if x.err = x.c.BeginStart(x.ctx.Span, x.step); x.err != nil {
+			x.stopRemove()
+			return
+		}
+		x.stage = execStarted
+	case execStarted:
+		if x.err = x.c.EndStart(); x.err != nil {
+			x.stopRemove()
+			return
+		}
+		x.stageIn()
+	case execRemoved:
+		x.c.EndStopRemove()
+		x.finish(x.err)
+	case execWrapped:
+		x.sp.End()
+		x.sp = nil
+		x.invoke()
+	}
+}
+
+// stageIn fetches the task's inputs onto the node. By value they came in
+// the job's sandbox; remote staging reads them in the stage-in hook.
+func (x *taskExec) stageIn() {
+	if x.t.d.e.Staging == StageByValue {
+		x.exec()
+		return
+	}
+	x.stage = execStagedIn
+	x.t.d.e.Env.GoFirst("stage-in", x.hook)
+}
+
+// stageOut writes the task's outputs back, as stageIn reads its inputs.
+func (x *taskExec) stageOut() {
+	if x.t.d.e.Staging == StageByValue {
+		x.worked()
+		return
+	}
+	x.stage = execStagedOut
+	x.t.d.e.Env.GoFirst("stage-out", x.hook)
+}
+
+// runHook is the body of the process a remote-staging hook runs in; it
+// continues the chain when the hook returns.
+func (x *taskExec) runHook(p *sim.Proc) {
+	t, ctx := x.t, x.ctx
+	if x.stage == execStagedIn {
+		x.err = t.stageIn(p, ctx.Span, ctx.Node.Name)
+	} else {
+		x.err = t.stageOut(p, ctx.Span, ctx.Node.Name)
+	}
+	x.advance()
+}
+
+// exec runs the task's work: on the slot's node, or in the container.
+func (x *taskExec) exec() {
+	e, task, node := x.t.d.e, x.t.d.wf.tasks[x.t.i], x.ctx.Node
+	x.stage = execRan
+	if x.t.mode != ModeContainer {
+		x.sp = x.t.span(x.ctx.Span, "exec", "exec", node.Name)
+		node.ExecReservedThen(e.Cl.NextTaskWork()*task.effectiveWorkScale(), 1, 0, x.step)
+		return
+	}
+	if x.err = x.c.ExecThen(x.ctx.Span, e.Cl.NextTaskWork()*task.effectiveWorkScale(), x.step); x.err != nil {
+		x.stopRemove()
+	}
+}
+
+// worked ends the payload once its work and staging are over or one of
+// them failed: a container is torn down first.
+func (x *taskExec) worked() {
+	if x.t.mode == ModeContainer {
+		x.stopRemove()
+		return
+	}
+	x.finish(x.err)
+}
+
+// startContainer loads the job's image into the node's runtime.
+func (x *taskExec) startContainer() {
+	node := x.ctx.Node.Name
+	rt, ok := x.t.d.e.Runtimes[node]
 	if !ok {
-		return fmt.Errorf("wms: no container runtime on %s", ctx.Node.Name)
+		x.finish(fmt.Errorf("wms: no container runtime on %s", node))
+		return
 	}
-	img, _, err := t.resources()
+	img, _, err := x.t.resources()
 	if err != nil {
-		return err
+		x.finish(err)
+		return
 	}
-	rt.ImportImage(p, sp, img)
-	c, err := rt.Create(p, sp, img.Name, 1)
-	if err != nil {
-		return err
-	}
-	err = c.Start(p, sp)
-	if err == nil {
-		err = t.stageIn(p, sp, ctx.Node.Name)
-	}
-	if err == nil {
-		err = c.Exec(p, sp, e.Cl.NextTaskWork()*t.d.wf.tasks[t.i].effectiveWorkScale())
-	}
-	if err == nil {
-		err = t.stageOut(p, sp, ctx.Node.Name)
-	}
-	// Tear the container down on every exit so a retried attempt starts
-	// from a clean slate — leaking a container per failed attempt would
-	// make resubmission non-idempotent (and slowly eat the node under
-	// fault injection).
-	if stopErr := c.StopRemove(p, sp); err == nil {
-		err = stopErr
-	}
-	return err
+	x.rt, x.image, x.stage = rt, img.Name, execImported
+	rt.ImportImageThen(x.ctx.Span, img, x.step)
 }
 
-// runServerless is Setup 3: the original job is replaced by an invoker
-// wrapper. The wrapper is itself a condor job (the critical path includes
-// it, §IV-4). With by-value staging, inputs come to the wrapper's node and
-// travel to the function in the request body; with remote staging the
-// function's node reads the data service directly.
-func (t *taskState) runServerless(ctx *condor.ExecContext) error {
-	e, task := t.d.e, t.d.wf.tasks[t.i]
-	_, svc, err := t.resources()
-	if err != nil {
-		return err
+// stopRemove tears the container down on every exit so a retried attempt
+// starts from a clean slate — leaking a container per failed attempt would
+// make resubmission non-idempotent (and slowly eat the node under fault
+// injection). The payload ends with its first error.
+func (x *taskExec) stopRemove() {
+	if err := x.c.BeginStopRemove(x.ctx.Span, x.step); err != nil {
+		if x.err == nil {
+			x.err = err
+		}
+		x.finish(x.err)
+		return
 	}
-	ws := t.span(ctx.Span, "wms", "wrapper-startup", ctx.Node.Name)
-	ctx.Proc.Sleep(e.Prm.WrapperStartup) // python invoker script startup
-	ws.End()
+	x.stage = execRemoved
+}
+
+// startServerless starts the invoker wrapper.
+func (x *taskExec) startServerless() {
+	_, svc, err := x.t.resources()
+	if err != nil {
+		x.finish(err)
+		return
+	}
+	e := x.t.d.e
+	x.svc = svc
+	x.sp = x.t.span(x.ctx.Span, "wms", "wrapper-startup", x.ctx.Node.Name)
+	x.stage = execWrapped
+	e.Env.Delay(e.Prm.WrapperStartup, x.step) // python invoker script startup
+}
+
+// invoke calls the task's function with the task's files in the request
+// body, or with references to them under remote staging.
+func (x *taskExec) invoke() {
+	t := x.t
+	e, task := t.d.e, t.d.wf.tasks[t.i]
 	req := knative.Request{
-		From:       ctx.Node.Name,
+		From:       x.ctx.Node.Name,
 		PayloadIn:  task.inputBytes(),
 		PayloadOut: task.outputBytes(),
 		Work:       e.Cl.NextTaskWork() * task.effectiveWorkScale(),
-		Parent:     ctx.Span,
+		Parent:     x.ctx.Span,
 	}
 	if e.Staging != StageByValue {
 		req.PayloadIn, req.PayloadOut = referenceBytes, referenceBytes
 		req.StageIn, req.StageOut = t.stageIn, t.stageOut
 	}
-	_, err = svc.Invoke(ctx.Proc, req)
-	return err
+	x.svc.InvokeAsync(req, x.invoked)
 }
 
 // stageIn and stageOut touch the data service from the execution node when

@@ -143,10 +143,11 @@ func TestExperimentsExportOnlyTheTable(t *testing.T) {
 // that runs no such code is a handler of its queue or a chain of
 // continuations, never a process.
 var substrateProcs = map[[2]string]bool{
-	{"condor", "job"}:        true, // the Runner gets ctx.Proc
-	{"knative", "stage-in"}:  true, // the GoFirst hooks
+	{"knative", "stage-in"}:  true, // the GoFirst staging hooks
 	{"knative", "stage-out"}: true,
 	{"kube", "pull-"}:        true,
+	{"wms", "stage-in"}:      true, // the GoFirst staging hooks
+	{"wms", "stage-out"}:     true,
 }
 
 // TestSubstratesSpawnOnlyListedProcs keeps the substrates' control loops
