@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/condor"
@@ -31,9 +30,10 @@ type dagRun struct {
 
 	tasks    []taskState
 	results  []TaskResult // by declaration index; res.Tasks points here
+	plan     *runPlan     // the workflow's ID ranks and task names
 	ndone    int
 	ready    []uint64 // bitset by declaration index: not done, not in flight, parents done
-	inflight []int32  // tasks with a live flight, sorted by ID (the poll scan order)
+	inflight []int32  // the ranks of tasks with a live flight, sorted (the poll scan's ID order)
 	scan     []int32  // reused snapshot of inflight for one poll tick
 
 	tracer *trace.Tracer
@@ -73,9 +73,14 @@ type taskState struct {
 // provenance carries over), and starts the indegree countdown of every
 // other task, readying those with no unfinished parent.
 func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState, res *RunResult, tracer *trace.Tracer, wfSpan *trace.Span) (*dagRun, error) {
+	plan, err := wf.validateOnce()
+	if err != nil {
+		return nil, err
+	}
 	d := &dagRun{
 		e:       e,
 		wf:      wf,
+		plan:    plan,
 		res:     res,
 		tasks:   make([]taskState, wf.Len()),
 		results: make([]TaskResult, wf.Len()),
@@ -139,11 +144,9 @@ func (d *dagRun) submitReady(now time.Duration, started func(i int32, f *flight)
 	return nil
 }
 
-// inflightPos finds a task's position in the ID-sorted in-flight list.
+// inflightPos finds a task's position in the rank-sorted in-flight list.
 func (d *dagRun) inflightPos(i int32) (int, bool) {
-	return slices.BinarySearchFunc(d.inflight, d.wf.tasks[i].ID, func(j int32, id string) int {
-		return strings.Compare(d.wf.tasks[j].ID, id)
-	})
+	return slices.BinarySearch(d.inflight, d.plan.rank[i])
 }
 
 // retire removes a task's flight from the in-flight set.
@@ -158,8 +161,8 @@ func (d *dagRun) retire(i int32) {
 // are discarded and the rescue DAG re-runs those tasks.
 func (d *dagRun) abandonedJobs() int {
 	n := 0
-	for _, i := range d.inflight {
-		n += len(d.tasks[i].flight.copies)
+	for _, r := range d.inflight {
+		n += len(d.tasks[d.plan.byRank[r]].flight.copies)
 	}
 	return n
 }
@@ -305,7 +308,7 @@ func (d *dagRun) submitOne(i int32) (*flight, error) {
 	f.copies = append(f.first[:0], flightCopy{job: job})
 	t.flight = f
 	k, _ := d.inflightPos(i)
-	d.inflight = slices.Insert(d.inflight, k, i)
+	d.inflight = slices.Insert(d.inflight, k, d.plan.rank[i])
 	return f, nil
 }
 

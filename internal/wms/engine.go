@@ -201,7 +201,7 @@ func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *rescueState)
 	if execMode == config.ExecTrigger && e.Broker == nil {
 		return nil, fmt.Errorf("wms: execution mode %q needs Engine.Broker", execMode)
 	}
-	if err := wf.validateOnce(); err != nil {
+	if _, err := wf.validateOnce(); err != nil {
 		return nil, err
 	}
 	switch e.Staging {
@@ -340,9 +340,9 @@ func (t *taskState) resources() (img registry.Image, svc *knative.Service, err e
 }
 
 // name is the task's "<workflow>/<task>" name, for spans, events and
-// errors.
+// errors, built once per workflow (see runPlan).
 func (t *taskState) name() string {
-	return t.d.wf.Name + "/" + t.d.wf.tasks[t.i].ID
+	return t.d.plan.names[t.i]
 }
 
 // span opens a span under parent labelled with the task's name and the

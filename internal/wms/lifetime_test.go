@@ -132,13 +132,13 @@ func TestValidatedWorkflowRevalidatesAfterChange(t *testing.T) {
 		if _, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative)); err != nil {
 			t.Fatal(err)
 		}
-		if !wf.valid.Load() {
+		if wf.valid.Load() == nil {
 			t.Error("a successful run left no cached verdict")
 		}
 		if err := wf.AddDependency(taskID(2), taskID(0)); err != nil {
 			t.Fatal(err)
 		}
-		if wf.valid.Load() {
+		if wf.valid.Load() != nil {
 			t.Error("AddDependency kept the cached verdict")
 		}
 		_, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
@@ -180,7 +180,7 @@ func TestSharedWorkflowAcrossEnvs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !wf.valid.Load() {
+	if wf.valid.Load() == nil {
 		t.Error("the shared workflow holds no cached verdict")
 	}
 	if makespans[0] == 0 || makespans[0] != makespans[1] {

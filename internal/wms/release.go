@@ -85,8 +85,8 @@ func (d *dagRun) pollTick() {
 	now := d.e.Env.Now()
 	if d.ticked {
 		d.scan = append(d.scan[:0], d.inflight...)
-		for _, i := range d.scan {
-			if d.settle(i); d.over {
+		for _, r := range d.scan {
+			if d.settle(d.plan.byRank[r]); d.over {
 				return
 			}
 		}
@@ -218,7 +218,8 @@ func (d *dagRun) submitHedges(now time.Duration) error {
 	if d.e.HedgeAfter <= 0 {
 		return nil
 	}
-	for _, i := range d.inflight {
+	for _, r := range d.inflight {
+		i := d.plan.byRank[r]
 		f := d.tasks[i].flight
 		if wait, ok := d.hedgeDue(f, now); ok && wait <= 0 {
 			if _, err := d.submitHedgeCopy(i, f); err != nil {

@@ -168,8 +168,8 @@ func TestInflightSetKeepsIDOrder(t *testing.T) {
 	}
 	inflight := func() []string {
 		var ids []string
-		for _, i := range d.inflight {
-			ids = append(ids, wf.tasks[i].ID)
+		for _, r := range d.inflight {
+			ids = append(ids, wf.tasks[d.plan.byRank[r]].ID)
 		}
 		return ids
 	}

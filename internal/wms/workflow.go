@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 )
 
@@ -88,10 +89,36 @@ type Workflow struct {
 	tasks   []*TaskSpec
 	parents [][]int32 // child → parents, one entry per AddDependency
 	childs  [][]int32 // parent → children
-	// valid caches a successful Validate until the next AddTask or
-	// AddDependency. It is atomic because concurrent simulations share a
-	// Workflow and each run validates it.
-	valid atomic.Bool
+	// valid caches a successful Validate, with the run plan derived from
+	// it, until the next AddTask or AddDependency. It is atomic because
+	// concurrent simulations share a Workflow and each run validates it.
+	valid atomic.Pointer[runPlan]
+}
+
+// runPlan is what every run of a validated workflow shares, derived once:
+// each task's rank in ID order, which keys a run's in-flight set so the
+// poll scan observes tasks in ID order, and each task's
+// "<workflow>/<task>" name, its spans' label and its trigger subject.
+type runPlan struct {
+	name   string  // the workflow name the names were built from
+	rank   []int32 // declaration index → rank in ID order
+	byRank []int32 // rank in ID order → declaration index
+	names  []string
+}
+
+// newRunPlan derives the run plan of the workflow as it stands.
+func (w *Workflow) newRunPlan() *runPlan {
+	n := len(w.tasks)
+	pl := &runPlan{name: w.Name, rank: make([]int32, n), byRank: make([]int32, n), names: make([]string, n)}
+	for i, t := range w.tasks {
+		pl.byRank[i] = int32(i)
+		pl.names[i] = w.Name + "/" + t.ID
+	}
+	slices.SortFunc(pl.byRank, func(a, b int32) int { return strings.Compare(w.tasks[a].ID, w.tasks[b].ID) })
+	for r, i := range pl.byRank {
+		pl.rank[i] = int32(r)
+	}
+	return pl
 }
 
 // NewWorkflow returns an empty workflow.
@@ -238,9 +265,15 @@ func (w *Workflow) ExternalInputs() []FileSpec {
 // unless an input's producers are all non-parents, which costs one
 // ancestor search for that task.
 func (w *Workflow) Validate() error {
+	_, err := w.validate()
+	return err
+}
+
+// validate is Validate that returns the run plan it caches.
+func (w *Workflow) validate() (*runPlan, error) {
 	topo, err := w.topo()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prod := w.producers()
 	// For topo[k], stamp[j] == 2k+1 marks j as a parent and 2k+2 as an
@@ -263,29 +296,30 @@ func (w *Workflow) Validate() error {
 				searched = true
 			}
 			if !slices.ContainsFunc(ps, func(j int32) bool { return stamp[j] == ancestor }) {
-				return fmt.Errorf("wms: task %s input %q is produced by a non-ancestor", w.tasks[i].ID, f.LFN)
+				return nil, fmt.Errorf("wms: task %s input %q is produced by a non-ancestor", w.tasks[i].ID, f.LFN)
 			}
 		}
 	}
-	w.valid.Store(true)
-	return nil
+	pl := w.newRunPlan()
+	w.valid.Store(pl)
+	return pl, nil
 }
 
 // invalidate drops a cached Validate verdict. Building a workflow calls it
 // per task and edge, so it stores only when there is a verdict to drop.
 func (w *Workflow) invalidate() {
-	if w.valid.Load() {
-		w.valid.Store(false)
+	if w.valid.Load() != nil {
+		w.valid.Store(nil)
 	}
 }
 
-// validateOnce is Validate for a run: a workflow that passed is not
-// checked again until it changes.
-func (w *Workflow) validateOnce() error {
-	if w.valid.Load() {
-		return nil
+// validateOnce is Validate for a run, returning the run plan: a workflow
+// that passed is not checked again until it changes or is renamed.
+func (w *Workflow) validateOnce() (*runPlan, error) {
+	if pl := w.valid.Load(); pl != nil && pl.name == w.Name {
+		return pl, nil
 	}
-	return w.Validate()
+	return w.validate()
 }
 
 // stampAncestors marks every ancestor of task i with mark, by depth-first
