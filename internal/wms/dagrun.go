@@ -32,9 +32,10 @@ type dagRun struct {
 	results  []TaskResult // by declaration index; res.Tasks points here
 	plan     *runPlan     // the workflow's ID ranks and task names
 	ndone    int
-	ready    []uint64 // bitset by declaration index: not done, not in flight, parents done
-	inflight []int32  // the ranks of tasks with a live flight, sorted (the poll scan's ID order)
-	scan     []int32  // reused snapshot of inflight for one poll tick
+	ready    []uint64  // bitset by declaration index: not done, not in flight, parents done
+	inflight []int32   // the ranks of tasks with a live flight, sorted (the poll scan's ID order)
+	scan     []int32   // reused snapshot of inflight for one poll tick
+	flights  []*flight // retired flights awaiting reuse
 
 	tracer *trace.Tracer
 	wfSpan *trace.Span
@@ -122,7 +123,7 @@ func (d *dagRun) setReady(i int32) { d.ready[i>>6] |= 1 << (i & 63) }
 // submitReady submits ready tasks in declaration order until the set is
 // exhausted. A task still inside its retry backoff is skipped but stays
 // ready. started, when non-nil, sees each new flight.
-func (d *dagRun) submitReady(now time.Duration, started func(i int32, f *flight)) error {
+func (d *dagRun) submitReady(now time.Duration, started func(*flight)) error {
 	for w, word := range d.ready {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
@@ -137,7 +138,7 @@ func (d *dagRun) submitReady(now time.Duration, started func(i int32, f *flight)
 				return err
 			}
 			if started != nil {
-				started(i, f)
+				started(f)
 			}
 		}
 	}
@@ -223,6 +224,7 @@ func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
 	}
 	f.attempt.SetLabel("node", d.results[i].Node)
 	f.attempt.End()
+	d.freeFlight(f)
 	for _, c := range d.wf.childs[i] {
 		ct := &d.tasks[c]
 		ct.waiting--
@@ -260,6 +262,7 @@ func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *abortError) {
 	d.retire(i)
 	f.attempt.SetLabel("status", "failed")
 	f.attempt.End()
+	d.freeFlight(f)
 	attempts := int(d.tasks[i].attempts)
 	switch {
 	case attempts >= d.e.Retry.Attempts():
@@ -304,12 +307,39 @@ func (d *dagRun) submitOne(i int32) (*flight, error) {
 		return nil, err
 	}
 	t.attempts++
-	f := &flight{attempt: sp}
-	f.copies = append(f.first[:0], flightCopy{job: job})
+	f := d.newFlight()
+	f.i, f.attempt = i, sp
+	f.copies = append(f.copies, flightCopy{job: job})
 	t.flight = f
 	k, _ := d.inflightPos(i)
 	d.inflight = slices.Insert(d.inflight, k, d.plan.rank[i])
 	return f, nil
+}
+
+// newFlight takes a flight off the free list, or makes one and binds its
+// hedge step.
+func (d *dagRun) newFlight() *flight {
+	if n := len(d.flights); n > 0 {
+		f := d.flights[n-1]
+		d.flights[n-1] = nil
+		d.flights = d.flights[:n-1]
+		return f
+	}
+	f := &flight{}
+	f.copies = f.first[:0]
+	f.hedge = func() { d.hedge(f) }
+	return f
+}
+
+// freeFlight clears a retired flight and recycles it, once no hedge timer
+// is pending on it.
+func (d *dagRun) freeFlight(f *flight) {
+	clear(f.copies)
+	f.copies, f.attempt = f.copies[:0], nil
+	f.gen++
+	if !f.pending {
+		d.flights = append(d.flights, f)
+	}
 }
 
 // hedgeDue reports whether flight f may take another speculative copy

@@ -137,12 +137,21 @@ type Engine struct {
 }
 
 // flight is one task's in-flight attempt: the primary condor job plus any
-// speculative hedge copies.
+// speculative hedge copies. Retired flights are recycled through the
+// run's free list (see dagRun.freeFlight).
 type flight struct {
+	i       int32 // the task
 	attempt *trace.Span
 	copies  []flightCopy
 	first   [1]flightCopy // copies' backing array until a hedge grows it
-	hedge   func()        // the event-driven hedge timer's step, when hedging
+	// hedge is the event-driven hedge timer's step, bound once per struct.
+	// gen counts the struct's retirements and armed is the gen its
+	// pending timer was armed under, so a timer that outlives its attempt
+	// sees that it is stale; a struct with a timer pending is recycled
+	// only when the timer fires.
+	hedge      func()
+	gen, armed uint32
+	pending    bool
 }
 
 // flightCopy is one submitted copy of an attempt. span is nil for the

@@ -180,9 +180,9 @@ func (d *dagRun) drain() {
 	}
 }
 
-func (d *dagRun) launched(i int32, f *flight) {
+func (d *dagRun) launched(f *flight) {
 	d.e.Pool.Then(f.copies[0].job, d.watch)
-	d.armHedges(i, f)
+	d.armHedges(f)
 }
 
 // copySettled runs when one copy's job settles. Decentralized release
@@ -232,26 +232,33 @@ func (d *dagRun) submitHedges(now time.Duration) error {
 
 // armHedges is the event-driven form of the hedge scan: one timer per
 // attempt, first run where a process spawned now would run.
-func (d *dagRun) armHedges(i int32, f *flight) {
+func (d *dagRun) armHedges(f *flight) {
 	if d.e.HedgeAfter > 0 {
-		f.hedge = func() { d.hedge(i, f) }
+		f.pending, f.armed = true, f.gen
 		d.e.Env.Defer(f.hedge)
 	}
 }
 
 // hedge submits the attempt's due copies and re-arms for the next, until
-// the attempt settles or reaches HedgeMax.
-func (d *dagRun) hedge(i int32, f *flight) {
-	for !d.over && d.tasks[i].flight == f {
+// the attempt settles or reaches HedgeMax. A timer whose attempt retired
+// while it was pending recycles the flight and does nothing else.
+func (d *dagRun) hedge(f *flight) {
+	f.pending = false
+	if f.armed != f.gen {
+		d.flights = append(d.flights, f)
+		return
+	}
+	for !d.over && f.armed == f.gen {
 		wait, ok := d.hedgeDue(f, d.e.Env.Now())
 		if !ok {
 			return
 		}
 		if wait > 0 {
+			f.pending = true
 			d.e.Env.After(wait, f.hedge) // re-check then: the flight may have settled or grown
 			return
 		}
-		job, err := d.submitHedgeCopy(i, f)
+		job, err := d.submitHedgeCopy(f.i, f)
 		if err != nil {
 			d.end(err)
 			return
