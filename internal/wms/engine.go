@@ -274,7 +274,7 @@ func (d *dagRun) reportOutcome() {
 // submitTask plans one copy of task i into a condor job for its mode and
 // submits it, with the job's span under sp. The job's payload is the task's
 // own run state (taskState.Run), so a submission builds no closure, and the
-// "<workflow>/<task>" name is built only for a tracer.
+// job's name is the task's prebuilt "<workflow>/<task>" name.
 func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
 	e, t, task := d.e, &d.tasks[i], d.wf.tasks[i]
 	var requires func(*cluster.Node) bool
@@ -304,12 +304,8 @@ func (d *dagRun) submitTask(i int32, sp *trace.Span) (*condor.Job, error) {
 			inputLFNs = append(inputLFNs, f.LFN)
 		}
 	}
-	var name string
-	if d.tracer != nil {
-		name = t.name()
-	}
 	return e.Pool.SubmitJob(condor.JobSpec{
-		Name:                name,
+		Name:                t.name(),
 		Priority:            task.Priority,
 		Requires:            requires,
 		TransferInputBytes:  inBytes,
