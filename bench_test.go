@@ -119,7 +119,7 @@ func firstTaskExecSecs(seed uint64, prm config.Params, policy core.DeployPolicy)
 		if err != nil {
 			panic(err)
 		}
-		first := res.Tasks[wf.TaskIDs()[0]]
+		first := res.Tasks[0]
 		secs = (first.FinishedAt - first.StartedAt).Seconds()
 	})
 	s.Env.Run()

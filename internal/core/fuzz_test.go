@@ -48,14 +48,14 @@ func TestPropertyRandomDAGExecutesCorrectly(t *testing.T) {
 				return
 			}
 			for _, id := range wf.TaskIDs() {
-				task := res.Tasks[id]
+				task := res.Task(wf, id)
 				if task == nil {
 					t.Logf("seed %d: task %s missing", seed, id)
 					ok = false
 					return
 				}
 				for _, par := range wf.Parents(id) {
-					if res.Tasks[par].FinishedAt > task.StartedAt {
+					if res.Task(wf, par).FinishedAt > task.StartedAt {
 						t.Logf("seed %d: task %s started before parent %s finished", seed, id, par)
 						ok = false
 						return

@@ -97,11 +97,13 @@ func TestContainerLifecycleInvariant(t *testing.T) {
 func TestAttemptSpanInvariant(t *testing.T) {
 	tr, res := tracedRun(t, 23, wms.ModeNative, 0.2, 0)
 	retried := 0
-	for id, task := range res.Tasks {
-		tracetest.AssertAttemptSpans(t, tr, "mosaic", id, task.Attempts)
+	attempts := make(map[string]int, len(res.Tasks))
+	for _, task := range res.Tasks {
+		tracetest.AssertAttemptSpans(t, tr, "mosaic", task.ID, task.Attempts)
 		if task.Attempts > 1 {
 			retried++
 		}
+		attempts[task.ID] = task.Attempts
 	}
 	if retried == 0 {
 		t.Error("seed produced no retried task; raise the fault rate to exercise the invariant")
@@ -111,12 +113,12 @@ func TestAttemptSpanInvariant(t *testing.T) {
 		attempt, _ := sp.Label("attempt")
 		status, failed := sp.Label("status")
 		id, _ := sp.Label("task")
-		last := attempt == strconv.Itoa(res.Tasks[id].Attempts)
+		last := attempt == strconv.Itoa(attempts[id])
 		if failed && status == "failed" && last {
 			t.Errorf("task %s final attempt %s labelled failed on a completed run", id, attempt)
 		}
 		if !failed && !last {
-			t.Errorf("task %s attempt %s (of %d) has no failure label", id, attempt, res.Tasks[id].Attempts)
+			t.Errorf("task %s attempt %s (of %d) has no failure label", id, attempt, attempts[id])
 		}
 	}
 }

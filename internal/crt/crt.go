@@ -52,10 +52,10 @@ type Runtime struct {
 
 	layers map[string]bool
 	images map[string]registry.Image
-	nextID int
 	loader *fluid.Server // docker-load unpack bandwidth, shared per node
 	faults *faults.Injector
 	budget *resilience.RetryBudget // shared pull retry budget (nil = ungated)
+	ops    *op                     // recycled imports and traced execs, linked by next
 
 	createdTotal int
 	removedTotal int
@@ -180,14 +180,51 @@ func (rt *Runtime) Pull(p *sim.Proc, parent *trace.Span, name string) error {
 // unpack drains (see fluid.Server.RunReservedThen).
 func (rt *Runtime) ImportImageThen(parent *trace.Span, img registry.Image, then func()) {
 	sp := trace.FromEnv(rt.env).Start(parent, "crt", "import", trace.L("image", img.Name), trace.L("node", rt.node.Name))
-	rt.loader.RunReservedThen(float64(img.Bytes()), 0, 0, func() {
-		for _, l := range img.Layers {
+	o := rt.newOp(sp, then)
+	o.img = img
+	rt.loader.RunReservedThen(float64(img.Bytes()), 0, 0, o.done)
+}
+
+// op is an import or a traced exec in flight: what its end records, and
+// the continuation it then runs. Ops are recycled through the runtime's
+// free list and their done step is bound once per struct, so neither
+// allocates once the list has grown to the node's concurrency.
+type op struct {
+	rt   *Runtime
+	sp   *trace.Span
+	img  registry.Image // an import's image; empty for an exec
+	then func()
+	done func() // finish, bound once
+	next *op    // the free list's next op
+}
+
+func (rt *Runtime) newOp(sp *trace.Span, then func()) *op {
+	o := rt.ops
+	if o != nil {
+		rt.ops = o.next
+	} else {
+		o = &op{rt: rt}
+		o.done = o.finish
+	}
+	o.sp, o.then = sp, then
+	return o
+}
+
+// finish ends the op once its work drains: an import records its image
+// in the local store, the span ends, and the op is recycled before its
+// continuation runs.
+func (o *op) finish() {
+	rt, then := o.rt, o.then
+	if o.img.Name != "" {
+		for _, l := range o.img.Layers {
 			rt.layers[l.Digest] = true
 		}
-		rt.images[img.Name] = img
-		sp.End()
-		then()
-	})
+		rt.images[o.img.Name] = o.img
+	}
+	o.sp.End()
+	*o = op{rt: rt, done: o.done, next: rt.ops}
+	rt.ops = o
+	then()
 }
 
 // Container is one container instance on a node.
@@ -248,8 +285,7 @@ func (c *Container) EndCreate() error {
 		sp.End()
 		return faults.Transientf("crt: %s: create %q: injected create failure", rt.node.Name, c.Image)
 	}
-	c.ID = rt.nextID
-	rt.nextID++
+	c.ID = rt.createdTotal // IDs count creations from 0
 	rt.createdTotal++
 	if sp != nil {
 		sp.SetLabel("container", c.ref())
@@ -330,11 +366,7 @@ func (c *Container) ExecThen(parent *trace.Span, work float64, then func()) erro
 		return fmt.Errorf("crt: exec: container %d is %v", c.ID, c.state)
 	}
 	if sp := c.span(parent, "exec"); sp != nil {
-		next := then
-		then = func() {
-			sp.End()
-			next()
-		}
+		then = c.rt.newOp(sp, then).done
 	}
 	rate, floor := 1.0, 0.0
 	if c.CapCores > 0 && c.CapCores < rate {

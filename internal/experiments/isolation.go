@@ -88,16 +88,11 @@ func isolationRun(seed uint64, prm config.Params, mode wms.Mode, tasks int, cont
 	if err != nil {
 		panic(err)
 	}
-	// Sum in workflow task order: res.Tasks is a map, and ranging over it
-	// directly makes the float accumulation order — and hence the last ulps
-	// of the mean — vary run to run.
-	ids := wf.TaskIDs()
 	var sum float64
-	for _, id := range ids {
-		t := res.Tasks[id]
+	for _, t := range res.Tasks {
 		sum += (t.FinishedAt - t.StartedAt).Seconds()
 	}
-	return sum / float64(len(ids))
+	return sum / float64(len(res.Tasks))
 }
 
 // heavyChain is a sequential chain of ~20-core-second tasks.

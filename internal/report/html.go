@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,10 +87,7 @@ func WriteHTML(w io.Writer, run *wms.RunResult) error {
 		}
 		return v
 	}
-	tasks := make([]*wms.TaskResult, 0, len(run.Tasks))
-	for _, t := range run.Tasks {
-		tasks = append(tasks, t)
-	}
+	tasks := slices.Clone(run.Tasks)
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].SubmittedAt != tasks[j].SubmittedAt {
 			return tasks[i].SubmittedAt < tasks[j].SubmittedAt

@@ -6,6 +6,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -25,10 +26,7 @@ func Timeline(w io.Writer, run *wms.RunResult) error {
 		_, err := fmt.Fprintln(w, "(no tasks)")
 		return err
 	}
-	tasks := make([]*wms.TaskResult, 0, len(run.Tasks))
-	for _, t := range run.Tasks {
-		tasks = append(tasks, t)
-	}
+	tasks := slices.Clone(run.Tasks)
 	sort.Slice(tasks, func(i, j int) bool {
 		if tasks[i].SubmittedAt != tasks[j].SubmittedAt {
 			return tasks[i].SubmittedAt < tasks[j].SubmittedAt
@@ -118,10 +116,10 @@ func Summary(w io.Writer, run *wms.RunResult) error {
 // CriticalPath lists the chain of tasks that determined the makespan: the
 // task that finished last, its latest-finishing executed predecessor among
 // the workflow's parents, and so on back to a root. Ties go to the task
-// declared first, so the output does not depend on map order.
+// declared first.
 func CriticalPath(w io.Writer, wf *wms.Workflow, run *wms.RunResult) error {
 	var path []*wms.TaskResult
-	for cur := latest(run, wf.TaskIDs()); cur != nil; cur = latest(run, wf.Parents(cur.ID)) {
+	for cur := latest(run, wf, wf.TaskIDs()); cur != nil; cur = latest(run, wf, wf.Parents(cur.ID)) {
 		path = append(path, cur)
 	}
 	if len(path) == 0 {
@@ -144,10 +142,10 @@ func CriticalPath(w io.Writer, wf *wms.Workflow, run *wms.RunResult) error {
 
 // latest returns the executed task among ids that finished last, the first
 // in ids on a tie, or nil when none executed.
-func latest(run *wms.RunResult, ids []string) *wms.TaskResult {
+func latest(run *wms.RunResult, wf *wms.Workflow, ids []string) *wms.TaskResult {
 	var last *wms.TaskResult
 	for _, id := range ids {
-		if t, ok := run.Tasks[id]; ok && (last == nil || t.FinishedAt > last.FinishedAt) {
+		if t := run.Task(wf, id); t != nil && (last == nil || t.FinishedAt > last.FinishedAt) {
 			last = t
 		}
 	}

@@ -28,10 +28,10 @@ func fabricate(t *testing.T) (*wms.Workflow, *wms.RunResult) {
 		Workflow:   "w",
 		StartedAt:  0,
 		FinishedAt: 90 * time.Second,
-		Tasks: map[string]*wms.TaskResult{
-			"a": mk("a", wms.ModeNative, 0, 20*time.Second, 25*time.Second),
-			"b": mk("b", wms.ModeServerless, 30*time.Second, 50*time.Second, 55*time.Second),
-			"c": mk("c", wms.ModeContainer, 60*time.Second, 80*time.Second, 90*time.Second),
+		Tasks: []*wms.TaskResult{
+			mk("a", wms.ModeNative, 0, 20*time.Second, 25*time.Second),
+			mk("b", wms.ModeServerless, 30*time.Second, 50*time.Second, 55*time.Second),
+			mk("c", wms.ModeContainer, 60*time.Second, 80*time.Second, 90*time.Second),
 		},
 	}
 	return wf, run
@@ -62,7 +62,7 @@ func TestTimelineRendersAllTasks(t *testing.T) {
 
 func TestTimelineEmptyRun(t *testing.T) {
 	var sb strings.Builder
-	if err := Timeline(&sb, &wms.RunResult{Tasks: map[string]*wms.TaskResult{}}); err != nil {
+	if err := Timeline(&sb, &wms.RunResult{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "no tasks") {
@@ -114,11 +114,11 @@ func TestCriticalPathDiamondPicksSlowerBranch(t *testing.T) {
 	sec := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	run := &wms.RunResult{
 		Workflow: "d", FinishedAt: sec(100),
-		Tasks: map[string]*wms.TaskResult{
-			"src":  {ID: "src", SubmittedAt: 0, StartedAt: sec(1), FinishedAt: sec(10)},
-			"fast": {ID: "fast", SubmittedAt: sec(10), StartedAt: sec(12), FinishedAt: sec(20)},
-			"slow": {ID: "slow", SubmittedAt: sec(10), StartedAt: sec(12), FinishedAt: sec(70)},
-			"sink": {ID: "sink", SubmittedAt: sec(70), StartedAt: sec(75), FinishedAt: sec(100)},
+		Tasks: []*wms.TaskResult{ // declaration order
+			{ID: "src", SubmittedAt: 0, StartedAt: sec(1), FinishedAt: sec(10)},
+			{ID: "fast", SubmittedAt: sec(10), StartedAt: sec(12), FinishedAt: sec(20)},
+			{ID: "slow", SubmittedAt: sec(10), StartedAt: sec(12), FinishedAt: sec(70)},
+			{ID: "sink", SubmittedAt: sec(70), StartedAt: sec(75), FinishedAt: sec(100)},
 		},
 	}
 	var sb strings.Builder
@@ -138,13 +138,13 @@ func TestCriticalPathDiamondPicksSlowerBranch(t *testing.T) {
 // 5 s give one output over many calls, naming the first-declared task.
 func TestCriticalPathTiesAreDeterministic(t *testing.T) {
 	wf := wms.NewWorkflow("tie")
-	run := &wms.RunResult{Workflow: "tie", Tasks: map[string]*wms.TaskResult{}}
+	run := &wms.RunResult{Workflow: "tie"}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("t%d", i)
 		if err := wf.AddTask(wms.TaskSpec{ID: id, Transformation: "x"}); err != nil {
 			t.Fatal(err)
 		}
-		run.Tasks[id] = &wms.TaskResult{ID: id, FinishedAt: 5 * time.Second}
+		run.Tasks = append(run.Tasks, &wms.TaskResult{ID: id, FinishedAt: 5 * time.Second})
 	}
 	outputs := map[string]bool{}
 	for i := 0; i < 200; i++ {
@@ -186,8 +186,8 @@ func TestWriteHTMLEscapesNames(t *testing.T) {
 	run := &wms.RunResult{
 		Workflow:   `<script>alert(1)</script>`,
 		FinishedAt: time.Second,
-		Tasks: map[string]*wms.TaskResult{
-			"x": {ID: `<b>x</b>`, Node: "w", SubmittedAt: 0, StartedAt: time.Second / 2, FinishedAt: time.Second},
+		Tasks: []*wms.TaskResult{
+			{ID: `<b>x</b>`, Node: "w", SubmittedAt: 0, StartedAt: time.Second / 2, FinishedAt: time.Second},
 		},
 	}
 	var sb strings.Builder

@@ -280,7 +280,7 @@ func Analyze(t *Tracer, dag DAG, workflow string) (*CriticalPath, error) {
 			attempted += att.Duration()
 		}
 		// Time inside the step not covered by any attempt is retry backoff
-		// (the engine's notBefore gate between a failure and resubmission).
+		// (the engine's wait between a failure and the resubmission).
 		if wait := step.End - step.Start - attempted; wait > 0 {
 			step.Stages[StageRetryWait] += wait
 		}

@@ -2,8 +2,6 @@ package wms
 
 import (
 	"fmt"
-	"math/bits"
-	"slices"
 	"strconv"
 	"time"
 
@@ -28,26 +26,27 @@ type dagRun struct {
 	wf  *Workflow
 	res *RunResult
 
-	tasks    []taskState
-	results  []TaskResult // by declaration index; res.Tasks points here
-	plan     *runPlan     // the workflow's ID ranks and task names
-	ndone    int
-	ready    []uint64  // bitset by declaration index: not done, not in flight, parents done
-	inflight []int32   // the ranks of tasks with a live flight, sorted (the poll scan's ID order)
-	scan     []int32   // reused snapshot of inflight for one poll tick
-	flights  []*flight // retired flights awaiting reuse
+	tasks   []taskState
+	results []TaskResult // by declaration index; res.Tasks points here
+	plan    *runPlan     // the workflow's ID ranks and task names
+	ndone   int
+	ready   []uint64  // bitset by declaration index: not done, not in flight, parents done
+	due     []uint64  // poll: bitset by ID rank of the tasks the next tick settles
+	flights []*flight // retired flights awaiting reuse
 
 	tracer *trace.Tracer
 	wfSpan *trace.Span
 
-	mode   config.ExecMode
-	done   func(*RunResult, error) // the caller's continuation
-	err    error                   // the outcome, once over
-	over   bool                    // the outcome is decided; pending steps bail
-	waited bool                    // the caller waits: an end is reported from the run queue
-	ticked bool                    // poll: past the phase wake-up
-	prefix string                  // trigger: "<workflow>/", the subject prefix
-	trig   *knative.Trigger
+	mode    config.ExecMode
+	done    func(*RunResult, error) // the caller's continuation
+	err     error                   // the outcome, once over
+	over    bool                    // the outcome is decided; pending steps bail
+	waited  bool                    // the caller waits: an end is reported from the run queue
+	armed   bool                    // poll: a tick is armed
+	ticking bool                    // poll: inside a tick, which submits due hedges
+	phase   time.Duration           // poll: the first tick's time, the origin of the tick grid
+	prefix  string                  // trigger: "<workflow>/", the subject prefix
+	trig    *knative.Trigger
 
 	// tick, watch and report are pollTick, copySettled and the outcome's
 	// report, bound once per run.
@@ -59,14 +58,14 @@ type dagRun struct {
 // exec descriptor: every condor job of the task carries a pointer to it as
 // its payload (taskState.Run, in engine.go).
 type taskState struct {
-	d         *dagRun
-	flight    *flight       // live attempt; nil when not in flight
-	notBefore time.Duration // poll-mode retry backoff gate
-	mode      Mode
-	i         int32 // the task's declaration index
-	attempts  int32
-	waiting   int32 // parents not yet done (the indegree countdown)
-	done      bool
+	d        *dagRun
+	flight   *flight // live attempt; nil when not in flight
+	retry    func()  // backedOff, bound at the task's first retry
+	mode     Mode
+	i        int32 // the task's declaration index
+	attempts int32
+	waiting  int32 // parents not yet done (the indegree countdown)
+	done     bool
 }
 
 // newDagRun prepares a run: it assigns every task's mode in declaration
@@ -86,6 +85,7 @@ func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState
 		tasks:   make([]taskState, wf.Len()),
 		results: make([]TaskResult, wf.Len()),
 		ready:   make([]uint64, (wf.Len()+63)/64),
+		due:     make([]uint64, (wf.Len()+63)/64),
 		tracer:  tracer,
 		wfSpan:  wfSpan,
 	}
@@ -101,7 +101,7 @@ func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState
 			}
 			d.tasks[i].done = true
 			d.ndone++
-			res.Tasks[id] = tr
+			res.Tasks[i] = tr
 		}
 	}
 	for i := range d.tasks {
@@ -120,52 +120,15 @@ func newDagRun(e *Engine, wf *Workflow, assign ModeAssigner, rescue *rescueState
 
 func (d *dagRun) setReady(i int32) { d.ready[i>>6] |= 1 << (i & 63) }
 
-// submitReady submits ready tasks in declaration order until the set is
-// exhausted. A task still inside its retry backoff is skipped but stays
-// ready. started, when non-nil, sees each new flight.
-func (d *dagRun) submitReady(now time.Duration, started func(*flight)) error {
-	for w, word := range d.ready {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << b
-			i := int32(w<<6 | b)
-			if now < d.tasks[i].notBefore {
-				continue
-			}
-			d.ready[w] &^= 1 << b
-			f, err := d.submitOne(i)
-			if err != nil {
-				return err
-			}
-			if started != nil {
-				started(f)
-			}
+// inFlight counts the jobs of live flights — at abort time their results
+// are discarded and the rescue DAG re-runs those tasks.
+func (d *dagRun) inFlight() (jobs int) {
+	for i := range d.tasks {
+		if f := d.tasks[i].flight; f != nil {
+			jobs += len(f.copies)
 		}
 	}
-	return nil
-}
-
-// inflightPos finds a task's position in the rank-sorted in-flight list.
-func (d *dagRun) inflightPos(i int32) (int, bool) {
-	return slices.BinarySearch(d.inflight, d.plan.rank[i])
-}
-
-// retire removes a task's flight from the in-flight set.
-func (d *dagRun) retire(i int32) {
-	d.tasks[i].flight = nil
-	if k, ok := d.inflightPos(i); ok {
-		d.inflight = slices.Delete(d.inflight, k, k+1)
-	}
-}
-
-// abandonedJobs counts jobs still in flight — at abort time their results
-// are discarded and the rescue DAG re-runs those tasks.
-func (d *dagRun) abandonedJobs() int {
-	n := 0
-	for _, r := range d.inflight {
-		n += len(d.tasks[d.plan.byRank[r]].flight.copies)
-	}
-	return n
+	return jobs
 }
 
 // winnerIndex returns the index of the earliest-finishing completed copy of
@@ -194,8 +157,8 @@ func (d *dagRun) winnerIndex(f *flight) int {
 // children it released.
 func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
 	win := f.copies[winIdx].job
-	d.retire(i)
 	t := &d.tasks[i]
+	t.flight = nil
 	t.done = true
 	d.ndone++
 	d.e.Budget.OnSuccess()
@@ -209,7 +172,7 @@ func (d *dagRun) observeWin(i int32, f *flight, winIdx int) (released int) {
 		StartedAt:   win.StartedAt,
 		FinishedAt:  win.FinishedAt,
 	}
-	d.res.Tasks[id] = &d.results[i]
+	d.res.Tasks[i] = &d.results[i]
 	for k, c := range f.copies {
 		status := "abandoned"
 		if k == winIdx {
@@ -259,7 +222,7 @@ func (d *dagRun) pruneFailed(f *flight) (attemptDead bool) {
 // (retries exhausted, or the engine-wide retry budget denied the
 // resubmission) that ends the run.
 func (d *dagRun) failAttempt(i int32, f *flight) (time.Duration, *abortError) {
-	d.retire(i)
+	d.tasks[i].flight = nil
 	f.attempt.SetLabel("status", "failed")
 	f.attempt.End()
 	d.freeFlight(f)
@@ -286,13 +249,14 @@ func (d *dagRun) abort(reason, task string, attempts int) *abortError {
 		Task:     task,
 		Attempts: attempts,
 		Reason:   reason,
-		Rescue:   newRescue(d.wf, d.res, d.abandonedJobs()),
+		Rescue:   newRescue(d.wf, d.res, d.inFlight()),
 	}
 }
 
 // submitOne starts a new attempt of one task: it opens the attempt span,
-// plans and submits the condor job, and registers the flight.
-func (d *dagRun) submitOne(i int32) (*flight, error) {
+// plans and submits the condor job, registers the flight, watches the job
+// and arms the attempt's hedge timer.
+func (d *dagRun) submitOne(i int32) error {
 	task, t := d.wf.tasks[i], &d.tasks[i]
 	var sp *trace.Span
 	if d.tracer != nil {
@@ -304,16 +268,16 @@ func (d *dagRun) submitOne(i int32) (*flight, error) {
 	job, err := d.submitTask(i, sp)
 	if err != nil {
 		sp.End()
-		return nil, err
+		return err
 	}
 	t.attempts++
 	f := d.newFlight()
 	f.i, f.attempt = i, sp
 	f.copies = append(f.copies, flightCopy{job: job})
 	t.flight = f
-	k, _ := d.inflightPos(i)
-	d.inflight = slices.Insert(d.inflight, k, d.plan.rank[i])
-	return f, nil
+	d.e.Pool.Then(job, d.watch)
+	d.armHedges(f)
+	return nil
 }
 
 // newFlight takes a flight off the free list, or makes one and binds its
@@ -352,10 +316,10 @@ func (d *dagRun) hedgeDue(f *flight, now time.Duration) (wait time.Duration, ok 
 	return d.e.HedgeAfter - (now - f.copies[len(f.copies)-1].job.SubmittedAt), true
 }
 
-// submitHedgeCopy launches one speculative duplicate of an in-flight task.
-// The copies race; whoever observes completions keeps whichever finishes
+// submitHedgeCopy launches and watches one speculative duplicate of an
+// in-flight task. The copies race; the settlement keeps whichever finishes
 // first.
-func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
+func (d *dagRun) submitHedgeCopy(i int32, f *flight) error {
 	task := d.wf.tasks[i]
 	var hs *trace.Span
 	if d.tracer != nil {
@@ -366,8 +330,9 @@ func (d *dagRun) submitHedgeCopy(i int32, f *flight) (*condor.Job, error) {
 	job, err := d.submitTask(i, hs)
 	if err != nil {
 		hs.End()
-		return nil, err
+		return err
 	}
 	f.copies = append(f.copies, flightCopy{job: job, span: hs})
-	return job, nil
+	d.e.Pool.Then(job, d.watch)
+	return nil
 }

@@ -75,7 +75,18 @@ type RunResult struct {
 	Workflow   string
 	StartedAt  time.Duration
 	FinishedAt time.Duration
-	Tasks      map[string]*TaskResult
+	// Tasks holds every task's result in the workflow's declaration order,
+	// a rescued task's carried over from the run that finished it.
+	Tasks []*TaskResult
+}
+
+// Task returns the result of the task with the given ID, found through
+// wf's index, or nil when the run holds none.
+func (r *RunResult) Task(wf *Workflow, id string) *TaskResult {
+	if i, ok := wf.index[id]; ok && int(i) < len(r.Tasks) {
+		return r.Tasks[i]
+	}
+	return nil
 }
 
 // Makespan is the workflow's wall-clock duration.
@@ -234,7 +245,7 @@ func (e *Engine) prepare(wf *Workflow, assign ModeAssigner, rescue *rescueState)
 	res := &RunResult{
 		Workflow:  wf.Name,
 		StartedAt: e.Env.Now(),
-		Tasks:     make(map[string]*TaskResult, wf.Len()),
+		Tasks:     make([]*TaskResult, wf.Len()),
 	}
 
 	tracer := trace.FromEnv(e.Env)
@@ -261,8 +272,8 @@ func (d *dagRun) reportOutcome() {
 		d.e.Broker.Unsubscribe(d.trig)
 	}
 	res, err := d.res, d.err
-	if err == nil && (d.ndone != d.wf.Len() || len(res.Tasks) != d.wf.Len() || len(d.inflight) != 0) {
-		err = fmt.Errorf("wms: workflow %s ended with %d of %d tasks settled, %d in flight", d.wf.Name, d.ndone, d.wf.Len(), len(d.inflight))
+	if jobs := d.inFlight(); err == nil && (d.ndone != d.wf.Len() || jobs != 0) {
+		err = fmt.Errorf("wms: workflow %s ended with %d of %d tasks settled, %d jobs in flight", d.wf.Name, d.ndone, d.wf.Len(), jobs)
 	}
 	if err != nil {
 		res = nil

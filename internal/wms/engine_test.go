@@ -118,7 +118,7 @@ func TestNativeChainRunsInOrder(t *testing.T) {
 		t.Fatalf("tasks recorded = %d", len(res.Tasks))
 	}
 	for i := 1; i < 5; i++ {
-		prev, cur := res.Tasks[taskID(i-1)], res.Tasks[taskID(i)]
+		prev, cur := res.Task(wf, taskID(i-1)), res.Task(wf, taskID(i))
 		if cur.StartedAt < prev.FinishedAt {
 			t.Errorf("task %d started %v before parent finished %v", i, cur.StartedAt, prev.FinishedAt)
 		}
@@ -278,12 +278,12 @@ func TestDiamondParallelism(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		} else {
-			l, r := res.Tasks["l"], res.Tasks["r"]
+			l, r := res.Task(wf, "l"), res.Task(wf, "r")
 			// The two branches are matched in the same negotiation cycle.
 			if d := l.StartedAt - r.StartedAt; d > 2*time.Second || d < -2*time.Second {
 				t.Errorf("branches not concurrent: l@%v r@%v", l.StartedAt, r.StartedAt)
 			}
-			sink := res.Tasks["sink"]
+			sink := res.Task(wf, "sink")
 			if sink.StartedAt < l.FinishedAt || sink.StartedAt < r.FinishedAt {
 				t.Error("sink started before both branches finished")
 			}

@@ -102,12 +102,13 @@ func TestExecModesAgreeOnCompletions(t *testing.T) {
 		if len(res.Tasks) != wf.Len() {
 			t.Fatalf("mode %s: %d tasks recorded, want %d", mode, len(res.Tasks), wf.Len())
 		}
-		for id, tr := range res.Tasks {
+		for _, tr := range res.Tasks {
+			id := tr.ID
 			if tr.Attempts != 1 {
 				t.Errorf("mode %s: task %s took %d attempts", mode, id, tr.Attempts)
 			}
 			for _, par := range wf.Parents(id) {
-				if tr.StartedAt < res.Tasks[par].FinishedAt {
+				if tr.StartedAt < res.Task(wf, par).FinishedAt {
 					t.Errorf("mode %s: task %s started before parent %s finished", mode, id, par)
 				}
 			}
@@ -118,8 +119,8 @@ func TestExecModesAgreeOnCompletions(t *testing.T) {
 	// Identical completion sets across all three modes.
 	ids := func(res *RunResult) []string {
 		var out []string
-		for id := range res.Tasks {
-			out = append(out, id)
+		for _, tr := range res.Tasks {
+			out = append(out, tr.ID)
 		}
 		sort.Strings(out)
 		return out
@@ -189,7 +190,7 @@ func TestEventModeRetriesAndRescue(t *testing.T) {
 				if len(res.Tasks) != 3 {
 					t.Errorf("resumed result has %d tasks, want 3", len(res.Tasks))
 				}
-				if res.Tasks["a"].FinishedAt > 40*time.Second {
+				if res.Task(wf, "a").FinishedAt > 40*time.Second {
 					t.Error("finished task a was re-run by the rescue DAG")
 				}
 				if res.StartedAt != abort.Rescue.StartedAt {
@@ -222,7 +223,7 @@ func TestEventModeHedges(t *testing.T) {
 		if hedges, _ := hedgeCounts(tr, wf.Name); hedges < 1 {
 			t.Errorf("hedges = %d, want >= 1", hedges)
 		}
-		if got := res.Tasks["t0"].Attempts; got != 1 {
+		if got := res.Task(wf, "t0").Attempts; got != 1 {
 			t.Errorf("Attempts = %d, want 1 (hedges are not retries)", got)
 		}
 	})

@@ -58,15 +58,11 @@ func writeRun(out *strings.Builder, tr *trace.Tracer, res *wms.RunResult, err er
 	hedges, wins := wms.HedgeCounts(tr, res.Workflow)
 	fmt.Fprintf(out, "run %s started=%v makespan=%v hedges=%d hedge_wins=%d\n",
 		res.Workflow, res.StartedAt, res.Makespan(), hedges, wins)
-	ids := make([]string, 0, len(res.Tasks))
-	for id := range res.Tasks {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		task := res.Tasks[id]
+	tasks := slices.Clone(res.Tasks)
+	slices.SortFunc(tasks, func(a, b *wms.TaskResult) int { return strings.Compare(a.ID, b.ID) })
+	for _, task := range tasks {
 		fmt.Fprintf(out, "  task %s node=%s attempts=%d submit=%v start=%v finish=%v\n",
-			id, task.Node, task.Attempts, task.SubmittedAt, task.StartedAt, task.FinishedAt)
+			task.ID, task.Node, task.Attempts, task.SubmittedAt, task.StartedAt, task.FinishedAt)
 	}
 }
 

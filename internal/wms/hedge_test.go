@@ -74,7 +74,7 @@ func TestHedgeWinsOverStragglingNode(t *testing.T) {
 		if wins != 1 {
 			t.Errorf("hedge wins = %d, want the speculative copy to win", wins)
 		}
-		if got := res.Tasks["t0"].Attempts; got != 1 {
+		if got := res.Task(wf, "t0").Attempts; got != 1 {
 			t.Errorf("Attempts = %d, want 1 (hedges are not retries)", got)
 		}
 		s.shutdown()

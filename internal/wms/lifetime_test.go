@@ -38,13 +38,12 @@ func chainRunAllocs(t *testing.T, mode string, n int) float64 {
 }
 
 // TestChainAllocsPerTask: a task attempt of a native chain allocates
-// little beyond its flight, under every release path. The condor job is a
-// recycled struct, the payload is a pointer into the run's task state,
-// the result lives in the run's result slab, the task's name is never
-// built untraced, and the settle continuation, the broker's publication
-// and its delivery are bound once. (Poll and decentralized measure 1.1
-// per task: the flight plus the result map's growth. Trigger adds the
-// settled event's Subject string.)
+// next to nothing, under every release path. The condor job and the flight
+// are recycled structs, the payload is a pointer into the run's task
+// state, the result lives in the run's result slab, the task's name is
+// never built untraced, and the settle continuation, the broker's
+// publication and its delivery are bound once. (Every path measures 0.00
+// per task.)
 func TestChainAllocsPerTask(t *testing.T) {
 	for _, c := range []struct {
 		mode  string
@@ -115,7 +114,7 @@ func TestReleasedLoserPublishesFromItsNode(t *testing.T) {
 	if _, wins := hedgeCounts(tr, wf.Name); res == nil || wins != 1 {
 		t.Fatalf("run %+v with %d hedge wins, want the hedge copy of t0 to win", res, wins)
 	}
-	want := []string{res.Tasks["t0"].Node, victim.Name}
+	want := []string{res.Task(wf, "t0").Node, victim.Name}
 	if strings.Join(sources, ",") != strings.Join(want, ",") {
 		t.Errorf("t0's settled events came from %v, want the winner's node then the loser's %v", sources, want)
 	}

@@ -46,23 +46,14 @@ func (r *RunResult) WriteProvenance(w io.Writer, wf *Workflow) error {
 		MakespanSec: r.Makespan().Seconds(),
 		ModeCounts:  make(map[string]int),
 	}
-	ids := make([]string, 0, len(r.Tasks))
-	if wf != nil {
-		for _, id := range wf.TaskIDs() {
-			if _, ok := r.Tasks[id]; ok {
-				ids = append(ids, id)
-			}
-		}
-	} else {
-		for id := range r.Tasks {
-			ids = append(ids, id)
-		}
-		slices.SortFunc(ids, func(a, b string) int {
-			return cmp.Or(cmp.Compare(r.Tasks[a].StartedAt, r.Tasks[b].StartedAt), strings.Compare(a, b))
+	tasks := r.Tasks // declaration order
+	if wf == nil {
+		tasks = slices.Clone(tasks)
+		slices.SortFunc(tasks, func(a, b *TaskResult) int {
+			return cmp.Or(cmp.Compare(a.StartedAt, b.StartedAt), strings.Compare(a.ID, b.ID))
 		})
 	}
-	for _, id := range ids {
-		t := r.Tasks[id]
+	for _, t := range tasks {
 		p.Tasks = append(p.Tasks, taskProvenance{
 			ID:           t.ID,
 			Mode:         t.Mode.String(),

@@ -84,11 +84,11 @@ func TestAbortWritesRescueAndResumeSkipsFinishedTasks(t *testing.T) {
 		if len(res.Tasks) != 3 {
 			t.Errorf("resumed result has %d tasks, want 3", len(res.Tasks))
 		}
-		if res.Tasks["a"].FinishedAt > 40*time.Second {
+		if res.Task(wf, "a").FinishedAt > 40*time.Second {
 			t.Error("finished task a was re-run by the rescue DAG")
 		}
-		if res.Tasks["b"].StartedAt < 45*time.Second {
-			t.Errorf("task b restarted at %v, before the resume", res.Tasks["b"].StartedAt)
+		if res.Task(wf, "b").StartedAt < 45*time.Second {
+			t.Errorf("task b restarted at %v, before the resume", res.Task(wf, "b").StartedAt)
 		}
 		// The makespan spans the whole recovery story from the original start.
 		if res.StartedAt != abort.Rescue.StartedAt {
@@ -255,8 +255,8 @@ func TestResumeKeepsRescuedTaskWhoseParentIsNot(t *testing.T) {
 				t.Errorf("%s: resume: %v", mode, err)
 				return
 			}
-			if len(res.Tasks) != 3 || res.Tasks["b"] != rescued {
-				t.Errorf("%s: resumed run has %d tasks, b = %+v; want 3 with b the rescued result", mode, len(res.Tasks), res.Tasks["b"])
+			if len(res.Tasks) != 3 || res.Task(wf, "b") != rescued {
+				t.Errorf("%s: resumed run has %d tasks, b = %+v; want 3 with b the rescued result", mode, len(res.Tasks), res.Task(wf, "b"))
 			}
 		})
 		s.env.Run()

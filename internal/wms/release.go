@@ -1,6 +1,7 @@
 package wms
 
 import (
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -20,15 +21,16 @@ const taskSettledEventType = "dev.repro.wms.task.settled"
 
 // The release engine. A run is a chain of continuations around one
 // release decision, settle: resolve a winning copy, prune failed copies,
-// fail or resubmit a dead attempt. The execution modes differ only in who
-// calls it and when:
+// fail or resubmit a dead attempt. Every copy's job carries the run's
+// watch (condor.Schedd.Then), and the execution modes differ only in what
+// it does with a settled copy:
 //
-//   - poll (config.ExecPoll, the default) is DAGMan's loop: a recurring
-//     tick every DAGManPoll settles each in-flight task, launches hedges
-//     and submits what is ready, so a completed task's successors wait up
-//     to one poll interval (the dagman-poll critical-path bucket);
-//   - decentralized (Wukong) settles a task the moment one of its copies
-//     settles;
+//   - poll (config.ExecPoll, the default) is DAGMan's loop: the watch marks
+//     the task due and arms the run's one tick on its grid (armTick), which
+//     settles the due tasks, launches hedges and submits what is ready, so
+//     a completed task's successors wait up to one poll interval (the
+//     dagman-poll critical-path bucket); with nothing due, no tick fires;
+//   - decentralized (Wukong) settles the task at once;
 //   - trigger (Triggerflow) publishes a task-settled event from the copy's
 //     node through the knative broker, and the run's filtered trigger
 //     settles the task on delivery.
@@ -47,7 +49,9 @@ func (d *dagRun) begin() {
 		// separate condor_dagman processes in reality); without this,
 		// concurrent workflows lock step to the negotiation cycle and
 		// per-task overheads vanish into the quantization.
-		env.Delay(time.Duration(env.Rand().Float64()*float64(d.e.Prm.DAGManPoll)), d.tick)
+		phase := time.Duration(env.Rand().Float64() * float64(d.e.Prm.DAGManPoll))
+		d.phase, d.armed = env.Now()+phase, true
+		env.Delay(phase, d.tick)
 		return
 	}
 	if d.ndone == d.wf.Len() { // a rescue finished everything
@@ -79,33 +83,61 @@ func (d *dagRun) end(err error) {
 	}
 }
 
-// pollTick is one DAGMan poll. The first, at the drawn phase, only
-// submits the ready tasks.
+// pollTick is one DAGMan poll: it settles the due tasks in task-ID order,
+// the seed engine's in-flight scan order, submits their due hedges and
+// then the ready set, and parks until something falls due again.
 func (d *dagRun) pollTick() {
-	now := d.e.Env.Now()
-	if d.ticked {
-		d.scan = append(d.scan[:0], d.inflight...)
-		for _, r := range d.scan {
-			if d.settle(d.plan.byRank[r]); d.over {
+	d.armed = false
+	for w, word := range d.due {
+		for ; word != 0; word &= word - 1 {
+			if d.settle(d.plan.byRank[w<<6|bits.TrailingZeros64(word)]); d.over {
 				return
 			}
 		}
-		if err := d.submitHedges(now); err != nil {
-			d.end(err)
-			return
+	}
+	d.ticking = true
+	for w, word := range d.due {
+		d.due[w] = 0
+		for ; word != 0; word &= word - 1 {
+			if f := d.tasks[d.plan.byRank[w<<6|bits.TrailingZeros64(word)]].flight; f != nil && !f.pending {
+				d.armHedges(f) // a due hedge, or one a pruned copy made room for
+			}
 		}
 	}
-	d.ticked = true
-	if err := d.submitReady(now, nil); err != nil {
-		d.end(err)
-		return
-	}
-	if d.ndone == d.wf.Len() {
-		d.res.FinishedAt = now
+	d.ticking = false
+	if d.drain(); !d.over && d.ndone == d.wf.Len() {
+		d.res.FinishedAt = d.e.Env.Now()
 		d.end(nil)
+	}
+}
+
+// markDue puts task i in the poll tick's due set and arms the tick.
+func (d *dagRun) markDue(i int32, onNow bool) {
+	r := d.plan.rank[i]
+	d.due[r>>6] |= 1 << (r & 63)
+	d.armTick(onNow)
+}
+
+// armTick arms the run's one poll tick, unless one is armed, at the first
+// point of its grid at or after now: the drawn phase plus whole DAGManPoll
+// intervals, where the seed engine's always-armed tick fired. That tick,
+// armed one interval ahead, fired before any same-instant event armed
+// since. So a timer armed inside a tick may take the tick at its own
+// instant (onNow), and a settlement at a grid point takes the next one.
+func (d *dagRun) armTick(onNow bool) {
+	if d.armed {
 		return
 	}
-	d.e.Env.Delay(d.e.Prm.DAGManPoll, d.tick)
+	d.armed = true
+	now, poll := d.e.Env.Now(), d.e.Prm.DAGManPoll
+	at := now
+	if poll > 0 {
+		at = d.phase + (now-d.phase+poll-1)/poll*poll
+		if at == now && !onNow {
+			at += poll
+		}
+	}
+	d.e.Env.At(at, d.tick)
 }
 
 // settle is the release decision for task i: a completed copy wins (the
@@ -127,22 +159,32 @@ func (d *dagRun) settle(i int32) {
 		return // live copies remain; their settlements decide
 	}
 	backoff, abort := d.failAttempt(i, f)
-	switch {
+	switch t := &d.tasks[i]; {
 	case abort != nil:
 		d.end(abort)
-	case d.mode == config.ExecPoll:
-		// A later tick resubmits once the backoff has passed.
-		d.tasks[i].notBefore = d.e.Env.Now() + backoff
-		d.setReady(i)
+	case backoff <= 0 && d.mode == config.ExecPoll:
+		d.setReady(i) // this tick resubmits it
 	default:
-		// The observer itself waits out the backoff and resubmits.
-		d.e.Env.Delay(backoff, func() {
-			if !d.over {
-				d.setReady(i)
-				d.drain()
-			}
-		})
+		if t.retry == nil {
+			t.retry = t.backedOff
+		}
+		d.e.Env.Delay(backoff, t.retry)
 	}
+}
+
+// backedOff ends the task's retry backoff: it is ready again, for the
+// next tick under poll.
+func (t *taskState) backedOff() {
+	d := t.d
+	if d.over {
+		return
+	}
+	d.setReady(t.i)
+	if d.mode == config.ExecPoll {
+		d.armTick(true)
+		return
+	}
+	d.drain()
 }
 
 // release resolves task i's win. Poll leaves the successors to the rest of
@@ -168,40 +210,40 @@ func (d *dagRun) release(i int32, f *flight, w int) {
 	d.drain() // newly ready successors
 }
 
-// drain submits ready tasks in the event-driven modes, watching each new
-// attempt's job and arming its hedge timer. A submission error ends the
-// run.
+// drain submits the ready tasks in declaration order, the seed engine's
+// TaskIDs scan order. A submission error ends the run.
 func (d *dagRun) drain() {
-	if d.over {
-		return
-	}
-	if err := d.submitReady(d.e.Env.Now(), d.launched); err != nil {
-		d.end(err)
+	for w, word := range d.ready {
+		for ; word != 0 && !d.over; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			d.ready[w] &^= 1 << b
+			if err := d.submitOne(int32(w<<6 | b)); err != nil {
+				d.end(err)
+			}
+		}
 	}
 }
 
-func (d *dagRun) launched(f *flight) {
-	d.e.Pool.Then(f.copies[0].job, d.watch)
-	d.armHedges(f)
-}
-
-// copySettled runs when one copy's job settles. Decentralized release
-// settles the task right here; trigger release publishes the settled event
-// from the copy's node, and the run's trigger settles the task.
+// copySettled is the run's watch: it runs when one copy's job settles.
 func (d *dagRun) copySettled(j *condor.Job) {
 	if d.over {
 		return
 	}
 	t := j.Run.(*taskState)
-	if d.mode != config.ExecTrigger {
+	switch d.mode {
+	case config.ExecPoll:
+		if t.flight != nil {
+			d.markDue(t.i, false)
+		}
+	case config.ExecTrigger:
+		node := j.Node()
+		if node == "" {
+			node = cluster.SubmitNodeName
+		}
+		d.e.Broker.PublishThen(node, knative.Event{Type: taskSettledEventType, Source: node, Subject: t.name()}, nil)
+	default:
 		d.settle(t.i)
-		return
 	}
-	node := j.Node()
-	if node == "" {
-		node = cluster.SubmitNodeName
-	}
-	d.e.Broker.PublishThen(node, knative.Event{Type: taskSettledEventType, Source: node, Subject: t.name()}, nil)
 }
 
 // deliver is the run's trigger handler.
@@ -211,37 +253,23 @@ func (d *dagRun) deliver(ev knative.Event) {
 	}
 }
 
-// submitHedges is poll's hedge scan: an in-flight task whose newest copy
-// has sat longer than HedgeAfter gets a speculative duplicate, up to
-// HedgeMax copies per attempt.
-func (d *dagRun) submitHedges(now time.Duration) error {
-	if d.e.HedgeAfter <= 0 {
-		return nil
-	}
-	for _, r := range d.inflight {
-		i := d.plan.byRank[r]
-		f := d.tasks[i].flight
-		if wait, ok := d.hedgeDue(f, now); ok && wait <= 0 {
-			if _, err := d.submitHedgeCopy(i, f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// armHedges is the event-driven form of the hedge scan: one timer per
-// attempt, first run where a process spawned now would run.
+// armHedges arms one hedge timer per attempt. Its first step runs where a
+// process spawned now would run, or under poll at once, inside the tick.
 func (d *dagRun) armHedges(f *flight) {
 	if d.e.HedgeAfter > 0 {
 		f.pending, f.armed = true, f.gen
+		if d.mode == config.ExecPoll {
+			d.hedge(f)
+			return
+		}
 		d.e.Env.Defer(f.hedge)
 	}
 }
 
-// hedge submits the attempt's due copies and re-arms for the next, until
-// the attempt settles or reaches HedgeMax. A timer whose attempt retired
-// while it was pending recycles the flight and does nothing else.
+// hedge submits the attempt's due copies (under poll, marks the task for
+// the tick that does) and re-arms for the next, until the attempt settles
+// or reaches HedgeMax. A timer whose attempt retired while it was pending
+// recycles the flight and does nothing else.
 func (d *dagRun) hedge(f *flight) {
 	f.pending = false
 	if f.armed != f.gen {
@@ -258,11 +286,13 @@ func (d *dagRun) hedge(f *flight) {
 			d.e.Env.After(wait, f.hedge) // re-check then: the flight may have settled or grown
 			return
 		}
-		job, err := d.submitHedgeCopy(f.i, f)
-		if err != nil {
+		if d.mode == config.ExecPoll && !d.ticking {
+			d.markDue(f.i, true) // the tick submits it
+			return
+		}
+		if err := d.submitHedgeCopy(f.i, f); err != nil {
 			d.end(err)
 			return
 		}
-		d.e.Pool.Then(job, d.watch)
 	}
 }

@@ -69,10 +69,12 @@ func newRescue(wf *Workflow, res *RunResult, abandoned int) *rescueState {
 		Workflow:  wf.Name,
 		StartedAt: res.StartedAt,
 		Abandoned: abandoned,
-		Done:      make(map[string]*TaskResult, len(res.Tasks)),
+		Done:      make(map[string]*TaskResult),
 	}
-	for id, tr := range res.Tasks {
-		r.Done[id] = tr
+	for _, tr := range res.Tasks {
+		if tr != nil {
+			r.Done[tr.ID] = tr
+		}
 	}
 	return r
 }

@@ -58,7 +58,7 @@ func checkSettlement(t *testing.T, label string, wf *Workflow, res *RunResult) {
 		t.Errorf("%s: %d results for %d tasks", label, len(res.Tasks), wf.Len())
 	}
 	for _, id := range wf.TaskIDs() {
-		tr := res.Tasks[id]
+		tr := res.Task(wf, id)
 		if tr == nil {
 			t.Errorf("%s: task %s has no result", label, id)
 			continue
@@ -70,7 +70,7 @@ func checkSettlement(t *testing.T, label string, wf *Workflow, res *RunResult) {
 			t.Errorf("%s: task %s settled after %d attempts", label, id, tr.Attempts)
 		}
 		for _, par := range wf.Parents(id) {
-			if pr := res.Tasks[par]; pr != nil && tr.StartedAt < pr.FinishedAt {
+			if pr := res.Task(wf, par); pr != nil && tr.StartedAt < pr.FinishedAt {
 				t.Errorf("%s: task %s started at %v, before parent %s finished at %v",
 					label, id, tr.StartedAt, par, pr.FinishedAt)
 			}
@@ -132,7 +132,7 @@ func TestDAGSettlementInvariants(t *testing.T) {
 						t.Errorf("%s: rescue holds %s but not its parent %s", label, id, par)
 					}
 				}
-				if res.Tasks[id] != tr {
+				if res.Task(wf, id) != tr {
 					t.Errorf("%s: resumed run replaced the rescued result of %s", label, id)
 				}
 			}
@@ -149,39 +149,121 @@ func TestDAGSettlementInvariants(t *testing.T) {
 	}
 }
 
-// TestInflightSetKeepsIDOrder pins the poll tick's observation order: the
-// in-flight set stays sorted by task ID (the order the seed engine got by
-// sorting the IDs every tick), not by declaration index, across inserts
-// and removals.
-func TestInflightSetKeepsIDOrder(t *testing.T) {
-	s := newStack(t, nil)
-	wf := NewWorkflow("order")
-	for _, id := range []string{"t9", "t10", "b", "t8", "a"} {
-		if err := wf.AddTask(TaskSpec{ID: id, Transformation: "matmul"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := &RunResult{Tasks: make(map[string]*TaskResult)}
-	d, err := newDagRun(s.eng, wf, AssignAll(ModeNative), nil, res, nil, nil)
+// pollRun prepares a poll run of wf on s, its outcome going to done, and
+// counts its ticks: each tick's time is appended to ticks before it runs.
+func pollRun(t *testing.T, s *stack, wf *Workflow, done func(*RunResult, error)) (*dagRun, *[]time.Duration) {
+	t.Helper()
+	d, err := s.eng.prepare(wf, AssignAll(ModeNative), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inflight := func() []string {
-		var ids []string
-		for _, r := range d.inflight {
-			ids = append(ids, wf.tasks[d.plan.byRank[r]].ID)
+	ticks := new([]time.Duration)
+	tick := d.tick
+	d.tick = func() {
+		*ticks = append(*ticks, s.env.Now())
+		tick()
+	}
+	d.done = done
+	return d, ticks
+}
+
+// TestDueSetSettlesInIDOrder pins the poll tick's observation order: the
+// tick settles the tasks marked due in task-ID order (the order the seed
+// engine got by sorting the IDs every tick), not by declaration index or
+// by the order the settlements marked them. Five independent tasks finish
+// in declaration order inside one long poll interval; a retired flight
+// joins the run's free list as the tick settles its task, so the list
+// records the settle order.
+func TestDueSetSettlesInIDOrder(t *testing.T) {
+	s := newModeStack(t, "poll", func(p *config.Params) { p.DAGManPoll = time.Hour })
+	wf := NewWorkflow("order")
+	ids := []string{"t9", "t10", "b", "t8", "a"}
+	for k, id := range ids {
+		if err := wf.AddTask(TaskSpec{ID: id, Transformation: "matmul", WorkScale: float64(1 + 4*k)}); err != nil {
+			t.Fatal(err)
 		}
-		return ids
 	}
-	if err := d.submitReady(0, nil); err != nil {
-		t.Fatal(err)
+	var res *RunResult
+	d, ticks := pollRun(t, s, wf, func(r *RunResult, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		res = r
+		s.shutdown()
+	})
+	s.env.Go("main", func(*sim.Proc) { d.begin() })
+	s.env.Run()
+	if res == nil {
+		t.Fatal("no result")
 	}
-	if got, want := inflight(), []string{"a", "b", "t10", "t8", "t9"}; !slices.Equal(got, want) {
-		t.Fatalf("in-flight order after submission = %v, want %v", got, want)
+	for k := 1; k < len(ids); k++ {
+		if prev, cur := res.Task(wf, ids[k-1]), res.Task(wf, ids[k]); cur.FinishedAt <= prev.FinishedAt {
+			t.Fatalf("%s finished at %v, not after %s at %v: the marks did not arrive in declaration order",
+				ids[k], cur.FinishedAt, ids[k-1], prev.FinishedAt)
+		}
 	}
-	d.retire(wf.index["t10"])
-	d.retire(wf.index["a"])
-	if got, want := inflight(), []string{"b", "t8", "t9"}; !slices.Equal(got, want) {
-		t.Fatalf("in-flight order after retiring t10 and a = %v, want %v", got, want)
+	if len(*ticks) != 2 {
+		t.Fatalf("%d ticks, want the phase tick and one that settles all five", len(*ticks))
+	}
+	var settled []string
+	for _, f := range d.flights {
+		settled = append(settled, wf.tasks[f.i].ID)
+	}
+	if want := []string{"a", "b", "t10", "t8", "t9"}; !slices.Equal(settled, want) {
+		t.Fatalf("settle order = %v, want %v", settled, want)
+	}
+}
+
+// TestPollTickParksWhenIdle: under poll, a chain whose tasks each run for
+// several poll intervals fires no tick while nothing is due. It fires the
+// phase tick and at most one tick per settled copy, each at the phase plus
+// a whole number of DAGManPoll intervals.
+func TestPollTickParksWhenIdle(t *testing.T) {
+	s := newModeStack(t, "poll", nil)
+	const n = 4
+	wf := NewWorkflow("slow")
+	for k := 0; k < n; k++ {
+		id := fmt.Sprintf("s%d", k)
+		if err := wf.AddTask(TaskSpec{ID: id, Transformation: "matmul", WorkScale: 40}); err != nil {
+			t.Fatal(err)
+		}
+		if k > 0 {
+			if err := wf.AddDependency(fmt.Sprintf("s%d", k-1), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var res *RunResult
+	d, ticks := pollRun(t, s, wf, func(r *RunResult, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		res = r
+		s.shutdown()
+	})
+	s.env.Go("main", func(*sim.Proc) { d.begin() })
+	s.env.Run()
+	if res == nil {
+		t.Fatal("no result")
+	}
+	poll := s.prm.DAGManPoll
+	for _, tr := range res.Tasks {
+		if exec := tr.FinishedAt - tr.StartedAt; exec < 3*poll {
+			t.Fatalf("task %s ran %v, want several %v poll intervals", tr.ID, exec, poll)
+		}
+	}
+	if len(*ticks) > n+1 {
+		t.Errorf("%d ticks for %d settlements: an idle interval fired a tick", len(*ticks), n)
+	}
+	if (*ticks)[0] != d.phase {
+		t.Errorf("first tick at %v, want the phase %v", (*ticks)[0], d.phase)
+	}
+	for _, at := range *ticks {
+		if (at-d.phase)%poll != 0 {
+			t.Errorf("tick at %v is off the grid %v + k*%v", at, d.phase, poll)
+		}
+	}
+	if got := (*ticks)[len(*ticks)-1]; got != res.FinishedAt {
+		t.Errorf("last tick at %v, run finished at %v", got, res.FinishedAt)
 	}
 }

@@ -136,8 +136,8 @@ func TestWorkScaleMultipliesExecution(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		} else {
-			smallExec := res.Tasks["small"].FinishedAt - res.Tasks["small"].StartedAt
-			bigExec := res.Tasks["big"].FinishedAt - res.Tasks["big"].StartedAt
+			smallExec := res.Task(wf, "small").FinishedAt - res.Task(wf, "small").StartedAt
+			bigExec := res.Task(wf, "big").FinishedAt - res.Task(wf, "big").StartedAt
 			ratio := float64(bigExec) / float64(smallExec)
 			if ratio < 3.5 || ratio > 4.5 {
 				t.Errorf("exec ratio = %.2f, want ≈4 (WorkScale)", ratio)
@@ -196,8 +196,8 @@ func TestRequireNodePinsTask(t *testing.T) {
 		res, err := s.eng.RunWorkflow(p, wf, AssignAll(ModeNative))
 		if err != nil {
 			t.Error(err)
-		} else if res.Tasks["a"].Node != "worker3" {
-			t.Errorf("pinned task ran on %s", res.Tasks["a"].Node)
+		} else if res.Task(wf, "a").Node != "worker3" {
+			t.Errorf("pinned task ran on %s", res.Task(wf, "a").Node)
 		}
 		s.shutdown()
 	})

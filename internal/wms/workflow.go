@@ -96,8 +96,8 @@ type Workflow struct {
 }
 
 // runPlan is what every run of a validated workflow shares, derived once:
-// each task's rank in ID order, which keys a run's in-flight set so the
-// poll scan observes tasks in ID order, and each task's
+// each task's rank in ID order, which keys a run's due set so the poll
+// tick settles tasks in ID order, and each task's
 // "<workflow>/<task>" name, its spans' label and its trigger subject.
 type runPlan struct {
 	name   string  // the workflow name the names were built from
