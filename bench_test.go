@@ -424,7 +424,8 @@ func BenchmarkFluidServer(b *testing.B) {
 			j := j
 			env.Go("job", func(p *sim.Proc) {
 				p.Sleep(time.Duration(j) * 10 * time.Millisecond)
-				srv.Run(p, 1, 0)
+				srv.RunReservedThen(1, 0, 0, p.Resumer())
+				p.Await()
 			})
 		}
 		env.Run()

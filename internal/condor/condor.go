@@ -39,10 +39,10 @@ type ExecContext struct {
 // payload, and the payload reports its outcome by calling done exactly
 // once, where a process running it would have returned. Each step runs
 // in the run-queue slot that a process waiting through the same steps
-// would run in. Code that takes a *sim.Proc runs in a process the payload
-// spawns with Env.GoFirst. A submitter that runs many jobs passes a
-// pointer into its own state, so a submission builds no closure; done is
-// bound once per job struct.
+// would run in, so a payload waits only on continuation forms and spawns
+// no process. A submitter that runs many jobs passes a pointer into its
+// own state, so a submission builds no closure; done is bound once per job
+// struct.
 type Runner interface {
 	Run(ctx *ExecContext, done func(error))
 }

@@ -189,7 +189,8 @@ func matchChurn(t *testing.T, policy string) {
 				probe(js)
 				f.s.SubmitJob(js)
 			case r < 9:
-				worker().Scratch.Put(p, lfns[rng.Intn(len(lfns))], 1<<20)
+				worker().Scratch.PutThen(lfns[rng.Intn(len(lfns))], 1<<20, p.Resumer())
+				p.Await()
 			case r == 9:
 				f.s.crashNode(worker().Name)
 			case r < 12:

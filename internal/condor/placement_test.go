@@ -18,8 +18,10 @@ func TestDataLocalityPlacement(t *testing.T) {
 		p.CondorPlacementPolicy = "data-locality"
 	})
 	f.env.Go("main", func(p *sim.Proc) {
-		f.cl.Workers[2].Scratch.Put(p, "wf/x.fits", 1<<20)
-		f.cl.Workers[0].Scratch.Put(p, "wf/y.fits", 1<<20)
+		f.cl.Workers[2].Scratch.PutThen("wf/x.fits", 1<<20, p.Resumer())
+		p.Await()
+		f.cl.Workers[0].Scratch.PutThen("wf/y.fits", 1<<20, p.Resumer())
+		p.Await()
 		for i, tc := range []struct {
 			lfn  string
 			want string

@@ -224,3 +224,62 @@ func TestWorkflowRunSpawnsOnlyItsDriver(t *testing.T) {
 		})
 	}
 }
+
+// stagedRunCounts pins the kernel's work in TestStagedRunSpawnsOnlyItsDriver,
+// per case: events fired, and resumes, all of them the driver's: its start
+// and its one wake from RunWorkflow. A change that moves them on purpose
+// updates them and says why.
+var stagedRunCounts = map[string][2]int{
+	"shared-fs/native":        {301, 2},
+	"shared-fs/serverless":    {528, 2},
+	"object-store/native":     {310, 2},
+	"object-store/serverless": {555, 2},
+}
+
+// TestStagedRunSpawnsOnlyItsDriver: under remote staging every task's
+// stage-in and stage-out is a chain over its files, and a function whose
+// image is absent from the serving node is pulled by the pod's bring-up
+// chain, so a run still creates one coroutine, its driver's. Shared-fs
+// staging runs with the scratch cache on, so stage-in also takes scratch
+// hits and stage-out writes scratch copies.
+func TestStagedRunSpawnsOnlyItsDriver(t *testing.T) {
+	for _, staging := range []wms.DataStaging{wms.StageSharedFS, wms.StageObjectStore} {
+		for _, mode := range []wms.Mode{wms.ModeNative, wms.ModeServerless} {
+			name := staging.String() + "/" + mode.String()
+			t.Run(name, func(t *testing.T) {
+				prm := fastParams()
+				prm.ScratchCache = staging == wms.StageSharedFS
+				s := NewStack(1, prm)
+				s.Engine.Staging = staging
+				s.RegisterTransformation(workload.MatmulTransformation, 14<<20)
+				s.Env.Go("main", func(p *sim.Proc) {
+					defer s.Shutdown()
+					if mode == wms.ModeServerless {
+						// No pre-pull and no initial replica: the first
+						// invocation's cold start pulls the image.
+						policy := DeployPolicy{ContainerConcurrency: 2, CapCores: 1}
+						if err := s.DeployFunction(p, workload.MatmulTransformation, policy); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					wf := workload.FanOutFanIn(sim.NewRNG(1), "fan", 6, 3, prm.MatrixBytes, workload.UniformScale(0.5, 1.5))
+					if _, err := s.Engine.RunWorkflow(p, wf, wms.AssignAll(mode)); err != nil {
+						t.Error(err)
+					}
+				})
+				s.Env.Run()
+				st := s.Env.Stats()
+				if st.Coroutines != 1 {
+					t.Errorf("run created %d coroutines, want 1 (the driver)", st.Coroutines)
+				}
+				if mode == wms.ModeServerless && s.Registry.Pulls() == 0 {
+					t.Error("the serving node never pulled the function's image")
+				}
+				if got, want := [2]int{st.Events, st.Resumes}, stagedRunCounts[name]; got != want {
+					t.Errorf("run fired %d events and made %d resumes, pinned %d and %d", got[0], got[1], want[0], want[1])
+				}
+			})
+		}
+	}
+}

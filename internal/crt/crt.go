@@ -48,7 +48,7 @@ type Runtime struct {
 	env    *sim.Env
 	node   *cluster.Node
 	reg    *registry.Registry
-	params config.Params
+	params *config.Params // the set's one copy
 
 	layers map[string]bool
 	images map[string]registry.Image
@@ -66,19 +66,22 @@ type Runtime struct {
 // the Kubernetes kubelet drive.
 type Set map[string]*Runtime
 
-// NewSet builds one runtime per worker node.
+// NewSet builds one runtime per worker node. The runtimes share one copy
+// of params and one allocation.
 func NewSet(env *sim.Env, cl *cluster.Cluster, reg *registry.Registry, params config.Params) Set {
 	set := make(Set, len(cl.Workers))
-	for _, w := range cl.Workers {
-		set[w.Name] = &Runtime{
+	rts := make([]Runtime, len(cl.Workers))
+	for i, w := range cl.Workers {
+		rts[i] = Runtime{
 			env:    env,
 			node:   w,
 			reg:    reg,
-			params: params,
+			params: &params,
 			layers: make(map[string]bool),
 			images: make(map[string]registry.Image),
 			loader: fluid.New(env, "imgload:"+w.Name, params.ImageLoadBps),
 		}
+		set[w.Name] = &rts[i]
 	}
 	return set
 }
@@ -114,22 +117,30 @@ func (rt *Runtime) Live() int { return rt.createdTotal - rt.removedTotal }
 // metric that separates Docker-per-task from serverless reuse.
 func (rt *Runtime) CreatedTotal() int { return rt.createdTotal }
 
-// PullImage is Pull with no parent span: a pre-pull outside any traced
-// operation.
-func (rt *Runtime) PullImage(p *sim.Proc, name string) error { return rt.Pull(p, nil, name) }
+// PullImage is PullThen with no parent span, waited on by the calling
+// process: a pre-pull outside any traced operation.
+func (rt *Runtime) PullImage(p *sim.Proc, name string) (err error) {
+	resume := p.Resumer()
+	rt.PullThen(nil, name, func(e error) { err = e; resume() })
+	p.Await()
+	return err
+}
 
-// Pull fetches the named image from the registry, transferring only layers
-// absent from this node's cache, and records it in the local store; its
-// span nests under parent. Transient registry failures are retried under
-// the PullRetry policy with exponential backoff; permanent errors (unknown
-// image) surface immediately.
-func (rt *Runtime) Pull(p *sim.Proc, parent *trace.Span, name string) error {
+// PullThen fetches the named image from the registry, transferring only
+// layers absent from this node's cache, records it in the local store,
+// and hands the outcome to done; its span nests under parent. Transient
+// registry failures are retried under the PullRetry policy with
+// exponential backoff; permanent errors (unknown image) surface
+// immediately. A present image is done at once.
+func (rt *Runtime) PullThen(parent *trace.Span, name string, done func(error)) {
 	if rt.HasImage(name) {
-		return nil
+		done(nil)
+		return
 	}
 	img, ok := rt.reg.Image(name)
 	if !ok {
-		return fmt.Errorf("crt: %s: image %q not in registry", rt.node.Name, name)
+		done(fmt.Errorf("crt: %s: image %q not in registry", rt.node.Name, name))
+		return
 	}
 	var missing []registry.Layer
 	for _, l := range img.Layers {
@@ -138,37 +149,40 @@ func (rt *Runtime) Pull(p *sim.Proc, parent *trace.Span, name string) error {
 		}
 	}
 	sp := trace.FromEnv(rt.env).Start(parent, "crt", "pull", trace.L("image", name), trace.L("node", rt.node.Name))
-	rp := rt.params.PullRetry
-	var err error
-	for attempt := 1; attempt <= rp.Attempts(); attempt++ {
-		err = rt.reg.PullLayers(p, sp, rt.node.Name, img, missing)
-		if err == nil {
+	rt.pullAttempt(sp, img, missing, 1, done)
+}
+
+// pullAttempt makes a pull's attempt-th try and retries a transient
+// failure after its backoff.
+func (rt *Runtime) pullAttempt(sp *trace.Span, img registry.Image, missing []registry.Layer, attempt int, done func(error)) {
+	rt.reg.PullLayersThen(sp, rt.node.Name, img, missing, func(err error) {
+		rp := rt.params.PullRetry
+		switch {
+		case err == nil:
 			rt.budget.OnSuccess()
-			break
-		}
-		if !faults.IsTransient(err) || attempt == rp.Attempts() {
-			break
-		}
-		if !rt.budget.TryRetry() {
+			sp.End()
+			for _, l := range img.Layers {
+				rt.layers[l.Digest] = true
+			}
+			rt.images[img.Name] = img
+			done(nil)
+			return
+		case !faults.IsTransient(err) || attempt == rp.Attempts():
+		case !rt.budget.TryRetry():
 			// The shared pull budget is dry: failures across the cluster
 			// are outpacing successes, so stop retrying rather than pile
 			// onto a struggling registry.
 			err = fmt.Errorf("crt: %s: pull retry budget exhausted: %w", rt.node.Name, err)
-			break
+		default:
+			rt.env.Delay(rp.Backoff(attempt, rt.env.Rand()), func() {
+				rt.pullAttempt(sp, img, missing, attempt+1, done)
+			})
+			return
 		}
-		p.Sleep(rp.Backoff(attempt, p.Rand()))
-	}
-	if err != nil {
 		sp.SetLabel("status", "failed")
 		sp.End()
-		return err
-	}
-	sp.End()
-	for _, l := range img.Layers {
-		rt.layers[l.Digest] = true
-	}
-	rt.images[name] = img
-	return nil
+		done(err)
+	})
 }
 
 // ImportImageThen models `docker load` of an image file already present on

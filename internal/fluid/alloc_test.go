@@ -17,7 +17,7 @@ func TestUncappedCycleZeroAlloc(t *testing.T) {
 	srv := New(env, "cpu", 4)
 	env.Go("loop", func(p *sim.Proc) {
 		for {
-			srv.Run(p, 1, 0) // rate 4 alone: finishes in 250ms
+			run(p, srv, 1, 0) // rate 4 alone: finishes in 250ms
 		}
 	})
 	env.RunFor(5 * time.Second) // warm job pool, event free list, ring
@@ -40,7 +40,7 @@ func TestUncappedChurnZeroAlloc(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		env.Go("loop", func(p *sim.Proc) {
 			for {
-				srv.Run(p, 1, 0)
+				run(p, srv, 1, 0)
 			}
 		})
 	}
@@ -53,9 +53,9 @@ func TestUncappedChurnZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReservedCycleZeroAlloc: processes looping on the blocking
-// runReserved with caps and floors (the general water-filling path)
-// allocate nothing once warm: parking on the chained form adds no
+// TestReservedCycleZeroAlloc: processes looping on RunReservedThen with
+// caps and floors (the general water-filling path), each waiting with its
+// resume, allocate nothing once warm: parking on the chained form adds no
 // closure.
 func TestReservedCycleZeroAlloc(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -63,7 +63,7 @@ func TestReservedCycleZeroAlloc(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		env.Go("loop", func(p *sim.Proc) {
 			for {
-				srv.runReserved(p, 1, 1, 0.5)
+				runReserved(p, srv, 1, 1, 0.5)
 			}
 		})
 	}

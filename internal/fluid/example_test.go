@@ -15,7 +15,8 @@ func Example() {
 	cpu := fluid.New(env, "cpu", 8)
 
 	env.Go("hog", func(p *sim.Proc) {
-		cpu.Run(p, 70, 0) // uncapped: soaks up whatever is free
+		cpu.RunReservedThen(70, 0, 0, p.Resumer()) // uncapped: soaks up whatever is free
+		p.Await()
 		fmt.Println("hog finished at", p.Now())
 	})
 	env.Go("container", func(p *sim.Proc) {

@@ -89,30 +89,18 @@ func (s *Server) SetCapacity(c float64) {
 // Load returns the number of jobs currently in service.
 func (s *Server) Load() int { return len(s.jobs) }
 
-// Run serves `work` units for the calling process, sharing the server with
-// every other concurrent job, and blocks until the work completes. maxRate
-// caps the job's service rate (0 = uncapped): a containerized task with a
-// one-core cgroup quota runs with maxRate 1 on a CPU server whose capacity
-// is the node's core count.
-func (s *Server) Run(p *sim.Proc, work float64, maxRate float64) {
-	s.runReserved(p, work, maxRate, 0)
-}
-
-// runReserved is Run with a guaranteed floor rate — the cgroup reservation
-// that makes containerized tasks immune to noisy neighbours (the paper's
-// performance-isolation property). When the sum of floors exceeds the
-// server's capacity, floors scale down proportionally (reservation
-// oversubscription); leftover capacity above the floors is distributed
-// max-min as in Run. It is RunReservedThen with the process's resume.
-func (s *Server) runReserved(p *sim.Proc, work, maxRate, floor float64) {
-	s.RunReservedThen(work, maxRate, floor, p.Resumer())
-	p.Await()
-}
-
-// RunReservedThen is runReserved's continuation form (see sim.Env.Defer):
-// then runs at once when there is no work, and otherwise from the run
-// queue at the job's departure, in departure order with the other jobs
-// that drain at the same instant.
+// RunReservedThen serves work units, sharing the server with every other
+// concurrent job, and then runs then: at once when there is no work, and
+// otherwise from the run queue at the job's departure, in departure order
+// with the other jobs that drain at the same instant (see sim.Env.Defer).
+// maxRate caps the job's service rate (0 = uncapped): a containerized task
+// with a one-core cgroup quota runs with maxRate 1 on a CPU server whose
+// capacity is the node's core count. floor is a guaranteed rate (0 = none),
+// the cgroup reservation that makes containerized tasks immune to noisy
+// neighbours (the paper's performance-isolation property). When the sum of
+// floors exceeds the server's capacity, floors scale down proportionally
+// (reservation oversubscription); leftover capacity above the floors is
+// distributed max-min.
 func (s *Server) RunReservedThen(work, maxRate, floor float64, then func()) {
 	if work <= 0 {
 		then()

@@ -10,6 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
+// run and runReserved wait in a process on RunReservedThen: the process's
+// resume is the continuation, then one park.
+func run(p *sim.Proc, s *Server, work, maxRate float64) { runReserved(p, s, work, maxRate, 0) }
+
+func runReserved(p *sim.Proc, s *Server, work, maxRate, floor float64) {
+	s.RunReservedThen(work, maxRate, floor, p.Resumer())
+	p.Await()
+}
+
 // servedSoFar is the total work the server has completed by now.
 func (s *Server) servedSoFar() float64 {
 	s.advance()
@@ -21,7 +30,7 @@ func TestSingleJobFullRate(t *testing.T) {
 	srv := New(env, "cpu", 2)
 	var done time.Duration
 	env.Go("job", func(p *sim.Proc) {
-		srv.Run(p, 6, 0) // 6 work units at rate 2
+		run(p, srv, 6, 0) // 6 work units at rate 2
 		done = p.Now()
 	})
 	env.Run()
@@ -37,7 +46,7 @@ func TestEqualSharing(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Go("job", func(p *sim.Proc) {
-			srv.Run(p, 1, 0)
+			run(p, srv, 1, 0)
 			done[i] = p.Now()
 		})
 	}
@@ -56,12 +65,12 @@ func TestLateArrivalSharing(t *testing.T) {
 	srv := New(env, "cpu", 1)
 	var aDone, bDone time.Duration
 	env.Go("a", func(p *sim.Proc) {
-		srv.Run(p, 2, 0)
+		run(p, srv, 2, 0)
 		aDone = p.Now()
 	})
 	env.Go("b", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		srv.Run(p, 1, 0)
+		run(p, srv, 1, 0)
 		bDone = p.Now()
 	})
 	env.Run()
@@ -82,7 +91,7 @@ func TestCapIsolation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Go("job", func(p *sim.Proc) {
-			srv.Run(p, 2, 1) // capped at one core
+			run(p, srv, 2, 1) // capped at one core
 			done[i] = p.Now()
 		})
 	}
@@ -102,15 +111,15 @@ func TestWaterFillingRedistribution(t *testing.T) {
 	srv := New(env, "cpu", 3)
 	var cappedDone, unc1Done time.Duration
 	env.Go("capped", func(p *sim.Proc) {
-		srv.Run(p, 1, 0.5)
+		run(p, srv, 1, 0.5)
 		cappedDone = p.Now()
 	})
 	env.Go("unc1", func(p *sim.Proc) {
-		srv.Run(p, 2.5, 0)
+		run(p, srv, 2.5, 0)
 		unc1Done = p.Now()
 	})
 	env.Go("unc2", func(p *sim.Proc) {
-		srv.Run(p, 2.5, 0)
+		run(p, srv, 2.5, 0)
 	})
 	env.Run()
 	if cappedDone != 2*time.Second {
@@ -134,7 +143,7 @@ func TestContentionSlowdownVsIsolation(t *testing.T) {
 	var last time.Duration
 	for i := 0; i < 8; i++ {
 		env.Go("native", func(p *sim.Proc) {
-			srv.Run(p, 2, 0)
+			run(p, srv, 2, 0)
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -152,11 +161,11 @@ func TestReservationShieldsFromNoisyNeighbours(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := New(env, "cpu", 8)
 	for i := 0; i < 16; i++ {
-		env.Go("hog", func(p *sim.Proc) { srv.Run(p, 1e5, 0) })
+		env.Go("hog", func(p *sim.Proc) { run(p, srv, 1e5, 0) })
 	}
 	var done time.Duration
 	env.Go("reserved", func(p *sim.Proc) {
-		srv.runReserved(p, 2, 1, 1)
+		runReserved(p, srv, 2, 1, 1)
 		done = p.Now()
 	})
 	env.RunUntil(time.Hour)
@@ -169,11 +178,11 @@ func TestUnreservedJobSuffersUnderSameStorm(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := New(env, "cpu", 8)
 	for i := 0; i < 16; i++ {
-		env.Go("hog", func(p *sim.Proc) { srv.Run(p, 1e5, 0) })
+		env.Go("hog", func(p *sim.Proc) { run(p, srv, 1e5, 0) })
 	}
 	var done time.Duration
 	env.Go("victim", func(p *sim.Proc) {
-		srv.Run(p, 2, 1) // capped but NOT reserved
+		run(p, srv, 2, 1) // capped but NOT reserved
 		done = p.Now()
 	})
 	env.RunUntil(time.Hour)
@@ -191,7 +200,7 @@ func TestOverReservedFloorsScaleProportionally(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		env.Go("job", func(p *sim.Proc) {
-			srv.runReserved(p, 4, 4, 4)
+			runReserved(p, srv, 4, 4, 4)
 			done[i] = p.Now()
 		})
 	}
@@ -207,7 +216,7 @@ func TestFloorClampedToCap(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := New(env, "cpu", 8)
 	env.Go("job", func(p *sim.Proc) {
-		srv.runReserved(p, 2, 1, 5) // floor above cap clamps to 1
+		runReserved(p, srv, 2, 1, 5) // floor above cap clamps to 1
 		if p.Now() != 2*time.Second {
 			t.Errorf("finished at %v, want 2s", p.Now())
 		}
@@ -222,11 +231,11 @@ func TestReservedPlusSpareCapacity(t *testing.T) {
 	srv := New(env, "cpu", 8)
 	var reservedDone, freeDone time.Duration
 	env.Go("reserved", func(p *sim.Proc) {
-		srv.runReserved(p, 2, 1, 1)
+		runReserved(p, srv, 2, 1, 1)
 		reservedDone = p.Now()
 	})
 	env.Go("free", func(p *sim.Proc) {
-		srv.Run(p, 14, 0) // rate 7 alongside the reserved job
+		run(p, srv, 14, 0) // rate 7 alongside the reserved job
 		freeDone = p.Now()
 	})
 	env.Run()
@@ -247,7 +256,7 @@ func TestServedConservation(t *testing.T) {
 		total += w
 		env.Go("job", func(p *sim.Proc) {
 			p.Sleep(time.Duration(i) * 300 * time.Millisecond)
-			srv.Run(p, w, 0)
+			run(p, srv, w, 0)
 		})
 	}
 	env.Run()
@@ -263,7 +272,7 @@ func TestZeroWorkReturnsImmediately(t *testing.T) {
 	env := sim.NewEnv(1)
 	srv := New(env, "cpu", 1)
 	env.Go("job", func(p *sim.Proc) {
-		srv.Run(p, 0, 0)
+		run(p, srv, 0, 0)
 		if p.Now() != 0 {
 			t.Errorf("zero work took %v", p.Now())
 		}
@@ -294,7 +303,7 @@ func TestPropertyCompletionBounds(t *testing.T) {
 			env.Go("job", func(p *sim.Proc) {
 				p.Sleep(arrive)
 				start := p.Now()
-				srv.Run(p, work, rateCap)
+				run(p, srv, work, rateCap)
 				elapsed := (p.Now() - start).Seconds()
 				best := capTotal
 				if rateCap > 0 && rateCap < best {
@@ -331,7 +340,7 @@ func TestPropertyDeterminism(t *testing.T) {
 			arrive := time.Duration(rng.Float64() * float64(time.Second))
 			env.Go("job", func(p *sim.Proc) {
 				p.Sleep(arrive)
-				srv.Run(p, work, 0)
+				run(p, srv, work, 0)
 				times[i] = p.Now()
 			})
 		}
@@ -368,14 +377,14 @@ func TestRateReporting(t *testing.T) {
 			t.Errorf("Load = %d, want 2", srv.Load())
 		}
 	})
-	env.Go("capped", func(p *sim.Proc) { srv.Run(p, 10, 1) })
-	env.Go("uncapped", func(p *sim.Proc) { srv.Run(p, 10, 2) })
+	env.Go("capped", func(p *sim.Proc) { run(p, srv, 10, 1) })
+	env.Go("uncapped", func(p *sim.Proc) { run(p, srv, 10, 2) })
 	env.Run()
 }
 
 // TestRunReservedThenMatchesRunReserved: jobs submitted in chained form
 // depart, and their continuations run, in the order and at the times the
-// same jobs' blocking submitters resume — equal-time departures included,
+// same jobs' waiting submitters resume — equal-time departures included,
 // interleaved with a process sleeping beside them, and a zero-work job
 // continuing at once.
 func TestRunReservedThenMatchesRunReserved(t *testing.T) {
@@ -414,7 +423,7 @@ func TestRunReservedThenMatchesRunReserved(t *testing.T) {
 			}
 			env.At(s.at, func() {
 				env.Go(s.name, func(p *sim.Proc) {
-					srv.runReserved(p, s.work, s.cap, s.floor)
+					runReserved(p, srv, s.work, s.cap, s.floor)
 					note(s.name)
 				})
 			})

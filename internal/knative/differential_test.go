@@ -47,7 +47,7 @@ type churnCoverage struct {
 // arrivals and bursts, per-request deadlines, pod kills, retries with
 // jittered backoff, a tripping circuit breaker, a bounded activator room,
 // partitions of the submit node from a worker and from the ingress of a
-// worker-issued request, StageIn/StageOut hooks that block and fail, and a
+// worker-issued request, StageIn/StageOut hooks that wait and fail, and a
 // shutdown with requests still queued. It returns a digest of every
 // request's outcome, in completion order with its completion time, and of
 // the services' counters at the end.
@@ -103,24 +103,29 @@ func servingChurn(t *testing.T, seed uint64, traced bool, launch launcher) (stri
 		const window = 40 * time.Second
 		end := p.Now() + window
 
-		stageIn := func(hp *sim.Proc, parent *trace.Span, node string) error {
+		stageIn := func(parent *trace.Span, node string, done func(error)) {
 			sp := trace.FromEnv(env).Start(parent, "test", "stage-in")
-			defer sp.End()
-			hp.Sleep(time.Duration(hp.Rand().Intn(80)) * time.Millisecond)
-			f.cl.Net.Transfer(hp, cluster.SubmitNodeName, node, 64<<10)
-			if hp.Rand().Float64() < 0.1 {
-				return errors.New("stage-in: input missing")
-			}
-			return nil
+			env.Delay(time.Duration(env.Rand().Intn(80))*time.Millisecond, func() {
+				f.cl.Net.TransferThen(cluster.SubmitNodeName, node, 64<<10, func() {
+					var err error
+					if env.Rand().Float64() < 0.1 {
+						err = errors.New("stage-in: input missing")
+					}
+					sp.End()
+					done(err)
+				})
+			})
 		}
-		stageOut := func(hp *sim.Proc, parent *trace.Span, node string) error {
+		stageOut := func(parent *trace.Span, node string, done func(error)) {
 			sp := trace.FromEnv(env).Start(parent, "test", "stage-out")
-			defer sp.End()
-			hp.Sleep(time.Duration(hp.Rand().Intn(40)) * time.Millisecond)
-			if hp.Rand().Float64() < 0.05 {
-				return errors.New("stage-out: share full")
-			}
-			return nil
+			env.Delay(time.Duration(env.Rand().Intn(40))*time.Millisecond, func() {
+				var err error
+				if env.Rand().Float64() < 0.05 {
+					err = errors.New("stage-out: share full")
+				}
+				sp.End()
+				done(err)
+			})
 		}
 
 		// Chaos: pod kills and partitions until the window closes.

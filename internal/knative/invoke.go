@@ -43,9 +43,9 @@ func (s *Service) Invoke(p *sim.Proc, req Request) (Response, error) {
 // needs no process, and done, which must not block, receives the outcome
 // where Invoke would have returned it. Called at the run-queue slot where a
 // process spawned to call Invoke would first run, it keeps every (at, seq),
-// run-queue order and random draw of that process. Only the StageIn and
-// StageOut hooks run in a process, started with Env.GoFirst where the
-// chain reaches them.
+// run-queue order and random draw of that process. The StageIn and
+// StageOut hooks are steps of the chain: each starts where the chain
+// reaches it, and the chain continues where it reports.
 func (s *Service) InvokeAsync(req Request, done func(Response, error)) {
 	c := s.kn.newCall(s, req)
 	c.done = done
@@ -62,6 +62,7 @@ type call struct {
 	done   func(Response, error) // InvokeAsync's callback; nil under Invoke
 	resume func()                // Invoke's caller's resume; nil under InvokeAsync
 	step   func()                // c.advance, bound once
+	staged func(error)           // a staging hook's report, bound once
 
 	sp    *trace.Span // the attempt's invoke span
 	phase *trace.Span // the open coldstart, queue, payload, proxy or backoff span
@@ -114,13 +115,17 @@ func (kn *Knative) newCall(s *Service, req Request) *call {
 	} else {
 		c = &call{}
 		c.step = c.advance
+		c.staged = func(err error) {
+			c.err = err
+			c.advance()
+		}
 	}
 	c.s, c.req = s, req
 	return c
 }
 
 func (kn *Knative) freeCall(c *call) {
-	*c = call{step: c.step}
+	*c = call{step: c.step, staged: c.staged}
 	kn.calls = append(kn.calls, c)
 }
 
@@ -211,7 +216,7 @@ func (c *call) advance() {
 	case callExecuted:
 		if c.req.StageOut != nil {
 			c.stage = callStagedOut
-			kn.env.GoFirst("stage-out", c.runHook)
+			c.req.StageOut(c.sp, c.h.pod.NodeName, c.staged)
 			return
 		}
 		c.payloadOut()
@@ -231,17 +236,6 @@ func (c *call) advance() {
 		c.endPhase()
 		c.endSlot()
 	}
-}
-
-// runHook is the body of the process a StageIn or StageOut hook runs in;
-// it continues the chain when the hook returns.
-func (c *call) runHook(p *sim.Proc) {
-	if c.stage == callStagedIn {
-		c.err = c.req.StageIn(p, c.sp, c.h.pod.NodeName)
-	} else {
-		c.err = c.req.StageOut(p, c.sp, c.h.pod.NodeName)
-	}
-	c.advance()
 }
 
 func (c *call) endPhase() {
@@ -422,7 +416,7 @@ func (c *call) proxied() {
 	}
 	if c.req.StageIn != nil {
 		c.stage = callStagedIn
-		s.kn.env.GoFirst("stage-in", c.runHook)
+		c.req.StageIn(c.sp, c.h.pod.NodeName, c.staged)
 		return
 	}
 	c.exec()

@@ -104,13 +104,14 @@ type Request struct {
 	Work float64
 	// StageIn, if set, runs on the serving replica's node before the task
 	// body, holding the request's slot — e.g. reading inputs from a shared
-	// filesystem. parent is the invocation's span. p is a process of its
-	// own that runs the hook where the request reaches it, so the hook may
-	// block.
-	StageIn func(p *sim.Proc, parent *trace.Span, node string) error
+	// filesystem. It is a continuation: the call's chain starts it where
+	// the request reaches it, with the invocation's span as parent, and
+	// the hook calls done exactly once with its outcome, where the chain
+	// continues. A failure ends the attempt without a retry.
+	StageIn func(parent *trace.Span, node string, done func(error))
 	// StageOut, if set, runs on the serving node after the task body, as
 	// StageIn does — e.g. writing outputs back to the shared filesystem.
-	StageOut func(p *sim.Proc, parent *trace.Span, node string) error
+	StageOut func(parent *trace.Span, node string, done func(error))
 	// Deadline is the request's absolute virtual-time deadline. It
 	// propagates with the request and is enforced at activator admission,
 	// at every queue wake-up, and at the queue-proxy just before

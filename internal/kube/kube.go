@@ -688,9 +688,10 @@ func (k *Kube) kubelet(i int) {
 // the wait ends, or from the back of the run queue for a zero wait: since
 // an event fires only on an empty run queue, the chain keeps every
 // (at, seq), run-queue order and RNG draw a process sleeping through the
-// same waits would have. Only pulling an absent image blocks; it runs in a
-// process of its own (see pull). The chain also runs a running pod's
-// teardown (stageTornDown), which resumes its kubelet's drain.
+// same waits would have. Pulling an absent image is one more stage: the
+// runtime's pull chain continues the bring-up where it ends (see pulled).
+// The chain also runs a running pod's teardown (stageTornDown), which
+// resumes its kubelet's drain.
 func (k *Kube) advance(pod *Pod) {
 	node := pod.node
 	switch pod.stage {
@@ -707,8 +708,8 @@ func (k *Kube) advance(pod *Pod) {
 			return
 		}
 		pod.phase = PhaseStarting
-		if !k.runtimes[node.Index].HasImage(pod.Spec.Image) {
-			k.env.GoFirst("pull-"+pod.Spec.Name, func(p *sim.Proc) { k.pull(p, pod) })
+		if rt := k.runtimes[node.Index]; !rt.HasImage(pod.Spec.Image) {
+			rt.PullThen(pod.sp, pod.Spec.Image, func(err error) { k.pulled(pod, err) })
 			return
 		}
 		k.create(pod)
@@ -777,11 +778,9 @@ func (k *Kube) advance(pod *Pod) {
 	}
 }
 
-// pull is the one blocking step of a bring-up: it fetches the absent image
-// in a process that the kernel runs before any other ready entry, so the
-// pull starts where the bring-up reached it, and then continues the chain.
-func (k *Kube) pull(p *sim.Proc, pod *Pod) {
-	err := k.runtimes[pod.node.Index].Pull(p, pod.sp, pod.Spec.Image)
+// pulled is the bring-up's step after pulling an absent image: it arms the
+// create, or ends the bring-up of a failed pull.
+func (k *Kube) pulled(pod *Pod, err error) {
 	if err != nil {
 		pod.node.ReleaseMem(pod.Spec.MemMB)
 		k.endBringUp(pod, PhaseFailed, "failed", err)

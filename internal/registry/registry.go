@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/resilience"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -94,44 +93,59 @@ func (r *Registry) Protect(pol resilience.BreakerPolicy) {
 	r.breaker = resilience.NewBreaker(pol)
 }
 
-// PullLayers transfers the given layers of the named image to node,
-// blocking the calling process for the network time. The caller (the node's
-// container runtime) decides which layers are missing. With fault injection
-// active, a pull may fail transiently (HTTP 5xx / dropped connection) —
-// retryable by the runtime's pull policy. With a breaker installed,
-// consecutive failures trip it and later pulls fast-fail with
-// ErrCircuitOpen (not transient: the runtime's retry loop stops
-// immediately instead of hammering a down endpoint). The pull's spans nest
+// PullLayersThen transfers the given layers of the named image to node,
+// one after another, and hands the outcome to done once the network time
+// has elapsed. The caller (the node's container runtime) decides which
+// layers are missing. With fault injection active, a pull may fail
+// transiently (HTTP 5xx / dropped connection) — retryable by the runtime's
+// pull policy. With a breaker installed, consecutive failures trip it and
+// later pulls fast-fail with ErrCircuitOpen (not transient: the runtime's
+// retry loop stops immediately instead of hammering a down endpoint). An
+// unknown image and an open breaker fail at once. The pull's spans nest
 // under parent.
-func (r *Registry) PullLayers(p *sim.Proc, parent *trace.Span, node string, img Image, missing []Layer) error {
+func (r *Registry) PullLayersThen(parent *trace.Span, node string, img Image, missing []Layer, done func(error)) {
 	if _, ok := r.images[img.Name]; !ok {
-		return fmt.Errorf("registry: image %q not found", img.Name)
+		done(fmt.Errorf("registry: image %q not found", img.Name))
+		return
 	}
-	tr := trace.FromEnv(p.Env())
-	if !r.breaker.Allow(p.Now()) {
+	env := r.net.Env()
+	tr := trace.FromEnv(env)
+	if !r.breaker.Allow(env.Now()) {
 		br := tr.Start(parent, "registry", "breaker",
 			trace.L("image", img.Name), trace.L("node", node),
-			trace.L("state", r.breaker.State(p.Now()).String()))
+			trace.L("state", r.breaker.State(env.Now()).String()))
 		br.End()
-		return fmt.Errorf("registry: pull %q to %s: %w", img.Name, node, resilience.ErrCircuitOpen)
+		done(fmt.Errorf("registry: pull %q to %s: %w", img.Name, node, resilience.ErrCircuitOpen))
+		return
 	}
 	var sp *trace.Span
 	if tr != nil {
 		sp = tr.Start(parent, "registry", "layers",
 			trace.L("image", img.Name), trace.L("node", node), trace.L("layers", strconv.Itoa(len(missing))))
 	}
-	defer sp.End()
 	if r.faults != nil && r.faults.Roll(faults.KindRegistryError, node) {
 		// The failed request still costs a round trip to the endpoint.
-		r.net.Message(p, r.host, node)
-		sp.SetLabel("status", "failed")
-		r.breaker.OnFailure(p.Now())
-		return faults.Transientf("registry: pull %q to %s: injected pull error", img.Name, node)
+		r.net.MessageThen(r.host, node, func() {
+			sp.SetLabel("status", "failed")
+			r.breaker.OnFailure(env.Now())
+			sp.End()
+			done(faults.Transientf("registry: pull %q to %s: injected pull error", img.Name, node))
+		})
+		return
 	}
-	for _, l := range missing {
-		r.pulls++
-		r.net.Transfer(p, r.host, node, l.Bytes)
+	r.transfer(node, missing, func() {
+		r.breaker.OnSuccess(env.Now())
+		sp.End()
+		done(nil)
+	})
+}
+
+// transfer moves the layers to node one after another, then runs then.
+func (r *Registry) transfer(node string, layers []Layer, then func()) {
+	if len(layers) == 0 {
+		then()
+		return
 	}
-	r.breaker.OnSuccess(p.Now())
-	return nil
+	r.pulls++
+	r.net.TransferThen(r.host, node, layers[0].Bytes, func() { r.transfer(node, layers[1:], then) })
 }

@@ -16,6 +16,15 @@ func newCluster(t *testing.T) (*sim.Env, *cluster.Cluster, *Registry) {
 	return env, cl, New(cl.Net)
 }
 
+// pullLayers waits in a process on PullLayersThen: the process's resume
+// ends the wait, then one park.
+func pullLayers(p *sim.Proc, reg *Registry, node string, img Image, missing []Layer) (err error) {
+	resume := p.Resumer()
+	reg.PullLayersThen(nil, node, img, missing, func(e error) { err = e; resume() })
+	p.Await()
+	return err
+}
+
 func TestPushAndLookup(t *testing.T) {
 	_, _, reg := newCluster(t)
 	img := NewImage("app", []int64{10 << 20}, 2<<20)
@@ -56,7 +65,7 @@ func TestPullLayersChargesNetworkTime(t *testing.T) {
 	reg.Push(img)
 	env.Go("pull", func(p *sim.Proc) {
 		start := p.Now()
-		if err := reg.PullLayers(p, nil, "worker1", img, img.Layers); err != nil {
+		if err := pullLayers(p, reg, "worker1", img, img.Layers); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := p.Now() - start
@@ -75,7 +84,7 @@ func TestPullUnknownImageFails(t *testing.T) {
 	env, _, reg := newCluster(t)
 	img := NewImage("never-pushed", []int64{1}, 1)
 	env.Go("pull", func(p *sim.Proc) {
-		if err := reg.PullLayers(p, nil, "worker1", img, img.Layers); err == nil {
+		if err := pullLayers(p, reg, "worker1", img, img.Layers); err == nil {
 			t.Error("pull of unpushed image succeeded")
 		}
 	})
@@ -87,7 +96,7 @@ func TestPullNoMissingLayersIsFree(t *testing.T) {
 	img := NewImage("app", []int64{100 << 20}, 10<<20)
 	reg.Push(img)
 	env.Go("pull", func(p *sim.Proc) {
-		if err := reg.PullLayers(p, nil, "worker1", img, nil); err != nil {
+		if err := pullLayers(p, reg, "worker1", img, nil); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now() != 0 {

@@ -37,7 +37,7 @@ func TestSpawnSteadyStateZeroAlloc(t *testing.T) {
 	child := func(p *Proc) {}
 	env.Go("spawner", func(p *Proc) {
 		for {
-			p.Env().Go("child", child)
+			p.env.Go("child", child)
 			p.Sleep(time.Millisecond)
 		}
 	})

@@ -21,27 +21,6 @@ func TestDeferTakesProcessSlot(t *testing.T) {
 	}
 }
 
-// TestGoFirstRunsNext: a process spawned with GoFirst runs before every
-// entry already in the run queue.
-func TestGoFirstRunsNext(t *testing.T) {
-	env := NewEnv(1)
-	var order []string
-	env.Go("a", func(p *Proc) { order = append(order, "a") })
-	env.Defer(func() {
-		order = append(order, "cont")
-		env.GoFirst("first", func(p *Proc) {
-			order = append(order, "first")
-			p.Sleep(time.Second)
-			order = append(order, "first-woke")
-		})
-	})
-	env.Go("b", func(p *Proc) { order = append(order, "b") })
-	env.Run()
-	if want := []string{"a", "cont", "first", "b", "first-woke"}; !slices.Equal(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-}
-
 // TestResumerRunsNext: a parked process whose Resumer a continuation calls
 // runs before every entry already in the run queue, in the slot where the
 // continuation ran.

@@ -99,18 +99,21 @@ func (e *Env) Stats() Stats {
 // completed processes; a *Proc handle is only meaningful while its process
 // is alive.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	p := e.spawn(name, fn)
+	var p *Proc
+	if n := len(e.procPool); n > 0 {
+		p = e.procPool[n-1]
+		e.procPool[n-1] = nil
+		e.procPool = e.procPool[:n-1]
+	} else {
+		p = newProc(e)
+	}
+	p.fn = fn
+	p.id = e.nextID
+	p.name = name
+	p.state = stateReady
+	e.nextID++
+	e.alive++
 	e.ready.push(p.enter)
-	return p
-}
-
-// GoFirst is Go for a process that must run next: it enters the run queue
-// ahead of every ready entry. A continuation that reaches a blocking step
-// hands it to GoFirst, so the step starts at the same point in the run as
-// it would have in a process.
-func (e *Env) GoFirst(name string, fn func(*Proc)) *Proc {
-	p := e.spawn(name, fn)
-	e.ready.pushFront(p.enter)
 	return p
 }
 
@@ -136,25 +139,6 @@ func (e *Env) Delay(d time.Duration, fn func()) {
 		return
 	}
 	e.After(d, fn)
-}
-
-// spawn readies a process struct for fn, from the idle pool when it can.
-func (e *Env) spawn(name string, fn func(*Proc)) *Proc {
-	var p *Proc
-	if n := len(e.procPool); n > 0 {
-		p = e.procPool[n-1]
-		e.procPool[n-1] = nil
-		e.procPool = e.procPool[:n-1]
-	} else {
-		p = newProc(e)
-	}
-	p.fn = fn
-	p.id = e.nextID
-	p.name = name
-	p.state = stateReady
-	e.nextID++
-	e.alive++
-	return p
 }
 
 // newEvent takes an event struct off the free list (or allocates one) and

@@ -152,7 +152,7 @@ func TestGoFromWithinProc(t *testing.T) {
 	var childRan bool
 	env.Go("parent", func(p *Proc) {
 		p.Sleep(time.Second)
-		p.Env().Go("child", func(c *Proc) {
+		p.env.Go("child", func(c *Proc) {
 			c.Sleep(time.Second)
 			childRan = true
 		})

@@ -105,9 +105,6 @@ func (e *Env) releaseIdle() {
 	e.procPool = e.procPool[:0]
 }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 

@@ -44,9 +44,11 @@ func churnRun(t *testing.T, seed uint64) (fingerprint uint64, end time.Duration)
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				srv.Run(p, 0.4, 0) // uncapped
+				srv.RunReservedThen(0.4, 0, 0, p.Resumer()) // uncapped
+				p.Await()
 			case 1:
-				srv.Run(p, 0.4, 0.5) // capped
+				srv.RunReservedThen(0.4, 0.5, 0, p.Resumer()) // capped
+				p.Await()
 			default:
 				srv.RunReservedThen(0.4, 0, 0.2, p.Resumer()) // floored
 				p.Await()
@@ -54,18 +56,19 @@ func churnRun(t *testing.T, seed uint64) (fingerprint uint64, end time.Duration)
 			fp = fp*31 + uint64(p.Now())
 			if i < 8 {
 				wg.Add(1)
-				p.Env().Go("child", func(c *sim.Proc) {
+				env.Go("child", func(c *sim.Proc) {
 					defer wg.Done()
 					// Arm-and-cancel a timer while jobs are in flight so
 					// cancelled events interleave with fluid's completion
 					// timer in the heap.
 					hit := false
-					tm := c.Env().After(75*time.Millisecond, func() { hit = true })
+					tm := env.After(75*time.Millisecond, func() { hit = true })
 					c.Sleep(time.Duration(10+c.Rand().Intn(120)) * time.Millisecond)
 					if tm.Stop() == hit {
 						t.Errorf("Stop = %v with fired = %v", !hit, hit)
 					}
-					srv.Run(c, 0.2, 0)
+					srv.RunReservedThen(0.2, 0, 0, c.Resumer())
+					c.Await()
 					fp = fp*131 + uint64(c.Now())
 				})
 			}

@@ -153,7 +153,7 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 		mix := func(p *Proc, depth, i int) {
 			// Arm a timer; cancel half mid-flight after a short sleep.
 			hits := 0
-			tm := p.Env().After(time.Duration(1+p.Rand().Intn(40))*time.Millisecond, func() { hits++ })
+			tm := p.env.After(time.Duration(1+p.Rand().Intn(40))*time.Millisecond, func() { hits++ })
 			p.Sleep(time.Duration(p.Rand().Intn(20)) * time.Millisecond)
 			stopped := tm.Stop()
 			fp = fp*31 + uint64(hits) + uint64(p.Now())
@@ -171,7 +171,7 @@ func TestStressMixedPrimitiveChurn(t *testing.T) {
 				n := 1 + p.Rand().Intn(2)
 				for i := 0; i < n; i++ {
 					wg.Add(1)
-					p.Env().Go("child", func(c *Proc) {
+					p.env.Go("child", func(c *Proc) {
 						defer wg.Done()
 						spawn(c, depth+1)
 					})

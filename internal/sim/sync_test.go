@@ -9,7 +9,7 @@ import (
 // acquire takes one of sem's permits for process p: AcquireThen with p's
 // resume, and one park.
 func acquire(p *Proc, sem *Semaphore) {
-	sem.AcquireThen(p.Env(), p.Resumer())
+	sem.AcquireThen(p.env, p.Resumer())
 	p.Await()
 }
 

@@ -65,6 +65,9 @@ func (n *Network) AddNode(name string, egressBps float64) {
 	}
 }
 
+// Env returns the environment the network runs in.
+func (n *Network) Env() *sim.Env { return n.env }
+
 // HasNode reports whether name is registered.
 func (n *Network) HasNode(name string) bool {
 	_, ok := n.ifaces[name]
@@ -160,18 +163,9 @@ func (n *Network) AttachFaults(in *faults.Injector) {
 	})
 }
 
-// Message and Transfer are their continuation forms, MessageThen and
-// TransferThen, with the calling process's resume and one park: then runs
-// where the process resumes, at once when the wait does not block.
-
-// Message charges one small control message from one node to another
-// (latency only; bandwidth is negligible). Loopback is free.
-func (n *Network) Message(p *sim.Proc, from, to string) {
-	n.MessageThen(from, to, p.Resumer())
-	p.Await()
-}
-
-// MessageThen is Message's continuation form.
+// MessageThen charges one small control message from one node to another
+// (latency only; bandwidth is negligible) and then runs then. Loopback is
+// free: then runs at once.
 func (n *Network) MessageThen(from, to string, then func()) {
 	if from == to {
 		then()
@@ -186,17 +180,11 @@ func (n *Network) MessageThen(from, to string, then func()) {
 	n.env.Delay(n.oneWay(), then)
 }
 
-// Transfer moves size bytes from one node to another, blocking the calling
-// process for the propagation latency plus the bandwidth-limited transfer
+// TransferThen moves size bytes from one node to another and then runs
+// then, after the propagation latency plus the bandwidth-limited transfer
 // time. Concurrent transfers out of the same node share its egress
 // bandwidth; each transfer is additionally capped at the receiver's
-// interface rate. Loopback transfers are free.
-func (n *Network) Transfer(p *sim.Proc, from, to string, size int64) {
-	n.TransferThen(from, to, size, p.Resumer())
-	p.Await()
-}
-
-// TransferThen is Transfer's continuation form.
+// interface rate. Loopback transfers are free: then runs at once.
 func (n *Network) TransferThen(from, to string, size int64, then func()) {
 	if size < 0 {
 		panic("simnet: negative transfer size")

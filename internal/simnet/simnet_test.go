@@ -16,11 +16,23 @@ func newNet(env *sim.Env) *Network {
 	return n
 }
 
+// transfer and message wait in a process on TransferThen and MessageThen:
+// the process's resume is the continuation, then one park.
+func transfer(p *sim.Proc, n *Network, from, to string, size int64) {
+	n.TransferThen(from, to, size, p.Resumer())
+	p.Await()
+}
+
+func message(p *sim.Proc, n *Network, from, to string) {
+	n.MessageThen(from, to, p.Resumer())
+	p.Await()
+}
+
 func TestTransferTime(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "submit", "w1", 200) // 200 B at 100 B/s + 1ms latency
+		transfer(p, n, "submit", "w1", 200) // 200 B at 100 B/s + 1ms latency
 		want := 2*time.Second + time.Millisecond
 		if p.Now() != want {
 			t.Errorf("transfer took %v, want %v", p.Now(), want)
@@ -36,7 +48,7 @@ func TestTransferSharesEgress(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Go("xfer", func(p *sim.Proc) {
-			n.Transfer(p, "submit", "w1", 100)
+			transfer(p, n, "submit", "w1", 100)
 			done[i] = p.Now()
 		})
 	}
@@ -53,7 +65,7 @@ func TestTransferCappedByReceiver(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "submit", "w2", 100) // receiver w2 is 50 B/s
+		transfer(p, n, "submit", "w2", 100) // receiver w2 is 50 B/s
 		want := 2*time.Second + time.Millisecond
 		if p.Now() != want {
 			t.Errorf("transfer took %v, want %v", p.Now(), want)
@@ -66,8 +78,8 @@ func TestLoopbackFree(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "w1", "w1", 1<<30)
-		n.Message(p, "w1", "w1")
+		transfer(p, n, "w1", "w1", 1<<30)
+		message(p, n, "w1", "w1")
 		if p.Now() != 0 {
 			t.Errorf("loopback cost %v", p.Now())
 		}
@@ -79,7 +91,7 @@ func TestMessageLatencyOnly(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("msg", func(p *sim.Proc) {
-		n.Message(p, "w1", "w2")
+		message(p, n, "w1", "w2")
 		if p.Now() != time.Millisecond {
 			t.Errorf("message took %v, want 1ms", p.Now())
 		}
@@ -91,8 +103,8 @@ func TestAccounting(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "submit", "w1", 300)
-		n.Transfer(p, "w1", "submit", 50)
+		transfer(p, n, "submit", "w1", 300)
+		transfer(p, n, "w1", "submit", 50)
 	})
 	env.Run()
 	if n.BytesSent("submit") != 300 || n.BytesReceived("w1") != 300 {
@@ -107,7 +119,7 @@ func TestZeroByteTransferIsLatencyOnly(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
-		n.Transfer(p, "submit", "w1", 0)
+		transfer(p, n, "submit", "w1", 0)
 		if p.Now() != time.Millisecond {
 			t.Errorf("zero-byte transfer took %v", p.Now())
 		}
@@ -140,7 +152,7 @@ func TestDuplicateNodePanics(t *testing.T) {
 
 // TestTransferThenMatchesTransfer: transfers submitted in chained form
 // finish, and their continuations run, in the order and at the times the
-// same transfers' blocking callers resume — loopback and zero-size
+// same transfers' waiting processes resume — loopback and zero-size
 // transfers, transfers contending for one egress, and transfers held by a
 // partition healed while they wait, interleaved with a process sleeping
 // beside them.
@@ -185,7 +197,7 @@ func TestTransferThenMatchesTransfer(t *testing.T) {
 			}
 			env.At(s.at, func() {
 				env.Go(s.name, func(p *sim.Proc) {
-					n.Transfer(p, s.from, s.to, s.size)
+					transfer(p, n, s.from, s.to, s.size)
 					note(s.name)
 				})
 			})
@@ -202,15 +214,16 @@ func TestTransferThenMatchesTransfer(t *testing.T) {
 	}
 }
 
-// TestTransferSteadyStateZeroAlloc: a process moving bytes with the
-// blocking Transfer in a loop allocates nothing once the flow, job and
-// event pools are warm: parking on the chained form adds no closure.
+// TestTransferSteadyStateZeroAlloc: a process moving bytes in a loop,
+// waiting on TransferThen with its resume, allocates nothing once the flow,
+// job and event pools are warm: parking on the chained form adds no
+// closure.
 func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := newNet(env)
 	env.Go("xfer", func(p *sim.Proc) {
 		for {
-			n.Transfer(p, "submit", "w1", 100) // 1ms latency + 1s
+			transfer(p, n, "submit", "w1", 100) // 1ms latency + 1s
 		}
 	})
 	env.RunFor(10 * time.Second) // warm pools
@@ -218,6 +231,6 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 		env.RunFor(time.Second + time.Millisecond)
 	})
 	if avg != 0 {
-		t.Errorf("steady-state Transfer allocates %.1f times per transfer, want 0", avg)
+		t.Errorf("steady-state transfer allocates %.1f times per transfer, want 0", avg)
 	}
 }

@@ -46,59 +46,68 @@ func (o *ObjectStore) AttachFaults(in *faults.Injector) {
 	})
 }
 
-// unavailable charges the failed request's round trip and returns the
-// transient outage error.
-func (o *ObjectStore) unavailable(p *sim.Proc, node, op string) error {
-	o.net.Message(p, node, o.host)
-	o.net.Message(p, o.host, node)
-	return faults.Transientf("storage: object store %s: %s: service unavailable", o.host, op)
+// unavailable marks the failed request's span, charges its round trip,
+// ends the span and hands the transient outage error to done.
+func (o *ObjectStore) unavailable(sp *trace.Span, node, op string, done func(error)) {
+	sp.SetLabel("status", "failed")
+	o.net.MessageThen(node, o.host, func() {
+		o.net.MessageThen(o.host, node, func() {
+			sp.End()
+			done(faults.Transientf("storage: object store %s: %s: service unavailable", o.host, op))
+		})
+	})
 }
 
-// Put uploads an object from a node: request latency + transfer to the
-// host + service-side write bandwidth. Its span nests under parent.
-func (o *ObjectStore) Put(p *sim.Proc, parent *trace.Span, fromNode, bucket, key string, size int64) error {
-	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "put",
-		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", fromNode))
-	defer sp.End()
-	if o.down {
-		sp.SetLabel("status", "failed")
-		return o.unavailable(p, fromNode, "put "+bucket+"/"+key)
-	}
-	b, ok := o.buckets[bucket]
-	if !ok {
-		return fmt.Errorf("storage: no bucket %q", bucket)
-	}
-	o.net.Transfer(p, fromNode, o.host, size)
-	if size > 0 {
-		o.srv.Run(p, float64(size), 0)
-	}
-	b[key] = size
-	return nil
-}
-
-// Get downloads an object to a node and returns its size. Its span nests
+// PutThen uploads an object from a node: request latency + transfer to
+// the host + service-side write bandwidth, then done. A missing bucket
+// fails at once, an outage after the request's round trip. Its span nests
 // under parent.
-func (o *ObjectStore) Get(p *sim.Proc, parent *trace.Span, toNode, bucket, key string) (int64, error) {
-	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "get",
-		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", toNode))
-	defer sp.End()
-	if o.down {
-		sp.SetLabel("status", "failed")
-		return 0, o.unavailable(p, toNode, "get "+bucket+"/"+key)
-	}
+func (o *ObjectStore) PutThen(parent *trace.Span, fromNode, bucket, key string, size int64, done func(error)) {
+	sp := trace.FromEnv(o.net.Env()).Start(parent, "storage", "put",
+		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", fromNode))
 	b, ok := o.buckets[bucket]
-	if !ok {
-		return 0, fmt.Errorf("storage: no bucket %q", bucket)
+	switch {
+	case o.down:
+		o.unavailable(sp, fromNode, "put "+bucket+"/"+key, done)
+	case !ok:
+		sp.End()
+		done(fmt.Errorf("storage: no bucket %q", bucket))
+	default:
+		o.net.TransferThen(fromNode, o.host, size, func() {
+			o.srv.RunReservedThen(float64(size), 0, 0, func() {
+				b[key] = size
+				sp.End()
+				done(nil)
+			})
+		})
 	}
-	size, ok := b[key]
-	if !ok {
-		return 0, fmt.Errorf("storage: no object %s/%s", bucket, key)
+}
+
+// GetThen downloads an object to a node and hands its size to done. A
+// missing bucket or object fails at once, an outage after the request's
+// round trip. Its span nests under parent.
+func (o *ObjectStore) GetThen(parent *trace.Span, toNode, bucket, key string, done func(int64, error)) {
+	sp := trace.FromEnv(o.net.Env()).Start(parent, "storage", "get",
+		trace.L("bucket", bucket), trace.L("key", key), trace.L("node", toNode))
+	b, ok := o.buckets[bucket]
+	size, found := b[key]
+	switch {
+	case o.down:
+		o.unavailable(sp, toNode, "get "+bucket+"/"+key, func(err error) { done(0, err) })
+	case !ok:
+		sp.End()
+		done(0, fmt.Errorf("storage: no bucket %q", bucket))
+	case !found:
+		sp.End()
+		done(0, fmt.Errorf("storage: no object %s/%s", bucket, key))
+	default:
+		o.srv.RunReservedThen(float64(size), 0, 0, func() {
+			o.net.TransferThen(o.host, toNode, size, func() {
+				sp.End()
+				done(size, nil)
+			})
+		})
 	}
-	if size > 0 {
-		o.srv.Run(p, float64(size), 0)
-	}
-	o.net.Transfer(p, o.host, toNode, size)
-	return size, nil
 }
 
 // Seed records an object without charging I/O — initial inputs.

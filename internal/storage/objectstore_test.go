@@ -35,10 +35,10 @@ func TestObjectStorePutGetRoundTrip(t *testing.T) {
 	env, store := newStore(t)
 	tr := trace.New(env)
 	env.Go("client", func(p *sim.Proc) {
-		if err := store.Put(p, nil, "w1", "data", "m1.dat", 500); err != nil {
+		if err := storePut(p, store, "w1", "data", "m1.dat", 500); err != nil {
 			t.Fatal(err)
 		}
-		size, err := store.Get(p, nil, "w1", "data", "m1.dat")
+		size, err := storeGet(p, store, "w1", "data", "m1.dat")
 		if err != nil || size != 500 {
 			t.Fatalf("Get = %d, %v", size, err)
 		}
@@ -56,10 +56,10 @@ func TestObjectStorePutGetRoundTrip(t *testing.T) {
 func TestObjectStoreErrors(t *testing.T) {
 	env, store := newStore(t)
 	env.Go("client", func(p *sim.Proc) {
-		if err := store.Put(p, nil, "w1", "ghost", "k", 1); err == nil {
+		if err := storePut(p, store, "w1", "ghost", "k", 1); err == nil {
 			t.Error("put to missing bucket succeeded")
 		}
-		if _, err := store.Get(p, nil, "w1", "data", "missing"); err == nil {
+		if _, err := storeGet(p, store, "w1", "data", "missing"); err == nil {
 			t.Error("get of missing object succeeded")
 		}
 	})
@@ -74,7 +74,7 @@ func TestObjectStoreServiceBandwidthShared(t *testing.T) {
 	for i, key := range []string{"a", "b"} {
 		i, key := i, key
 		env.Go("client", func(p *sim.Proc) {
-			if _, err := store.Get(p, nil, "w1", "data", key); err != nil {
+			if _, err := storeGet(p, store, "w1", "data", key); err != nil {
 				t.Error(err)
 			}
 			done[i] = p.Now()

@@ -14,57 +14,43 @@ import (
 	"repro/internal/trace"
 )
 
-// Disk is a node-local disk with a shared I/O bandwidth budget.
-type Disk struct {
-	srv *fluid.Server
-}
-
-// NewDisk returns a disk with the given aggregate bandwidth in bytes/second.
-func NewDisk(env *sim.Env, name string, bps float64) *Disk {
-	return &Disk{srv: fluid.New(env, "disk:"+name, bps)}
-}
-
-// read charges a read of size bytes, sharing bandwidth with concurrent I/O.
-func (d *Disk) read(p *sim.Proc, size int64) {
-	if size > 0 {
-		d.srv.Run(p, float64(size), 0)
-	}
-}
-
-// write charges a write of size bytes.
-func (d *Disk) write(p *sim.Proc, size int64) {
-	if size > 0 {
-		d.srv.Run(p, float64(size), 0)
-	}
+// NewDisk returns a node-local disk: a fluid server of the given
+// aggregate bandwidth in bytes/second, shared by concurrent I/O.
+func NewDisk(env *sim.Env, name string, bps float64) *fluid.Server {
+	return fluid.New(env, "disk:"+name, bps)
 }
 
 // Scratch is a node-local staging directory tracking logical files by name
 // and size — the per-job sandbox condor's file transfer populates.
 type Scratch struct {
 	node  string
-	disk  *Disk
+	disk  *fluid.Server
 	files map[string]int64
 }
 
 // NewScratch returns an empty scratch area backed by disk.
-func NewScratch(node string, disk *Disk) *Scratch {
+func NewScratch(node string, disk *fluid.Server) *Scratch {
 	return &Scratch{node: node, disk: disk, files: make(map[string]int64)}
 }
 
-// Put records a file and charges the disk write.
-func (s *Scratch) Put(p *sim.Proc, name string, size int64) {
-	s.disk.write(p, size)
-	s.files[name] = size
+// PutThen charges the disk write of a file, records it, and then runs
+// then.
+func (s *Scratch) PutThen(name string, size int64, then func()) {
+	s.disk.RunReservedThen(float64(size), 0, 0, func() {
+		s.files[name] = size
+		then()
+	})
 }
 
-// Get charges a disk read of the named file and returns its size.
-func (s *Scratch) Get(p *sim.Proc, name string) (int64, error) {
+// GetThen charges a disk read of the named file and hands its size to
+// done; a missing file fails at once.
+func (s *Scratch) GetThen(name string, done func(int64, error)) {
 	size, ok := s.files[name]
 	if !ok {
-		return 0, fmt.Errorf("storage: %s: no file %q", s.node, name)
+		done(0, fmt.Errorf("storage: %s: no file %q", s.node, name))
+		return
 	}
-	s.disk.read(p, size)
-	return size, nil
+	s.disk.RunReservedThen(float64(size), 0, 0, func() { done(size, nil) })
 }
 
 // Has reports whether the named file is present.
@@ -78,7 +64,7 @@ func (s *Scratch) Has(name string) bool {
 // access touches only the disk.
 type SharedFS struct {
 	host  string
-	disk  *Disk
+	disk  *fluid.Server
 	net   *simnet.Network
 	files map[string]int64
 }
@@ -97,30 +83,38 @@ func NewSharedFS(env *sim.Env, net *simnet.Network, host string, diskBps float64
 	}
 }
 
-// Write stores a file from the given node, charging the transfer to the
-// host plus the host disk write. Its span nests under parent.
-func (fs *SharedFS) Write(p *sim.Proc, parent *trace.Span, fromNode, name string, size int64) {
-	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "write",
+// WriteThen stores a file from the given node, charging the transfer to
+// the host plus the host disk write, and then runs then. Its span nests
+// under parent.
+func (fs *SharedFS) WriteThen(parent *trace.Span, fromNode, name string, size int64, then func()) {
+	sp := trace.FromEnv(fs.net.Env()).Start(parent, "storage", "write",
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", fromNode))
-	defer sp.End()
-	fs.net.Transfer(p, fromNode, fs.host, size)
-	fs.disk.write(p, size)
-	fs.files[name] = size
+	fs.net.TransferThen(fromNode, fs.host, size, func() {
+		fs.disk.RunReservedThen(float64(size), 0, 0, func() {
+			fs.files[name] = size
+			sp.End()
+			then()
+		})
+	})
 }
 
-// Read fetches a file to the given node, charging the host disk read plus
-// the transfer, and returns its size. Its span nests under parent.
-func (fs *SharedFS) Read(p *sim.Proc, parent *trace.Span, toNode, name string) (int64, error) {
+// ReadThen fetches a file to the given node, charging the host disk read
+// plus the transfer, and hands its size to done; a missing file fails at
+// once. Its span nests under parent.
+func (fs *SharedFS) ReadThen(parent *trace.Span, toNode, name string, done func(int64, error)) {
 	size, ok := fs.files[name]
 	if !ok {
-		return 0, fmt.Errorf("storage: shared fs: no file %q", name)
+		done(0, fmt.Errorf("storage: shared fs: no file %q", name))
+		return
 	}
-	sp := trace.FromEnv(p.Env()).Start(parent, "storage", "read",
+	sp := trace.FromEnv(fs.net.Env()).Start(parent, "storage", "read",
 		trace.L("fs", "shared"), trace.L("file", name), trace.L("node", toNode))
-	defer sp.End()
-	fs.disk.read(p, size)
-	fs.net.Transfer(p, fs.host, toNode, size)
-	return size, nil
+	fs.disk.RunReservedThen(float64(size), 0, 0, func() {
+		fs.net.TransferThen(fs.host, toNode, size, func() {
+			sp.End()
+			done(size, nil)
+		})
+	})
 }
 
 // Has reports whether the named file exists.

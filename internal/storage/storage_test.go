@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -15,12 +16,58 @@ func testNet(env *sim.Env) *simnet.Network {
 	return n
 }
 
+// The helpers below wait in a process on the storage ops' continuation
+// forms: the process's resume is the continuation, then one park.
+
+func io(p *sim.Proc, d *fluid.Server, size int64) {
+	d.RunReservedThen(float64(size), 0, 0, p.Resumer())
+	p.Await()
+}
+
+func put(p *sim.Proc, s *Scratch, name string, size int64) {
+	s.PutThen(name, size, p.Resumer())
+	p.Await()
+}
+
+func get(p *sim.Proc, s *Scratch, name string) (size int64, err error) {
+	resume := p.Resumer()
+	s.GetThen(name, func(n int64, e error) { size, err = n, e; resume() })
+	p.Await()
+	return size, err
+}
+
+func write(p *sim.Proc, fs *SharedFS, node, name string, size int64) {
+	fs.WriteThen(nil, node, name, size, p.Resumer())
+	p.Await()
+}
+
+func read(p *sim.Proc, fs *SharedFS, node, name string) (size int64, err error) {
+	resume := p.Resumer()
+	fs.ReadThen(nil, node, name, func(n int64, e error) { size, err = n, e; resume() })
+	p.Await()
+	return size, err
+}
+
+func storePut(p *sim.Proc, o *ObjectStore, node, bucket, key string, size int64) (err error) {
+	resume := p.Resumer()
+	o.PutThen(nil, node, bucket, key, size, func(e error) { err = e; resume() })
+	p.Await()
+	return err
+}
+
+func storeGet(p *sim.Proc, o *ObjectStore, node, bucket, key string) (size int64, err error) {
+	resume := p.Resumer()
+	o.GetThen(nil, node, bucket, key, func(n int64, e error) { size, err = n, e; resume() })
+	p.Await()
+	return size, err
+}
+
 func TestDiskReadWriteTiming(t *testing.T) {
 	env := sim.NewEnv(1)
 	d := NewDisk(env, "d", 100)
 	env.Go("io", func(p *sim.Proc) {
-		d.write(p, 50)
-		d.read(p, 150)
+		io(p, d, 50)
+		io(p, d, 150)
 		if p.Now() != 2*time.Second {
 			t.Errorf("I/O took %v, want 2s", p.Now())
 		}
@@ -35,7 +82,7 @@ func TestDiskSharesBandwidth(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		env.Go("io", func(p *sim.Proc) {
-			d.read(p, 100)
+			io(p, d, 100)
 			done[i] = p.Now()
 		})
 	}
@@ -52,15 +99,15 @@ func TestScratchPutGet(t *testing.T) {
 	d := NewDisk(env, "d", 1000)
 	s := NewScratch("w1", d)
 	env.Go("job", func(p *sim.Proc) {
-		s.Put(p, "a.dat", 500)
+		put(p, s, "a.dat", 500)
 		if !s.Has("a.dat") {
 			t.Error("Has after Put is false")
 		}
-		sz, err := s.Get(p, "a.dat")
+		sz, err := get(p, s, "a.dat")
 		if err != nil || sz != 500 {
 			t.Errorf("Get = %d, %v", sz, err)
 		}
-		if _, err := s.Get(p, "missing"); err == nil {
+		if _, err := get(p, s, "missing"); err == nil {
 			t.Error("Get of missing file succeeded")
 		}
 	})
@@ -73,14 +120,14 @@ func TestSharedFSRemoteRoundTrip(t *testing.T) {
 	fs := NewSharedFS(env, net, "submit", 1000)
 	env.Go("job", func(p *sim.Proc) {
 		start := p.Now()
-		fs.Write(p, nil, "w1", "out.dat", 1000)
+		write(p, fs, "w1", "out.dat", 1000)
 		// transfer 1000B @1000B/s = 1s + 1ms latency; disk write 1s.
 		wrote := p.Now() - start
 		want := 2*time.Second + time.Millisecond
 		if wrote != want {
 			t.Errorf("remote write took %v, want %v", wrote, want)
 		}
-		sz, err := fs.Read(p, nil, "w1", "out.dat")
+		sz, err := read(p, fs, "w1", "out.dat")
 		if err != nil || sz != 1000 {
 			t.Fatalf("Read = %d, %v", sz, err)
 		}
@@ -97,7 +144,7 @@ func TestSharedFSLocalAccessSkipsNetwork(t *testing.T) {
 	fs := NewSharedFS(env, net, "submit", 1000)
 	fs.Touch("in.dat", 1000)
 	env.Go("job", func(p *sim.Proc) {
-		if _, err := fs.Read(p, nil, "submit", "in.dat"); err != nil {
+		if _, err := read(p, fs, "submit", "in.dat"); err != nil {
 			t.Fatal(err)
 		}
 		if p.Now() != time.Second { // disk only, no latency/transfer
@@ -112,7 +159,7 @@ func TestSharedFSMissingFile(t *testing.T) {
 	net := testNet(env)
 	fs := NewSharedFS(env, net, "submit", 1000)
 	env.Go("job", func(p *sim.Proc) {
-		if _, err := fs.Read(p, nil, "w1", "ghost"); err == nil {
+		if _, err := read(p, fs, "w1", "ghost"); err == nil {
 			t.Error("read of missing file succeeded")
 		}
 	})

@@ -399,11 +399,10 @@ func (t *taskState) Run(ctx *condor.ExecContext, done func(error)) {
 //     function's node reads the data service directly.
 //
 // Each step runs in the run-queue slot where a process waiting through the
-// same steps would run (see condor.Runner); only the remote-staging hooks,
-// which take a *sim.Proc, run in a process, started with Env.GoFirst where
-// the chain reaches them. Execs are recycled through the engine's free
-// list and their callbacks are bound once per struct, so a warm native
-// payload allocates nothing.
+// same steps would run (see condor.Runner); remote staging is a step too,
+// a chain over the task's files (taskState.stageIn). Execs are recycled
+// through the engine's free list and their callbacks are bound once per
+// struct, so a warm native payload allocates nothing.
 type taskExec struct {
 	t     *taskState
 	ctx   *condor.ExecContext
@@ -418,10 +417,10 @@ type taskExec struct {
 	c     *crt.Container
 	svc   *knative.Service
 
-	// step, hook and invoked are advance, runHook and the invocation's
-	// report, bound once per struct.
+	// step, staged and invoked are advance, the staging's report and the
+	// invocation's report, bound once per struct.
 	step    func()
-	hook    func(*sim.Proc)
+	staged  func(error)
 	invoked func(knative.Response, error)
 }
 
@@ -429,9 +428,9 @@ type taskExec struct {
 type execStage uint8
 
 const (
-	execStagedIn  execStage = iota // the stage-in hook returned
+	execStagedIn  execStage = iota // the task's inputs are staged in
 	execRan                        // the task's work drained
-	execStagedOut                  // the stage-out hook returned
+	execStagedOut                  // the task's outputs are staged out
 	execImported                   // container: the image is loaded
 	execCreated                    // container: the create overhead elapsed
 	execStarted                    // container: the start overhead elapsed
@@ -447,7 +446,11 @@ func (e *Engine) newExec() *taskExec {
 		return x
 	}
 	x := &taskExec{}
-	x.step, x.hook = x.advance, x.runHook
+	x.step = x.advance
+	x.staged = func(err error) {
+		x.err = err
+		x.advance()
+	}
 	x.invoked = func(_ knative.Response, err error) { x.finish(err) }
 	return x
 }
@@ -455,7 +458,7 @@ func (e *Engine) newExec() *taskExec {
 // finish recycles the exec and reports err to the job.
 func (x *taskExec) finish(err error) {
 	e, done := x.t.d.e, x.done
-	*x = taskExec{step: x.step, hook: x.hook, invoked: x.invoked}
+	*x = taskExec{step: x.step, staged: x.staged, invoked: x.invoked}
 	e.execs = append(e.execs, x)
 	done(err)
 }
@@ -509,14 +512,14 @@ func (x *taskExec) advance() {
 }
 
 // stageIn fetches the task's inputs onto the node. By value they came in
-// the job's sandbox; remote staging reads them in the stage-in hook.
+// the job's sandbox; remote staging reads them from the data service.
 func (x *taskExec) stageIn() {
 	if x.t.d.e.Staging == StageByValue {
 		x.exec()
 		return
 	}
 	x.stage = execStagedIn
-	x.t.d.e.Env.GoFirst("stage-in", x.hook)
+	x.t.stageIn(x.ctx.Span, x.ctx.Node.Name, x.staged)
 }
 
 // stageOut writes the task's outputs back, as stageIn reads its inputs.
@@ -526,19 +529,7 @@ func (x *taskExec) stageOut() {
 		return
 	}
 	x.stage = execStagedOut
-	x.t.d.e.Env.GoFirst("stage-out", x.hook)
-}
-
-// runHook is the body of the process a remote-staging hook runs in; it
-// continues the chain when the hook returns.
-func (x *taskExec) runHook(p *sim.Proc) {
-	t, ctx := x.t, x.ctx
-	if x.stage == execStagedIn {
-		x.err = t.stageIn(p, ctx.Span, ctx.Node.Name)
-	} else {
-		x.err = t.stageOut(p, ctx.Span, ctx.Node.Name)
-	}
-	x.advance()
+	x.t.stageOut(x.ctx.Span, x.ctx.Node.Name, x.staged)
 }
 
 // exec runs the task's work: on the slot's node, or in the container.
@@ -630,53 +621,69 @@ func (x *taskExec) invoke() {
 	x.svc.InvokeAsync(req, x.invoked)
 }
 
-// stageIn and stageOut touch the data service from the execution node when
-// remote staging is on; they are no-ops for condorio. With ScratchCache on,
-// shared-fs staging keeps a scratch copy of every file that passes through
-// a node: stage-out writes it alongside the share, and stage-in
-// short-circuits to local scratch when the file is already resident — the
-// residency the data-locality placement policy steers towards. The I/O
-// spans nest under parent.
-func (t *taskState) stageIn(p *sim.Proc, parent *trace.Span, node string) error {
+// stageIn and stageOut move the task's files between the node and the
+// data service under remote staging, one file after another, and hand the
+// first error, or nil, to done; they are the serverless request's staging
+// hooks too. With ScratchCache on, shared-fs staging keeps a scratch copy
+// of every file that passes through a node: stage-out writes it alongside
+// the share, and stage-in short-circuits to local scratch when the file is
+// already resident — the residency the data-locality placement policy
+// steers towards. The I/O spans nest under parent.
+func (t *taskState) stageIn(parent *trace.Span, node string, done func(error)) {
 	e, wf := t.d.e, t.d.wf
-	for _, f := range wf.tasks[t.i].Inputs {
-		var err error
-		switch e.Staging {
-		case StageSharedFS:
-			if !e.Prm.ScratchCache {
-				_, err = e.FS.Read(p, parent, node, f.LFN)
-			} else if sc := e.Cl.MustNode(node).Scratch; sc.Has(f.LFN) {
-				_, err = sc.Get(p, f.LFN)
-			} else {
-				var size int64
-				if size, err = e.FS.Read(p, parent, node, f.LFN); err == nil {
-					sc.Put(p, f.LFN, size)
-				}
-			}
-		case StageObjectStore:
-			_, err = e.Store.Get(p, parent, node, wf.Name, f.LFN)
+	inputs := wf.tasks[t.i].Inputs
+	var next func(int64, error)
+	next = func(_ int64, err error) {
+		if err != nil || len(inputs) == 0 {
+			done(err)
+			return
 		}
-		if err != nil {
-			return err
+		f := inputs[0]
+		inputs = inputs[1:]
+		switch {
+		case e.Staging == StageObjectStore:
+			e.Store.GetThen(parent, node, wf.Name, f.LFN, next)
+		case !e.Prm.ScratchCache:
+			e.FS.ReadThen(parent, node, f.LFN, next)
+		default:
+			sc := e.Cl.MustNode(node).Scratch
+			if sc.Has(f.LFN) {
+				sc.GetThen(f.LFN, next)
+				return
+			}
+			e.FS.ReadThen(parent, node, f.LFN, func(size int64, err error) {
+				if err != nil {
+					next(0, err)
+					return
+				}
+				sc.PutThen(f.LFN, size, func() { next(size, nil) })
+			})
 		}
 	}
-	return nil
+	next(0, nil)
 }
 
-func (t *taskState) stageOut(p *sim.Proc, parent *trace.Span, node string) error {
+func (t *taskState) stageOut(parent *trace.Span, node string, done func(error)) {
 	e, wf := t.d.e, t.d.wf
-	for _, f := range wf.tasks[t.i].Outputs {
-		switch e.Staging {
-		case StageSharedFS:
-			if e.Prm.ScratchCache {
-				e.Cl.MustNode(node).Scratch.Put(p, f.LFN, f.Bytes)
-			}
-			e.FS.Write(p, parent, node, f.LFN, f.Bytes)
-		case StageObjectStore:
-			if err := e.Store.Put(p, parent, node, wf.Name, f.LFN, f.Bytes); err != nil {
-				return err
-			}
+	outputs := wf.tasks[t.i].Outputs
+	var next func(error)
+	next = func(err error) {
+		if err != nil || len(outputs) == 0 {
+			done(err)
+			return
+		}
+		f := outputs[0]
+		outputs = outputs[1:]
+		switch {
+		case e.Staging == StageObjectStore:
+			e.Store.PutThen(parent, node, wf.Name, f.LFN, f.Bytes, next)
+		case e.Prm.ScratchCache:
+			e.Cl.MustNode(node).Scratch.PutThen(f.LFN, f.Bytes, func() {
+				e.FS.WriteThen(parent, node, f.LFN, f.Bytes, func() { next(nil) })
+			})
+		default:
+			e.FS.WriteThen(parent, node, f.LFN, f.Bytes, func() { next(nil) })
 		}
 	}
-	return nil
+	next(nil)
 }

@@ -138,22 +138,10 @@ func TestExperimentsExportOnlyTheTable(t *testing.T) {
 	}
 }
 
-// substrateProcs are the processes the library may spawn, as (package,
-// name or name prefix) pairs: code that takes a *sim.Proc. A control loop
-// that runs no such code is a handler of its queue or a chain of
-// continuations, never a process.
-var substrateProcs = map[[2]string]bool{
-	{"knative", "stage-in"}:  true, // the GoFirst staging hooks
-	{"knative", "stage-out"}: true,
-	{"kube", "pull-"}:        true,
-	{"wms", "stage-in"}:      true, // the GoFirst staging hooks
-	{"wms", "stage-out"}:     true,
-}
-
-// TestSubstratesSpawnOnlyListedProcs keeps the substrates' control loops
-// off coroutines: every Env.Go and Env.GoFirst in the non-test code under
-// internal/ (experiment drivers aside) must spawn a process substrateProcs
-// lists, named by a string literal or a literal prefix.
+// TestSubstratesSpawnOnlyListedProcs keeps the library off coroutines: no
+// non-test code under internal/ (experiment drivers aside) calls Env.Go. A
+// control loop is a handler of its queue, and every wait of a substrate is
+// a continuation form, so only drivers run processes.
 func TestSubstratesSpawnOnlyListedProcs(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -174,20 +162,9 @@ func TestSubstratesSpawnOnlyListedProcs(t *testing.T) {
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Go" && sel.Sel.Name != "GoFirst" {
-				return true
-			}
-			name := call.Args[0]
-			if bin, ok := name.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
-				name = bin.X
-			}
-			prefix := ""
-			if lit, ok := name.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				prefix, _ = strconv.Unquote(lit.Value)
-			}
-			if !substrateProcs[[2]string{f.Name.Name, prefix}] {
-				t.Errorf("%s: %s spawns process %q, which substrateProcs does not list: make the loop a handler",
-					fset.Position(call.Pos()), f.Name.Name, prefix)
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
+				t.Errorf("%s: %s spawns a process: make the loop a handler or the wait a continuation",
+					fset.Position(call.Pos()), f.Name.Name)
 			}
 			return true
 		})
